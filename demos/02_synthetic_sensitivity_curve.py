@@ -43,10 +43,10 @@ print("target outcomes are hidden from the estimators:",
 # ---------------------------------------------------------------------------
 # 2. Fit nuisances and sweep the curve
 # ---------------------------------------------------------------------------
-recipe = recipe_for(spec)                      # logistic g and p, closed-form b and c
+nuis = recipe_for(spec).fit(table)     # logistic g and p, closed-form b and c, on the rows
 grid = np.round(np.arange(-10, 21) * 0.05, 10)  # eta in [-0.5, 1.0]
 curve = sensitivity_curve(
-    table, recipe, grid,
+    table, nuis, grid,
     estimator="aug",
     resample=ResampleConfig(method="bootstrap", replicates=300, seed=7),
 )

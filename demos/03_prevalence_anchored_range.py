@@ -35,9 +35,9 @@ spec = DgpSpec(
 sim = generate(spec, seed=11)
 table = sim.table
 
-# fitted outcome model on the source rows
+# fitted outcome model, evaluated on every row of the table
 nuis = recipe_for(spec).fit(table)
-g_target = nuis.g(table.x[table.s == 0])
+g_target = nuis.g[table.s == 0]
 
 # ---------------------------------------------------------------------------
 # 1. The prevalence-to-eta map is strictly increasing

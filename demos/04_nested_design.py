@@ -14,10 +14,9 @@ from tiltrisk import (
     PredictionModel,
     ResampleConfig,
     bootstrap_ci,
+    estimate,
     generate,
     jackknife_ci,
-    psi_aug,
-    psi_cl,
     recipe_for,
     true_psi_oracle,
 )
@@ -45,8 +44,8 @@ nuis = recipe.fit(table)
 # ---------------------------------------------------------------------------
 print("\n  eta   plug-in   augmented")
 for eta in (-1.0, -0.5, 0.0, 0.5, 1.0):
-    cl = psi_cl(table, nuis, eta).estimate
-    aug = psi_aug(table, nuis, eta).estimate
+    cl = estimate(table, nuis, eta, "cl").estimate
+    aug = estimate(table, nuis, eta, "aug").estimate
     print(f"{eta:+.1f}   {cl:.4f}    {aug:.4f}")
 
 oracle = true_psi_oracle(spec, spec.eta_true, n_mc=500_000, seed=2)
@@ -58,7 +57,7 @@ print(f"\ntrue cohort risk at eta_true: {oracle.value:.4f}")
 eta = spec.eta_true
 
 def estimator(t):
-    return psi_aug(t, recipe.fit(t), eta).estimate
+    return estimate(t, recipe.fit(t), eta, "aug").estimate
 
 boot = bootstrap_ci(table, estimator, ResampleConfig(replicates=300, seed=3))
 jack = jackknife_ci(table, estimator)

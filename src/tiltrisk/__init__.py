@@ -26,13 +26,8 @@ from .estimators import (
     EstimateResult,
     InfluenceValues,
     SensitivityCurve,
-    influence_values_nested,
-    influence_values_nonnested,
-    phi_aug,
-    phi_aug_alt,
-    phi_cl,
-    psi_aug,
-    psi_cl,
+    estimate,
+    influence_values,
     sensitivity_curve,
 )
 from .etaselect import (
@@ -88,8 +83,7 @@ __all__ = [
     "PositivityError", "TiltOverflowError", "RankDeficientError",
     "ConvergenceError", "NumericError",
     "EstimateResult", "InfluenceValues", "SensitivityCurve",
-    "phi_cl", "phi_aug", "phi_aug_alt", "psi_cl", "psi_aug",
-    "influence_values_nonnested", "influence_values_nested", "sensitivity_curve",
+    "estimate", "influence_values", "sensitivity_curve",
     "PrevalenceAnchor", "eta_from_prevalence_nonnested",
     "eta_from_prevalence_nested", "eta_grid_from_prevalence_range",
     "DesignSpec", "GlmFit", "WlsFit", "ParametricA", "NuisanceSet", "NuisanceRecipe",

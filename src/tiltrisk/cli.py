@@ -139,44 +139,33 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_eta_range(args) -> int:
-    from .data import ObservationTable
-    from .etaselect import PrevalenceAnchor, eta_grid_from_prevalence_range
-    from .io import _read_raw
-    from .nuisance import DesignSpec, fit_logistic
+    from .data import build_table
+    from .io import _model_from_config, _read_raw, _recipe_from_config, _resolve_grid
+    from .tilt import LossFunction
 
     if (args.anchor_mu is None) == (args.anchor_alpha is None):
         raise ConfigError("provide exactly one of --anchor-mu or --anchor-alpha")
     x_cols = _split_csv_list(args.x_cols)
-    raw = _read_raw(args.data, x_cols)
-    design = "non-nested" if args.anchor_mu is not None else "nested"
-    cols = tuple(range(len(x_cols)))
-    src = raw.s == 1
-    if not np.all(np.isin(raw.y[src], (0.0, 1.0))):
+    anchor = {"mu": args.anchor_mu, "alpha": args.anchor_alpha, "step": args.step}
+    if args.multipliers:
+        anchor["multipliers"] = [float(v) for v in _split_csv_list(args.multipliers)]
+    # the grid analyze would sweep; anchoring reads only the fitted g and p,
+    # so the prediction model is a placeholder
+    config = AnalysisConfig.from_dict({
+        "data_path": args.data,
+        "design": "non-nested" if args.anchor_mu is not None else "nested",
+        "loss": "brier",
+        "x_columns": x_cols,
+        "model_coefficients": [0.0] * (len(x_cols) + 1),
+        "anchor": anchor,
+        "out_dir": ".",
+    })
+    raw = _read_raw(config.data_path, config.x_columns)
+    if not np.all(np.isin(raw.y[raw.s == 1], (0.0, 1.0))):
         raise DataError("eta-range needs a binary outcome")
-    g_fit = fit_logistic(DesignSpec(cols), raw.x[src], raw.y[src])
-    p_fit = None
-    if design == "nested":
-        p_fit = fit_logistic(DesignSpec(cols), raw.x, src.astype(float))
-
-    # minimal table shell for the solvers
-    from .tilt import LossFunction, PredictionModel
-    from .data import build_table
-
-    model = PredictionModel(coefficients=[0.0] * (len(x_cols) + 1), xstar_columns=cols)
-    table = build_table(raw.s, raw.x, raw.y, model, LossFunction("brier"), design)
-
-    multipliers = (
-        tuple(float(v) for v in _split_csv_list(args.multipliers))
-        if args.multipliers
-        else (0.5, 2.0)
-    )
-    anchor = PrevalenceAnchor(
-        mu=args.anchor_mu, alpha=args.anchor_alpha, multipliers=multipliers
-    )
-    grid = eta_grid_from_prevalence_range(
-        table, g_fit.predict, anchor, args.step,
-        p=None if p_fit is None else p_fit.predict,
-    )
+    table = build_table(raw.s, raw.x, raw.y, _model_from_config(config),
+                        LossFunction(config.loss), config.design)
+    grid = _resolve_grid(config, table, _recipe_from_config(config).fit(table))
     print(json.dumps({
         "eta_lo": float(grid[0]),
         "eta_hi": float(grid[-1]),

@@ -1,12 +1,18 @@
 """Target-population risk estimators under the exponential tilt model.
 
 Non-nested designs estimate the risk among target rows (phi); nested
-designs estimate the cohort-wide risk (psi).  Each comes as a plug-in
-conditional-loss estimator and an augmented estimator that adds an
-inverse-odds-weighted residual correction.  The alternative-
-parameterization augmented estimator replaces the inverse-odds factor by
-the selection offset a.  Per-observation influence values back the
-sandwich standard error.
+designs estimate the cohort-wide risk (psi).  Every estimator is one sum
+of per-row terms at the nuisance values on the table's rows:
+
+    r = b                   on target rows,
+    r = w (L - b)           on source rows (non-nested),
+    r = L + w (L - b)       on source rows (nested),
+
+with the source weight w = 0 for the plug-in ``cl``, the inverse odds
+(1-p)/p * e^{eta q(y)} / c for the augmented ``aug`` and e^{a + eta q(y)}
+for the selection-offset ``aug-alt``.  The estimate is sum(r)/n0
+(non-nested) or sum(r)/n (nested); the same terms give the per-row
+influence values behind the sandwich standard error.
 """
 
 from __future__ import annotations
@@ -18,10 +24,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import ObservationTable
-from .errors import ConfigError, DataError
-from .nuisance import NuisanceRecipe, NuisanceSet
+from .errors import ConfigError
+from .nuisance import NuisanceSet
+from .tilt import TiltSpec, tilt_weight
 
 _CLIP_TOL = 1e-12
+
+ESTIMATOR_NAMES = ("cl", "aug", "aug-alt")
 
 
 @dataclass(frozen=True)
@@ -58,44 +67,55 @@ class InfluenceValues:
     se: float
 
 
-def _require_design(table: ObservationTable, design: str, op: str) -> None:
-    if table.design != design:
-        raise DataError(f"{op} requires a {design} table, got {table.design!r}")
+def _check_estimator(name: str) -> None:
+    if name not in ESTIMATOR_NAMES:
+        raise ConfigError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
 
 
-def _p_diagnostics(p_vals: np.ndarray, nuis: NuisanceSet) -> tuple:
-    # only fitted bundles clip p; hand-built sets (e.g. p = 1 test mode)
+def _clip_diagnostics(p_src: np.ndarray, nuis: NuisanceSet) -> dict:
+    # only fitted sets clip p; hand-built sets (e.g. p = 1 test mode)
     # carry no bounds and report no clipping
-    if "p_clip" not in nuis.meta or p_vals.size == 0:
-        return 0, False
+    if "p_clip" not in nuis.meta or p_src.size == 0:
+        return {"clip_count": 0}
     lo, hi = nuis.meta["p_clip"]
-    at_bound = (p_vals <= lo + _CLIP_TOL) | (p_vals >= hi - _CLIP_TOL)
-    return int(at_bound.sum()), bool(at_bound.mean() > 0.5)
-
-
-def _augmentation(table: ObservationTable, nuis: NuisanceSet, eta: float, b_all):
-    """Source-row augmentation terms ((1-p)/p) * (w/c) * (L - b) plus
-    weight diagnostics."""
-    src = table.s == 1
-    x_src = table.x[src]
-    w = nuis.tilt_weights(table.y[src], eta)
-    c = np.asarray(nuis.c(x_src, eta), dtype=np.float64)
-    p = np.asarray(nuis.p(x_src), dtype=np.float64)
-    resid = table.loss[src] - b_all[src]
-    weight = (1.0 - p) / p * w / c
-    clip_count, breached = _p_diagnostics(p, nuis)
-    diag = {
-        "max_weight": float(weight.max()) if weight.size else 0.0,
-        "clip_count": clip_count,
-    }
-    if breached:
+    at_bound = (p_src <= lo + _CLIP_TOL) | (p_src >= hi - _CLIP_TOL)
+    diag = {"clip_count": int(at_bound.sum())}
+    if at_bound.mean() > 0.5:
         diag["positivity_warning"] = True
-        warnings.warn(
-            "p(X) sits at its clipping bound for more than half of the "
-            "source rows; inverse-odds weights may be unstable",
-            stacklevel=3,
-        )
-    return weight * resid, diag
+    return diag
+
+
+def _source_weights(table: ObservationTable, nuis: NuisanceSet, eta: float,
+                    estimator: str, src: np.ndarray) -> tuple:
+    """Source-row weights of ``aug`` or ``aug-alt`` and their diagnostics."""
+    tilt = tilt_weight(table.y[src], TiltSpec(eta, nuis.q))
+    if estimator == "aug-alt":
+        if nuis.a is None:
+            raise ConfigError("aug-alt needs the selection offset a in the nuisance set")
+        weight = np.exp(np.asarray(nuis.a(eta))[src]) * tilt
+        clip = {}
+    else:
+        p = np.asarray(nuis.p)[src]
+        weight = (1.0 - p) / p * tilt / np.asarray(nuis.c(eta))[src]
+        clip = _clip_diagnostics(p, nuis)
+    return weight, {"max_weight": float(weight.max()) if weight.size else 0.0, **clip}
+
+
+def _terms(table: ObservationTable, nuis: NuisanceSet, eta: float, estimator: str) -> tuple:
+    """Per-row terms r, the estimate and the weight diagnostics at one eta."""
+    _check_estimator(estimator)
+    src = table.s == 1
+    nested = table.design == "nested"
+    b = np.asarray(nuis.b(eta), dtype=np.float64)
+    r = np.where(src, table.loss if nested else 0.0, b)
+    diag = {}
+    if estimator != "cl":
+        weight, diag = _source_weights(table, nuis, eta, estimator, src)
+        r[src] += weight * (table.loss[src] - b[src])
+    est = float(r.sum() / (table.n if nested else table.n0))
+    if estimator != "cl":
+        diag["overshoot"] = _overshoot(table, est)
+    return r, est, diag
 
 
 def _overshoot(table: ObservationTable, estimate: float) -> float:
@@ -105,143 +125,48 @@ def _overshoot(table: ObservationTable, estimate: float) -> float:
     return float(max(0.0, estimate - 1.0) + max(0.0, -estimate))
 
 
-# ---------------------------------------------------------------------------
-# Non-nested estimators
-# ---------------------------------------------------------------------------
+def estimate(
+    table: ObservationTable, nuis: NuisanceSet, eta: float, estimator: str
+) -> EstimateResult:
+    """Risk estimate at one eta: ``cl``, ``aug`` or ``aug-alt``, for the
+    table's design.
 
-
-def phi_cl(table: ObservationTable, nuis: NuisanceSet, eta: float) -> EstimateResult:
-    """Conditional-loss estimator: average of b(X; eta) over target rows."""
-    _require_design(table, "non-nested", "phi_cl")
-    if table.n0 == 0:
-        raise DataError("phi_cl needs target rows")
-    tgt = table.s == 0
-    b = np.asarray(nuis.b(table.x[tgt], eta), dtype=np.float64)
-    est = float(b.mean())
-    return EstimateResult(eta=eta, estimate=est, method="cl/non-nested")
-
-
-def phi_aug(table: ObservationTable, nuis: NuisanceSet, eta: float) -> EstimateResult:
-    """Augmented estimator for non-nested designs.
-
-    Adds to the plug-in the inverse-odds-weighted, tilt-weighted residual
-    correction over source rows; reduces to phi_cl exactly when p = 1.
+    Warns when p sits at its clipping bound on more than half of the
+    source rows; the ``positivity_warning`` diagnostic records the same.
     """
-    _require_design(table, "non-nested", "phi_aug")
-    b_all = np.asarray(nuis.b(table.x, eta), dtype=np.float64)
-    aug, diag = _augmentation(table, nuis, eta, b_all)
-    est = float((b_all[table.s == 0].sum() + aug.sum()) / table.n0)
-    diag["overshoot"] = _overshoot(table, est)
-    return EstimateResult(eta=eta, estimate=est, method="aug/non-nested", diagnostics=diag)
-
-
-def phi_aug_alt(table: ObservationTable, nuis: NuisanceSet, eta: float) -> EstimateResult:
-    """Augmented estimator in the selection-offset parameterization,
-    with source-row weights e^{a(X; eta) + eta q(y)}."""
-    _require_design(table, "non-nested", "phi_aug_alt")
-    if nuis.a is None:
-        raise ConfigError("phi_aug_alt needs the selection offset a in the nuisance set")
-    b_all = np.asarray(nuis.b(table.x, eta), dtype=np.float64)
-    src = table.s == 1
-    a = np.asarray(nuis.a(table.x[src], eta), dtype=np.float64)
-    w = nuis.tilt_weights(table.y[src], eta)
-    weight = np.exp(a) * w
-    resid = table.loss[src] - b_all[src]
-    est = float((b_all[table.s == 0].sum() + (weight * resid).sum()) / table.n0)
-    diag = {
-        "max_weight": float(weight.max()) if weight.size else 0.0,
-        "overshoot": _overshoot(table, est),
-    }
-    return EstimateResult(eta=eta, estimate=est, method="aug-alt/non-nested", diagnostics=diag)
-
-
-# ---------------------------------------------------------------------------
-# Nested estimators
-# ---------------------------------------------------------------------------
-
-
-def psi_cl(table: ObservationTable, nuis: NuisanceSet, eta: float) -> EstimateResult:
-    """Nested conditional-loss estimator: observed losses on source rows,
-    b(X; eta) on target rows, averaged over the cohort."""
-    _require_design(table, "nested", "psi_cl")
-    tgt = table.s == 0
-    total = float(table.loss[~tgt].sum())
-    if tgt.any():
-        total += float(np.asarray(nuis.b(table.x[tgt], eta)).sum())
-    return EstimateResult(eta=eta, estimate=total / table.n, method="cl/nested")
-
-
-def psi_aug(table: ObservationTable, nuis: NuisanceSet, eta: float) -> EstimateResult:
-    """Augmented estimator for nested designs."""
-    _require_design(table, "nested", "psi_aug")
-    b_all = np.asarray(nuis.b(table.x, eta), dtype=np.float64)
-    aug, diag = _augmentation(table, nuis, eta, b_all)
-    src = table.s == 1
-    est = float(
-        (table.loss[src].sum() + b_all[~src].sum() + aug.sum()) / table.n
+    _, est, diag = _terms(table, nuis, eta, estimator)
+    if diag.get("positivity_warning"):
+        warnings.warn(
+            "p(X) sits at its clipping bound for more than half of the "
+            "source rows; inverse-odds weights may be unstable",
+            stacklevel=2,
+        )
+    return EstimateResult(
+        eta=eta, estimate=est, method=f"{estimator}/{table.design}", diagnostics=diag
     )
-    diag["overshoot"] = _overshoot(table, est)
-    return EstimateResult(eta=eta, estimate=est, method="aug/nested", diagnostics=diag)
 
 
-# ---------------------------------------------------------------------------
-# Influence values
-# ---------------------------------------------------------------------------
-
-
-def influence_values_nonnested(
-    table: ObservationTable, nuis: NuisanceSet, eta: float, plugged_estimate: float
+def influence_values(
+    table: ObservationTable, nuis: NuisanceSet, eta: float, plugged: float
 ) -> InfluenceValues:
-    """Per-row influence contributions for the non-nested risk.
+    """Per-row influence contributions of the augmented estimator.
 
+    Non-nested: (r - plugged on target rows) * n/n0; nested: r - plugged.
     With the matching augmented estimate plugged in, the values average to
-    zero and their second moment gives the sandwich standard error
-    sqrt(mean(values^2) / n).
+    zero and sqrt(mean(values^2) / n) is the sandwich standard error.
     """
-    _require_design(table, "non-nested", "influence_values_nonnested")
-    b_all = np.asarray(nuis.b(table.x, eta), dtype=np.float64)
-    aug, _ = _augmentation(table, nuis, eta, b_all)
-    src = table.s == 1
-    vals = np.zeros(table.n)
-    vals[~src] = b_all[~src] - plugged_estimate
-    vals[src] = aug
-    vals *= table.n / table.n0
+    r, _, _ = _terms(table, nuis, eta, "aug")
+    if table.design == "nested":
+        vals = r - plugged
+    else:
+        vals = (r - plugged * (table.s == 0)) * (table.n / table.n0)
     se = float(np.sqrt(np.mean(vals**2) / table.n))
-    return InfluenceValues(vals, float(vals.mean()), plugged_estimate, se)
-
-
-def influence_values_nested(
-    table: ObservationTable, nuis: NuisanceSet, eta: float, plugged_estimate: float
-) -> InfluenceValues:
-    """Per-row influence contributions for the nested (cohort-wide) risk."""
-    _require_design(table, "nested", "influence_values_nested")
-    b_all = np.asarray(nuis.b(table.x, eta), dtype=np.float64)
-    aug, _ = _augmentation(table, nuis, eta, b_all)
-    src = table.s == 1
-    vals = np.empty(table.n)
-    vals[src] = table.loss[src] + aug
-    vals[~src] = b_all[~src]
-    vals -= plugged_estimate
-    se = float(np.sqrt(np.mean(vals**2) / table.n))
-    return InfluenceValues(vals, float(vals.mean()), plugged_estimate, se)
+    return InfluenceValues(vals, float(vals.mean()), plugged, se)
 
 
 # ---------------------------------------------------------------------------
 # Sensitivity curves
 # ---------------------------------------------------------------------------
-
-ESTIMATOR_NAMES = ("cl", "aug", "aug-alt")
-
-
-def point_estimator(design: str, name: str):
-    """Resolve an estimator function from (design, name)."""
-    if name not in ESTIMATOR_NAMES:
-        raise ConfigError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
-    if design == "non-nested":
-        return {"cl": phi_cl, "aug": phi_aug, "aug-alt": phi_aug_alt}[name]
-    if name == "aug-alt":
-        raise ConfigError("the selection-offset parameterization is defined for non-nested designs only")
-    return {"cl": psi_cl, "aug": psi_aug}[name]
 
 
 @dataclass(frozen=True)
@@ -281,31 +206,32 @@ class SensitivityCurve:
 
 def sensitivity_curve(
     table: ObservationTable,
-    recipe: NuisanceRecipe,
+    nuis: NuisanceSet,
     eta_grid: Sequence[float],
     estimator: str = "aug",
     resample=None,
 ) -> SensitivityCurve:
-    """Sweep the estimator over an eta grid.
+    """Sweep the estimator over an eta grid at the nuisance values ``nuis``
+    fitted to ``table``.
 
-    Eta-free nuisances are fitted once; eta-dependent ones refresh per grid
-    point (lazily, inside the nuisance set).  Failed points are marked and
-    the sweep continues.  When ``resample`` (a ResampleConfig) is given,
-    per-point standard errors and Wald intervals come from replicate sweeps
-    that refit all nuisances on each resampled table.
+    Failed points are marked and the sweep continues.  When ``resample``
+    (a ResampleConfig) is given, per-point standard errors and Wald
+    intervals come from replicate sweeps that refit all nuisances with
+    ``nuis.recipe`` on each resampled table; replicates raise no warnings.
     """
     eta_grid = np.asarray(list(eta_grid), dtype=np.float64)
     if eta_grid.size == 0:
         raise ConfigError("eta grid is empty")
     if np.any(np.diff(eta_grid) < 0):
         raise ConfigError("eta grid must be sorted ascending")
-    fn = point_estimator(table.design, estimator)
+    _check_estimator(estimator)
+    if resample is not None and nuis.recipe is None:
+        raise ConfigError("resampling refits the nuisances; fit them with a NuisanceRecipe")
 
-    nuis = recipe.fit(table)
     results = []
     for eta in eta_grid:
         try:
-            results.append((float(eta), fn(table, nuis, float(eta)), "ok"))
+            results.append((float(eta), estimate(table, nuis, float(eta), estimator), "ok"))
         except Exception as exc:  # failed grid points are marked, not fatal
             results.append((float(eta), None, f"failed: {exc}"))
 
@@ -334,12 +260,12 @@ def sensitivity_curve(
         # per-point failures become NaN so the other points survive
         out = np.full(eta_grid.size, np.nan)
         try:
-            ns = recipe.fit(t)
+            ns = nuis.recipe.fit(t)
         except Exception:
             return out
         for i, eta in enumerate(eta_grid):
             try:
-                out[i] = fn(t, ns, float(eta)).estimate
+                out[i] = _terms(t, ns, float(eta), estimator)[1]
             except Exception:
                 pass
         return out

@@ -5,7 +5,8 @@ non-nested designs, cohort-wide alpha for nested ones), solve for the eta
 whose implied tilted prevalence matches it.  The implied prevalence is
 strictly increasing in eta whenever any fitted g lies inside (0, 1), so
 the root is unique; bisection after geometric bracket expansion finds it.
-Binary outcomes with the identity tilt map only.
+The fitted g and p enter as values on the table's rows.  Binary outcomes
+with the identity tilt map only.
 """
 
 from __future__ import annotations
@@ -57,12 +58,11 @@ class PrevalenceAnchor:
         return lo, hi
 
 
-def _as_prob_fn(g) -> Callable:
-    if callable(g):
-        return g
-    if hasattr(g, "predict"):
-        return g.predict
-    raise DomainError("g must be a callable or expose .predict")
+def _row_values(values, table: ObservationTable, name: str) -> np.ndarray:
+    v = np.asarray(values)
+    if v.shape != (table.n,):
+        raise DomainError(f"{name} must hold one value per table row, shape ({table.n},)")
+    return v.astype(np.float64)
 
 
 def solve_monotone_root(f: Callable, lo: float = -1.0, hi: float = 1.0) -> float:
@@ -131,12 +131,12 @@ def implied_prevalence_nested(
 def eta_from_prevalence_nonnested(
     table: ObservationTable, g, mu: float
 ) -> float:
-    """Eta whose tilted target prevalence equals mu."""
+    """Eta whose tilted target prevalence equals mu; ``g`` holds the
+    fitted Pr[Y=1 | X, S=1] on every table row."""
     _binary_source_check(table)
     if table.n0 == 0:
         raise DomainError("prevalence anchoring needs target rows")
-    gfn = _as_prob_fn(g)
-    gv = np.asarray(gfn(table.x[table.s == 0]), dtype=np.float64)
+    gv = _row_values(g, table, "g")[table.s == 0]
     interior = (gv > 0.0) & (gv < 1.0)
     if not interior.any():
         raise DomainError("every fitted g is 0 or 1; the prevalence does not move with eta")
@@ -147,13 +147,13 @@ def eta_from_prevalence_nonnested(
 def eta_from_prevalence_nested(
     table: ObservationTable, g, p, alpha: float
 ) -> float:
-    """Eta whose implied cohort-wide prevalence equals alpha."""
+    """Eta whose implied cohort-wide prevalence equals alpha; ``g`` and
+    ``p`` hold the fitted values on every table row."""
     if table.design != "nested":
         raise DomainError("eta_from_prevalence_nested requires a nested table")
     _binary_source_check(table)
-    gfn, pfn = _as_prob_fn(g), _as_prob_fn(p)
-    gv = np.asarray(gfn(table.x), dtype=np.float64)
-    pv = np.asarray(pfn(table.x), dtype=np.float64)
+    gv = _row_values(g, table, "g")
+    pv = _row_values(p, table, "p")
     movable = (pv < 1.0) & (gv > 0.0) & (gv < 1.0)
     if not movable.any():
         raise DomainError("the implied prevalence does not depend on eta for this table")
@@ -172,8 +172,9 @@ def eta_grid_from_prevalence_range(
 ) -> np.ndarray:
     """Inclusive eta grid between the anchored endpoints.
 
-    Solves for eta at both prevalence endpoints and rounds them outward to
-    the step lattice.  A degenerate anchor range yields a single point.
+    Solves for eta at both prevalence endpoints, from the row values ``g``
+    (and ``p`` for a nested alpha anchor), and rounds them outward to the
+    step lattice.  A degenerate anchor range yields a single point.
     """
     if step <= 0.0:
         raise DomainError("step must be positive")

@@ -26,7 +26,7 @@ from .data import ObservationTable, build_table
 from .errors import ConfigError, DataError
 from .estimators import SensitivityCurve, sensitivity_curve
 from .etaselect import PrevalenceAnchor, eta_grid_from_prevalence_range
-from .nuisance import DesignSpec, NuisanceRecipe, fit_logistic
+from .nuisance import DesignSpec, NuisanceRecipe, NuisanceSet, fit_logistic
 from .resampling import ResampleConfig
 from .tilt import LossFunction, PredictionModel
 
@@ -181,31 +181,6 @@ def read_curve_csv(path) -> list:
     return out
 
 
-def curve_rows(curve: SensitivityCurve) -> list:
-    """The same row dicts ``read_curve_csv`` produces, straight from the curve."""
-    rows = []
-    for pt in curve:
-        if pt.ok:
-            r = pt.result
-            ci_lo, ci_hi = (r.ci if r.ci is not None else (None, None))
-            mw = r.diagnostics.get("max_weight")
-            cc = r.diagnostics.get("clip_count")
-            rows.append({
-                "eta": pt.eta, "estimate": r.estimate, "se": r.se,
-                "ci_lo": ci_lo, "ci_hi": ci_hi,
-                "diag_max_weight": None if mw is None else float(mw),
-                "diag_clip_count": None if cc is None else int(cc),
-                "status": pt.status,
-            })
-        else:
-            rows.append({
-                "eta": pt.eta, "estimate": None, "se": None, "ci_lo": None,
-                "ci_hi": None, "diag_max_weight": None, "diag_clip_count": None,
-                "status": pt.status,
-            })
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # JSON report
 # ---------------------------------------------------------------------------
@@ -303,7 +278,7 @@ def _fit_model_on_split(raw: RawData, config: AnalysisConfig):
     return model, keep
 
 
-def _recipe_from_config(config: AnalysisConfig, model: PredictionModel) -> NuisanceRecipe:
+def _recipe_from_config(config: AnalysisConfig) -> NuisanceRecipe:
     cols = tuple(range(len(config.x_columns)))
 
     def mk(basis):
@@ -316,19 +291,19 @@ def _recipe_from_config(config: AnalysisConfig, model: PredictionModel) -> Nuisa
     a_design = mk(config.p_basis) if config.estimator == "aug-alt" else None
     if config.outcome == "binary":
         return NuisanceRecipe(
-            outcome="binary", model=model, loss=loss,
+            outcome="binary", loss=loss,
             p_design=mk(config.p_basis), g_design=mk(config.g_basis),
             a_design=a_design,
         )
     return NuisanceRecipe(
-        outcome="continuous", model=model, loss=loss,
+        outcome="continuous", loss=loss,
         p_design=mk(config.p_basis), b_design=mk(config.g_basis),
         c_design=mk(config.g_basis), a_design=a_design,
     )
 
 
 def _resolve_grid(config: AnalysisConfig, table: ObservationTable,
-                  recipe: NuisanceRecipe) -> np.ndarray:
+                  nuis: NuisanceSet) -> np.ndarray:
     if config.eta_grid is not None:
         return np.asarray(config.eta_grid, dtype=np.float64)
     if config.outcome != "binary":
@@ -337,11 +312,7 @@ def _resolve_grid(config: AnalysisConfig, table: ObservationTable,
         mu=config.anchor.mu, alpha=config.anchor.alpha,
         multipliers=config.anchor.multipliers,
     )
-    nuis = recipe.fit(table)
-    return eta_grid_from_prevalence_range(
-        table, nuis.g, anchor, config.anchor.step,
-        p=None if config.anchor.alpha is None else nuis.p,
-    )
+    return eta_grid_from_prevalence_range(table, nuis.g, anchor, config.anchor.step, p=nuis.p)
 
 
 @dataclass(frozen=True)
@@ -356,8 +327,9 @@ def run_analysis(config: AnalysisConfig) -> AnalysisOutput:
     """Execute the full pipeline and write curve CSV plus JSON report.
 
     Steps: (optionally) split-and-fit the prediction model, build the
-    table, resolve the eta grid (explicit or prevalence-anchored), sweep
-    the configured estimator with confidence intervals, emit reports.
+    table, fit the nuisances once, resolve the eta grid (explicit or
+    prevalence-anchored), sweep the configured estimator with confidence
+    intervals, emit reports.
     Partial curves are still written; per-point failures land in the
     status column.
     """
@@ -372,8 +344,8 @@ def run_analysis(config: AnalysisConfig) -> AnalysisOutput:
         raw_s, raw_x, raw_y = raw.s, raw.x, raw.y
     table = build_table(raw_s, raw_x, raw_y, model, LossFunction(config.loss), config.design)
 
-    recipe = _recipe_from_config(config, model)
-    grid = _resolve_grid(config, table, recipe)
+    nuis = _recipe_from_config(config).fit(table)
+    grid = _resolve_grid(config, table, nuis)
     resample = None
     if config.resample is not None:
         resample = ResampleConfig(
@@ -384,7 +356,7 @@ def run_analysis(config: AnalysisConfig) -> AnalysisOutput:
             level=config.resample.level,
         )
     curve = sensitivity_curve(
-        table, recipe, grid, estimator=config.estimator, resample=resample
+        table, nuis, grid, estimator=config.estimator, resample=resample
     )
     extra["model_coefficients_used"] = [float(c) for c in model.coefficients]
 

@@ -11,7 +11,7 @@ Fits every conditional model the risk estimators consume:
 * ``fit_a_gmm``      -- parametric selection offset a(X, theta; eta) by a
   just-identified method-of-moments fit;
 * ``NuisanceRecipe`` -- bundles design choices and produces a
-  ``NuisanceSet`` of prediction callables for a given table.
+  ``NuisanceSet`` of nuisance values on the rows of a given table.
 
 Design matrices support linear main effects or per-column B-spline
 expansions with knots at empirical quantiles.
@@ -19,7 +19,7 @@ expansions with knots at empirical quantiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -34,7 +34,15 @@ from .errors import (
     DomainError,
     RankDeficientError,
 )
-from .tilt import LossFunction, PredictionModel, TiltSpec, eval_loss, tilt_weight
+from .tilt import (
+    LossFunction,
+    TiltSpec,
+    binary_b,
+    binary_c,
+    eval_loss,
+    selection_a,
+    tilt_weight,
+)
 
 P_CLIP = (0.01, 0.99)     # positivity clip applied to p(X) before weighting
 C_FLOOR = 1e-6            # lower clip keeping fitted normalizers positive
@@ -176,6 +184,15 @@ def _check_rank(matrix: np.ndarray, names: Sequence[str]) -> None:
         raise RankDeficientError([names[k] for k in piv[rank:]])
 
 
+def _design_rows(design: DesignSpec, x: np.ndarray, fit=slice(None)) -> tuple:
+    """Freeze ``design`` on the rows ``x[fit]``, evaluate it once on every
+    row of ``x`` and rank-check the fit rows; returns (built, matrix)."""
+    built = design.build(x[fit])
+    d = built.matrix(x)
+    _check_rank(d[fit], built.names)
+    return built, d
+
+
 # ---------------------------------------------------------------------------
 # Logistic regression by IRLS
 # ---------------------------------------------------------------------------
@@ -302,13 +319,11 @@ class WlsFit:
         return out
 
 
-def _wls(design: DesignSpec, rows, response, weights, floor=None) -> WlsFit:
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+def _wls_coefficients(d: np.ndarray, response, weights) -> np.ndarray:
+    """Weighted least-squares coefficients on a rank-checked design matrix,
+    with the normal equations verified."""
     response = np.asarray(response, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    built = design.build(rows)
-    d = built.matrix(rows)
-    _check_rank(d, built.names)
     sw = np.sqrt(weights)
     beta, *_ = np.linalg.lstsq(sw[:, None] * d, sw * response, rcond=None)
     grad = d.T @ (weights * (response - d @ beta))
@@ -317,7 +332,13 @@ def _wls(design: DesignSpec, rows, response, weights, floor=None) -> WlsFit:
         raise ConvergenceError(
             f"weighted normal equations not solved: gradient norm {np.max(np.abs(grad)):.3g}"
         )
-    return WlsFit(beta, weights, built, floor=floor)
+    return beta
+
+
+def _wls(design: DesignSpec, rows, response, weights, floor=None) -> WlsFit:
+    built, d = _design_rows(design, np.atleast_2d(np.asarray(rows, dtype=np.float64)))
+    weights = np.asarray(weights, dtype=np.float64)
+    return WlsFit(_wls_coefficients(d, response, weights), weights, built, floor=floor)
 
 
 def fit_b_continuous(
@@ -382,11 +403,17 @@ def fit_a_gmm(
     Matching the tilt-weighted source rows to the target stratum column by
     column keeps every moment centered at the true offset.
     """
+    built, d = _design_rows(design, table.x)
+    theta, norm, it = _offset_theta(built, d, table, tilt, tol, max_iter)
+    return ParametricA(theta, built, tilt.eta, norm, it)
+
+
+def _offset_theta(built: BuiltDesign, d: np.ndarray, table: ObservationTable,
+                  tilt: TiltSpec, tol: float = 1e-10, max_iter: int = 200) -> tuple:
+    """Moment root theta for the design matrix ``d`` on every table row;
+    returns (theta, moment norm, iterations)."""
     if table.n0 == 0 or table.n1 == 0:
         raise DataError("selection-offset fit needs both source and target rows")
-    built = design.build(table.x)
-    d = built.matrix(table.x)
-    _check_rank(d, built.names)
     src = table.s == 1
     n = table.n
     log_w = tilt.eta * tilt.apply_q(table.y[src])
@@ -394,9 +421,10 @@ def fit_a_gmm(
     target_side = d[~src].sum(axis=0) / n
 
     def moments(theta: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            lhs = np.exp(d_src @ theta + log_w)
-        return d_src.T @ lhs / n - target_side
+        # an overflowing trial step gives non-finite moments, which the
+        # line search below rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            return d_src.T @ np.exp(d_src @ theta + log_w) / n - target_side
 
     k = built.ncols
     theta = np.zeros(k)
@@ -439,7 +467,7 @@ def fit_a_gmm(
             f"selection-offset fit did not reach tolerance after {max_iter} "
             f"iterations; final moment norm {norm:.3g}"
         )
-    return ParametricA(theta, built, tilt.eta, norm, it)
+    return theta, norm, it
 
 
 # ---------------------------------------------------------------------------
@@ -449,91 +477,70 @@ def fit_a_gmm(
 
 @dataclass(frozen=True)
 class NuisanceSet:
-    """Fitted nuisance functions, all callables over covariate rows.
+    """Nuisance values on the rows of the table they were fitted to.
 
-    ``p(x)`` and ``g(x)`` are eta-free; ``b(x, eta)``, ``c(x, eta)`` and
-    ``a(x, eta)`` refresh with the sensitivity parameter.  ``q`` is the
-    tilt map (None = identity) used to weight source outcomes.  Hand-built
-    sets (e.g. exact nuisances in tests) may supply any callables.
+    ``p`` and ``g`` are eta-free (n,) arrays; ``b``, ``c`` and ``a`` map
+    eta to (n,) arrays.  ``q`` is the tilt map (None = identity) applied
+    to source outcomes.  ``recipe`` is the recipe that fitted the set, which
+    resampling uses to refit it; hand-built sets (exact nuisances in tests)
+    leave it None.
     """
 
-    p: Callable[[np.ndarray], np.ndarray]
-    b: Callable[[np.ndarray, float], np.ndarray]
-    c: Callable[[np.ndarray, float], np.ndarray]
-    g: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    a: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    p: np.ndarray
+    b: Callable[[float], np.ndarray]
+    c: Callable[[float], np.ndarray]
+    g: Optional[np.ndarray] = None
+    a: Optional[Callable[[float], np.ndarray]] = None
     q: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    mode: str = "manual"
     meta: dict = field(default_factory=dict)
+    recipe: Optional[NuisanceRecipe] = None
 
-    def tilt_weights(self, y: np.ndarray, eta: float) -> np.ndarray:
-        return np.asarray(tilt_weight(y, TiltSpec(eta, self.q)), dtype=np.float64)
 
-    def with_derived_a(self) -> "NuisanceSet":
-        """Replace a by the offset implied by p and c."""
-        from .tilt import selection_a
+def _offset(table: ObservationTable, p: np.ndarray, c: Callable,
+            a_design: Optional[DesignSpec], q: Optional[Callable]) -> Callable:
+    """eta -> selection offset on every row: a moment fit on ``a_design``,
+    or the offset implied by p and c."""
+    if a_design is None:
+        return lambda eta: np.asarray(selection_a(p, c(eta)))
+    built, d = _design_rows(a_design, table.x)
+    return lambda eta: d @ _offset_theta(built, d, table, TiltSpec(eta, q))[0]
 
-        def a(x, eta):
-            return selection_a(self.p(x), self.c(x, eta))
 
-        return NuisanceSet(
-            p=self.p, b=self.b, c=self.c, g=self.g, a=a, q=self.q,
-            mode=self.mode, meta=dict(self.meta),
-        )
+def _fit_p(table: ObservationTable, p_design: DesignSpec, p_clip: tuple) -> tuple:
+    p_fit = fit_logistic(p_design, table.x, (table.s == 1).astype(float))
+    return p_fit, np.clip(p_fit.predict(table.x), *p_clip)
 
 
 def fit_binary_nuisances(
     table: ObservationTable,
     g_design: DesignSpec,
     p_design: DesignSpec,
-    model: PredictionModel,
     loss: LossFunction,
     a_design: Optional[DesignSpec] = None,
     p_clip: tuple = P_CLIP,
 ) -> NuisanceSet:
-    """Closed-form nuisance bundle for binary outcomes.
+    """Closed-form nuisance values for binary outcomes.
 
-    g and p come from logistic fits; b and c derive from g through the
-    binary tilt formulas; a is the offset implied by p and c, or a moment
-    fit on ``a_design`` when given.
+    g and p come from logistic fits; b and c derive from g and the losses
+    L(1, h) and L(0, h) at the table's predictions through the binary tilt
+    formulas; a is the offset implied by p and c, or a moment fit on
+    ``a_design`` when given.
     """
-    from .tilt import binary_b, binary_c, selection_a
-
     src = table.s == 1
     y_src = table.y[src]
     if not np.all(np.isin(y_src, (0.0, 1.0))):
         raise DomainError("binary nuisances require 0/1 source outcomes")
     g_fit = fit_logistic(g_design, table.x[src], y_src)
-    p_fit = fit_logistic(p_design, table.x, (table.s == 1).astype(float))
+    p_fit, p = _fit_p(table, p_design, p_clip)
+    g = g_fit.predict(table.x)
+    l1 = eval_loss(loss, np.ones_like(table.pred), table.pred)
+    l0 = eval_loss(loss, np.zeros_like(table.pred), table.pred)
 
-    def g(x):
-        return g_fit.predict(x)
+    def b(eta):
+        return np.asarray(binary_b(l1, l0, g, eta))
 
-    def p(x):
-        return np.clip(p_fit.predict(x), *p_clip)
-
-    def c(x, eta):
-        return np.asarray(binary_c(g(x), eta))
-
-    def b(x, eta):
-        pred = model.predict(x)
-        l1 = eval_loss(loss, np.ones_like(pred), pred)
-        l0 = eval_loss(loss, np.zeros_like(pred), pred)
-        return np.asarray(binary_b(l1, l0, g(x), eta))
-
-    if a_design is not None:
-        a_cache: dict = {}
-
-        def a(x, eta):
-            key = float(eta)
-            if key not in a_cache:
-                a_cache[key] = fit_a_gmm(a_design, table, TiltSpec(eta))
-            return a_cache[key].predict(x)
-
-    else:
-
-        def a(x, eta):
-            return np.asarray(selection_a(p(x), c(x, eta)))
+    def c(eta):
+        return np.asarray(binary_c(g, eta))
 
     meta = {
         "g_ridge": g_fit.ridge,
@@ -543,7 +550,7 @@ def fit_binary_nuisances(
         "p_clip": p_clip,
         "a_source": "gmm" if a_design is not None else "derived",
     }
-    return NuisanceSet(p=p, b=b, c=c, g=g, a=a, q=None, mode="binary", meta=meta)
+    return NuisanceSet(p=p, b=b, c=c, g=g, a=_offset(table, p, c, a_design, None), meta=meta)
 
 
 def fit_continuous_nuisances(
@@ -555,54 +562,30 @@ def fit_continuous_nuisances(
     a_design: Optional[DesignSpec] = None,
     p_clip: tuple = P_CLIP,
 ) -> NuisanceSet:
-    """Regression nuisance bundle for continuous outcomes.
+    """Regression nuisance values for continuous outcomes.
 
-    b(x, eta) refits the tilt-weighted loss regression at each requested
-    eta (results cached); c(x, eta) likewise regresses the tilt weights.
+    b(eta) solves the tilt-weighted regression of the source losses and
+    c(eta) the regression of the tilt weights, each on a design built and
+    evaluated once on the table's rows.
     """
     src = table.s == 1
-    x_src = table.x[src]
     y_src = table.y[src]
     loss_src = table.loss[src]
     if q is not None:
         TiltSpec(0.0, q).validate_q(float(y_src.min()), float(y_src.max()))
-    p_fit = fit_logistic(p_design, table.x, (table.s == 1).astype(float))
+    p_fit, p = _fit_p(table, p_design, p_clip)
+    _, d_b = _design_rows(b_design, table.x, src)
+    _, d_c = _design_rows(c_design, table.x, src)
 
-    b_cache: dict = {}
-    c_cache: dict = {}
+    def weights(eta):
+        return np.asarray(tilt_weight(y_src, TiltSpec(eta, q)), dtype=np.float64)
 
-    def p(x):
-        return np.clip(p_fit.predict(x), *p_clip)
+    def b(eta):
+        return d_b @ _wls_coefficients(d_b[src], loss_src, weights(eta))
 
-    def b(x, eta):
-        key = float(eta)
-        if key not in b_cache:
-            b_cache[key] = fit_b_continuous(
-                b_design, x_src, loss_src, TiltSpec(eta, q), y_src
-            )
-        return b_cache[key].predict(x)
-
-    def c(x, eta):
-        key = float(eta)
-        if key not in c_cache:
-            c_cache[key] = fit_c_continuous(c_design, x_src, TiltSpec(eta, q), y_src)
-        return c_cache[key].predict(x)
-
-    if a_design is not None:
-        a_cache: dict = {}
-
-        def a(x, eta):
-            key = float(eta)
-            if key not in a_cache:
-                a_cache[key] = fit_a_gmm(a_design, table, TiltSpec(eta, q))
-            return a_cache[key].predict(x)
-
-    else:
-
-        def a(x, eta):
-            from .tilt import selection_a
-
-            return np.asarray(selection_a(p(x), c(x, eta)))
+    def c(eta):
+        w = weights(eta)
+        return np.clip(d_c @ _wls_coefficients(d_c[src], w, np.ones_like(w)), C_FLOOR, None)
 
     meta = {
         "p_ridge": p_fit.ridge,
@@ -610,7 +593,7 @@ def fit_continuous_nuisances(
         "p_clip": p_clip,
         "a_source": "gmm" if a_design is not None else "derived",
     }
-    return NuisanceSet(p=p, b=b, c=c, g=None, a=a, q=q, mode="continuous", meta=meta)
+    return NuisanceSet(p=p, b=b, c=c, a=_offset(table, p, c, a_design, q), q=q, meta=meta)
 
 
 @dataclass(frozen=True)
@@ -623,7 +606,6 @@ class NuisanceRecipe:
     """
 
     outcome: str
-    model: PredictionModel
     loss: LossFunction
     p_design: DesignSpec
     g_design: Optional[DesignSpec] = None
@@ -650,11 +632,13 @@ class NuisanceRecipe:
 
     def fit(self, table: ObservationTable) -> NuisanceSet:
         if self.outcome == "binary":
-            return fit_binary_nuisances(
-                table, self.g_design, self.p_design, self.model, self.loss,
+            nuis = fit_binary_nuisances(
+                table, self.g_design, self.p_design, self.loss,
                 a_design=self.a_design, p_clip=self.p_clip,
             )
-        return fit_continuous_nuisances(
-            table, self.p_design, self.b_design, self.c_design,
-            q=self.q, a_design=self.a_design, p_clip=self.p_clip,
-        )
+        else:
+            nuis = fit_continuous_nuisances(
+                table, self.p_design, self.b_design, self.c_design,
+                q=self.q, a_design=self.a_design, p_clip=self.p_clip,
+            )
+        return replace(nuis, recipe=self)

@@ -5,12 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import build_table
-from .estimators import (
-    influence_values_nonnested,
-    phi_aug,
-    phi_aug_alt,
-    phi_cl,
-)
+from .estimators import estimate, influence_values
 from .etaselect import eta_from_prevalence_nonnested, implied_prevalence_nonnested
 from .nuisance import NuisanceSet
 from .tilt import (
@@ -31,27 +26,21 @@ def _random_setup(seed: int):
     y = np.where(s == 1, (rng.random(n) < 0.4).astype(float), np.nan)
     model = PredictionModel(coefficients=(0.1, 0.5, -0.3), xstar_columns=(0, 1))
     table = build_table(s, x, y, model, LossFunction("brier"), "non-nested")
-    g_coef = np.array([-0.2, 0.7, 0.4])
-    p_coef = np.array([0.3, -0.5, 0.6])
+    g = 1.0 / (1.0 + np.exp(-(-0.2 + x @ np.array([0.7, 0.4]))))
+    p = 1.0 / (1.0 + np.exp(-(0.3 + x @ np.array([-0.5, 0.6]))))
+    pred = table.pred
 
-    def g(xq):
-        return 1.0 / (1.0 + np.exp(-(g_coef[0] + np.atleast_2d(xq) @ g_coef[1:])))
+    def c(eta):
+        return np.asarray(binary_c(g, eta))
 
-    def p(xq):
-        return 1.0 / (1.0 + np.exp(-(p_coef[0] + np.atleast_2d(xq) @ p_coef[1:])))
-
-    def b(xq, eta):
-        pred = model.predict(xq)
-        return binary_b((1 - pred) ** 2, pred**2, g(xq), eta)
-
-    def c(xq, eta):
-        return np.asarray(binary_c(g(xq), eta))
-
-    def a(xq, eta):
-        return np.asarray(selection_a(p(xq), c(xq, eta)))
-
-    nuis = NuisanceSet(p=p, b=b, c=c, g=g, a=a, mode="binary")
-    return table, nuis, g
+    nuis = NuisanceSet(
+        p=p,
+        b=lambda eta: np.asarray(binary_b((1 - pred) ** 2, pred**2, g, eta)),
+        c=c,
+        g=g,
+        a=lambda eta: np.asarray(selection_a(p, c(eta))),
+    )
+    return table, nuis
 
 
 def run_selftest(seed: int = 0) -> bool:
@@ -65,29 +54,28 @@ def run_selftest(seed: int = 0) -> bool:
     record("zero tilt preserves probabilities", np.allclose(tilted_bernoulli(g, 0.0), g, atol=0))
     record("zero tilt normalizer is one", np.allclose(binary_c(g, 0.0), 1.0, atol=0))
 
-    table, nuis, gfn = _random_setup(seed)
+    table, nuis = _random_setup(seed)
     eta = 0.6
-    ones = NuisanceSet(p=lambda xq: np.ones(np.atleast_2d(xq).shape[0]),
-                       b=nuis.b, c=nuis.c, g=nuis.g, mode="binary")
+    ones = NuisanceSet(p=np.ones(table.n), b=nuis.b, c=nuis.c, g=nuis.g)
     record(
         "augmented estimator reduces to plug-in at p=1",
-        abs(phi_aug(table, ones, eta).estimate - phi_cl(table, nuis, eta).estimate) < 1e-12,
+        abs(estimate(table, ones, eta, "aug").estimate
+            - estimate(table, nuis, eta, "cl").estimate) < 1e-12,
     )
+    plugged = estimate(table, nuis, eta, "aug").estimate
     record(
         "offset parameterization matches inverse-odds form",
-        abs(phi_aug_alt(table, nuis, eta).estimate - phi_aug(table, nuis, eta).estimate) < 1e-12,
+        abs(estimate(table, nuis, eta, "aug-alt").estimate - plugged) < 1e-12,
     )
-    plugged = phi_aug(table, nuis, eta).estimate
     record(
         "influence values center at the augmented estimate",
-        abs(influence_values_nonnested(table, nuis, eta, plugged).mean) < 1e-10,
+        abs(influence_values(table, nuis, eta, plugged).mean) < 1e-10,
     )
 
-    gv = gfn(table.x[table.s == 0])
-    mu = implied_prevalence_nonnested(gv, 0.8)
+    mu = implied_prevalence_nonnested(nuis.g[table.s == 0], 0.8)
     record(
         "prevalence round trip recovers eta",
-        abs(eta_from_prevalence_nonnested(table, gfn, mu) - 0.8) < 1e-8,
+        abs(eta_from_prevalence_nonnested(table, nuis.g, mu) - 0.8) < 1e-8,
     )
 
     ok = all(checks)

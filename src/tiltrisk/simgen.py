@@ -301,7 +301,6 @@ def recipe_for(
     if spec.outcome == "binary":
         return NuisanceRecipe(
             outcome="binary",
-            model=spec.model,
             loss=spec.loss,
             p_design=none if wrong_p else full,
             g_design=none if wrong_g else full,
@@ -309,7 +308,6 @@ def recipe_for(
         )
     return NuisanceRecipe(
         outcome="continuous",
-        model=spec.model,
         loss=spec.loss,
         p_design=none if wrong_p else full,
         b_design=none if wrong_g else full,

@@ -42,44 +42,39 @@ def random_binary_table(rng, n=200, d=2, design="non-nested", model=None):
     return build_table(s, x, y, model, BRIER, design)
 
 
-def manual_binary_nuisances(model, g_coefs, p_coefs, loss=BRIER):
-    """Exact closed-form nuisance set from known logistic g and p."""
-    g = logistic_fn(g_coefs)
-    p = logistic_fn(p_coefs)
+def manual_binary_nuisances(table, model, g_coefs, p_coefs, loss=BRIER):
+    """Exact closed-form nuisance values on the table's rows from known
+    logistic g and p, with losses at the predictions of ``model``."""
+    g = logistic_fn(g_coefs)(table.x)
+    p = logistic_fn(p_coefs)(table.x)
+    pred = model.predict(table.x)
+    l1 = loss(np.ones_like(pred), pred)
+    l0 = loss(np.zeros_like(pred), pred)
 
-    def b(x, eta):
-        pred = model.predict(x)
-        l1 = loss(np.ones_like(pred), pred)
-        l0 = loss(np.zeros_like(pred), pred)
-        return np.asarray(binary_b(l1, l0, g(x), eta))
+    def c(eta):
+        return np.asarray(binary_c(g, eta))
 
-    def c(x, eta):
-        return np.asarray(binary_c(g(x), eta))
-
-    def a(x, eta):
-        return np.asarray(selection_a(p(x), c(x, eta)))
-
-    return NuisanceSet(p=p, b=b, c=c, g=g, a=a, mode="binary")
+    return NuisanceSet(
+        p=p,
+        b=lambda eta: np.asarray(binary_b(l1, l0, g, eta)),
+        c=c,
+        g=g,
+        a=lambda eta: np.asarray(selection_a(p, c(eta))),
+    )
 
 
-def constant_nuisances(b_val=None, c_val=1.0, p_val=0.5, g_val=None, b_fn=None):
-    """Nuisance set returning row-constant values (handy for tiny tables)."""
-
-    def const(v):
-        def fn(x, *args):
-            return np.full(np.atleast_2d(x).shape[0], float(v))
-
-        return fn
-
-    b = b_fn if b_fn is not None else const(b_val)
-    c = const(c_val)
-    p = const(p_val)
-    g = None if g_val is None else const(g_val)
-
-    def a(x, eta):
-        return np.asarray(selection_a(p(x), c(x, eta)))
-
-    return NuisanceSet(p=p, b=b, c=c, g=g, a=a, mode="manual")
+def constant_nuisances(n, b_val=None, c_val=1.0, p_val=0.5, b_rows=None):
+    """Row-constant nuisance values for an n-row table (handy for tiny
+    tables); ``b_rows`` gives b row by row instead."""
+    b = np.full(n, b_val, dtype=float) if b_rows is None else np.asarray(b_rows, dtype=float)
+    c = np.full(n, float(c_val))
+    p = np.full(n, float(p_val))
+    return NuisanceSet(
+        p=p,
+        b=lambda eta: b,
+        c=lambda eta: c,
+        a=lambda eta: np.asarray(selection_a(p, c)),
+    )
 
 
 @pytest.fixture

@@ -14,16 +14,7 @@ import numpy as np
 import pytest
 
 from tiltrisk.data import build_table
-from tiltrisk.estimators import (
-    influence_values_nested,
-    influence_values_nonnested,
-    phi_aug,
-    phi_aug_alt,
-    phi_cl,
-    psi_aug,
-    psi_cl,
-    sensitivity_curve,
-)
+from tiltrisk.estimators import estimate, influence_values
 from tiltrisk.etaselect import (
     eta_from_prevalence_nested,
     eta_from_prevalence_nonnested,
@@ -57,6 +48,7 @@ def _random_table_and_nuisances(rng, n=200, design="non-nested"):
     )
     table = random_binary_table(rng, n=n, design=design, model=model)
     nuis = manual_binary_nuisances(
+        table,
         model,
         g_coefs=tuple(rng.normal(0, 0.6, 3)),
         p_coefs=tuple(rng.normal(0, 0.6, 3)),
@@ -65,11 +57,11 @@ def _random_table_and_nuisances(rng, n=200, design="non-nested"):
 
 
 def zero_b(nuis):
-    return drep(nuis, b=lambda x, eta: np.zeros(np.atleast_2d(x).shape[0]))
+    return drep(nuis, b=lambda eta: np.zeros(nuis.p.size))
 
 
 def with_p_one(nuis):
-    return drep(nuis, p=lambda x: np.ones(np.atleast_2d(x).shape[0]))
+    return drep(nuis, p=np.ones(nuis.p.size))
 
 
 class TestCriterion01ReductionIdentities:
@@ -82,10 +74,10 @@ class TestCriterion01ReductionIdentities:
             table, nuis = _random_table_and_nuisances(rng, n=200, design=design)
             eta = float(rng.uniform(-1.5, 1.5))
             ones = with_p_one(nuis)
-            if design == "non-nested":
-                gap = abs(phi_aug(table, ones, eta).estimate - phi_cl(table, nuis, eta).estimate)
-            else:
-                gap = abs(psi_aug(table, ones, eta).estimate - psi_cl(table, nuis, eta).estimate)
+            gap = abs(
+                estimate(table, ones, eta, "aug").estimate
+                - estimate(table, nuis, eta, "cl").estimate
+            )
             worst = max(worst, gap)
         elapsed = time.time() - start
         report(
@@ -104,7 +96,8 @@ class TestCriterion02ParameterizationEquivalence:
             table, nuis = _random_table_and_nuisances(rng, n=200)
             eta = float(rng.uniform(-1.5, 1.5))
             gap = abs(
-                phi_aug_alt(table, nuis, eta).estimate - phi_aug(table, nuis, eta).estimate
+                estimate(table, nuis, eta, "aug-alt").estimate
+                - estimate(table, nuis, eta, "aug").estimate
             )
             worst = max(worst, gap)
         elapsed = time.time() - start
@@ -131,17 +124,10 @@ class TestCriterion03TinyInstanceOracle:
 
         l1, l0 = table.loss1, table.loss0
         g_rows = np.asarray(g_rows)
-        # rows are keyed by their (unique) pred value
-        row_of = {float(v): i for i, v in enumerate(table.x[:, 0])}
-
-        def b(x, eta):
-            idx = [row_of[float(v)] for v in np.atleast_2d(x)[:, 0]]
-            return np.asarray(binary_b(l1[idx], l0[idx], g_rows[idx], eta))
-
         return NuisanceSet(
-            p=lambda x: np.full(np.atleast_2d(x).shape[0], 0.5),
-            b=b,
-            c=lambda x, eta: np.ones(np.atleast_2d(x).shape[0]),
+            p=np.full(table.n, 0.5),
+            b=lambda eta: np.asarray(binary_b(l1, l0, g_rows, eta)),
+            c=lambda eta: np.ones(table.n),
         )
 
     def test_exhaustive_family_matches_enumeration(self):
@@ -164,12 +150,12 @@ class TestCriterion03TinyInstanceOracle:
                     for eta in etas:
                         if has_target:
                             t = tables["non-nested"]
-                            est = phi_cl(t, self._nuis(g_rows, t), eta).estimate
+                            est = estimate(t, self._nuis(g_rows, t), eta, "cl").estimate
                             ref = brute_force_phi(t, np.array(g_rows), eta)
                             worst = max(worst, abs(est - ref))
                             checked += 1
                         t = tables["nested"]
-                        est = psi_cl(t, self._nuis(g_rows, t), eta).estimate
+                        est = estimate(t, self._nuis(g_rows, t), eta, "cl").estimate
                         ref = brute_force_psi(t, np.array(g_rows), eta)
                         worst = max(worst, abs(est - ref))
                         checked += 1
@@ -193,7 +179,7 @@ class TestCriterion04ConsistencyCorrectNuisances:
             for seed in range(20):
                 sim = generate(spec, seed=4_000 + seed)
                 nuis = recipe_for(spec).fit(sim.table)
-                err = abs(phi_aug(sim.table, nuis, eta).estimate - oracle.value)
+                err = abs(estimate(sim.table, nuis, eta, "aug").estimate - oracle.value)
                 hits += err < 0.01
             details.append(f"eta={eta:+.0f}: {hits}/20 within 0.01")
             ok = ok and hits >= 18
@@ -214,9 +200,9 @@ class TestCriterion05DoubleRobustnessWrongP:
         for seed in range(20):
             sim = generate(spec, seed=5_000 + seed)
             nuis = recipe_for(spec, wrong_p=True).fit(sim.table)
-            err = abs(phi_aug(sim.table, nuis, eta).estimate - oracle.value)
+            err = abs(estimate(sim.table, nuis, eta, "aug").estimate - oracle.value)
             hits += err < 0.01
-            iow_errs.append(phi_aug(sim.table, zero_b(nuis), eta).estimate - oracle.value)
+            iow_errs.append(estimate(sim.table, zero_b(nuis), eta, "aug").estimate - oracle.value)
         iow_bias = abs(float(np.mean(iow_errs)))
         elapsed = time.time() - start
         ok = hits >= 18 and iow_bias > 0.02 and elapsed < 300.0
@@ -238,7 +224,7 @@ class TestCriterion06AltParameterizationAndNested:
         for seed in range(20):
             sim = generate(spec_a, seed=6_000 + seed)
             nuis = recipe_for(spec_a, wrong_g=True, a_design=DesignSpec((0,))).fit(sim.table)
-            err = abs(phi_aug_alt(sim.table, nuis, eta).estimate - oracle_a.value)
+            err = abs(estimate(sim.table, nuis, eta, "aug-alt").estimate - oracle_a.value)
             hits_a += err < 0.015
 
         spec_b = nested_binary(n_cohort=20_000, eta_true=0.5)
@@ -247,7 +233,7 @@ class TestCriterion06AltParameterizationAndNested:
         for seed in range(20):
             sim = generate(spec_b, seed=6_500 + seed)
             nuis = recipe_for(spec_b, wrong_p=True).fit(sim.table)
-            err = abs(psi_aug(sim.table, nuis, eta).estimate - oracle_b.value)
+            err = abs(estimate(sim.table, nuis, eta, "aug").estimate - oracle_b.value)
             hits_b += err < 0.015
         elapsed = time.time() - start
         ok = hits_a >= 17 and hits_b >= 17 and elapsed < 480.0
@@ -267,12 +253,8 @@ class TestCriterion07InfluenceFunction:
             design = "non-nested" if i % 2 == 0 else "nested"
             table, nuis = _random_table_and_nuisances(rng, n=200, design=design)
             eta = float(rng.uniform(-1.0, 1.0))
-            if design == "non-nested":
-                plugged = phi_aug(table, nuis, eta).estimate
-                iv = influence_values_nonnested(table, nuis, eta, plugged)
-            else:
-                plugged = psi_aug(table, nuis, eta).estimate
-                iv = influence_values_nested(table, nuis, eta, plugged)
+            plugged = estimate(table, nuis, eta, "aug").estimate
+            iv = influence_values(table, nuis, eta, plugged)
             worst_mean = max(worst_mean, abs(iv.mean))
 
         spec = nonnested_binary(n_source=2_500, n_target=2_500, eta_true=0.5)
@@ -280,11 +262,11 @@ class TestCriterion07InfluenceFunction:
         sim = generate(spec, seed=7_007)
         recipe = recipe_for(spec)
         nuis = recipe.fit(sim.table)
-        plugged = phi_aug(sim.table, nuis, eta).estimate
-        if_se = influence_values_nonnested(sim.table, nuis, eta, plugged).se
+        plugged = estimate(sim.table, nuis, eta, "aug").estimate
+        if_se = influence_values(sim.table, nuis, eta, plugged).se
         boot = bootstrap_ci(
             sim.table,
-            lambda t: phi_aug(t, recipe.fit(t), eta).estimate,
+            lambda t: estimate(t, recipe.fit(t), eta, "aug").estimate,
             ResampleConfig(replicates=200, seed=7_008, stratified=True),
         )
         rel = abs(if_se - boot.se) / boot.se
@@ -307,14 +289,15 @@ class TestCriterion08EtaRoundTrip:
         worst = 0.0
         table_nn = random_binary_table(rng, n=300, design="non-nested")
         table_ne = random_binary_table(rng, n=300, design="nested")
-        gv_nn = g(table_nn.x[table_nn.s == 0])
+        g_nn = g(table_nn.x)
+        gv_nn = g_nn[table_nn.s == 0]
         gv_ne, pv_ne = g(table_ne.x), p(table_ne.x)
         for eta_star in (-2.0, -0.5, 0.0, 0.5, 2.0):
             mu = implied_prevalence_nonnested(gv_nn, eta_star)
-            worst = max(worst, abs(eta_from_prevalence_nonnested(table_nn, g, mu) - eta_star))
+            worst = max(worst, abs(eta_from_prevalence_nonnested(table_nn, g_nn, mu) - eta_star))
             alpha = implied_prevalence_nested(gv_ne, pv_ne, eta_star)
             worst = max(
-                worst, abs(eta_from_prevalence_nested(table_ne, g, p, alpha) - eta_star)
+                worst, abs(eta_from_prevalence_nested(table_ne, gv_ne, pv_ne, alpha) - eta_star)
             )
         elapsed = time.time() - start
         report(
@@ -337,7 +320,7 @@ class TestCriterion09BootstrapCoverage:
             sim = generate(spec, seed=9_000 + rep)
             out = bootstrap_ci(
                 sim.table,
-                lambda t: phi_aug(t, recipe.fit(t), eta).estimate,
+                lambda t: estimate(t, recipe.fit(t), eta, "aug").estimate,
                 ResampleConfig(replicates=300, seed=90_500 + rep, stratified=True),
             )
             covered += out.ci[0] <= oracle.value <= out.ci[1]
@@ -374,7 +357,7 @@ class TestCriterion10WorkflowShapeParity:
 
         # hypothesized target prevalence: the fitted untilted value
         nuis = recipe_for(spec).fit(t)
-        mu_hat = float(np.mean(nuis.g(t.x[t.s == 0])))
+        mu_hat = float(np.mean(nuis.g[t.s == 0]))
 
         def config(out_name, **overrides):
             base = dict(

@@ -7,25 +7,16 @@ import numpy as np
 import pytest
 
 from tiltrisk.data import build_table
-from tiltrisk.errors import DataError
-from tiltrisk.estimators import (
-    influence_values_nested,
-    influence_values_nonnested,
-    phi_aug,
-    phi_aug_alt,
-    phi_cl,
-    psi_aug,
-    psi_cl,
-    sensitivity_curve,
-)
-from tiltrisk.nuisance import DesignSpec, NuisanceRecipe, NuisanceSet
+from tiltrisk.errors import ConfigError
+from tiltrisk.estimators import estimate, influence_values, sensitivity_curve
+from tiltrisk.nuisance import DesignSpec, NuisanceRecipe, NuisanceSet, fit_logistic
+from tiltrisk.resampling import ResampleConfig
 from tiltrisk.simgen import brute_force_phi, brute_force_psi
-from tiltrisk.tilt import PredictionModel, binary_b
+from tiltrisk.tilt import LossFunction, PredictionModel, binary_b
 
 from conftest import (
     BRIER,
     constant_nuisances,
-    logistic_fn,
     manual_binary_nuisances,
     random_binary_table,
 )
@@ -46,78 +37,68 @@ def tiny_table(s, preds, y=None, design="non-nested"):
 
 
 def with_p_one(nuis):
-    return replace(nuis, p=lambda x, _n=nuis: np.ones(np.atleast_2d(x).shape[0]))
+    return replace(nuis, p=np.ones(nuis.p.size))
+
+
+def brier_b_from_g(table, g_rows):
+    """Exact b on the table's rows from per-row g and the cached predictions."""
+    pred = table.pred
+    return lambda eta: np.asarray(binary_b((1 - pred) ** 2, pred**2, g_rows, eta))
+
+
+def half_p_nuisances(table, b):
+    n = table.n
+    return NuisanceSet(p=np.full(n, 0.5), b=b, c=lambda eta: np.ones(n))
 
 
 class TestPhiCl:
     def test_mean_of_b(self):
         table = tiny_table([1, 0, 0], [0.5, 0.5, 0.5])
-        vals = iter([np.array([0.2, 0.4])])
-        nuis = constant_nuisances(b_fn=lambda x, eta: np.array([0.2, 0.4]))
-        res = phi_cl(table, nuis, 0.0)
+        nuis = constant_nuisances(3, b_rows=[0.0, 0.2, 0.4])
+        res = estimate(table, nuis, 0.0, "cl")
         assert res.estimate == pytest.approx(0.3, abs=1e-15)
 
     def test_constant_binary_mode_hand_value(self):
         # g = 0.2, pred = 0.1 -> l1 = 0.81, l0 = 0.01; eta = ln4 -> 0.41
         table = tiny_table([1, 0, 0, 0], [0.1, 0.1, 0.1, 0.1])
         nuis = manual_binary_nuisances(
+            table,
             model=PredictionModel(coefficients=(0.0, 1.0), link="identity", xstar_columns=(0,)),
             g_coefs=(math.log(0.25), 0.0),  # expit == 0.2 everywhere
             p_coefs=(0.0, 0.0),
         )
-        assert phi_cl(table, nuis, LN4).estimate == pytest.approx(0.41, abs=1e-12)
+        assert estimate(table, nuis, LN4, "cl").estimate == pytest.approx(0.41, abs=1e-12)
 
     def test_matches_brute_force_at_eta_zero(self):
         table = tiny_table([1, 1, 0, 0], [0.3, 0.6, 0.2, 0.7], y=[1.0, 0.0, np.nan, np.nan])
         g_rows = np.array([0.4, 0.1, 0.25, 0.8])
-
-        def b(x, eta):
-            pred = x[:, 0]
-            return np.asarray(binary_b((1 - pred) ** 2, pred**2, _match_g(x, table, g_rows), eta))
-
-        nuis = NuisanceSet(p=lambda x: np.full(len(np.atleast_2d(x)), 0.5),
-                           b=b, c=lambda x, eta: np.ones(len(np.atleast_2d(x))))
-        assert phi_cl(table, nuis, 0.0).estimate == pytest.approx(
+        nuis = half_p_nuisances(table, brier_b_from_g(table, g_rows))
+        assert estimate(table, nuis, 0.0, "cl").estimate == pytest.approx(
             brute_force_phi(table, g_rows, 0.0), abs=1e-12
         )
-
-    def test_requires_non_nested(self):
-        table = tiny_table([1, 0], [0.5, 0.5], design="nested")
-        with pytest.raises(DataError):
-            phi_cl(table, constant_nuisances(b_val=0.1), 0.0)
-
-
-def _match_g(x, table, g_rows):
-    # map covariate rows back to their per-row g by matching the (unique) preds
-    x = np.atleast_2d(x)
-    out = np.empty(x.shape[0])
-    for i, row in enumerate(x):
-        j = int(np.flatnonzero(np.isclose(table.x[:, 0], row[0]))[0])
-        out[i] = g_rows[j]
-    return out
 
 
 class TestPhiAug:
     def test_p_one_reduces_to_cl(self, rng):
         table = random_binary_table(rng, n=60)
         model = PredictionModel(coefficients=(0.1, 0.3, -0.2), xstar_columns=(0, 1))
-        nuis = manual_binary_nuisances(model, (0.2, 0.5, 0.1), (0.1, -0.4, 0.3))
+        nuis = manual_binary_nuisances(table, model, (0.2, 0.5, 0.1), (0.1, -0.4, 0.3))
         for eta in (-1.0, 0.0, 0.7):
-            aug = phi_aug(table, with_p_one(nuis), eta).estimate
-            cl = phi_cl(table, nuis, eta).estimate
+            aug = estimate(table, with_p_one(nuis), eta, "aug").estimate
+            cl = estimate(table, nuis, eta, "cl").estimate
             assert aug == pytest.approx(cl, abs=1e-15)
 
     def test_eta_zero_equals_independent_transport_dr(self, rng):
         model = PredictionModel(coefficients=(0.1, 0.3, -0.2), xstar_columns=(0, 1))
         table = random_binary_table(rng, n=80, model=model)
-        nuis = manual_binary_nuisances(model, (0.2, 0.5, 0.1), (0.1, -0.4, 0.3))
-        est = phi_aug(table, nuis, 0.0).estimate
+        nuis = manual_binary_nuisances(table, model, (0.2, 0.5, 0.1), (0.1, -0.4, 0.3))
+        est = estimate(table, nuis, 0.0, "aug").estimate
 
         # independent eta-free doubly robust transport estimator
         src = table.s == 1
-        g = nuis.g(table.x)
+        g = nuis.g
         b0 = g * table.loss1 + (1 - g) * table.loss0
-        p = nuis.p(table.x)
+        p = nuis.p
         resid = table.loss[src] - b0[src]
         w = (1 - p[src]) / p[src]
         ref = (b0[~src].sum() + (w * resid).sum()) / table.n0
@@ -132,14 +113,9 @@ class TestPhiAug:
         c_vals = np.array([1.2, 1.1, 1.3, 1.0, 1.0, 1.0])
         p_vals = np.array([0.6, 0.7, 0.5, 0.4, 0.4, 0.4])
 
-        def pick(vals):
-            def fn(x, *a):
-                return _match_g(x, table, vals)
-            return fn
-
-        nuis = NuisanceSet(p=pick(p_vals), b=pick(b_vals), c=pick(c_vals))
+        nuis = NuisanceSet(p=p_vals, b=lambda eta: b_vals, c=lambda eta: c_vals)
         eta = 0.5
-        est = phi_aug(table, nuis, eta).estimate
+        est = estimate(table, nuis, eta, "aug").estimate
 
         # spreadsheet-style evaluation of the display, term by term
         losses = (y[:3] - preds[:3]) ** 2
@@ -151,8 +127,8 @@ class TestPhiAug:
     def test_max_weight_diagnostic(self, rng):
         table = random_binary_table(rng, n=50)
         model = PredictionModel(coefficients=(0.0, 0.1, 0.1), xstar_columns=(0, 1))
-        nuis = manual_binary_nuisances(model, (0.0, 0.3, 0.1), (0.0, -0.2, 0.2))
-        res = phi_aug(table, nuis, 0.5)
+        nuis = manual_binary_nuisances(table, model, (0.0, 0.3, 0.1), (0.0, -0.2, 0.2))
+        res = estimate(table, nuis, 0.5, "aug")
         assert res.diagnostics["max_weight"] > 0
 
 
@@ -161,26 +137,25 @@ class TestPhiAugAlt:
         for _ in range(10):
             table = random_binary_table(rng, n=60)
             model = PredictionModel(coefficients=(0.1, 0.3, -0.2), xstar_columns=(0, 1))
-            nuis = manual_binary_nuisances(model, (0.2, 0.5, 0.1), (0.1, -0.4, 0.3))
+            nuis = manual_binary_nuisances(table, model, (0.2, 0.5, 0.1), (0.1, -0.4, 0.3))
             for eta in (-0.8, 0.0, 1.2):
-                alt = phi_aug_alt(table, nuis, eta).estimate
-                aug = phi_aug(table, nuis, eta).estimate
+                alt = estimate(table, nuis, eta, "aug-alt").estimate
+                aug = estimate(table, nuis, eta, "aug").estimate
                 assert alt == pytest.approx(aug, abs=1e-12)
 
     def test_intercept_only_gmm_hand_value(self, rng):
         # at eta = 0 the moment root gives weights n0/n1 on every source row
         table = random_binary_table(rng, n=6, d=1)
-        model = PredictionModel(coefficients=(0.0, 0.5), xstar_columns=(0,))
         recipe = NuisanceRecipe(
-            outcome="binary", model=model, loss=BRIER,
+            outcome="binary", loss=BRIER,
             p_design=DesignSpec(()), g_design=DesignSpec(()),
             a_design=DesignSpec(()),
         )
         nuis = recipe.fit(table)
-        est = phi_aug_alt(table, nuis, 0.0).estimate
+        est = estimate(table, nuis, 0.0, "aug-alt").estimate
 
         src = table.s == 1
-        b0 = np.asarray(nuis.b(table.x, 0.0))
+        b0 = nuis.b(0.0)
         resid = table.loss[src] - b0[src]
         expected = b0[~src].mean() + resid.sum() / table.n1
         assert est == pytest.approx(expected, abs=1e-10)
@@ -189,16 +164,16 @@ class TestPhiAugAlt:
         table = tiny_table([1, 1, 0, 0], [0.5, 0.5, 0.5, 0.5],
                            y=[1.0, 1.0, np.nan, np.nan])
         # b == observed loss on source rows (0.25), so augmentation vanishes
-        nuis = constant_nuisances(b_val=0.25, c_val=1.0, p_val=0.3)
-        alt = phi_aug_alt(table, nuis, 0.7)
-        cl = phi_cl(table, nuis, 0.7)
+        nuis = constant_nuisances(4, b_val=0.25, c_val=1.0, p_val=0.3)
+        alt = estimate(table, nuis, 0.7, "aug-alt")
+        cl = estimate(table, nuis, 0.7, "cl")
         assert alt.estimate == pytest.approx(cl.estimate, abs=1e-14)
 
 
 class TestPsiCl:
     def test_all_source_rows_plain_average(self):
         table = tiny_table([1, 1, 1], [0.2, 0.4, 0.6], y=[1.0, 0.0, 1.0], design="nested")
-        res = psi_cl(table, constant_nuisances(b_val=99.0), 0.0)
+        res = estimate(table, constant_nuisances(3, b_val=99.0), 0.0, "cl")
         expected = np.mean((np.array([1.0, 0.0, 1.0]) - np.array([0.2, 0.4, 0.6])) ** 2)
         assert res.estimate == pytest.approx(expected, abs=1e-15)
 
@@ -207,50 +182,39 @@ class TestPsiCl:
                            y=[1.0, 1.0, np.nan, np.nan], design="nested")
         # source losses: 0.01, 0.09 -> rebuild with direct preds
         losses = table.loss[table.s == 1]
-        nuis = constant_nuisances(b_fn=lambda x, eta: np.array([0.2, 0.4]))
-        res = psi_cl(table, nuis, 0.0)
+        nuis = constant_nuisances(4, b_rows=[0.0, 0.0, 0.2, 0.4])
+        res = estimate(table, nuis, 0.0, "cl")
         assert res.estimate == pytest.approx((losses.sum() + 0.6) / 4.0, abs=1e-15)
 
     def test_matches_brute_force_at_eta_zero(self):
         table = tiny_table([1, 1, 0, 0], [0.3, 0.6, 0.2, 0.7],
                            y=[1.0, 0.0, np.nan, np.nan], design="nested")
         g_rows = np.array([0.4, 0.1, 0.25, 0.8])
-
-        def b(x, eta):
-            pred = x[:, 0]
-            return np.asarray(binary_b((1 - pred) ** 2, pred**2, _match_g(x, table, g_rows), eta))
-
-        nuis = NuisanceSet(p=lambda x: np.full(len(np.atleast_2d(x)), 0.5),
-                           b=b, c=lambda x, eta: np.ones(len(np.atleast_2d(x))))
-        assert psi_cl(table, nuis, 0.0).estimate == pytest.approx(
+        nuis = half_p_nuisances(table, brier_b_from_g(table, g_rows))
+        assert estimate(table, nuis, 0.0, "cl").estimate == pytest.approx(
             brute_force_psi(table, g_rows, 0.0), abs=1e-12
         )
-
-    def test_wrong_design_flag(self):
-        table = tiny_table([1, 0], [0.5, 0.5], design="non-nested")
-        with pytest.raises(DataError):
-            psi_cl(table, constant_nuisances(b_val=0.1), 0.0)
 
 
 class TestPsiAug:
     def _nested_setup(self, rng, n=80):
         table = random_binary_table(rng, n=n, design="nested")
         model = PredictionModel(coefficients=(0.1, 0.3, -0.2), xstar_columns=(0, 1))
-        nuis = manual_binary_nuisances(model, (0.2, 0.5, 0.1), (0.1, -0.4, 0.3))
+        nuis = manual_binary_nuisances(table, model, (0.2, 0.5, 0.1), (0.1, -0.4, 0.3))
         return table, nuis
 
     def test_p_one_reduces_to_cl(self, rng):
         table, nuis = self._nested_setup(rng)
         for eta in (-0.6, 0.0, 0.9):
-            assert psi_aug(table, with_p_one(nuis), eta).estimate == pytest.approx(
-                psi_cl(table, nuis, eta).estimate, abs=1e-15
+            assert estimate(table, with_p_one(nuis), eta, "aug").estimate == pytest.approx(
+                estimate(table, nuis, eta, "cl").estimate, abs=1e-15
             )
 
     def test_zero_residuals_reduce_to_cl(self):
         table = tiny_table([1, 1, 0], [0.5, 0.5, 0.5], y=[1.0, 1.0, np.nan], design="nested")
-        nuis = constant_nuisances(b_val=0.25, c_val=1.3, p_val=0.4)
-        assert psi_aug(table, nuis, 0.5).estimate == pytest.approx(
-            psi_cl(table, nuis, 0.5).estimate, abs=1e-15
+        nuis = constant_nuisances(3, b_val=0.25, c_val=1.3, p_val=0.4)
+        assert estimate(table, nuis, 0.5, "aug").estimate == pytest.approx(
+            estimate(table, nuis, 0.5, "cl").estimate, abs=1e-15
         )
 
     def test_six_row_hand_computation(self):
@@ -262,14 +226,9 @@ class TestPsiAug:
         c_vals = np.array([1.2, 1.1, 1.3, 1.0, 1.0, 1.0])
         p_vals = np.array([0.6, 0.7, 0.5, 0.4, 0.4, 0.4])
 
-        def pick(vals):
-            def fn(x, *a):
-                return _match_g(x, table, vals)
-            return fn
-
-        nuis = NuisanceSet(p=pick(p_vals), b=pick(b_vals), c=pick(c_vals))
+        nuis = NuisanceSet(p=p_vals, b=lambda eta: b_vals, c=lambda eta: c_vals)
         eta = -0.4
-        est = psi_aug(table, nuis, eta).estimate
+        est = estimate(table, nuis, eta, "aug").estimate
         losses = (y[:3] - preds[:3]) ** 2
         w = np.exp(eta * y[:3])
         aug = (1 - p_vals[:3]) / p_vals[:3] * w / c_vals[:3] * (losses - b_vals[:3])
@@ -282,41 +241,41 @@ class TestInfluenceValues:
         for _ in range(5):
             table = random_binary_table(rng, n=70)
             model = PredictionModel(coefficients=(0.1, 0.3, -0.2), xstar_columns=(0, 1))
-            nuis = manual_binary_nuisances(model, (0.2, 0.5, 0.1), (0.1, -0.4, 0.3))
+            nuis = manual_binary_nuisances(table, model, (0.2, 0.5, 0.1), (0.1, -0.4, 0.3))
             eta = 0.6
-            plugged = phi_aug(table, nuis, eta).estimate
-            iv = influence_values_nonnested(table, nuis, eta, plugged)
+            plugged = estimate(table, nuis, eta, "aug").estimate
+            iv = influence_values(table, nuis, eta, plugged)
             assert abs(iv.mean) < 1e-10
             assert iv.se > 0
 
     def test_nested_mean_zero_at_augmented(self, rng):
         table = random_binary_table(rng, n=70, design="nested")
         model = PredictionModel(coefficients=(0.1, 0.3, -0.2), xstar_columns=(0, 1))
-        nuis = manual_binary_nuisances(model, (0.2, 0.5, 0.1), (0.1, -0.4, 0.3))
+        nuis = manual_binary_nuisances(table, model, (0.2, 0.5, 0.1), (0.1, -0.4, 0.3))
         eta = -0.3
-        plugged = psi_aug(table, nuis, eta).estimate
-        iv = influence_values_nested(table, nuis, eta, plugged)
+        plugged = estimate(table, nuis, eta, "aug").estimate
+        iv = influence_values(table, nuis, eta, plugged)
         assert abs(iv.mean) < 1e-10
 
     def test_nonnested_hand_values(self):
         table = tiny_table([1, 0], [0.5, 0.5], y=[1.0, np.nan])
-        nuis = constant_nuisances(b_val=0.2, c_val=1.0, p_val=0.5)
+        nuis = constant_nuisances(2, b_val=0.2, c_val=1.0, p_val=0.5)
         plugged = 0.3
-        iv = influence_values_nonnested(table, nuis, 0.0, plugged)
+        iv = influence_values(table, nuis, 0.0, plugged)
         # n/n0 = 2; source row: 2 * 1 * (0.25 - 0.2) = 0.1; target: 2 * (0.2 - 0.3)
         np.testing.assert_allclose(iv.values, [0.1, -0.2], atol=1e-14)
 
     def test_degenerate_constant_loss_all_zero(self):
         # all losses equal k, b == k, plugged == k -> all contributions zero
         table = tiny_table([1, 1, 0], [0.5, 0.5, 0.5], y=[1.0, 1.0, np.nan])
-        nuis = constant_nuisances(b_val=0.25, c_val=1.0, p_val=0.5)
-        iv = influence_values_nonnested(table, nuis, 0.0, 0.25)
+        nuis = constant_nuisances(3, b_val=0.25, c_val=1.0, p_val=0.5)
+        iv = influence_values(table, nuis, 0.0, 0.25)
         np.testing.assert_allclose(iv.values, 0.0, atol=1e-14)
 
     def test_nested_all_source_constant_loss(self):
         table = tiny_table([1, 1, 1], [0.5, 0.5, 0.5], y=[1.0, 1.0, 1.0], design="nested")
-        nuis = constant_nuisances(b_val=0.25, c_val=1.0, p_val=0.5)
-        iv = influence_values_nested(table, nuis, 0.0, 0.25)
+        nuis = constant_nuisances(3, b_val=0.25, c_val=1.0, p_val=0.5)
+        iv = influence_values(table, nuis, 0.0, 0.25)
         np.testing.assert_allclose(iv.values, 0.0, atol=1e-14)
 
 
@@ -324,42 +283,85 @@ class TestSensitivityCurve:
     def _recipe(self):
         model = PredictionModel(coefficients=(-0.4, 0.3, -0.2), xstar_columns=(0, 1))
         return model, NuisanceRecipe(
-            outcome="binary", model=model, loss=BRIER,
+            outcome="binary", loss=BRIER,
             p_design=DesignSpec((0, 1)), g_design=DesignSpec((0, 1)),
         )
 
     def test_single_point_equals_phi_cl(self, rng):
         model, recipe = self._recipe()
         table = random_binary_table(rng, n=120, model=model)
-        curve = sensitivity_curve(table, recipe, [0.0], estimator="cl")
-        assert len(curve) == 1
         nuis = recipe.fit(table)
+        curve = sensitivity_curve(table, nuis, [0.0], estimator="cl")
+        assert len(curve) == 1
         assert curve.points[0].result.estimate == pytest.approx(
-            phi_cl(table, nuis, 0.0).estimate, abs=1e-15
+            estimate(table, nuis, 0.0, "cl").estimate, abs=1e-15
         )
 
     def test_monotone_when_l1_dominates(self, rng):
         # predictions <= 0.5 make L(1, h) >= L(0, h) for every row
         model = PredictionModel(coefficients=(-1.0, 0.2, 0.1), xstar_columns=(0, 1))
         _, recipe = self._recipe()
-        recipe = NuisanceRecipe(
-            outcome="binary", model=model, loss=BRIER,
-            p_design=DesignSpec((0, 1)), g_design=DesignSpec((0, 1)),
-        )
         table = random_binary_table(rng, n=150, model=model)
         assert np.all(table.loss1 >= table.loss0)
-        curve = sensitivity_curve(table, recipe, [-0.5, 0.0, 0.5], estimator="cl")
+        curve = sensitivity_curve(table, recipe.fit(table), [-0.5, 0.0, 0.5], estimator="cl")
         est = curve.estimates
         assert est[0] <= est[1] <= est[2]
 
     def test_failed_points_marked_not_fatal(self, rng):
         model, recipe = self._recipe()
         table = random_binary_table(rng, n=60, model=model)
-        curve = sensitivity_curve(table, recipe, [0.0, 800.0], estimator="aug")
+        curve = sensitivity_curve(table, recipe.fit(table), [0.0, 800.0], estimator="aug")
         assert curve.points[0].ok
         assert not curve.points[1].ok
         assert curve.points[1].status.startswith("failed:")
 
+    def test_resampling_needs_a_recipe(self):
+        # replicates refit the nuisances, which a hand-built set cannot do
+        table = tiny_table([1, 1, 0, 0], [0.5, 0.5, 0.5, 0.5], y=[1.0, 0.0, np.nan, np.nan])
+        nuis = constant_nuisances(4, b_val=0.25)
+        with pytest.raises(ConfigError, match="NuisanceRecipe"):
+            sensitivity_curve(table, nuis, [0.0], resample=ResampleConfig(replicates=5, seed=1))
+
     def test_cass_shaped_grid_has_45_points(self):
         grid = np.round(np.arange(-19, 26) * 0.05, 10)
         assert grid.size == 45 and grid[0] == -0.95 and grid[-1] == 1.25
+
+
+class TestPositivityWarning:
+    def test_full_table_estimate_warns_at_clip_bound(self, rng):
+        table = random_binary_table(rng, n=40)
+        nuis = NuisanceRecipe(
+            outcome="binary", loss=BRIER,
+            p_design=DesignSpec((0, 1)), g_design=DesignSpec((0, 1)),
+        ).fit(table)
+        src = table.s == 1
+        p = nuis.p.copy()
+        p[np.flatnonzero(src)[: table.n1 // 2 + 1]] = 0.01  # the lower clip bound
+        with pytest.warns(UserWarning, match="clipping bound"):
+            res = estimate(table, replace(nuis, p=p), 0.3, "aug")
+        assert res.diagnostics["positivity_warning"]
+        assert res.diagnostics["clip_count"] >= table.n1 // 2 + 1
+
+
+class TestBinaryNonBrierLoss:
+    def test_absolute_deviation_cl_closed_form(self, rng):
+        # L(1, h) = 1 - h and L(0, h) = h; the table caches neither
+        loss = LossFunction("absolute-deviation")
+        model = PredictionModel(coefficients=(-0.3, 0.6, 0.2), xstar_columns=(0, 1))
+        x = rng.uniform(-1.0, 1.0, (200, 2))
+        s = np.r_[np.ones(100, dtype=int), np.zeros(100, dtype=int)]
+        y = np.where(s == 1, (rng.random(200) < 0.4).astype(float), np.nan)
+        table = build_table(s, x, y, model, loss, "non-nested")
+        assert table.loss1 is None and table.loss0 is None
+        nuis = NuisanceRecipe(
+            outcome="binary", loss=loss,
+            p_design=DesignSpec((0, 1)), g_design=DesignSpec((0, 1)),
+        ).fit(table)
+        src = table.s == 1
+        g = fit_logistic(DesignSpec((0, 1)), table.x[src], table.y[src]).predict(table.x[~src])
+        h = table.pred[~src]
+        for eta in (-2.0, -0.5, 0.0, 0.7, 3.0):
+            expected = float(np.mean(binary_b(1.0 - h, h, g, eta)))
+            assert estimate(table, nuis, eta, "cl").estimate == pytest.approx(
+                expected, abs=1e-12
+            )

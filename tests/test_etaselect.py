@@ -22,26 +22,26 @@ from conftest import logistic_fn, random_binary_table
 LN4 = math.log(4.0)
 
 
-def const_fn(v):
-    return lambda x: np.full(np.atleast_2d(x).shape[0], float(v))
+def const_rows(table, v):
+    return np.full(table.n, float(v))
 
 
 class TestNonNested:
     def test_untilted_mean_gives_zero(self, rng):
         table = random_binary_table(rng, n=100)
-        g = logistic_fn((0.2, 0.4, -0.3))
-        mu = float(np.mean(g(table.x[table.s == 0])))
+        g = logistic_fn((0.2, 0.4, -0.3))(table.x)
+        mu = float(np.mean(g[table.s == 0]))
         assert eta_from_prevalence_nonnested(table, g, mu) == pytest.approx(0.0, abs=1e-8)
 
     def test_constant_g_closed_form(self, rng):
         table = random_binary_table(rng, n=60)
-        eta = eta_from_prevalence_nonnested(table, const_fn(0.2), 0.5)
+        eta = eta_from_prevalence_nonnested(table, const_rows(table, 0.2), 0.5)
         assert eta == pytest.approx(LN4, abs=1e-8)
 
     def test_round_trip(self, rng):
         table = random_binary_table(rng, n=150)
-        g = logistic_fn((0.1, 0.6, -0.4))
-        gv = g(table.x[table.s == 0])
+        g = logistic_fn((0.1, 0.6, -0.4))(table.x)
+        gv = g[table.s == 0]
         for eta_star in (-3.0, -1.2, 0.0, 0.7, 3.0):
             mu = implied_prevalence_nonnested(gv, eta_star)
             eta = eta_from_prevalence_nonnested(table, g, mu)
@@ -49,8 +49,8 @@ class TestNonNested:
 
     def test_attainable_range_edges(self, rng):
         table = random_binary_table(rng, n=80)
-        g = logistic_fn((0.0, 0.5, 0.5))
-        sup = float(np.mean(g(table.x[table.s == 0]) > 0))  # == 1.0 here
+        g = logistic_fn((0.0, 0.5, 0.5))(table.x)
+        sup = float(np.mean(g[table.s == 0] > 0))  # == 1.0 here
         with pytest.raises(DomainError, match="attainable"):
             eta_from_prevalence_nonnested(table, g, sup + 1e-3)
         eta = eta_from_prevalence_nonnested(table, g, sup - 1e-3)
@@ -59,7 +59,7 @@ class TestNonNested:
     def test_degenerate_g_rejected(self, rng):
         table = random_binary_table(rng, n=40)
         with pytest.raises(DomainError):
-            eta_from_prevalence_nonnested(table, const_fn(1.0), 0.5)
+            eta_from_prevalence_nonnested(table, const_rows(table, 1.0), 0.5)
 
     def test_monotone_objective(self, rng):
         table = random_binary_table(rng, n=80)
@@ -72,40 +72,42 @@ class TestNonNested:
 class TestNested:
     def test_untilted_mixture_gives_zero(self, rng):
         table = random_binary_table(rng, n=100, design="nested")
-        g = logistic_fn((0.2, 0.4, -0.3))
-        p = logistic_fn((0.1, -0.2, 0.5))
-        alpha = implied_prevalence_nested(g(table.x), p(table.x), 0.0)
+        g = logistic_fn((0.2, 0.4, -0.3))(table.x)
+        p = logistic_fn((0.1, -0.2, 0.5))(table.x)
+        alpha = implied_prevalence_nested(g, p, 0.0)
         assert eta_from_prevalence_nested(table, g, p, alpha) == pytest.approx(0.0, abs=1e-8)
 
     def test_closed_form_chain(self, rng):
         # 0.1 + 0.5 * tilted(0.2, eta) = 0.35  =>  tilted = 0.5  =>  eta = ln 4
         table = random_binary_table(rng, n=60, design="nested")
-        eta = eta_from_prevalence_nested(table, const_fn(0.2), const_fn(0.5), 0.35)
+        eta = eta_from_prevalence_nested(
+            table, const_rows(table, 0.2), const_rows(table, 0.5), 0.35
+        )
         assert eta == pytest.approx(LN4, abs=1e-8)
 
     def test_p_zero_reduces_to_nonnested_equation(self, rng):
         table = random_binary_table(rng, n=90, design="nested")
-        g = logistic_fn((0.3, 0.5, -0.2))
+        g = logistic_fn((0.3, 0.5, -0.2))(table.x)
         alpha = 0.45
-        eta_nested = eta_from_prevalence_nested(table, g, const_fn(0.0), alpha)
+        eta_nested = eta_from_prevalence_nested(table, g, const_rows(table, 0.0), alpha)
         # with p = 0 the nested equation averages tilted(g) over all rows
-        gv = g(table.x)
-        assert implied_prevalence_nonnested(gv, eta_nested) == pytest.approx(alpha, abs=1e-9)
+        assert implied_prevalence_nonnested(g, eta_nested) == pytest.approx(alpha, abs=1e-9)
 
     def test_round_trip(self, rng):
         table = random_binary_table(rng, n=120, design="nested")
-        g = logistic_fn((0.1, 0.6, -0.4))
-        p = logistic_fn((0.2, 0.3, 0.3))
-        gv, pv = g(table.x), p(table.x)
+        gv = logistic_fn((0.1, 0.6, -0.4))(table.x)
+        pv = logistic_fn((0.2, 0.3, 0.3))(table.x)
         for eta_star in (-2.0, -0.5, 0.0, 0.5, 2.0):
             alpha = implied_prevalence_nested(gv, pv, eta_star)
-            eta = eta_from_prevalence_nested(table, g, p, alpha)
+            eta = eta_from_prevalence_nested(table, gv, pv, alpha)
             assert eta == pytest.approx(eta_star, abs=1e-8)
 
     def test_alpha_out_of_range(self, rng):
         table = random_binary_table(rng, n=60, design="nested")
         with pytest.raises(DomainError, match="attainable"):
-            eta_from_prevalence_nested(table, const_fn(0.2), const_fn(0.5), 0.95)
+            eta_from_prevalence_nested(
+                table, const_rows(table, 0.2), const_rows(table, 0.5), 0.95
+            )
 
 
 class TestGrid:
@@ -116,7 +118,7 @@ class TestGrid:
         mu_lo = float(expit(-0.95 + logit(0.2)))
         mu_hi = float(expit(1.25 + logit(0.2)))
         anchor = PrevalenceAnchor(mu=mu_lo, multipliers=(1.0, mu_hi / mu_lo))
-        grid = eta_grid_from_prevalence_range(table, const_fn(0.2), anchor, 0.05)
+        grid = eta_grid_from_prevalence_range(table, const_rows(table, 0.2), anchor, 0.05)
         assert grid.size == 45
         assert grid[0] == pytest.approx(-0.95, abs=1e-9)
         assert grid[-1] == pytest.approx(1.25, abs=1e-9)
@@ -124,7 +126,7 @@ class TestGrid:
     def test_degenerate_range_single_point(self, rng):
         table = random_binary_table(rng, n=60)
         anchor = PrevalenceAnchor(mu=0.4, multipliers=(1.0, 1.0))
-        grid = eta_grid_from_prevalence_range(table, const_fn(0.2), anchor, 0.05)
+        grid = eta_grid_from_prevalence_range(table, const_rows(table, 0.2), anchor, 0.05)
         assert grid.size == 1
 
     def test_step_larger_than_range_two_points(self, rng):
@@ -132,14 +134,14 @@ class TestGrid:
         mu_lo = float(expit(0.30 + logit(0.2)))
         mu_hi = float(expit(0.40 + logit(0.2)))
         anchor = PrevalenceAnchor(mu=mu_lo, multipliers=(1.0, mu_hi / mu_lo))
-        grid = eta_grid_from_prevalence_range(table, const_fn(0.2), anchor, 1.0)
+        grid = eta_grid_from_prevalence_range(table, const_rows(table, 0.2), anchor, 1.0)
         np.testing.assert_allclose(grid, [0.0, 1.0], atol=1e-12)
 
     def test_bad_step(self, rng):
         table = random_binary_table(rng, n=60)
         with pytest.raises(DomainError):
             eta_grid_from_prevalence_range(
-                table, const_fn(0.2), PrevalenceAnchor(mu=0.3), 0.0
+                table, const_rows(table, 0.2), PrevalenceAnchor(mu=0.3), 0.0
             )
 
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from tiltrisk.cli import main as cli_main
 from tiltrisk.config import AnalysisConfig
 from tiltrisk.errors import ConfigError, DataError
-from tiltrisk.estimators import phi_cl
+from tiltrisk.estimators import estimate
 from tiltrisk.io import (
     load_table,
     read_curve_csv,
@@ -28,6 +29,25 @@ TOY_CSV = """s,y,age,severity
 0,,0.2,-0.6
 0,,0.7,0.1
 """
+
+
+def write_clipped_nested(tmp_path, name="nested.csv"):
+    """Nested cohort whose selection is steep in x0, so the fitted p leaves
+    the clip band [0.01, 0.99] on about 5% of the rows."""
+    from scipy.special import expit
+
+    rng = np.random.default_rng(7)
+    n = 3000
+    x = rng.uniform(-1.0, 1.0, (n, 2))
+    s = (rng.random(n) < expit(0.3 + 5.0 * x[:, 0])).astype(int)
+    y = (rng.random(n) < expit(-0.4 + 1.2 * x[:, 0] + 0.8 * x[:, 1])).astype(int)
+    lines = ["s,y,x0,x1"]
+    for i in range(n):
+        yv = str(y[i]) if s[i] == 1 else ""
+        lines.append(f"{s[i]},{yv},{float(x[i, 0])!r},{float(x[i, 1])!r}")
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def write_toy(tmp_path, text=TOY_CSV, name="toy.csv"):
@@ -125,10 +145,10 @@ class TestRunAnalysis:
         out = run_analysis(config)
         assert len(out.curve) == 1
         table = load_table(tmp_path / "toy.csv", config)
-        from tiltrisk.io import _recipe_from_config, _model_from_config
+        from tiltrisk.io import _recipe_from_config
 
-        recipe = _recipe_from_config(config, _model_from_config(config))
-        expected = phi_cl(table, recipe.fit(table), 0.0).estimate
+        recipe = _recipe_from_config(config)
+        expected = estimate(table, recipe.fit(table), 0.0, "cl").estimate
         assert out.curve.points[0].result.estimate == pytest.approx(expected, abs=1e-15)
         rows = read_curve_csv(out.curve_csv)
         assert rows[0]["estimate"] == pytest.approx(expected, abs=0)
@@ -147,6 +167,21 @@ class TestRunAnalysis:
         second = run_analysis(cfg)
         assert second.curve_csv.read_bytes() == csv1
         assert second.report_json.read_bytes() == json1
+
+    def test_replicates_raise_no_warnings(self, tmp_path):
+        # p reaches its clip bound on most source rows of some bootstrap
+        # replicates of the toy table, never on the full table
+        write_toy(tmp_path)
+        cfg = toy_config(
+            tmp_path, estimator="aug",
+            resample={"method": "bootstrap", "replicates": 25},
+            seed=42, eta_grid=[-0.5, 0.0, 0.5],
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = run_analysis(cfg)
+        assert [str(w.message) for w in caught] == []
+        assert not any(pt.result.diagnostics.get("positivity_warning") for pt in out.curve)
 
     def test_curve_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -206,6 +241,21 @@ class TestRunAnalysis:
         rows = read_curve_csv(out.curve_csv)
         assert len(rows) == 45
         assert all(r["status"] == "ok" for r in rows)
+
+    def test_binary_outcome_absolute_deviation(self, tmp_path):
+        # binary outcomes under a non-Brier loss: the table caches no
+        # L(1, h) / L(0, h), so the nuisances take them from the predictions
+        data = write_clipped_nested(tmp_path)
+        cfg = AnalysisConfig.from_dict(dict(
+            data_path=str(data), design="nested", loss="absolute-deviation",
+            outcome="binary", x_columns=["x0", "x1"],
+            model_coefficients=[-1.2, 0.25, 0.1], eta_grid=[-0.5, 0.0, 0.5],
+            estimator="aug", out_dir=str(tmp_path / "out"),
+        ))
+        out = run_analysis(cfg)
+        np.testing.assert_allclose(
+            out.curve.estimates, [0.426936, 0.457306, 0.494839], atol=5e-7
+        )
 
     def test_fit_split_mode(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -294,6 +344,23 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["eta_lo"] <= payload["eta_hi"]
         assert payload["n_points"] == len(payload["grid"])
+
+    def test_eta_range_matches_analyze_grid(self, tmp_path, capsys):
+        # both commands anchor on the recipe's clipped p
+        data = write_clipped_nested(tmp_path)
+        anchor = ["--anchor-alpha", "0.2997684658", "--multipliers", "1,1.6432388464",
+                  "--step", "0.05"]
+        rc = cli_main(["eta-range", "--data", str(data), "--x-cols", "x0,x1", *anchor])
+        assert rc == 0
+        grid = json.loads(capsys.readouterr().out)["grid"]
+        rc = cli_main([
+            "analyze", "--data", str(data), "--design", "nested", "--loss", "brier",
+            "--x-cols", "x0,x1", "--coefficients=-1.2,0.25,0.1", *anchor,
+            "--estimator", "cl", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert grid == report["eta_grid"]
 
     def test_selftest_subprocess_entry(self):
         proc = subprocess.run(

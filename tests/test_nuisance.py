@@ -258,50 +258,41 @@ class TestFitAGmm:
 class TestBinaryNuisanceBundle:
     def test_closed_forms_consistent_with_g(self, rng):
         table = random_binary_table(rng, n=300)
-        model = PredictionModel(coefficients=(0.1, 0.4, -0.2), xstar_columns=(0, 1))
-        nuis = fit_binary_nuisances(
-            table, DesignSpec((0, 1)), DesignSpec((0, 1)), model, BRIER
-        )
-        x = table.x[:20]
-        g = nuis.g(x)
+        nuis = fit_binary_nuisances(table, DesignSpec((0, 1)), DesignSpec((0, 1)), BRIER)
+        g = nuis.g
         eta = 0.8
         from tiltrisk.tilt import binary_b, binary_c, eval_loss
 
-        np.testing.assert_allclose(nuis.c(x, eta), binary_c(g, eta), atol=1e-14)
-        pred = model.predict(x)
+        np.testing.assert_allclose(nuis.c(eta), binary_c(g, eta), atol=1e-14)
+        pred = table.pred
         l1 = eval_loss(BRIER, np.ones_like(pred), pred)
         l0 = eval_loss(BRIER, np.zeros_like(pred), pred)
-        np.testing.assert_allclose(nuis.b(x, eta), binary_b(l1, l0, g, eta), atol=1e-14)
+        np.testing.assert_allclose(nuis.b(eta), binary_b(l1, l0, g, eta), atol=1e-14)
 
     def test_p_clipped(self, rng):
         table = random_binary_table(rng, n=300)
-        model = PredictionModel(coefficients=(0.0, 0.0, 0.0), xstar_columns=(0, 1))
-        nuis = fit_binary_nuisances(
-            table, DesignSpec(()), DesignSpec(()), model, BRIER
-        )
-        p = nuis.p(table.x)
+        nuis = fit_binary_nuisances(table, DesignSpec(()), DesignSpec(()), BRIER)
+        p = nuis.p
         assert np.all(p >= 0.01) and np.all(p <= 0.99)
 
     def test_recipe_rejects_custom_q_for_binary(self):
-        model = PredictionModel(coefficients=(0.0,), xstar_columns=())
         with pytest.raises(DomainError, match="identity"):
             NuisanceRecipe(
-                outcome="binary", model=model, loss=BRIER,
+                outcome="binary", loss=BRIER,
                 p_design=DesignSpec(()), g_design=DesignSpec(()),
                 q=lambda y: y**3,
             )
 
     def test_determinism(self, rng):
         table = random_binary_table(rng, n=200)
-        model = PredictionModel(coefficients=(0.1, 0.4, -0.2), xstar_columns=(0, 1))
         recipe = NuisanceRecipe(
-            outcome="binary", model=model, loss=BRIER,
+            outcome="binary", loss=BRIER,
             p_design=DesignSpec((0, 1)), g_design=DesignSpec((0, 1)),
         )
         n1 = recipe.fit(table)
         n2 = recipe.fit(table)
-        assert np.array_equal(n1.b(table.x, 0.7), n2.b(table.x, 0.7))
-        assert np.array_equal(n1.p(table.x), n2.p(table.x))
+        assert np.array_equal(n1.b(0.7), n2.b(0.7))
+        assert np.array_equal(n1.p, n2.p)
 
 
 class TestContinuousBundle:
@@ -314,12 +305,12 @@ class TestContinuousBundle:
         loss = LossFunction("squared-error")
         table = build_table(s, x, y, model, loss, "non-nested")
         recipe = NuisanceRecipe(
-            outcome="continuous", model=model, loss=loss,
+            outcome="continuous", loss=loss,
             p_design=DesignSpec((0,)), b_design=DesignSpec((0,)), c_design=DesignSpec((0,)),
         )
         nuis = recipe.fit(table)
-        b0 = nuis.b(table.x, 0.0)
-        assert np.all(np.isfinite(b0))
-        c0 = nuis.c(table.x, 0.0)
+        b0 = nuis.b(0.0)
+        assert b0.shape == (table.n,) and np.all(np.isfinite(b0))
+        c0 = nuis.c(0.0)
         np.testing.assert_allclose(c0, 1.0, atol=1e-10)
-        assert np.all(nuis.c(table.x, 1.0) >= 1e-6)
+        assert np.all(nuis.c(1.0) >= 1e-6)

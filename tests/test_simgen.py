@@ -8,7 +8,7 @@ from scipy.special import expit
 
 from tiltrisk.data import build_table
 from tiltrisk.errors import DataError, DomainError
-from tiltrisk.estimators import phi_cl, psi_cl
+from tiltrisk.estimators import estimate
 from tiltrisk.nuisance import DesignSpec, fit_logistic
 from tiltrisk.simgen import (
     DgpSpec,
@@ -236,15 +236,15 @@ class TestBruteForce:
         s = np.array([1, 1, 1, 0, 0, 0])
         y = np.where(s == 1, (rng.random(6) < 0.5).astype(float), np.nan)
         g_fn_coefs = (0.2, 0.7)
-        for design, est, brute in (
-            ("non-nested", phi_cl, brute_force_phi),
-            ("nested", psi_cl, brute_force_psi),
+        for design, brute in (
+            ("non-nested", brute_force_phi),
+            ("nested", brute_force_psi),
         ):
             table = build_table(s, x, y, model, BRIER, design)
-            nuis = manual_binary_nuisances(model, g_fn_coefs, (0.0, 0.0))
-            g_rows = nuis.g(table.x)
+            nuis = manual_binary_nuisances(table, model, g_fn_coefs, (0.0, 0.0))
+            g_rows = nuis.g
             for eta in (-1.0, 0.0, 1.0):
-                assert est(table, nuis, eta).estimate == pytest.approx(
+                assert estimate(table, nuis, eta, "cl").estimate == pytest.approx(
                     brute(table, g_rows, eta), abs=1e-12
                 )
 
