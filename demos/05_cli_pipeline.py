@@ -11,7 +11,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-work = Path(tempfile.mkdtemp(prefix="tiltrisk-demo-"))
+# the directory and everything in it are removed when the demo exits
+scratch = tempfile.TemporaryDirectory(prefix="tiltrisk-demo-")
+work = Path(scratch.name)
 print("working in", work)
 
 

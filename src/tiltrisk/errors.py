@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import numpy as np
+
 
 class TiltriskError(Exception):
     """Base class for all package errors."""
@@ -42,3 +44,7 @@ class ConvergenceError(TiltriskError):
 
 class NumericError(TiltriskError):
     """Numerical failure during estimation (propagates to exit code 4)."""
+
+
+# A grid point or replicate failing with one of these is recorded; anything else is a bug.
+NUMERIC_FAILURES = (TiltriskError, np.linalg.LinAlgError, FloatingPointError)

@@ -24,11 +24,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import ObservationTable
-from .errors import ConfigError
+from .errors import NUMERIC_FAILURES, ConfigError
 from .nuisance import NuisanceSet
 from .tilt import TiltSpec, tilt_weight
 
 _CLIP_TOL = 1e-12
+
+# A grid block holds max(1, _BLOCK_CELLS // n) points, so its (K, n) arrays
+# stay near 2^16 cells; large tables go one point at a time.
+_BLOCK_CELLS = 2**16
 
 ESTIMATOR_NAMES = ("cl", "aug", "aug-alt")
 
@@ -85,37 +89,42 @@ def _clip_diagnostics(p_src: np.ndarray, nuis: NuisanceSet) -> dict:
     return diag
 
 
-def _source_weights(table: ObservationTable, nuis: NuisanceSet, eta: float,
+def _source_weights(table: ObservationTable, nuis: NuisanceSet, eta: np.ndarray,
                     estimator: str, src: np.ndarray) -> tuple:
-    """Source-row weights of ``aug`` or ``aug-alt`` and their diagnostics."""
+    """Source-row weights of ``aug`` or ``aug-alt``, (K, n1) at a (K, 1) eta,
+    and the eta-free clip diagnostics."""
     tilt = tilt_weight(table.y[src], TiltSpec(eta, nuis.q))
     if estimator == "aug-alt":
         if nuis.a is None:
             raise ConfigError("aug-alt needs the selection offset a in the nuisance set")
-        weight = np.exp(np.asarray(nuis.a(eta))[src]) * tilt
-        clip = {}
-    else:
-        p = np.asarray(nuis.p)[src]
-        weight = (1.0 - p) / p * tilt / np.asarray(nuis.c(eta))[src]
-        clip = _clip_diagnostics(p, nuis)
-    return weight, {"max_weight": float(weight.max()) if weight.size else 0.0, **clip}
+        return np.exp(np.take(nuis.a(eta), src, axis=-1)) * tilt, {}
+    p = np.asarray(nuis.p)[src]
+    weight = (1.0 - p) / p * tilt / np.take(nuis.c(eta), src, axis=-1)
+    return weight, _clip_diagnostics(p, nuis)
 
 
-def _terms(table: ObservationTable, nuis: NuisanceSet, eta: float, estimator: str) -> tuple:
-    """Per-row terms r, the estimate and the weight diagnostics at one eta."""
+def _terms(table: ObservationTable, nuis: NuisanceSet, eta, estimator: str) -> tuple:
+    """Per-row terms r (K, n), the estimates (K,) and a diagnostics dict per
+    eta of ``eta``; a scalar is K = 1 on cheaper (n,) nuisance rows."""
     _check_estimator(estimator)
+    eta = np.asarray(eta, dtype=np.float64)
+    eta = eta.reshape(-1, 1) if eta.ndim else eta
     src = table.s == 1
     nested = table.design == "nested"
     b = np.asarray(nuis.b(eta), dtype=np.float64)
-    r = np.where(src, table.loss if nested else 0.0, b)
-    diag = {}
+    if b.ndim < eta.ndim:  # eta-free rows of a hand-built set
+        b = np.broadcast_to(b, (eta.size, table.n))
+    r = np.where(src, table.loss if nested else 0.0, b).reshape(-1, table.n)
     if estimator != "cl":
-        weight, diag = _source_weights(table, nuis, eta, estimator, src)
-        r[src] += weight * (table.loss[src] - b[src])
-    est = float(r.sum() / (table.n if nested else table.n0))
-    if estimator != "cl":
-        diag["overshoot"] = _overshoot(table, est)
-    return r, est, diag
+        src = np.flatnonzero(src)  # integer indices take columns faster than a mask
+        weight, clip = _source_weights(table, nuis, eta, estimator, src)
+        r[:, src] += weight * (table.loss[src] - np.take(b, src, axis=-1))
+    est = r.sum(axis=1) / (table.n if nested else table.n0)
+    if estimator == "cl":
+        return r, est, [{} for _ in range(est.size)]
+    max_weight = np.atleast_2d(weight).max(axis=1) if weight.size else np.zeros(eta.size)
+    return r, est, [{"max_weight": float(m), **clip, "overshoot": _overshoot(table, e)}
+                    for m, e in zip(max_weight, est)]
 
 
 def _overshoot(table: ObservationTable, estimate: float) -> float:
@@ -123,6 +132,12 @@ def _overshoot(table: ObservationTable, estimate: float) -> float:
     if not table.has_binary_losses:
         return 0.0
     return float(max(0.0, estimate - 1.0) + max(0.0, -estimate))
+
+
+def _warn_positivity(diagnostics: dict) -> None:
+    if diagnostics.get("positivity_warning"):
+        warnings.warn("p(X) sits at its clipping bound for more than half of the source "
+                      "rows; inverse-odds weights may be unstable", stacklevel=3)
 
 
 def estimate(
@@ -135,15 +150,9 @@ def estimate(
     source rows; the ``positivity_warning`` diagnostic records the same.
     """
     _, est, diag = _terms(table, nuis, eta, estimator)
-    if diag.get("positivity_warning"):
-        warnings.warn(
-            "p(X) sits at its clipping bound for more than half of the "
-            "source rows; inverse-odds weights may be unstable",
-            stacklevel=2,
-        )
-    return EstimateResult(
-        eta=eta, estimate=est, method=f"{estimator}/{table.design}", diagnostics=diag
-    )
+    _warn_positivity(diag[0])
+    return EstimateResult(eta=eta, estimate=float(est[0]), method=f"{estimator}/{table.design}",
+                          diagnostics=diag[0])
 
 
 def influence_values(
@@ -155,13 +164,28 @@ def influence_values(
     With the matching augmented estimate plugged in, the values average to
     zero and sqrt(mean(values^2) / n) is the sandwich standard error.
     """
-    r, _, _ = _terms(table, nuis, eta, "aug")
+    r = _terms(table, nuis, eta, "aug")[0][0]
     if table.design == "nested":
         vals = r - plugged
     else:
         vals = (r - plugged * (table.s == 0)) * (table.n / table.n0)
     se = float(np.sqrt(np.mean(vals**2) / table.n))
     return InfluenceValues(vals, float(vals.mean()), plugged, se)
+
+
+def _grid_terms(table, nuis, grid: np.ndarray, estimator: str, step: int = 0) -> list:
+    """(estimate, diagnostics) at every grid point, or the numeric failure
+    the point raised, in blocks of max(1, _BLOCK_CELLS // n) points."""
+    step = step or max(1, _BLOCK_CELLS // table.n)
+    out = []
+    for lo in range(0, grid.size, step):
+        block = grid[lo:lo + step]
+        try:
+            out += zip(*_terms(table, nuis, block, estimator)[1:])
+        except NUMERIC_FAILURES as exc:
+            # rerun one point at a time so that only the failing points fail
+            out += [exc] if block.size == 1 else _grid_terms(table, nuis, block, estimator, 1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +253,15 @@ def sensitivity_curve(
         raise ConfigError("resampling refits the nuisances; fit them with a NuisanceRecipe")
 
     results = []
-    for eta in eta_grid:
-        try:
-            results.append((float(eta), estimate(table, nuis, float(eta), estimator), "ok"))
-        except Exception as exc:  # failed grid points are marked, not fatal
-            results.append((float(eta), None, f"failed: {exc}"))
-
+    for eta, out in zip(eta_grid, _grid_terms(table, nuis, eta_grid, estimator)):
+        if isinstance(out, Exception):  # failed grid points are marked, not fatal
+            results.append((float(eta), None, f"failed: {out}"))
+            continue
+        res = EstimateResult(eta=float(eta), estimate=float(out[0]),
+                             method=f"{estimator}/{table.design}", diagnostics=out[1])
+        results.append((float(eta), res, "ok"))
+    # the clip diagnostics are eta-free: one warning covers the grid
+    _warn_positivity(next((res.diagnostics for _, res, _ in results if res is not None), {}))
     metadata = {
         "design": table.design,
         "estimator": estimator,
@@ -258,17 +285,12 @@ def sensitivity_curve(
     def sweep(t: ObservationTable) -> np.ndarray:
         # refit all nuisances on the resampled table, then sweep the grid;
         # per-point failures become NaN so the other points survive
-        out = np.full(eta_grid.size, np.nan)
         try:
             ns = nuis.recipe.fit(t)
-        except Exception:
-            return out
-        for i, eta in enumerate(eta_grid):
-            try:
-                out[i] = _terms(t, ns, float(eta), estimator)[1]
-            except Exception:
-                pass
-        return out
+        except NUMERIC_FAILURES:
+            return np.full(eta_grid.size, np.nan)
+        return np.array([np.nan if isinstance(out, Exception) else out[0]
+                         for out in _grid_terms(t, ns, eta_grid, estimator)])
 
     ses: list = [None] * eta_grid.size
     cis: list = [None] * eta_grid.size

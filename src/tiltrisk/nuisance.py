@@ -319,26 +319,40 @@ class WlsFit:
         return out
 
 
-def _wls_coefficients(d: np.ndarray, response, weights) -> np.ndarray:
-    """Weighted least-squares coefficients on a rank-checked design matrix,
-    with the normal equations verified."""
+def _wls_coefficients(d: np.ndarray, response, weights=None) -> np.ndarray:
+    """Least-squares coefficients on a rank-checked design matrix, one row per
+    row of a (K, m) ``response`` or ``weights``, each solved alike for any K:
+    one QR of ``d`` when unweighted, else K weighted k x k normal-equation
+    solves.  The normal equations are verified for every row."""
     response = np.asarray(response, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    sw = np.sqrt(weights)
-    beta, *_ = np.linalg.lstsq(sw[:, None] * d, sw * response, rcond=None)
-    grad = d.T @ (weights * (response - d @ beta))
-    scale = max(1.0, float(np.max(np.abs(d.T @ (weights * response)))))
-    if np.max(np.abs(grad)) > 1e-8 * scale:
+    if weights is None:
+        w = 1.0
+        q, r = np.linalg.qr(d)
+        beta = np.linalg.solve(r, q.T @ response[..., None])[..., 0]
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        dw = d.T * w[..., None, :]
+        beta = np.linalg.solve(dw @ d, dw @ response[..., None])[..., 0]
+    grad = np.max(np.abs((w * (response - _design_values(d, beta))) @ d), axis=-1)
+    bad = grad > 1e-8 * np.maximum(1.0, np.max(np.abs((w * response) @ d), axis=-1))
+    if np.any(bad):
         raise ConvergenceError(
-            f"weighted normal equations not solved: gradient norm {np.max(np.abs(grad)):.3g}"
+            f"weighted normal equations not solved: gradient norm "
+            f"{np.max(grad, where=bad, initial=0.0):.3g}"
         )
     return beta
 
 
-def _wls(design: DesignSpec, rows, response, weights, floor=None) -> WlsFit:
+def _design_values(d: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """d @ beta, one row per row of (K, k) coefficients, alike for any K."""
+    return (d @ beta[..., None])[..., 0]
+
+
+def _wls(design: DesignSpec, rows, response, weights=None, floor=None) -> WlsFit:
     built, d = _design_rows(design, np.atleast_2d(np.asarray(rows, dtype=np.float64)))
-    weights = np.asarray(weights, dtype=np.float64)
-    return WlsFit(_wls_coefficients(d, response, weights), weights, built, floor=floor)
+    beta = _wls_coefficients(d, response, weights)
+    weights = np.ones(d.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
+    return WlsFit(beta, weights, built, floor=floor)
 
 
 def fit_b_continuous(
@@ -363,7 +377,7 @@ def fit_c_continuous(
     """Tilted normalizer for continuous outcomes: least-squares regression
     of e^{eta*q(y)} on the design; predictions are floored at 1e-6."""
     w = np.asarray(tilt_weight(outcomes, tilt), dtype=np.float64)
-    return _wls(design, source_rows, w, np.ones_like(w), floor=C_FLOOR)
+    return _wls(design, source_rows, w, floor=C_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +493,11 @@ def _offset_theta(built: BuiltDesign, d: np.ndarray, table: ObservationTable,
 class NuisanceSet:
     """Nuisance values on the rows of the table they were fitted to.
 
-    ``p`` and ``g`` are eta-free (n,) arrays; ``b``, ``c`` and ``a`` map
-    eta to (n,) arrays.  ``q`` is the tilt map (None = identity) applied
-    to source outcomes.  ``recipe`` is the recipe that fitted the set, which
-    resampling uses to refit it; hand-built sets (exact nuisances in tests)
-    leave it None.
+    ``p`` and ``g`` are eta-free (n,) arrays; ``b``, ``c`` and ``a`` map a
+    scalar eta to (n,) arrays and a (K, 1) eta column to (K, n) or (n,)
+    arrays.  ``q`` is the tilt map (None = identity) applied to source
+    outcomes.  ``recipe`` is the recipe that fitted the set, which
+    resampling uses to refit it; hand-built sets leave it None.
     """
 
     p: np.ndarray
@@ -503,7 +517,12 @@ def _offset(table: ObservationTable, p: np.ndarray, c: Callable,
     if a_design is None:
         return lambda eta: np.asarray(selection_a(p, c(eta)))
     built, d = _design_rows(a_design, table.x)
-    return lambda eta: d @ _offset_theta(built, d, table, TiltSpec(eta, q))[0]
+
+    def a(eta):  # one moment fit per eta
+        rows = [d @ _offset_theta(built, d, table, TiltSpec(e, q))[0] for e in np.ravel(eta)]
+        return np.reshape(rows, np.shape(eta)[:-1] + (table.n,))
+
+    return a
 
 
 def _fit_p(table: ObservationTable, p_design: DesignSpec, p_clip: tuple) -> tuple:
@@ -581,11 +600,10 @@ def fit_continuous_nuisances(
         return np.asarray(tilt_weight(y_src, TiltSpec(eta, q)), dtype=np.float64)
 
     def b(eta):
-        return d_b @ _wls_coefficients(d_b[src], loss_src, weights(eta))
+        return _design_values(d_b, _wls_coefficients(d_b[src], loss_src, weights(eta)))
 
     def c(eta):
-        w = weights(eta)
-        return np.clip(d_c @ _wls_coefficients(d_c[src], w, np.ones_like(w)), C_FLOOR, None)
+        return np.maximum(_design_values(d_c, _wls_coefficients(d_c[src], weights(eta))), C_FLOOR)
 
     meta = {
         "p_ridge": p_fit.ridge,

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .data import ObservationTable
-from .errors import DataError, DomainError, NumericError
+from .errors import NUMERIC_FAILURES, DataError, DomainError, NumericError
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class ResampleResult:
 
 
 def z_quantile(level: float) -> float:
-    return float(norm.ppf(1.0 - (1.0 - level) / 2.0))
+    return float(ndtri(1.0 - (1.0 - level) / 2.0))
 
 
 def wald_interval(estimate: float, se: float, level: float) -> tuple:
@@ -95,8 +95,8 @@ def bootstrap_matrix(
     """Apply ``fn`` to every bootstrap resample of the table.
 
     ``fn`` returns a float vector (or scalar).  A replicate where ``fn``
-    raises is recorded as a NaN row and counted.  Returns (B, k) array and
-    the failure count.
+    fails numerically is recorded as a NaN row and counted; any other
+    exception propagates.  Returns the (B, k) array and the failure count.
     """
     stratified = cfg.resolve_stratified(table)
     rows = []
@@ -108,7 +108,7 @@ def bootstrap_matrix(
             val = np.atleast_1d(np.asarray(fn(table.take(idx)), dtype=np.float64))
             width = val.size
             rows.append(val)
-        except Exception:
+        except NUMERIC_FAILURES:
             failed += 1
             rows.append(None)
     if width is None:
@@ -150,14 +150,15 @@ def bootstrap_ci(
 
 
 def jackknife_matrix(table: ObservationTable, fn: Callable) -> np.ndarray:
-    """Apply ``fn`` to every leave-one-out table; failures name the row."""
+    """Apply ``fn`` to every leave-one-out table; numeric failures name the
+    row, any other exception propagates."""
     if table.n < 3:
         raise DataError("jackknife needs at least 3 rows")
     rows = []
     for i in range(table.n):
         try:
             rows.append(np.atleast_1d(np.asarray(fn(table.drop_row(i)), dtype=np.float64)))
-        except Exception as exc:
+        except NUMERIC_FAILURES as exc:
             raise NumericError(f"leave-one-out estimator failed at row {i}: {exc}") from exc
     return np.vstack(rows)
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import expit, ndtr, ndtri
 
 from .data import ObservationTable, build_table
 from .errors import DataError, DomainError
@@ -107,8 +106,8 @@ class DgpSpec:
             return rng.uniform(-1.0, 1.0, (n, self.dim))
         if self.covariate_kind == "binary":
             return rng.integers(0, 2, (n, self.dim)).astype(np.float64)
-        lo, hi = norm.cdf(-3.0), norm.cdf(3.0)
-        return norm.ppf(lo + rng.random((n, self.dim)) * (hi - lo))
+        lo, hi = ndtr(-3.0), ndtr(3.0)
+        return ndtri(lo + rng.random((n, self.dim)) * (hi - lo))
 
 
 @dataclass(frozen=True)
@@ -205,7 +204,7 @@ def _gaussian_expected_loss(loss, m, sigma, pred):
         # folded-normal mean
         z = delta / sigma
         return sigma * np.sqrt(2.0 / np.pi) * np.exp(-0.5 * z**2) + delta * (
-            1.0 - 2.0 * norm.cdf(-z)
+            1.0 - 2.0 * ndtr(-z)
         )
     raise DomainError(f"no closed-form Gaussian risk for loss kind {loss.kind!r}")
 

@@ -45,7 +45,7 @@ class TiltSpec:
     q: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if not np.isfinite(self.eta):
+        if not np.isfinite(self.eta).all():
             raise DomainError(f"eta must be finite, got {self.eta}")
 
     @property
@@ -153,8 +153,9 @@ class PredictionModel:
 def tilt_weight(y, tilt: TiltSpec):
     """Tilt weight e^{eta * q(y)}; equals 1 at eta = 0.
 
-    Raises TiltOverflowError when the exponent exceeds the float64 range,
-    reporting the offending exponent instead of returning inf.
+    A (K, 1) eta gives (K, n) weights.  Raises TiltOverflowError when an
+    exponent exceeds the float64 range, reporting the largest exponent
+    instead of returning inf.
     """
     z = tilt.eta * tilt.apply_q(y)
     zmax = np.max(z) if np.ndim(z) else z
@@ -167,67 +168,79 @@ def tilt_weight(y, tilt: TiltSpec):
     return out if np.ndim(z) else float(out)
 
 
-def tilted_bernoulli(g, eta: float):
+def _check_g(g) -> np.ndarray:
+    g = _as_array(g)
+    if g.min(initial=0.0) < 0 or g.max(initial=1.0) > 1:
+        raise DomainError("g must lie in [0, 1]")
+    return g
+
+
+def _tilt_ratio(g: np.ndarray, eta) -> tuple:
+    """(w, 1 - g, w g + 1 - g, mid): w = e^eta where |eta| <= 30, else 1;
+    mid when every |eta| <= 30.  The denominator is exactly 1 at eta = 0,
+    where e^0 g + 1 - g may round off 1, so zero tilt is untilted."""
+    eta = _as_array(eta)
+    etas = eta.ravel().tolist()
+    if not any(etas):
+        return 1.0, 1.0 - g, 1.0, True
+    mid = -_STABLE_EXP <= min(etas) and max(etas) <= _STABLE_EXP
+    w = np.exp(eta if mid else np.where(np.abs(eta) <= _STABLE_EXP, eta, 0.0))
+    h = 1.0 - g
+    den = w * g + h
+    return w, h, np.where(eta == 0.0, 1.0, den) if 0.0 in etas else den, mid
+
+
+def tilted_bernoulli(g, eta):
     """Tilted success probability e^eta*g / (e^eta*g + 1 - g).
 
     Identity q is assumed (binary closed form).  Strictly increasing in eta
-    for g in (0, 1); fixed points at g = 0 and g = 1.
+    for g in (0, 1); fixed points at g = 0 and g = 1.  Each eta of a column
+    is exact at 0, a ratio for |eta| <= 30 and rearranged beyond.
     """
-    g = _as_array(g)
-    if np.any((g < 0) | (g > 1)):
-        raise DomainError("g must lie in [0, 1]")
-    if eta == 0.0:
-        out = g + 0.0  # exact: zero tilt preserves the probability
-    elif abs(eta) <= _STABLE_EXP:
-        w = np.exp(eta)
-        out = (w * g) / (w * g + (1.0 - g))
-    elif eta > 0:
-        # divide through by e^eta so nothing overflows
-        out = g / (g + np.exp(-eta) * (1.0 - g))
-    else:
-        w = np.exp(eta)  # underflows harmlessly toward 0
+    g = _check_g(g)
+    w, _, den, mid = _tilt_ratio(g, eta)
+    out = (w * g) / den
+    if not mid:
+        # above: divide through by e^eta; 0/0 at g = 0 once e^-eta underflows
+        denom = g + np.exp(-np.maximum(eta, _STABLE_EXP)) * (1.0 - g)
+        up = g / np.where(denom == 0.0, 1.0, denom)
+        # below: e^eta underflows harmlessly toward 0
+        w = np.exp(np.minimum(eta, -_STABLE_EXP))
         denom = w * g + (1.0 - g)
-        out = np.where(g >= 1.0, 1.0, (w * g) / np.where(denom == 0.0, 1.0, denom))
+        down = np.where(g >= 1.0, 1.0, (w * g) / np.where(denom == 0.0, 1.0, denom))
+        out = np.where(np.abs(eta) <= _STABLE_EXP, out, np.where(eta > 0, up, down))
     return out if out.ndim else float(out)
 
 
-def binary_c(g, eta: float):
-    """Binary tilted normalizer c = e^eta * g + 1 - g (identity q)."""
-    g = _as_array(g)
-    if np.any((g < 0) | (g > 1)):
-        raise DomainError("g must lie in [0, 1]")
-    if eta == 0.0:
-        out = np.ones_like(g)  # exact: the normalizer of an untilted density
-    else:
-        if eta > _LOG_MAX:
-            raise TiltOverflowError(
-                f"exp({eta:.3g}) overflows float64 in the tilted normalizer"
-            )
-        out = np.exp(eta) * g + (1.0 - g)
+def binary_c(g, eta):
+    """Binary tilted normalizer c = e^eta * g + 1 - g (identity q), per eta."""
+    g = _check_g(g)
+    eta = _as_array(eta)
+    etas = eta.ravel().tolist()
+    if max(etas) > _LOG_MAX:
+        raise TiltOverflowError(f"exp({max(etas):.3g}) overflows float64 in the tilted normalizer")
+    out = np.exp(eta) * g + (1.0 - g)
+    if 0.0 in etas:
+        out = np.where(eta == 0.0, 1.0, out)  # exact: an untilted density's normalizer
     return out if out.ndim else float(out)
 
 
-def binary_b(l1, l0, g, eta: float):
+def binary_b(l1, l0, g, eta):
     """Binary tilted conditional risk.
 
     Weighted mean of the two per-row losses under the tilted probability:
     (l1*e^eta*g + l0*(1-g)) / (e^eta*g + 1-g).  Always lies between l0 and
-    l1; tends to l1 as eta -> +inf and to l0 as eta -> -inf.
+    l1; tends to l1 as eta -> +inf and to l0 as eta -> -inf.  Per eta.
     """
     l1 = _as_array(l1)
     l0 = _as_array(l0)
-    g = _as_array(g)
-    if np.any((g < 0) | (g > 1)):
-        raise DomainError("g must lie in [0, 1]")
-    if eta == 0.0:
-        out = g * l1 + (1.0 - g) * l0  # exact: the untilted conditional risk
-    elif abs(eta) <= _STABLE_EXP:
-        w = np.exp(eta)
-        out = (l1 * w * g + l0 * (1.0 - g)) / (w * g + (1.0 - g))
-    else:
+    g = _check_g(g)
+    w, h, den, mid = _tilt_ratio(g, eta)
+    out = (l1 * w * g + l0 * h) / den
+    if not mid:
         # express through the tilted probability, which is already stable
         t = tilted_bernoulli(g, eta)
-        out = np.asarray(t * l1 + (1.0 - t) * l0)
+        out = np.where(np.abs(eta) <= _STABLE_EXP, out, t * l1 + (1.0 - t) * l0)
     return out if out.ndim else float(out)
 
 

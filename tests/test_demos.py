@@ -1,4 +1,5 @@
-"""Smoke runs of the narrative demos: each must exit cleanly."""
+"""Smoke runs of the narrative demos: each must exit cleanly and remove
+its temporary files."""
 
 import os
 import subprocess
@@ -21,3 +22,4 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not list(tmp_path.glob("tiltrisk-demo-*")), "the demo left its temporary directory"

@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tiltrisk import estimators, nuisance
 from tiltrisk.data import build_table
-from tiltrisk.errors import ConfigError
+from tiltrisk.errors import ConfigError, TiltOverflowError
 from tiltrisk.estimators import estimate, influence_values, sensitivity_curve
 from tiltrisk.nuisance import DesignSpec, NuisanceRecipe, NuisanceSet, fit_logistic
 from tiltrisk.resampling import ResampleConfig
@@ -325,6 +326,68 @@ class TestSensitivityCurve:
     def test_cass_shaped_grid_has_45_points(self):
         grid = np.round(np.arange(-19, 26) * 0.05, 10)
         assert grid.size == 45 and grid[0] == -0.95 and grid[-1] == 1.25
+
+
+def overflow_case(rng, outcome_kind):
+    """(table, fitted nuisances, eta whose tilt weight overflows): e^{800 y}
+    at y = 1 for binary outcomes, e^{200 y} at y > 3.55 for continuous."""
+    recipe_args = dict(p_design=DesignSpec((0, 1)))
+    if outcome_kind == "binary":
+        table = random_binary_table(rng, n=60)
+        recipe = NuisanceRecipe(outcome="binary", loss=BRIER, g_design=DesignSpec((0, 1)),
+                                **recipe_args)
+        return table, recipe.fit(table), 800.0
+    x = rng.uniform(-1.0, 1.0, (60, 2))
+    s = np.r_[np.ones(30, dtype=int), np.zeros(30, dtype=int)]
+    y = np.where(s == 1, 2.5 + 2.0 * x[:, 0] + 0.3 * rng.normal(size=60), np.nan)
+    assert np.nanmax(y) > 3.6
+    loss = LossFunction("squared-error")
+    model = PredictionModel(coefficients=(2.5, 2.0, 0.0), link="identity", xstar_columns=(0, 1))
+    table = build_table(s, x, y, model, loss, "non-nested")
+    recipe = NuisanceRecipe(outcome="continuous", loss=loss, b_design=DesignSpec((0, 1)),
+                            c_design=DesignSpec((0, 1)), **recipe_args)
+    return table, recipe.fit(table), 200.0
+
+
+class TestGridBlocks:
+    """The grid is evaluated in blocks of eta; a block that fails reruns
+    its points one at a time, so only the failing point fails."""
+
+    @pytest.mark.parametrize("method", (None, "bootstrap", "jackknife"))
+    @pytest.mark.parametrize("outcome_kind", ("binary", "continuous"))
+    def test_failing_point_fails_alone(self, rng, outcome_kind, method):
+        table, nuis, bad_eta = overflow_case(rng, outcome_kind)
+        grid = [-1.0, -0.5, 0.0, 0.5, 1.0]
+        assert estimators._BLOCK_CELLS // table.n > len(grid)  # one block
+        resample = None if method is None else ResampleConfig(method=method, replicates=10, seed=3)
+        with_bad = sensitivity_curve(table, nuis, grid + [bad_eta], "aug", resample)
+        without = sensitivity_curve(table, nuis, grid, "aug", resample)
+        with pytest.raises(TiltOverflowError, match="tilt exponent") as exc:
+            estimate(table, nuis, bad_eta, "aug")
+        assert with_bad.points[-1].status == f"failed: {exc.value}"
+        assert with_bad.points[:-1] == without.points
+        assert all(pt.status == "ok" for pt in without)
+
+    @pytest.mark.parametrize("method", ("bootstrap", "jackknife"))
+    def test_bug_in_a_replicate_raises(self, rng, monkeypatch, method):
+        # only numerical failures are recorded; a TypeError is a bug
+        table = random_binary_table(rng, n=60)
+        recipe = NuisanceRecipe(outcome="binary", loss=BRIER, p_design=DesignSpec((0, 1)),
+                                g_design=DesignSpec((0, 1)))
+        real = nuisance.fit_logistic
+        calls = []
+
+        def fit_logistic(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:  # the first replicate's g fit
+                raise TypeError("synthetic bug")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nuisance, "fit_logistic", fit_logistic)
+        nuis = recipe.fit(table)
+        resample = ResampleConfig(method=method, replicates=20, seed=5)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            sensitivity_curve(table, nuis, [0.0, 0.5], "aug", resample)
 
 
 class TestPositivityWarning:

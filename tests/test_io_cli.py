@@ -1,9 +1,11 @@
 """CSV ingestion, report emission, pipeline, and CLI checks."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from tiltrisk.io import (
     validate_report,
     write_curve_csv,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 TOY_CSV = """s,y,age,severity
 1,1,0.5,0.2
@@ -369,3 +373,14 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "checks passed" in proc.stdout
+
+
+def test_package_import_skips_scipy_stats():
+    # scipy.stats costs over half a second of import time; the package
+    # needs only the standard normal, from scipy.special
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = "import sys, tiltrisk, tiltrisk.io, tiltrisk.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -15,7 +15,8 @@ the influence values, at the aug weights, are (r_i - est * [s_i = 0]) n/n0
 Two values agree when they differ by at most 1e-12 times the larger of one
 and the magnitude of the terms summed, the scale of the rounding error of
 any summation order.  A point that fails must fail in both with the same
-exception class.
+exception class.  The grid path of ``sensitivity_curve``, which evaluates
+blocks of eta at once, must agree point by point with the same reference.
 """
 
 import math
@@ -25,8 +26,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tiltrisk import estimators
 from tiltrisk.data import build_table
-from tiltrisk.estimators import estimate, influence_values
+from tiltrisk.estimators import estimate, influence_values, sensitivity_curve
 from tiltrisk.nuisance import DesignSpec, NuisanceRecipe, NuisanceSet
 from tiltrisk.tilt import LossFunction, PredictionModel
 
@@ -122,6 +124,22 @@ def check_all(table, nuis):
         check_influence(table, nuis, eta)
 
 
+def check_curve(table, nuis):
+    """The grid path against the reference at every eta and estimator; its
+    diagnostics against those of the one-eta kernel."""
+    for estimator in ESTIMATORS:
+        curve = sensitivity_curve(table, nuis, ETAS, estimator)
+        for point in curve:
+            ref, ref_err = outcome(lambda: reference(table, nuis, point.eta, estimator))
+            assert point.ok == (ref_err is None), (estimator, point.eta, point.status)
+            if point.ok:
+                est, scale = ref
+                got = point.result.estimate
+                assert abs(got - est) <= TOL * scale, (estimator, point.eta, got, est)
+                one = estimate(table, nuis, point.eta, estimator).diagnostics
+                assert point.result.diagnostics == pytest.approx(one, rel=TOL), point.eta
+
+
 def random_table(rng, design, outcome_kind, n=60):
     x = rng.uniform(-1.0, 1.0, (n, 2))
     if design == "nested":
@@ -186,6 +204,27 @@ def test_kernel_matches_scalar_reference(source, design, outcome_kind):
         else:
             nuis = hand_built_set(rng, table, outcome_kind)
         check_all(table, nuis)
+
+
+# None keeps the module's block size, which holds the whole grid at n = 60;
+# 2 cells give one eta per block, 130 cells two per block (9 = 2+2+2+2+1)
+@pytest.mark.parametrize("block_cells", (None, 2, 130))
+@pytest.mark.parametrize("outcome_kind", ("binary", "continuous"))
+@pytest.mark.parametrize("design", ("non-nested", "nested"))
+@pytest.mark.parametrize("source", ("fitted", "hand-built"))
+def test_grid_path_matches_scalar_reference(source, design, outcome_kind, block_cells,
+                                            monkeypatch):
+    rng = np.random.default_rng(2306_08084)
+    table = random_table(rng, design, outcome_kind)
+    if block_cells is None:
+        assert estimators._BLOCK_CELLS // table.n >= len(ETAS)
+    else:
+        monkeypatch.setattr(estimators, "_BLOCK_CELLS", block_cells)
+    if source == "fitted":
+        nuis = fitted_set(table, outcome_kind)
+    else:
+        nuis = hand_built_set(rng, table, outcome_kind)
+    check_curve(table, nuis)
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,6 +8,7 @@ from tiltrisk.errors import DataError, DomainError, NumericError
 from tiltrisk.resampling import (
     ResampleConfig,
     bootstrap_ci,
+    bootstrap_matrix,
     jackknife_ci,
     resample_indices,
 )
@@ -86,7 +87,7 @@ class TestBootstrap:
 
         def flaky(t):
             if t.x[:, 1].mean() > 0.02:
-                raise ValueError("synthetic failure")
+                raise DomainError("synthetic failure")
             return column_mean(t)
 
         flaky(table)  # the point estimate itself must be computable
@@ -105,7 +106,7 @@ class TestBootstrap:
             calls["n"] += 1
             if calls["n"] == 1:
                 return 0.0  # point estimate succeeds
-            raise ValueError("boom")
+            raise DomainError("boom")
 
         with pytest.raises(NumericError):
             bootstrap_ci(table, estimator, ResampleConfig(replicates=20, seed=4))
@@ -117,6 +118,28 @@ class TestBootstrap:
     def test_min_replicates(self):
         with pytest.raises(DomainError):
             ResampleConfig(replicates=1, seed=0)
+
+
+class TestSubstreams:
+    """Replicate r draws from the substream (seed, r) alone."""
+
+    def test_fewer_replicates_are_a_prefix(self, rng):
+        table = make_marked_table(rng, n=40)
+
+        def means(t):
+            return t.x.mean(axis=0)
+
+        eight, _ = bootstrap_matrix(table, means, ResampleConfig(replicates=8, seed=11))
+        sixteen, _ = bootstrap_matrix(table, means, ResampleConfig(replicates=16, seed=11))
+        assert np.array_equal(eight, sixteen[:8])
+
+    @pytest.mark.parametrize("stratified", (False, True))
+    def test_draw_order_does_not_matter(self, rng, stratified):
+        table = random_binary_table(rng, n=30)
+        forward = [resample_indices(table, r, 21, stratified) for r in range(8)]
+        backward = [resample_indices(table, r, 21, stratified) for r in reversed(range(8))]
+        for a, b in zip(forward, reversed(backward)):
+            assert np.array_equal(a, b)
 
 
 class TestJackknife:
@@ -144,7 +167,7 @@ class TestJackknife:
 
         def estimator(t):
             if marker not in t.x[:, 0]:
-                raise ValueError("lost the marked row")
+                raise DomainError("lost the marked row")
             return 0.0
 
         with pytest.raises(NumericError, match="row 3"):

@@ -143,6 +143,36 @@ class TestBinaryB:
             assert hi <= lo
 
 
+class TestEtaColumn:
+    """A (K, 1) eta column gives, row by row, exactly the one-eta values:
+    the exact zero branch, the ratio form and the rearranged |eta| > 30
+    branch side by side in one call."""
+
+    ETAS = (-800.0, -40.0, -30.0, -1.0, 0.0, 0.7, 30.0, 31.0, 800.0)
+
+    @pytest.mark.parametrize("fn", ("tilted_bernoulli", "binary_b", "binary_c"))
+    def test_rows_equal_scalar_calls(self, fn):
+        rng = np.random.default_rng(3)
+        g = np.r_[0.0, 1.0, rng.uniform(0.0, 1.0, 6)]
+        l1, l0 = rng.uniform(0.0, 1.0, (2, g.size))
+        etas = self.ETAS if fn != "binary_c" else self.ETAS[:-1]  # exp(800) overflows
+        call = {
+            "tilted_bernoulli": lambda eta: tilted_bernoulli(g, eta),
+            "binary_b": lambda eta: binary_b(l1, l0, g, eta),
+            "binary_c": lambda eta: binary_c(g, eta),
+        }[fn]
+        grid = call(np.array(etas)[:, None])
+        assert grid.shape == (len(etas), g.size)
+        for row, eta in zip(grid, etas):
+            assert np.array_equal(row, call(eta)), eta
+
+    def test_overflow_names_the_largest_exponent(self):
+        with pytest.raises(TiltOverflowError, match=r"exp\(800\)"):
+            binary_c(0.5, np.array([[1.0], [800.0]]))
+        with pytest.raises(TiltOverflowError, match="tilt exponent 800 "):
+            tilt_weight(np.array([0.0, 1.0]), TiltSpec(np.array([[1.0], [800.0]])))
+
+
 class TestSelectionA:
     def test_balanced_no_tilt(self):
         assert selection_a(0.5, 1.0) == 0.0
