@@ -9,8 +9,10 @@ identical outputs.
 
 from __future__ import annotations
 
+import collections
 import csv
 import importlib.resources
+import io
 import json
 import platform
 import warnings
@@ -51,16 +53,115 @@ class RawData:
 
 
 def _read_raw(csv_path, x_columns) -> RawData:
+    """Read the ``s``, ``y`` and covariate columns of a data file.
+
+    A regular file is parsed one column group at a time in C
+    (``_read_columns``).  Any file that pass cannot take goes to the row
+    scanner, which gives the same result or words the error.
+    """
+    try:
+        raw = _read_columns(Path(csv_path), x_columns)
+    except (OSError, ValueError, csv.Error):
+        raw = None
+    return _read_rows(csv_path, x_columns) if raw is None else raw
+
+
+def _open_data(path: Path):
+    """Open a data file for the csv module, past a UTF-8 byte-order mark."""
+    fh = open(path, newline="")
+    if fh.read(1) != "\ufeff":
+        fh.seek(0)
+    return fh
+
+
+def _column_indices(path: Path, fieldnames, x_columns) -> tuple:
+    """Header positions of ``s``, ``y`` and the covariates, in that order."""
+    if fieldnames is None:
+        raise DataError(f"{path}: empty file")
+    wanted = ("s", "y", *x_columns)
+    missing = [c for c in wanted if c not in fieldnames]
+    if missing:
+        raise DataError(f"{path}: missing columns: {missing}")
+    duplicated = [c for c in dict.fromkeys(wanted) if fieldnames.count(c) > 1]
+    if duplicated:
+        raise DataError(f"{path}: duplicate columns: {duplicated}")
+    return tuple(fieldnames.index(c) for c in wanted)
+
+
+def _read_columns(path: Path, x_columns) -> Optional[RawData]:
+    """The columnar pass: the covariates straight to float64, ``s`` and
+    ``y`` as text checked with array operations.  Returns None when the
+    file needs the row scanner (a bad ``s`` or no data rows); ragged rows
+    and cells that do not parse, an empty source ``y`` among them, raise
+    ValueError.
+    """
+    with _open_data(path) as fh:
+        s_col, y_col, *x_cols = _column_indices(path, next(csv.reader(fh), None), x_columns)
+        text = fh.read()
+    # NUL is dropped from the end of numpy strings; a header-only file would
+    # make loadtxt warn
+    if "\0" in text or not text.strip("\r\n") or not _fields_within_csv_limit(text):
+        return None
+    data = text.encode()
+    # the same dialect as csv.reader on a file opened with newline=""
+    dialect = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
+    with warnings.catch_warnings():
+        # the chunked text read remarks on skipped blank lines
+        warnings.filterwarnings("ignore", "Input line", UserWarning)
+        sy = np.loadtxt(_lines(data), dtype=str, usecols=(s_col, y_col), **dialect)
+    s_text, y_text = np.char.strip(sy).T
+    source = s_text == "1"
+    if not (source | (s_text == "0")).all():
+        return None
+    x = np.loadtxt(_lines(data), dtype=np.float64, usecols=x_cols, **dialect)
+    y = np.full(source.shape, np.nan)
+    # float() on each source cell, as in the row scanner; an empty one raises
+    y[source] = y_text[source].astype(np.float64)
+    return RawData(
+        s=source.astype(np.int64),
+        y=y,
+        x=x,
+        columns=tuple(x_columns),
+        masked_y_count=int(np.count_nonzero((y_text != "") & ~source)),
+    )
+
+
+def _lines(data: bytes):
+    """UTF-8 text as lines split like a file opened with newline="".  A
+    StringIO would hold the whole text at four bytes a character."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+
+
+def _fields_within_csv_limit(text: str) -> bool:
+    """Whether no field is longer than ``csv.field_size_limit()``, which the
+    csv module enforces and loadtxt does not."""
+    limit = csv.field_size_limit()
+    if len(text) <= limit:
+        return True
+    if '"' in text:   # quoted fields can hold separators: let csv measure them
+        collections.deque(csv.reader(_lines(text.encode())), maxlen=0)
+        return True
+    # an unquoted field longer than the limit holds a whole aligned block of
+    # limit // 2 characters with no separator in it
+    step = limit // 2
+    return all(
+        any(text.find(sep, i, i + step) >= 0 for sep in ",\r\n")
+        for i in range(0, len(text) - step + 1, step)
+    )
+
+
+def _read_rows(csv_path, x_columns) -> RawData:
+    """Read a data file one row at a time.
+
+    The reference reader, and the only one that words row errors.  Rows are
+    numbered from 0 over the data rows; blank lines are skipped.
+    """
     path = Path(csv_path)
     if not path.exists():
         raise DataError(f"data file not found: {path}")
-    with open(path, newline="") as fh:
+    with _open_data(path) as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file")
-        missing = [c for c in ("s", "y", *x_columns) if c not in reader.fieldnames]
-        if missing:
-            raise DataError(f"{path}: missing columns: {missing}")
+        _column_indices(path, reader.fieldnames, x_columns)
         s_vals, y_vals, x_rows = [], [], []
         masked = 0
         for i, row in enumerate(reader):

@@ -24,7 +24,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.interpolate import BSpline
 from scipy.special import expit
 
 from .data import ObservationTable
@@ -75,6 +74,10 @@ def spline_knots(column: np.ndarray, degree: int, interior_knots: int) -> np.nda
 
 
 def _spline_basis(column: np.ndarray, knots: np.ndarray, degree: int) -> np.ndarray:
+    # imported here: scipy.interpolate pulls in scipy.optimize, and only
+    # spline bases need it
+    from scipy.interpolate import BSpline
+
     # evaluation points are clipped to the boundary knots so resampled or
     # held-out rows at the range edges stay inside the basis support
     xc = np.clip(np.asarray(column, dtype=np.float64), knots[0], knots[-1])
