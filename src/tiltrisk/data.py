@@ -3,12 +3,14 @@
 An ObservationTable holds the combined sample: population indicator s
 (1 = source, 0 = target), covariates x, outcomes y (present only for
 source rows), the design flag, and cached model predictions and losses.
-Tables are immutable; resampling produces new tables via ``take``.
+Tables are immutable; ``take`` builds new tables from row indices (the
+black-box ``bootstrap_ci``/``jackknife_ci`` resamplers use it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -45,26 +47,29 @@ class ObservationTable:
         if np.any(np.isnan(y[s == 1])):
             bad = int(np.where((s == 1) & np.isnan(y))[0][0])
             raise DataError(f"source row {bad} is missing its outcome")
-        n1 = int(np.sum(s == 1))
-        n0 = int(np.sum(s == 0))
-        if n1 == 0:
-            raise DataError("table has no source rows (s = 1)")
-        # a nested cohort may consist entirely of source rows; a non-nested
-        # table needs a separately sampled target stratum
-        if n0 == 0 and self.design == "non-nested":
-            raise DataError("non-nested table has no target rows (s = 0)")
+        check_strata(int(np.sum(s == 1)), int(np.sum(s == 0)), self.design)
 
     @property
     def n(self) -> int:
         return self.s.shape[0]
 
-    @property
+    @cached_property
     def n1(self) -> int:
         return int(np.sum(self.s == 1))
 
-    @property
+    @cached_property
     def n0(self) -> int:
         return int(np.sum(self.s == 0))
+
+    @cached_property
+    def source_rows(self) -> np.ndarray:
+        """Indices of the source rows (s = 1)."""
+        return np.flatnonzero(self.s == 1)
+
+    @cached_property
+    def target_rows(self) -> np.ndarray:
+        """Indices of the target rows (s = 0)."""
+        return np.flatnonzero(self.s == 0)
 
     @property
     def has_binary_losses(self) -> bool:
@@ -89,6 +94,17 @@ class ObservationTable:
         keep = np.ones(self.n, dtype=bool)
         keep[i] = False
         return self.take(np.where(keep)[0])
+
+
+def check_strata(n1: float, n0: float, design: str) -> None:
+    """Raise DataError when a table, or a count-weighted replicate of one,
+    with n1 source and n0 target rows cannot be analysed."""
+    if n1 == 0:
+        raise DataError("table has no source rows (s = 1)")
+    # a nested cohort may consist entirely of source rows; a non-nested
+    # table needs a separately sampled target stratum
+    if n0 == 0 and design == "non-nested":
+        raise DataError("non-nested table has no target rows (s = 0)")
 
 
 def build_table(

@@ -18,14 +18,15 @@ influence values behind the sandwich standard error.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .data import ObservationTable
-from .errors import NUMERIC_FAILURES, ConfigError
-from .nuisance import NuisanceSet
+from .errors import NUMERIC_FAILURES, ConfigError, DataError, NumericError
+from .nuisance import NuisanceRows, NuisanceSet
 from .tilt import TiltSpec, tilt_weight
 
 _CLIP_TOL = 1e-12
@@ -89,42 +90,75 @@ def _clip_diagnostics(p_src: np.ndarray, nuis: NuisanceSet) -> dict:
     return diag
 
 
-def _source_weights(table: ObservationTable, nuis: NuisanceSet, eta: np.ndarray,
-                    estimator: str, src: np.ndarray) -> tuple:
-    """Source-row weights of ``aug`` or ``aug-alt``, (K, n1) at a (K, 1) eta,
-    and the eta-free clip diagnostics."""
-    tilt = tilt_weight(table.y[src], TiltSpec(eta, nuis.q))
+def _source_weight(estimator: str, y_src, eta, q, p_src, c_src: Callable,
+                   a_src: Callable) -> np.ndarray:
+    """Source-row weights of ``aug`` (inverse odds over c) or ``aug-alt``
+    (e^a), times the tilt; (K, m) at a (K, 1) eta.  ``c_src`` and ``a_src``
+    give c and a on the source rows when called."""
+    tilt = tilt_weight(y_src, TiltSpec(eta, q))
     if estimator == "aug-alt":
-        if nuis.a is None:
-            raise ConfigError("aug-alt needs the selection offset a in the nuisance set")
-        return np.exp(np.take(nuis.a(eta), src, axis=-1)) * tilt, {}
-    p = np.asarray(nuis.p)[src]
-    weight = (1.0 - p) / p * tilt / np.take(nuis.c(eta), src, axis=-1)
-    return weight, _clip_diagnostics(p, nuis)
+        return np.exp(a_src()) * tilt
+    return (1.0 - p_src) / p_src * tilt / c_src()
+
+
+def _kernel(nested: bool, b_t, b_s, weight, loss_s) -> tuple:
+    """The terms r on target rows (b) and on source rows: w (L - b), plus L
+    in a nested cohort.  ``cl`` (``weight`` None, w = 0) leaves the eta-free
+    losses (nested) or no source terms at all (None)."""
+    if weight is None:
+        return b_t, loss_s if nested else None
+    r_s = weight * (loss_s - b_s)
+    return b_t, loss_s + r_s if nested else r_s
+
+
+def _sum(r_s, counts=None):
+    """Row sums of the source terms, weighted by ``counts``."""
+    if r_s is None:
+        return 0.0
+    return np.add.reduce(r_s if counts is None else r_s * counts, axis=-1)
 
 
 def _terms(table: ObservationTable, nuis: NuisanceSet, eta, estimator: str) -> tuple:
-    """Per-row terms r (K, n), the estimates (K,) and a diagnostics dict per
-    eta of ``eta``; a scalar is K = 1 on cheaper (n,) nuisance rows."""
-    _check_estimator(estimator)
+    """Terms on the target rows and on the source rows, (K, n0) and (K, n1)
+    at a (K, 1) eta column, the estimates (K,) and the source weights (None
+    for ``cl``, whose source terms are eta-free or None, see ``_kernel``);
+    a scalar eta gives (n0,) and (n1,) rows and a scalar estimate."""
     eta = np.asarray(eta, dtype=np.float64)
     eta = eta.reshape(-1, 1) if eta.ndim else eta
-    src = table.s == 1
-    nested = table.design == "nested"
+    tgt, src = table.target_rows, table.source_rows
     b = np.asarray(nuis.b(eta), dtype=np.float64)
     if b.ndim < eta.ndim:  # eta-free rows of a hand-built set
         b = np.broadcast_to(b, (eta.size, table.n))
-    r = np.where(src, table.loss if nested else 0.0, b).reshape(-1, table.n)
+    weight = b_s = None
     if estimator != "cl":
-        src = np.flatnonzero(src)  # integer indices take columns faster than a mask
-        weight, clip = _source_weights(table, nuis, eta, estimator, src)
-        r[:, src] += weight * (table.loss[src] - np.take(b, src, axis=-1))
-    est = r.sum(axis=1) / (table.n if nested else table.n0)
-    if estimator == "cl":
-        return r, est, [{} for _ in range(est.size)]
-    max_weight = np.atleast_2d(weight).max(axis=1) if weight.size else np.zeros(eta.size)
-    return r, est, [{"max_weight": float(m), **clip, "overshoot": _overshoot(table, e)}
-                    for m, e in zip(max_weight, est)]
+        if estimator == "aug-alt" and nuis.a is None:
+            raise ConfigError("aug-alt needs the selection offset a in the nuisance set")
+        weight = _source_weight(estimator, table.y[src], eta, nuis.q, np.asarray(nuis.p)[src],
+                                lambda: np.asarray(nuis.c(eta)).take(src, axis=-1),
+                                lambda: np.asarray(nuis.a(eta)).take(src, axis=-1))
+        b_s = b.take(src, axis=-1)
+    nested = table.design == "nested"
+    loss_s = table.loss[src] if nested or weight is not None else None
+    r_t, r_s = _kernel(nested, b.take(tgt, axis=-1), b_s, weight, loss_s)
+    est = (np.add.reduce(r_t, axis=-1) + _sum(r_s)) / (table.n if nested else table.n0)
+    return r_t, r_s, est, weight
+
+
+def _point_diagnostics(table: ObservationTable, est: np.ndarray, weight, clip: dict) -> list:
+    """Per-eta diagnostics: max source weight, the eta-free ``clip`` entries
+    and the overshoot; none for ``cl`` (``weight`` None)."""
+    if weight is None:
+        return [{} for _ in range(est.size)]
+    max_weight = np.atleast_2d(weight).max(axis=1) if weight.size else np.zeros(est.size)
+    return [{"max_weight": float(m), **clip, "overshoot": _overshoot(table, e)}
+            for m, e in zip(max_weight, est)]
+
+
+def _clip(table: ObservationTable, nuis: NuisanceSet, estimator: str) -> dict:
+    """The eta-free clip diagnostics of ``aug``, computed once per curve."""
+    if estimator != "aug":
+        return {}
+    return _clip_diagnostics(np.asarray(nuis.p)[table.source_rows], nuis)
 
 
 def _overshoot(table: ObservationTable, estimate: float) -> float:
@@ -149,10 +183,15 @@ def estimate(
     Warns when p sits at its clipping bound on more than half of the
     source rows; the ``positivity_warning`` diagnostic records the same.
     """
-    _, est, diag = _terms(table, nuis, eta, estimator)
-    _warn_positivity(diag[0])
-    return EstimateResult(eta=eta, estimate=float(est[0]), method=f"{estimator}/{table.design}",
-                          diagnostics=diag[0])
+    _check_estimator(estimator)
+    _, _, est, weight = _terms(table, nuis, eta, estimator)
+    diag = {}
+    if weight is not None:
+        diag = _point_diagnostics(table, np.reshape(est, 1), weight,
+                                  _clip(table, nuis, estimator))[0]
+        _warn_positivity(diag)
+    return EstimateResult(eta=eta, estimate=float(est), method=f"{estimator}/{table.design}",
+                          diagnostics=diag)
 
 
 def influence_values(
@@ -164,7 +203,10 @@ def influence_values(
     With the matching augmented estimate plugged in, the values average to
     zero and sqrt(mean(values^2) / n) is the sandwich standard error.
     """
-    r = _terms(table, nuis, eta, "aug")[0][0]
+    r_t, r_s, _, _ = _terms(table, nuis, eta, "aug")
+    r = np.empty(table.n)
+    r[table.target_rows] = r_t
+    r[table.source_rows] = r_s
     if table.design == "nested":
         vals = r - plugged
     else:
@@ -173,19 +215,117 @@ def influence_values(
     return InfluenceValues(vals, float(vals.mean()), plugged, se)
 
 
-def _grid_terms(table, nuis, grid: np.ndarray, estimator: str, step: int = 0) -> list:
-    """(estimate, diagnostics) at every grid point, or the numeric failure
-    the point raised, in blocks of max(1, _BLOCK_CELLS // n) points."""
-    step = step or max(1, _BLOCK_CELLS // table.n)
+def _blocks(evaluate: Callable, grid: np.ndarray, step: int) -> list:
+    """``evaluate(block)`` (one entry per point) over the grid in blocks of
+    ``step`` points; a block that fails numerically reruns one point at a
+    time, so only the failing points fail, with their exception as entry."""
     out = []
     for lo in range(0, grid.size, step):
         block = grid[lo:lo + step]
         try:
-            out += zip(*_terms(table, nuis, block, estimator)[1:])
+            out += evaluate(block)
         except NUMERIC_FAILURES as exc:
-            # rerun one point at a time so that only the failing points fail
-            out += [exc] if block.size == 1 else _grid_terms(table, nuis, block, estimator, 1)
+            out += [exc] if block.size == 1 else _blocks(evaluate, block, 1)
     return out
+
+
+def _block_step(table: ObservationTable) -> int:
+    return max(1, _BLOCK_CELLS // table.n)
+
+
+def _grid_terms(table, nuis, grid: np.ndarray, estimator: str, clip: dict) -> list:
+    """(estimate, diagnostics) at every grid point, or the numeric failure
+    the point raised."""
+    def evaluate(block):
+        _, _, est, weight = _terms(table, nuis, block, estimator)
+        return list(zip(est, _point_diagnostics(table, est, weight, clip)))
+
+    return _blocks(evaluate, grid, _block_step(table))
+
+
+# ---------------------------------------------------------------------------
+# Replicates: count-weighted sums on the table's rows
+# ---------------------------------------------------------------------------
+
+
+def _replicate_terms(table: ObservationTable, fits: NuisanceRows, r: int, eta: np.ndarray,
+                     estimator: str) -> np.ndarray:
+    """Estimates of replicate r of ``fits`` at a (K, 1) eta column: the
+    kernel's terms on the rows the replicate draws, summed with their
+    counts.  Equals the estimate on the table holding each row that many
+    times."""
+    cnt = fits.counts[r]
+    tgt = fits.rows_drawn(r, table.target_rows)
+    src = fits.rows_drawn(r, table.source_rows)
+    weight = None
+    if estimator == "cl":
+        b_t, b_s = fits.b(eta, r, tgt)[0], None
+    else:
+        b_t, b_s = fits.b(eta, r, tgt, src)
+        weight = _source_weight(estimator, table.y[src], eta, fits.q, fits.p[r, src],
+                                lambda: fits.c(eta, r, src), lambda: fits.a(eta, r, src))
+    nested = table.design == "nested"
+    r_t, r_s = _kernel(nested, b_t, b_s, weight, table.loss[src])
+    c_t, c_s = cnt[tgt], cnt[src]
+    return ((r_t * c_t).sum(axis=-1) + _sum(r_s, c_s)) \
+        / (c_t.sum() + c_s.sum() if nested else c_t.sum())
+
+
+def _failure_counts(names) -> str:
+    """' (Class: count, ...)' for the failure names of a point's replicates."""
+    counts = Counter(names)
+    return " (" + ", ".join(f"{name}: {counts[name]}" for name in sorted(counts)) + ")"
+
+
+def _replicate_matrix(table: ObservationTable, recipe, grid: np.ndarray, estimator: str,
+                      resample) -> tuple:
+    """Every replicate's estimate at every grid point, (B, K) with NaN where
+    it failed, and the reason of each failure: the class of the exception
+    its fit or point raised, or 'non-finite'.
+
+    Replicates are row-count vectors (``resampling.replicate_counts``)
+    fitted together in chunks of max(1, _BLOCK_CELLS // 4n): the fits'
+    largest arrays are (chunk, k, n) design products, and k = 4 covers an
+    intercept and three covariates.  A replicate that lacks a stratum the design needs fails
+    like the table it stands for: a jackknife raises NumericError naming
+    the row, and a bootstrap raises when every replicate lacks one.
+    """
+    from .resampling import replicate_counts
+
+    jackknife = resample.method == "jackknife"
+    if jackknife and table.n < 3:
+        raise DataError("jackknife needs at least 3 rows")
+    n_reps = table.n if jackknife else resample.replicates
+    est = np.full((n_reps, grid.size), np.nan)
+    why = np.full((n_reps, grid.size), None, dtype=object)
+    step = _block_step(table)
+    chunk = max(1, _BLOCK_CELLS // (4 * table.n))
+    unusable = 0
+    for lo in range(0, n_reps, chunk):
+        reps = range(lo, min(n_reps, lo + chunk))
+        fits = recipe.fit_counts(table, replicate_counts(table, resample, reps))
+        for i, rep in enumerate(reps):
+            exc = fits.errors[i]
+            if exc is not None:
+                if fits.lacks_stratum[i]:
+                    if jackknife:
+                        raise NumericError(
+                            f"leave-one-out estimator failed at row {rep}: {exc}") from exc
+                    unusable += 1
+                why[rep] = type(exc).__name__
+                continue
+            row = _blocks(lambda block: list(_replicate_terms(table, fits, i, block[:, None],
+                                                              estimator)), grid, step)
+            for j, out in enumerate(row):
+                if isinstance(out, Exception):
+                    why[rep, j] = type(out).__name__
+                elif np.isfinite(out):
+                    est[rep, j] = out
+                else:
+                    why[rep, j] = "non-finite"
+    if unusable == n_reps:
+        raise NumericError("every bootstrap replicate failed")
+    return est, why
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +380,10 @@ def sensitivity_curve(
 
     Failed points are marked and the sweep continues.  When ``resample``
     (a ResampleConfig) is given, per-point standard errors and Wald
-    intervals come from replicate sweeps that refit all nuisances with
-    ``nuis.recipe`` on each resampled table; replicates raise no warnings.
+    intervals come from replicates: row-count vectors over the table, each
+    refitted with ``nuis.recipe`` and swept as count-weighted sums on the
+    table's rows.  Replicates raise no warnings; a point's failed
+    replicates are noted with their count by failure class.
     """
     eta_grid = np.asarray(list(eta_grid), dtype=np.float64)
     if eta_grid.size == 0:
@@ -252,8 +394,9 @@ def sensitivity_curve(
     if resample is not None and nuis.recipe is None:
         raise ConfigError("resampling refits the nuisances; fit them with a NuisanceRecipe")
 
+    clip = _clip(table, nuis, estimator)
     results = []
-    for eta, out in zip(eta_grid, _grid_terms(table, nuis, eta_grid, estimator)):
+    for eta, out in zip(eta_grid, _grid_terms(table, nuis, eta_grid, estimator, clip)):
         if isinstance(out, Exception):  # failed grid points are marked, not fatal
             results.append((float(eta), None, f"failed: {out}"))
             continue
@@ -261,7 +404,8 @@ def sensitivity_curve(
                              method=f"{estimator}/{table.design}", diagnostics=out[1])
         results.append((float(eta), res, "ok"))
     # the clip diagnostics are eta-free: one warning covers the grid
-    _warn_positivity(next((res.diagnostics for _, res, _ in results if res is not None), {}))
+    if any(res is not None for _, res, _ in results):
+        _warn_positivity(clip)
     metadata = {
         "design": table.design,
         "estimator": estimator,
@@ -275,46 +419,28 @@ def sensitivity_curve(
         points = tuple(CurvePoint(e, r, st) for e, r, st in results)
         return SensitivityCurve(points, metadata)
 
-    from .resampling import (
-        bootstrap_matrix,
-        jackknife_matrix,
-        jackknife_se,
-        wald_interval,
-    )
+    from .resampling import jackknife_se, wald_interval
 
-    def sweep(t: ObservationTable) -> np.ndarray:
-        # refit all nuisances on the resampled table, then sweep the grid;
-        # per-point failures become NaN so the other points survive
-        try:
-            ns = nuis.recipe.fit(t)
-        except NUMERIC_FAILURES:
-            return np.full(eta_grid.size, np.nan)
-        return np.array([np.nan if isinstance(out, Exception) else out[0]
-                         for out in _grid_terms(t, ns, eta_grid, estimator)])
-
+    reps, why = _replicate_matrix(table, nuis.recipe, eta_grid, estimator, resample)
     ses: list = [None] * eta_grid.size
-    cis: list = [None] * eta_grid.size
     notes: list = [None] * eta_grid.size
-    if resample.method == "bootstrap":
-        reps, _ = bootstrap_matrix(table, sweep, resample)
-        for i in range(eta_grid.size):
-            col = reps[:, i]
-            ok = np.isfinite(col)
+    for i in range(eta_grid.size):
+        col = reps[:, i]
+        ok = np.isfinite(col)
+        reasons = _failure_counts(why[~ok, i])
+        if resample.method == "bootstrap":
             n_failed = resample.replicates - int(ok.sum())
             if n_failed > 0.2 * resample.replicates:
-                notes[i] = f"ci unavailable: {n_failed} of {resample.replicates} replicates failed"
+                notes[i] = (f"ci unavailable: {n_failed} of {resample.replicates} "
+                            f"replicates failed{reasons}")
                 continue
             ses[i] = float(np.std(col[ok], ddof=1))
             if n_failed:
-                notes[i] = f"{n_failed} replicates skipped"
-    else:
-        loo = jackknife_matrix(table, sweep)
-        for i in range(eta_grid.size):
-            col = loo[:, i]
-            if not np.all(np.isfinite(col)):
-                bad = int(np.flatnonzero(~np.isfinite(col))[0])
-                notes[i] = f"ci unavailable: leave-one-out estimate failed at row {bad}"
-                continue
+                notes[i] = f"{n_failed} replicates skipped{reasons}"
+        elif not ok.all():
+            bad = int(np.flatnonzero(~ok)[0])
+            notes[i] = f"ci unavailable: leave-one-out estimate failed at row {bad}{reasons}"
+        else:
             ses[i] = jackknife_se(col)
     metadata["resampling"] = {
         "method": resample.method,

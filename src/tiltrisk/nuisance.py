@@ -11,7 +11,13 @@ Fits every conditional model the risk estimators consume:
 * ``fit_a_gmm``      -- parametric selection offset a(X, theta; eta) by a
   just-identified method-of-moments fit;
 * ``NuisanceRecipe`` -- bundles design choices and produces a
-  ``NuisanceSet`` of nuisance values on the rows of a given table.
+  ``NuisanceSet`` of nuisance values on the rows of a given table, or
+  ``NuisanceRows`` for R count-weighted replicates of it at once.
+
+A replicate is a vector of row counts over the table (a bootstrap draw or a
+leave-one-out table); every fit weights row i by its count, which equals a
+fit on the table holding row i that many times.  The full-table fit is the
+replicate with every count one.
 
 Design matrices support linear main effects or per-column B-spline
 expansions with knots at empirical quantiles.
@@ -19,15 +25,16 @@ expansions with knots at empirical quantiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
-from .data import ObservationTable
+from .data import ObservationTable, check_strata
 from .errors import (
+    NUMERIC_FAILURES,
     ConvergenceError,
     DataError,
     DomainError,
@@ -164,18 +171,20 @@ class BuiltDesign:
         return len(self.names)
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
+        """The (n, ncols) design on the rows of ``x``, stored column by
+        column: its transpose is C-ordered."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         blocks = []
         for term in self.terms:
             if term[0] == "const":
-                blocks.append(np.ones((x.shape[0], 1)))
+                blocks.append(np.ones((1, x.shape[0])))
             elif term[0] == "lin":
-                blocks.append(x[:, [term[1]]])
+                blocks.append(x[:, term[1]][None])
             else:
                 _, j, knots, degree, drop_first = term
                 basis = _spline_basis(x[:, j], np.asarray(knots), degree)
-                blocks.append(basis[:, 1:] if drop_first else basis)
-        return np.hstack(blocks)
+                blocks.append((basis[:, 1:] if drop_first else basis).T)
+        return np.vstack(blocks).T
 
 
 def _check_rank(matrix: np.ndarray, names: Sequence[str]) -> None:
@@ -194,6 +203,121 @@ def _design_rows(design: DesignSpec, x: np.ndarray, fit=slice(None)) -> tuple:
     d = built.matrix(x)
     _check_rank(d[fit], built.names)
     return built, d
+
+
+# Products with a design are stacked matmuls whose every item is one small
+# product of fixed shape, (k, m) by (m,) or (m, k), on a C-ordered design:
+# each replicate's and each eta's value is computed alone by the same BLAS
+# call, so it is the same in any batch (the memory order picks the BLAS
+# kernel, hence the copies of strided designs).
+
+
+def _values(dT: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """d @ beta on the rows of a (..., k, m) transposed design, one row per
+    (..., k) coefficient row."""
+    return (np.swapaxes(np.ascontiguousarray(dT), -1, -2) @ beta[..., None])[..., 0]
+
+
+def _project(dT: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """d' v: (..., k) for rows ``v`` (..., m)."""
+    return (np.ascontiguousarray(dT) @ v[..., None])[..., 0]
+
+
+def _gram(dT: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """d' diag(w) d: (..., k, k) for row weights ``w`` (..., m)."""
+    dT = np.ascontiguousarray(dT)
+    return (dT * w[..., None, :]) @ np.swapaxes(dT, -1, -2)
+
+
+def _per_replicate(dT: np.ndarray, reps) -> np.ndarray:
+    """The design of replicates ``reps``: a shared (k, m) matrix as is, or
+    their entries of a (G, k, m) stack."""
+    return dT if dT.ndim == 2 else dT[reps]
+
+
+def _rank_screen(dT_fit: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """True where a replicate's count-weighted design is surely of full rank.
+
+    Its singular values are the roots of the eigenvalues of d' diag(counts) d.
+    Pivoted QR has min |r_ii| >= sigma_min and |r_11| <= sigma_max, so
+    sigma_min / sigma_max >= 1e-3 clears ``_check_rank``'s tolerance
+    max(m, k) * eps * |r_11| for any practical row count m; anything less
+    goes to the exact check."""
+    try:
+        eig = np.linalg.eigvalsh(_gram(dT_fit, counts))
+    except np.linalg.LinAlgError:
+        return np.zeros(counts.shape[0], dtype=bool)
+    return eig[..., 0] > 1e-6 * eig[..., -1]
+
+
+def _replicate_designs(design: DesignSpec, x: np.ndarray, fit, counts: np.ndarray,
+                       errors: list, min_rows: bool = False) -> list:
+    """Freeze ``design`` on each live replicate's fit rows ``x[fit]`` (repeated
+    by count, so spline knots are their quantiles), evaluate it once on every
+    row of ``x`` and rank-check it on the replicate's fit rows.
+
+    Returns groups (replicates, built designs, dT, dT on the fit rows), dT
+    the C-ordered (k, n) transposed matrix shared by the group or a
+    (G, k, n) stack.  A replicate that fails
+    records its exception in ``errors``; with ``min_rows`` a replicate needs
+    more fit rows (counted with repetition) than coefficients.
+    """
+    x_fit = x[fit]
+    cnt_fit = counts[:, fit]
+    live = [r for r in range(counts.shape[0]) if errors[r] is None]
+    keyed: dict = {}
+    if design.basis == "linear":  # the terms do not depend on the rows
+        if live:
+            keyed[None] = ([design.build(x_fit)], live)
+    else:
+        for r in live:
+            try:
+                built = design.build(np.repeat(x_fit, cnt_fit[r].astype(np.intp), axis=0))
+            except NUMERIC_FAILURES as exc:
+                errors[r] = exc
+                continue
+            group = keyed.setdefault(built.names, ([], []))
+            group[0].append(built)
+            group[1].append(r)
+    groups = []
+    for builts, reps in keyed.values():
+        if all(b.terms == builts[0].terms for b in builts):
+            dT = np.ascontiguousarray(builts[0].matrix(x).T)
+        else:
+            dT = np.ascontiguousarray(np.stack([b.matrix(x).T for b in builts]))
+        reps = np.asarray(reps)
+        k = dT.shape[-2]
+        d_fit = dT[..., fit] if isinstance(fit, slice) else np.take(dT, fit, axis=-1)
+        screened = _rank_screen(d_fit, cnt_fit[reps])
+        keep = []
+        for i, r in enumerate(reps):
+            try:
+                if min_rows and cnt_fit[r].sum() < k + 1:
+                    raise DataError(f"need at least {k + 1} rows to fit {k} coefficients")
+                if not screened[i]:
+                    _check_rank(np.repeat(_per_replicate(d_fit, i).T,
+                                          cnt_fit[r].astype(np.intp), axis=0),
+                                builts[min(i, len(builts) - 1)].names)
+            except NUMERIC_FAILURES as exc:
+                errors[r] = exc
+                continue
+            keep.append(i)
+        if keep:
+            keep = np.asarray(keep)
+            builts = builts if len(builts) == 1 else [builts[i] for i in keep]
+            groups.append((reps[keep], builts, _per_replicate(dT, keep),
+                           _per_replicate(d_fit, keep)))
+    return groups
+
+
+def _design_by_replicate(groups: list, n_reps: int) -> list:
+    """Each replicate's (built design, (k, n) transposed matrix), None where
+    it failed."""
+    out = [None] * n_reps
+    for reps, builts, dT, _ in groups:
+        for i, r in enumerate(reps):
+            out[r] = (builts[min(i, len(builts) - 1)], _per_replicate(dT, i))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -219,36 +343,125 @@ class GlmFit:
         return np.clip(p, *GLM_PROB_CLIP)
 
 
-def _irls(d, y, w_case, tol=1e-8, max_iter=100, ridge=0.0):
-    """Newton/IRLS iterations for the (optionally ridge-penalized)
-    weighted Bernoulli likelihood.  Returns (beta, converged, iters,
-    separated); ``separated`` is only flagged on the unpenalized path."""
-    k = d.shape[1]
-    beta = np.zeros(k)
-    norm_prev = 0.0
+def _solve(h: np.ndarray, grad: np.ndarray) -> tuple:
+    """Solutions of the (G, k, k) systems and a mask of the singular ones
+    (left at zero)."""
+    try:
+        return np.linalg.solve(h, grad[..., None])[..., 0], np.zeros(len(h), dtype=bool)
+    except np.linalg.LinAlgError:
+        delta = np.zeros_like(grad)
+        singular = np.zeros(len(h), dtype=bool)
+        for i in range(len(h)):
+            try:
+                delta[i] = np.linalg.solve(h[i], grad[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return delta, singular
+
+
+def _irls(dT, y, w_case, tol=1e-8, max_iter=100, ridge=0.0):
+    """Newton/IRLS iterations for G count-weighted Bernoulli likelihoods at
+    once (optionally ridge-penalized); ``dT`` is the (k, m) or (G, k, m)
+    transposed design, ``w_case`` the (G, m) case weights.  Each replicate
+    stops at its own iteration.  Returns (beta, converged, iterations,
+    separated), one entry per replicate; ``separated`` is only flagged on
+    the unpenalized path."""
+    n_reps, k = w_case.shape[0], dT.shape[-2]
+    beta = np.zeros((n_reps, k))
+    converged = np.zeros(n_reps, dtype=bool)
+    separated = np.zeros(n_reps, dtype=bool)
+    iters = np.full(n_reps, max_iter)
+    norm_prev = np.zeros(n_reps)
+    present = w_case > 0
+    live = np.arange(n_reps)
     for it in range(1, max_iter + 1):
-        p = expit(d @ beta)
-        w = w_case * np.clip(p * (1.0 - p), 1e-12, None)
-        h = d.T @ (w[:, None] * d)
-        grad = d.T @ (w_case * (y - p))
+        some = slice(None) if live.size == n_reps else live  # a view while all are live
+        d, wc, b = _per_replicate(dT, some), w_case[some], beta[some]
+        p = expit(_values(d, b))
+        w = p * (1.0 - p)
+        np.maximum(w, 1e-12, out=w)
+        w *= wc
+        h = _gram(d, w)
+        resid = y - p
+        resid *= wc
+        grad = _project(d, resid)
         if ridge > 0.0:
             h = h + ridge * np.eye(k)
-            grad = grad - ridge * beta
-        try:
-            delta = np.linalg.solve(h, grad)
-        except np.linalg.LinAlgError:
-            return beta, False, it, True
-        beta_new = beta + delta
-        if np.max(np.abs(delta)) < tol:
-            return beta_new, True, it, False
+            grad = grad - ridge * b
+        delta, singular = _solve(h, grad)
+        beta_new = b + delta
+        beta[some] = np.where(singular[:, None], b, beta_new) if singular.any() else beta_new
+        stop = done = ~singular & (np.maximum.reduce(np.abs(delta), axis=1) < tol)
         if ridge == 0.0:
-            pinned = p.min() < 1e-10 or p.max() > 1.0 - 1e-10
-            norm_new = float(np.linalg.norm(beta_new))
-            if pinned and it >= 3 and norm_new > norm_prev:
-                return beta_new, False, it, True
-            norm_prev = norm_new
-        beta = beta_new
-    return beta, False, max_iter, False
+            norm_new = np.sqrt(np.add.reduce(beta_new**2, axis=1))
+            if it >= 3:
+                diverged = ~done & ~singular & (norm_new > norm_prev[some])
+                if diverged.any():
+                    # fitted probabilities of the replicate's own rows pinned at a bound
+                    drawn = np.where(present[some], p, 0.5)
+                    diverged &= ((np.minimum.reduce(drawn, axis=1) < 1e-10)
+                                 | (np.maximum.reduce(drawn, axis=1) > 1.0 - 1e-10))
+                stop = done | diverged
+            norm_prev[some] = norm_new
+            separated[live[singular | stop & ~done]] = True
+        stop = stop | singular
+        if not stop.any():
+            continue
+        converged[live[done]] = True
+        iters[live[stop]] = it
+        live = live[~stop]
+        if live.size == 0:
+            break
+    return beta, converged, iters, separated
+
+
+def _fit_logistic_rows(design: DesignSpec, x: np.ndarray, fit, targets: np.ndarray,
+                       counts: np.ndarray, errors: list, case_weights=None) -> tuple:
+    """Logistic fits of ``targets[fit]`` on ``design`` for every live
+    replicate, each fit row taken ``counts`` times (and weighted by
+    ``case_weights[fit]`` when given).
+
+    Convergence is declared when the coefficient max-change drops below
+    1e-8, with a cap of 100 iterations.  Detected separation (fitted
+    probabilities pinned at the boundary with a diverging coefficient
+    norm) triggers a ridge refit (lambda = 1e-4) flagged on the result.
+    Intercept-only designs are solved in closed form, logit of the
+    weighted sample mean.  Returns the (R, n) fitted probabilities on every
+    row of ``x`` (NaN for failed replicates) and one GlmFit per replicate.
+    """
+    n_reps = counts.shape[0]
+    y = np.asarray(targets, dtype=np.float64)[fit]
+    cnt = counts[:, fit]
+    w_case = cnt if case_weights is None else cnt * case_weights[fit]
+    bad = ~np.isin(y, (0.0, 1.0))
+    if bad.any():
+        for r in np.flatnonzero((cnt[:, bad] > 0).any(axis=1)):
+            errors[r] = errors[r] or DomainError("logistic targets must be binary 0/1")
+    prob = np.full((n_reps, x.shape[0]), np.nan)
+    fits = [None] * n_reps
+    for reps, builts, dT, d_fit in _replicate_designs(design, x, fit, counts, errors,
+                                                      min_rows=True):
+        w = w_case[reps]
+        n_grp, k = len(reps), dT.shape[-2]
+        if k == 1 and builts[0].terms[0][0] == "const":
+            m = (w * y).sum(axis=1) / w.sum(axis=1)
+            ridge = (m <= 0.0) | (m >= 1.0)  # all-0 or all-1 targets: the MLE diverges
+            with np.errstate(divide="ignore"):
+                beta = np.where(ridge, 0.0, np.log(m / (1.0 - m)))[:, None]
+            converged, iters = ~ridge, np.zeros(n_grp, dtype=int)
+        else:
+            beta, converged, iters, ridge = _irls(d_fit, y, w)
+        if ridge.any():
+            sub = np.flatnonzero(ridge)
+            beta[sub], _, iters[sub], _ = _irls(_per_replicate(d_fit, sub), y, w[sub],
+                                                 ridge=1e-4)
+            converged[sub] = False
+        fitted = expit(_values(dT, beta))
+        prob[reps] = np.clip(fitted, *GLM_PROB_CLIP, out=fitted)
+        for i, r in enumerate(reps):
+            fits[r] = GlmFit(beta[i], bool(converged[i]), int(iters[i]),
+                             builts[min(i, len(builts) - 1)], ridge=bool(ridge[i]))
+    return prob, fits
 
 
 def fit_logistic(
@@ -257,48 +470,22 @@ def fit_logistic(
     targets: np.ndarray,
     case_weights: Optional[np.ndarray] = None,
 ) -> GlmFit:
-    """Maximum-likelihood logistic fit via IRLS.
-
-    Convergence is declared when the coefficient max-change drops below
-    1e-8, with a cap of 100 iterations.  Detected separation (fitted
-    probabilities pinned at the boundary with a diverging coefficient
-    norm) triggers a ridge refit (lambda = 1e-4) flagged on the result.
-    Intercept-only designs are solved in closed form, logit of the
-    weighted sample mean.
-    """
+    """Maximum-likelihood logistic fit via IRLS (see ``_fit_logistic_rows``,
+    of which this is the one-replicate case)."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     y = np.asarray(targets, dtype=np.float64)
-    if not np.all(np.isin(y, (0.0, 1.0))):
-        raise DomainError("logistic targets must be binary 0/1")
     if case_weights is None:
         w_case = np.ones_like(y)
     else:
         w_case = np.asarray(case_weights, dtype=np.float64)
         if np.any(w_case <= 0) or w_case.shape != y.shape:
             raise DomainError("case_weights must be positive and align with targets")
-
-    built = design.build(rows)
-    d = built.matrix(rows)
-    if d.shape[0] < d.shape[1] + 1:
-        raise DataError(
-            f"need at least {d.shape[1] + 1} rows to fit {d.shape[1]} coefficients"
-        )
-    _check_rank(d, built.names)
-
-    if built.ncols == 1 and built.terms[0][0] == "const":
-        m = float(w_case @ y / w_case.sum())
-        if 0.0 < m < 1.0:
-            beta = np.array([np.log(m / (1.0 - m))])
-            return GlmFit(beta, True, 0, built)
-        # all-0 or all-1 targets: the MLE diverges, take the ridge path
-        beta, conv, iters, _ = _irls(d, y, w_case, ridge=1e-4)
-        return GlmFit(beta, False, iters, built, ridge=True)
-
-    beta, converged, iters, separated = _irls(d, y, w_case)
-    if separated:
-        beta, _, iters, _ = _irls(d, y, w_case, ridge=1e-4)
-        return GlmFit(beta, False, iters, built, ridge=True)
-    return GlmFit(beta, converged, iters, built)
+    errors = [None]
+    _, fits = _fit_logistic_rows(design, rows, slice(None), y, np.ones((1, y.size)), errors,
+                                 w_case)
+    if errors[0] is not None:
+        raise errors[0]
+    return fits[0]
 
 
 # ---------------------------------------------------------------------------
@@ -322,22 +509,22 @@ class WlsFit:
         return out
 
 
-def _wls_coefficients(d: np.ndarray, response, weights=None) -> np.ndarray:
-    """Least-squares coefficients on a rank-checked design matrix, one row per
-    row of a (K, m) ``response`` or ``weights``, each solved alike for any K:
-    one QR of ``d`` when unweighted, else K weighted k x k normal-equation
-    solves.  The normal equations are verified for every row."""
+def _wls_coefficients(dT: np.ndarray, response, weights) -> np.ndarray:
+    """Weighted least-squares coefficients on a rank-checked (k, m)
+    transposed design, one row per row of a (K, m) ``response`` or
+    ``weights``, each solved alike for any K: through the QR factors of
+    diag(sqrt(w)) d, one factorization per weight row (an (m,) ``weights``
+    is shared by every response).  The normal equations are verified for
+    every row."""
+    dT = np.ascontiguousarray(dT)
     response = np.asarray(response, dtype=np.float64)
-    if weights is None:
-        w = 1.0
-        q, r = np.linalg.qr(d)
-        beta = np.linalg.solve(r, q.T @ response[..., None])[..., 0]
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        dw = d.T * w[..., None, :]
-        beta = np.linalg.solve(dw @ d, dw @ response[..., None])[..., 0]
-    grad = np.max(np.abs((w * (response - _design_values(d, beta))) @ d), axis=-1)
-    bad = grad > 1e-8 * np.maximum(1.0, np.max(np.abs((w * response) @ d), axis=-1))
+    w = np.asarray(weights, dtype=np.float64)
+    root = np.sqrt(w)
+    q, r = np.linalg.qr(np.swapaxes(dT * root[..., None, :], -1, -2))
+    beta = np.linalg.solve(r, _project(np.swapaxes(q, -1, -2), response * root)[..., None])
+    beta = beta[..., 0]
+    grad = np.max(np.abs(_project(dT, w * (response - _values(dT, beta)))), axis=-1)
+    bad = grad > 1e-8 * np.maximum(1.0, np.max(np.abs(_project(dT, w * response)), axis=-1))
     if np.any(bad):
         raise ConvergenceError(
             f"weighted normal equations not solved: gradient norm "
@@ -346,15 +533,10 @@ def _wls_coefficients(d: np.ndarray, response, weights=None) -> np.ndarray:
     return beta
 
 
-def _design_values(d: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """d @ beta, one row per row of (K, k) coefficients, alike for any K."""
-    return (d @ beta[..., None])[..., 0]
-
-
 def _wls(design: DesignSpec, rows, response, weights=None, floor=None) -> WlsFit:
     built, d = _design_rows(design, np.atleast_2d(np.asarray(rows, dtype=np.float64)))
-    beta = _wls_coefficients(d, response, weights)
     weights = np.ones(d.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
+    beta = _wls_coefficients(d.T, response, weights)
     return WlsFit(beta, weights, built, floor=floor)
 
 
@@ -421,33 +603,38 @@ def fit_a_gmm(
     column keeps every moment centered at the true offset.
     """
     built, d = _design_rows(design, table.x)
-    theta, norm, it = _offset_theta(built, d, table, tilt, tol, max_iter)
+    theta, norm, it = _offset_theta(built, d.T, table.s == 1, table.y, np.ones(table.n),
+                                    tilt, tol, max_iter)
     return ParametricA(theta, built, tilt.eta, norm, it)
 
 
-def _offset_theta(built: BuiltDesign, d: np.ndarray, table: ObservationTable,
-                  tilt: TiltSpec, tol: float = 1e-10, max_iter: int = 200) -> tuple:
-    """Moment root theta for the design matrix ``d`` on every table row;
-    returns (theta, moment norm, iterations)."""
-    if table.n0 == 0 or table.n1 == 0:
+def _offset_theta(built: BuiltDesign, dT: np.ndarray, src: np.ndarray, y: np.ndarray,
+                  counts: np.ndarray, tilt: TiltSpec, tol: float = 1e-10,
+                  max_iter: int = 200) -> tuple:
+    """Moment root theta for the design ``built``, evaluated as the (k, m)
+    transposed matrix ``dT`` on rows with source flags ``src``, outcomes
+    ``y`` and row counts ``counts``; returns (theta, moment norm,
+    iterations)."""
+    n = counts.sum()
+    n0 = counts[~src].sum()
+    if n0 == 0 or n0 == n:
         raise DataError("selection-offset fit needs both source and target rows")
-    src = table.s == 1
-    n = table.n
-    log_w = tilt.eta * tilt.apply_q(table.y[src])
-    d_src = d[src]
-    target_side = d[~src].sum(axis=0) / n
+    log_w = tilt.eta * tilt.apply_q(y[src])
+    d_src = dT[:, src].T
+    c_src = counts[src]
+    target_side = (dT[:, ~src] * counts[~src]).sum(axis=-1) / n
 
     def moments(theta: np.ndarray) -> np.ndarray:
         # an overflowing trial step gives non-finite moments, which the
         # line search below rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            return d_src.T @ np.exp(d_src @ theta + log_w) / n - target_side
+            return d_src.T @ (c_src * np.exp(d_src @ theta + log_w)) / n - target_side
 
-    k = built.ncols
+    k = dT.shape[0]
     theta = np.zeros(k)
     for t, term in enumerate(built.terms):
         if term[0] == "const":
-            theta[t] = np.log(table.n0 / np.exp(log_w).sum())
+            theta[t] = np.log(n0 / (c_src * np.exp(log_w)).sum())
             break
 
     m = moments(theta)
@@ -460,7 +647,10 @@ def _offset_theta(built: BuiltDesign, d: np.ndarray, table: ObservationTable,
             h = 1e-6 * max(1.0, abs(theta[j]))
             e = np.zeros(k)
             e[j] = h
-            jac[:, j] = (moments(theta + e) - moments(theta - e)) / (2.0 * h)
+            # overflowing moments give a non-finite column, and the line
+            # search below then stalls
+            with np.errstate(invalid="ignore"):
+                jac[:, j] = (moments(theta + e) - moments(theta - e)) / (2.0 * h)
         try:
             step = np.linalg.solve(jac, -m)
         except np.linalg.LinAlgError:
@@ -513,24 +703,192 @@ class NuisanceSet:
     recipe: Optional[NuisanceRecipe] = None
 
 
-def _offset(table: ObservationTable, p: np.ndarray, c: Callable,
-            a_design: Optional[DesignSpec], q: Optional[Callable]) -> Callable:
-    """eta -> selection offset on every row: a moment fit on ``a_design``,
-    or the offset implied by p and c."""
+class NuisanceRows:
+    """Nuisance values of R count-weighted fits on the rows of one table.
+
+    Replicate r weights row i by ``counts[r, i]``.  ``errors[r]`` holds the
+    numerical failure of a replicate whose fit failed (its values are then
+    undefined); ``lacks_stratum[r]`` marks the failures of replicates that
+    draw no source rows, or no target rows of a non-nested table, which
+    could not be built as tables.  ``p`` and ``g`` are (R, n) arrays;
+    ``b``, ``c`` and ``a`` give one replicate's values at eta (a scalar or a
+    (K, 1) column) on the given rows, each solved from that replicate's
+    rows alone.
+    """
+
+    def __init__(self, table, counts, errors, lacks_stratum, p, fits, g=None, losses=None,
+                 b_designs=None, c_designs=None, a_designs=None, q=None, p_clip=P_CLIP):
+        self.table = table
+        self.counts = counts
+        self.errors = errors
+        self.lacks_stratum = lacks_stratum
+        self.p = p
+        self.g = g
+        self.q = q
+        self._fits = fits
+        self._losses = losses
+        self._b_designs = b_designs
+        self._c_designs = c_designs
+        self._a_designs = a_designs
+        self._p_clip = p_clip
+
+    def rows_drawn(self, r: int, rows: np.ndarray) -> np.ndarray:
+        """The entries of ``rows`` that replicate r draws at least once."""
+        return rows[self.counts[r, rows] > 0]
+
+    def _source_fit(self, dT, r, eta, response=None) -> np.ndarray:
+        """(K, k) or (k,) coefficients of replicate r's least-squares fit on
+        its source rows: the tilt-weighted losses (b) or, without a
+        response, the tilt weights themselves (c)."""
+        t = self.table
+        rows = self.rows_drawn(r, t.source_rows)
+        tilt = np.asarray(tilt_weight(t.y[rows], TiltSpec(eta, self.q)), dtype=np.float64)
+        cnt = self.counts[r, rows]
+        if response is None:
+            return _wls_coefficients(dT[:, rows], tilt, cnt)
+        return _wls_coefficients(dT[:, rows], response[rows], cnt * tilt)
+
+    def b(self, eta, r: int, *rows) -> list:
+        """Tilted conditional risk of replicate r on each of ``rows``."""
+        if self.g is not None:
+            l1, l0 = self._losses
+            return [np.asarray(binary_b(l1[i], l0[i], self.g[r, i], eta)) for i in rows]
+        dT = self._b_designs[r][1]
+        beta = self._source_fit(dT, r, eta, self.table.loss)
+        return [_values(dT[:, i], beta) for i in rows]
+
+    def c(self, eta, r: int, rows) -> np.ndarray:
+        """Tilted normalizer of replicate r on ``rows``."""
+        if self.g is not None:
+            return np.asarray(binary_c(self.g[r, rows], eta))
+        dT = self._c_designs[r][1]
+        return np.maximum(_values(dT[:, rows], self._source_fit(dT, r, eta)), C_FLOOR)
+
+    def a(self, eta, r: int, rows) -> np.ndarray:
+        """Selection offset of replicate r on ``rows``: a moment fit per eta on
+        the rows it draws, or the offset implied by p and c."""
+        if self._a_designs is None:
+            return np.asarray(selection_a(self.p[r, rows], self.c(eta, r, rows)))
+        built, dT = self._a_designs[r]
+        t = self.table
+        drawn = self.rows_drawn(r, np.arange(t.n))
+        d_drawn, src, y, cnt = dT[:, drawn], t.s[drawn] == 1, t.y[drawn], self.counts[r, drawn]
+        theta = [_offset_theta(built, d_drawn, src, y, cnt, TiltSpec(e, self.q))[0]
+                 for e in np.ravel(eta)]
+        return _values(dT[:, rows], np.reshape(theta, np.shape(eta)[:-1] + (dT.shape[0],)))
+
+    def meta(self, r: int) -> dict:
+        fits = self._fits
+        meta = {"g_ridge": fits["g"][r].ridge} if "g" in fits else {}
+        meta["p_ridge"] = fits["p"][r].ridge
+        if "g" in fits:
+            meta["g_converged"] = fits["g"][r].converged
+        meta["p_converged"] = fits["p"][r].converged
+        meta["p_clip"] = self._p_clip
+        meta["a_source"] = "gmm" if self._a_designs is not None else "derived"
+        return meta
+
+    def nuisance_set(self, r: int = 0, recipe: Optional[NuisanceRecipe] = None) -> NuisanceSet:
+        """Replicate r as a NuisanceSet on every row; raises its failure."""
+        if self.errors[r] is not None:
+            raise self.errors[r]
+        every = slice(None)
+        return NuisanceSet(
+            p=self.p[r],
+            b=lambda eta: self.b(eta, r, every)[0],
+            c=lambda eta: self.c(eta, r, every),
+            g=None if self.g is None else self.g[r],
+            a=lambda eta: self.a(eta, r, every),
+            q=self.q,
+            meta=self.meta(r),
+            recipe=recipe,
+        )
+
+
+def _check_replicates(table: ObservationTable, counts: np.ndarray) -> list:
+    """One entry per replicate: the DataError of a replicate whose source or
+    target stratum is empty where the design needs it, else None."""
+    errors = []
+    n1 = counts[:, table.source_rows].sum(axis=1)
+    n0 = counts[:, table.target_rows].sum(axis=1)
+    for k1, k0 in zip(n1, n0):
+        try:
+            check_strata(k1, k0, table.design)
+            errors.append(None)
+        except DataError as exc:
+            errors.append(exc)
+    return errors
+
+
+def _fail_where(errors: list, counts: np.ndarray, bad_rows: np.ndarray, exc) -> None:
+    """Record ``exc`` for every live replicate that draws one of ``bad_rows``."""
+    if bad_rows.size:
+        for r in np.flatnonzero((counts[:, bad_rows] > 0).any(axis=1)):
+            errors[r] = errors[r] or exc
+
+
+def _a_designs(table, counts, a_design, errors) -> Optional[list]:
     if a_design is None:
-        return lambda eta: np.asarray(selection_a(p, c(eta)))
-    built, d = _design_rows(a_design, table.x)
-
-    def a(eta):  # one moment fit per eta
-        rows = [d @ _offset_theta(built, d, table, TiltSpec(e, q))[0] for e in np.ravel(eta)]
-        return np.reshape(rows, np.shape(eta)[:-1] + (table.n,))
-
-    return a
+        return None
+    return _design_by_replicate(
+        _replicate_designs(a_design, table.x, slice(None), counts, errors), counts.shape[0])
 
 
-def _fit_p(table: ObservationTable, p_design: DesignSpec, p_clip: tuple) -> tuple:
-    p_fit = fit_logistic(p_design, table.x, (table.s == 1).astype(float))
-    return p_fit, np.clip(p_fit.predict(table.x), *p_clip)
+def _fit_p(table, counts, p_design, p_clip, errors) -> tuple:
+    prob, fits = _fit_logistic_rows(p_design, table.x, slice(None),
+                                    (table.s == 1).astype(float), counts, errors)
+    return np.clip(prob, *p_clip), fits
+
+
+def _binary_rows(table, counts, g_design, p_design, loss, a_design, p_clip) -> NuisanceRows:
+    errors = _check_replicates(table, counts)
+    lacks_stratum = [e is not None for e in errors]
+    src = table.source_rows
+    y_src = table.y[src]
+    _fail_where(errors, counts, src[~np.isin(y_src, (0.0, 1.0))],
+                DomainError("binary nuisances require 0/1 source outcomes"))
+    g, g_fits = _fit_logistic_rows(g_design, table.x, src, table.y, counts, errors)
+    p, p_fits = _fit_p(table, counts, p_design, p_clip, errors)
+    losses = (eval_loss(loss, np.ones_like(table.pred), table.pred),
+              eval_loss(loss, np.zeros_like(table.pred), table.pred))
+    return NuisanceRows(table, counts, errors, lacks_stratum, p, {"g": g_fits, "p": p_fits},
+                        g=g, losses=losses,
+                        a_designs=_a_designs(table, counts, a_design, errors), p_clip=p_clip)
+
+
+def _continuous_rows(table, counts, p_design, b_design, c_design, q, a_design,
+                     p_clip) -> NuisanceRows:
+    errors = _check_replicates(table, counts)
+    lacks_stratum = [e is not None for e in errors]
+    src = table.source_rows
+    if q is not None:  # q is probed over each replicate's outcome range
+        checked: dict = {}
+        for r in range(counts.shape[0]):
+            if errors[r] is None:
+                y_r = table.y[src[counts[r, src] > 0]]
+                span = (float(y_r.min()), float(y_r.max()))
+                if span not in checked:
+                    try:
+                        TiltSpec(0.0, q).validate_q(*span)
+                        checked[span] = None
+                    except NUMERIC_FAILURES as exc:
+                        checked[span] = exc
+                errors[r] = checked[span]
+    p, p_fits = _fit_p(table, counts, p_design, p_clip, errors)
+    n_reps = counts.shape[0]
+    b_designs = _design_by_replicate(
+        _replicate_designs(b_design, table.x, src, counts, errors), n_reps)
+    c_designs = _design_by_replicate(
+        _replicate_designs(c_design, table.x, src, counts, errors), n_reps)
+    return NuisanceRows(table, counts, errors, lacks_stratum, p, {"p": p_fits},
+                        b_designs=b_designs, c_designs=c_designs,
+                        a_designs=_a_designs(table, counts, a_design, errors), q=q,
+                        p_clip=p_clip)
+
+
+def _ones(table: ObservationTable) -> np.ndarray:
+    """Counts of the full table: one replicate holding every row once."""
+    return np.broadcast_to(1.0, (1, table.n))
 
 
 def fit_binary_nuisances(
@@ -548,31 +906,8 @@ def fit_binary_nuisances(
     formulas; a is the offset implied by p and c, or a moment fit on
     ``a_design`` when given.
     """
-    src = table.s == 1
-    y_src = table.y[src]
-    if not np.all(np.isin(y_src, (0.0, 1.0))):
-        raise DomainError("binary nuisances require 0/1 source outcomes")
-    g_fit = fit_logistic(g_design, table.x[src], y_src)
-    p_fit, p = _fit_p(table, p_design, p_clip)
-    g = g_fit.predict(table.x)
-    l1 = eval_loss(loss, np.ones_like(table.pred), table.pred)
-    l0 = eval_loss(loss, np.zeros_like(table.pred), table.pred)
-
-    def b(eta):
-        return np.asarray(binary_b(l1, l0, g, eta))
-
-    def c(eta):
-        return np.asarray(binary_c(g, eta))
-
-    meta = {
-        "g_ridge": g_fit.ridge,
-        "p_ridge": p_fit.ridge,
-        "g_converged": g_fit.converged,
-        "p_converged": p_fit.converged,
-        "p_clip": p_clip,
-        "a_source": "gmm" if a_design is not None else "derived",
-    }
-    return NuisanceSet(p=p, b=b, c=c, g=g, a=_offset(table, p, c, a_design, None), meta=meta)
+    return _binary_rows(table, _ones(table), g_design, p_design, loss, a_design,
+                        p_clip).nuisance_set()
 
 
 def fit_continuous_nuisances(
@@ -590,31 +925,8 @@ def fit_continuous_nuisances(
     c(eta) the regression of the tilt weights, each on a design built and
     evaluated once on the table's rows.
     """
-    src = table.s == 1
-    y_src = table.y[src]
-    loss_src = table.loss[src]
-    if q is not None:
-        TiltSpec(0.0, q).validate_q(float(y_src.min()), float(y_src.max()))
-    p_fit, p = _fit_p(table, p_design, p_clip)
-    _, d_b = _design_rows(b_design, table.x, src)
-    _, d_c = _design_rows(c_design, table.x, src)
-
-    def weights(eta):
-        return np.asarray(tilt_weight(y_src, TiltSpec(eta, q)), dtype=np.float64)
-
-    def b(eta):
-        return _design_values(d_b, _wls_coefficients(d_b[src], loss_src, weights(eta)))
-
-    def c(eta):
-        return np.maximum(_design_values(d_c, _wls_coefficients(d_c[src], weights(eta))), C_FLOOR)
-
-    meta = {
-        "p_ridge": p_fit.ridge,
-        "p_converged": p_fit.converged,
-        "p_clip": p_clip,
-        "a_source": "gmm" if a_design is not None else "derived",
-    }
-    return NuisanceSet(p=p, b=b, c=c, a=_offset(table, p, c, a_design, q), q=q, meta=meta)
+    return _continuous_rows(table, _ones(table), p_design, b_design, c_design, q, a_design,
+                            p_clip).nuisance_set()
 
 
 @dataclass(frozen=True)
@@ -652,14 +964,22 @@ class NuisanceRecipe:
                 raise DomainError("continuous recipe needs b_design and c_design")
 
     def fit(self, table: ObservationTable) -> NuisanceSet:
+        return self.fit_counts(table, _ones(table)).nuisance_set(0, self)
+
+    def fit_counts(self, table: ObservationTable, counts) -> NuisanceRows:
+        """Fit every replicate of the (R, n) row counts ``counts``
+        (non-negative integers) at once.
+
+        Replicate r is the table holding row i ``counts[r, i]`` times; a
+        numerical failure of one replicate is recorded in ``errors`` and
+        the others go on.  Any other exception propagates.
+        """
+        counts = np.asarray(counts, dtype=np.float64)
+        if (counts.ndim != 2 or counts.shape[1] != table.n or np.any(counts < 0)
+                or np.any(counts != np.floor(counts))):
+            raise DomainError("counts must be an (R, n) array of non-negative integers")
         if self.outcome == "binary":
-            nuis = fit_binary_nuisances(
-                table, self.g_design, self.p_design, self.loss,
-                a_design=self.a_design, p_clip=self.p_clip,
-            )
-        else:
-            nuis = fit_continuous_nuisances(
-                table, self.p_design, self.b_design, self.c_design,
-                q=self.q, a_design=self.a_design, p_clip=self.p_clip,
-            )
-        return replace(nuis, recipe=self)
+            return _binary_rows(table, counts, self.g_design, self.p_design, self.loss,
+                                self.a_design, self.p_clip)
+        return _continuous_rows(table, counts, self.p_design, self.b_design, self.c_design,
+                                self.q, self.a_design, self.p_clip)

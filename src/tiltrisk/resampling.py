@@ -1,10 +1,12 @@
 """Bootstrap and jackknife confidence intervals.
 
-Both resamplers treat the estimator as a black-box closure over an
-ObservationTable, so nuisance models are refit inside every replicate.
-Bootstrap replicates draw from per-replicate substreams keyed by
-(seed, replicate index), making results deterministic and independent of
-execution order.
+``bootstrap_ci`` and ``jackknife_ci`` treat the estimator as a black-box
+closure over an ObservationTable, so nuisance models are refit inside
+every replicate table.  ``replicate_counts`` gives the same replicates as
+row-count vectors over the original table, which sensitivity curves fit
+and sweep without building replicate tables.  Bootstrap replicates draw
+from per-replicate substreams keyed by (seed, replicate index), making
+results deterministic and independent of execution order.
 """
 
 from __future__ import annotations
@@ -87,6 +89,22 @@ def resample_indices(
     if tgt.size:
         picks.append(tgt[rng.integers(0, tgt.size, tgt.size)])
     return np.concatenate(picks)
+
+
+def replicate_counts(table: ObservationTable, cfg: ResampleConfig, reps) -> np.ndarray:
+    """Row counts of the replicates ``reps``, one (n,) float row each.
+
+    A bootstrap replicate counts how often ``resample_indices`` draws each
+    row; jackknife replicate i holds every row once except row i.
+    """
+    if cfg.method == "bootstrap":
+        stratified = cfg.resolve_stratified(table)
+        return np.array([np.bincount(resample_indices(table, r, cfg.seed, stratified),
+                                     minlength=table.n) for r in reps], dtype=np.float64)
+    reps = np.asarray(reps, dtype=np.intp)
+    out = np.ones((reps.size, table.n))
+    out[np.arange(reps.size), reps] = 0.0
+    return out
 
 
 def bootstrap_matrix(

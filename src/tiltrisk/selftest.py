@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from .data import build_table
-from .estimators import estimate, influence_values
+from .estimators import _replicate_terms, estimate, influence_values
 from .etaselect import eta_from_prevalence_nonnested, implied_prevalence_nonnested
-from .nuisance import NuisanceSet
+from .nuisance import DesignSpec, NuisanceRecipe, NuisanceSet
+from .resampling import ResampleConfig, replicate_counts, resample_indices
 from .tilt import (
     LossFunction,
     PredictionModel,
@@ -43,6 +44,28 @@ def _random_setup(seed: int):
     return table, nuis
 
 
+def _replicates_match_take(table, seed: int) -> float:
+    """Largest |difference| between the count-weighted fit and sweep of a
+    bootstrap replicate and of a leave-one-out replicate and the refit of
+    the same replicate built with ``take``."""
+    recipe = NuisanceRecipe(outcome="binary", loss=LossFunction("brier"),
+                            p_design=DesignSpec((0, 1)), g_design=DesignSpec((0, 1)))
+    boot = ResampleConfig(replicates=2, seed=seed)
+    counts = np.vstack([replicate_counts(table, boot, [1]),
+                        replicate_counts(table, ResampleConfig(method="jackknife"), [5])])
+    fits = recipe.fit_counts(table, counts)
+    etas = np.array([[-0.7], [0.0], [0.9]])
+    worst = 0.0
+    for r, idx in enumerate((resample_indices(table, 1, seed, boot.resolve_stratified(table)),
+                             np.delete(np.arange(table.n), 5))):
+        t = table.take(idx)
+        taken = recipe.fit(t)
+        weighted = _replicate_terms(table, fits, r, etas, "aug")
+        for eta, value in zip(etas[:, 0], weighted):
+            worst = max(worst, abs(value - estimate(t, taken, float(eta), "aug").estimate))
+    return worst
+
+
 def run_selftest(seed: int = 0) -> bool:
     checks = []
 
@@ -76,6 +99,11 @@ def run_selftest(seed: int = 0) -> bool:
     record(
         "prevalence round trip recovers eta",
         abs(eta_from_prevalence_nonnested(table, nuis.g, mu) - 0.8) < 1e-8,
+    )
+
+    record(
+        "weighted bootstrap and jackknife replicates match take() refits",
+        _replicates_match_take(table, seed) < 1e-10,
     )
 
     ok = all(checks)

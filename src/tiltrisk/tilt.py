@@ -170,7 +170,9 @@ def tilt_weight(y, tilt: TiltSpec):
 
 def _check_g(g) -> np.ndarray:
     g = _as_array(g)
-    if g.min(initial=0.0) < 0 or g.max(initial=1.0) > 1:
+    # the ufunc reductions skip the array-method wrappers on this per-call path
+    if (np.minimum.reduce(g, axis=None, initial=0.0) < 0
+            or np.maximum.reduce(g, axis=None, initial=1.0) > 1):
         raise DomainError("g must lie in [0, 1]")
     return g
 

@@ -374,16 +374,16 @@ class TestGridBlocks:
         table = random_binary_table(rng, n=60)
         recipe = NuisanceRecipe(outcome="binary", loss=BRIER, p_design=DesignSpec((0, 1)),
                                 g_design=DesignSpec((0, 1)))
-        real = nuisance.fit_logistic
+        real = nuisance._fit_logistic_rows
         calls = []
 
-        def fit_logistic(*args, **kwargs):
+        def fit_logistic_rows(*args, **kwargs):
             calls.append(1)
-            if len(calls) == 3:  # the first replicate's g fit
+            if len(calls) == 3:  # the g fit of the first chunk of replicates
                 raise TypeError("synthetic bug")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(nuisance, "fit_logistic", fit_logistic)
+        monkeypatch.setattr(nuisance, "_fit_logistic_rows", fit_logistic_rows)
         nuis = recipe.fit(table)
         resample = ResampleConfig(method=method, replicates=20, seed=5)
         with pytest.raises(TypeError, match="synthetic bug"):
