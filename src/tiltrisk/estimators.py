@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .data import ObservationTable
-from .errors import NUMERIC_FAILURES, ConfigError, DataError, NumericError
+from .errors import NUMERIC_FAILURES, ConfigError
 from .nuisance import NuisanceRows, NuisanceSet
 from .tilt import TiltSpec, tilt_weight
 
@@ -285,17 +285,18 @@ def _replicate_matrix(table: ObservationTable, recipe, grid: np.ndarray, estimat
 
     Replicates are row-count vectors (``resampling.replicate_counts``)
     fitted together in chunks of max(1, _BLOCK_CELLS // 4n): the fits'
-    largest arrays are (chunk, k, n) design products, and k = 4 covers an
-    intercept and three covariates.  A replicate that lacks a stratum the design needs fails
-    like the table it stands for: a jackknife raises NumericError naming
-    the row, and a bootstrap raises when every replicate lacks one.
+    largest arrays are (chunk, k, n) design products, and the 4 sizes them
+    for k = 4 (an intercept and three covariates), with peak memory measured
+    on the boot-anchored benchmark workload only; a spline design with k
+    coefficients makes those arrays k/4 times larger.  A replicate that
+    lacks a stratum the design needs fails like the table it stands for
+    (``resampling.leave_one_out_failure``, ``resampling.check_usable``).
     """
-    from .resampling import replicate_counts
+    from .resampling import (check_usable, jackknife_size, leave_one_out_failure,
+                             replicate_counts)
 
     jackknife = resample.method == "jackknife"
-    if jackknife and table.n < 3:
-        raise DataError("jackknife needs at least 3 rows")
-    n_reps = table.n if jackknife else resample.replicates
+    n_reps = jackknife_size(table) if jackknife else resample.replicates
     est = np.full((n_reps, grid.size), np.nan)
     why = np.full((n_reps, grid.size), None, dtype=object)
     step = _block_step(table)
@@ -309,8 +310,7 @@ def _replicate_matrix(table: ObservationTable, recipe, grid: np.ndarray, estimat
             if exc is not None:
                 if fits.lacks_stratum[i]:
                     if jackknife:
-                        raise NumericError(
-                            f"leave-one-out estimator failed at row {rep}: {exc}") from exc
+                        raise leave_one_out_failure(rep, exc) from exc
                     unusable += 1
                 why[rep] = type(exc).__name__
                 continue
@@ -323,8 +323,7 @@ def _replicate_matrix(table: ObservationTable, recipe, grid: np.ndarray, estimat
                     est[rep, j] = out
                 else:
                     why[rep, j] = "non-finite"
-    if unusable == n_reps:
-        raise NumericError("every bootstrap replicate failed")
+    check_usable(n_reps - unusable)
     return est, why
 
 

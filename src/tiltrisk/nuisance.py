@@ -188,7 +188,7 @@ class BuiltDesign:
 
 
 def _check_rank(matrix: np.ndarray, names: Sequence[str]) -> None:
-    _, r, piv = scipy.linalg.qr(matrix, mode="economic", pivoting=True)
+    r, piv = scipy.linalg.qr(matrix, mode="r", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = max(matrix.shape) * np.finfo(np.float64).eps * (diag.max() if diag.size else 0.0)
     rank = int(np.sum(diag > tol))
@@ -235,32 +235,17 @@ def _per_replicate(dT: np.ndarray, reps) -> np.ndarray:
     return dT if dT.ndim == 2 else dT[reps]
 
 
-def _rank_screen(dT_fit: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """True where a replicate's count-weighted design is surely of full rank.
-
-    Its singular values are the roots of the eigenvalues of d' diag(counts) d.
-    Pivoted QR has min |r_ii| >= sigma_min and |r_11| <= sigma_max, so
-    sigma_min / sigma_max >= 1e-3 clears ``_check_rank``'s tolerance
-    max(m, k) * eps * |r_11| for any practical row count m; anything less
-    goes to the exact check."""
-    try:
-        eig = np.linalg.eigvalsh(_gram(dT_fit, counts))
-    except np.linalg.LinAlgError:
-        return np.zeros(counts.shape[0], dtype=bool)
-    return eig[..., 0] > 1e-6 * eig[..., -1]
-
-
 def _replicate_designs(design: DesignSpec, x: np.ndarray, fit, counts: np.ndarray,
                        errors: list, min_rows: bool = False) -> list:
     """Freeze ``design`` on each live replicate's fit rows ``x[fit]`` (repeated
     by count, so spline knots are their quantiles), evaluate it once on every
     row of ``x`` and rank-check it on the replicate's fit rows.
 
-    Returns groups (replicates, built designs, dT, dT on the fit rows), dT
-    the C-ordered (k, n) transposed matrix shared by the group or a
-    (G, k, n) stack.  A replicate that fails
-    records its exception in ``errors``; with ``min_rows`` a replicate needs
-    more fit rows (counted with repetition) than coefficients.
+    Returns groups (replicates, one built design per replicate, dT, dT on
+    the fit rows), dT the C-ordered (k, n) transposed matrix shared by the
+    group or a (G, k, n) stack.  A replicate that fails records its
+    exception in ``errors``; with ``min_rows`` a replicate needs more fit
+    rows (counted with repetition) than coefficients.
     """
     x_fit = x[fit]
     cnt_fit = counts[:, fit]
@@ -268,7 +253,7 @@ def _replicate_designs(design: DesignSpec, x: np.ndarray, fit, counts: np.ndarra
     keyed: dict = {}
     if design.basis == "linear":  # the terms do not depend on the rows
         if live:
-            keyed[None] = ([design.build(x_fit)], live)
+            keyed[None] = ([design.build(x_fit)] * len(live), live)
     else:
         for r in live:
             try:
@@ -285,28 +270,22 @@ def _replicate_designs(design: DesignSpec, x: np.ndarray, fit, counts: np.ndarra
             dT = np.ascontiguousarray(builts[0].matrix(x).T)
         else:
             dT = np.ascontiguousarray(np.stack([b.matrix(x).T for b in builts]))
-        reps = np.asarray(reps)
         k = dT.shape[-2]
         d_fit = dT[..., fit] if isinstance(fit, slice) else np.take(dT, fit, axis=-1)
-        screened = _rank_screen(d_fit, cnt_fit[reps])
         keep = []
         for i, r in enumerate(reps):
             try:
                 if min_rows and cnt_fit[r].sum() < k + 1:
                     raise DataError(f"need at least {k + 1} rows to fit {k} coefficients")
-                if not screened[i]:
-                    _check_rank(np.repeat(_per_replicate(d_fit, i).T,
-                                          cnt_fit[r].astype(np.intp), axis=0),
-                                builts[min(i, len(builts) - 1)].names)
+                _check_rank(np.repeat(_per_replicate(d_fit, i).T, cnt_fit[r].astype(np.intp),
+                                      axis=0), builts[i].names)
             except NUMERIC_FAILURES as exc:
                 errors[r] = exc
                 continue
             keep.append(i)
         if keep:
-            keep = np.asarray(keep)
-            builts = builts if len(builts) == 1 else [builts[i] for i in keep]
-            groups.append((reps[keep], builts, _per_replicate(dT, keep),
-                           _per_replicate(d_fit, keep)))
+            groups.append((np.asarray(reps)[keep], [builts[i] for i in keep],
+                           _per_replicate(dT, keep), _per_replicate(d_fit, keep)))
     return groups
 
 
@@ -316,7 +295,7 @@ def _design_by_replicate(groups: list, n_reps: int) -> list:
     out = [None] * n_reps
     for reps, builts, dT, _ in groups:
         for i, r in enumerate(reps):
-            out[r] = (builts[min(i, len(builts) - 1)], _per_replicate(dT, i))
+            out[r] = (builts[i], _per_replicate(dT, i))
     return out
 
 
@@ -460,7 +439,7 @@ def _fit_logistic_rows(design: DesignSpec, x: np.ndarray, fit, targets: np.ndarr
         prob[reps] = np.clip(fitted, *GLM_PROB_CLIP, out=fitted)
         for i, r in enumerate(reps):
             fits[r] = GlmFit(beta[i], bool(converged[i]), int(iters[i]),
-                             builts[min(i, len(builts) - 1)], ridge=bool(ridge[i]))
+                             builts[i], ridge=bool(ridge[i]))
     return prob, fits
 
 
@@ -878,7 +857,7 @@ def _continuous_rows(table, counts, p_design, b_design, c_design, q, a_design,
     n_reps = counts.shape[0]
     b_designs = _design_by_replicate(
         _replicate_designs(b_design, table.x, src, counts, errors), n_reps)
-    c_designs = _design_by_replicate(
+    c_designs = b_designs if c_design == b_design else _design_by_replicate(
         _replicate_designs(c_design, table.x, src, counts, errors), n_reps)
     return NuisanceRows(table, counts, errors, lacks_stratum, p, {"p": p_fits},
                         b_designs=b_designs, c_designs=c_designs,
@@ -975,8 +954,8 @@ class NuisanceRecipe:
         the others go on.  Any other exception propagates.
         """
         counts = np.asarray(counts, dtype=np.float64)
-        if (counts.ndim != 2 or counts.shape[1] != table.n or np.any(counts < 0)
-                or np.any(counts != np.floor(counts))):
+        if (counts.ndim != 2 or counts.shape[1] != table.n or not np.all(np.isfinite(counts))
+                or np.any(counts < 0) or np.any(counts != np.floor(counts))):
             raise DomainError("counts must be an (R, n) array of non-negative integers")
         if self.outcome == "binary":
             return _binary_rows(table, counts, self.g_design, self.p_design, self.loss,

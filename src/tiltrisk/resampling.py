@@ -91,6 +91,24 @@ def resample_indices(
     return np.concatenate(picks)
 
 
+def jackknife_size(table: ObservationTable) -> int:
+    """Number of leave-one-out replicates: one per row, at least 3."""
+    if table.n < 3:
+        raise DataError("jackknife needs at least 3 rows")
+    return table.n
+
+
+def leave_one_out_failure(row: int, exc: Exception) -> NumericError:
+    """The error of a jackknife whose leave-one-out table ``row`` failed."""
+    return NumericError(f"leave-one-out estimator failed at row {row}: {exc}")
+
+
+def check_usable(usable: int) -> None:
+    """A bootstrap needs at least one replicate it could evaluate."""
+    if usable == 0:
+        raise NumericError("every bootstrap replicate failed")
+
+
 def replicate_counts(table: ObservationTable, cfg: ResampleConfig, reps) -> np.ndarray:
     """Row counts of the replicates ``reps``, one (n,) float row each.
 
@@ -129,8 +147,7 @@ def bootstrap_matrix(
         except NUMERIC_FAILURES:
             failed += 1
             rows.append(None)
-    if width is None:
-        raise NumericError("every bootstrap replicate failed")
+    check_usable(cfg.replicates - failed)
     out = np.full((cfg.replicates, width), np.nan)
     for b, val in enumerate(rows):
         if val is not None:
@@ -170,14 +187,12 @@ def bootstrap_ci(
 def jackknife_matrix(table: ObservationTable, fn: Callable) -> np.ndarray:
     """Apply ``fn`` to every leave-one-out table; numeric failures name the
     row, any other exception propagates."""
-    if table.n < 3:
-        raise DataError("jackknife needs at least 3 rows")
     rows = []
-    for i in range(table.n):
+    for i in range(jackknife_size(table)):
         try:
             rows.append(np.atleast_1d(np.asarray(fn(table.drop_row(i)), dtype=np.float64)))
         except NUMERIC_FAILURES as exc:
-            raise NumericError(f"leave-one-out estimator failed at row {i}: {exc}") from exc
+            raise leave_one_out_failure(i, exc) from exc
     return np.vstack(rows)
 
 

@@ -188,7 +188,18 @@ class TestFixedCases:
             _replicate_matrix(table, make_recipe("binary"), GRID, "aug",
                               ResampleConfig(replicates=4, seed=1))
 
-    @pytest.mark.parametrize("bad", (0.5, -1.0, np.nan))
+    @pytest.mark.parametrize("method", ("bootstrap", "jackknife"))
+    def test_b_and_c_on_different_designs(self, method):
+        table = make_table(np.random.default_rng(21), 36, "non-nested", "continuous")
+        recipe = replace(make_recipe("continuous"),
+                         c_design=DesignSpec((0,), basis="spline", degree=3, interior_knots=2))
+        resample = (ResampleConfig(method="jackknife") if method == "jackknife"
+                    else ResampleConfig(replicates=8, seed=5))
+        weighted, _ = _replicate_matrix(table, recipe, GRID, "aug", resample)
+        assert np.isfinite(weighted).any()
+        assert_same(weighted, take_matrix(table, recipe, GRID, "aug", resample))
+
+    @pytest.mark.parametrize("bad", (0.5, -1.0, np.nan, np.inf))
     def test_counts_must_be_non_negative_integers(self, bad):
         table = make_table(np.random.default_rng(16), 20, "non-nested", "binary")
         counts = np.ones((2, table.n))
