@@ -39,6 +39,7 @@ class ObservationTable:
         x = np.asarray(self.x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != s.shape[0]:
             raise DataError("x must be a 2-d array with one row per observation")
+        check_finite(x)
         y = np.asarray(self.y, dtype=np.float64)
         if y.shape != s.shape:
             raise DataError("y must align with s")
@@ -96,6 +97,13 @@ class ObservationTable:
         return self.take(np.where(keep)[0])
 
 
+def check_finite(x: np.ndarray) -> None:
+    """Raise DataError naming the first non-finite covariate cell of x."""
+    if not np.isfinite(x).all():
+        i, j = np.argwhere(~np.isfinite(x))[0]
+        raise DataError(f"row {i}: covariate {j} is {x[i, j]}, not a finite number")
+
+
 def check_strata(n1: float, n0: float, design: str) -> None:
     """Raise DataError when a table, or a count-weighted replicate of one,
     with n1 source and n0 target rows cannot be analysed."""
@@ -129,6 +137,7 @@ def build_table(
     missing = (s == 1) & np.isnan(y)
     if np.any(missing):
         raise DataError(f"source row {int(np.flatnonzero(missing)[0])} is missing its outcome")
+    check_finite(x)   # before the model sees x
 
     pred = model.predict(x)
     loss_obs = np.full(s.shape, np.nan)

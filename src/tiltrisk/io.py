@@ -9,12 +9,13 @@ identical outputs.
 
 from __future__ import annotations
 
-import collections
 import csv
 import importlib.resources
+import importlib.util
 import io
 import json
 import platform
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -91,16 +92,17 @@ def _column_indices(path: Path, fieldnames, x_columns) -> tuple:
 def _read_columns(path: Path, x_columns) -> Optional[RawData]:
     """The columnar pass: the covariates straight to float64, ``s`` and
     ``y`` as text checked with array operations.  Returns None when the
-    file needs the row scanner (a bad ``s`` or no data rows); ragged rows
-    and cells that do not parse, an empty source ``y`` among them, raise
-    ValueError.
+    file needs the row scanner (a bad ``s``, a row with more cells than the
+    header, or no data rows); ragged rows and cells that do not parse, an
+    empty source ``y`` among them, raise ValueError.
     """
     with _open_data(path) as fh:
-        s_col, y_col, *x_cols = _column_indices(path, next(csv.reader(fh), None), x_columns)
+        header = next(csv.reader(fh), None)
+        s_col, y_col, *x_cols = _column_indices(path, header, x_columns)
         text = fh.read()
     # NUL is dropped from the end of numpy strings; a header-only file would
     # make loadtxt warn
-    if "\0" in text or not text.strip("\r\n") or not _fields_within_csv_limit(text):
+    if "\0" in text or not text.strip("\r\n"):
         return None
     data = text.encode()
     # the same dialect as csv.reader on a file opened with newline=""
@@ -111,7 +113,7 @@ def _read_columns(path: Path, x_columns) -> Optional[RawData]:
         sy = np.loadtxt(_lines(data), dtype=str, usecols=(s_col, y_col), **dialect)
     s_text, y_text = np.char.strip(sy).T
     source = s_text == "1"
-    if not (source | (s_text == "0")).all():
+    if not (source | (s_text == "0")).all() or not _regular_rows(text, data, len(header)):
         return None
     x = np.loadtxt(_lines(data), dtype=np.float64, usecols=x_cols, **dialect)
     y = np.full(source.shape, np.nan)
@@ -132,14 +134,28 @@ def _lines(data: bytes):
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
 
 
+# every byte but the comma and the line breaks
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\r\n")))
+
+
+def _regular_rows(text: str, data: bytes, n_cells: int) -> bool:
+    """Whether no row has more cells than the header's ``n_cells`` and no
+    field is longer than ``csv.field_size_limit()``: loadtxt ignores extra
+    cells and has no field limit, and the row scanner rejects both.
+    """
+    if '"' in text:   # quoted fields can hold separators: let csv split the rows
+        return all(len(row) <= n_cells for row in csv.reader(_lines(data)))
+    # a longer row leaves n_cells adjacent commas once every byte but the
+    # commas and line breaks is deleted
+    return (b"," * n_cells not in data.translate(None, _NOT_SEPARATORS)
+            and _fields_within_csv_limit(text))
+
+
 def _fields_within_csv_limit(text: str) -> bool:
-    """Whether no field is longer than ``csv.field_size_limit()``, which the
-    csv module enforces and loadtxt does not."""
+    """Whether no field of unquoted ``text`` is longer than
+    ``csv.field_size_limit()``."""
     limit = csv.field_size_limit()
     if len(text) <= limit:
-        return True
-    if '"' in text:   # quoted fields can hold separators: let csv measure them
-        collections.deque(csv.reader(_lines(text.encode())), maxlen=0)
         return True
     # an unquoted field longer than the limit holds a whole aligned block of
     # limit // 2 characters with no separator in it
@@ -165,6 +181,9 @@ def _read_rows(csv_path, x_columns) -> RawData:
         s_vals, y_vals, x_rows = [], [], []
         masked = 0
         for i, row in enumerate(reader):
+            if None in row:
+                raise DataError(f"row {i}: {len(reader.fieldnames) + len(row[None])} cells, "
+                                f"header has {len(reader.fieldnames)}")
             sv = (row["s"] or "").strip()
             if sv not in ("0", "1"):
                 raise DataError(f"row {i}: s must be 0 or 1, got {row['s']!r}")
@@ -298,11 +317,27 @@ def validate_report(report: dict) -> None:
     jsonschema.validate(report, report_schema())
 
 
+def _scipy_version() -> str:
+    """The installed scipy's version.  The analysis path does not import
+    scipy, and importing it here would cost more than the rest of the
+    report: the version file next to its spec is read (about 1 ms), or its
+    package metadata (about 30 ms) when that file is missing or laid out
+    otherwise."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        return "not installed"
+    try:
+        text = Path(spec.origin).with_name("version.py").read_text()
+        return re.search(r"^version = ['\"](.+)['\"]", text, re.M).group(1)
+    except (AttributeError, TypeError, OSError):
+        from importlib import metadata
+
+        return metadata.version("scipy")
+
+
 def build_report(config: AnalysisConfig, table: ObservationTable,
                  curve: SensitivityCurve, curve_csv_name: str,
                  extra: Optional[dict] = None) -> dict:
-    import scipy
-
     report = {
         "format_version": FORMAT_VERSION,
         "config": config.to_dict(),
@@ -310,7 +345,7 @@ def build_report(config: AnalysisConfig, table: ObservationTable,
         "versions": {
             "tiltrisk": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
             "python": platform.python_version(),
         },
         "data": {

@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.special import expit
 
 from .data import ObservationTable, check_strata
 from .errors import (
@@ -46,6 +44,7 @@ from .tilt import (
     binary_b,
     binary_c,
     eval_loss,
+    expit,
     selection_a,
     tilt_weight,
 )
@@ -53,6 +52,7 @@ from .tilt import (
 P_CLIP = (0.01, 0.99)     # positivity clip applied to p(X) before weighting
 C_FLOOR = 1e-6            # lower clip keeping fitted normalizers positive
 GLM_PROB_CLIP = (1e-8, 1.0 - 1e-8)
+_TINY = np.finfo(np.float64).tiny
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +139,8 @@ class DesignSpec:
             names.append("intercept")
         for j in self.columns:
             col = x[:, j]
-            n_distinct = np.unique(col).size
-            if self.basis == "linear" or n_distinct == 2:
+            # the distinct values matter to a spline basis only
+            if self.basis == "linear" or (n_distinct := np.unique(col).size) == 2:
                 terms.append(("lin", j))
                 names.append(f"x{j}")
                 continue
@@ -187,13 +187,59 @@ class BuiltDesign:
         return np.vstack(blocks).T
 
 
-def _check_rank(matrix: np.ndarray, names: Sequence[str]) -> None:
-    r, piv = scipy.linalg.qr(matrix, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = max(matrix.shape) * np.finfo(np.float64).eps * (diag.max() if diag.size else 0.0)
-    rank = int(np.sum(diag > tol))
-    if rank < matrix.shape[1]:
-        raise RankDeficientError([names[k] for k in piv[rank:]])
+def _pivoted_diagonal(r: np.ndarray) -> tuple:
+    """|diag R| and the column order of a column-pivoted Householder QR of
+    every (k, k) matrix of a (G, k, k) stack, which it overwrites.  Each step
+    takes the column of largest trailing norm (the lowest-numbered of equal
+    ones) and reflects the rows below it away; the columns stay in place."""
+    n_mats, k = r.shape[0], r.shape[-1]
+    items = np.arange(n_mats)
+    piv = np.empty((n_mats, k), dtype=np.intp)
+    diag = np.empty((n_mats, k))
+    taken = np.zeros((n_mats, k), dtype=bool)
+    for j in range(k):
+        norms = np.sqrt(np.add.reduce(r[:, j:] ** 2, axis=1))
+        norms[taken] = -1.0
+        p = piv[:, j] = np.argmax(norms, axis=1)
+        diag[:, j] = norms[items, p]
+        if j == k - 1:
+            break
+        taken[items, p] = True
+        # the reflector I - 2 v v' / v'v taking column p's rows j.. to row j
+        v = r[items, j:, p]
+        v[:, 0] += np.copysign(diag[:, j], v[:, 0])
+        vv = np.maximum(np.add.reduce(v * v, axis=1), _TINY)  # v = 0: no reflection
+        w = (v[:, None, :] @ r[:, j:])[:, 0] * (2.0 / vv)[:, None]
+        r[:, j + 1:] -= v[:, 1:, None] * w[:, None, :]
+    return diag, piv
+
+
+def _rank_errors(d_fit: np.ndarray, counts: np.ndarray, names: list) -> list:
+    """The exact rank check of G replicates' fit rows, each row taken
+    ``counts`` times: per replicate None, or a RankDeficientError naming
+    the columns past its rank.
+
+    ``d_fit`` is the (k, m) transposed design on the fit rows, shared, or a
+    (G, k, m) stack; ``counts`` the (G, m) row counts; ``names`` each
+    replicate's column names.
+
+    The rank is that of a column-pivoted QR of the rows repeated by count,
+    at tolerance max(rows, k) * eps * max |diag| (rows counted with
+    repetition).  sqrt(counts) * d has the same R'R as the repeated rows, so
+    one unpivoted numpy QR of it gives their R factor; a pivoted pass on
+    that (k, k) R then picks the pivots and |diag| a pivoted QR of the rows
+    would, since the norms of the trailing columns do not change under Q.
+    """
+    k = d_fit.shape[-2]
+    r = np.linalg.qr(np.swapaxes(d_fit * np.sqrt(counts)[:, None, :], -1, -2), mode="r")
+    if r.shape[-2] < k:  # fewer fit rows than columns
+        r = np.concatenate([r, np.zeros((len(r), k - r.shape[-2], k))], axis=-2)
+    diag, piv = _pivoted_diagonal(r)
+    tol = (np.maximum(counts.sum(axis=1), k) * np.finfo(np.float64).eps
+           * np.max(diag, axis=1, initial=0.0))
+    rank = np.add.reduce(diag > tol[:, None], axis=1)
+    return [None if rank[i] == k else RankDeficientError([names[i][j] for j in piv[i, rank[i]:]])
+            for i in range(len(r))]
 
 
 def _design_rows(design: DesignSpec, x: np.ndarray, fit=slice(None)) -> tuple:
@@ -201,7 +247,10 @@ def _design_rows(design: DesignSpec, x: np.ndarray, fit=slice(None)) -> tuple:
     row of ``x`` and rank-check the fit rows; returns (built, matrix)."""
     built = design.build(x[fit])
     d = built.matrix(x)
-    _check_rank(d[fit], built.names)
+    d_fit = d[fit]
+    error = _rank_errors(d_fit.T, np.ones((1, len(d_fit))), [built.names])[0]
+    if error is not None:
+        raise error
     return built, d
 
 
@@ -237,9 +286,10 @@ def _per_replicate(dT: np.ndarray, reps) -> np.ndarray:
 
 def _replicate_designs(design: DesignSpec, x: np.ndarray, fit, counts: np.ndarray,
                        errors: list, min_rows: bool = False) -> list:
-    """Freeze ``design`` on each live replicate's fit rows ``x[fit]`` (repeated
-    by count, so spline knots are their quantiles), evaluate it once on every
-    row of ``x`` and rank-check it on the replicate's fit rows.
+    """Freeze ``design`` on each live replicate's fit rows ``x[fit]`` (a
+    spline's knots are quantiles of the rows repeated by count), evaluate it
+    once on every row of ``x`` and rank-check it on the replicate's
+    count-weighted fit rows (``_rank_errors``, one call per group).
 
     Returns groups (replicates, one built design per replicate, dT, dT on
     the fit rows), dT the C-ordered (k, n) transposed matrix shared by the
@@ -272,17 +322,15 @@ def _replicate_designs(design: DesignSpec, x: np.ndarray, fit, counts: np.ndarra
             dT = np.ascontiguousarray(np.stack([b.matrix(x).T for b in builts]))
         k = dT.shape[-2]
         d_fit = dT[..., fit] if isinstance(fit, slice) else np.take(dT, fit, axis=-1)
+        failed = _rank_errors(d_fit, cnt_fit[reps], [b.names for b in builts])
         keep = []
         for i, r in enumerate(reps):
-            try:
-                if min_rows and cnt_fit[r].sum() < k + 1:
-                    raise DataError(f"need at least {k + 1} rows to fit {k} coefficients")
-                _check_rank(np.repeat(_per_replicate(d_fit, i).T, cnt_fit[r].astype(np.intp),
-                                      axis=0), builts[i].names)
-            except NUMERIC_FAILURES as exc:
-                errors[r] = exc
-                continue
-            keep.append(i)
+            if min_rows and cnt_fit[r].sum() < k + 1:
+                failed[i] = DataError(f"need at least {k + 1} rows to fit {k} coefficients")
+            if failed[i] is None:
+                keep.append(i)
+            else:
+                errors[r] = failed[i]
         if keep:
             groups.append((np.asarray(reps)[keep], [builts[i] for i in keep],
                            _per_replicate(dT, keep), _per_replicate(d_fit, keep)))

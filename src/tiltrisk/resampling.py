@@ -12,10 +12,13 @@ results deterministic and independent of execution order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtri
+# numpy loads its random module on first use; loaded here, it is part of the
+# package import rather than of the first resampled analysis
+import numpy.random  # noqa: F401
 
 from .data import ObservationTable
 from .errors import NUMERIC_FAILURES, DataError, DomainError, NumericError
@@ -63,7 +66,7 @@ class ResampleResult:
 
 
 def z_quantile(level: float) -> float:
-    return float(ndtri(1.0 - (1.0 - level) / 2.0))
+    return NormalDist().inv_cdf(1.0 - (1.0 - level) / 2.0)
 
 
 def wald_interval(estimate: float, se: float, level: float) -> tuple:

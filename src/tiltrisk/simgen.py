@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit, ndtr, ndtri
 
 from .data import ObservationTable, build_table
 from .errors import DataError, DomainError
 from .nuisance import DesignSpec, NuisanceRecipe
-from .tilt import LossFunction, PredictionModel, binary_b, tilted_bernoulli
+from .tilt import LossFunction, PredictionModel, binary_b, expit, tilted_bernoulli
 
 # positivity by construction: |linear predictor| <= logit(0.95)
 _LP_BOUND = math.log(0.95 / 0.05)
@@ -106,6 +105,8 @@ class DgpSpec:
             return rng.uniform(-1.0, 1.0, (n, self.dim))
         if self.covariate_kind == "binary":
             return rng.integers(0, 2, (n, self.dim)).astype(np.float64)
+        from scipy.special import ndtr, ndtri  # off the package's import path
+
         lo, hi = ndtr(-3.0), ndtr(3.0)
         return ndtri(lo + rng.random((n, self.dim)) * (hi - lo))
 
@@ -201,6 +202,8 @@ def _gaussian_expected_loss(loss, m, sigma, pred):
     if loss.kind in ("squared-error", "brier"):
         return delta**2 + sigma**2
     if loss.kind == "absolute-deviation":
+        from scipy.special import ndtr  # off the package's import path
+
         # folded-normal mean
         z = delta / sigma
         return sigma * np.sqrt(2.0 / np.pi) * np.exp(-0.5 * z**2) + delta * (

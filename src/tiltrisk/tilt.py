@@ -1,9 +1,9 @@
 """Exponential tilt kernel.
 
-Pure functions for the tilt weight e^{eta*q(y)}, the tilted Bernoulli
-probability, the binary closed-form normalizer c and conditional risk b,
-the equivalent selection-model offset a, and loss evaluation.  Everything
-here is stateless and safe to call concurrently.
+Pure functions for the logistic function, the tilt weight e^{eta*q(y)},
+the tilted Bernoulli probability, the binary closed-form normalizer c and
+conditional risk b, the equivalent selection-model offset a, and loss
+evaluation.  Everything here is stateless and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -25,6 +25,14 @@ _STABLE_EXP = 30.0
 
 def _as_array(v) -> np.ndarray:
     return np.asarray(v, dtype=np.float64)
+
+
+def expit(z) -> np.ndarray:
+    """The logistic function 1 / (1 + e^{-z}), elementwise, computed as
+    scipy.special.expit computes it: below z = -708.4 the value is
+    subnormal, and it is 0 where e^{-z} overflows (z < -709.78)."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-_as_array(z)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """ObservationTable invariants and resampling helpers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,18 @@ class TestInvariants:
     def test_loss_cached_only_for_source(self):
         t = simple([1, 0])
         assert np.isfinite(t.loss[0]) and np.isnan(t.loss[1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_covariate(self, bad):
+        # named before the model sees it: inf * 0 in its linear predictor warns
+        model = PredictionModel(coefficients=(0.1, 0.0, 0.5))
+        x = np.zeros((4, 2))
+        x[2, 0] = bad
+        with pytest.raises(DataError, match=f"row 2: covariate 0 is {bad}"):
+            build_table([1, 1, 0, 0], x, [1.0, 0.0, np.nan, np.nan], model, BRIER, "non-nested")
+        t = simple([1, 1, 0, 0])
+        with pytest.raises(DataError, match=f"row 3: covariate 0 is {bad}"):
+            replace(t, x=np.where(np.arange(4)[:, None] == 3, bad, t.x))
 
 
 class TestTakeDrop:

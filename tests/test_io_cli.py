@@ -1,9 +1,12 @@
 """CSV ingestion, report emission, pipeline, and CLI checks."""
 
+import importlib.metadata
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -119,6 +122,13 @@ class TestLoadTable:
         with pytest.raises(DataError, match="s must be 0 or 1"):
             load_table(tmp_path / "toy.csv", toy_config(tmp_path))
 
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e400"])
+    def test_non_finite_covariate(self, tmp_path, cell):
+        bad = TOY_CSV.replace("0,,0.2,-0.6", f"0,,0.2,{cell}")
+        write_toy(tmp_path, bad)
+        with pytest.raises(DataError, match="row 5: covariate 1 is"):
+            run_analysis(toy_config(tmp_path))
+
 
 class TestConfigValidation:
     def test_unknown_keys_rejected(self, tmp_path):
@@ -217,6 +227,37 @@ class TestRunAnalysis:
         write_toy(tmp_path)
         out = run_analysis(toy_config(tmp_path))
         validate_report(json.loads(out.report_json.read_text()))
+
+    def test_report_names_installed_versions(self, tmp_path):
+        import scipy
+
+        write_toy(tmp_path)
+        report = json.loads(run_analysis(toy_config(tmp_path)).report_json.read_text())
+        versions = report["versions"]
+        assert versions["scipy"] == scipy.__version__
+        assert versions["numpy"] == np.__version__
+
+    @pytest.mark.parametrize("version_file", ["__version__ = '0.0'\n", None])
+    def test_report_reads_scipy_metadata_without_its_version_file(
+            self, tmp_path, monkeypatch, version_file):
+        # a version file in another layout, or none: the package metadata
+        if version_file is not None:
+            (tmp_path / "version.py").write_text(version_file)
+        spec = types.SimpleNamespace(origin=str(tmp_path / "__init__.py"))
+        find_spec = importlib.util.find_spec
+        monkeypatch.setattr(importlib.util, "find_spec",
+                            lambda name, *a: spec if name == "scipy" else find_spec(name, *a))
+        write_toy(tmp_path)
+        report = json.loads(run_analysis(toy_config(tmp_path)).report_json.read_text())
+        assert report["versions"]["scipy"] == importlib.metadata.version("scipy")
+
+    def test_report_without_scipy(self, tmp_path, monkeypatch):
+        find_spec = importlib.util.find_spec
+        monkeypatch.setattr(importlib.util, "find_spec",
+                            lambda name, *a: None if name == "scipy" else find_spec(name, *a))
+        write_toy(tmp_path)
+        report = json.loads(run_analysis(toy_config(tmp_path)).report_json.read_text())
+        assert report["versions"]["scipy"] == "not installed"
 
     def test_partial_curve_on_failed_point(self, tmp_path):
         write_toy(tmp_path)
@@ -375,16 +416,34 @@ class TestCli:
         assert "checks passed" in proc.stdout
 
 
-def test_package_import_skips_scipy_stats():
-    # scipy.stats costs over half a second of import time; the package
-    # needs only the standard normal, from scipy.special.  scipy.interpolate
-    # (which loads scipy.optimize) is imported only when a spline basis is
-    # built.
+def test_package_import_skips_scipy_stats(tmp_path):
+    # No scipy module is loaded by the package import or by a linear-basis
+    # analysis, report included: scipy.linalg and scipy.special alone cost
+    # about 0.4 s of import time.  scipy.interpolate (which loads
+    # scipy.optimize, and scipy.stats before it) is imported only when a
+    # spline basis is built, and simgen imports scipy.special inside the
+    # functions that use it.
+    write_toy(tmp_path)
+    config = dict(
+        data_path=str(tmp_path / "toy.csv"), design="non-nested", loss="brier",
+        x_columns=["age", "severity"], model_coefficients=[0.1, 0.4, -0.2],
+        eta_grid=[-0.5, 0.0, 0.5], estimator="aug", seed=42,
+        resample={"method": "bootstrap", "replicates": 25}, out_dir=str(tmp_path / "out"),
+    )
+    code = "\n".join([
+        "import json, sys",
+        "import tiltrisk, tiltrisk.io, tiltrisk.cli",
+        "from tiltrisk.config import AnalysisConfig",
+        "def scipy_modules():",
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))",
+        "print(scipy_modules())",
+        "out = tiltrisk.io.run_analysis(AnalysisConfig.from_dict(json.loads(sys.argv[1])))",
+        "assert all(pt.ok for pt in out.curve)",
+        "print(scipy_modules())",
+    ])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    code = ("import sys, tiltrisk, tiltrisk.io, tiltrisk.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.interpolate', 'scipy.optimize') "
-            "if m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(config)], env=env,
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[]"]

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltrisk.data import build_table
 from tiltrisk.errors import (
@@ -15,6 +18,7 @@ from tiltrisk.errors import (
 from tiltrisk.nuisance import (
     DesignSpec,
     NuisanceRecipe,
+    _rank_errors,
     fit_a_gmm,
     fit_b_continuous,
     fit_binary_nuisances,
@@ -104,6 +108,104 @@ class TestFitLogistic:
         fit = fit_logistic(INTERCEPT_ONLY, np.zeros((10, 1)), np.r_[np.ones(9), np.zeros(1)])
         p = fit.predict(np.zeros((4, 1)))
         assert np.all(p >= 1e-8) and np.all(p <= 1 - 1e-8)
+
+
+def scipy_rank(d, counts, names):
+    """The reference rank check: scipy's column-pivoted QR of the rows
+    repeated by count.  Returns None at full rank, else the columns past the
+    rank, and the distance of the deciding |diag| (the first one at or below
+    the tolerance, or the last one) from the tolerance in units of
+    eps * ||rows||_F, the scale of a QR's rounding."""
+    repeated = np.repeat(d, counts.astype(np.intp), axis=0)
+    r, piv = scipy.linalg.qr(repeated, mode="r", pivoting=True)
+    diag = np.abs(np.diag(r))
+    diag = np.r_[diag, np.zeros(d.shape[1] - diag.size)]  # fewer rows than columns
+    eps = np.finfo(np.float64).eps
+    tol = max(repeated.shape) * eps * diag.max()
+    rank = int(np.sum(diag > tol))
+    margin = abs(diag[min(rank, d.shape[1] - 1)] - tol) / (eps * np.linalg.norm(repeated))
+    return (None if rank == d.shape[1] else [names[j] for j in piv[rank:]]), margin
+
+
+def scipy_rank_names(d, counts, names):
+    return scipy_rank(d, counts, names)[0]
+
+
+def our_rank_names(dT, counts, names):
+    errors = _rank_errors(dT, counts, names)
+    return [None if e is None else e.columns for e in errors]
+
+
+def random_design(rng, n, k, kind):
+    """(n, k) columns scaled by 1e-3 to 1e3: independent, or with one of
+    them an exact combination of the others, or one to 1e-13; Poisson
+    counts with at least one row drawn."""
+    d = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-3.0, 3.0, k)
+    if kind != "independent" and k > 1:
+        j = rng.integers(k)
+        combo = np.delete(d, j, axis=1) @ rng.normal(size=k - 1)
+        if kind == "near":
+            combo *= 1.0 + 1e-13 * rng.normal(size=n)
+        d[:, j] = combo
+    counts = rng.poisson(1.0, n).astype(np.float64)
+    if counts.sum() == 0:
+        counts[rng.integers(n)] = 1.0
+    return d, counts
+
+
+class TestRankCheck:
+    """The count-weighted rank check against scipy's pivoted QR of the rows
+    repeated by count."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), k=st.integers(1, 7),
+           kind=st.sampled_from(("independent", "exact", "near")))
+    def test_decision_and_columns_match_scipy(self, seed, n, k, kind):
+        d, counts = random_design(np.random.default_rng(seed), n, k, kind)
+        names = [f"x{j}" for j in range(k)]
+        expected, margin = scipy_rank(d, counts, names)
+        got = our_rank_names(np.ascontiguousarray(d.T), counts[None], [names])[0]
+        if (got is None) != (expected is None):
+            # a decision on the tolerance itself: the deciding |diag| is within
+            # a k-column QR's rounding of it, and either answer is right (five
+            # of 60,000 draws, all collinear ones with at most 11 rows)
+            assert kind != "independent" and margin <= k
+        elif got is not None and got != expected:
+            # past the rank the pivot order is noise, and on a near-tie either
+            # column is a correct answer: dropping the named ones leaves full rank
+            assert len(got) == len(expected)
+            keep = [j for j in range(k) if names[j] not in got]
+            assert scipy_rank_names(d[:, keep], counts, [names[j] for j in keep]) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120), k=st.integers(1, 7),
+           n_reps=st.integers(2, 6), shared=st.booleans())
+    def test_replicate_does_not_depend_on_its_chunk(self, seed, n, k, n_reps, shared):
+        rng = np.random.default_rng(seed)
+        kinds = ("independent", "exact", "near")
+        draws = [random_design(rng, n, k, kinds[r % 3]) for r in range(n_reps)]
+        counts = np.stack([c for _, c in draws])
+        dT = (np.ascontiguousarray(draws[0][0].T) if shared
+              else np.ascontiguousarray(np.stack([d.T for d, _ in draws])))
+        names = [[f"x{j}" for j in range(k)]] * n_reps
+        chunk = our_rank_names(dT, counts, names)
+        for r in range(n_reps):
+            alone = dT if shared else dT[r:r + 1]
+            assert our_rank_names(alone, counts[r:r + 1], names[:1]) == chunk[r:r + 1]
+
+    def test_fewer_distinct_rows_than_columns(self):
+        d = np.array([[1.0, 0.5, 2.0], [1.0, -1.0, 0.25], [1.0, 3.0, 1.0]])
+        counts = np.array([[4.0, 3.0, 0.0], [1.0, 1.0, 1.0]])
+        got = our_rank_names(np.ascontiguousarray(d.T), counts, [["a", "b", "c"]] * 2)
+        assert got[1] is None
+        assert got[0] is not None and len(got[0]) == 1
+        assert got[0] == scipy_rank_names(d, counts[0], ["a", "b", "c"])
+
+    def test_fewer_fit_rows_than_columns(self):
+        # past the first column all trailing norms are zero: any order is right
+        d = np.array([[1.0, 2.0, 3.0]])
+        got = our_rank_names(np.ascontiguousarray(d.T), np.array([[5.0]]), [["a", "b", "c"]])
+        assert sorted(got[0]) == sorted(scipy_rank_names(d, np.array([5.0]), ["a", "b", "c"]))
 
 
 class TestSplineExpand:

@@ -70,12 +70,13 @@ def row(draw, names):
 @st.composite
 def data_files(draw):
     """A regular file, then up to three defects: an odd cell, a blank or
-    whitespace-only line, a short or a long row."""
+    whitespace-only line, a short or a long row, a decimal comma."""
     x_columns = [f"x{i}" for i in range(draw(st.integers(1, 3)))]
     names = draw(st.permutations(["s", "y", *x_columns, *draw(st.sampled_from([[], ["note"]]))]))
     rows = draw(st.lists(row(names), max_size=5))
     for _ in range(draw(st.integers(0, 3))):
-        defect = draw(st.sampled_from(["cell", "cell", "blank", "spaces", "short", "long"]))
+        defect = draw(st.sampled_from(["cell", "cell", "blank", "spaces", "short", "long",
+                                       "decimal comma"]))
         at = draw(st.integers(0, len(rows)))
         if defect == "blank":
             rows.insert(at, [])
@@ -89,6 +90,9 @@ def data_files(draw):
                 del cells[draw(st.integers(0, len(cells) - 1)):]
             elif defect == "long":
                 cells.append(draw(X_CELLS))
+            elif defect == "decimal comma" and cells:
+                i = draw(st.integers(0, len(cells) - 1))
+                cells[i] = draw(st.sampled_from(["1,5", "-0,25", " 3,0 ", "1,"]))
     eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = eol.join([",".join(names), *(",".join(cells) for cells in rows)])
     return text + draw(st.sampled_from([eol, ""])), tuple(x_columns)
@@ -175,6 +179,24 @@ def test_row_numbers_skip_blank_lines(tmp_path):
     path = write(tmp_path, "s,y,x0\n1,0,0.5\n\n\n0,,oops\n")
     with pytest.raises(DataError, match=r"^row 1, column x0: could not parse 'oops'$"):
         tio._read_raw(path, ("x0",))
+
+
+@pytest.mark.parametrize("text, x_columns", [
+    ("s,y,x0\n1,0,0.5\n1,0,1,5\n0,,2\n", ("x0",)),           # a decimal comma
+    ("s,y,x0\r\n1,0,0.5\r\n1,0,1,5\r\n0,,2", ("x0",)),
+    ("s,y,x0\n1,0,0.5\n1,0,1,\n0,,2\n", ("x0",)),              # a trailing comma
+    ('s,y,x0\n1,0,"0.5"\n1,0,1,5\n0,,2\n', ("x0",)),         # quoted
+    ("s,y,x0,note\n1,0,0.5,a\n1,0,1,b,c\n0,,2,d\n", ("x0",)),  # an unread column
+    ("s,y,x0,note\n1,0,0.5\n1,0,1,b,c\n0,,2\n", ("x0",)),      # and short rows
+])
+def test_row_with_more_cells_than_header_raises(tmp_path, text, x_columns):
+    path = write(tmp_path, text)
+    cells = len(text.splitlines()[2].split(","))
+    header = len(text.splitlines()[0].split(","))
+    message = rf"^row 1: {cells} cells, header has {header}$"
+    for reader in (tio._read_raw, tio._read_rows):
+        with pytest.raises(DataError, match=message):
+            reader(path, x_columns)
 
 
 @pytest.mark.parametrize("s_cell", ["1.0", "+1", "01"])

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from tiltrisk import estimators, resampling
 from tiltrisk.data import build_table
-from tiltrisk.errors import NUMERIC_FAILURES, DomainError, NumericError
+from tiltrisk.errors import NUMERIC_FAILURES, DomainError, NumericError, RankDeficientError
 from tiltrisk.estimators import _replicate_matrix, estimate, sensitivity_curve
 from tiltrisk.nuisance import DesignSpec, NuisanceRecipe
 from tiltrisk.resampling import ResampleConfig, replicate_counts, resample_indices
@@ -132,6 +132,25 @@ class TestFixedCases:
         lost = np.isnan(weighted[:, 0])
         assert 0 < lost.sum() < 12
         assert set(why[lost, 0]) == {"RankDeficientError"}
+        assert_same(weighted, take_matrix(table, recipe, GRID, "aug", resample))
+
+    def test_replicate_with_too_few_distinct_rows_loses_rank(self):
+        # four source rows: a replicate drawing four of them but only two
+        # distinct ones has enough rows for g's three coefficients, not the rank
+        table = make_table(np.random.default_rng(17), 24, "non-nested", "binary", n_target=20)
+        recipe = make_recipe("binary")
+        resample = ResampleConfig(replicates=12, seed=3)
+        counts = replicate_counts(table, resample, range(12))
+        assert np.all(counts[:, table.source_rows].sum(axis=1) == 4)
+        two = (counts[:, table.source_rows] > 0).sum(axis=1) == 2
+        assert 0 < two.sum() < 12
+        weighted, why = _replicate_matrix(table, recipe, GRID, "aug", resample)
+        assert set(why[two].ravel()) == {"RankDeficientError"}
+        assert "RankDeficientError" not in set(why[~two].ravel())
+        for r, idx in enumerate(replicate_indices(table, resample)):
+            if two[r]:
+                with pytest.raises(RankDeficientError):
+                    recipe.fit(table.take(idx))
         assert_same(weighted, take_matrix(table, recipe, GRID, "aug", resample))
 
     def test_replicate_that_separates_takes_the_ridge_path(self):

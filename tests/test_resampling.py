@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.special
 
 from tiltrisk.data import build_table
 from tiltrisk.errors import DataError, DomainError, NumericError
@@ -11,6 +12,7 @@ from tiltrisk.resampling import (
     bootstrap_matrix,
     jackknife_ci,
     resample_indices,
+    z_quantile,
 )
 from tiltrisk.tilt import LossFunction, PredictionModel
 
@@ -177,3 +179,9 @@ class TestJackknife:
         table = make_marked_table(rng, n=40)
         out = jackknife_ci(table, column_mean)
         assert out.ci[0] <= out.estimate <= out.ci[1]
+
+
+@pytest.mark.parametrize("level", (0.8, 0.9, 0.95, 0.99))
+def test_z_quantile_matches_scipy(level):
+    ref = float(scipy.special.ndtri(1.0 - (1.0 - level) / 2.0))
+    assert abs(z_quantile(level) - ref) <= 1e-15 * ref
