@@ -123,8 +123,16 @@ def implied_prevalence_nested(
     g_values: np.ndarray, p_values: np.ndarray, eta: float
 ) -> float:
     """Cohort mixture: p*g on the source side, tilted g on the target side."""
-    return float(
-        np.mean(p_values * g_values + (1.0 - p_values) * tilted_bernoulli(g_values, eta))
+    return _nested_prevalence(g_values, p_values)(eta)
+
+
+def _nested_prevalence(g_values: np.ndarray, p_values: np.ndarray) -> Callable:
+    """``implied_prevalence_nested`` as a function of eta, with the eta-free
+    ``p*g`` and ``1 - p`` computed once for the root solver's calls."""
+    source_part = p_values * g_values
+    target_share = 1.0 - p_values
+    return lambda eta: float(
+        np.mean(source_part + target_share * tilted_bernoulli(g_values, eta))
     )
 
 
@@ -160,7 +168,8 @@ def eta_from_prevalence_nested(
     inf_att = float(np.mean(pv * gv + (1.0 - pv) * (gv >= 1.0)))
     sup_att = float(np.mean(pv * gv + (1.0 - pv) * (gv > 0.0)))
     _check_attainable(alpha, inf_att, sup_att, "alpha")
-    return solve_monotone_root(lambda e: implied_prevalence_nested(gv, pv, e) - alpha)
+    prevalence = _nested_prevalence(gv, pv)
+    return solve_monotone_root(lambda e: prevalence(e) - alpha)
 
 
 def eta_grid_from_prevalence_range(

@@ -10,13 +10,16 @@ identical outputs.
 from __future__ import annotations
 
 import csv
+import functools
 import importlib.resources
 import importlib.util
 import io
 import json
+import numbers
 import platform
 import re
 import warnings
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -311,10 +314,99 @@ def report_schema() -> dict:
     return json.loads(text)
 
 
-def validate_report(report: dict) -> None:
-    import jsonschema
+# The JSON Schema (Draft 2020-12) keywords the validator checks; $schema and
+# title are annotations.  Any other keyword makes the schema unsupported, so
+# an edit to the schema cannot silently weaken the check.
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+_KEYWORDS = {"type", "required", "properties", "minimum", "items", "minItems", "const", "enum"}
+_ANNOTATIONS = {"$schema", "title"}
 
-    jsonschema.validate(report, report_schema())
+
+def _type_names(types) -> tuple:
+    return (types,) if isinstance(types, str) else tuple(types)
+
+
+def _check_schema(schema, path: str = "$") -> dict:
+    """Return ``schema`` if the validator supports every keyword and type
+    name in it, at any depth; raise ValueError otherwise."""
+    if not isinstance(schema, dict):
+        raise ValueError(f"schema at {path}: only object subschemas are supported")
+    unknown = sorted(schema.keys() - _KEYWORDS - _ANNOTATIONS)
+    if unknown:
+        raise ValueError(f"schema at {path}: unsupported keywords {unknown}")
+    if not set(_type_names(schema.get("type", ()))) <= _JSON_TYPES.keys():
+        raise ValueError(f"schema at {path}: unsupported type {schema['type']!r}")
+    for name, sub in schema.get("properties", {}).items():
+        _check_schema(sub, f"{path}.{name}")
+    if "items" in schema:
+        _check_schema(schema["items"], f"{path}[]")
+    return schema
+
+
+@functools.lru_cache(maxsize=None)
+def _shipped_schema() -> dict:
+    return _check_schema(report_schema())
+
+
+def _json_equal(a, b) -> bool:
+    """JSON equality: ``True`` is not ``1``; arrays and objects compare
+    member by member."""
+    if a is b:
+        return True
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, Sequence) and isinstance(b, Sequence):
+        return len(a) == len(b) and all(map(_json_equal, a, b))
+    if isinstance(a, Mapping) and isinstance(b, Mapping):
+        return len(a) == len(b) and all(k in b and _json_equal(v, b[k]) for k, v in a.items())
+    # a bool equals only itself
+    return not (isinstance(a, bool) or isinstance(b, bool)) and a == b
+
+
+def _check(value, schema: dict, path: str) -> None:
+    def fail(keyword, why):
+        raise ValueError(f"report fails the schema at {path}: {keyword}: {why}")
+
+    if "type" in schema and not any(
+            _JSON_TYPES[t](value) for t in _type_names(schema["type"])):
+        fail("type", f"{value!r} is not of type {schema['type']!r}")
+    if "const" in schema and not _json_equal(value, schema["const"]):
+        fail("const", f"{schema['const']!r} was expected, got {value!r}")
+    if "enum" in schema and not any(_json_equal(value, e) for e in schema["enum"]):
+        fail("enum", f"{value!r} is not one of {schema['enum']!r}")
+    if "minimum" in schema and _JSON_TYPES["number"](value) and value < schema["minimum"]:
+        fail("minimum", f"{value!r} is less than {schema['minimum']!r}")
+    if isinstance(value, dict):
+        missing = [k for k in schema.get("required", ()) if k not in value]
+        if missing:
+            fail("required", f"missing {missing}")
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                _check(value[key], sub, f"{path}.{key}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            fail("minItems", f"{len(value)} items, at least {schema['minItems']} needed")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                _check(item, schema["items"], f"{path}[{i}]")
+
+
+def validate_report(report: dict, schema: Optional[dict] = None) -> None:
+    """Check ``report`` against the shipped report schema, or ``schema``,
+    with Draft 2020-12 semantics for the keywords in ``_KEYWORDS``.
+    A failure is a ValueError naming the JSON path and the keyword: the
+    program builds the report, so an invalid one is a bug, not a data or
+    config error.  A schema with any other keyword raises ValueError too."""
+    _check(report, _shipped_schema() if schema is None else _check_schema(schema), "$")
 
 
 def _scipy_version() -> str:

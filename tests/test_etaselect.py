@@ -9,11 +9,13 @@ from scipy.special import expit, logit
 from tiltrisk.errors import DomainError
 from tiltrisk.etaselect import (
     PrevalenceAnchor,
+    _nested_prevalence,
     eta_from_prevalence_nested,
     eta_from_prevalence_nonnested,
     eta_grid_from_prevalence_range,
     implied_prevalence_nested,
     implied_prevalence_nonnested,
+    solve_monotone_root,
 )
 from tiltrisk.tilt import tilted_bernoulli
 
@@ -108,6 +110,25 @@ class TestNested:
             eta_from_prevalence_nested(
                 table, const_rows(table, 0.2), const_rows(table, 0.5), 0.95
             )
+
+    def test_hoisted_objective_is_bit_identical(self, rng):
+        # the root solver's objective computes the eta-free p*g and 1 - p
+        # once per solve; every value equals the unhoisted formula exactly
+        table = random_binary_table(rng, n=304, design="nested")
+        g = np.concatenate([rng.uniform(0.0, 1.0, 300), [0.0, 1.0, 1e-300, 1.0 - 1e-16]])
+        p = np.concatenate([rng.uniform(0.0, 1.0, 300), [0.0, 1.0, 0.5, 1.0]])
+
+        def formula(eta):
+            return float(np.mean(p * g + (1.0 - p) * tilted_bernoulli(g, eta)))
+
+        prevalence = _nested_prevalence(g, p)
+        extremes = (0.0, -0.0, 30.0, 30.5, 45.0, 50.0)
+        for eta in (*np.linspace(-3.0, 3.0, 101), *extremes, *(-e for e in extremes)):
+            assert prevalence(eta) == formula(eta)
+            assert implied_prevalence_nested(g, p, eta) == formula(eta)
+        for alpha in (formula(-2.5) + 1e-3, formula(0.0), formula(1.7) - 1e-3):
+            assert eta_from_prevalence_nested(table, g, p, alpha) == solve_monotone_root(
+                lambda e: formula(e) - alpha)
 
 
 class TestGrid:

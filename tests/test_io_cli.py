@@ -1,8 +1,12 @@
 """CSV ingestion, report emission, pipeline, and CLI checks."""
 
+import copy
+import functools
 import importlib.metadata
 import importlib.util
 import json
+import math
+import operator
 import os
 import subprocess
 import sys
@@ -10,16 +14,20 @@ import types
 import warnings
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltrisk.cli import main as cli_main
 from tiltrisk.config import AnalysisConfig
-from tiltrisk.errors import ConfigError, DataError
+from tiltrisk.errors import ConfigError, DataError, TiltriskError
 from tiltrisk.estimators import estimate
 from tiltrisk.io import (
     load_table,
     read_curve_csv,
+    report_schema,
     run_analysis,
     validate_report,
     write_curve_csv,
@@ -227,6 +235,7 @@ class TestRunAnalysis:
         write_toy(tmp_path)
         out = run_analysis(toy_config(tmp_path))
         validate_report(json.loads(out.report_json.read_text()))
+        jsonschema.validate(json.loads(out.report_json.read_text()), report_schema())
 
     def test_report_names_installed_versions(self, tmp_path):
         import scipy
@@ -422,7 +431,9 @@ def test_package_import_skips_scipy_stats(tmp_path):
     # about 0.4 s of import time.  scipy.interpolate (which loads
     # scipy.optimize, and scipy.stats before it) is imported only when a
     # spline basis is built, and simgen imports scipy.special inside the
-    # functions that use it.
+    # functions that use it.  Nor does the analysis load jsonschema (with
+    # referencing and rpds, about 0.1 s): the report is checked by the
+    # built-in validator.
     write_toy(tmp_path)
     config = dict(
         data_path=str(tmp_path / "toy.csv"), design="non-nested", loss="brier",
@@ -434,16 +445,182 @@ def test_package_import_skips_scipy_stats(tmp_path):
         "import json, sys",
         "import tiltrisk, tiltrisk.io, tiltrisk.cli",
         "from tiltrisk.config import AnalysisConfig",
-        "def scipy_modules():",
-        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))",
-        "print(scipy_modules())",
+        "def loaded(*names):",
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in names)",
+        "print(loaded('scipy'))",
         "out = tiltrisk.io.run_analysis(AnalysisConfig.from_dict(json.loads(sys.argv[1])))",
         "assert all(pt.ok for pt in out.curve)",
-        "print(scipy_modules())",
+        "print(loaded('scipy'))",
+        "print(loaded('jsonschema', 'referencing', 'rpds'))",
     ])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(config)], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
+
+
+# ---------------------------------------------------------------------------
+# The built-in report validator against jsonschema
+# ---------------------------------------------------------------------------
+
+REFERENCE_VALIDATOR = jsonschema.Draft202012Validator(report_schema())
+REPLACEMENTS = (
+    True, False, 0, 1, -1, 1.0, 1.5, -0.0, math.nan, math.inf, -math.inf, None, 2**70,
+    "", "ok", "nested", "non-nested", [], [1.0], ["ok"], {}, {"n": 1},
+)
+
+
+@pytest.fixture(scope="module")
+def toy_reports(tmp_path_factory):
+    """Reports of analyses of the toy data: both designs, with and without
+    resampling, and one with a failed grid point."""
+    tmp = tmp_path_factory.mktemp("reports")
+    write_toy(tmp)
+    runs = [
+        dict(),
+        dict(design="nested", estimator="aug", eta_grid=[-0.5, 0.5]),
+        dict(estimator="aug", eta_grid=[-0.5, 0.0, 0.5], seed=3,
+             resample={"method": "bootstrap", "replicates": 20}),
+        dict(design="nested", estimator="aug", eta_grid=[0.0, 0.5], seed=3,
+             resample={"method": "jackknife"}),
+        dict(estimator="aug", eta_grid=[0.0, 900.0]),
+    ]
+    reports = []
+    for i, overrides in enumerate(runs):
+        out = run_analysis(toy_config(tmp, out_dir=str(tmp / f"out{i}"), **overrides))
+        reports.append(json.loads(out.report_json.read_text()))
+    assert reports[-1]["diagnostics"]["n_failed_points"] == 1
+    return reports
+
+
+def accepts(report, schema=None) -> bool:
+    try:
+        validate_report(report, schema)
+    except ValueError:
+        return False
+    return True
+
+
+def members(value, path=()):
+    """The path to every member of a JSON value, at any depth."""
+    for key in (sorted(value) if isinstance(value, dict)
+                else range(len(value)) if isinstance(value, list) else ()):
+        yield path + (key,)
+        yield from members(value[key], path + (key,))
+
+
+def mutate(data, report: dict) -> None:
+    """Delete a random member of ``report``, at any depth, or replace it
+    with a value from REPLACEMENTS."""
+    parent, key = report, data.draw(st.sampled_from(sorted(report)))
+    while isinstance(parent[key], (dict, list)) and parent[key] and data.draw(st.booleans()):
+        parent = parent[key]
+        key = data.draw(st.sampled_from(
+            sorted(parent) if isinstance(parent, dict) else range(len(parent))))
+    if data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = copy.deepcopy(data.draw(st.sampled_from(REPLACEMENTS)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_validator_agrees_with_jsonschema(toy_reports, data):
+    report = copy.deepcopy(data.draw(st.sampled_from(toy_reports)))
+    for _ in range(data.draw(st.integers(0, 3))):
+        if report:
+            mutate(data, report)
+    assert accepts(report) == REFERENCE_VALIDATOR.is_valid(report)
+
+
+@pytest.mark.parametrize("schema", [
+    {"const": 1}, {"const": True}, {"const": 0.0}, {"const": [1, True]},
+    {"const": {"a": 1}}, {"enum": [1, "nested"]}, {"enum": [False, None]},
+    {"minimum": 0}, {"minimum": 1.5}, {"type": "integer"}, {"type": "number"},
+    {"type": "boolean"}, {"type": ["integer", "null"]},
+    {"type": "array", "items": {"type": "string"}, "minItems": 1},
+    {"required": ["a"], "properties": {"a": {"type": "boolean"}}},
+])
+def test_validator_keywords_agree_with_jsonschema(schema):
+    reference = jsonschema.Draft202012Validator(schema)
+    values = (*REPLACEMENTS, [1, True], [True, 1], [1.0, 1], {"a": 1}, {"a": True},
+              {"a": 1.0, "b": 1}, ["", "ok"], -2**70, 1.5000001)
+    for value in values:
+        assert accepts(value, schema) == reference.is_valid(value), value
+
+
+def _set(path, value):
+    def edit(report):
+        *parents, key = path
+        functools.reduce(operator.getitem, parents, report)[key] = value
+        return report
+    return edit
+
+
+def _delete(*path):
+    def edit(report):
+        *parents, key = path
+        del functools.reduce(operator.getitem, parents, report)[key]
+        return report
+    return edit
+
+
+def test_validator_agrees_on_every_single_edit(toy_reports):
+    # every member of two reports deleted, or replaced by each value of
+    # REPLACEMENTS, one edit at a time
+    for base in (toy_reports[2], toy_reports[4]):
+        for path in members(base):
+            for edit in (_delete(*path), *(_set(path, v) for v in REPLACEMENTS)):
+                report = edit(copy.deepcopy(base))
+                assert accepts(report) == REFERENCE_VALIDATOR.is_valid(report), path
+
+
+@pytest.mark.parametrize("edit, where, keyword", [
+    (_delete("versions"), "$", "required"),
+    (_delete("data", "n1"), "$.data", "required"),
+    (_set(("data", "n"), 0), "$.data.n", "minimum"),
+    (_set(("eta_grid",), []), "$.eta_grid", "minItems"),
+    (_set(("format_version",), True), "$.format_version", "type"),
+    (_set(("format_version",), 2), "$.format_version", "const"),
+    (_set(("data", "design"), "cohort"), "$.data.design", "enum"),
+    (_set(("statuses", 0), 1), "$.statuses[0]", "type"),
+    (lambda report: [report], "$", "type"),
+])
+def test_validator_rejects(toy_reports, edit, where, keyword):
+    report = edit(copy.deepcopy(toy_reports[2]))
+    assert not REFERENCE_VALIDATOR.is_valid(report)
+    with pytest.raises(ValueError) as info:
+        validate_report(report)
+    # a bad report is a program bug, not a data or config error
+    assert not isinstance(info.value, TiltriskError)
+    assert f"at {where}: {keyword}:" in str(info.value)
+
+
+@pytest.mark.parametrize("edit", [
+    _set(("format_version",), 1.0),
+    _set(("data", "n"), 2**70),
+    _set(("data", "n0"), -0.0),
+    _set(("diagnostics", "max_weight"), math.nan),
+    _set(("eta_grid", 0), math.inf),
+    _set(("seed",), None),
+    _set(("unlisted",), True),
+])
+def test_validator_accepts(toy_reports, edit):
+    report = edit(copy.deepcopy(toy_reports[2]))
+    assert REFERENCE_VALIDATOR.is_valid(report)
+    validate_report(report)
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "object", "additionalProperties": False},
+    {"properties": {"absent": {"maximum": 1}}},
+    {"properties": {"eta_grid": {"items": {"pattern": "x"}}}},
+    {"properties": {"seed": True}},
+    {"type": ["object", "decimal"]},
+])
+def test_unsupported_schema_raises(toy_reports, schema):
+    # even where the report does not reach the keyword
+    with pytest.raises(ValueError, match="^schema at"):
+        validate_report(toy_reports[0], schema)
