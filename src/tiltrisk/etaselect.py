@@ -123,17 +123,15 @@ def implied_prevalence_nested(
     g_values: np.ndarray, p_values: np.ndarray, eta: float
 ) -> float:
     """Cohort mixture: p*g on the source side, tilted g on the target side."""
-    return _nested_prevalence(g_values, p_values)(eta)
+    return _mixture_prevalence(p_values * g_values, 1.0 - p_values, g_values, eta)
 
 
-def _nested_prevalence(g_values: np.ndarray, p_values: np.ndarray) -> Callable:
-    """``implied_prevalence_nested`` as a function of eta, with the eta-free
-    ``p*g`` and ``1 - p`` computed once for the root solver's calls."""
-    source_part = p_values * g_values
-    target_share = 1.0 - p_values
-    return lambda eta: float(
-        np.mean(source_part + target_share * tilted_bernoulli(g_values, eta))
-    )
+def _mixture_prevalence(
+    source_part: np.ndarray, target_share: np.ndarray, g_values: np.ndarray, eta: float
+) -> float:
+    """``implied_prevalence_nested`` from its eta-free terms ``p*g`` and
+    ``1 - p``, which the root solve computes once for all its calls."""
+    return float(np.mean(source_part + target_share * tilted_bernoulli(g_values, eta)))
 
 
 def eta_from_prevalence_nonnested(
@@ -165,11 +163,12 @@ def eta_from_prevalence_nested(
     movable = (pv < 1.0) & (gv > 0.0) & (gv < 1.0)
     if not movable.any():
         raise DomainError("the implied prevalence does not depend on eta for this table")
-    inf_att = float(np.mean(pv * gv + (1.0 - pv) * (gv >= 1.0)))
-    sup_att = float(np.mean(pv * gv + (1.0 - pv) * (gv > 0.0)))
+    source_part, target_share = pv * gv, 1.0 - pv
+    inf_att = float(np.mean(source_part + target_share * (gv >= 1.0)))
+    sup_att = float(np.mean(source_part + target_share * (gv > 0.0)))
     _check_attainable(alpha, inf_att, sup_att, "alpha")
-    prevalence = _nested_prevalence(gv, pv)
-    return solve_monotone_root(lambda e: prevalence(e) - alpha)
+    return solve_monotone_root(
+        lambda e: _mixture_prevalence(source_part, target_share, gv, e) - alpha)
 
 
 def eta_grid_from_prevalence_range(

@@ -9,7 +9,7 @@ from scipy.special import expit, logit
 from tiltrisk.errors import DomainError
 from tiltrisk.etaselect import (
     PrevalenceAnchor,
-    _nested_prevalence,
+    _mixture_prevalence,
     eta_from_prevalence_nested,
     eta_from_prevalence_nonnested,
     eta_grid_from_prevalence_range,
@@ -121,10 +121,10 @@ class TestNested:
         def formula(eta):
             return float(np.mean(p * g + (1.0 - p) * tilted_bernoulli(g, eta)))
 
-        prevalence = _nested_prevalence(g, p)
+        source_part, target_share = p * g, 1.0 - p
         extremes = (0.0, -0.0, 30.0, 30.5, 45.0, 50.0)
         for eta in (*np.linspace(-3.0, 3.0, 101), *extremes, *(-e for e in extremes)):
-            assert prevalence(eta) == formula(eta)
+            assert _mixture_prevalence(source_part, target_share, g, eta) == formula(eta)
             assert implied_prevalence_nested(g, p, eta) == formula(eta)
         for alpha in (formula(-2.5) + 1e-3, formula(0.0), formula(1.7) - 1e-3):
             assert eta_from_prevalence_nested(table, g, p, alpha) == solve_monotone_root(

@@ -25,6 +25,8 @@ from tiltrisk.config import AnalysisConfig
 from tiltrisk.errors import ConfigError, DataError, TiltriskError
 from tiltrisk.estimators import estimate
 from tiltrisk.io import (
+    _check,
+    _check_schema,
     load_table,
     read_curve_csv,
     report_schema,
@@ -496,8 +498,13 @@ def toy_reports(tmp_path_factory):
 
 
 def accepts(report, schema=None) -> bool:
+    """Whether ``validate_report`` passes ``report``; with ``schema``, whether
+    the same checker passes it against that schema instead."""
     try:
-        validate_report(report, schema)
+        if schema is None:
+            validate_report(report)
+        else:
+            _check(report, _check_schema(schema), "$")
     except ValueError:
         return False
     return True
@@ -623,4 +630,4 @@ def test_validator_accepts(toy_reports, edit):
 def test_unsupported_schema_raises(toy_reports, schema):
     # even where the report does not reach the keyword
     with pytest.raises(ValueError, match="^schema at"):
-        validate_report(toy_reports[0], schema)
+        _check(toy_reports[0], _check_schema(schema), "$")
