@@ -21,14 +21,7 @@ import sys
 import numpy as np
 
 from .config import AnalysisConfig
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DataError,
-    DomainError,
-    NumericError,
-    TiltOverflowError,
-)
+from .errors import ConfigError, DataError, TiltriskError
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -256,7 +249,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericError, ConvergenceError, TiltOverflowError, DomainError) as exc:
+    except TiltriskError as exc:  # every other package error is numeric
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

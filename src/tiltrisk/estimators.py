@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import ObservationTable
 from .errors import NUMERIC_FAILURES, ConfigError
-from .nuisance import NuisanceRows, NuisanceSet
+from .nuisance import ClosedForms, NuisanceRows, NuisanceSet
 from .tilt import TiltSpec, tilt_weight
 
 _CLIP_TOL = 1e-12
@@ -101,14 +101,31 @@ def _source_weight(estimator: str, y_src, eta, q, p_src, c_src: Callable,
     return (1.0 - p_src) / p_src * tilt / c_src()
 
 
+def _closed_form_terms(forms: tuple, eta, estimator: str, a_src: Callable) -> tuple:
+    """(b on the target rows, b on the source rows, source weights) from
+    the ``BinaryTilt`` pair ``forms`` of a fitted binary set; ``cl`` needs
+    neither the source b nor weights (None)."""
+    tgt, src = forms
+    b_t = tgt.b(eta)
+    if estimator == "cl":
+        return b_t, None, None
+    if estimator == "aug":
+        return (b_t, *src.b_weight(eta))
+    tilt = src.tilt(eta)
+    return b_t, src.b(eta), np.exp(a_src()) * tilt
+
+
 def _kernel(nested: bool, b_t, b_s, weight, loss_s) -> tuple:
     """The terms r on target rows (b) and on source rows: w (L - b), plus L
     in a nested cohort.  ``cl`` (``weight`` None, w = 0) leaves the eta-free
     losses (nested) or no source terms at all (None)."""
     if weight is None:
         return b_t, loss_s if nested else None
-    r_s = weight * (loss_s - b_s)
-    return b_t, loss_s + r_s if nested else r_s
+    r_s = np.subtract(loss_s, b_s, out=b_s)  # b_s is a fresh array, spent here
+    r_s *= weight
+    if nested:
+        r_s += loss_s
+    return b_t, r_s
 
 
 def _sum(r_s, counts=None):
@@ -118,28 +135,45 @@ def _sum(r_s, counts=None):
     return np.add.reduce(r_s if counts is None else r_s * counts, axis=-1)
 
 
-def _terms(table: ObservationTable, nuis: NuisanceSet, eta, estimator: str) -> tuple:
+def _closed_forms(table: ObservationTable, nuis: NuisanceSet):
+    """The evaluators of a fitted binary set's closed forms on the table's
+    target and source rows; None for any other set, and for a set whose b
+    or c was replaced, which the kernel then calls as given."""
+    forms = nuis.closed_forms
+    if forms is None or nuis.b != forms.b or nuis.c != forms.c:
+        return None
+    return forms.on(table.target_rows, table.source_rows, np.asarray(nuis.p), table.y)
+
+
+def _terms(table: ObservationTable, nuis: NuisanceSet, eta, estimator: str,
+           forms=None) -> tuple:
     """Terms on the target rows and on the source rows, (K, n0) and (K, n1)
     at a (K, 1) eta column, the estimates (K,) and the source weights (None
     for ``cl``, whose source terms are eta-free or None, see ``_kernel``);
-    a scalar eta gives (n0,) and (n1,) rows and a scalar estimate."""
+    a scalar eta gives (n0,) and (n1,) rows and a scalar estimate.  A
+    fitted binary set is evaluated through its closed forms ``forms``
+    (``_closed_forms``), any other set through its b, c and a."""
     eta = np.asarray(eta, dtype=np.float64)
     eta = eta.reshape(-1, 1) if eta.ndim else eta
     tgt, src = table.target_rows, table.source_rows
-    b = np.asarray(nuis.b(eta), dtype=np.float64)
-    if b.ndim < eta.ndim:  # eta-free rows of a hand-built set
-        b = np.broadcast_to(b, (eta.size, table.n))
-    weight = b_s = None
-    if estimator != "cl":
-        if estimator == "aug-alt" and nuis.a is None:
-            raise ConfigError("aug-alt needs the selection offset a in the nuisance set")
-        weight = _source_weight(estimator, table.y[src], eta, nuis.q, np.asarray(nuis.p)[src],
-                                lambda: np.asarray(nuis.c(eta)).take(src, axis=-1),
-                                lambda: np.asarray(nuis.a(eta)).take(src, axis=-1))
-        b_s = b.take(src, axis=-1)
+    a_src = lambda: np.asarray(nuis.a(eta)).take(src, axis=-1)
+    if forms is not None:
+        b_t, b_s, weight = _closed_form_terms(forms, eta, estimator, a_src)
+    else:
+        b = np.asarray(nuis.b(eta), dtype=np.float64)
+        if b.ndim < eta.ndim:  # eta-free rows of a hand-built set
+            b = np.broadcast_to(b, (eta.size, table.n))
+        b_t, b_s, weight = b.take(tgt, axis=-1), None, None
+        if estimator != "cl":
+            if estimator == "aug-alt" and nuis.a is None:
+                raise ConfigError("aug-alt needs the selection offset a in the nuisance set")
+            weight = _source_weight(estimator, table.y[src], eta, nuis.q,
+                                    np.asarray(nuis.p)[src],
+                                    lambda: np.asarray(nuis.c(eta)).take(src, axis=-1), a_src)
+            b_s = b.take(src, axis=-1)
     nested = table.design == "nested"
-    loss_s = table.loss[src] if nested or weight is not None else None
-    r_t, r_s = _kernel(nested, b.take(tgt, axis=-1), b_s, weight, loss_s)
+    loss_s = table.loss.take(src) if nested or weight is not None else None
+    r_t, r_s = _kernel(nested, b_t, b_s, weight, loss_s)
     est = (np.add.reduce(r_t, axis=-1) + _sum(r_s)) / (table.n if nested else table.n0)
     return r_t, r_s, est, weight
 
@@ -184,7 +218,7 @@ def estimate(
     source rows; the ``positivity_warning`` diagnostic records the same.
     """
     _check_estimator(estimator)
-    _, _, est, weight = _terms(table, nuis, eta, estimator)
+    _, _, est, weight = _terms(table, nuis, eta, estimator, _closed_forms(table, nuis))
     diag = {}
     if weight is not None:
         diag = _point_diagnostics(table, np.reshape(est, 1), weight,
@@ -203,7 +237,7 @@ def influence_values(
     With the matching augmented estimate plugged in, the values average to
     zero and sqrt(mean(values^2) / n) is the sandwich standard error.
     """
-    r_t, r_s, _, _ = _terms(table, nuis, eta, "aug")
+    r_t, r_s, _, _ = _terms(table, nuis, eta, "aug", _closed_forms(table, nuis))
     r = np.empty(table.n)
     r[table.target_rows] = r_t
     r[table.source_rows] = r_s
@@ -236,8 +270,10 @@ def _block_step(table: ObservationTable) -> int:
 def _grid_terms(table, nuis, grid: np.ndarray, estimator: str, clip: dict) -> list:
     """(estimate, diagnostics) at every grid point, or the numeric failure
     the point raised."""
+    forms = _closed_forms(table, nuis)
+
     def evaluate(block):
-        _, _, est, weight = _terms(table, nuis, block, estimator)
+        _, _, est, weight = _terms(table, nuis, block, estimator, forms)
         return list(zip(est, _point_diagnostics(table, est, weight, clip)))
 
     return _blocks(evaluate, grid, _block_step(table))
@@ -248,22 +284,34 @@ def _grid_terms(table, nuis, grid: np.ndarray, estimator: str, clip: dict) -> li
 # ---------------------------------------------------------------------------
 
 
-def _replicate_terms(table: ObservationTable, fits: NuisanceRows, r: int, eta: np.ndarray,
-                     estimator: str) -> np.ndarray:
-    """Estimates of replicate r of ``fits`` at a (K, 1) eta column: the
-    kernel's terms on the rows the replicate draws, summed with their
-    counts.  Equals the estimate on the table holding each row that many
-    times."""
-    cnt = fits.counts[r]
+def _drawn_rows(table: ObservationTable, fits: NuisanceRows, r: int) -> tuple:
+    """The target and the source rows replicate r draws, and for binary
+    fits their closed forms (else None)."""
     tgt = fits.rows_drawn(r, table.target_rows)
     src = fits.rows_drawn(r, table.source_rows)
+    if fits.g is None:
+        return tgt, src, None
+    return tgt, src, ClosedForms(fits, r).on(tgt, src, fits.p[r], table.y)
+
+
+def _replicate_terms(table: ObservationTable, fits: NuisanceRows, r: int, eta: np.ndarray,
+                     estimator: str, drawn=None) -> np.ndarray:
+    """Estimates of replicate r of ``fits`` at a (K, 1) eta column: the
+    kernel's terms on the rows the replicate draws (``drawn``, from
+    ``_drawn_rows``), summed with their counts.  Equals the estimate on the
+    table holding each row that many times."""
+    cnt = fits.counts[r]
+    tgt, src, forms = drawn or _drawn_rows(table, fits, r)
+    a_src = lambda: fits.a(eta, r, src)
     weight = None
-    if estimator == "cl":
+    if forms is not None:
+        b_t, b_s, weight = _closed_form_terms(forms, eta, estimator, a_src)
+    elif estimator == "cl":
         b_t, b_s = fits.b(eta, r, tgt)[0], None
     else:
         b_t, b_s = fits.b(eta, r, tgt, src)
         weight = _source_weight(estimator, table.y[src], eta, fits.q, fits.p[r, src],
-                                lambda: fits.c(eta, r, src), lambda: fits.a(eta, r, src))
+                                lambda: fits.c(eta, r, src), a_src)
     nested = table.design == "nested"
     r_t, r_s = _kernel(nested, b_t, b_s, weight, table.loss[src])
     c_t, c_s = cnt[tgt], cnt[src]
@@ -314,8 +362,9 @@ def _replicate_matrix(table: ObservationTable, recipe, grid: np.ndarray, estimat
                     unusable += 1
                 why[rep] = type(exc).__name__
                 continue
+            drawn = _drawn_rows(table, fits, i)
             row = _blocks(lambda block: list(_replicate_terms(table, fits, i, block[:, None],
-                                                              estimator)), grid, step)
+                                                              estimator, drawn)), grid, step)
             for j, out in enumerate(row):
                 if isinstance(out, Exception):
                     why[rep, j] = type(out).__name__

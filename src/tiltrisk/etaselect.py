@@ -5,8 +5,9 @@ non-nested designs, cohort-wide alpha for nested ones), solve for the eta
 whose implied tilted prevalence matches it.  The implied prevalence is
 strictly increasing in eta whenever any fitted g lies inside (0, 1), so
 the root is unique; bisection after geometric bracket expansion finds it.
-The fitted g and p enter as values on the table's rows.  Binary outcomes
-with the identity tilt map only.
+The fitted g and p enter as values on the table's rows; each root solve
+builds g's closed forms (``tilt.BinaryTilt``) once for all its steps.
+Binary outcomes with the identity tilt map only.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .data import ObservationTable
 from .errors import ConvergenceError, DomainError
-from .tilt import tilted_bernoulli
+from .tilt import BinaryTilt, tilted_bernoulli
 
 BRACKET_CAP = 50.0
 FTOL = 1e-10
@@ -123,15 +124,19 @@ def implied_prevalence_nested(
     g_values: np.ndarray, p_values: np.ndarray, eta: float
 ) -> float:
     """Cohort mixture: p*g on the source side, tilted g on the target side."""
-    return _mixture_prevalence(p_values * g_values, 1.0 - p_values, g_values, eta)
+    return _mixture_prevalence(p_values * g_values, 1.0 - p_values, BinaryTilt(g_values), eta)
 
 
 def _mixture_prevalence(
-    source_part: np.ndarray, target_share: np.ndarray, g_values: np.ndarray, eta: float
+    source_part: np.ndarray, target_share: np.ndarray, tilt: BinaryTilt, eta: float
 ) -> float:
-    """``implied_prevalence_nested`` from its eta-free terms ``p*g`` and
-    ``1 - p``, which the root solve computes once for all its calls."""
-    return float(np.mean(source_part + target_share * tilted_bernoulli(g_values, eta)))
+    """``implied_prevalence_nested`` from its eta-free terms ``p*g``,
+    ``1 - p`` and g's closed forms ``tilt``, which the root solve builds
+    once for all its calls."""
+    t = tilt.tilted(eta)
+    t *= target_share
+    t += source_part
+    return float(np.mean(t))
 
 
 def eta_from_prevalence_nonnested(
@@ -147,7 +152,8 @@ def eta_from_prevalence_nonnested(
     if not interior.any():
         raise DomainError("every fitted g is 0 or 1; the prevalence does not move with eta")
     _check_attainable(mu, float(np.mean(gv >= 1.0)), float(np.mean(gv > 0.0)), "mu")
-    return solve_monotone_root(lambda e: implied_prevalence_nonnested(gv, e) - mu)
+    tilt = BinaryTilt(gv)
+    return solve_monotone_root(lambda e: float(np.mean(tilt.tilted(e))) - mu)
 
 
 def eta_from_prevalence_nested(
@@ -167,8 +173,9 @@ def eta_from_prevalence_nested(
     inf_att = float(np.mean(source_part + target_share * (gv >= 1.0)))
     sup_att = float(np.mean(source_part + target_share * (gv > 0.0)))
     _check_attainable(alpha, inf_att, sup_att, "alpha")
+    tilt = BinaryTilt(gv)
     return solve_monotone_root(
-        lambda e: _mixture_prevalence(source_part, target_share, gv, e) - alpha)
+        lambda e: _mixture_prevalence(source_part, target_share, tilt, e) - alpha)
 
 
 def eta_grid_from_prevalence_range(

@@ -39,6 +39,7 @@ from .errors import (
     RankDeficientError,
 )
 from .tilt import (
+    BinaryTilt,
     LossFunction,
     TiltSpec,
     binary_b,
@@ -284,18 +285,36 @@ def _per_replicate(dT: np.ndarray, reps) -> np.ndarray:
     return dT if dT.ndim == 2 else dT[reps]
 
 
+def _group_matrix(builts: list, x: np.ndarray) -> np.ndarray:
+    """The C-ordered (k, m) transposed design of a group of replicates on
+    the rows ``x``, shared by the group, or a (G, k, m) stack when their
+    built designs differ."""
+    if all(b.terms == builts[0].terms for b in builts):
+        return np.ascontiguousarray(builts[0].matrix(x).T)
+    return np.ascontiguousarray(np.stack([b.matrix(x).T for b in builts]))
+
+
+def _every_row(builts: list, x: np.ndarray, fit, d_fit: np.ndarray) -> np.ndarray:
+    """A group's design on every row of ``x``: ``d_fit`` itself when the fit
+    rows ``fit`` are every row (``slice(None)``), else evaluated anew."""
+    return d_fit if isinstance(fit, slice) else _group_matrix(builts, x)
+
+
 def _replicate_designs(design: DesignSpec, x: np.ndarray, fit, counts: np.ndarray,
                        errors: list, min_rows: bool = False) -> list:
     """Freeze ``design`` on each live replicate's fit rows ``x[fit]`` (a
     spline's knots are quantiles of the rows repeated by count), evaluate it
-    once on every row of ``x`` and rank-check it on the replicate's
-    count-weighted fit rows (``_rank_errors``, one call per group).
+    on those rows and rank-check it on the replicate's count-weighted fit
+    rows (``_rank_errors``, one call per group).  ``fit`` is ``slice(None)``
+    (every row) or an index array.
 
-    Returns groups (replicates, one built design per replicate, dT, dT on
-    the fit rows), dT the C-ordered (k, n) transposed matrix shared by the
-    group or a (G, k, n) stack.  A replicate that fails records its
-    exception in ``errors``; with ``min_rows`` a replicate needs more fit
-    rows (counted with repetition) than coefficients.
+    Returns groups (replicates, one built design per replicate, d_fit),
+    d_fit the group's ``_group_matrix`` on the fit rows.  The callers that
+    need the design on every row get it from ``_every_row`` after their
+    fit, so a fit on the source rows never holds both.  A replicate that
+    fails records its exception in ``errors``; with ``min_rows`` a
+    replicate needs more fit rows (counted with repetition) than
+    coefficients.
     """
     x_fit = x[fit]
     cnt_fit = counts[:, fit]
@@ -316,12 +335,8 @@ def _replicate_designs(design: DesignSpec, x: np.ndarray, fit, counts: np.ndarra
             group[1].append(r)
     groups = []
     for builts, reps in keyed.values():
-        if all(b.terms == builts[0].terms for b in builts):
-            dT = np.ascontiguousarray(builts[0].matrix(x).T)
-        else:
-            dT = np.ascontiguousarray(np.stack([b.matrix(x).T for b in builts]))
-        k = dT.shape[-2]
-        d_fit = dT[..., fit] if isinstance(fit, slice) else np.take(dT, fit, axis=-1)
+        d_fit = _group_matrix(builts, x_fit)
+        k = d_fit.shape[-2]
         failed = _rank_errors(d_fit, cnt_fit[reps], [b.names for b in builts])
         keep = []
         for i, r in enumerate(reps):
@@ -333,15 +348,17 @@ def _replicate_designs(design: DesignSpec, x: np.ndarray, fit, counts: np.ndarra
                 errors[r] = failed[i]
         if keep:
             groups.append((np.asarray(reps)[keep], [builts[i] for i in keep],
-                           _per_replicate(dT, keep), _per_replicate(d_fit, keep)))
+                           _per_replicate(d_fit, keep)))
     return groups
 
 
-def _design_by_replicate(groups: list, n_reps: int) -> list:
-    """Each replicate's (built design, (k, n) transposed matrix), None where
-    it failed."""
-    out = [None] * n_reps
-    for reps, builts, dT, _ in groups:
+def _design_by_replicate(design: DesignSpec, x: np.ndarray, fit, counts: np.ndarray,
+                         errors: list) -> list:
+    """Each replicate's (built design, (k, n) transposed matrix on every
+    row of ``x``) from ``_replicate_designs``, None where it failed."""
+    out = [None] * counts.shape[0]
+    for reps, builts, d_fit in _replicate_designs(design, x, fit, counts, errors):
+        dT = _every_row(builts, x, fit, d_fit)
         for i, r in enumerate(reps):
             out[r] = (builts[i], _per_replicate(dT, i))
     return out
@@ -409,7 +426,7 @@ def _irls(dT, y, w_case, tol=1e-8, max_iter=100, ridge=0.0):
         np.maximum(w, 1e-12, out=w)
         w *= wc
         h = _gram(d, w)
-        resid = y - p
+        resid = np.subtract(y, p, out=w)  # w is spent once h is formed
         resid *= wc
         grad = _project(d, resid)
         if ridge > 0.0:
@@ -464,12 +481,12 @@ def _fit_logistic_rows(design: DesignSpec, x: np.ndarray, fit, targets: np.ndarr
     if bad.any():
         for r in np.flatnonzero((cnt[:, bad] > 0).any(axis=1)):
             errors[r] = errors[r] or DomainError("logistic targets must be binary 0/1")
-    prob = np.full((n_reps, x.shape[0]), np.nan)
+    fitted = []   # (replicates, probabilities): the (R, n) array is not held through IRLS
     fits = [None] * n_reps
-    for reps, builts, dT, d_fit in _replicate_designs(design, x, fit, counts, errors,
-                                                      min_rows=True):
+    for reps, builts, d_fit in _replicate_designs(design, x, fit, counts, errors,
+                                                  min_rows=True):
         w = w_case[reps]
-        n_grp, k = len(reps), dT.shape[-2]
+        n_grp, k = len(reps), d_fit.shape[-2]
         if k == 1 and builts[0].terms[0][0] == "const":
             m = (w * y).sum(axis=1) / w.sum(axis=1)
             ridge = (m <= 0.0) | (m >= 1.0)  # all-0 or all-1 targets: the MLE diverges
@@ -483,11 +500,13 @@ def _fit_logistic_rows(design: DesignSpec, x: np.ndarray, fit, targets: np.ndarr
             beta[sub], _, iters[sub], _ = _irls(_per_replicate(d_fit, sub), y, w[sub],
                                                  ridge=1e-4)
             converged[sub] = False
-        fitted = expit(_values(dT, beta))
-        prob[reps] = np.clip(fitted, *GLM_PROB_CLIP, out=fitted)
+        fitted.append((reps, expit(_values(_every_row(builts, x, fit, d_fit), beta))))
         for i, r in enumerate(reps):
             fits[r] = GlmFit(beta[i], bool(converged[i]), int(iters[i]),
                              builts[i], ridge=bool(ridge[i]))
+    prob = np.full((n_reps, x.shape[0]), np.nan)
+    for reps, values in fitted:
+        prob[reps] = np.clip(values, *GLM_PROB_CLIP, out=values)
     return prob, fits
 
 
@@ -717,7 +736,10 @@ class NuisanceSet:
     scalar eta to (n,) arrays and a (K, 1) eta column to (K, n) or (n,)
     arrays.  ``q`` is the tilt map (None = identity) applied to source
     outcomes.  ``recipe`` is the recipe that fitted the set, which
-    resampling uses to refit it; hand-built sets leave it None.
+    resampling uses to refit it; hand-built sets leave it None.  A fitted
+    binary set's ``b`` and ``c`` are the methods of its ``closed_forms``;
+    while they are, the estimators evaluate b, c and the source weights
+    through its ``BinaryTilt`` evaluators instead (``ClosedForms.on``).
     """
 
     p: np.ndarray
@@ -728,6 +750,33 @@ class NuisanceSet:
     q: Optional[Callable[[np.ndarray], np.ndarray]] = None
     meta: dict = field(default_factory=dict)
     recipe: Optional[NuisanceRecipe] = None
+    closed_forms: Optional[ClosedForms] = None
+
+
+@dataclass(frozen=True)
+class ClosedForms:
+    """The binary closed forms of replicate r of the fits ``rows``: b and c
+    on every row of their table, and evaluators on chosen rows."""
+
+    rows: NuisanceRows
+    r: int
+
+    def b(self, eta) -> np.ndarray:
+        l1, l0 = self.rows.losses
+        return np.asarray(binary_b(l1, l0, self.rows.g[self.r], eta))
+
+    def c(self, eta) -> np.ndarray:
+        return self.rows.c(eta, self.r, slice(None))
+
+    def on(self, tgt: np.ndarray, src: np.ndarray, p: np.ndarray, y: np.ndarray) -> tuple:
+        """Two ``BinaryTilt``, each holding its rows' eta-free terms: on
+        target rows ``tgt``, and on source rows ``src`` with their outcomes
+        ``y`` and the odds of ``p`` behind the source weights (``p`` and
+        ``y`` on every row)."""
+        l1, l0 = self.rows.losses
+        g = self.rows.g[self.r]
+        return (BinaryTilt(g[tgt], l1[tgt], l0[tgt]),
+                BinaryTilt(g[src], l1[src], l0[src], y[src], p[src]))
 
 
 class NuisanceRows:
@@ -737,10 +786,11 @@ class NuisanceRows:
     numerical failure of a replicate whose fit failed (its values are then
     undefined); ``lacks_stratum[r]`` marks the failures of replicates that
     draw no source rows, or no target rows of a non-nested table, which
-    could not be built as tables.  ``p`` and ``g`` are (R, n) arrays;
-    ``b``, ``c`` and ``a`` give one replicate's values at eta (a scalar or a
-    (K, 1) column) on the given rows, each solved from that replicate's
-    rows alone.
+    could not be built as tables.  ``p`` and ``g`` are (R, n) arrays and,
+    for binary fits, ``losses`` the (n,) L(1, h) and L(0, h), from which
+    ``ClosedForms`` gives b; ``b`` (continuous fits), ``c`` and ``a`` give
+    one replicate's values at eta (a scalar or a (K, 1) column) on the
+    given rows, each solved from that replicate's rows alone.
     """
 
     def __init__(self, table, counts, errors, lacks_stratum, p, fits, g=None, losses=None,
@@ -753,7 +803,7 @@ class NuisanceRows:
         self.g = g
         self.q = q
         self._fits = fits
-        self._losses = losses
+        self.losses = losses
         self._b_designs = b_designs
         self._c_designs = c_designs
         self._a_designs = a_designs
@@ -776,10 +826,8 @@ class NuisanceRows:
         return _wls_coefficients(dT[:, rows], response[rows], cnt * tilt)
 
     def b(self, eta, r: int, *rows) -> list:
-        """Tilted conditional risk of replicate r on each of ``rows``."""
-        if self.g is not None:
-            l1, l0 = self._losses
-            return [np.asarray(binary_b(l1[i], l0[i], self.g[r, i], eta)) for i in rows]
+        """Tilted conditional risk of replicate r on each of ``rows``, from
+        the regression of continuous fits (binary fits: ``ClosedForms``)."""
         dT = self._b_designs[r][1]
         beta = self._source_fit(dT, r, eta, self.table.loss)
         return [_values(dT[:, i], beta) for i in rows]
@@ -820,15 +868,17 @@ class NuisanceRows:
         if self.errors[r] is not None:
             raise self.errors[r]
         every = slice(None)
+        forms = None if self.g is None else ClosedForms(self, r)
         return NuisanceSet(
             p=self.p[r],
-            b=lambda eta: self.b(eta, r, every)[0],
-            c=lambda eta: self.c(eta, r, every),
+            b=(lambda eta: self.b(eta, r, every)[0]) if forms is None else forms.b,
+            c=(lambda eta: self.c(eta, r, every)) if forms is None else forms.c,
             g=None if self.g is None else self.g[r],
             a=lambda eta: self.a(eta, r, every),
             q=self.q,
             meta=self.meta(r),
             recipe=recipe,
+            closed_forms=forms,
         )
 
 
@@ -857,8 +907,7 @@ def _fail_where(errors: list, counts: np.ndarray, bad_rows: np.ndarray, exc) -> 
 def _a_designs(table, counts, a_design, errors) -> Optional[list]:
     if a_design is None:
         return None
-    return _design_by_replicate(
-        _replicate_designs(a_design, table.x, slice(None), counts, errors), counts.shape[0])
+    return _design_by_replicate(a_design, table.x, slice(None), counts, errors)
 
 
 def _fit_p(table, counts, p_design, p_clip, errors) -> tuple:
@@ -902,11 +951,9 @@ def _continuous_rows(table, counts, p_design, b_design, c_design, q, a_design,
                         checked[span] = exc
                 errors[r] = checked[span]
     p, p_fits = _fit_p(table, counts, p_design, p_clip, errors)
-    n_reps = counts.shape[0]
-    b_designs = _design_by_replicate(
-        _replicate_designs(b_design, table.x, src, counts, errors), n_reps)
+    b_designs = _design_by_replicate(b_design, table.x, src, counts, errors)
     c_designs = b_designs if c_design == b_design else _design_by_replicate(
-        _replicate_designs(c_design, table.x, src, counts, errors), n_reps)
+        c_design, table.x, src, counts, errors)
     return NuisanceRows(table, counts, errors, lacks_stratum, p, {"p": p_fits},
                         b_designs=b_designs, c_designs=c_designs,
                         a_designs=_a_designs(table, counts, a_design, errors), q=q,

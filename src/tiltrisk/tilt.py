@@ -1,9 +1,15 @@
 """Exponential tilt kernel.
 
-Pure functions for the logistic function, the tilt weight e^{eta*q(y)},
-the tilted Bernoulli probability, the binary closed-form normalizer c and
-conditional risk b, the equivalent selection-model offset a, and loss
-evaluation.  Everything here is stateless and safe to call concurrently.
+Functions for the logistic function, the tilt weight e^{eta*q(y)}, the
+equivalent selection-model offset a and loss evaluation, and the binary
+closed forms: the tilted Bernoulli probability, the normalizer c, the
+conditional risk b and the augmented source weight.  ``BinaryTilt`` holds
+the eta-free terms of these forms on fixed rows, so that a fit computes
+them once and each eta costs only the passes that depend on eta;
+``tilted_bernoulli``, ``binary_c`` and ``binary_b`` evaluate the same
+forms on the rows they are given, without building the class.  Nothing
+here changes after it is built, so everything is safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -168,36 +174,158 @@ def tilt_weight(y, tilt: TiltSpec):
     z = tilt.eta * tilt.apply_q(y)
     zmax = np.max(z) if np.ndim(z) else z
     if zmax > _LOG_MAX:
-        raise TiltOverflowError(
-            f"tilt exponent {float(zmax):.3g} exceeds float64 log-max {_LOG_MAX:.5g}; "
-            "the weight would saturate to inf"
-        )
+        raise _exponent_overflow(zmax)
     out = np.exp(z)
     return out if np.ndim(z) else float(out)
 
 
-def _check_g(g) -> np.ndarray:
-    g = _as_array(g)
+def _exponent_overflow(zmax) -> TiltOverflowError:
+    return TiltOverflowError(
+        f"tilt exponent {float(zmax):.3g} exceeds float64 log-max {_LOG_MAX:.5g}; "
+        "the weight would saturate to inf"
+    )
+
+
+def _rows(g, l1=None, l0=None) -> tuple:
+    """The eta-free terms of rows: g (checked to lie in [0, 1]) and 1 - g,
+    and with the losses l1 = L(1, h) and l0 = L(0, h) also l1, l0 and
+    l0 (1 - g)."""
+    g = np.asarray(g, dtype=np.float64)
     # the ufunc reductions skip the array-method wrappers on this per-call path
     if (np.minimum.reduce(g, axis=None, initial=0.0) < 0
             or np.maximum.reduce(g, axis=None, initial=1.0) > 1):
         raise DomainError("g must lie in [0, 1]")
-    return g
+    if l1 is None:
+        return g, 1.0 - g
+    l1, l0 = np.asarray(l1, dtype=np.float64), np.asarray(l0, dtype=np.float64)
+    if not l1.shape == l0.shape == g.shape:
+        g, l1, l0 = np.broadcast_arrays(g, l1, l0)
+    h = 1.0 - g
+    return g, h, l1, l0, l0 * h
 
 
-def _tilt_ratio(g: np.ndarray, eta) -> tuple:
-    """(w, 1 - g, w g + 1 - g, mid): w = e^eta where |eta| <= 30, else 1;
-    mid when every |eta| <= 30.  The denominator is exactly 1 at eta = 0,
-    where e^0 g + 1 - g may round off 1, so zero tilt is untilted."""
-    eta = _as_array(eta)
+def _ratio(g, h, eta) -> tuple:
+    """(eta, w, den, mid): eta as an array, w = e^eta where |eta| <= 30,
+    else 1, the denominator w g + 1 - g and whether every |eta| <= 30.
+    The denominator is set to exactly 1 at eta = 0, so zero tilt is
+    untilted whatever g holds."""
+    eta = np.asarray(eta, dtype=np.float64)
     etas = eta.ravel().tolist()
     if not any(etas):
-        return 1.0, 1.0 - g, 1.0, True
+        return eta, np.ones(eta.shape) if eta.ndim else 1.0, 1.0, True
     mid = -_STABLE_EXP <= min(etas) and max(etas) <= _STABLE_EXP
     w = np.exp(eta if mid else np.where(np.abs(eta) <= _STABLE_EXP, eta, 0.0))
-    h = 1.0 - g
-    den = w * g + h
-    return w, h, np.where(eta == 0.0, 1.0, den) if 0.0 in etas else den, mid
+    den = w * g
+    den += h
+    if 0.0 in etas:
+        np.copyto(den, 1.0, where=eta == 0.0)
+    return eta, w, den, mid
+
+
+def _far(g, h, eta) -> np.ndarray:
+    """The tilted probability in its rearranged forms for |eta| > 30."""
+    # above: divide through by e^eta; 0/0 at g = 0 once e^-eta underflows
+    denom = g + np.exp(-np.maximum(eta, _STABLE_EXP)) * h
+    up = g / np.where(denom == 0.0, 1.0, denom)
+    # below: e^eta underflows harmlessly toward 0
+    w = np.exp(np.minimum(eta, -_STABLE_EXP))
+    denom = w * g + h
+    down = np.where(g >= 1.0, 1.0, (w * g) / np.where(denom == 0.0, 1.0, denom))
+    return np.where(eta > 0, up, down)
+
+
+def _tilted(g, h, eta):
+    eta, w, den, mid = _ratio(g, h, eta)
+    out = w * g
+    out /= den
+    if not mid:
+        out = np.where(np.abs(eta) <= _STABLE_EXP, out, _far(g, h, eta))
+    return out if out.ndim else float(out)
+
+
+def _b(g, h, l1, l0, l0h, eta) -> tuple:
+    """(b, ``_ratio``'s terms) at eta."""
+    eta, w, den, mid = ratio = _ratio(g, h, eta)
+    out = l1 * w
+    out *= g
+    out += l0h
+    out /= den
+    if not mid:
+        # express through the tilted probability, which is already stable
+        t = _far(g, h, eta)
+        out = np.where(np.abs(eta) <= _STABLE_EXP, out, t * l1 + (1.0 - t) * l0)
+    return out, ratio
+
+
+def _normalizer(g, h, eta):
+    eta = _as_array(eta)
+    etas = eta.ravel().tolist()
+    if max(etas) > _LOG_MAX:
+        raise TiltOverflowError(f"exp({max(etas):.3g}) overflows float64 in the tilted normalizer")
+    out = np.exp(eta) * g
+    out += h
+    if 0.0 in etas:
+        out = np.where(eta == 0.0, 1.0, out)  # exact: an untilted density's normalizer
+    return out if out.ndim else float(out)
+
+
+class BinaryTilt:
+    """The binary closed forms (identity q) at any eta on fixed rows.
+
+    Holds the eta-free terms of the rows, computed once: g (checked to lie
+    in [0, 1]) and 1 - g; with the losses l1 = L(1, h) and l0 = L(0, h),
+    also l0 (1 - g); with source outcomes y, which rows have y = 1; with p,
+    the inverse odds (1 - p)/p.  Each method takes a scalar eta, giving
+    values shaped like the rows, or a (K, 1) column, giving (K, m) values.
+    Per eta, a value is exact at eta = 0, a ratio for |eta| <= 30 and
+    rearranged beyond, where the ratio loses accuracy.  The functions
+    ``tilted_bernoulli``, ``binary_c`` and ``binary_b`` evaluate the same
+    forms on the rows they are given, without building the class.
+    """
+
+    __slots__ = ("g", "h", "l1", "l0", "l0h", "y1", "odds")
+
+    def __init__(self, g, l1=None, l0=None, y=None, p=None):
+        if l1 is None:
+            self.g, self.h = _rows(g)
+            self.l1 = self.l0 = self.l0h = None
+        else:
+            self.g, self.h, self.l1, self.l0, self.l0h = _rows(g, l1, l0)
+        self.y1 = None if y is None else np.asarray(y) == 1.0
+        self.odds = None if p is None else (1.0 - np.asarray(p, dtype=np.float64)) / p
+
+    def tilted(self, eta):
+        """Tilted success probability e^eta g / (e^eta g + 1 - g)."""
+        return _tilted(self.g, self.h, eta)
+
+    def b(self, eta):
+        """Tilted conditional risk (l1 e^eta g + l0 (1 - g)) / (e^eta g + 1 - g)."""
+        out = _b(self.g, self.h, self.l1, self.l0, self.l0h, eta)[0]
+        return out if out.ndim else float(out)
+
+    def c(self, eta):
+        """Tilted normalizer e^eta g + 1 - g."""
+        return _normalizer(self.g, self.h, eta)
+
+    def tilt(self, eta) -> np.ndarray:
+        """The tilt weight e^{eta y} of the source rows: e^eta where y = 1,
+        else 1.  Raises as ``tilt_weight`` does for a non-finite eta or an
+        exponent past the float64 range."""
+        eta = TiltSpec(_as_array(eta)).eta
+        zmax = max(eta.ravel().tolist())
+        if zmax > _LOG_MAX and self.y1.any():
+            raise _exponent_overflow(zmax)
+        with np.errstate(over="ignore"):  # e^eta overflows only where no y = 1 takes it
+            return np.where(self.y1, np.exp(eta), 1.0)
+
+    def b_weight(self, eta) -> tuple:
+        """b and the augmented source weight (1 - p)/p e^{eta y} / c at
+        eta; c equals b's denominator wherever |eta| <= 30."""
+        b, (eta, _, den, mid) = _b(self.g, self.h, self.l1, self.l0, self.l0h, eta)
+        weight = self.tilt(eta)
+        weight *= self.odds
+        weight /= den if mid else np.where(np.abs(eta) <= _STABLE_EXP, den, self.c(eta))
+        return b, weight
 
 
 def tilted_bernoulli(g, eta):
@@ -207,32 +335,12 @@ def tilted_bernoulli(g, eta):
     for g in (0, 1); fixed points at g = 0 and g = 1.  Each eta of a column
     is exact at 0, a ratio for |eta| <= 30 and rearranged beyond.
     """
-    g = _check_g(g)
-    w, _, den, mid = _tilt_ratio(g, eta)
-    out = (w * g) / den
-    if not mid:
-        # above: divide through by e^eta; 0/0 at g = 0 once e^-eta underflows
-        denom = g + np.exp(-np.maximum(eta, _STABLE_EXP)) * (1.0 - g)
-        up = g / np.where(denom == 0.0, 1.0, denom)
-        # below: e^eta underflows harmlessly toward 0
-        w = np.exp(np.minimum(eta, -_STABLE_EXP))
-        denom = w * g + (1.0 - g)
-        down = np.where(g >= 1.0, 1.0, (w * g) / np.where(denom == 0.0, 1.0, denom))
-        out = np.where(np.abs(eta) <= _STABLE_EXP, out, np.where(eta > 0, up, down))
-    return out if out.ndim else float(out)
+    return _tilted(*_rows(g), eta)
 
 
 def binary_c(g, eta):
     """Binary tilted normalizer c = e^eta * g + 1 - g (identity q), per eta."""
-    g = _check_g(g)
-    eta = _as_array(eta)
-    etas = eta.ravel().tolist()
-    if max(etas) > _LOG_MAX:
-        raise TiltOverflowError(f"exp({max(etas):.3g}) overflows float64 in the tilted normalizer")
-    out = np.exp(eta) * g + (1.0 - g)
-    if 0.0 in etas:
-        out = np.where(eta == 0.0, 1.0, out)  # exact: an untilted density's normalizer
-    return out if out.ndim else float(out)
+    return _normalizer(*_rows(g), eta)
 
 
 def binary_b(l1, l0, g, eta):
@@ -242,15 +350,7 @@ def binary_b(l1, l0, g, eta):
     (l1*e^eta*g + l0*(1-g)) / (e^eta*g + 1-g).  Always lies between l0 and
     l1; tends to l1 as eta -> +inf and to l0 as eta -> -inf.  Per eta.
     """
-    l1 = _as_array(l1)
-    l0 = _as_array(l0)
-    g = _check_g(g)
-    w, h, den, mid = _tilt_ratio(g, eta)
-    out = (l1 * w * g + l0 * h) / den
-    if not mid:
-        # express through the tilted probability, which is already stable
-        t = tilted_bernoulli(g, eta)
-        out = np.where(np.abs(eta) <= _STABLE_EXP, out, t * l1 + (1.0 - t) * l0)
+    out = _b(*_rows(g, l1, l0), eta)[0]
     return out if out.ndim else float(out)
 
 

@@ -1,0 +1,408 @@
+"""The binary closed forms against a frozen copy of the per-call formulas
+they replaced.
+
+``BinaryTilt`` computes the eta-free terms of the closed forms once per
+fit; before, every eta point rechecked g and recomputed 1 - g, l0 (1 - g),
+the p odds, b and c on every row and the (K, n1) tilt e^{eta y}.  The
+functions below are that code, kept verbatim as the reference.  The new
+path keeps each operation and its order, so every value must be equal bit
+for bit, and every error must carry the same text.  The one difference is
+a shape: an eta column of zeros now gives (K, m) values where the old
+forms gave the (m,) row that broadcasts to them.
+
+The etas cover the exact zero (both signs), the ratio forms up to
+|eta| = 30, the rearranged forms beyond and the float64 exponent limit;
+the g values include 0, 1, 1e-300 and 1 - 2^-53.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from tiltrisk import estimators
+from tiltrisk.errors import DomainError, TiltOverflowError
+from tiltrisk.estimators import (
+    _replicate_terms,
+    estimate,
+    influence_values,
+    sensitivity_curve,
+)
+from tiltrisk.etaselect import (
+    eta_from_prevalence_nested,
+    eta_from_prevalence_nonnested,
+    solve_monotone_root,
+)
+from tiltrisk.nuisance import DesignSpec, NuisanceRecipe
+from tiltrisk.resampling import ResampleConfig, replicate_counts
+from tiltrisk.tilt import (
+    BinaryTilt,
+    TiltSpec,
+    binary_b,
+    binary_c,
+    selection_a,
+    tilt_weight,
+    tilted_bernoulli,
+)
+
+from conftest import BRIER, random_binary_table
+
+ETAS = (0.0, -0.0, 0.5, -0.5, 29.999, -29.999, 30.0, -30.0, 30.5, -30.5,
+        45.0, -45.0, 700.0, -700.0)
+# past log(float64 max) = 709.78: e^eta overflows above and is 0 below
+EXTREME = (710.0, 800.0, -800.0)
+G_EDGES = (0.0, 1.0, 1e-300, 1.0 - 2.0**-53)
+ESTIMATORS = ("cl", "aug", "aug-alt")
+
+# ---------------------------------------------------------------------------
+# The replaced code, frozen
+# ---------------------------------------------------------------------------
+
+_LOG_MAX = float(np.log(np.finfo(np.float64).max))
+_STABLE_EXP = 30.0
+
+
+def old_check_g(g):
+    g = np.asarray(g, dtype=np.float64)
+    if (np.minimum.reduce(g, axis=None, initial=0.0) < 0
+            or np.maximum.reduce(g, axis=None, initial=1.0) > 1):
+        raise DomainError("g must lie in [0, 1]")
+    return g
+
+
+def old_tilt_ratio(g, eta):
+    eta = np.asarray(eta, dtype=np.float64)
+    etas = eta.ravel().tolist()
+    if not any(etas):
+        return 1.0, 1.0 - g, 1.0, True
+    mid = -_STABLE_EXP <= min(etas) and max(etas) <= _STABLE_EXP
+    w = np.exp(eta if mid else np.where(np.abs(eta) <= _STABLE_EXP, eta, 0.0))
+    h = 1.0 - g
+    den = w * g + h
+    return w, h, np.where(eta == 0.0, 1.0, den) if 0.0 in etas else den, mid
+
+
+def old_tilted_bernoulli(g, eta):
+    g = old_check_g(g)
+    w, _, den, mid = old_tilt_ratio(g, eta)
+    out = (w * g) / den
+    if not mid:
+        denom = g + np.exp(-np.maximum(eta, _STABLE_EXP)) * (1.0 - g)
+        up = g / np.where(denom == 0.0, 1.0, denom)
+        w = np.exp(np.minimum(eta, -_STABLE_EXP))
+        denom = w * g + (1.0 - g)
+        down = np.where(g >= 1.0, 1.0, (w * g) / np.where(denom == 0.0, 1.0, denom))
+        out = np.where(np.abs(eta) <= _STABLE_EXP, out, np.where(eta > 0, up, down))
+    return out if out.ndim else float(out)
+
+
+def old_binary_c(g, eta):
+    g = old_check_g(g)
+    eta = np.asarray(eta, dtype=np.float64)
+    etas = eta.ravel().tolist()
+    if max(etas) > _LOG_MAX:
+        raise TiltOverflowError(f"exp({max(etas):.3g}) overflows float64 in the tilted normalizer")
+    out = np.exp(eta) * g + (1.0 - g)
+    if 0.0 in etas:
+        out = np.where(eta == 0.0, 1.0, out)
+    return out if out.ndim else float(out)
+
+
+def old_binary_b(l1, l0, g, eta):
+    l1 = np.asarray(l1, dtype=np.float64)
+    l0 = np.asarray(l0, dtype=np.float64)
+    g = old_check_g(g)
+    w, h, den, mid = old_tilt_ratio(g, eta)
+    out = (l1 * w * g + l0 * h) / den
+    if not mid:
+        t = old_tilted_bernoulli(g, eta)
+        out = np.where(np.abs(eta) <= _STABLE_EXP, out, t * l1 + (1.0 - t) * l0)
+    return out if out.ndim else float(out)
+
+
+def old_source_weight(estimator, y_src, eta, q, p_src, c_src, a_src):
+    tilt = tilt_weight(y_src, TiltSpec(eta, q))
+    if estimator == "aug-alt":
+        return np.exp(a_src()) * tilt
+    return (1.0 - p_src) / p_src * tilt / c_src()
+
+
+def old_kernel(nested, b_t, b_s, weight, loss_s):
+    if weight is None:
+        return b_t, loss_s if nested else None
+    r_s = weight * (loss_s - b_s)
+    return b_t, loss_s + r_s if nested else r_s
+
+
+def old_terms(table, nuis, eta, estimator):
+    """The estimator's terms from the frozen formulas at the row values of
+    a fitted set: (r_t, r_s, estimates, weights)."""
+    g, p, (l1, l0) = nuis.g, nuis.p, nuis.closed_forms.rows.losses
+    eta = np.asarray(eta, dtype=np.float64)
+    eta = eta.reshape(-1, 1) if eta.ndim else eta
+    tgt, src = table.target_rows, table.source_rows
+    b = np.asarray(old_binary_b(l1, l0, g, eta), dtype=np.float64)
+    if b.ndim < eta.ndim:
+        b = np.broadcast_to(b, (eta.size, table.n))
+    weight = b_s = None
+    if estimator != "cl":
+        weight = old_source_weight(
+            estimator, table.y[src], eta, None, p[src],
+            lambda: np.asarray(old_binary_c(g, eta)).take(src, axis=-1),
+            lambda: np.asarray(selection_a(p, old_binary_c(g, eta))).take(src, axis=-1))
+        b_s = b.take(src, axis=-1)
+    nested = table.design == "nested"
+    loss_s = table.loss[src] if nested or weight is not None else None
+    r_t, r_s = old_kernel(nested, b.take(tgt, axis=-1), b_s, weight, loss_s)
+    s_sum = 0.0 if r_s is None else np.add.reduce(r_s, axis=-1)
+    est = (np.add.reduce(r_t, axis=-1) + s_sum) / (table.n if nested else table.n0)
+    return r_t, r_s, est, weight
+
+
+def old_replicate_terms(table, fits, r, eta, estimator):
+    cnt = fits.counts[r]
+    tgt = fits.rows_drawn(r, table.target_rows)
+    src = fits.rows_drawn(r, table.source_rows)
+    l1, l0 = fits.losses
+    g, p = fits.g[r], fits.p[r]
+    b_t = np.asarray(old_binary_b(l1[tgt], l0[tgt], g[tgt], eta))
+    weight = b_s = None
+    if estimator != "cl":
+        b_s = np.asarray(old_binary_b(l1[src], l0[src], g[src], eta))
+        c_src = lambda: np.asarray(old_binary_c(g[src], eta))
+        weight = old_source_weight(estimator, table.y[src], eta, None, p[src], c_src,
+                                   lambda: np.asarray(selection_a(p[src], c_src())))
+    nested = table.design == "nested"
+    r_t, r_s = old_kernel(nested, b_t, b_s, weight, table.loss[src])
+    c_t, c_s = cnt[tgt], cnt[src]
+    s_sum = 0.0 if r_s is None else np.add.reduce(r_s * c_s, axis=-1)
+    return ((r_t * c_t).sum(axis=-1) + s_sum) / (c_t.sum() + c_s.sum() if nested else c_t.sum())
+
+
+# ---------------------------------------------------------------------------
+# Helpers
+# ---------------------------------------------------------------------------
+
+
+def assert_bits(new, old):
+    """Equal bit for bit (so NaN matches NaN and -0.0 differs from 0.0)."""
+    new = np.array(new, dtype=np.float64)
+    old = np.array(np.broadcast_to(np.asarray(old, dtype=np.float64), new.shape))
+    assert np.array_equal(new.view(np.int64), old.view(np.int64)), \
+        f"max |diff| {np.nanmax(np.abs(new - old), initial=0.0)}"
+
+
+def outcome(fn):
+    """('ok', value) or (exception class, message)."""
+    try:
+        with np.errstate(all="ignore"):
+            return "ok", fn()
+    except (DomainError, TiltOverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(new_fn, old_fn):
+    """Both raise the same error with the same text, or both return equal
+    values (a value or a tuple of values)."""
+    new, old = outcome(new_fn), outcome(old_fn)
+    assert new[0] == old[0], (new, old)
+    if new[0] != "ok":
+        assert new[1] == old[1]
+    elif isinstance(new[1], tuple):
+        for new_value, old_value in zip(new[1], old[1], strict=True):
+            assert_bits(new_value, old_value)
+    else:
+        assert_bits(new[1], old[1])
+
+
+def recipe():
+    return NuisanceRecipe(outcome="binary", loss=BRIER, p_design=DesignSpec((0, 1)),
+                          g_design=DesignSpec((0, 1)))
+
+
+def fitted(design, seed=3, n=120):
+    """A table and its fitted set, with g set to each edge value on one
+    target and one source row."""
+    rng = np.random.default_rng(seed)
+    table = random_binary_table(rng, n=n, design=design)
+    nuis = recipe().fit(table)
+    # in place: the set's closed forms and its b, c and a read the same g
+    nuis.g[table.target_rows[:4]] = nuis.g[table.source_rows[:4]] = G_EDGES
+    return table, nuis
+
+
+def column(etas):
+    return np.asarray(etas, dtype=np.float64)[:, None]
+
+
+# ---------------------------------------------------------------------------
+# Tests
+# ---------------------------------------------------------------------------
+
+
+class TestClosedForms:
+    # a NaN g passes the range check; only it tells the exact zero-tilt
+    # denominator from e^0 g + 1 - g, which rounds to 1 for every g in [0, 1]
+    G = np.r_[G_EDGES, np.nan, np.random.default_rng(1).uniform(0.0, 1.0, 11)]
+    L1, L0 = np.random.default_rng(2).uniform(0.0, 1.0, (2, 16))
+
+    @pytest.mark.parametrize("eta", ETAS + EXTREME)
+    def test_scalar_eta(self, eta):
+        g, l1, l0 = self.G, self.L1, self.L0
+        assert_same_outcome(lambda: tilted_bernoulli(g, eta), lambda: old_tilted_bernoulli(g, eta))
+        assert_same_outcome(lambda: binary_b(l1, l0, g, eta), lambda: old_binary_b(l1, l0, g, eta))
+        assert_same_outcome(lambda: binary_c(g, eta), lambda: old_binary_c(g, eta))
+        for gi, l1i, l0i in zip(g, l1, l0):  # scalar rows give floats
+            assert_same_outcome(lambda: binary_b(l1i, l0i, gi, eta),
+                                lambda: old_binary_b(l1i, l0i, gi, eta))
+
+    @pytest.mark.parametrize("etas", (ETAS, (0.0, -0.0), (0.5, -29.999, 30.0), (45.0, 700.0),
+                                      ETAS + EXTREME))
+    def test_eta_column(self, etas):
+        g, l1, l0, eta = self.G, self.L1, self.L0, column(etas)
+        assert_same_outcome(lambda: tilted_bernoulli(g, eta), lambda: old_tilted_bernoulli(g, eta))
+        assert_same_outcome(lambda: binary_b(l1, l0, g, eta), lambda: old_binary_b(l1, l0, g, eta))
+        assert_same_outcome(lambda: binary_c(g, eta), lambda: old_binary_c(g, eta))
+
+    @pytest.mark.parametrize("etas", (ETAS, (0.0,), (-0.0, 0.5), (30.5, -45.0), (700.0,),
+                                      (800.0,), (0.5, 800.0), (-800.0, 0.5)))
+    @pytest.mark.parametrize("y_ones", (True, False))
+    def test_source_weight(self, etas, y_ones):
+        """The aug weight shares b's denominator and the aug-alt tilt is
+        e^eta or 1; without y = 1 rows the normalizer, not the tilt,
+        overflows first, as before."""
+        g, l1, l0, eta = self.G, self.L1, self.L0, column(etas)
+        y = (np.arange(g.size) % 2 == 0).astype(float) if y_ones else np.zeros(g.size)
+        p = np.random.default_rng(4).uniform(0.01, 0.99, g.size)
+        src = BinaryTilt(g, l1, l0, y, p)
+        old_c = lambda: np.asarray(old_binary_c(g, eta))
+        assert_same_outcome(lambda: src.b_weight(eta),
+                            lambda: (old_binary_b(l1, l0, g, eta),
+                                     old_source_weight("aug", y, eta, None, p, old_c, None)))
+        a = lambda: np.zeros(g.size)
+        assert_same_outcome(lambda: np.exp(a()) * src.tilt(eta),
+                            lambda: old_source_weight("aug-alt", y, eta, None, p, None, a))
+
+    def test_non_finite_eta_text(self):
+        src = BinaryTilt(self.G, self.L1, self.L0, np.ones(16), np.full(16, 0.5))
+        for eta in (np.array([[0.5], [np.inf]]), np.asarray(np.nan)):
+            with pytest.raises(DomainError) as new:
+                src.b_weight(eta)
+            with pytest.raises(DomainError) as old:
+                tilt_weight(np.ones(16), TiltSpec(eta))
+            assert str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("design", ("non-nested", "nested"))
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+class TestEstimators:
+    def test_estimate(self, design, estimator):
+        table, nuis = fitted(design)
+        for eta in ETAS + EXTREME:
+            def new():
+                res = estimate(table, nuis, eta, estimator)
+                return [res.estimate, res.diagnostics.get("max_weight", 0.0)]
+
+            def old():
+                _, _, est, weight = old_terms(table, nuis, eta, estimator)
+                return [est, 0.0 if weight is None else weight.max()]
+
+            assert_same_outcome(new, old)
+
+    def test_sensitivity_curve(self, design, estimator):
+        """The grid runs as one block, fails (at least at 710 and 800 with
+        weights) and reruns one point at a time; every point matches the
+        old block evaluation."""
+        table, nuis = fitted(design)
+        grid = np.sort(np.array(ETAS + EXTREME))
+
+        def evaluate(block):
+            _, _, est, weight = old_terms(table, nuis, block, estimator)
+            return list(zip(est, [None] * est.size if weight is None
+                            else np.atleast_2d(weight).max(axis=1)))
+
+        with np.errstate(all="ignore"):
+            curve = sensitivity_curve(table, nuis, grid, estimator)
+            old = estimators._blocks(evaluate, grid, estimators._block_step(table))
+        assert sum(isinstance(o, Exception) for o in old) >= (0 if estimator == "cl" else 2)
+        for point, ref in zip(curve, old):
+            if isinstance(ref, Exception):
+                assert point.status == f"failed: {ref}"
+                continue
+            assert point.status == "ok"
+            assert_bits(point.result.estimate, ref[0])
+            if ref[1] is not None:
+                assert_bits(point.result.diagnostics["max_weight"], ref[1])
+
+    def test_replaced_b_or_c_is_called(self, design, estimator):
+        """A set whose b or c was replaced is evaluated through them, as
+        a hand-built set is."""
+        table, nuis = fitted(design)
+        for changed in ({"b": lambda eta: np.zeros(table.n)},
+                        {"c": lambda eta: 2.0 * np.asarray(nuis.c(eta))}):
+            replaced = replace(nuis, **changed)
+            hand_built = replace(replaced, closed_forms=None)
+            for eta in (0.0, 0.5, -31.0):
+                assert (estimate(table, replaced, eta, estimator).estimate
+                        == estimate(table, hand_built, eta, estimator).estimate)
+            if estimator == "aug" or "b" in changed:
+                assert (estimate(table, replaced, 0.5, estimator).estimate
+                        != estimate(table, nuis, 0.5, estimator).estimate)
+
+    def test_replicate_terms(self, design, estimator):
+        table = random_binary_table(np.random.default_rng(5), n=80, design=design)
+        counts = replicate_counts(table, ResampleConfig(replicates=4, seed=9), range(4))
+        fits = recipe().fit_counts(table, counts)
+        for r in range(4):
+            fits.g[r, table.target_rows[:4]] = G_EDGES
+            for etas in (ETAS, (0.0, -0.0), (800.0,), (-800.0,)):
+                eta = column(etas)
+                assert_same_outcome(
+                    lambda: _replicate_terms(table, fits, r, eta, estimator),
+                    lambda: old_replicate_terms(table, fits, r, eta, estimator))
+
+
+@pytest.mark.parametrize("design", ("non-nested", "nested"))
+def test_influence_values(design):
+    table, nuis = fitted(design)
+    for eta in (0.0, 0.5, -30.5, 45.0):
+        with np.errstate(all="ignore"):
+            r_t, r_s, est, _ = old_terms(table, nuis, eta, "aug")
+            values = influence_values(table, nuis, eta, float(est)).values
+        old = np.empty(table.n)
+        old[table.target_rows], old[table.source_rows] = r_t, r_s
+        if design == "nested":
+            old = old - float(est)
+        else:
+            old = (old - float(est) * (table.s == 0)) * (table.n / table.n0)
+        assert_bits(values, old)
+
+
+class TestAnchorSolves:
+    """Both root solves reach the old root exactly, from anchors whose
+    roots lie near 0, in the ratio range and past |eta| = 30."""
+
+    def rows(self, design):
+        rng = np.random.default_rng(11)
+        table = random_binary_table(rng, n=200, design=design)
+        g = rng.uniform(0.0, 0.02, table.n)
+        g[:8] = G_EDGES * 2
+        return table, g, rng.uniform(0.01, 0.99, table.n)
+
+    @pytest.mark.parametrize("root", (0.0, 3.0, -12.0, 33.0, -33.0))
+    def test_nonnested(self, root):
+        table, g, _ = self.rows("non-nested")
+        gv = g[table.s == 0]
+        old = lambda e: float(np.mean(old_tilted_bernoulli(gv, e)))
+        mu = old(root)
+        assert eta_from_prevalence_nonnested(table, g, mu) == solve_monotone_root(
+            lambda e: old(e) - mu)
+
+    @pytest.mark.parametrize("root", (0.0, 3.0, -12.0, 33.0, -33.0))
+    def test_nested(self, root):
+        table, g, p = self.rows("nested")
+        part, share = p * g, 1.0 - p
+        old = lambda e: float(np.mean(part + share * old_tilted_bernoulli(g, e)))
+        alpha = old(root)
+        assert eta_from_prevalence_nested(table, g, p, alpha) == solve_monotone_root(
+            lambda e: old(e) - alpha)

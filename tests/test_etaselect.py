@@ -17,7 +17,7 @@ from tiltrisk.etaselect import (
     implied_prevalence_nonnested,
     solve_monotone_root,
 )
-from tiltrisk.tilt import tilted_bernoulli
+from tiltrisk.tilt import BinaryTilt, tilted_bernoulli
 
 from conftest import logistic_fn, random_binary_table
 
@@ -121,10 +121,10 @@ class TestNested:
         def formula(eta):
             return float(np.mean(p * g + (1.0 - p) * tilted_bernoulli(g, eta)))
 
-        source_part, target_share = p * g, 1.0 - p
+        source_part, target_share, tilt = p * g, 1.0 - p, BinaryTilt(g)
         extremes = (0.0, -0.0, 30.0, 30.5, 45.0, 50.0)
         for eta in (*np.linspace(-3.0, 3.0, 101), *extremes, *(-e for e in extremes)):
-            assert _mixture_prevalence(source_part, target_share, g, eta) == formula(eta)
+            assert _mixture_prevalence(source_part, target_share, tilt, eta) == formula(eta)
             assert implied_prevalence_nested(g, p, eta) == formula(eta)
         for alpha in (formula(-2.5) + 1e-3, formula(0.0), formula(1.7) - 1e-3):
             assert eta_from_prevalence_nested(table, g, p, alpha) == solve_monotone_root(

@@ -363,6 +363,24 @@ class TestCli:
         ])
         assert rc == 3
 
+    @pytest.mark.parametrize("command", ("analyze", "eta-range"))
+    def test_rank_deficient_fit_exit_code(self, tmp_path, capsys, command):
+        # x1 = 2 x0: the nuisance designs are collinear
+        rng = np.random.default_rng(8)
+        x0 = rng.uniform(-1.0, 1.0, 40)
+        rows = [f"{i % 2},{(i // 2) % 2 if i % 2 else ''},{a!r},{2.0 * a!r}"
+                for i, a in enumerate(x0.tolist())]
+        data = write_toy(tmp_path, "s,y,x0,x1\n" + "\n".join(rows) + "\n", "collinear.csv")
+        args = {
+            "analyze": ["--design", "non-nested", "--loss", "brier",
+                        "--coefficients", "0.1,0.4,-0.2", "--eta-list", "0",
+                        "--estimator", "cl", "--out", str(tmp_path / "out")],
+            "eta-range": ["--anchor-mu", "0.4"],
+        }[command]
+        assert cli_main([command, "--data", str(data), "--x-cols", "x0,x1", *args]) == 4
+        assert capsys.readouterr().err.startswith(
+            "numeric failure: design matrix is rank deficient; dependent columns: x0")
+
     def test_simulate_then_analyze(self, tmp_path):
         dgp = {
             "design": "non-nested", "covariate_kind": "uniform", "dim": 2,
