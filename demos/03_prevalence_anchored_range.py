@@ -58,7 +58,8 @@ for mu in (0.5 * mu0, mu0, min(2 * mu0, 0.95)):
 # ---------------------------------------------------------------------------
 # 3. A full grid from half to double the anchor, step 0.05
 # ---------------------------------------------------------------------------
-anchor = PrevalenceAnchor(mu=mu0, multipliers=(0.5, 2.0))
-grid = eta_grid_from_prevalence_range(table, nuis.g, anchor, step=0.05)
+# the anchor carries the grid step; it is checked when it is made
+anchor = PrevalenceAnchor(mu=mu0, multipliers=(0.5, 2.0), step=0.05)
+grid = eta_grid_from_prevalence_range(table, nuis.g, anchor)
 print(f"\nanchored grid: {grid.size} points from {grid[0]:+.2f} to {grid[-1]:+.2f}")
 print("endpoints are rounded outward to the 0.05 lattice")

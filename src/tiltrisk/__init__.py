@@ -9,7 +9,7 @@ the tilt range to hypothesized outcome prevalence.
 
 __version__ = "0.1.0"
 
-from .config import AnalysisConfig, AnchorConfig, BasisConfig, ResampleSettings
+from .config import AnalysisConfig, BasisConfig
 from .data import ObservationTable, build_table
 from .errors import (
     ConfigError,
@@ -36,21 +36,7 @@ from .etaselect import (
     eta_from_prevalence_nonnested,
     eta_grid_from_prevalence_range,
 )
-from .nuisance import (
-    DesignSpec,
-    GlmFit,
-    NuisanceRecipe,
-    NuisanceSet,
-    ParametricA,
-    WlsFit,
-    fit_a_gmm,
-    fit_b_continuous,
-    fit_binary_nuisances,
-    fit_c_continuous,
-    fit_continuous_nuisances,
-    fit_logistic,
-    spline_expand,
-)
+from .nuisance import DesignSpec, GlmFit, NuisanceRecipe, NuisanceSet, fit_logistic
 from .resampling import ResampleConfig, ResampleResult, bootstrap_ci, jackknife_ci
 from .simgen import (
     DgpSpec,
@@ -77,7 +63,7 @@ from .tilt import (
 
 __all__ = [
     "__version__",
-    "AnalysisConfig", "AnchorConfig", "BasisConfig", "ResampleSettings",
+    "AnalysisConfig", "BasisConfig",
     "ObservationTable", "build_table",
     "TiltriskError", "ConfigError", "DataError", "DomainError",
     "PositivityError", "TiltOverflowError", "RankDeficientError",
@@ -86,9 +72,7 @@ __all__ = [
     "estimate", "influence_values", "sensitivity_curve",
     "PrevalenceAnchor", "eta_from_prevalence_nonnested",
     "eta_from_prevalence_nested", "eta_grid_from_prevalence_range",
-    "DesignSpec", "GlmFit", "WlsFit", "ParametricA", "NuisanceSet", "NuisanceRecipe",
-    "fit_logistic", "spline_expand", "fit_b_continuous", "fit_c_continuous",
-    "fit_a_gmm", "fit_binary_nuisances", "fit_continuous_nuisances",
+    "DesignSpec", "GlmFit", "NuisanceSet", "NuisanceRecipe", "fit_logistic",
     "ResampleConfig", "ResampleResult", "bootstrap_ci", "jackknife_ci",
     "DgpSpec", "SimulatedData", "OracleValue", "generate", "recipe_for",
     "true_phi_oracle", "true_psi_oracle", "brute_force_phi", "brute_force_psi",

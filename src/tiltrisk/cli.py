@@ -32,6 +32,13 @@ def _split_csv_list(text):
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def _float_list(text, flag):
+    try:
+        return [float(v) for v in _split_csv_list(text)]
+    except ValueError:
+        raise ConfigError(f"{flag} takes comma-separated numbers, got {text!r}") from None
+
+
 def _add_analyze_parser(sub):
     p = sub.add_parser("analyze", help="run a sensitivity analysis")
     p.add_argument("--config", help="JSON config file; flags override its keys")
@@ -79,7 +86,7 @@ def _analyze_config(args) -> AnalysisConfig:
     if args.xstar_cols:
         base["xstar_columns"] = _split_csv_list(args.xstar_cols)
     if args.coefficients:
-        base["model_coefficients"] = [float(v) for v in _split_csv_list(args.coefficients)]
+        base["model_coefficients"] = _float_list(args.coefficients, "--coefficients")
     if args.fit_split is not None:
         base["fit_split"] = args.fit_split
     if args.link:
@@ -89,15 +96,15 @@ def _analyze_config(args) -> AnalysisConfig:
     if args.p_basis:
         base["p_basis"] = args.p_basis
     if args.eta_list:
-        base["eta_grid"] = [float(v) for v in _split_csv_list(args.eta_list)]
+        base["eta_grid"] = _float_list(args.eta_list, "--eta-list")
     if args.anchor_mu is not None or args.anchor_alpha is not None:
-        anchor = base.get("anchor") or {}
+        anchor = base["anchor"] if isinstance(base.get("anchor"), dict) else {}
         if args.anchor_mu is not None:
             anchor["mu"] = args.anchor_mu
         if args.anchor_alpha is not None:
             anchor["alpha"] = args.anchor_alpha
         if args.multipliers:
-            anchor["multipliers"] = [float(v) for v in _split_csv_list(args.multipliers)]
+            anchor["multipliers"] = _float_list(args.multipliers, "--multipliers")
         if args.step is not None:
             anchor["step"] = args.step
         base["anchor"] = anchor
@@ -106,7 +113,7 @@ def _analyze_config(args) -> AnalysisConfig:
     if args.bootstrap is not None and args.jackknife:
         raise ConfigError("choose one of --bootstrap or --jackknife")
     if args.bootstrap is not None or args.jackknife:
-        resample = base.get("resample") or {}
+        resample = base["resample"] if isinstance(base.get("resample"), dict) else {}
         resample["method"] = "jackknife" if args.jackknife else "bootstrap"
         if args.bootstrap is not None:
             resample["replicates"] = args.bootstrap
@@ -136,12 +143,12 @@ def _cmd_eta_range(args) -> int:
     from .io import _model_from_config, _read_raw, _recipe_from_config, _resolve_grid
     from .tilt import LossFunction
 
-    if (args.anchor_mu is None) == (args.anchor_alpha is None):
-        raise ConfigError("provide exactly one of --anchor-mu or --anchor-alpha")
     x_cols = _split_csv_list(args.x_cols)
-    anchor = {"mu": args.anchor_mu, "alpha": args.anchor_alpha, "step": args.step}
+    anchor = {"mu": args.anchor_mu, "alpha": args.anchor_alpha}
+    if args.step is not None:
+        anchor["step"] = args.step
     if args.multipliers:
-        anchor["multipliers"] = [float(v) for v in _split_csv_list(args.multipliers)]
+        anchor["multipliers"] = _float_list(args.multipliers, "--multipliers")
     # the grid analyze would sweep; anchoring reads only the fitted g and p,
     # so the prediction model is a placeholder
     config = AnalysisConfig.from_dict({
@@ -219,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchor-mu", type=float)
     p.add_argument("--anchor-alpha", type=float)
     p.add_argument("--multipliers")
-    p.add_argument("--step", type=float, default=0.05)
+    p.add_argument("--step", type=float, help="eta grid step (default 0.05)")
 
     p = sub.add_parser("simulate", help="draw a synthetic dataset")
     p.add_argument("--dgp", required=True, help="JSON DGP spec")

@@ -2,17 +2,22 @@
 
 An AnalysisConfig captures one full run: data location, design, loss,
 the fixed prediction model (or a fit-split fraction), nuisance bases,
-the eta grid (explicit or prevalence-anchored), the estimator, and the
-resampling choices.  Configs load from a JSON file or from CLI flags and
-echo verbatim into the report.
+the eta grid (explicit, or a ``PrevalenceAnchor``), the estimator, and the
+resampling choices (a ``ResampleConfig`` carrying the config's seed).
+Configs load from a JSON file or from CLI flags through ``from_dict``,
+which builds the anchor and resampling objects and turns their
+DomainError into a ConfigError, so a bad config fails before any data is
+read; ``to_dict`` echoes them into the report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
+from .etaselect import PrevalenceAnchor
+from .resampling import ResampleConfig
 
 FORMAT_VERSION = 1
 
@@ -56,50 +61,20 @@ class BasisConfig:
         return {"kind": self.kind, "degree": self.degree, "interior_knots": self.interior_knots}
 
 
-@dataclass(frozen=True)
-class AnchorConfig:
-    mu: Optional[float] = None
-    alpha: Optional[float] = None
-    multipliers: tuple = (0.5, 2.0)
-    step: float = 0.05
-
-    def __post_init__(self):
-        if (self.mu is None) == (self.alpha is None):
-            raise ConfigError("anchor needs exactly one of mu or alpha")
-        if self.step <= 0:
-            raise ConfigError("anchor step must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "alpha": self.alpha,
-            "multipliers": list(self.multipliers),
-            "step": self.step,
-        }
-
-
-@dataclass(frozen=True)
-class ResampleSettings:
-    method: str = "bootstrap"
-    replicates: int = 1000
-    level: float = 0.95
-    stratified: Optional[bool] = None
-
-    def __post_init__(self):
-        if self.method not in ("bootstrap", "jackknife"):
-            raise ConfigError("resample method must be 'bootstrap' or 'jackknife'")
-        if self.method == "bootstrap" and self.replicates < 2:
-            raise ConfigError("bootstrap needs at least 2 replicates")
-        if not 0 < self.level < 1:
-            raise ConfigError("ci level must be in (0, 1)")
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "replicates": self.replicates,
-            "level": self.level,
-            "stratified": self.stratified,
-        }
+def _library_object(cls, key: str, value, **given):
+    """``cls`` built from the config mapping ``value`` under ``key``, which
+    may set any of its fields but those ``given``; any fault in it is a
+    ConfigError."""
+    keys = [f.name for f in fields(cls) if f.name not in given]
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping with keys {keys}, got {value!r}")
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
+    try:
+        return cls(**value, **given)
+    except DomainError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -117,9 +92,9 @@ class AnalysisConfig:
     g_basis: BasisConfig = field(default_factory=BasisConfig)
     p_basis: BasisConfig = field(default_factory=BasisConfig)
     eta_grid: Optional[Sequence[float]] = None
-    anchor: Optional[AnchorConfig] = None
+    anchor: Optional[PrevalenceAnchor] = None
     estimator: str = "aug"
-    resample: Optional[ResampleSettings] = None
+    resample: Optional[ResampleConfig] = None
     seed: Optional[int] = None
 
     def __post_init__(self):
@@ -133,13 +108,11 @@ class AnalysisConfig:
             raise ConfigError("estimator 'aug-alt' applies to non-nested designs only")
         if not self.x_columns:
             raise ConfigError("x_columns must be nonempty")
-        xstar = self.xstar_columns
-        if xstar is None:
-            object.__setattr__(self, "xstar_columns", tuple(self.x_columns))
-        else:
-            missing = [c for c in xstar if c not in self.x_columns]
-            if missing:
-                raise ConfigError(f"xstar_columns not contained in x_columns: {missing}")
+        xstar = tuple(self.x_columns if self.xstar_columns is None else self.xstar_columns)
+        missing = [c for c in xstar if c not in self.x_columns]
+        if missing:
+            raise ConfigError(f"xstar_columns not contained in x_columns: {missing}")
+        object.__setattr__(self, "xstar_columns", xstar)
         if (self.model_coefficients is None) == (self.fit_split is None):
             raise ConfigError("provide exactly one of model_coefficients or fit_split")
         if self.fit_split is not None and not 0.0 < self.fit_split < 1.0:
@@ -155,11 +128,13 @@ class AnalysisConfig:
         if outcome not in ("binary", "continuous"):
             raise ConfigError("outcome must be 'binary' or 'continuous'")
         object.__setattr__(self, "outcome", outcome)
-        needs_seed = self.fit_split is not None or (
-            self.resample is not None and self.resample.method == "bootstrap"
-        )
-        if needs_seed and self.seed is None:
-            raise ConfigError("seed is required for any stochastic step (fit-split, bootstrap)")
+        if self.anchor is not None and outcome != "binary":
+            raise ConfigError("prevalence anchoring is supported for binary outcomes only")
+        if self.fit_split is not None and self.seed is None:
+            raise ConfigError("seed is required for fit-split")
+        if self.resample is not None and self.resample.seed != self.seed:
+            raise ConfigError(f"resample seed {self.resample.seed!r} differs from the "
+                              f"config seed {self.seed!r}")
         object.__setattr__(self, "x_columns", tuple(self.x_columns))
         if self.model_coefficients is not None:
             object.__setattr__(
@@ -185,21 +160,10 @@ class AnalysisConfig:
         if "p_basis" in d:
             d["p_basis"] = BasisConfig.from_value(d["p_basis"])
         if d.get("anchor") is not None:
-            a = d["anchor"]
-            d["anchor"] = AnchorConfig(
-                mu=a.get("mu"),
-                alpha=a.get("alpha"),
-                multipliers=tuple(a.get("multipliers", (0.5, 2.0))),
-                step=float(a.get("step", 0.05)),
-            )
+            d["anchor"] = _library_object(PrevalenceAnchor, "anchor", d["anchor"])
         if d.get("resample") is not None:
-            r = d["resample"]
-            d["resample"] = ResampleSettings(
-                method=r.get("method", "bootstrap"),
-                replicates=int(r.get("replicates", 1000)),
-                level=float(r.get("level", 0.95)),
-                stratified=r.get("stratified"),
-            )
+            d["resample"] = _library_object(ResampleConfig, "resample", d["resample"],
+                                            seed=d.get("seed"))
         try:
             return cls(**d)
         except TypeError as exc:
@@ -221,9 +185,19 @@ class AnalysisConfig:
             "g_basis": self.g_basis.to_dict(),
             "p_basis": self.p_basis.to_dict(),
             "eta_grid": None if self.eta_grid is None else list(self.eta_grid),
-            "anchor": None if self.anchor is None else self.anchor.to_dict(),
+            "anchor": None if self.anchor is None else {
+                "mu": self.anchor.mu,
+                "alpha": self.anchor.alpha,
+                "multipliers": list(self.anchor.multipliers),
+                "step": self.anchor.step,
+            },
             "estimator": self.estimator,
-            "resample": None if self.resample is None else self.resample.to_dict(),
+            "resample": None if self.resample is None else {
+                "method": self.resample.method,
+                "replicates": self.resample.replicates,
+                "level": self.resample.level,
+                "stratified": self.resample.stratified,
+            },
             "seed": self.seed,
             "out_dir": self.out_dir,
         }

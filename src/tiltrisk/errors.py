@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import numbers
+
 import numpy as np
 
 
@@ -48,3 +50,12 @@ class NumericError(TiltriskError):
 
 # A grid point or replicate failing with one of these is recorded; anything else is a bug.
 NUMERIC_FAILURES = (TiltriskError, np.linalg.LinAlgError, FloatingPointError)
+
+
+def require_number(value, name: str, kind=numbers.Real):
+    """``value`` if it is a number of ``kind`` (a bool is not one), else a
+    DomainError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a number"
+        raise DomainError(f"{name} must be {what}, got {value!r}")
+    return value

@@ -12,13 +12,15 @@ Binary outcomes with the identity tilt map only.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .data import ObservationTable
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, require_number
 from .tilt import BinaryTilt, tilted_bernoulli
 
 BRACKET_CAP = 50.0
@@ -27,26 +29,35 @@ FTOL = 1e-10
 
 @dataclass(frozen=True)
 class PrevalenceAnchor:
-    """Hypothesized prevalence plus the range multipliers to sweep.
+    """Hypothesized prevalence, the range multipliers to sweep and the grid step.
 
     Exactly one of ``mu`` (non-nested: E[Y | S=0]) or ``alpha`` (nested:
-    E[Y]) is set.  The default multipliers scan from half to double the
-    anchor, intersected with (0, 1).
+    E[Y]) is set, inside (0, 1).  The default multipliers scan from half to
+    double the anchor, intersected with (0, 1); the grid is laid on the
+    lattice of multiples of ``step``.
     """
 
     mu: Optional[float] = None
     alpha: Optional[float] = None
     multipliers: tuple = (0.5, 2.0)
+    step: float = 0.05
 
     def __post_init__(self):
         if (self.mu is None) == (self.alpha is None):
             raise DomainError("set exactly one of mu (non-nested) or alpha (nested)")
-        val = self.mu if self.mu is not None else self.alpha
-        if not 0.0 < val < 1.0:
-            raise DomainError("the prevalence anchor must lie in (0, 1)")
-        lo, hi = self.multipliers
+        name = "mu" if self.mu is not None else "alpha"
+        if not 0.0 < require_number(self.value, name) < 1.0:
+            raise DomainError(f"the prevalence anchor {name} must lie in (0, 1)")
+        multipliers = tuple(self.multipliers) if isinstance(self.multipliers, Iterable) else ()
+        if len(multipliers) != 2:
+            raise DomainError(f"multipliers must be two numbers, got {self.multipliers!r}")
+        lo, hi = (require_number(m, "a multiplier") for m in multipliers)
         if not (0.0 < lo <= hi):
             raise DomainError("multipliers must be positive and ordered")
+        if not 0.0 < require_number(self.step, "step") < math.inf:
+            raise DomainError("step must be positive and finite")
+        object.__setattr__(self, "multipliers", multipliers)
+        object.__setattr__(self, "step", float(self.step))
 
     @property
     def value(self) -> float:
@@ -182,17 +193,17 @@ def eta_grid_from_prevalence_range(
     table: ObservationTable,
     g,
     anchor: PrevalenceAnchor,
-    step: float,
+    *,
     p=None,
 ) -> np.ndarray:
     """Inclusive eta grid between the anchored endpoints.
 
     Solves for eta at both prevalence endpoints, from the row values ``g``
     (and ``p`` for a nested alpha anchor), and rounds them outward to the
-    step lattice.  A degenerate anchor range yields a single point.
+    lattice of multiples of ``anchor.step``.  A degenerate anchor range
+    yields a single point.
     """
-    if step <= 0.0:
-        raise DomainError("step must be positive")
+    step = anchor.step
     lo_prev, hi_prev = anchor.endpoints()
     if anchor.mu is not None:
         solve = lambda m: eta_from_prevalence_nonnested(table, g, m)

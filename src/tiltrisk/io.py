@@ -31,9 +31,8 @@ from .config import FORMAT_VERSION, AnalysisConfig
 from .data import ObservationTable, build_table
 from .errors import ConfigError, DataError
 from .estimators import SensitivityCurve, sensitivity_curve
-from .etaselect import PrevalenceAnchor, eta_grid_from_prevalence_range
+from .etaselect import eta_grid_from_prevalence_range
 from .nuisance import DesignSpec, NuisanceRecipe, NuisanceSet, fit_logistic
-from .resampling import ResampleConfig
 from .tilt import LossFunction, PredictionModel
 
 CURVE_HEADER = (
@@ -533,13 +532,7 @@ def _resolve_grid(config: AnalysisConfig, table: ObservationTable,
                   nuis: NuisanceSet) -> np.ndarray:
     if config.eta_grid is not None:
         return np.asarray(config.eta_grid, dtype=np.float64)
-    if config.outcome != "binary":
-        raise ConfigError("prevalence anchoring is supported for binary outcomes only")
-    anchor = PrevalenceAnchor(
-        mu=config.anchor.mu, alpha=config.anchor.alpha,
-        multipliers=config.anchor.multipliers,
-    )
-    return eta_grid_from_prevalence_range(table, nuis.g, anchor, config.anchor.step, p=nuis.p)
+    return eta_grid_from_prevalence_range(table, nuis.g, config.anchor, p=nuis.p)
 
 
 @dataclass(frozen=True)
@@ -573,17 +566,8 @@ def run_analysis(config: AnalysisConfig) -> AnalysisOutput:
 
     nuis = _recipe_from_config(config).fit(table)
     grid = _resolve_grid(config, table, nuis)
-    resample = None
-    if config.resample is not None:
-        resample = ResampleConfig(
-            method=config.resample.method,
-            replicates=config.resample.replicates,
-            seed=config.seed,
-            stratified=config.resample.stratified,
-            level=config.resample.level,
-        )
     curve = sensitivity_curve(
-        table, nuis, grid, estimator=config.estimator, resample=resample
+        table, nuis, grid, estimator=config.estimator, resample=config.resample
     )
     extra["model_coefficients_used"] = [float(c) for c in model.coefficients]
 

@@ -1,26 +1,27 @@
 """Nuisance-function estimation.
 
-Fits every conditional model the risk estimators consume:
+``NuisanceRecipe`` holds the design choices of every conditional model the
+risk estimators consume, and is the one fitting entry point:
+``recipe.fit(table)`` gives a ``NuisanceSet`` of nuisance values on the
+table's rows, and ``recipe.fit_counts(table, counts)`` gives
+``NuisanceRows`` for R count-weighted replicates of it at once.  The fits:
 
-* ``fit_logistic``   -- g(X) = Pr[Y=1 | X, S=1] and p(X) = Pr[S=1 | X],
-  by iteratively reweighted least squares with a ridge fallback under
-  separation;
-* ``fit_b_continuous`` / ``fit_c_continuous`` -- tilted conditional risk
-  and tilted normalizer for continuous outcomes, by (weighted) least
-  squares;
-* ``fit_a_gmm``      -- parametric selection offset a(X, theta; eta) by a
-  just-identified method-of-moments fit;
-* ``NuisanceRecipe`` -- bundles design choices and produces a
-  ``NuisanceSet`` of nuisance values on the rows of a given table, or
-  ``NuisanceRows`` for R count-weighted replicates of it at once.
+* g(X) = Pr[Y=1 | X, S=1] and p(X) = Pr[S=1 | X] by iteratively
+  reweighted least squares with a ridge fallback under separation (also
+  ``fit_logistic`` for one logistic model on given rows);
+* for binary outcomes, b and c in closed form from g; for continuous ones,
+  the tilted conditional risk b and the tilted normalizer c by (weighted)
+  least squares on the source rows, solved per eta;
+* the selection offset a(X, theta; eta), implied by p and c, or fitted by
+  a just-identified method of moments on an ``a_design``.
 
 A replicate is a vector of row counts over the table (a bootstrap draw or a
 leave-one-out table); every fit weights row i by its count, which equals a
 fit on the table holding row i that many times.  The full-table fit is the
 replicate with every count one.
 
-Design matrices support linear main effects or per-column B-spline
-expansions with knots at empirical quantiles.
+Design matrices (``DesignSpec``) support linear main effects or per-column
+B-spline expansions with knots at empirical quantiles.
 """
 
 from __future__ import annotations
@@ -90,18 +91,6 @@ def _spline_basis(column: np.ndarray, knots: np.ndarray, degree: int) -> np.ndar
     # held-out rows at the range edges stay inside the basis support
     xc = np.clip(np.asarray(column, dtype=np.float64), knots[0], knots[-1])
     return BSpline.design_matrix(xc, knots, degree, extrapolate=False).toarray()
-
-
-def spline_expand(column, degree: int, interior_knots: int) -> np.ndarray:
-    """B-spline basis for one column: degree + interior_knots + 1 columns,
-    rows summing to one (partition of unity)."""
-    if degree not in (1, 2, 3):
-        raise DomainError(f"spline degree must be 1, 2 or 3, got {degree}")
-    if interior_knots < 0:
-        raise DomainError("interior_knots must be >= 0")
-    col = np.asarray(column, dtype=np.float64)
-    knots = spline_knots(col, degree, interior_knots)
-    return _spline_basis(col, knots, degree)
 
 
 @dataclass(frozen=True)
@@ -243,18 +232,6 @@ def _rank_errors(d_fit: np.ndarray, counts: np.ndarray, names: list) -> list:
             for i in range(len(r))]
 
 
-def _design_rows(design: DesignSpec, x: np.ndarray, fit=slice(None)) -> tuple:
-    """Freeze ``design`` on the rows ``x[fit]``, evaluate it once on every
-    row of ``x`` and rank-check the fit rows; returns (built, matrix)."""
-    built = design.build(x[fit])
-    d = built.matrix(x)
-    d_fit = d[fit]
-    error = _rank_errors(d_fit.T, np.ones((1, len(d_fit))), [built.names])[0]
-    if error is not None:
-        raise error
-    return built, d
-
-
 # Products with a design are stacked matmuls whose every item is one small
 # product of fixed shape, (k, m) by (m,) or (m, k), on a C-ordered design:
 # each replicate's and each eta's value is computed alone by the same BLAS
@@ -379,13 +356,6 @@ class GlmFit:
     design: BuiltDesign
     ridge: bool = False
 
-    def linear_predictor(self, x: np.ndarray) -> np.ndarray:
-        return self.design.matrix(x) @ self.coefficients
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        p = expit(self.linear_predictor(x))
-        return np.clip(p, *GLM_PROB_CLIP)
-
 
 def _solve(h: np.ndarray, grad: np.ndarray) -> tuple:
     """Solutions of the (G, k, k) systems and a mask of the singular ones
@@ -445,9 +415,12 @@ def _irls(dT, y, w_case, tol=1e-8, max_iter=100, ridge=0.0):
                     drawn = np.where(present[some], p, 0.5)
                     diverged &= ((np.minimum.reduce(drawn, axis=1) < 1e-10)
                                  | (np.maximum.reduce(drawn, axis=1) > 1.0 - 1e-10))
+                    del drawn
                 stop = done | diverged
             norm_prev[some] = norm_new
             separated[live[singular | stop & ~done]] = True
+        # the (G, m) arrays of this iteration go before the next one makes its own
+        del d, wc, p, w, resid
         stop = stop | singular
         if not stop.any():
             continue
@@ -539,22 +512,6 @@ def fit_logistic(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WlsFit:
-    """Weighted least-squares fit with a prediction method."""
-
-    coefficients: np.ndarray
-    weights: np.ndarray
-    design: BuiltDesign
-    floor: Optional[float] = None
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        out = self.design.matrix(x) @ self.coefficients
-        if self.floor is not None:
-            out = np.clip(out, self.floor, None)
-        return out
-
-
 def _wls_coefficients(dT: np.ndarray, response, weights) -> np.ndarray:
     """Weighted least-squares coefficients on a rank-checked (k, m)
     transposed design, one row per row of a (K, m) ``response`` or
@@ -579,67 +536,20 @@ def _wls_coefficients(dT: np.ndarray, response, weights) -> np.ndarray:
     return beta
 
 
-def _wls(design: DesignSpec, rows, response, weights=None, floor=None) -> WlsFit:
-    built, d = _design_rows(design, np.atleast_2d(np.asarray(rows, dtype=np.float64)))
-    weights = np.ones(d.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
-    beta = _wls_coefficients(d.T, response, weights)
-    return WlsFit(beta, weights, built, floor=floor)
-
-
-def fit_b_continuous(
-    design: DesignSpec,
-    source_rows: np.ndarray,
-    losses: np.ndarray,
-    tilt: TiltSpec,
-    outcomes: np.ndarray,
-) -> WlsFit:
-    """Tilted conditional risk for continuous outcomes: weighted linear
-    regression of the losses on the design, weights e^{eta*q(y)}."""
-    w = np.asarray(tilt_weight(outcomes, tilt), dtype=np.float64)
-    return _wls(design, source_rows, losses, w)
-
-
-def fit_c_continuous(
-    design: DesignSpec,
-    source_rows: np.ndarray,
-    tilt: TiltSpec,
-    outcomes: np.ndarray,
-) -> WlsFit:
-    """Tilted normalizer for continuous outcomes: least-squares regression
-    of e^{eta*q(y)} on the design; predictions are floored at 1e-6."""
-    w = np.asarray(tilt_weight(outcomes, tilt), dtype=np.float64)
-    return _wls(design, source_rows, w, floor=C_FLOOR)
-
-
 # ---------------------------------------------------------------------------
 # Parametric selection offset by method of moments
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParametricA:
-    """Selection offset a(X, theta; eta) = design(X) @ theta."""
+def _offset_theta(built: BuiltDesign, dT: np.ndarray, src: np.ndarray, y: np.ndarray,
+                  counts: np.ndarray, tilt: TiltSpec, tol: float = 1e-10,
+                  max_iter: int = 200) -> np.ndarray:
+    """Just-identified moment fit of the selection offset a(X, theta; eta)
+    = d(X) theta for the design ``built``, evaluated as the (k, m)
+    transposed matrix ``dT`` on rows with source flags ``src``, outcomes
+    ``y`` and row counts ``counts``.
 
-    theta: np.ndarray
-    design: BuiltDesign
-    eta: float
-    moment_norm: float
-    iterations: int
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.design.matrix(x) @ self.theta
-
-
-def fit_a_gmm(
-    design: DesignSpec,
-    table: ObservationTable,
-    tilt: TiltSpec,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> ParametricA:
-    """Just-identified moment fit of the selection offset.
-
-    For every design column d_j the sample moment
+    For every design column d_j the count-weighted sample moment
 
         (1/n) sum_i [ I(s_i=1) e^{a(x_i, theta) + eta q(y_i)} - I(s_i=0) ] d_j(x_i)
 
@@ -648,19 +558,6 @@ def fit_a_gmm(
     Matching the tilt-weighted source rows to the target stratum column by
     column keeps every moment centered at the true offset.
     """
-    built, d = _design_rows(design, table.x)
-    theta, norm, it = _offset_theta(built, d.T, table.s == 1, table.y, np.ones(table.n),
-                                    tilt, tol, max_iter)
-    return ParametricA(theta, built, tilt.eta, norm, it)
-
-
-def _offset_theta(built: BuiltDesign, dT: np.ndarray, src: np.ndarray, y: np.ndarray,
-                  counts: np.ndarray, tilt: TiltSpec, tol: float = 1e-10,
-                  max_iter: int = 200) -> tuple:
-    """Moment root theta for the design ``built``, evaluated as the (k, m)
-    transposed matrix ``dT`` on rows with source flags ``src``, outcomes
-    ``y`` and row counts ``counts``; returns (theta, moment norm,
-    iterations)."""
     n = counts.sum()
     n0 = counts[~src].sum()
     if n0 == 0 or n0 == n:
@@ -720,7 +617,7 @@ def _offset_theta(built: BuiltDesign, dT: np.ndarray, src: np.ndarray, y: np.nda
             f"selection-offset fit did not reach tolerance after {max_iter} "
             f"iterations; final moment norm {norm:.3g}"
         )
-    return theta, norm, it
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +745,7 @@ class NuisanceRows:
         t = self.table
         drawn = self.rows_drawn(r, np.arange(t.n))
         d_drawn, src, y, cnt = dT[:, drawn], t.s[drawn] == 1, t.y[drawn], self.counts[r, drawn]
-        theta = [_offset_theta(built, d_drawn, src, y, cnt, TiltSpec(e, self.q))[0]
+        theta = [_offset_theta(built, d_drawn, src, y, cnt, TiltSpec(e, self.q))
                  for e in np.ravel(eta)]
         return _values(dT[:, rows], np.reshape(theta, np.shape(eta)[:-1] + (dT.shape[0],)))
 
@@ -960,49 +857,6 @@ def _continuous_rows(table, counts, p_design, b_design, c_design, q, a_design,
                         p_clip=p_clip)
 
 
-def _ones(table: ObservationTable) -> np.ndarray:
-    """Counts of the full table: one replicate holding every row once."""
-    return np.broadcast_to(1.0, (1, table.n))
-
-
-def fit_binary_nuisances(
-    table: ObservationTable,
-    g_design: DesignSpec,
-    p_design: DesignSpec,
-    loss: LossFunction,
-    a_design: Optional[DesignSpec] = None,
-    p_clip: tuple = P_CLIP,
-) -> NuisanceSet:
-    """Closed-form nuisance values for binary outcomes.
-
-    g and p come from logistic fits; b and c derive from g and the losses
-    L(1, h) and L(0, h) at the table's predictions through the binary tilt
-    formulas; a is the offset implied by p and c, or a moment fit on
-    ``a_design`` when given.
-    """
-    return _binary_rows(table, _ones(table), g_design, p_design, loss, a_design,
-                        p_clip).nuisance_set()
-
-
-def fit_continuous_nuisances(
-    table: ObservationTable,
-    p_design: DesignSpec,
-    b_design: DesignSpec,
-    c_design: DesignSpec,
-    q: Optional[Callable] = None,
-    a_design: Optional[DesignSpec] = None,
-    p_clip: tuple = P_CLIP,
-) -> NuisanceSet:
-    """Regression nuisance values for continuous outcomes.
-
-    b(eta) solves the tilt-weighted regression of the source losses and
-    c(eta) the regression of the tilt weights, each on a design built and
-    evaluated once on the table's rows.
-    """
-    return _continuous_rows(table, _ones(table), p_design, b_design, c_design, q, a_design,
-                            p_clip).nuisance_set()
-
-
 @dataclass(frozen=True)
 class NuisanceRecipe:
     """How to fit nuisances from any table; reused across resamples.
@@ -1038,7 +892,9 @@ class NuisanceRecipe:
                 raise DomainError("continuous recipe needs b_design and c_design")
 
     def fit(self, table: ObservationTable) -> NuisanceSet:
-        return self.fit_counts(table, _ones(table)).nuisance_set(0, self)
+        """Nuisance values on the rows of ``table``: the one replicate that
+        holds every row once."""
+        return self.fit_counts(table, np.broadcast_to(1.0, (1, table.n))).nuisance_set(0, self)
 
     def fit_counts(self, table: ObservationTable, counts) -> NuisanceRows:
         """Fit every replicate of the (R, n) row counts ``counts``

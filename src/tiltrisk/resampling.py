@@ -11,6 +11,7 @@ results deterministic and independent of execution order.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, Optional
@@ -21,7 +22,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .data import ObservationTable
-from .errors import NUMERIC_FAILURES, DataError, DomainError, NumericError
+from .errors import NUMERIC_FAILURES, DataError, DomainError, NumericError, require_number
 
 
 @dataclass(frozen=True)
@@ -41,13 +42,18 @@ class ResampleConfig:
 
     def __post_init__(self):
         if self.method not in ("bootstrap", "jackknife"):
-            raise DomainError("method must be 'bootstrap' or 'jackknife'")
-        if self.method == "bootstrap" and self.replicates < 2:
+            raise DomainError(f"method must be 'bootstrap' or 'jackknife', got {self.method!r}")
+        replicates = require_number(self.replicates, "replicates", numbers.Integral)
+        if self.method == "bootstrap" and replicates < 2:
             raise DomainError("bootstrap needs at least 2 replicates")
-        if not 0.0 < self.level < 1.0:
+        if not 0.0 < require_number(self.level, "ci level") < 1.0:
             raise DomainError("ci level must be in (0, 1)")
-        if self.method == "bootstrap" and self.seed is None:
+        if self.seed is not None:
+            require_number(self.seed, "seed", numbers.Integral)
+        elif self.method == "bootstrap":
             raise DomainError("bootstrap requires an explicit seed")
+        if self.stratified is not None and not isinstance(self.stratified, bool):
+            raise DomainError(f"stratified must be true, false or null, got {self.stratified!r}")
 
     def resolve_stratified(self, table: ObservationTable) -> bool:
         if self.stratified is not None:

@@ -62,10 +62,6 @@ class TiltSpec:
         if not np.isfinite(self.eta).all():
             raise DomainError(f"eta must be finite, got {self.eta}")
 
-    @property
-    def is_identity(self) -> bool:
-        return self.q is None
-
     def apply_q(self, y) -> np.ndarray:
         y = _as_array(y)
         if self.q is None:

@@ -1,0 +1,58 @@
+"""The package's public names: a fixed snapshot, every one importable, and
+every name the README and the demos import from the package among them."""
+
+import ast
+import re
+from pathlib import Path
+
+import tiltrisk
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PUBLIC = [
+    "AnalysisConfig", "BasisConfig", "ConfigError", "ConvergenceError", "DataError",
+    "DesignSpec", "DgpSpec", "DomainError", "EstimateResult", "GlmFit", "InfluenceValues",
+    "LossFunction", "NuisanceRecipe", "NuisanceSet", "NumericError", "ObservationTable",
+    "OracleValue", "PositivityError", "PredictionModel", "PrevalenceAnchor",
+    "RankDeficientError", "ResampleConfig", "ResampleResult", "SensitivityCurve",
+    "SimulatedData", "TiltOverflowError", "TiltSpec", "TiltriskError", "__version__",
+    "binary_b", "binary_c", "bootstrap_ci", "brute_force_phi", "brute_force_psi",
+    "build_table", "estimate", "eta_from_prevalence_nested", "eta_from_prevalence_nonnested",
+    "eta_grid_from_prevalence_range", "eval_loss", "fit_logistic", "generate",
+    "influence_values", "jackknife_ci", "recipe_for", "selection_a", "sensitivity_curve",
+    "tilt_weight", "tilted_bernoulli", "true_phi_oracle", "true_psi_oracle",
+]
+
+
+def package_imports(source: str) -> list:
+    """The names a Python source imports with ``from tiltrisk import``."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "tiltrisk"
+            for alias in node.names]
+
+
+def readme_blocks() -> list:
+    return re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+
+
+def test_public_names_snapshot():
+    assert sorted(tiltrisk.__all__) == PUBLIC
+
+
+def test_every_public_name_resolves():
+    for name in tiltrisk.__all__:
+        assert hasattr(tiltrisk, name), name
+
+
+def test_readme_and_demo_imports_are_public():
+    sources = readme_blocks() + [p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))]
+    names = {name for source in sources for name in package_imports(source)}
+    assert names and names <= set(tiltrisk.__all__)
+
+
+def test_readme_quick_start_imports():
+    (block,) = [b for b in readme_blocks() if "from tiltrisk import" in b]
+    tree = ast.parse(block)
+    imports = ast.Module([n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))],
+                         type_ignores=[])
+    exec(compile(imports, "README.md", "exec"), {})

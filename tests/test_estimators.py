@@ -13,7 +13,7 @@ from tiltrisk.estimators import estimate, influence_values, sensitivity_curve
 from tiltrisk.nuisance import DesignSpec, NuisanceRecipe, NuisanceSet, fit_logistic
 from tiltrisk.resampling import ResampleConfig
 from tiltrisk.simgen import brute_force_phi, brute_force_psi
-from tiltrisk.tilt import LossFunction, PredictionModel, binary_b
+from tiltrisk.tilt import LossFunction, PredictionModel, binary_b, expit
 
 from conftest import (
     BRIER,
@@ -421,7 +421,8 @@ class TestBinaryNonBrierLoss:
             p_design=DesignSpec((0, 1)), g_design=DesignSpec((0, 1)),
         ).fit(table)
         src = table.s == 1
-        g = fit_logistic(DesignSpec((0, 1)), table.x[src], table.y[src]).predict(table.x[~src])
+        fit = fit_logistic(DesignSpec((0, 1)), table.x[src], table.y[src])
+        g = expit(fit.design.matrix(table.x[~src]) @ fit.coefficients)
         h = table.pred[~src]
         for eta in (-2.0, -0.5, 0.0, 0.7, 3.0):
             expected = float(np.mean(binary_b(1.0 - h, h, g, eta)))

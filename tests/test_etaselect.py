@@ -138,8 +138,8 @@ class TestGrid:
         table = random_binary_table(rng, n=60)
         mu_lo = float(expit(-0.95 + logit(0.2)))
         mu_hi = float(expit(1.25 + logit(0.2)))
-        anchor = PrevalenceAnchor(mu=mu_lo, multipliers=(1.0, mu_hi / mu_lo))
-        grid = eta_grid_from_prevalence_range(table, const_rows(table, 0.2), anchor, 0.05)
+        anchor = PrevalenceAnchor(mu=mu_lo, multipliers=(1.0, mu_hi / mu_lo), step=0.05)
+        grid = eta_grid_from_prevalence_range(table, const_rows(table, 0.2), anchor)
         assert grid.size == 45
         assert grid[0] == pytest.approx(-0.95, abs=1e-9)
         assert grid[-1] == pytest.approx(1.25, abs=1e-9)
@@ -147,23 +147,21 @@ class TestGrid:
     def test_degenerate_range_single_point(self, rng):
         table = random_binary_table(rng, n=60)
         anchor = PrevalenceAnchor(mu=0.4, multipliers=(1.0, 1.0))
-        grid = eta_grid_from_prevalence_range(table, const_rows(table, 0.2), anchor, 0.05)
+        grid = eta_grid_from_prevalence_range(table, const_rows(table, 0.2), anchor)
         assert grid.size == 1
 
     def test_step_larger_than_range_two_points(self, rng):
         table = random_binary_table(rng, n=60)
         mu_lo = float(expit(0.30 + logit(0.2)))
         mu_hi = float(expit(0.40 + logit(0.2)))
-        anchor = PrevalenceAnchor(mu=mu_lo, multipliers=(1.0, mu_hi / mu_lo))
-        grid = eta_grid_from_prevalence_range(table, const_rows(table, 0.2), anchor, 1.0)
+        anchor = PrevalenceAnchor(mu=mu_lo, multipliers=(1.0, mu_hi / mu_lo), step=1.0)
+        grid = eta_grid_from_prevalence_range(table, const_rows(table, 0.2), anchor)
         np.testing.assert_allclose(grid, [0.0, 1.0], atol=1e-12)
 
-    def test_bad_step(self, rng):
-        table = random_binary_table(rng, n=60)
-        with pytest.raises(DomainError):
-            eta_grid_from_prevalence_range(
-                table, const_rows(table, 0.2), PrevalenceAnchor(mu=0.3), 0.0
-            )
+    def test_bad_step(self):
+        for step in (0.0, -0.05, math.inf, math.nan, "0.05"):
+            with pytest.raises(DomainError, match="step"):
+                PrevalenceAnchor(mu=0.3, step=step)
 
 
 class TestAnchorValidation:
@@ -176,6 +174,14 @@ class TestAnchorValidation:
     def test_anchor_in_unit_interval(self):
         with pytest.raises(DomainError):
             PrevalenceAnchor(mu=1.2)
+        with pytest.raises(DomainError, match="number"):
+            PrevalenceAnchor(alpha="x")
+
+    @pytest.mark.parametrize("multipliers", [(2.0, 0.5), (0.0, 2.0), (0.5,), (0.5, 2.0, 3.0),
+                                             0.5, ("a", 2.0), (True, 2.0)])
+    def test_bad_multipliers(self, multipliers):
+        with pytest.raises(DomainError, match="multiplier"):
+            PrevalenceAnchor(mu=0.3, multipliers=multipliers)
 
     def test_endpoints_clipped_into_unit_interval(self):
         a = PrevalenceAnchor(mu=0.6, multipliers=(0.5, 2.0))

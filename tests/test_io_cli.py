@@ -24,6 +24,7 @@ from tiltrisk.cli import main as cli_main
 from tiltrisk.config import AnalysisConfig
 from tiltrisk.errors import ConfigError, DataError, TiltriskError
 from tiltrisk.estimators import estimate
+from tiltrisk.resampling import ResampleConfig
 from tiltrisk.io import (
     _check,
     _check_schema,
@@ -140,6 +141,32 @@ class TestLoadTable:
             run_analysis(toy_config(tmp_path))
 
 
+# config faults in the anchor or resampling choices, each with a phrase of
+# its message
+BAD_CONFIGS = [
+    (dict(eta_grid=None, anchor={"mu": 1.2}), "anchor: .*mu must lie in"),
+    (dict(eta_grid=None, anchor={"mu": "x"}), "anchor: mu must be a number"),
+    (dict(eta_grid=None, anchor={"mu": 0.3, "multipliers": [2, 0.5]}), "ordered"),
+    (dict(eta_grid=None, anchor={"mu": 0.3, "multipliers": [0.5]}), "two numbers"),
+    (dict(eta_grid=None, anchor={"mu": 0.3, "multipliers": [0.5, 2, 3]}), "two numbers"),
+    (dict(eta_grid=None, anchor={"mu": 0.3, "step": "a"}), "step must be a number"),
+    (dict(eta_grid=None, anchor={"mu": 0.3, "step": 0}), "step must be positive"),
+    (dict(eta_grid=None, anchor={"mu": 0.3, "alpha": 0.3}), "exactly one of mu"),
+    (dict(eta_grid=None, anchor={"mu": 0.3, "seed": 1}), "unknown anchor keys"),
+    (dict(eta_grid=None, anchor=0.3), "anchor must be a mapping"),
+    (dict(eta_grid=None, anchor={"mu": 0.3}, loss="squared-error"), "binary outcomes only"),
+    (dict(resample="bootstrap"), "resample must be a mapping"),
+    (dict(resample={"method": "jackknife", "replicates": "many"}),
+     "replicates must be an integer"),
+    (dict(resample={"method": "permutation"}), "method must be"),
+    (dict(resample={"method": "jackknife", "level": 95}), "level must be in"),
+    (dict(resample={"method": "jackknife", "stratified": "yes"}), "stratified"),
+    (dict(resample={"method": "bootstrap", "replicates": 1}, seed=3), "at least 2"),
+    (dict(resample={"method": "bootstrap", "seed": 3}), "unknown resample keys"),
+    (dict(resample={"method": "bootstrap"}, seed="x"), "seed must be an integer"),
+]
+
+
 class TestConfigValidation:
     def test_unknown_keys_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown"):
@@ -160,6 +187,31 @@ class TestConfigValidation:
     def test_aug_alt_non_nested_only(self, tmp_path):
         with pytest.raises(ConfigError, match="non-nested"):
             toy_config(tmp_path, design="nested", estimator="aug-alt")
+
+    @pytest.mark.parametrize("overrides, match", BAD_CONFIGS)
+    def test_bad_anchor_or_resample(self, tmp_path, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            toy_config(tmp_path, **overrides)
+
+    def test_resample_seed_must_be_the_config_seed(self, tmp_path):
+        cfg = toy_config(tmp_path, seed=4, resample={"method": "bootstrap", "replicates": 10})
+        assert cfg.resample == ResampleConfig(replicates=10, seed=4)
+        fields = dict(vars(cfg), resample=ResampleConfig(replicates=10, seed=5))
+        with pytest.raises(ConfigError, match="seed"):
+            AnalysisConfig(**fields)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(eta_grid=None, anchor={"mu": 0.3, "multipliers": [1, 2.5], "step": 0.1},
+             seed=9, resample={"method": "bootstrap", "replicates": 30, "stratified": True}),
+        dict(design="nested", eta_grid=None, anchor={"alpha": 0.4},
+             resample={"method": "jackknife", "level": 0.9}),
+    ])
+    def test_round_trip(self, tmp_path, overrides):
+        cfg = toy_config(tmp_path, g_basis="spline:3:2", **overrides)
+        echoed = cfg.to_dict()
+        assert AnalysisConfig.from_dict(echoed) == cfg
+        assert sorted(echoed["anchor"]) == ["alpha", "mu", "multipliers", "step"]
+        assert sorted(echoed["resample"]) == ["level", "method", "replicates", "stratified"]
 
 
 class TestRunAnalysis:
@@ -351,6 +403,39 @@ class TestCli:
 
     def test_config_error_exit_code(self, tmp_path):
         assert cli_main(["analyze", "--config", str(tmp_path / "missing.json")]) == 2
+
+    @pytest.mark.parametrize("overrides, match", BAD_CONFIGS)
+    def test_config_file_checked_before_data(self, tmp_path, capsys, overrides, match):
+        # the data file does not exist: reading it first would exit 3
+        cfg = dict(data_path=str(tmp_path / "missing.csv"), design="non-nested",
+                   loss="brier", x_columns=["age"], model_coefficients=[0.1, 0.4],
+                   eta_grid=[0.0], out_dir=str(tmp_path / "out"))
+        cfg.update(overrides)
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {k: v for k, v in cfg.items() if v is not None}))
+        assert cli_main(["analyze", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("command", ("analyze", "eta-range"))
+    @pytest.mark.parametrize("flags", [
+        ["--anchor-mu", "1.2"],
+        ["--anchor-mu", "0.3", "--multipliers", "2,0.5"],
+        ["--anchor-mu", "0.3", "--multipliers", "0.5"],
+        ["--anchor-mu", "0.3", "--multipliers", "0.5,2,3"],
+        ["--anchor-mu", "0.3", "--multipliers", "half,2"],
+        ["--anchor-alpha", "0.3", "--step", "0"],
+        ["--anchor-mu", "0.3", "--anchor-alpha", "0.3"],
+    ])
+    def test_anchor_flags_checked_before_data(self, tmp_path, capsys, command, flags):
+        args = {
+            "analyze": ["--design", "non-nested", "--loss", "brier",
+                        "--coefficients", "0.1,0.4", "--out", str(tmp_path / "out")],
+            "eta-range": [],
+        }[command]
+        rc = cli_main([command, "--data", str(tmp_path / "missing.csv"), "--x-cols", "age",
+                       *flags, *args])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_data_error_exit_code(self, tmp_path):
         bad = write_toy(tmp_path, TOY_CSV.replace("1,0,-0.3,0.8", "1,,-0.3,0.8"))

@@ -1,4 +1,8 @@
-"""Nuisance-fitting checks: IRLS, splines, weighted LS, moment fit."""
+"""Nuisance-fitting checks: IRLS, splines, weighted LS, moment fit.
+
+Apart from ``fit_logistic``, every fit is reached through the one entry
+point, ``NuisanceRecipe.fit``, and checked on the nuisance values it gives
+on the table's rows."""
 
 import math
 
@@ -15,22 +19,13 @@ from tiltrisk.errors import (
     DomainError,
     RankDeficientError,
 )
-from tiltrisk.nuisance import (
-    DesignSpec,
-    NuisanceRecipe,
-    _rank_errors,
-    fit_a_gmm,
-    fit_b_continuous,
-    fit_binary_nuisances,
-    fit_c_continuous,
-    fit_logistic,
-    spline_expand,
-)
-from tiltrisk.tilt import LossFunction, PredictionModel, TiltSpec, selection_a
+from tiltrisk.nuisance import DesignSpec, NuisanceRecipe, _rank_errors, fit_logistic
+from tiltrisk.tilt import LossFunction, PredictionModel, selection_a
 
 from conftest import BRIER, random_binary_table
 
 INTERCEPT_ONLY = DesignSpec(())
+ABSOLUTE = LossFunction("absolute-deviation")
 
 
 def logit(p):
@@ -105,9 +100,13 @@ class TestFitLogistic:
         assert np.array_equal(f1.coefficients, f2.coefficients)
 
     def test_prediction_clip(self):
-        fit = fit_logistic(INTERCEPT_ONLY, np.zeros((10, 1)), np.r_[np.ones(9), np.zeros(1)])
-        p = fit.predict(np.zeros((4, 1)))
-        assert np.all(p >= 1e-8) and np.all(p <= 1 - 1e-8)
+        # g fitted on 10 source rows, 9 of them y = 1, evaluated on every row
+        y = np.r_[np.ones(9), np.zeros(1), np.full(4, np.nan)]
+        s = np.r_[np.ones(10, dtype=int), np.zeros(4, dtype=int)]
+        model = PredictionModel(coefficients=(0.0, 0.5), xstar_columns=(0,))
+        table = build_table(s, np.zeros((14, 1)), y, model, BRIER, "non-nested")
+        g = binary_recipe(INTERCEPT_ONLY).fit(table).g
+        assert np.all(g >= 1e-8) and np.all(g <= 1 - 1e-8)
 
 
 def scipy_rank(d, counts, names):
@@ -208,10 +207,18 @@ class TestRankCheck:
         assert sorted(got[0]) == sorted(scipy_rank_names(d, np.array([5.0]), ["a", "b", "c"]))
 
 
+def column_basis(col, degree, interior_knots):
+    """The B-spline basis of one column, every basis function kept."""
+    x = np.asarray(col, dtype=np.float64)[:, None]
+    spec = DesignSpec((0,), basis="spline", degree=degree, interior_knots=interior_knots,
+                      intercept=False)
+    return spec.build(x).matrix(x)
+
+
 class TestSplineExpand:
     def test_degree1_no_knots_two_hats(self):
         col = np.linspace(0.0, 1.0, 50)
-        basis = spline_expand(col, degree=1, interior_knots=0)
+        basis = column_basis(col, degree=1, interior_knots=0)
         assert basis.shape == (50, 2)
         np.testing.assert_allclose(basis.sum(axis=1), 1.0, atol=1e-12)
         # hat functions: first decreases, second increases
@@ -219,22 +226,22 @@ class TestSplineExpand:
 
     def test_dimension_formula(self, rng):
         col = rng.uniform(0, 1, 80)
-        basis = spline_expand(col, degree=3, interior_knots=2)
+        basis = column_basis(col, degree=3, interior_knots=2)
         assert basis.shape[1] == 6  # degree + interior + 1
 
     def test_partition_of_unity(self, rng):
         col = rng.normal(size=200)
         for degree in (1, 2, 3):
-            basis = spline_expand(col, degree=degree, interior_knots=3)
+            basis = column_basis(col, degree=degree, interior_knots=3)
             np.testing.assert_allclose(basis.sum(axis=1), 1.0, atol=1e-12)
 
     def test_constant_column_rejected(self):
         with pytest.raises(DomainError, match="distinct"):
-            spline_expand(np.ones(30), degree=1, interior_knots=0)
+            column_basis(np.ones(30), degree=1, interior_knots=0)
 
     def test_bad_degree(self):
         with pytest.raises(DomainError):
-            spline_expand(np.linspace(0, 1, 30), degree=4, interior_knots=0)
+            column_basis(np.linspace(0, 1, 30), degree=4, interior_knots=0)
 
 
 class TestDesignSpec:
@@ -254,50 +261,80 @@ class TestDesignSpec:
         assert np.array_equal(m1, m2)
 
 
+def continuous_table(x, y, n_target=0, x_target=None, pred=(0.0, 0.0)):
+    """Source rows ``x`` with outcomes ``y``, then ``n_target`` target rows
+    at ``x_target`` (default zero); absolute-deviation losses |y - h| of
+    the linear prediction h = pred[0] + pred[1] * x0."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x_tgt = np.zeros((n_target, x.shape[1])) if x_target is None else np.asarray(x_target)
+    s = np.r_[np.ones(len(x), dtype=int), np.zeros(n_target, dtype=int)]
+    y = np.r_[y, np.full(n_target, np.nan)]
+    model = PredictionModel(coefficients=pred, link="identity", xstar_columns=(0,))
+    return build_table(s, np.vstack([x, x_tgt]), y, model, ABSOLUTE, "nested")
+
+
+def continuous_fit(table, design):
+    """The continuous nuisances with ``design`` for b and c."""
+    return NuisanceRecipe(outcome="continuous", loss=ABSOLUTE, p_design=INTERCEPT_ONLY,
+                          b_design=design, c_design=design).fit(table)
+
+
 class TestFitBContinuous:
     def test_eta_zero_is_ols(self, rng):
         x = rng.normal(size=(100, 1))
         y = rng.normal(size=100)
-        losses = (y - 0.3) ** 2
-        fit = fit_b_continuous(DesignSpec((0,)), x, losses, TiltSpec(0.0), y)
+        table = continuous_table(x, y, pred=(0.3, 0.0))
+        losses = np.abs(y - 0.3)
+        b = continuous_fit(table, DesignSpec((0,))).b(0.0)
         d = np.column_stack([np.ones(100), x[:, 0]])
         beta_ols = np.linalg.lstsq(d, losses, rcond=None)[0]
-        np.testing.assert_allclose(fit.coefficients, beta_ols, atol=1e-10)
+        np.testing.assert_allclose(b, d @ beta_ols, atol=1e-10)
 
     def test_intercept_only_unweighted_mean(self):
-        losses = np.array([1.0, 3.0])
-        fit = fit_b_continuous(INTERCEPT_ONLY, np.zeros((2, 1)), losses,
-                               TiltSpec(0.0), np.array([0.0, 0.0]))
-        assert fit.predict(np.zeros((1, 1)))[0] == pytest.approx(2.0, abs=1e-12)
+        # losses |0 - h| = {1, 3}
+        table = continuous_table([[1.0], [3.0]], [0.0, 0.0], pred=(0.0, 1.0))
+        b = continuous_fit(table, INTERCEPT_ONLY).b(0.0)
+        assert b[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_intercept_only_weighted_mean(self):
-        # weights e^{eta*y} = {3, 1} via y = {ln 3, 0}, eta = 1
-        losses = np.array([1.0, 3.0])
-        outcomes = np.array([math.log(3.0), 0.0])
-        fit = fit_b_continuous(INTERCEPT_ONLY, np.zeros((2, 1)), losses,
-                               TiltSpec(1.0), outcomes)
-        assert fit.predict(np.zeros((1, 1)))[0] == pytest.approx(1.5, abs=1e-12)
+        # weights e^{eta*y} = {3, 1} via y = {ln 3, 0}, eta = 1; losses {1, 3}
+        y = [math.log(3.0), 0.0]
+        table = continuous_table([[math.log(3.0) + 1.0], [3.0]], y, pred=(0.0, 1.0))
+        b = continuous_fit(table, INTERCEPT_ONLY).b(1.0)
+        assert b[0] == pytest.approx(1.5, abs=1e-12)
 
 
 class TestFitCContinuous:
     def test_eta_zero_predicts_one(self, rng):
         x = rng.normal(size=(50, 2))
         y = rng.normal(size=50)
-        fit = fit_c_continuous(DesignSpec((0, 1)), x, TiltSpec(0.0), y)
-        np.testing.assert_allclose(fit.predict(x), 1.0, atol=1e-12)
+        c = continuous_fit(continuous_table(x, y), DesignSpec((0, 1))).c(0.0)
+        np.testing.assert_allclose(c, 1.0, atol=1e-12)
 
     def test_intercept_only_mean_of_weights(self):
-        y = np.array([0.0, 1.0])
-        fit = fit_c_continuous(INTERCEPT_ONLY, np.zeros((2, 1)), TiltSpec(math.log(4.0)), y)
-        assert fit.predict(np.zeros((1, 1)))[0] == pytest.approx(2.5, abs=1e-12)
+        table = continuous_table(np.zeros((2, 1)), [0.0, 1.0])
+        c = continuous_fit(table, INTERCEPT_ONLY).c(math.log(4.0))
+        assert c[0] == pytest.approx(2.5, abs=1e-12)
 
     def test_floor_applied(self):
         # fit passes through (0, 2) and (1, 0.5); extrapolation at x=2 is negative
         x = np.array([[0.0], [1.0]])
         y = np.array([math.log(2.0), math.log(0.5)])
-        fit = fit_c_continuous(DesignSpec((0,)), x, TiltSpec(1.0), y)
-        val = fit.predict(np.array([[2.0]]))[0]
+        table = continuous_table(x, y, n_target=1, x_target=[[2.0]])
+        val = continuous_fit(table, DesignSpec((0,))).c(1.0)[2]
         assert val == pytest.approx(1e-6)
+
+
+def binary_recipe(design, a_design=None):
+    """Binary nuisances with ``design`` for g and p."""
+    return NuisanceRecipe(outcome="binary", loss=BRIER, p_design=design, g_design=design,
+                          a_design=a_design)
+
+
+def offset(table, design):
+    """The moment-fitted selection offset on every row of ``table``, as a
+    function of eta."""
+    return binary_recipe(INTERCEPT_ONLY, a_design=design).fit(table).a
 
 
 class TestFitAGmm:
@@ -308,21 +345,26 @@ class TestFitAGmm:
         rng = np.random.default_rng(5)
         for trial in range(50):
             table = self._table(rng)
+            a_of = offset(table, INTERCEPT_ONLY)
             for eta in (-1.0, 0.0, 1.0):
-                fit = fit_a_gmm(INTERCEPT_ONLY, table, TiltSpec(eta))
+                a = a_of(eta)
                 w = np.exp(eta * table.y[table.s == 1])
                 expected = math.log(table.n0 / w.sum())
-                assert abs(fit.theta[0] - expected) < 1e-10
+                assert np.all(np.abs(a - expected) < 1e-10)
 
     def test_eta_zero_log_odds_of_strata(self, rng):
         table = self._table(rng)
-        fit = fit_a_gmm(INTERCEPT_ONLY, table, TiltSpec(0.0))
-        assert fit.theta[0] == pytest.approx(math.log(table.n0 / table.n1), abs=1e-10)
+        a = offset(table, INTERCEPT_ONLY)(0.0)
+        assert a[0] == pytest.approx(math.log(table.n0 / table.n1), abs=1e-10)
 
     def test_moment_norm_invariant(self, rng):
         table = self._table(rng)
-        fit = fit_a_gmm(DesignSpec((0, 1)), table, TiltSpec(0.5))
-        assert fit.moment_norm < 1e-8
+        eta = 0.5
+        a = offset(table, DesignSpec((0, 1)))(eta)
+        src = table.s == 1
+        d = np.column_stack([np.ones(table.n), table.x])
+        resid = np.where(src, np.exp(a + eta * np.where(src, table.y, 0.0)), 0.0) - ~src
+        assert np.max(np.abs(d.T @ resid / table.n)) < 1e-8
 
     def test_empty_stratum_rejected(self, rng):
         # nested cohorts may lack target rows, but the moment fit needs both
@@ -330,8 +372,9 @@ class TestFitAGmm:
         y = (rng.random(20) < 0.5).astype(float)
         model = PredictionModel(coefficients=(0.0, 0.5), xstar_columns=(0,))
         table = build_table(np.ones(20, dtype=int), x, y, model, BRIER, "nested")
+        nuis = binary_recipe(INTERCEPT_ONLY, a_design=INTERCEPT_ONLY).fit(table)
         with pytest.raises(DataError):
-            fit_a_gmm(INTERCEPT_ONLY, table, TiltSpec(0.5))
+            nuis.a(0.5)
 
     def test_recovers_true_offset_on_saturated_design(self):
         # single binary covariate: the linear family contains the truth
@@ -347,20 +390,20 @@ class TestFitAGmm:
         model = PredictionModel(coefficients=(0.0, 0.5), xstar_columns=(0,))
         table = build_table(s, x, y, model, BRIER, "non-nested")
         eta = 0.7
-        fit = fit_a_gmm(DesignSpec((0,)), table, TiltSpec(eta))
+        a = offset(table, DesignSpec((0,)))(eta)
         for xv in (0.0, 1.0):
             pv = expit(0.3 + 0.9 * xv)
             gv = expit(-0.5 + 1.1 * xv)
             cv = math.exp(eta) * gv + 1 - gv
             a_true = selection_a(pv, cv)
-            a_hat = fit.predict(np.array([[xv]]))[0]
+            a_hat = a[np.flatnonzero(x[:, 0] == xv)[0]]
             assert a_hat == pytest.approx(a_true, abs=0.05)
 
 
 class TestBinaryNuisanceBundle:
     def test_closed_forms_consistent_with_g(self, rng):
         table = random_binary_table(rng, n=300)
-        nuis = fit_binary_nuisances(table, DesignSpec((0, 1)), DesignSpec((0, 1)), BRIER)
+        nuis = binary_recipe(DesignSpec((0, 1))).fit(table)
         g = nuis.g
         eta = 0.8
         from tiltrisk.tilt import binary_b, binary_c, eval_loss
@@ -373,7 +416,7 @@ class TestBinaryNuisanceBundle:
 
     def test_p_clipped(self, rng):
         table = random_binary_table(rng, n=300)
-        nuis = fit_binary_nuisances(table, DesignSpec(()), DesignSpec(()), BRIER)
+        nuis = binary_recipe(INTERCEPT_ONLY).fit(table)
         p = nuis.p
         assert np.all(p >= 0.01) and np.all(p <= 0.99)
 

@@ -100,7 +100,7 @@ class TestGenerate:
         sim = generate(spec, seed=5)
         x_tgt = sim.table.x[sim.table.s == 0]
         fit = fit_logistic(DesignSpec((0, 1)), x_tgt, sim.target_y)
-        fitted = fit.predict(x_tgt)
+        fitted = expit(fit.design.matrix(x_tgt) @ fit.coefficients)
         truth = tilted_bernoulli(spec.g(x_tgt), spec.eta_true)
         assert np.mean(np.abs(fitted - truth)) < 0.02
 
