@@ -12,6 +12,8 @@ read; ``to_dict`` echoes them into the report.
 
 from __future__ import annotations
 
+import numbers
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
@@ -41,24 +43,44 @@ class BasisConfig:
         """Accept 'linear', 'spline', 'spline:3:2' or a mapping."""
         if isinstance(v, BasisConfig):
             return v
-        if isinstance(v, dict):
-            return cls(
-                kind=v.get("kind", "linear"),
-                degree=int(v.get("degree", 3)),
-                interior_knots=int(v.get("interior_knots", 2)),
-            )
-        if isinstance(v, str):
-            parts = v.split(":")
-            if parts[0] == "linear" and len(parts) == 1:
-                return cls("linear")
-            if parts[0] == "spline":
-                degree = int(parts[1]) if len(parts) > 1 else 3
-                knots = int(parts[2]) if len(parts) > 2 else 2
-                return cls("spline", degree, knots)
+        try:
+            if isinstance(v, dict):
+                return cls(
+                    kind=v.get("kind", "linear"),
+                    degree=int(v.get("degree", 3)),
+                    interior_knots=int(v.get("interior_knots", 2)),
+                )
+            if isinstance(v, str):
+                parts = v.split(":")
+                if parts[0] == "linear" and len(parts) == 1:
+                    return cls("linear")
+                if parts[0] == "spline" and len(parts) <= 3:
+                    degree = int(parts[1]) if len(parts) > 1 else 3
+                    knots = int(parts[2]) if len(parts) > 2 else 2
+                    return cls("spline", degree, knots)
+        except (TypeError, ValueError):
+            pass
         raise ConfigError(f"cannot parse basis spec {v!r}")
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "degree": self.degree, "interior_knots": self.interior_knots}
+
+
+def _entries(value, key: str, fits, what: str) -> tuple:
+    """The list ``value`` as a tuple, each entry checked by ``fits``."""
+    if (isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable)
+            or not all(fits(v) for v in value)):
+        raise ConfigError(f"{key} must be a list of {what}, got {value!r}")
+    return tuple(value)
+
+
+def _names(value, key: str) -> tuple:
+    return _entries(value, key, lambda v: isinstance(v, str), "column names")
+
+
+def _numbers(value, key: str) -> tuple:
+    numbers_only = lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+    return tuple(float(v) for v in _entries(value, key, numbers_only, "numbers"))
 
 
 def _library_object(cls, key: str, value, **given):
@@ -108,7 +130,9 @@ class AnalysisConfig:
             raise ConfigError("estimator 'aug-alt' applies to non-nested designs only")
         if not self.x_columns:
             raise ConfigError("x_columns must be nonempty")
-        xstar = tuple(self.x_columns if self.xstar_columns is None else self.xstar_columns)
+        object.__setattr__(self, "x_columns", _names(self.x_columns, "x_columns"))
+        xstar = (self.x_columns if self.xstar_columns is None
+                 else _names(self.xstar_columns, "xstar_columns"))
         missing = [c for c in xstar if c not in self.x_columns]
         if missing:
             raise ConfigError(f"xstar_columns not contained in x_columns: {missing}")
@@ -120,26 +144,27 @@ class AnalysisConfig:
         if (self.eta_grid is None) == (self.anchor is None):
             raise ConfigError("provide exactly one of eta_grid or anchor")
         if self.eta_grid is not None:
-            grid = [float(e) for e in self.eta_grid]
-            if sorted(grid) != grid or not grid:
+            grid = _numbers(self.eta_grid, "eta_grid")
+            if sorted(grid) != list(grid) or not grid:
                 raise ConfigError("eta_grid must be a nonempty ascending list")
-            object.__setattr__(self, "eta_grid", tuple(grid))
+            object.__setattr__(self, "eta_grid", grid)
         outcome = self.outcome or ("binary" if self.loss == "brier" else "continuous")
         if outcome not in ("binary", "continuous"):
             raise ConfigError("outcome must be 'binary' or 'continuous'")
         object.__setattr__(self, "outcome", outcome)
         if self.anchor is not None and outcome != "binary":
             raise ConfigError("prevalence anchoring is supported for binary outcomes only")
+        if self.seed is not None and (isinstance(self.seed, bool)
+                                      or not isinstance(self.seed, numbers.Integral)):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.fit_split is not None and self.seed is None:
             raise ConfigError("seed is required for fit-split")
         if self.resample is not None and self.resample.seed != self.seed:
             raise ConfigError(f"resample seed {self.resample.seed!r} differs from the "
                               f"config seed {self.seed!r}")
-        object.__setattr__(self, "x_columns", tuple(self.x_columns))
         if self.model_coefficients is not None:
-            object.__setattr__(
-                self, "model_coefficients", tuple(float(c) for c in self.model_coefficients)
-            )
+            object.__setattr__(self, "model_coefficients",
+                               _numbers(self.model_coefficients, "model_coefficients"))
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnalysisConfig":

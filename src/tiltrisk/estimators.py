@@ -295,28 +295,64 @@ def _drawn_rows(table: ObservationTable, fits: NuisanceRows, r: int) -> tuple:
 
 
 def _replicate_terms(table: ObservationTable, fits: NuisanceRows, r: int, eta: np.ndarray,
-                     estimator: str, drawn=None) -> np.ndarray:
+                     estimator: str, drawn=None, coef=None) -> np.ndarray:
     """Estimates of replicate r of ``fits`` at a (K, 1) eta column: the
     kernel's terms on the rows the replicate draws (``drawn``, from
     ``_drawn_rows``), summed with their counts.  Equals the estimate on the
-    table holding each row that many times."""
+    table holding each row that many times.  ``coef`` holds a continuous
+    fit's b and c coefficients at eta (``NuisanceRows.solve``; c None where
+    the estimator needs none), else they are solved here."""
     cnt = fits.counts[r]
     tgt, src, forms = drawn or _drawn_rows(table, fits, r)
-    a_src = lambda: fits.a(eta, r, src)
+    b_beta, c_beta = coef or (None, None)
+    a_src = lambda: fits.a(eta, r, src, c_beta)
     weight = None
     if forms is not None:
         b_t, b_s, weight = _closed_form_terms(forms, eta, estimator, a_src)
     elif estimator == "cl":
-        b_t, b_s = fits.b(eta, r, tgt)[0], None
+        b_t, b_s = fits.b(eta, r, tgt, beta=b_beta)[0], None
     else:
-        b_t, b_s = fits.b(eta, r, tgt, src)
+        b_t, b_s = fits.b(eta, r, tgt, src, beta=b_beta)
         weight = _source_weight(estimator, table.y[src], eta, fits.q, fits.p[r, src],
-                                lambda: fits.c(eta, r, src), a_src)
+                                lambda: fits.c(eta, r, src, c_beta), a_src)
     nested = table.design == "nested"
     r_t, r_s = _kernel(nested, b_t, b_s, weight, table.loss[src])
     c_t, c_s = cnt[tgt], cnt[src]
     return ((r_t * c_t).sum(axis=-1) + _sum(r_s, c_s)) \
         / (c_t.sum() + c_s.sum() if nested else c_t.sum())
+
+
+def _replicate_rows(table: ObservationTable, fits: NuisanceRows, group: list,
+                    grid: np.ndarray, estimator: str) -> list:
+    """Replicates ``group`` (indices into ``fits``) at every grid point: per
+    replicate one entry per point, its estimate or the numeric failure the
+    point raised.  The grid goes in blocks of ``_block_step`` points.  For
+    continuous fits each block first solves b, and c where the estimator
+    needs it, for the whole group at once (``NuisanceRows.solve``); a point
+    whose solve failed fails alone, and the other points keep their
+    coefficients."""
+    step = _block_step(table)
+    drawn = [_drawn_rows(table, fits, i) for i in group]
+    parts = ("b", "c") if estimator == "aug" or (estimator == "aug-alt"
+                                                  and fits.derived_a) else ("b",)
+    rows = [[] for _ in group]
+    for lo in range(0, grid.size, step):
+        eta = grid[lo:lo + step, None]
+        solved = None if fits.g is not None else fits.solve(eta, group, parts)
+        for j, i in enumerate(group):
+            def evaluate(idx):
+                coef = None
+                if solved is not None:
+                    b, c, failed = solved
+                    exc = next((e for e in failed[j, idx] if e is not None), None)
+                    if exc is not None:
+                        raise exc
+                    coef = (b[j, idx], None if c is None else c[j, idx])
+                return list(_replicate_terms(table, fits, i, eta[idx], estimator, drawn[j],
+                                             coef))
+
+            rows[j] += _blocks(evaluate, np.arange(eta.shape[0]), step)
+    return rows
 
 
 def _failure_counts(names) -> str:
@@ -339,6 +375,13 @@ def _replicate_matrix(table: ObservationTable, recipe, grid: np.ndarray, estimat
     coefficients makes those arrays k/4 times larger.  A replicate that
     lacks a stratum the design needs fails like the table it stands for
     (``resampling.leave_one_out_failure``, ``resampling.check_usable``).
+
+    A chunk's usable replicates are swept in batches of max(1, _BLOCK_CELLS
+    // Kn), K the points of a grid block, so the batch's (replicates, K, n)
+    arrays stay at the block size; a batch of continuous fits solves b and
+    c of all its replicates at each block at once (``_replicate_rows``).
+    Every solved item passes the normal-equation check of the one-replicate
+    solve, which re-solves any item that does not (``NuisanceRows.solve``).
     """
     from .resampling import (check_usable, jackknife_size, leave_one_out_failure,
                              replicate_counts)
@@ -347,31 +390,34 @@ def _replicate_matrix(table: ObservationTable, recipe, grid: np.ndarray, estimat
     n_reps = jackknife_size(table) if jackknife else resample.replicates
     est = np.full((n_reps, grid.size), np.nan)
     why = np.full((n_reps, grid.size), None, dtype=object)
-    step = _block_step(table)
     chunk = max(1, _BLOCK_CELLS // (4 * table.n))
+    batch = max(1, _BLOCK_CELLS // (min(_block_step(table), grid.size) * table.n))
     unusable = 0
     for lo in range(0, n_reps, chunk):
         reps = range(lo, min(n_reps, lo + chunk))
         fits = recipe.fit_counts(table, replicate_counts(table, resample, reps))
+        usable = []
         for i, rep in enumerate(reps):
             exc = fits.errors[i]
-            if exc is not None:
-                if fits.lacks_stratum[i]:
-                    if jackknife:
-                        raise leave_one_out_failure(rep, exc) from exc
-                    unusable += 1
-                why[rep] = type(exc).__name__
+            if exc is None:
+                usable.append(i)
                 continue
-            drawn = _drawn_rows(table, fits, i)
-            row = _blocks(lambda block: list(_replicate_terms(table, fits, i, block[:, None],
-                                                              estimator, drawn)), grid, step)
-            for j, out in enumerate(row):
-                if isinstance(out, Exception):
-                    why[rep, j] = type(out).__name__
-                elif np.isfinite(out):
-                    est[rep, j] = out
-                else:
-                    why[rep, j] = "non-finite"
+            if fits.lacks_stratum[i]:
+                if jackknife:
+                    raise leave_one_out_failure(rep, exc) from exc
+                unusable += 1
+            why[rep] = type(exc).__name__
+        for b_lo in range(0, len(usable), batch):
+            group = usable[b_lo:b_lo + batch]
+            for i, row in zip(group, _replicate_rows(table, fits, group, grid, estimator)):
+                rep = reps[i]
+                for j, out in enumerate(row):
+                    if isinstance(out, Exception):
+                        why[rep, j] = type(out).__name__
+                    elif np.isfinite(out):
+                        est[rep, j] = out
+                    else:
+                        why[rep, j] = "non-finite"
     check_usable(n_reps - unusable)
     return est, why
 

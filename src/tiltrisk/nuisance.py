@@ -11,7 +11,8 @@ table's rows, and ``recipe.fit_counts(table, counts)`` gives
   ``fit_logistic`` for one logistic model on given rows);
 * for binary outcomes, b and c in closed form from g; for continuous ones,
   the tilted conditional risk b and the tilted normalizer c by (weighted)
-  least squares on the source rows, solved per eta;
+  least squares on the source rows, solved for many replicates and etas
+  at once;
 * the selection offset a(X, theta; eta), implied by p and c, or fitted by
   a just-identified method of moments on an ``a_design``.
 
@@ -40,6 +41,7 @@ from .errors import (
     RankDeficientError,
 )
 from .tilt import (
+    _LOG_MAX,
     BinaryTilt,
     LossFunction,
     TiltSpec,
@@ -53,6 +55,9 @@ from .tilt import (
 
 P_CLIP = (0.01, 0.99)     # positivity clip applied to p(X) before weighting
 C_FLOOR = 1e-6            # lower clip keeping fitted normalizers positive
+# b's stacked solve takes a replicate's tilt weights up to this ratio on its
+# drawn rows, which bounds the condition number of its k x k equations
+_LOG_SPREAD = float(np.log(1e4))
 GLM_PROB_CLIP = (1e-8, 1.0 - 1e-8)
 _TINY = np.finfo(np.float64).tiny
 
@@ -204,14 +209,27 @@ def _pivoted_diagonal(r: np.ndarray) -> tuple:
     return diag, piv
 
 
-def _rank_errors(d_fit: np.ndarray, counts: np.ndarray, names: list) -> list:
+def _r_factors(d_fit: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The (G, k, k) R factors of sqrt(counts) * d for G replicates' fit
+    rows, by one unpivoted numpy QR; zero rows pad a factor of fewer fit
+    rows than columns.  ``d_fit`` is the (k, m) transposed design, shared,
+    or a (G, k, m) stack; ``counts`` the (G, m) row counts."""
+    k = d_fit.shape[-2]
+    r = np.linalg.qr(np.swapaxes(d_fit * np.sqrt(counts)[:, None, :], -1, -2), mode="r")
+    if r.shape[-2] < k:  # fewer fit rows than columns
+        r = np.concatenate([r, np.zeros((len(r), k - r.shape[-2], k))], axis=-2)
+    return r
+
+
+def _rank_errors(d_fit: np.ndarray, counts: np.ndarray, names: list, r=None) -> list:
     """The exact rank check of G replicates' fit rows, each row taken
     ``counts`` times: per replicate None, or a RankDeficientError naming
     the columns past its rank.
 
     ``d_fit`` is the (k, m) transposed design on the fit rows, shared, or a
     (G, k, m) stack; ``counts`` the (G, m) row counts; ``names`` each
-    replicate's column names.
+    replicate's column names; ``r``, when given, their ``_r_factors``,
+    which the check overwrites.
 
     The rank is that of a column-pivoted QR of the rows repeated by count,
     at tolerance max(rows, k) * eps * max |diag| (rows counted with
@@ -221,9 +239,7 @@ def _rank_errors(d_fit: np.ndarray, counts: np.ndarray, names: list) -> list:
     would, since the norms of the trailing columns do not change under Q.
     """
     k = d_fit.shape[-2]
-    r = np.linalg.qr(np.swapaxes(d_fit * np.sqrt(counts)[:, None, :], -1, -2), mode="r")
-    if r.shape[-2] < k:  # fewer fit rows than columns
-        r = np.concatenate([r, np.zeros((len(r), k - r.shape[-2], k))], axis=-2)
+    r = _r_factors(d_fit, counts) if r is None else r
     diag, piv = _pivoted_diagonal(r)
     tol = (np.maximum(counts.sum(axis=1), k) * np.finfo(np.float64).eps
            * np.max(diag, axis=1, initial=0.0))
@@ -285,8 +301,9 @@ def _replicate_designs(design: DesignSpec, x: np.ndarray, fit, counts: np.ndarra
     rows (``_rank_errors``, one call per group).  ``fit`` is ``slice(None)``
     (every row) or an index array.
 
-    Returns groups (replicates, one built design per replicate, d_fit),
-    d_fit the group's ``_group_matrix`` on the fit rows.  The callers that
+    Returns groups (replicates, one built design per replicate, d_fit,
+    R), d_fit the group's ``_group_matrix`` on the fit rows and R the
+    (G, k, k) ``_r_factors`` of its count-weighted fit rows.  The callers that
     need the design on every row get it from ``_every_row`` after their
     fit, so a fit on the source rows never holds both.  A replicate that
     fails records its exception in ``errors``; with ``min_rows`` a
@@ -314,7 +331,8 @@ def _replicate_designs(design: DesignSpec, x: np.ndarray, fit, counts: np.ndarra
     for builts, reps in keyed.values():
         d_fit = _group_matrix(builts, x_fit)
         k = d_fit.shape[-2]
-        failed = _rank_errors(d_fit, cnt_fit[reps], [b.names for b in builts])
+        r_fit = _r_factors(d_fit, cnt_fit[reps])
+        failed = _rank_errors(d_fit, cnt_fit[reps], [b.names for b in builts], r_fit.copy())
         keep = []
         for i, r in enumerate(reps):
             if min_rows and cnt_fit[r].sum() < k + 1:
@@ -325,19 +343,20 @@ def _replicate_designs(design: DesignSpec, x: np.ndarray, fit, counts: np.ndarra
                 errors[r] = failed[i]
         if keep:
             groups.append((np.asarray(reps)[keep], [builts[i] for i in keep],
-                           _per_replicate(d_fit, keep)))
+                           _per_replicate(d_fit, keep), r_fit[keep]))
     return groups
 
 
 def _design_by_replicate(design: DesignSpec, x: np.ndarray, fit, counts: np.ndarray,
                          errors: list) -> list:
     """Each replicate's (built design, (k, n) transposed matrix on every
-    row of ``x``) from ``_replicate_designs``, None where it failed."""
+    row of ``x``, (k, k) R factor of its count-weighted fit rows) from
+    ``_replicate_designs``, None where it failed."""
     out = [None] * counts.shape[0]
-    for reps, builts, d_fit in _replicate_designs(design, x, fit, counts, errors):
+    for reps, builts, d_fit, r_fit in _replicate_designs(design, x, fit, counts, errors):
         dT = _every_row(builts, x, fit, d_fit)
         for i, r in enumerate(reps):
-            out[r] = (builts[i], _per_replicate(dT, i))
+            out[r] = (builts[i], _per_replicate(dT, i), r_fit[i])
     return out
 
 
@@ -456,8 +475,8 @@ def _fit_logistic_rows(design: DesignSpec, x: np.ndarray, fit, targets: np.ndarr
             errors[r] = errors[r] or DomainError("logistic targets must be binary 0/1")
     fitted = []   # (replicates, probabilities): the (R, n) array is not held through IRLS
     fits = [None] * n_reps
-    for reps, builts, d_fit in _replicate_designs(design, x, fit, counts, errors,
-                                                  min_rows=True):
+    for reps, builts, d_fit, _ in _replicate_designs(design, x, fit, counts, errors,
+                                                     min_rows=True):
         w = w_case[reps]
         n_grp, k = len(reps), d_fit.shape[-2]
         if k == 1 and builts[0].terms[0][0] == "const":
@@ -517,14 +536,20 @@ def _wls_coefficients(dT: np.ndarray, response, weights) -> np.ndarray:
     transposed design, one row per row of a (K, m) ``response`` or
     ``weights``, each solved alike for any K: through the QR factors of
     diag(sqrt(w)) d, one factorization per weight row (an (m,) ``weights``
-    is shared by every response).  The normal equations are verified for
-    every row."""
+    is shared by every response).  The rows go in decreasing weight, which
+    keeps a Householder QR accurate however far the weights spread (tilt
+    weights at |eta| >= 30 span hundreds of orders of magnitude).  The
+    normal equations are verified for every row."""
     dT = np.ascontiguousarray(dT)
     response = np.asarray(response, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     root = np.sqrt(w)
-    q, r = np.linalg.qr(np.swapaxes(dT * root[..., None, :], -1, -2))
-    beta = np.linalg.solve(r, _project(np.swapaxes(q, -1, -2), response * root)[..., None])
+    order = np.argsort(-root, axis=-1, kind="stable")
+    rows = np.take_along_axis(dT * root[..., None, :], order[..., None, :], axis=-1)
+    rhs = response * root
+    rhs = np.take_along_axis(rhs, np.broadcast_to(order, rhs.shape), axis=-1)
+    q, r = np.linalg.qr(np.swapaxes(rows, -1, -2))
+    beta = np.linalg.solve(r, _project(np.swapaxes(q, -1, -2), rhs)[..., None])
     beta = beta[..., 0]
     grad = np.max(np.abs(_project(dT, w * (response - _values(dT, beta)))), axis=-1)
     bad = grad > 1e-8 * np.maximum(1.0, np.max(np.abs(_project(dT, w * response)), axis=-1))
@@ -534,6 +559,57 @@ def _wls_coefficients(dT: np.ndarray, response, weights) -> np.ndarray:
             f"{np.max(grad, where=bad, initial=0.0):.3g}"
         )
     return beta
+
+
+def _tilted_wls(dT: np.ndarray, r_inv: np.ndarray, counts: np.ndarray, tilt: np.ndarray,
+                response=None) -> tuple:
+    """Weighted least squares of G replicates at K tilts at once: (G, K, k)
+    coefficients and a (G, K) mask of the items whose normal equations pass
+    ``_wls_coefficients``'s check (a singular or non-finite item fails it).
+
+    ``dT`` is the (k, m) transposed design on the fit rows, shared, or a
+    (G, k, m) stack; ``r_inv`` the (G, k, k) inverses of the ``_r_factors``
+    R of sqrt(counts) d, so D = d R^-1 has D' diag(counts) D = I; ``counts``
+    the (G, m) row counts and ``tilt`` the (K, m) tilt weights t.
+
+    Without ``response`` this is c, t regressed on d with weights counts:
+    its coefficients are R^-1 D' diag(counts) t, with no solve.  With the
+    (m,) ``response`` L it is b, weights counts * t: each item solves the
+    k x k normal equations of D, D' diag(counts t) D B = D' diag(counts t) L,
+    and the coefficients are R^-1 B.  D carries the design's conditioning,
+    so only the spread of the tilt weights is left in the solve.
+    """
+    k = r_inv.shape[-1]
+    dT = np.ascontiguousarray(dT)
+    d_item = dT if dT.ndim == 2 else dT[:, None]  # each item's design, broadcast over K
+    pT = (np.swapaxes(r_inv, -1, -2) @ dT)[:, None]  # D', (G, 1, k, m)
+    r_inv = r_inv[:, None]
+    w = counts[:, None] * tilt
+    ok = np.ones(w.shape[:2], dtype=bool)
+
+    def residual(beta):
+        fitted = _values(d_item, beta)
+        return counts[:, None] * (tilt - fitted) if response is None else w * (response - fitted)
+
+    if response is None:
+        target = w
+        solve = lambda v: v
+    else:
+        target = w * response
+        gram = _gram(pT, w).reshape(-1, k, k)
+
+        def solve(v):
+            out, singular = _solve(gram, v.reshape(-1, k))
+            ok[singular.reshape(ok.shape)] = False
+            return out.reshape(v.shape)
+
+    beta = (r_inv @ solve(_project(pT, target))[..., None])[..., 0]
+    # one corrected step: D's rounding is cond(R) times eps, and the step
+    # takes it out of the coefficients
+    beta += (r_inv @ solve(_project(pT, residual(beta)))[..., None])[..., 0]
+    grad = np.max(np.abs(_project(d_item, residual(beta))), axis=-1)
+    scale = np.maximum(1.0, np.max(np.abs(_project(d_item, target)), axis=-1))
+    return beta, ok & (grad <= 1e-8 * scale) & np.isfinite(beta).all(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +764,15 @@ class NuisanceRows:
     ``ClosedForms`` gives b; ``b`` (continuous fits), ``c`` and ``a`` give
     one replicate's values at eta (a scalar or a (K, 1) column) on the
     given rows, each solved from that replicate's rows alone.
+
+    A continuous fit's b and c regressions are solved by ``solve`` for a
+    batch of replicates and a block of etas at once, with the R factors of
+    the rank check (``_tilted_wls``); ``b`` and ``c`` take those
+    coefficients, or solve their replicate alone by the same code.  Every
+    item passes the normal-equation check of ``_wls_coefficients``; an item
+    that does not, or whose tilt weights spread more than ``_LOG_SPREAD``
+    allows on the rows its replicate draws, is solved alone by
+    ``_wls_coefficients`` (``_source_fit``).
     """
 
     def __init__(self, table, counts, errors, lacks_stratum, p, fits, g=None, losses=None,
@@ -710,10 +795,16 @@ class NuisanceRows:
         """The entries of ``rows`` that replicate r draws at least once."""
         return rows[self.counts[r, rows] > 0]
 
+    @property
+    def derived_a(self) -> bool:
+        """Whether the selection offset a is implied by p and c (else it is
+        moment-fitted on an ``a_design``)."""
+        return self._a_designs is None
+
     def _source_fit(self, dT, r, eta, response=None) -> np.ndarray:
         """(K, k) or (k,) coefficients of replicate r's least-squares fit on
-        its source rows: the tilt-weighted losses (b) or, without a
-        response, the tilt weights themselves (c)."""
+        its source rows by ``_wls_coefficients``: the tilt-weighted losses
+        (b) or, without a response, the tilt weights themselves (c)."""
         t = self.table
         rows = self.rows_drawn(r, t.source_rows)
         tilt = np.asarray(tilt_weight(t.y[rows], TiltSpec(eta, self.q)), dtype=np.float64)
@@ -722,26 +813,107 @@ class NuisanceRows:
             return _wls_coefficients(dT[:, rows], tilt, cnt)
         return _wls_coefficients(dT[:, rows], response[rows], cnt * tilt)
 
-    def b(self, eta, r: int, *rows) -> list:
+    def solve(self, eta: np.ndarray, reps, parts=("b", "c")) -> tuple:
+        """Coefficients of a continuous fit's b and c (those named in
+        ``parts``) for the replicates ``reps`` at a (K, 1) eta column, solved
+        together (``_tilted_wls``): per part a (G, K, k) array, None for a
+        part not asked for, and the (G, K) failures, None where an item
+        solved (b's failure before c's).
+
+        The replicates share the tilt weights on the source rows; a row a
+        replicate does not draw weighs zero in its fit.  An item that fails
+        the normal-equation check, whose drawn rows overflow the tilt or,
+        for b, whose tilt weights on its drawn rows spread wider than
+        e^_LOG_SPREAD, is solved again alone by ``_source_fit``, and what
+        that raises is the item's failure.  Every item's products have the
+        same shapes in any batch, so its value does not depend on the batch
+        or the eta block.
+        """
+        t = self.table
+        src = t.source_rows
+        reps = list(reps)
+        spec = TiltSpec(eta, self.q)
+        qy = spec.apply_q(t.y[src])
+        z = spec.eta * qy
+        cnt = self.counts[reps][:, src]
+        drawn = cnt > 0
+        bad = ~(z <= _LOG_MAX)  # overflowing or not a number
+        if bad.any():  # weighs zero here; where a replicate draws it, _source_fit raises
+            z = np.where(bad, -np.inf, z)
+        tilt = np.exp(z)
+        failed = np.full((len(reps), eta.shape[0]), None, dtype=object)
+        out = {}
+        for part in parts:
+            designs = self._b_designs if part == "b" else self._c_designs
+            dTs = [designs[r][1] for r in reps]
+            dT = (dTs[0][:, src] if all(d is dTs[0] for d in dTs)
+                  else np.stack([d[:, src] for d in dTs]))
+            r_inv = np.linalg.inv(np.stack([designs[r][2] for r in reps]))
+            response = t.loss if part == "b" else None
+            beta, ok = _tilted_wls(dT, r_inv, cnt, tilt,
+                                   None if response is None else response[src])
+            if bad.any():
+                ok &= ~(bad[None] & drawn[:, None]).any(axis=-1)
+            if part == "b":  # the tilt's spread on the drawn rows bounds the solve's condition
+                qy_g = np.broadcast_to(qy, drawn.shape)
+                span = (np.max(qy_g, axis=-1, where=drawn, initial=-np.inf)
+                        - np.min(qy_g, axis=-1, where=drawn, initial=np.inf))
+                ok &= np.abs(eta[:, 0]) * span[:, None] <= _LOG_SPREAD
+            for g in np.flatnonzero(~ok.all(axis=1)):
+                self._solve_alone(beta[g], failed[g], np.flatnonzero(~ok[g]), dTs[g], reps[g],
+                                  eta, response)
+            out[part] = beta
+        return out.get("b"), out.get("c"), failed
+
+    def _solve_alone(self, beta, failed, items, dT, r, eta, response) -> None:
+        """Solve the ``items`` of replicate r's eta column by ``_source_fit``
+        into their rows of ``beta``, together and, if that fails, one at a
+        time; an item that still fails gets NaN and its exception in
+        ``failed`` (unless it holds one already)."""
+        try:
+            beta[items] = self._source_fit(dT, r, eta[items], response)
+            return
+        except NUMERIC_FAILURES:
+            pass
+        for j in items:
+            try:
+                beta[j] = self._source_fit(dT, r, eta[j:j + 1], response)[0]
+            except NUMERIC_FAILURES as exc:
+                beta[j] = np.nan
+                failed[j] = failed[j] or exc
+
+    def _solved(self, eta, r: int, part: str) -> np.ndarray:
+        """Replicate r's coefficients of b or c at eta (a scalar or a (K, 1)
+        column), solved alone; raises the first failure."""
+        b, c, failed = self.solve(np.reshape(eta, (-1, 1)), [r], (part,))
+        exc = next((e for e in failed[0] if e is not None), None)
+        if exc is not None:
+            raise exc
+        return (b if part == "b" else c)[0].reshape(np.shape(eta)[:-1] + (-1,))
+
+    def b(self, eta, r: int, *rows, beta=None) -> list:
         """Tilted conditional risk of replicate r on each of ``rows``, from
-        the regression of continuous fits (binary fits: ``ClosedForms``)."""
+        the regression of continuous fits (binary fits: ``ClosedForms``);
+        ``beta`` gives its coefficients at eta, from ``solve``."""
         dT = self._b_designs[r][1]
-        beta = self._source_fit(dT, r, eta, self.table.loss)
+        beta = self._solved(eta, r, "b") if beta is None else beta
         return [_values(dT[:, i], beta) for i in rows]
 
-    def c(self, eta, r: int, rows) -> np.ndarray:
-        """Tilted normalizer of replicate r on ``rows``."""
+    def c(self, eta, r: int, rows, beta=None) -> np.ndarray:
+        """Tilted normalizer of replicate r on ``rows``; ``beta`` as in ``b``."""
         if self.g is not None:
             return np.asarray(binary_c(self.g[r, rows], eta))
         dT = self._c_designs[r][1]
-        return np.maximum(_values(dT[:, rows], self._source_fit(dT, r, eta)), C_FLOOR)
+        beta = self._solved(eta, r, "c") if beta is None else beta
+        return np.maximum(_values(dT[:, rows], beta), C_FLOOR)
 
-    def a(self, eta, r: int, rows) -> np.ndarray:
+    def a(self, eta, r: int, rows, c_beta=None) -> np.ndarray:
         """Selection offset of replicate r on ``rows``: a moment fit per eta on
-        the rows it draws, or the offset implied by p and c."""
+        the rows it draws, or the offset implied by p and c (``c_beta`` as
+        in ``c``)."""
         if self._a_designs is None:
-            return np.asarray(selection_a(self.p[r, rows], self.c(eta, r, rows)))
-        built, dT = self._a_designs[r]
+            return np.asarray(selection_a(self.p[r, rows], self.c(eta, r, rows, c_beta)))
+        built, dT, _ = self._a_designs[r]
         t = self.table
         drawn = self.rows_drawn(r, np.arange(t.n))
         d_drawn, src, y, cnt = dT[:, drawn], t.s[drawn] == 1, t.y[drawn], self.counts[r, drawn]

@@ -44,26 +44,43 @@ def _random_setup(seed: int):
     return table, nuis
 
 
-def _replicates_match_take(table, seed: int) -> float:
+def _continuous_table(seed: int):
+    rng = np.random.default_rng(seed + 1)
+    n = 120
+    x = rng.uniform(-1, 1, (n, 2))
+    s = np.r_[np.ones(n // 2, dtype=int), np.zeros(n - n // 2, dtype=int)]
+    y = np.where(s == 1, 0.5 + x @ np.array([1.0, -0.5]) + 0.3 * rng.normal(size=n), np.nan)
+    model = PredictionModel(coefficients=(0.4, 0.9, -0.4), link="identity",
+                            xstar_columns=(0, 1))
+    return build_table(s, x, y, model, LossFunction("squared-error"), "non-nested")
+
+
+def _replicates_match_take(table, recipe: NuisanceRecipe, seed: int) -> float:
     """Largest |difference| between the count-weighted fit and sweep of a
     bootstrap replicate and of a leave-one-out replicate and the refit of
-    the same replicate built with ``take``."""
-    recipe = NuisanceRecipe(outcome="binary", loss=LossFunction("brier"),
-                            p_design=DesignSpec((0, 1)), g_design=DesignSpec((0, 1)))
+    the same replicate built with ``take`` (NaN if a point fails).  A
+    continuous recipe solves b and c of both replicates together."""
     boot = ResampleConfig(replicates=2, seed=seed)
     counts = np.vstack([replicate_counts(table, boot, [1]),
                         replicate_counts(table, ResampleConfig(method="jackknife"), [5])])
     fits = recipe.fit_counts(table, counts)
     etas = np.array([[-0.7], [0.0], [0.9]])
-    worst = 0.0
+    solved = None if fits.g is not None else fits.solve(etas, [0, 1])
+    diffs = []
     for r, idx in enumerate((resample_indices(table, 1, seed, boot.resolve_stratified(table)),
                              np.delete(np.arange(table.n), 5))):
         t = table.take(idx)
         taken = recipe.fit(t)
-        weighted = _replicate_terms(table, fits, r, etas, "aug")
-        for eta, value in zip(etas[:, 0], weighted):
-            worst = max(worst, abs(value - estimate(t, taken, float(eta), "aug").estimate))
-    return worst
+        coef = None
+        if solved is not None:
+            b, c, failed = solved
+            if any(exc is not None for exc in failed[r]):
+                return float("nan")
+            coef = (b[r], c[r])
+        weighted = _replicate_terms(table, fits, r, etas, "aug", coef=coef)
+        diffs += [abs(value - estimate(t, taken, float(eta), "aug").estimate)
+                  for eta, value in zip(etas[:, 0], weighted)]
+    return float(np.max(diffs))
 
 
 def run_selftest(seed: int = 0) -> bool:
@@ -101,9 +118,18 @@ def run_selftest(seed: int = 0) -> bool:
         abs(eta_from_prevalence_nonnested(table, nuis.g, mu) - 0.8) < 1e-8,
     )
 
+    cols = DesignSpec((0, 1))
+    binary = NuisanceRecipe(outcome="binary", loss=LossFunction("brier"), p_design=cols,
+                            g_design=cols)
     record(
-        "weighted bootstrap and jackknife replicates match take() refits",
-        _replicates_match_take(table, seed) < 1e-10,
+        "weighted bootstrap and jackknife replicates match take() refits (binary)",
+        _replicates_match_take(table, binary, seed) < 1e-10,
+    )
+    continuous = NuisanceRecipe(outcome="continuous", loss=LossFunction("squared-error"),
+                                p_design=cols, b_design=cols, c_design=cols)
+    record(
+        "weighted bootstrap and jackknife replicates match take() refits (continuous)",
+        _replicates_match_take(_continuous_table(seed), continuous, seed) < 1e-10,
     )
 
     ok = all(checks)

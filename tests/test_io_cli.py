@@ -166,6 +166,20 @@ BAD_CONFIGS = [
     (dict(resample={"method": "bootstrap"}, seed="x"), "seed must be an integer"),
 ]
 
+# malformed values of the other keys, each with a phrase of its message
+BAD_VALUES = [
+    (dict(eta_grid=["a"]), "eta_grid must be a list of numbers"),
+    (dict(eta_grid=0.5), "eta_grid must be a list of numbers"),
+    (dict(eta_grid=[True]), "eta_grid must be a list of numbers"),
+    (dict(model_coefficients=["a", 1, 2]), "model_coefficients must be a list of numbers"),
+    (dict(g_basis="spline:x"), "cannot parse basis spec"),
+    (dict(p_basis={"kind": "spline", "degree": "x"}), "cannot parse basis spec"),
+    (dict(x_columns="ab"), "x_columns must be a list of column names"),
+    (dict(xstar_columns="age"), "xstar_columns must be a list of column names"),
+    (dict(seed="x", fit_split=0.5, model_coefficients=None), "seed must be an integer"),
+    (dict(seed=1.5), "seed must be an integer"),
+]
+
 
 class TestConfigValidation:
     def test_unknown_keys_rejected(self, tmp_path):
@@ -190,6 +204,11 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("overrides, match", BAD_CONFIGS)
     def test_bad_anchor_or_resample(self, tmp_path, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            toy_config(tmp_path, **overrides)
+
+    @pytest.mark.parametrize("overrides, match", BAD_VALUES)
+    def test_bad_value(self, tmp_path, overrides, match):
         with pytest.raises(ConfigError, match=match):
             toy_config(tmp_path, **overrides)
 
@@ -415,6 +434,19 @@ class TestCli:
             {k: v for k, v in cfg.items() if v is not None}))
         assert cli_main(["analyze", "--config", str(tmp_path / "cfg.json")]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("overrides, match", BAD_VALUES)
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, overrides, match):
+        write_toy(tmp_path)
+        cfg = dict(data_path=str(tmp_path / "toy.csv"), design="non-nested", loss="brier",
+                   x_columns=["age", "severity"], model_coefficients=[0.1, 0.4, -0.2],
+                   eta_grid=[0.0], out_dir=str(tmp_path / "out"))
+        cfg.update(overrides)
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {k: v for k, v in cfg.items() if v is not None}))
+        assert cli_main(["analyze", "--config", str(tmp_path / "cfg.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ("analyze", "eta-range"))
     @pytest.mark.parametrize("flags", [

@@ -18,9 +18,18 @@ from tiltrisk.errors import (
     DataError,
     DomainError,
     RankDeficientError,
+    TiltOverflowError,
 )
-from tiltrisk.nuisance import DesignSpec, NuisanceRecipe, _rank_errors, fit_logistic
-from tiltrisk.tilt import LossFunction, PredictionModel, selection_a
+from tiltrisk import nuisance
+from tiltrisk.nuisance import (
+    DesignSpec,
+    NuisanceRecipe,
+    NuisanceRows,
+    _rank_errors,
+    _wls_coefficients,
+    fit_logistic,
+)
+from tiltrisk.tilt import LossFunction, PredictionModel, TiltSpec, selection_a, tilt_weight
 
 from conftest import BRIER, random_binary_table
 
@@ -459,3 +468,119 @@ class TestContinuousBundle:
         c0 = nuis.c(0.0)
         np.testing.assert_allclose(c0, 1.0, atol=1e-10)
         assert np.all(nuis.c(1.0) >= 1e-6)
+
+
+FAR_ETAS = np.array([-40.0, -31.0, -30.0, -1.0, 0.0, 0.7, 30.0, 31.0, 40.0])
+
+
+def stacked_case(counts_kind, basis, seed=31):
+    """A continuous nested table of 40 rows, 20 of them source rows, six
+    replicates' row counts of it (or the one full-table replicate) and
+    their fits."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (40, 2))
+    y = 0.5 + x[:, 0] - 0.5 * x[:, 1] + 0.3 * rng.normal(size=40)
+    table = continuous_table(x[:20], y[:20], n_target=20, x_target=x[20:], pred=(0.4, 0.9))
+    if counts_kind == "full":
+        counts = np.ones((1, table.n))
+    elif counts_kind == "jackknife":
+        counts = np.ones((6, table.n)) - np.eye(6, table.n, 3)
+    else:
+        counts = rng.multinomial(table.n, np.full(table.n, 1.0 / table.n), size=6).astype(float)
+    design = (DesignSpec((0, 1)) if basis == "linear"
+              else DesignSpec((0, 1), basis="spline", degree=3, interior_knots=2))
+    recipe = NuisanceRecipe(outcome="continuous", loss=ABSOLUTE, p_design=INTERCEPT_ONLY,
+                            b_design=design, c_design=design)
+    return table, counts, recipe.fit_counts(table, counts)
+
+
+class TestStackedSolve:
+    """``NuisanceRows.solve`` fits b and c of many replicates and etas at
+    once; every item must match the one-replicate weighted least squares
+    of ``_wls_coefficients`` on the rows the replicate draws."""
+
+    # at seed 33 a spline's D = d R^-1 rounds to 3e-10 in the bootstrap
+    # coefficients, which the corrected step takes out
+    @pytest.mark.parametrize("seed", (31, 33))
+    @pytest.mark.parametrize("basis", ("linear", "spline"))
+    @pytest.mark.parametrize("counts_kind", ("full", "jackknife", "bootstrap"))
+    def test_items_match_one_replicate_solves(self, counts_kind, basis, seed, monkeypatch):
+        table, counts, fits = stacked_case(counts_kind, basis, seed)
+        live = [r for r in range(len(counts)) if fits.errors[r] is None]
+        assert len(live) >= len(counts) - 1  # a bootstrap spline may lose rank
+        if counts_kind == "bootstrap":  # rows drawn none, once and more than once
+            assert (counts[:, table.source_rows] == 0).any(axis=1).all()
+            assert (counts > 1).any()
+        alone = []
+        source_fit = NuisanceRows._source_fit
+
+        def record(self, dT, r, eta, response=None):
+            alone.extend(float(e) for e in np.ravel(eta))
+            return source_fit(self, dT, r, eta, response)
+
+        monkeypatch.setattr(NuisanceRows, "_source_fit", record)
+        b, c, failed = fits.solve(FAR_ETAS[:, None], live)
+        assert np.all(failed == None)  # noqa: E711
+        # the tilt's spread sends the far etas, and only those, to the solve alone
+        assert {abs(e) for e in alone} == {30.0, 31.0, 40.0}
+        src = table.source_rows
+        for g, r in enumerate(live):
+            dT = fits._b_designs[r][1]
+            rows = src[counts[r, src] > 0]
+            cnt = counts[r, rows]
+            for j, eta in enumerate(FAR_ETAS):
+                t = tilt_weight(table.y[rows], TiltSpec(eta))
+                ref_b = _wls_coefficients(dT[:, rows], table.loss[rows], cnt * t)
+                ref_c = _wls_coefficients(dT[:, rows], t, cnt)
+                for got, ref in ((b[g, j], ref_b), (c[g, j], ref_c)):
+                    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref))), \
+                        (counts_kind, basis, r, eta)
+
+    def test_item_failing_the_check_is_solved_alone(self, monkeypatch):
+        table, counts, fits = stacked_case("bootstrap", "linear")
+        reps = list(range(len(counts)))
+        assert all(exc is None for exc in fits.errors)
+        eta = np.array([[-1.0], [0.0], [0.7]])
+        b, c, _ = fits.solve(eta, reps)
+        tilted_wls = nuisance._tilted_wls
+
+        def fail_one(*args):
+            beta, ok = tilted_wls(*args)
+            ok[2, 1] = False
+            return beta, ok
+
+        monkeypatch.setattr(nuisance, "_tilted_wls", fail_one)
+        b2, c2, failed = fits.solve(eta, reps)
+        assert np.all(failed == None)  # noqa: E711
+        src = table.source_rows
+        rows = src[counts[2, src] > 0]
+        dT = fits._b_designs[2][1]
+        assert np.array_equal(b2[2, 1], _wls_coefficients(dT[:, rows], table.loss[rows],
+                                                          counts[2, rows]))
+        assert np.array_equal(c2[2, 1], _wls_coefficients(dT[:, rows], np.ones(rows.size),
+                                                          counts[2, rows]))
+        keep = np.ones(b.shape[:2], dtype=bool)
+        keep[2, 1] = False
+        assert np.array_equal(b2[keep], b[keep]) and np.array_equal(c2[keep], c[keep])
+        assert np.max(np.abs(b2[2, 1] - b[2, 1])) <= 1e-12 * max(1.0, np.max(np.abs(b[2, 1])))
+
+    def test_overflowing_row_fails_c_alone(self):
+        # c has no solve to fail, so a drawn row whose tilt overflows must
+        # send the item to the one-replicate solve, which raises
+        x = np.linspace(-1.0, 1.0, 12).reshape(-1, 1)
+        y = np.r_[800.0, np.linspace(0.0, 1.0, 11)]
+        nuis = continuous_fit(continuous_table(x, y, n_target=2), DesignSpec((0,)))
+        assert np.all(np.isfinite(nuis.c(0.5)))
+        with pytest.raises(TiltOverflowError):
+            nuis.c(1.0)
+        with pytest.raises(TiltOverflowError):
+            nuis.c(np.array([[0.5], [1.0]]))
+
+    def test_values_do_not_depend_on_the_batch(self):
+        table, counts, fits = stacked_case("bootstrap", "spline")
+        live = [r for r in range(len(counts)) if fits.errors[r] is None]
+        b, c, _ = fits.solve(FAR_ETAS[:, None], live)
+        for g, r in enumerate(live):
+            for j in (0, 4, 8):
+                b1, c1, _ = fits.solve(FAR_ETAS[j:j + 1, None], [r])
+                assert np.array_equal(b1[0, 0], b[g, j]) and np.array_equal(c1[0, 0], c[g, j])

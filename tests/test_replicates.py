@@ -243,6 +243,22 @@ class TestFixedCases:
         assert not np.isnan(weighted[:, 0]).any()
         assert_same(weighted, take_matrix(table, recipe, grid, "aug", resample))
 
+    def test_point_that_overflows_fails_under_cl(self):
+        # cl takes no tilt weights, so b's own solve must raise the overflow
+        rng = np.random.default_rng(14)
+        table = make_table(rng, 30, "non-nested", "continuous")
+        y = table.y.copy()
+        y[0] = 800.0
+        table = replace(table, y=y, loss=(y - table.pred) ** 2)
+        recipe = make_recipe("continuous")
+        grid = np.array([0.0, 1.0])
+        resample = ResampleConfig(replicates=12, seed=9)
+        weighted, why = _replicate_matrix(table, recipe, grid, "cl", resample)
+        over = np.isnan(weighted[:, 1])
+        assert 0 < over.sum() < 12
+        assert set(why[over, 1]) == {"TiltOverflowError"}
+        assert_same(weighted, take_matrix(table, recipe, grid, "cl", resample))
+
 
 class TestFailureNotes:
     def test_skipped_replicates_counted_by_class(self):
@@ -323,3 +339,40 @@ def test_aug_equals_cl_at_p_one(seed, n, design, outcome_kind):
     aug = sensitivity_curve(table, ones, grid, "aug").estimates
     cl = sensitivity_curve(table, ones, grid, "cl").estimates
     np.testing.assert_allclose(aug, cl, rtol=0, atol=1e-15)
+
+
+# Far tilts: b's weights e^{eta y} span hundreds of orders of magnitude on
+# the source rows, and its stacked solve hands every such item to the
+# one-replicate solve (``NuisanceRows.solve``).  Not checked here: a spline
+# design on bootstrap replicates, whose take() tables repeat rows (a QR of
+# a row repeated at weight e^{40 y} buries the other rows in its rounding,
+# so the refits differ from the exact fit by O(1)), and aug or aug-alt on a
+# spline design, where c sits at its floor on a third of the rows and the
+# source weights reach 1e26: they multiply the rounding of L - b (b nearly
+# interpolates L on the heavy rows) into terms of 1e11, in count and take()
+# fits alike.
+FAR_GRID = np.array([-40.0, -31.0, -30.0, 30.0, 31.0, 40.0])
+
+
+def far_case(basis, method):
+    table = make_table(np.random.default_rng(22), 36, "non-nested", "continuous")
+    resample = (ResampleConfig(method="jackknife") if method == "jackknife"
+                else ResampleConfig(replicates=8, seed=5))
+    return table, make_recipe("continuous", basis), resample
+
+
+@pytest.mark.parametrize("estimator", ("cl", "aug", "aug-alt"))
+@pytest.mark.parametrize("method", ("bootstrap", "jackknife"))
+def test_far_eta_replicates_match_take_refits(method, estimator):
+    table, recipe, resample = far_case("linear", method)
+    weighted, _ = _replicate_matrix(table, recipe, FAR_GRID, estimator, resample)
+    assert np.isfinite(weighted).all()
+    assert_same(weighted, take_matrix(table, recipe, FAR_GRID, estimator, resample))
+
+
+def test_far_eta_spline_jackknife_matches_take_refits():
+    table, recipe, resample = far_case("spline", "jackknife")
+    weighted, _ = _replicate_matrix(table, recipe, FAR_GRID, "cl", resample)
+    assert np.isfinite(weighted).all()
+    assert_same(weighted, take_matrix(table, recipe, FAR_GRID, "cl", resample))
+
