@@ -38,17 +38,6 @@ from .etaselect import (
 )
 from .nuisance import DesignSpec, GlmFit, NuisanceRecipe, NuisanceSet, fit_logistic
 from .resampling import ResampleConfig, ResampleResult, bootstrap_ci, jackknife_ci
-from .simgen import (
-    DgpSpec,
-    OracleValue,
-    SimulatedData,
-    brute_force_phi,
-    brute_force_psi,
-    generate,
-    recipe_for,
-    true_phi_oracle,
-    true_psi_oracle,
-)
 from .tilt import (
     LossFunction,
     PredictionModel,
@@ -80,3 +69,17 @@ __all__ = [
     "tilt_weight", "tilted_bernoulli", "binary_b", "binary_c",
     "selection_a", "eval_loss",
 ]
+
+# simgen (the synthetic-data generator and oracles) is imported on first use,
+# so an analysis does not load it
+_SIMGEN_NAMES = frozenset({
+    "DgpSpec", "OracleValue", "SimulatedData", "brute_force_phi", "brute_force_psi",
+    "generate", "recipe_for", "true_phi_oracle", "true_psi_oracle",
+})
+
+
+def __getattr__(name):
+    if name in _SIMGEN_NAMES:
+        from . import simgen
+        return getattr(simgen, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -68,6 +68,13 @@ class ObservationTable:
         return np.flatnonzero(self.s == 1)
 
     @cached_property
+    def source_losses(self) -> np.ndarray:
+        """The observed losses on the source rows, read-only."""
+        losses = self.loss.take(self.source_rows)
+        losses.flags.writeable = False
+        return losses
+
+    @cached_property
     def target_rows(self) -> np.ndarray:
         """Indices of the target rows (s = 0)."""
         return np.flatnonzero(self.s == 0)

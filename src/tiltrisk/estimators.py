@@ -172,7 +172,7 @@ def _terms(table: ObservationTable, nuis: NuisanceSet, eta, estimator: str,
                                     lambda: np.asarray(nuis.c(eta)).take(src, axis=-1), a_src)
             b_s = b.take(src, axis=-1)
     nested = table.design == "nested"
-    loss_s = table.loss.take(src) if nested or weight is not None else None
+    loss_s = table.source_losses if nested or weight is not None else None
     r_t, r_s = _kernel(nested, b_t, b_s, weight, loss_s)
     est = (np.add.reduce(r_t, axis=-1) + _sum(r_s)) / (table.n if nested else table.n0)
     return r_t, r_s, est, weight

@@ -4,14 +4,16 @@ Given a hypothesized outcome prevalence in the target population (mu for
 non-nested designs, cohort-wide alpha for nested ones), solve for the eta
 whose implied tilted prevalence matches it.  The implied prevalence is
 strictly increasing in eta whenever any fitted g lies inside (0, 1), so
-the root is unique; bisection after geometric bracket expansion finds it.
-The fitted g and p enter as values on the table's rows; each root solve
-builds g's closed forms (``tilt.BinaryTilt``) once for all its steps.
+the root is unique; Illinois (regula falsi) steps after geometric bracket
+expansion find it.  The fitted g and p enter as values on the table's
+rows; their eta-free terms and g's closed forms (``tilt.BinaryTilt``) are
+built once per anchored grid, for both endpoint solves and all their steps.
 Binary outcomes with the identity tilt map only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -78,11 +80,15 @@ def _row_values(values, table: ObservationTable, name: str) -> np.ndarray:
 
 
 def solve_monotone_root(f: Callable, lo: float = -1.0, hi: float = 1.0) -> float:
-    """Root of an increasing function by bracket doubling plus bisection.
+    """Root of an increasing function by bracket doubling plus Illinois steps.
 
-    The bracket expands geometrically from [-1, 1] up to +-BRACKET_CAP;
-    bisection then runs to function tolerance 1e-10 (or until the bracket
-    collapses to floating-point width).
+    The bracket expands geometrically from [-1, 1] up to +-BRACKET_CAP.
+    The first step is the bracket's midpoint; each later one is the
+    regula falsi point of the bracket, with the value kept at an end that
+    has held for two steps in a row halved (Illinois), or the midpoint
+    again whenever the last two steps did not halve the bracket.  Steps run
+    to function tolerance 1e-10, or until the bracket collapses to
+    floating-point width.
     """
     f_lo, f_hi = f(lo), f(hi)
     while f_lo > 0.0 and lo > -BRACKET_CAP:
@@ -98,17 +104,29 @@ def solve_monotone_root(f: Callable, lo: float = -1.0, hi: float = 1.0) -> float
         )
     if f_lo > f_hi:
         raise DomainError("objective is not increasing over the bracket")
+    width = [hi - lo] * 2    # the bracket's width before each of the last two steps
+    held = 0                 # the end the last step kept: -1 lo, 1 hi
+    step = 0.5 * (lo + hi)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if abs(f_mid) < FTOL:
-            return mid
-        if f_mid < 0.0:
-            lo = mid
+        f_step = f(step)
+        if abs(f_step) < FTOL:
+            return step
+        if f_step < 0.0:
+            if held == 1:
+                f_hi *= 0.5
+            lo, f_lo, held = step, f_step, 1
         else:
-            hi = mid
-        if hi - lo < 1e-14 * max(1.0, abs(mid)):
+            if held == -1:
+                f_lo *= 0.5
+            hi, f_hi, held = step, f_step, -1
+        if hi - lo < 1e-14 * max(1.0, abs(step)):
             return 0.5 * (lo + hi)
+        halved = hi - lo <= 0.5 * width[0]
+        width = [width[1], hi - lo]
+        step = 0.5 * (lo + hi)
+        if halved:
+            falsi = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+            step = falsi if lo < falsi < hi else step
     return 0.5 * (lo + hi)
 
 
@@ -150,21 +168,56 @@ def _mixture_prevalence(
     return float(np.mean(t))
 
 
+class _AnchorRows:
+    """The eta-free terms of the prevalence solves on one table's rows,
+    checked and computed once for every solve: g on the target rows
+    (non-nested), or g, p*g and 1 - p on every row (nested, ``p`` given),
+    and the attainable range.  g's closed forms are built at the first
+    solve, after its attainability check."""
+
+    def __init__(self, table: ObservationTable, g, p=None):
+        if p is not None and table.design != "nested":
+            raise DomainError("eta_from_prevalence_nested requires a nested table")
+        _binary_source_check(table)
+        if p is None:
+            if table.n0 == 0:
+                raise DomainError("prevalence anchoring needs target rows")
+            self.g = gv = _row_values(g, table, "g")[table.s == 0]
+            if not ((gv > 0.0) & (gv < 1.0)).any():
+                raise DomainError("every fitted g is 0 or 1; the prevalence does not move with eta")
+            self.label, self.mixture = "mu", None
+            self.attainable = float(np.mean(gv >= 1.0)), float(np.mean(gv > 0.0))
+            return
+        self.g = gv = _row_values(g, table, "g")
+        pv = _row_values(p, table, "p")
+        if not ((pv < 1.0) & (gv > 0.0) & (gv < 1.0)).any():
+            raise DomainError("the implied prevalence does not depend on eta for this table")
+        source_part, target_share = pv * gv, 1.0 - pv
+        self.label, self.mixture = "alpha", (source_part, target_share)
+        self.attainable = (float(np.mean(source_part + target_share * (gv >= 1.0))),
+                           float(np.mean(source_part + target_share * (gv > 0.0))))
+
+    @functools.cached_property
+    def tilt(self) -> BinaryTilt:
+        return BinaryTilt(self.g)
+
+    def prevalence(self, eta: float) -> float:
+        if self.mixture is None:
+            return float(np.mean(self.tilt.tilted(eta)))
+        return _mixture_prevalence(*self.mixture, self.tilt, eta)
+
+    def eta(self, target: float) -> float:
+        """The eta whose implied prevalence equals ``target``."""
+        _check_attainable(target, *self.attainable, self.label)
+        return solve_monotone_root(lambda e: self.prevalence(e) - target)
+
+
 def eta_from_prevalence_nonnested(
     table: ObservationTable, g, mu: float
 ) -> float:
     """Eta whose tilted target prevalence equals mu; ``g`` holds the
     fitted Pr[Y=1 | X, S=1] on every table row."""
-    _binary_source_check(table)
-    if table.n0 == 0:
-        raise DomainError("prevalence anchoring needs target rows")
-    gv = _row_values(g, table, "g")[table.s == 0]
-    interior = (gv > 0.0) & (gv < 1.0)
-    if not interior.any():
-        raise DomainError("every fitted g is 0 or 1; the prevalence does not move with eta")
-    _check_attainable(mu, float(np.mean(gv >= 1.0)), float(np.mean(gv > 0.0)), "mu")
-    tilt = BinaryTilt(gv)
-    return solve_monotone_root(lambda e: float(np.mean(tilt.tilted(e))) - mu)
+    return _AnchorRows(table, g).eta(mu)
 
 
 def eta_from_prevalence_nested(
@@ -172,21 +225,7 @@ def eta_from_prevalence_nested(
 ) -> float:
     """Eta whose implied cohort-wide prevalence equals alpha; ``g`` and
     ``p`` hold the fitted values on every table row."""
-    if table.design != "nested":
-        raise DomainError("eta_from_prevalence_nested requires a nested table")
-    _binary_source_check(table)
-    gv = _row_values(g, table, "g")
-    pv = _row_values(p, table, "p")
-    movable = (pv < 1.0) & (gv > 0.0) & (gv < 1.0)
-    if not movable.any():
-        raise DomainError("the implied prevalence does not depend on eta for this table")
-    source_part, target_share = pv * gv, 1.0 - pv
-    inf_att = float(np.mean(source_part + target_share * (gv >= 1.0)))
-    sup_att = float(np.mean(source_part + target_share * (gv > 0.0)))
-    _check_attainable(alpha, inf_att, sup_att, "alpha")
-    tilt = BinaryTilt(gv)
-    return solve_monotone_root(
-        lambda e: _mixture_prevalence(source_part, target_share, tilt, e) - alpha)
+    return _AnchorRows(table, g, p).eta(alpha)
 
 
 def eta_grid_from_prevalence_range(
@@ -199,20 +238,18 @@ def eta_grid_from_prevalence_range(
     """Inclusive eta grid between the anchored endpoints.
 
     Solves for eta at both prevalence endpoints, from the row values ``g``
-    (and ``p`` for a nested alpha anchor), and rounds them outward to the
+    (and ``p`` for a nested alpha anchor) whose eta-free terms are built
+    once for both solves, and rounds them outward to the
     lattice of multiples of ``anchor.step``.  A degenerate anchor range
     yields a single point.
     """
     step = anchor.step
     lo_prev, hi_prev = anchor.endpoints()
-    if anchor.mu is not None:
-        solve = lambda m: eta_from_prevalence_nonnested(table, g, m)
-    else:
-        if p is None:
-            raise DomainError("nested anchoring needs the fitted p")
-        solve = lambda m: eta_from_prevalence_nested(table, g, p, m)
-    eta_lo = solve(lo_prev)
-    eta_hi = solve(hi_prev) if hi_prev != lo_prev else eta_lo
+    if anchor.mu is None and p is None:
+        raise DomainError("nested anchoring needs the fitted p")
+    rows = _AnchorRows(table, g, None if anchor.mu is not None else p)
+    eta_lo = rows.eta(lo_prev)
+    eta_hi = rows.eta(hi_prev) if hi_prev != lo_prev else eta_lo
     if eta_lo == eta_hi:
         return np.array([eta_lo])
     # snap endpoints within 1e-6 steps of the lattice before rounding outward,

@@ -56,17 +56,24 @@ class RawData:
 
 
 def _read_raw(csv_path, x_columns) -> RawData:
-    """Read the ``s``, ``y`` and covariate columns of a data file.
+    r"""Read the ``s``, ``y`` and covariate columns of a data file.
 
-    A regular file is parsed one column group at a time in C
-    (``_read_columns``).  Any file that pass cannot take goes to the row
-    scanner, which gives the same result or words the error.
+    Three readers, each taking what the one before cannot decide:
+    ``_read_bytes`` takes an unquoted ASCII file with ``\n`` or ``\r\n``
+    line ends, bare ``0``/``1`` in ``s`` and no blank line; ``_read_columns``
+    any other regular file, quoted ones among them; the row scanner
+    ``_read_rows`` the rest, and it alone words the errors.  All three give
+    the same result, bit for bit, or the same error.
     """
-    try:
-        raw = _read_columns(Path(csv_path), x_columns)
-    except (OSError, ValueError, csv.Error):
-        raw = None
-    return _read_rows(csv_path, x_columns) if raw is None else raw
+    path = Path(csv_path)
+    for reader in (_read_bytes, _read_columns):
+        try:
+            raw = reader(path, x_columns)
+        except (OSError, ValueError, csv.Error):
+            raw = None
+        if raw is not None:
+            return raw
+    return _read_rows(csv_path, x_columns)
 
 
 def _open_data(path: Path):
@@ -91,12 +98,135 @@ def _column_indices(path: Path, fieldnames, x_columns) -> tuple:
     return tuple(fieldnames.index(c) for c in wanted)
 
 
+# the byte pass reads the data rows in line-aligned chunks of about this size
+_CHUNK_BYTES = 1 << 20
+_LF, _CR, _COMMA, _ZERO, _ONE = b"\n\r,01"
+
+
+def _read_bytes(path: Path, x_columns) -> Optional[RawData]:
+    """The byte pass: the rows' field bounds from their comma and line-feed
+    positions, then ``y`` and the covariates by one float64 loadtxt per
+    chunk of rows.  Returns None for a file it cannot decide (see
+    ``_chunk_values``), or one with no data rows; a cell that does not
+    parse raises ValueError.
+    """
+    with open(path, "rb") as fh:
+        header = _header_fields(fh.readline())
+        if header is None:
+            return None
+        s_col, y_col, *x_cols = _column_indices(path, header, x_columns)
+        sources, values, masked = [], [], 0
+        for chunk in _line_chunks(fh):
+            parsed = _chunk_values(chunk, len(header), s_col, y_col, (y_col, *x_cols))
+            if parsed is None:
+                return None
+            sources.append(parsed[0])
+            values.append(parsed[1])
+            masked += parsed[2]
+    if not sources:
+        return None
+    source = np.concatenate(sources)
+    y = np.concatenate([v[:, 0] for v in values])
+    y[~source] = np.nan
+    x = np.concatenate([v[:, 1:] for v in values])
+    del values
+    return RawData(s=source.astype(np.int64), y=y, x=x, columns=tuple(x_columns),
+                   masked_y_count=masked)
+
+
+def _header_fields(line: bytes) -> Optional[list]:
+    """The header's cells from its line, read as the csv module reads the
+    file; None unless the line ends in a line feed and holds the whole
+    header."""
+    if not line.endswith(b"\n"):
+        return None
+    # decoded as open() decodes the file, past a byte-order mark
+    text = io.TextIOWrapper(io.BytesIO(line), newline="").read().removeprefix("\ufeff")
+    fields = next(csv.reader([text]))
+    # a quoted cell running on past the line keeps the line break
+    return None if any("\n" in f or "\r" in f for f in fields) else fields
+
+
+def _line_chunks(fh):
+    """The rest of binary file ``fh`` in chunks of about ``_CHUNK_BYTES``
+    that each end in a line feed; a last line without one gets one."""
+    rest = b""
+    while block := fh.read(_CHUNK_BYTES):
+        rest, block = rest + block, None   # hold no block beside the chunk
+        cut = rest.rfind(b"\n") + 1
+        if cut:
+            chunk, rest = rest[:cut], rest[cut:]
+            yield chunk
+    if rest:
+        yield rest + b"\n"
+
+
+def _chunk_values(chunk: bytes, n_cells: int, s_col: int, y_col: int, usecols: tuple):
+    """(source, values, masked) of the rows of ``chunk``: which rows have
+    ``s`` = 1, the float64 columns ``usecols`` and the count of filled
+    target outcomes; None when ``_chunk_layout`` is."""
+    layout = _chunk_layout(chunk, n_cells, s_col, y_col)
+    if layout is None:
+        return None
+    source, empty_y, masked = layout
+    if empty_y.size:   # a placeholder digit in each empty target outcome
+        chunk = np.insert(np.frombuffer(chunk, np.uint8), empty_y, _ZERO).tobytes()
+    values = np.loadtxt(_lines(chunk), dtype=np.float64, delimiter=",",
+                        comments=None, quotechar=None, usecols=usecols, ndmin=2)
+    return source, values, masked
+
+
+def _chunk_layout(chunk: bytes, n_cells: int, s_col: int, y_col: int):
+    r"""(source, empty_y, masked) of the rows of ``chunk``: which rows have
+    ``s`` = 1, the offsets of the empty target outcomes and the count of
+    filled ones.  None unless the chunk is ASCII with no quote or NUL,
+    every line has ``n_cells`` cells and ends in ``\n`` or ``\r\n``, every
+    ``s`` is a bare ``0`` or ``1``, no source ``y`` is empty and no field is
+    longer than ``csv.field_size_limit()``.
+    """
+    if not chunk.isascii() or b'"' in chunk or b"\0" in chunk:
+        return None
+    a = np.frombuffer(chunk, np.uint8)
+    is_end = a == _COMMA
+    is_end |= a == _LF
+    ends = np.flatnonzero(is_end)
+    del is_end
+    rows = chunk.count(b"\n")
+    if ends.size != rows * n_cells:
+        return None
+    # field lengths: from one separator to the next
+    lengths = np.empty_like(ends)
+    lengths[0] = ends[0]
+    np.subtract(ends[1:], ends[:-1], out=lengths[1:])
+    lengths[1:] -= 1
+    ends, lengths = ends.reshape(rows, n_cells), lengths.reshape(rows, n_cells)
+    line_ends = ends[:, -1]
+    # n_cells separators a line, the last of them its line feed
+    if not (a[line_ends] == _LF).all():
+        return None
+    crlf = a[line_ends - 1] == _CR
+    if chunk.count(b"\r") != np.count_nonzero(crlf):
+        return None
+    s_start, y_start = (ends[:, c] - lengths[:, c] for c in (s_col, y_col))
+    lengths[:, -1] -= crlf
+    if lengths.max() > csv.field_size_limit():
+        return None
+    s_cell = a[s_start]
+    source = s_cell == _ONE
+    y_len = lengths[:, y_col]
+    if ((lengths[:, s_col] != 1) | ~(source | (s_cell == _ZERO)) | (source & (y_len == 0))).any():
+        return None
+    empty = y_len == 0
+    return source, y_start[empty], int(np.count_nonzero(~(source | empty)))
+
+
 def _read_columns(path: Path, x_columns) -> Optional[RawData]:
     """The columnar pass: the covariates straight to float64, ``s`` and
-    ``y`` as text checked with array operations.  Returns None when the
-    file needs the row scanner (a bad ``s``, a row with more cells than the
-    header, or no data rows); ragged rows and cells that do not parse, an
-    empty source ``y`` among them, raise ValueError.
+    ``y`` as text checked with array operations, each a loadtxt over the
+    whole file.  Returns None when the file needs the row scanner (a bad
+    ``s``, a NUL, a row with more cells than the header, a field longer
+    than ``csv.field_size_limit()`` or no data rows); ragged rows and cells
+    that do not parse, an empty source ``y`` among them, raise ValueError.
     """
     with _open_data(path) as fh:
         header = next(csv.reader(fh), None)
@@ -115,7 +245,7 @@ def _read_columns(path: Path, x_columns) -> Optional[RawData]:
         sy = np.loadtxt(_lines(data), dtype=str, usecols=(s_col, y_col), **dialect)
     s_text, y_text = np.char.strip(sy).T
     source = s_text == "1"
-    if not (source | (s_text == "0")).all() or not _regular_rows(text, data, len(header)):
+    if not (source | (s_text == "0")).all() or not _regular_rows(data, len(header)):
         return None
     x = np.loadtxt(_lines(data), dtype=np.float64, usecols=x_cols, **dialect)
     y = np.full(source.shape, np.nan)
@@ -136,36 +266,12 @@ def _lines(data: bytes):
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
 
 
-# every byte but the comma and the line breaks
-_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\r\n")))
-
-
-def _regular_rows(text: str, data: bytes, n_cells: int) -> bool:
-    """Whether no row has more cells than the header's ``n_cells`` and no
-    field is longer than ``csv.field_size_limit()``: loadtxt ignores extra
-    cells and has no field limit, and the row scanner rejects both.
-    """
-    if '"' in text:   # quoted fields can hold separators: let csv split the rows
-        return all(len(row) <= n_cells for row in csv.reader(_lines(data)))
-    # a longer row leaves n_cells adjacent commas once every byte but the
-    # commas and line breaks is deleted
-    return (b"," * n_cells not in data.translate(None, _NOT_SEPARATORS)
-            and _fields_within_csv_limit(text))
-
-
-def _fields_within_csv_limit(text: str) -> bool:
-    """Whether no field of unquoted ``text`` is longer than
-    ``csv.field_size_limit()``."""
-    limit = csv.field_size_limit()
-    if len(text) <= limit:
-        return True
-    # an unquoted field longer than the limit holds a whole aligned block of
-    # limit // 2 characters with no separator in it
-    step = limit // 2
-    return all(
-        any(text.find(sep, i, i + step) >= 0 for sep in ",\r\n")
-        for i in range(0, len(text) - step + 1, step)
-    )
+def _regular_rows(data: bytes, n_cells: int) -> bool:
+    """Whether no row has more cells than the header's ``n_cells``:
+    loadtxt ignores extra cells and the row scanner rejects them.  Split by
+    the csv module, which raises on a field longer than
+    ``csv.field_size_limit()``, as the row scanner does."""
+    return all(len(row) <= n_cells for row in csv.reader(_lines(data)))
 
 
 def _read_rows(csv_path, x_columns) -> RawData:

@@ -2,7 +2,10 @@
 every name the README and the demos import from the package among them."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import tiltrisk
@@ -56,3 +59,21 @@ def test_readme_quick_start_imports():
     imports = ast.Module([n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))],
                          type_ignores=[])
     exec(compile(imports, "README.md", "exec"), {})
+
+
+def test_simgen_is_imported_on_first_use():
+    # an analysis never uses the generator: the package, the CLI and io
+    # import without it, and its public names load it when first read
+    code = "\n".join([
+        "import sys",
+        "import tiltrisk, tiltrisk.cli, tiltrisk.io",
+        "assert 'tiltrisk.simgen' not in sys.modules",
+        "assert tiltrisk.generate is tiltrisk.simgen.generate",
+        "from tiltrisk import DgpSpec",
+        "assert DgpSpec is tiltrisk.simgen.DgpSpec",
+        "assert not hasattr(tiltrisk, 'no_such_name')",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

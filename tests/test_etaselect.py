@@ -1,13 +1,20 @@
 """Prevalence-anchoring checks: closed-form roots, round trips, grids."""
 
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import expit, logit
 
-from tiltrisk.errors import DomainError
+from tiltrisk import io as tio
+from tiltrisk.config import AnalysisConfig
+from tiltrisk.errors import ConvergenceError, DomainError
 from tiltrisk.etaselect import (
+    BRACKET_CAP,
+    FTOL,
     PrevalenceAnchor,
     _mixture_prevalence,
     eta_from_prevalence_nested,
@@ -20,8 +27,10 @@ from tiltrisk.etaselect import (
 from tiltrisk.tilt import BinaryTilt, tilted_bernoulli
 
 from conftest import logistic_fn, random_binary_table
+from test_closed_form_reference import G_EDGES
 
 LN4 = math.log(4.0)
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
 
 
 def const_rows(table, v):
@@ -198,3 +207,119 @@ class TestTiltedBernoulliLink:
             np.testing.assert_allclose(
                 tilted_bernoulli(expit(z), eta), expit(z + eta), atol=1e-12
             )
+
+
+def bisection(f, lo=-1.0, hi=1.0):
+    """The root solver's former steps, for counting evaluations: the same
+    bracket doubling, then bisection."""
+    f_lo, f_hi = f(lo), f(hi)
+    while f_lo > 0.0 and lo > -BRACKET_CAP:
+        lo = max(lo * 2.0, -BRACKET_CAP)
+        f_lo = f(lo)
+    while f_hi < 0.0 and hi < BRACKET_CAP:
+        hi = min(hi * 2.0, BRACKET_CAP)
+        f_hi = f(hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if abs(f_mid) < FTOL:
+            return mid
+        if f_mid < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-14 * max(1.0, abs(mid)):
+            return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def evaluations(solver, f):
+    """(root, the points ``solver`` evaluated ``f`` at)."""
+    points = []
+    root = solver(lambda e: points.append(e) or f(e))
+    return root, points
+
+
+def anchor_objective(case, root):
+    """The objective of an anchor solve whose root is ``root``: the rows of
+    the closed-form reference's anchor solves, or of the round trips above."""
+    if case.startswith("edges"):
+        rng = np.random.default_rng(11)
+        table = random_binary_table(rng, n=200, design="nested")
+        g = rng.uniform(0.0, 0.02, table.n)
+        g[:8] = G_EDGES * 2
+        p = rng.uniform(0.01, 0.99, table.n)
+    else:
+        rng = np.random.default_rng(20260810)
+        table = random_binary_table(rng, n=150, design="nested")
+        g = logistic_fn((0.1, 0.6, -0.4))(table.x)
+        p = logistic_fn((0.2, 0.3, 0.3))(table.x)
+    if case.endswith("nested") and not case.endswith("non-nested"):
+        prevalence = lambda e: implied_prevalence_nested(g, p, e)
+    else:
+        prevalence = lambda e: implied_prevalence_nonnested(g[table.s == 0], e)
+    target = prevalence(root)
+    return lambda e: prevalence(e) - target
+
+
+# the nested round trip's roots -0.5 and 0.5 are left out: bisection
+# evaluates them exactly at its fourth step (test_midpoint_roots)
+ANCHOR_ROOTS = [
+    *((f"edges {d}", r) for d in ("non-nested", "nested") for r in (0.0, 3.0, -12.0, 33.0, -33.0)),
+    *(("round trip non-nested", r) for r in (-3.0, -1.2, 0.0, 0.7, 3.0)),
+    *(("round trip nested", r) for r in (-2.0, 0.0, 2.0)),
+]
+
+
+class TestRootSolver:
+    @pytest.mark.parametrize("case, root", ANCHOR_ROOTS)
+    def test_no_more_evaluations_than_bisection(self, case, root):
+        f = anchor_objective(case, root)
+        eta, points = evaluations(solve_monotone_root, f)
+        assert abs(f(eta)) < FTOL
+        assert len(points) <= len(evaluations(bisection, f)[1])
+
+    @pytest.mark.parametrize("root", [-0.5, 0.5])
+    def test_midpoint_roots(self, root):
+        f = anchor_objective("round trip nested", root)
+        eta, points = evaluations(solve_monotone_root, f)
+        assert evaluations(bisection, f) == (root, [-1.0, 1.0, 0.0, root])
+        assert abs(f(eta)) < FTOL and len(points) <= 11
+
+    def test_fewer_evaluations_on_the_anchor_roots(self):
+        new = old = 0
+        for case, root in ANCHOR_ROOTS:
+            f = anchor_objective(case, root)
+            new += len(evaluations(solve_monotone_root, f)[1])
+            old += len(evaluations(bisection, f)[1])
+        assert new < 0.75 * old
+
+    def test_root_at_zero_is_zero(self):
+        root, points = evaluations(solve_monotone_root, math.tanh)
+        assert root == 0.0 and points == [-1.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("shift", [60.0, -60.0])
+    def test_no_sign_change_text(self, shift):
+        message = (f"no sign change within |eta| <= {BRACKET_CAP}; the requested prevalence "
+                   "may need a more extreme tilt than supported")
+        with pytest.raises(ConvergenceError, match=f"^{re.escape(message)}$"):
+            solve_monotone_root(lambda e: e - shift)
+
+    @pytest.mark.parametrize("root", [-49.0, -1.0, 0.3, 1.0, 7.5, 49.0])
+    def test_linear_and_steep_roots(self, root):
+        for f in (lambda e: e - root, lambda e: math.tanh(4.0 * (e - root))):
+            eta, points = evaluations(solve_monotone_root, f)
+            assert abs(f(eta)) < FTOL and len(points) <= len(evaluations(bisection, f)[1])
+
+
+@pytest.mark.parametrize("name, points", [("boot-anchored", 58), ("cohort-point", 46)])
+def test_grid_reproduces_stored_reference(tmp_path, name, points):
+    ref = REFERENCE / name
+    config = AnalysisConfig.from_dict({**json.loads((ref / "config.json").read_text()),
+                                       "data_path": str(ref / "data.csv"),
+                                       "out_dir": str(tmp_path)})
+    table = tio.load_table(config.data_path, config)
+    nuis = tio._recipe_from_config(config).fit(table)
+    grid = eta_grid_from_prevalence_range(table, nuis.g, config.anchor, p=nuis.p)
+    stored = [row["eta"] for row in tio.read_curve_csv(ref / "curve.csv")]
+    assert len(stored) == points and grid.tolist() == stored

@@ -233,3 +233,183 @@ def test_utf8_byte_order_mark_accepted(tmp_path, header):
     for reader in (tio._read_raw, tio._read_rows):
         raw = reader(path, ("x0",))
         assert raw.s.tolist() == [1, 0] and raw.x[:, 0].tolist() == [0.5, 1.5]
+
+
+# -- the byte pass -----------------------------------------------------------
+
+
+def never(*args):
+    raise AssertionError("fallback reader reached")
+
+
+def cohort_text(rows, eol="\r\n", seed=3):
+    """A benchmark-shaped file as csv.writer writes it: floats by repr, and
+    target rows with an empty or (every seventh) a filled outcome."""
+    import random
+
+    rng = random.Random(seed)
+    lines = ["s,y,x0,x1"]
+    for i in range(rows):
+        s = rng.random() < 0.5
+        y = repr(float(rng.random() < 0.4)) if s or i % 7 == 0 else ""
+        lines.append(f"{int(s)},{y},{rng.gauss(0, 1)!r},{rng.uniform(-1, 1)!r}")
+    return eol.join(lines) + eol
+
+
+@st.composite
+def plain_files(draw):
+    r"""The files the byte pass is for: bare cells, ``\n`` or ``\r\n`` line
+    ends; then up to two defects, most of which it hands on."""
+    x_columns = [f"x{i}" for i in range(draw(st.integers(0, 3)))]
+    names = draw(st.permutations(["s", "y", *x_columns, *draw(st.sampled_from([[], ["note"]]))]))
+    kinds = {"note": st.text(alphabet="#ab1 .-", max_size=4)}
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        s = draw(st.sampled_from(["0", "1"]))
+        y = NUMBERS if s == "1" else st.one_of(st.just(""), st.just(""), NUMBERS)
+        rows.append([draw({"s": st.just(s), "y": y}.get(name, kinds.get(name, NUMBERS)))
+                     for name in names])
+    defects = draw(st.lists(st.sampled_from(["cell", "pad", "short", "long", "blank", "cr"]),
+                            max_size=2))
+    for defect in defects:
+        if defect in ("blank", "cr") or not rows:
+            continue
+        cells = rows[draw(st.integers(0, len(rows) - 1))]
+        i = draw(st.integers(0, max(len(cells) - 1, 0)))
+        if not cells:
+            continue
+        if defect == "cell":
+            cells[i] = draw(ODD)
+        elif defect == "pad":
+            cells[i] = draw(st.sampled_from([" ", "\t"])) + cells[i]
+        elif defect == "short":
+            del cells[i:]
+        else:
+            cells.append(draw(NUMBERS))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(names), *(",".join(cells) for cells in rows)]
+    for defect in defects:
+        at = draw(st.integers(1, len(lines)))
+        if defect == "blank":
+            lines.insert(at, "")
+        elif defect == "cr" and at < len(lines):   # a bare carriage return ends a line
+            lines[at - 1] += "\r" + lines.pop(at)
+    return eol.join(lines) + draw(st.sampled_from([eol, ""])), tuple(x_columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(plain_files(), st.integers(1, 40))
+def test_byte_pass_matches_row_scanner(tmp_path_factory, case, chunk):
+    text, x_columns = case
+    path = write(tmp_path_factory.mktemp("reader"), text)
+    expected = outcome(tio._read_rows, path, x_columns)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert outcome(tio._read_raw, path, x_columns) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tio, "_CHUNK_BYTES", chunk)
+            assert outcome(tio._read_raw, path, x_columns) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(data_files(), st.integers(1, 40))
+def test_chunk_size_does_not_change_the_result(tmp_path_factory, case, chunk):
+    text, x_columns = case
+    path = write(tmp_path_factory.mktemp("reader"), text)
+    expected = outcome(tio._read_raw, path, x_columns)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tio, "_CHUNK_BYTES", chunk)
+        assert outcome(tio._read_raw, path, x_columns) == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64, 4096])
+def test_chunked_crlf_file_matches_default_chunks(tmp_path, monkeypatch, chunk):
+    path = write(tmp_path, cohort_text(2000))
+    expected = outcome(tio._read_rows, path, ("x0", "x1"))
+    assert expected[0] == "data" and expected[3] > 0
+    assert 0 < int(tio._read_raw(path, ("x0", "x1")).s.sum()) < 2000
+    monkeypatch.setattr(tio, "_read_columns", never)
+    monkeypatch.setattr(tio, "_read_rows", never)
+    assert outcome(tio._read_raw, path, ("x0", "x1")) == expected
+    monkeypatch.setattr(tio, "_CHUNK_BYTES", chunk)
+    assert outcome(tio._read_raw, path, ("x0", "x1")) == expected
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+@pytest.mark.parametrize("last", ["", "eol"])
+def test_plain_file_takes_the_byte_pass(tmp_path, monkeypatch, eol, last):
+    text = cohort_text(50, eol)
+    path = write(tmp_path, text if last else text.removesuffix(eol))
+    expected = outcome(tio._read_rows, path, ("x1",))
+    monkeypatch.setattr(tio, "_read_columns", never)
+    monkeypatch.setattr(tio, "_read_rows", never)
+    assert outcome(tio._read_raw, path, ("x1",)) == expected
+
+
+@pytest.mark.parametrize("text", [
+    's,y,x0\n1,0,0.5\n0,"",1\n',         # a quote
+    "s,y,x0\n 1,0,0.5\n0,,1\n",          # a padded s
+    "s,y,x0\n1,0,0.5\n\n0,,1\n",         # a blank line
+    "s,y,x0\r1,0,0.5\r0,,1\r",           # bare carriage returns
+    "s,y,x0\n1,0,0.5\n0,,1\r\n1,1,\r2\n",
+    "s,y,x0\n1,0,0.5,9\n0,,1\n",         # a long row
+    "s,y,x0\n1,0\n0,,1\n",               # a short row
+    "s,y,x0\n1,,0.5\n0,,1\n",            # an empty source outcome
+    "s,y,x0\n1,0,0.5\n0,,1_0\n",         # a cell loadtxt does not parse
+    "s,y,x0\n1,0,\xe9\n0,,1\n",          # not ASCII
+])
+def test_byte_pass_declines_what_it_cannot_decide(tmp_path, text):
+    path = write(tmp_path, text)
+    try:
+        assert tio._read_bytes(path, ("x0",)) is None
+    except ValueError:
+        pass
+    assert outcome(tio._read_raw, path, ("x0",)) == outcome(tio._read_rows, path, ("x0",))
+
+
+@pytest.mark.parametrize("chunk", [None, 40, 45, 70])
+@pytest.mark.parametrize("length", [64, 65])
+def test_unquoted_field_against_csv_limit(tmp_path, monkeypatch, field_limit_64, chunk, length):
+    # read boundaries every `chunk` bytes cut the long field (40, 45, 70),
+    # or none does (the default size holds the whole file)
+    rows = "".join(f"1,0,{i}.5,short\r\n" for i in range(4))
+    path = write(tmp_path, f"s,y,x0,note\r\n{rows}0,,1,{'n' * length}\r\n1,1,2,a\r\n")
+    if chunk is not None:
+        monkeypatch.setattr(tio, "_CHUNK_BYTES", chunk)
+    expected = outcome(tio._read_rows, path, ("x0",))
+    assert expected[0] == ("data" if length == 64 else "error")
+    assert outcome(tio._read_raw, path, ("x0",)) == expected
+    if length == 64:
+        monkeypatch.setattr(tio, "_read_columns", never)
+        assert outcome(tio._read_raw, path, ("x0",)) == expected
+
+
+def test_read_memory_stays_near_the_file_size(tmp_path):
+    # a whole-file copy (bytes plus text, as the loadtxt pass holds) would
+    # pass twice the file size at once
+    import tracemalloc
+
+    path = write(tmp_path, cohort_text(50_000))
+    tio._read_raw(path, ("x0", "x1"))
+    tracemalloc.start()
+    try:
+        tio._read_raw(path, ("x0", "x1"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * path.stat().st_size
+
+
+@pytest.mark.parametrize("header, x_column", [
+    ('"s","y","x0"', "x0"),
+    ('s,y,"x\n0"', "x\n0"),       # a quoted name over two lines
+    ('s,y,"x0', "x0"),           # a quote never closed
+    ("s,y,x0\r1,1,2", "x0"),     # a bare carriage return ends the header
+])
+def test_header_forms(tmp_path, monkeypatch, header, x_column):
+    path = write(tmp_path, f"{header}\n1,0,0.5\n0,,1.5\n")
+    expected = outcome(tio._read_rows, path, (x_column,))
+    assert outcome(tio._read_raw, path, (x_column,)) == expected
+    if header.count('"') == 6:
+        monkeypatch.setattr(tio, "_read_columns", never)
+        assert outcome(tio._read_raw, path, (x_column,)) == expected
