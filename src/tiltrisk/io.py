@@ -107,7 +107,7 @@ def _read_bytes(path: Path, x_columns) -> Optional[RawData]:
     """The byte pass: the rows' field bounds from their comma and line-feed
     positions, then ``y`` and the covariates by one float64 loadtxt per
     chunk of rows.  Returns None for a file it cannot decide (see
-    ``_chunk_values``), or one with no data rows; a cell that does not
+    ``_chunk_layout``), or one with no data rows; a cell that does not
     parse raises ValueError.
     """
     with open(path, "rb") as fh:
