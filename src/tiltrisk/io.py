@@ -9,6 +9,7 @@ identical outputs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import importlib.resources
@@ -16,6 +17,7 @@ import importlib.util
 import io
 import json
 import numbers
+import operator
 import platform
 import re
 import warnings
@@ -58,17 +60,19 @@ class RawData:
 def _read_raw(csv_path, x_columns) -> RawData:
     r"""Read the ``s``, ``y`` and covariate columns of a data file.
 
-    Three readers, each taking what the one before cannot decide:
-    ``_read_bytes`` takes an unquoted ASCII file with ``\n`` or ``\r\n``
-    line ends, bare ``0``/``1`` in ``s`` and no blank line; ``_read_columns``
-    any other regular file, quoted ones among them; the row scanner
-    ``_read_rows`` the rest, and it alone words the errors.  All three give
-    the same result, bit for bit, or the same error.
+    The byte pass (``_read_chunks``) checks the data rows exactly and
+    parses them with one float64 loadtxt per line-aligned chunk.  It takes
+    its chunks from the file's own bytes (``_line_chunks``) when the file
+    is unquoted ASCII with ``\n`` or ``\r\n`` line ends, bare ``0``/``1`` in
+    ``s`` and no blank line, and otherwise from the rows as the csv module
+    splits them (``_csv_chunks``).  A file neither can decide goes to the
+    row scanner ``_read_rows``, which alone words the errors.  All give the
+    same result, bit for bit, or the same error.
     """
     path = Path(csv_path)
-    for reader in (_read_bytes, _read_columns):
+    for chunks in (_line_chunks, _csv_chunks):
         try:
-            raw = reader(path, x_columns)
+            raw = _read_chunks(path, x_columns, chunks)
         except (OSError, ValueError, csv.Error):
             raw = None
         if raw is not None:
@@ -103,21 +107,26 @@ _CHUNK_BYTES = 1 << 20
 _LF, _CR, _COMMA, _ZERO, _ONE = b"\n\r,01"
 
 
-def _read_bytes(path: Path, x_columns) -> Optional[RawData]:
-    """The byte pass: the rows' field bounds from their comma and line-feed
-    positions, then ``y`` and the covariates by one float64 loadtxt per
-    chunk of rows.  Returns None for a file it cannot decide (see
-    ``_chunk_layout``), or one with no data rows; a cell that does not
-    parse raises ValueError.
+def _read_chunks(path: Path, x_columns, chunks) -> Optional[RawData]:
+    """The byte pass over what ``chunks(path, x_columns)`` yields: the cell
+    count of its rows and the positions of ``s``, ``y`` and the covariates,
+    then the data rows in chunks that each end in a line feed.  Each
+    chunk's field bounds come from its comma and line-feed positions, then
+    ``y`` and the covariates from one float64 loadtxt.  Returns None for a
+    file it cannot decide (see ``_chunk_layout``), one with no data rows or
+    one that reads ``y`` as a covariate too; a cell that does not parse
+    raises ValueError.
     """
-    with open(path, "rb") as fh:
-        header = _header_fields(fh.readline())
-        if header is None:
+    if "y" in x_columns:   # the covariate would read the placeholder of an empty y
+        return None
+    with contextlib.closing(chunks(path, x_columns)) as parts:
+        layout = next(parts, None)
+        if layout is None:
             return None
-        s_col, y_col, *x_cols = _column_indices(path, header, x_columns)
+        n_cells, (s_col, y_col, *x_cols) = layout
         sources, values, masked = [], [], 0
-        for chunk in _line_chunks(fh):
-            parsed = _chunk_values(chunk, len(header), s_col, y_col, (y_col, *x_cols))
+        for chunk in parts:
+            parsed = _chunk_values(chunk, n_cells, s_col, y_col, (y_col, *x_cols))
             if parsed is None:
                 return None
             sources.append(parsed[0])
@@ -147,18 +156,61 @@ def _header_fields(line: bytes) -> Optional[list]:
     return None if any("\n" in f or "\r" in f for f in fields) else fields
 
 
-def _line_chunks(fh):
-    """The rest of binary file ``fh`` in chunks of about ``_CHUNK_BYTES``
-    that each end in a line feed; a last line without one gets one."""
-    rest = b""
-    while block := fh.read(_CHUNK_BYTES):
-        rest, block = rest + block, None   # hold no block beside the chunk
-        cut = rest.rfind(b"\n") + 1
-        if cut:
-            chunk, rest = rest[:cut], rest[cut:]
-            yield chunk
-    if rest:
-        yield rest + b"\n"
+def _line_chunks(path: Path, x_columns):
+    """The file's own bytes: the header's cell count and the positions of
+    ``s``, ``y`` and the covariates in it, then the data rows in chunks of
+    about ``_CHUNK_BYTES`` that each end in a line feed; a last line
+    without one gets one.  Nothing for a header ``_header_fields`` cannot
+    read."""
+    with open(path, "rb") as fh:
+        header = _header_fields(fh.readline())
+        if header is None:
+            return
+        yield len(header), _column_indices(path, header, x_columns)
+        rest = b""
+        while block := fh.read(_CHUNK_BYTES):
+            rest, block = rest + block, None   # hold no block beside the chunk
+            cut = rest.rfind(b"\n") + 1
+            if cut:
+                chunk, rest = rest[:cut], rest[cut:]
+                yield chunk
+        if rest:
+            yield rest + b"\n"
+
+
+def _csv_chunks(path: Path, x_columns):
+    """The rows as the csv module splits them, written back bare: the cell
+    count and the positions of ``s``, ``y`` and the covariates in the rows
+    written, then those rows in chunks of about ``_CHUNK_BYTES``.  A row
+    written holds only ``s``, ``y`` and the covariates, each cell stripped
+    as the row scanner strips it; blank rows are dropped and the missing
+    cells of a short row are empty.  A row with more cells than the
+    header, or a cell holding a line feed, raises ValueError.
+    """
+    with _open_data(path) as fh:
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        cols = _column_indices(path, header, x_columns)
+        yield len(cols), tuple(range(len(cols)))
+        n_cells, pick, empty = len(header), operator.itemgetter(*cols), [""] * len(header)
+        lines, size = [], 0
+        for row in rows:
+            if len(row) != n_cells:
+                if len(row) > n_cells:
+                    raise ValueError("a row has more cells than the header")
+                if not row:   # a blank line, which csv.DictReader skips
+                    continue
+                row += empty[len(row):]
+            line = ",".join(map(str.strip, pick(row))) + "\n"
+            if line.count("\n") > 1:
+                raise ValueError("a cell holds a line feed")
+            lines.append(line)
+            size += len(line)
+            if size >= _CHUNK_BYTES:
+                yield "".join(lines).encode()
+                lines, size = [], 0
+        if lines:
+            yield "".join(lines).encode()
 
 
 def _chunk_values(chunk: bytes, n_cells: int, s_col: int, y_col: int, usecols: tuple):
@@ -220,58 +272,10 @@ def _chunk_layout(chunk: bytes, n_cells: int, s_col: int, y_col: int):
     return source, y_start[empty], int(np.count_nonzero(~(source | empty)))
 
 
-def _read_columns(path: Path, x_columns) -> Optional[RawData]:
-    """The columnar pass: the covariates straight to float64, ``s`` and
-    ``y`` as text checked with array operations, each a loadtxt over the
-    whole file.  Returns None when the file needs the row scanner (a bad
-    ``s``, a NUL, a row with more cells than the header, a field longer
-    than ``csv.field_size_limit()`` or no data rows); ragged rows and cells
-    that do not parse, an empty source ``y`` among them, raise ValueError.
-    """
-    with _open_data(path) as fh:
-        header = next(csv.reader(fh), None)
-        s_col, y_col, *x_cols = _column_indices(path, header, x_columns)
-        text = fh.read()
-    # NUL is dropped from the end of numpy strings; a header-only file would
-    # make loadtxt warn
-    if "\0" in text or not text.strip("\r\n"):
-        return None
-    data = text.encode()
-    # the same dialect as csv.reader on a file opened with newline=""
-    dialect = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
-    with warnings.catch_warnings():
-        # the chunked text read remarks on skipped blank lines
-        warnings.filterwarnings("ignore", "Input line", UserWarning)
-        sy = np.loadtxt(_lines(data), dtype=str, usecols=(s_col, y_col), **dialect)
-    s_text, y_text = np.char.strip(sy).T
-    source = s_text == "1"
-    if not (source | (s_text == "0")).all() or not _regular_rows(data, len(header)):
-        return None
-    x = np.loadtxt(_lines(data), dtype=np.float64, usecols=x_cols, **dialect)
-    y = np.full(source.shape, np.nan)
-    # float() on each source cell, as in the row scanner; an empty one raises
-    y[source] = y_text[source].astype(np.float64)
-    return RawData(
-        s=source.astype(np.int64),
-        y=y,
-        x=x,
-        columns=tuple(x_columns),
-        masked_y_count=int(np.count_nonzero((y_text != "") & ~source)),
-    )
-
-
 def _lines(data: bytes):
     """UTF-8 text as lines split like a file opened with newline="".  A
     StringIO would hold the whole text at four bytes a character."""
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-
-
-def _regular_rows(data: bytes, n_cells: int) -> bool:
-    """Whether no row has more cells than the header's ``n_cells``:
-    loadtxt ignores extra cells and the row scanner rejects them.  Split by
-    the csv module, which raises on a field longer than
-    ``csv.field_size_limit()``, as the row scanner does."""
-    return all(len(row) <= n_cells for row in csv.reader(_lines(data)))
 
 
 def _read_rows(csv_path, x_columns) -> RawData:

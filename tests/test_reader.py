@@ -1,9 +1,10 @@
 """The columnar CSV reader against the row scanner.
 
-``io._read_raw`` parses a regular data file one column group at a time and
-hands every other file to ``io._read_rows``, the row scanner, which words
-the errors.  Both must give the same ``RawData``, bit for bit, or raise the
-same error, on any file.
+``io._read_raw`` parses a regular data file in line-aligned chunks, taken
+from the file's own bytes or from its rows as the csv module splits them,
+and hands every other file to ``io._read_rows``, the row scanner, which
+words the errors.  Both must give the same ``RawData``, bit for bit, or
+raise the same error, on any file.
 """
 
 import csv
@@ -328,7 +329,7 @@ def test_chunked_crlf_file_matches_default_chunks(tmp_path, monkeypatch, chunk):
     expected = outcome(tio._read_rows, path, ("x0", "x1"))
     assert expected[0] == "data" and expected[3] > 0
     assert 0 < int(tio._read_raw(path, ("x0", "x1")).s.sum()) < 2000
-    monkeypatch.setattr(tio, "_read_columns", never)
+    monkeypatch.setattr(tio, "_csv_chunks", never)
     monkeypatch.setattr(tio, "_read_rows", never)
     assert outcome(tio._read_raw, path, ("x0", "x1")) == expected
     monkeypatch.setattr(tio, "_CHUNK_BYTES", chunk)
@@ -341,7 +342,7 @@ def test_plain_file_takes_the_byte_pass(tmp_path, monkeypatch, eol, last):
     text = cohort_text(50, eol)
     path = write(tmp_path, text if last else text.removesuffix(eol))
     expected = outcome(tio._read_rows, path, ("x1",))
-    monkeypatch.setattr(tio, "_read_columns", never)
+    monkeypatch.setattr(tio, "_csv_chunks", never)
     monkeypatch.setattr(tio, "_read_rows", never)
     assert outcome(tio._read_raw, path, ("x1",)) == expected
 
@@ -361,7 +362,7 @@ def test_plain_file_takes_the_byte_pass(tmp_path, monkeypatch, eol, last):
 def test_byte_pass_declines_what_it_cannot_decide(tmp_path, text):
     path = write(tmp_path, text)
     try:
-        assert tio._read_bytes(path, ("x0",)) is None
+        assert tio._read_chunks(path, ("x0",), tio._line_chunks) is None
     except ValueError:
         pass
     assert outcome(tio._read_raw, path, ("x0",)) == outcome(tio._read_rows, path, ("x0",))
@@ -380,7 +381,7 @@ def test_unquoted_field_against_csv_limit(tmp_path, monkeypatch, field_limit_64,
     assert expected[0] == ("data" if length == 64 else "error")
     assert outcome(tio._read_raw, path, ("x0",)) == expected
     if length == 64:
-        monkeypatch.setattr(tio, "_read_columns", never)
+        monkeypatch.setattr(tio, "_csv_chunks", never)
         assert outcome(tio._read_raw, path, ("x0",)) == expected
 
 
@@ -411,5 +412,56 @@ def test_header_forms(tmp_path, monkeypatch, header, x_column):
     expected = outcome(tio._read_rows, path, (x_column,))
     assert outcome(tio._read_raw, path, (x_column,)) == expected
     if header.count('"') == 6:
-        monkeypatch.setattr(tio, "_read_columns", never)
+        monkeypatch.setattr(tio, "_csv_chunks", never)
         assert outcome(tio._read_raw, path, (x_column,)) == expected
+
+
+@pytest.mark.parametrize("x_columns", [("y",), ("x0", "y")])
+@pytest.mark.parametrize("text", [
+    "s,y,x0\n1,0,0.5\n0,,1\n",           # an empty target outcome
+    "s,y,x0\r\n1,0,0.5\r\n0,1,1\r\n",    # every outcome filled
+    's,y,x0\n1,"0",0.5\n0,,1\n',
+])
+def test_outcome_read_as_a_covariate_matches_row_scanner(tmp_path, text, x_columns):
+    path = write(tmp_path, text)
+    expected = outcome(tio._read_rows, path, x_columns)
+    if ",," in text:
+        assert expected == ("error", "DataError", "row 1, column y: could not parse ''")
+    assert outcome(tio._read_raw, path, x_columns) == expected
+
+
+# -- the csv chunks ----------------------------------------------------------
+
+
+def reshaped(text, form):
+    """``text`` with every cell quoted, every cell padded, or ``\\r`` line ends."""
+    if form == "cr":
+        return text.replace("\r\n", "\r")
+    cell = '"{}"' if form == "quoted" else " {}\t"
+    lines = text.split("\r\n")
+    return "\r\n".join([lines[0], *(",".join(map(cell.format, line.split(",")))
+                                    for line in lines[1:-1]), ""])
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 64])
+@pytest.mark.parametrize("form", ["quoted", "padded", "cr"])
+def test_other_regular_files_take_the_csv_chunks(tmp_path, monkeypatch, form, chunk):
+    path = write(tmp_path, reshaped(cohort_text(300), form))
+    expected = outcome(tio._read_rows, path, ("x0", "x1"))
+    assert expected[0] == "data" and expected[3] > 0
+    assert tio._read_chunks(path, ("x0", "x1"), tio._line_chunks) is None
+    if chunk is not None:
+        monkeypatch.setattr(tio, "_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(tio, "_read_rows", never)
+    assert outcome(tio._read_raw, path, ("x0", "x1")) == expected
+
+
+@pytest.mark.parametrize("text", [
+    's,y,x0\n1,0,"5\n1,0,5"\n0,,1\n',    # a covariate cell holding a whole row
+    's,y,x0\n1,0,"5,6"\n0,,1\n',         # a covariate cell holding a comma
+    's,y,x0\n1,0,"5\r6"\n0,,1\n',
+    's,y,x0,note\n1,0,5,"a\n1,0,5"\n0,,1,\n',
+])
+def test_csv_chunks_keep_cells_whole(tmp_path, text):
+    path = write(tmp_path, text)
+    assert outcome(tio._read_raw, path, ("x0",)) == outcome(tio._read_rows, path, ("x0",))
