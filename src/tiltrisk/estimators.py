@@ -13,21 +13,25 @@ with the source weight w = 0 for the plug-in ``cl``, the inverse odds
 for the selection-offset ``aug-alt``.  The estimate is sum(r)/n0
 (non-nested) or sum(r)/n (nested); the same terms give the per-row
 influence values behind the sandwich standard error.
+
+A fitted nuisance set is evaluated as replicate 0 of the fits it came
+from, the replicate whose row counts are all one, by the same code as the
+resampling replicates; a hand-built set through its b, c and a.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .data import ObservationTable
 from .errors import NUMERIC_FAILURES, ConfigError
-from .nuisance import ClosedForms, NuisanceRows, NuisanceSet
-from .tilt import TiltSpec, tilt_weight
+from .nuisance import NuisanceRows, NuisanceSet
+from .tilt import BinaryTilt, TiltSpec, tilt_weight
 
 _CLIP_TOL = 1e-12
 
@@ -77,19 +81,6 @@ def _check_estimator(name: str) -> None:
         raise ConfigError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
 
 
-def _clip_diagnostics(p_src: np.ndarray, nuis: NuisanceSet) -> dict:
-    # only fitted sets clip p; hand-built sets (e.g. p = 1 test mode)
-    # carry no bounds and report no clipping
-    if "p_clip" not in nuis.meta or p_src.size == 0:
-        return {"clip_count": 0}
-    lo, hi = nuis.meta["p_clip"]
-    at_bound = (p_src <= lo + _CLIP_TOL) | (p_src >= hi - _CLIP_TOL)
-    diag = {"clip_count": int(at_bound.sum())}
-    if at_bound.mean() > 0.5:
-        diag["positivity_warning"] = True
-    return diag
-
-
 def _source_weight(estimator: str, y_src, eta, q, p_src, c_src: Callable,
                    a_src: Callable) -> np.ndarray:
     """Source-row weights of ``aug`` (inverse odds over c) or ``aug-alt``
@@ -99,20 +90,6 @@ def _source_weight(estimator: str, y_src, eta, q, p_src, c_src: Callable,
     if estimator == "aug-alt":
         return np.exp(a_src()) * tilt
     return (1.0 - p_src) / p_src * tilt / c_src()
-
-
-def _closed_form_terms(forms: tuple, eta, estimator: str, a_src: Callable) -> tuple:
-    """(b on the target rows, b on the source rows, source weights) from
-    the ``BinaryTilt`` pair ``forms`` of a fitted binary set; ``cl`` needs
-    neither the source b nor weights (None)."""
-    tgt, src = forms
-    b_t = tgt.b(eta)
-    if estimator == "cl":
-        return b_t, None, None
-    if estimator == "aug":
-        return (b_t, *src.b_weight(eta))
-    tilt = src.tilt(eta)
-    return b_t, src.b(eta), np.exp(a_src()) * tilt
 
 
 def _kernel(nested: bool, b_t, b_s, weight, loss_s) -> tuple:
@@ -128,54 +105,48 @@ def _kernel(nested: bool, b_t, b_s, weight, loss_s) -> tuple:
     return b_t, r_s
 
 
-def _sum(r_s, counts=None):
-    """Row sums of the source terms, weighted by ``counts``."""
-    if r_s is None:
+def _sum(r, counts=None):
+    """Row sums of the terms ``r``, weighted by ``counts``; 0 for no terms."""
+    if r is None:
         return 0.0
-    return np.add.reduce(r_s if counts is None else r_s * counts, axis=-1)
+    return np.add.reduce(r if counts is None else r * counts, axis=-1)
 
 
-def _closed_forms(table: ObservationTable, nuis: NuisanceSet):
-    """The evaluators of a fitted binary set's closed forms on the table's
-    target and source rows; None for any other set, and for a set whose b
-    or c was replaced, which the kernel then calls as given."""
-    forms = nuis.closed_forms
-    if forms is None or nuis.b != forms.b or nuis.c != forms.c:
-        return None
-    return forms.on(table.target_rows, table.source_rows, np.asarray(nuis.p), table.y)
-
-
-def _terms(table: ObservationTable, nuis: NuisanceSet, eta, estimator: str,
-           forms=None) -> tuple:
-    """Terms on the target rows and on the source rows, (K, n0) and (K, n1)
-    at a (K, 1) eta column, the estimates (K,) and the source weights (None
-    for ``cl``, whose source terms are eta-free or None, see ``_kernel``);
-    a scalar eta gives (n0,) and (n1,) rows and a scalar estimate.  A
-    fitted binary set is evaluated through its closed forms ``forms``
-    (``_closed_forms``), any other set through its b, c and a."""
+def _terms(table: ObservationTable, nuis: NuisanceSet, eta, estimator: str) -> tuple:
+    """Terms of a hand-built set (one without fits) on the target rows and
+    on the source rows, (K, n0) and (K, n1) at a (K, 1) eta column, the
+    estimates (K,) and the source weights (None for ``cl``, whose source
+    terms are eta-free or None, see ``_kernel``); a scalar eta gives (n0,)
+    and (n1,) rows and a scalar estimate.  The set's b, c and a are called
+    as given."""
     eta = np.asarray(eta, dtype=np.float64)
     eta = eta.reshape(-1, 1) if eta.ndim else eta
     tgt, src = table.target_rows, table.source_rows
-    a_src = lambda: np.asarray(nuis.a(eta)).take(src, axis=-1)
-    if forms is not None:
-        b_t, b_s, weight = _closed_form_terms(forms, eta, estimator, a_src)
-    else:
-        b = np.asarray(nuis.b(eta), dtype=np.float64)
-        if b.ndim < eta.ndim:  # eta-free rows of a hand-built set
-            b = np.broadcast_to(b, (eta.size, table.n))
-        b_t, b_s, weight = b.take(tgt, axis=-1), None, None
-        if estimator != "cl":
-            if estimator == "aug-alt" and nuis.a is None:
-                raise ConfigError("aug-alt needs the selection offset a in the nuisance set")
-            weight = _source_weight(estimator, table.y[src], eta, nuis.q,
-                                    np.asarray(nuis.p)[src],
-                                    lambda: np.asarray(nuis.c(eta)).take(src, axis=-1), a_src)
-            b_s = b.take(src, axis=-1)
+    b = np.asarray(nuis.b(eta), dtype=np.float64)
+    if b.ndim < eta.ndim:  # eta-free rows
+        b = np.broadcast_to(b, (eta.size, table.n))
+    b_t, b_s, weight = b.take(tgt, axis=-1), None, None
+    if estimator != "cl":
+        if estimator == "aug-alt" and nuis.a is None:
+            raise ConfigError("aug-alt needs the selection offset a in the nuisance set")
+        weight = _source_weight(estimator, table.y[src], eta, nuis.q, np.asarray(nuis.p)[src],
+                                lambda: np.asarray(nuis.c(eta)).take(src, axis=-1),
+                                lambda: np.asarray(nuis.a(eta)).take(src, axis=-1))
+        b_s = b.take(src, axis=-1)
     nested = table.design == "nested"
     loss_s = table.source_losses if nested or weight is not None else None
     r_t, r_s = _kernel(nested, b_t, b_s, weight, loss_s)
     est = (np.add.reduce(r_t, axis=-1) + _sum(r_s)) / (table.n if nested else table.n0)
     return r_t, r_s, est, weight
+
+
+def _set_terms(table: ObservationTable, nuis: NuisanceSet, eta, estimator: str) -> tuple:
+    """The terms, estimates and weights of ``_terms``: a fitted set's as
+    replicate 0 of its fits (``_replicate_terms``), a hand-built set's
+    through its fields."""
+    if nuis._fits is None:
+        return _terms(table, nuis, eta, estimator)
+    return _replicate_terms(table, nuis._fits, 0, np.asarray(eta, dtype=np.float64), estimator)
 
 
 def _point_diagnostics(table: ObservationTable, est: np.ndarray, weight, clip: dict) -> list:
@@ -189,10 +160,20 @@ def _point_diagnostics(table: ObservationTable, est: np.ndarray, weight, clip: d
 
 
 def _clip(table: ObservationTable, nuis: NuisanceSet, estimator: str) -> dict:
-    """The eta-free clip diagnostics of ``aug``, computed once per curve."""
+    """The eta-free clip diagnostics of ``aug``, computed once per curve.
+    Only fitted sets clip p; a set without bounds in its meta (e.g. p = 1
+    test mode) reports no clipping."""
     if estimator != "aug":
         return {}
-    return _clip_diagnostics(np.asarray(nuis.p)[table.source_rows], nuis)
+    p_src = np.asarray(nuis.p)[table.source_rows]
+    if "p_clip" not in nuis.meta or p_src.size == 0:
+        return {"clip_count": 0}
+    lo, hi = nuis.meta["p_clip"]
+    at_bound = (p_src <= lo + _CLIP_TOL) | (p_src >= hi - _CLIP_TOL)
+    diag = {"clip_count": int(at_bound.sum())}
+    if at_bound.mean() > 0.5:
+        diag["positivity_warning"] = True
+    return diag
 
 
 def _overshoot(table: ObservationTable, estimate: float) -> float:
@@ -218,7 +199,7 @@ def estimate(
     source rows; the ``positivity_warning`` diagnostic records the same.
     """
     _check_estimator(estimator)
-    _, _, est, weight = _terms(table, nuis, eta, estimator, _closed_forms(table, nuis))
+    _, _, est, weight = _set_terms(table, nuis, eta, estimator)
     diag = {}
     if weight is not None:
         diag = _point_diagnostics(table, np.reshape(est, 1), weight,
@@ -237,7 +218,7 @@ def influence_values(
     With the matching augmented estimate plugged in, the values average to
     zero and sqrt(mean(values^2) / n) is the sandwich standard error.
     """
-    r_t, r_s, _, _ = _terms(table, nuis, eta, "aug", _closed_forms(table, nuis))
+    r_t, r_s, _, _ = _set_terms(table, nuis, eta, "aug")
     r = np.empty(table.n)
     r[table.target_rows] = r_t
     r[table.source_rows] = r_s
@@ -269,14 +250,17 @@ def _block_step(table: ObservationTable) -> int:
 
 def _grid_terms(table, nuis, grid: np.ndarray, estimator: str, clip: dict) -> list:
     """(estimate, diagnostics) at every grid point, or the numeric failure
-    the point raised."""
-    forms = _closed_forms(table, nuis)
+    the point raised: a fitted set's as replicate 0 of its fits, a
+    hand-built set's block by block through its fields."""
 
-    def evaluate(block):
-        _, _, est, weight = _terms(table, nuis, block, estimator, forms)
+    def entries(terms):
+        _, _, est, weight = terms
         return list(zip(est, _point_diagnostics(table, est, weight, clip)))
 
-    return _blocks(evaluate, grid, _block_step(table))
+    if nuis._fits is not None:
+        return _replicate_rows(table, nuis._fits, [0], grid, estimator, entries)[0]
+    return _blocks(lambda block: entries(_terms(table, nuis, block, estimator)), grid,
+                   _block_step(table))
 
 
 # ---------------------------------------------------------------------------
@@ -285,52 +269,70 @@ def _grid_terms(table, nuis, grid: np.ndarray, estimator: str, clip: dict) -> li
 
 
 def _drawn_rows(table: ObservationTable, fits: NuisanceRows, r: int) -> tuple:
-    """The target and the source rows replicate r draws, and for binary
-    fits their closed forms (else None)."""
+    """Replicate r's eta-free state, computed once: the target and the
+    source rows it draws, their counts (None where every drawn count is
+    one, so the sums are plain, as on the full table), the losses on the
+    drawn source rows, the denominator of its estimates and, for binary
+    fits, the ``BinaryTilt`` closed forms on the drawn target rows and on
+    the drawn source rows with their outcomes and the odds of p (else
+    None)."""
+    cnt = fits.counts[r]
     tgt = fits.rows_drawn(r, table.target_rows)
     src = fits.rows_drawn(r, table.source_rows)
-    if fits.g is None:
-        return tgt, src, None
-    return tgt, src, ClosedForms(fits, r).on(tgt, src, fits.p[r], table.y)
+    c_t, c_s = cnt[tgt], cnt[src]
+    den = c_t.sum() + c_s.sum() if table.design == "nested" else c_t.sum()
+    counts = None if (c_t == 1.0).all() and (c_s == 1.0).all() else (c_t, c_s)
+    forms = None
+    if fits.g is not None:
+        (l1, l0), g = fits.losses, fits.g[r]
+        forms = (BinaryTilt(g[tgt], l1[tgt], l0[tgt]),
+                 BinaryTilt(g[src], l1[src], l0[src], table.y[src], fits.p[r, src]))
+    return tgt, src, counts, table.loss[src], den, forms
 
 
-def _replicate_terms(table: ObservationTable, fits: NuisanceRows, r: int, eta: np.ndarray,
-                     estimator: str, drawn=None, coef=None) -> np.ndarray:
-    """Estimates of replicate r of ``fits`` at a (K, 1) eta column: the
-    kernel's terms on the rows the replicate draws (``drawn``, from
-    ``_drawn_rows``), summed with their counts.  Equals the estimate on the
-    table holding each row that many times.  ``coef`` holds a continuous
-    fit's b and c coefficients at eta (``NuisanceRows.solve``; c None where
-    the estimator needs none), else they are solved here."""
-    cnt = fits.counts[r]
-    tgt, src, forms = drawn or _drawn_rows(table, fits, r)
+def _replicate_terms(table: ObservationTable, fits: NuisanceRows, r: int, eta,
+                     estimator: str, drawn=None, coef=None) -> tuple:
+    """The terms, estimates and weights of ``_terms`` for replicate r of
+    ``fits``: the kernel's terms on the rows the replicate draws (``drawn``,
+    from ``_drawn_rows``), summed with their counts.  The estimates equal
+    those on the table holding each row that many times.  Binary fits take
+    b and the source weights from their closed forms (``cl`` needs neither
+    the source b nor weights).  ``coef`` holds a continuous fit's b and c
+    coefficients at eta (``NuisanceRows.solve``; c None where the estimator
+    needs none), else they are solved here."""
+    tgt, src, counts, loss_s, den, forms = drawn or _drawn_rows(table, fits, r)
     b_beta, c_beta = coef or (None, None)
     a_src = lambda: fits.a(eta, r, src, c_beta)
-    weight = None
+    b_s = weight = None
     if forms is not None:
-        b_t, b_s, weight = _closed_form_terms(forms, eta, estimator, a_src)
+        b_t = forms[0].b(eta)
+        if estimator == "aug":
+            b_s, weight = forms[1].b_weight(eta)
+        elif estimator == "aug-alt":
+            tilt = forms[1].tilt(eta)
+            b_s, weight = forms[1].b(eta), np.exp(a_src()) * tilt
     elif estimator == "cl":
-        b_t, b_s = fits.b(eta, r, tgt, beta=b_beta)[0], None
+        b_t = fits.b(eta, r, tgt, beta=b_beta)[0]
     else:
         b_t, b_s = fits.b(eta, r, tgt, src, beta=b_beta)
         weight = _source_weight(estimator, table.y[src], eta, fits.q, fits.p[r, src],
                                 lambda: fits.c(eta, r, src, c_beta), a_src)
-    nested = table.design == "nested"
-    r_t, r_s = _kernel(nested, b_t, b_s, weight, table.loss[src])
-    c_t, c_s = cnt[tgt], cnt[src]
-    return ((r_t * c_t).sum(axis=-1) + _sum(r_s, c_s)) \
-        / (c_t.sum() + c_s.sum() if nested else c_t.sum())
+    r_t, r_s = _kernel(table.design == "nested", b_t, b_s, weight, loss_s)
+    c_t, c_s = counts or (None, None)
+    return r_t, r_s, (_sum(r_t, c_t) + _sum(r_s, c_s)) / den, weight
 
 
 def _replicate_rows(table: ObservationTable, fits: NuisanceRows, group: list,
-                    grid: np.ndarray, estimator: str) -> list:
+                    grid: np.ndarray, estimator: str,
+                    entries: Callable = lambda terms: list(terms[2])) -> list:
     """Replicates ``group`` (indices into ``fits``) at every grid point: per
-    replicate one entry per point, its estimate or the numeric failure the
-    point raised.  The grid goes in blocks of ``_block_step`` points.  For
-    continuous fits each block first solves b, and c where the estimator
-    needs it, for the whole group at once (``NuisanceRows.solve``); a point
-    whose solve failed fails alone, and the other points keep their
-    coefficients."""
+    replicate one entry per point, from ``entries`` of a block's
+    ``_replicate_terms`` (by default its estimates), or the numeric failure
+    the point raised.  The grid goes in blocks of ``_block_step`` points.
+    For continuous fits each block first solves b, and c where the
+    estimator needs it, for the whole group at once
+    (``NuisanceRows.solve``); a point whose solve failed fails alone, and
+    the other points keep their coefficients."""
     step = _block_step(table)
     drawn = [_drawn_rows(table, fits, i) for i in group]
     parts = ("b", "c") if estimator == "aug" or (estimator == "aug-alt"
@@ -348,8 +350,8 @@ def _replicate_rows(table: ObservationTable, fits: NuisanceRows, group: list,
                     if exc is not None:
                         raise exc
                     coef = (b[j, idx], None if c is None else c[j, idx])
-                return list(_replicate_terms(table, fits, i, eta[idx], estimator, drawn[j],
-                                             coef))
+                return entries(_replicate_terms(table, fits, i, eta[idx], estimator, drawn[j],
+                                                coef))
 
             rows[j] += _blocks(evaluate, np.arange(eta.shape[0]), step)
     return rows
@@ -551,10 +553,6 @@ def sensitivity_curve(
                 ses[i], wald_interval(res.estimate, ses[i], resample.level)
             )
         if res is not None and notes[i]:
-            res = EstimateResult(
-                eta=res.eta, estimate=res.estimate, method=res.method,
-                se=res.se, ci=res.ci,
-                diagnostics={**res.diagnostics, "resampling_note": notes[i]},
-            )
+            res = replace(res, diagnostics={**res.diagnostics, "resampling_note": notes[i]})
         points.append(CurvePoint(eta, res, status))
     return SensitivityCurve(tuple(points), metadata)

@@ -102,8 +102,6 @@ def solve_monotone_root(f: Callable, lo: float = -1.0, hi: float = 1.0) -> float
             f"no sign change within |eta| <= {BRACKET_CAP}; the requested "
             "prevalence may need a more extreme tilt than supported"
         )
-    if f_lo > f_hi:
-        raise DomainError("objective is not increasing over the bracket")
     width = [hi - lo] * 2    # the bracket's width before each of the last two steps
     held = 0                 # the end the last step kept: -1 lo, 1 hi
     step = 0.5 * (lo + hi)

@@ -104,6 +104,7 @@ def _column_indices(path: Path, fieldnames, x_columns) -> tuple:
 
 # the byte pass reads the data rows in line-aligned chunks of about this size
 _CHUNK_BYTES = 1 << 20
+_HEADER_BYTES = 1 << 20   # a longer header line, or a file without line feeds, is declined
 _LF, _CR, _COMMA, _ZERO, _ONE = b"\n\r,01"
 
 
@@ -161,9 +162,9 @@ def _line_chunks(path: Path, x_columns):
     ``s``, ``y`` and the covariates in it, then the data rows in chunks of
     about ``_CHUNK_BYTES`` that each end in a line feed; a last line
     without one gets one.  Nothing for a header ``_header_fields`` cannot
-    read."""
+    read, which includes one not ended within ``_HEADER_BYTES``."""
     with open(path, "rb") as fh:
-        header = _header_fields(fh.readline())
+        header = _header_fields(fh.readline(_HEADER_BYTES))
         if header is None:
             return
         yield len(header), _column_indices(path, header, x_columns)

@@ -42,7 +42,6 @@ from .errors import (
 )
 from .tilt import (
     _LOG_MAX,
-    BinaryTilt,
     LossFunction,
     TiltSpec,
     binary_b,
@@ -709,10 +708,14 @@ class NuisanceSet:
     scalar eta to (n,) arrays and a (K, 1) eta column to (K, n) or (n,)
     arrays.  ``q`` is the tilt map (None = identity) applied to source
     outcomes.  ``recipe`` is the recipe that fitted the set, which
-    resampling uses to refit it; hand-built sets leave it None.  A fitted
-    binary set's ``b`` and ``c`` are the methods of its ``closed_forms``;
-    while they are, the estimators evaluate b, c and the source weights
-    through its ``BinaryTilt`` evaluators instead (``ClosedForms.on``).
+    resampling uses to refit it; hand-built sets leave it None.
+
+    A fitted set (``NuisanceRecipe.fit``) also carries its fits, the
+    ``NuisanceRows`` of one all-ones replicate, and the estimators evaluate
+    it as replicate 0 of them.  ``dataclasses.replace`` does not copy the
+    fits, so a replaced set is a hand-built one: the estimators read every
+    field as given, and values derived at fit time, such as a from p and
+    c, are not recomputed.
     """
 
     p: np.ndarray
@@ -723,33 +726,7 @@ class NuisanceSet:
     q: Optional[Callable[[np.ndarray], np.ndarray]] = None
     meta: dict = field(default_factory=dict)
     recipe: Optional[NuisanceRecipe] = None
-    closed_forms: Optional[ClosedForms] = None
-
-
-@dataclass(frozen=True)
-class ClosedForms:
-    """The binary closed forms of replicate r of the fits ``rows``: b and c
-    on every row of their table, and evaluators on chosen rows."""
-
-    rows: NuisanceRows
-    r: int
-
-    def b(self, eta) -> np.ndarray:
-        l1, l0 = self.rows.losses
-        return np.asarray(binary_b(l1, l0, self.rows.g[self.r], eta))
-
-    def c(self, eta) -> np.ndarray:
-        return self.rows.c(eta, self.r, slice(None))
-
-    def on(self, tgt: np.ndarray, src: np.ndarray, p: np.ndarray, y: np.ndarray) -> tuple:
-        """Two ``BinaryTilt``, each holding its rows' eta-free terms: on
-        target rows ``tgt``, and on source rows ``src`` with their outcomes
-        ``y`` and the odds of ``p`` behind the source weights (``p`` and
-        ``y`` on every row)."""
-        l1, l0 = self.rows.losses
-        g = self.rows.g[self.r]
-        return (BinaryTilt(g[tgt], l1[tgt], l0[tgt]),
-                BinaryTilt(g[src], l1[src], l0[src], y[src], p[src]))
+    _fits: Optional[NuisanceRows] = field(init=False, default=None, repr=False, compare=False)
 
 
 class NuisanceRows:
@@ -760,10 +737,11 @@ class NuisanceRows:
     undefined); ``lacks_stratum[r]`` marks the failures of replicates that
     draw no source rows, or no target rows of a non-nested table, which
     could not be built as tables.  ``p`` and ``g`` are (R, n) arrays and,
-    for binary fits, ``losses`` the (n,) L(1, h) and L(0, h), from which
-    ``ClosedForms`` gives b; ``b`` (continuous fits), ``c`` and ``a`` give
-    one replicate's values at eta (a scalar or a (K, 1) column) on the
-    given rows, each solved from that replicate's rows alone.
+    for binary fits, ``losses`` the (n,) L(1, h) and L(0, h) behind the
+    closed forms; ``b``, ``c`` and ``a`` give one replicate's values at eta
+    (a scalar or a (K, 1) column) on the given rows, each solved from that
+    replicate's rows alone.  The full-table fit of ``NuisanceRecipe.fit``
+    is replicate 0, whose counts are all one (``nuisance_set``).
 
     A continuous fit's b and c regressions are solved by ``solve`` for a
     batch of replicates and a block of etas at once, with the R factors of
@@ -790,10 +768,23 @@ class NuisanceRows:
         self._c_designs = c_designs
         self._a_designs = a_designs
         self._p_clip = p_clip
+        self._whole = (counts == 1.0).all(axis=1)
 
     def rows_drawn(self, r: int, rows: np.ndarray) -> np.ndarray:
         """The entries of ``rows`` that replicate r draws at least once."""
         return rows[self.counts[r, rows] > 0]
+
+    def _on_rows(self, dT: np.ndarray, beta: np.ndarray, r: int, *rows) -> list:
+        """d @ beta on each of ``rows`` for replicate r.  A replicate that
+        holds every row once is the full table, and its values are taken
+        from the product on every row: a product's rounding depends on the
+        rows it spans, and the full table's values are those of the whole
+        design."""
+        if self._whole[r]:
+            every = _values(dT, beta)
+            return [every[..., i] if isinstance(i, slice) else every.take(i, axis=-1)
+                    for i in rows]
+        return [_values(dT[:, i], beta) for i in rows]
 
     @property
     def derived_a(self) -> bool:
@@ -892,12 +883,15 @@ class NuisanceRows:
         return (b if part == "b" else c)[0].reshape(np.shape(eta)[:-1] + (-1,))
 
     def b(self, eta, r: int, *rows, beta=None) -> list:
-        """Tilted conditional risk of replicate r on each of ``rows``, from
-        the regression of continuous fits (binary fits: ``ClosedForms``);
-        ``beta`` gives its coefficients at eta, from ``solve``."""
+        """Tilted conditional risk of replicate r on each of ``rows``: the
+        closed form of binary fits, the regression of continuous ones, whose
+        coefficients at eta ``beta`` gives (from ``solve``)."""
+        if self.g is not None:
+            l1, l0 = self.losses
+            return [np.asarray(binary_b(l1[i], l0[i], self.g[r, i], eta)) for i in rows]
         dT = self._b_designs[r][1]
         beta = self._solved(eta, r, "b") if beta is None else beta
-        return [_values(dT[:, i], beta) for i in rows]
+        return self._on_rows(dT, beta, r, *rows)
 
     def c(self, eta, r: int, rows, beta=None) -> np.ndarray:
         """Tilted normalizer of replicate r on ``rows``; ``beta`` as in ``b``."""
@@ -905,7 +899,7 @@ class NuisanceRows:
             return np.asarray(binary_c(self.g[r, rows], eta))
         dT = self._c_designs[r][1]
         beta = self._solved(eta, r, "c") if beta is None else beta
-        return np.maximum(_values(dT[:, rows], beta), C_FLOOR)
+        return np.maximum(self._on_rows(dT, beta, r, rows)[0], C_FLOOR)
 
     def a(self, eta, r: int, rows, c_beta=None) -> np.ndarray:
         """Selection offset of replicate r on ``rows``: a moment fit per eta on
@@ -919,7 +913,8 @@ class NuisanceRows:
         d_drawn, src, y, cnt = dT[:, drawn], t.s[drawn] == 1, t.y[drawn], self.counts[r, drawn]
         theta = [_offset_theta(built, d_drawn, src, y, cnt, TiltSpec(e, self.q))
                  for e in np.ravel(eta)]
-        return _values(dT[:, rows], np.reshape(theta, np.shape(eta)[:-1] + (dT.shape[0],)))
+        theta = np.reshape(theta, np.shape(eta)[:-1] + (dT.shape[0],))
+        return self._on_rows(dT, theta, r, rows)[0]
 
     def meta(self, r: int) -> dict:
         fits = self._fits
@@ -932,23 +927,26 @@ class NuisanceRows:
         meta["a_source"] = "gmm" if self._a_designs is not None else "derived"
         return meta
 
-    def nuisance_set(self, r: int = 0, recipe: Optional[NuisanceRecipe] = None) -> NuisanceSet:
-        """Replicate r as a NuisanceSet on every row; raises its failure."""
-        if self.errors[r] is not None:
-            raise self.errors[r]
+    def nuisance_set(self, recipe: Optional[NuisanceRecipe] = None) -> NuisanceSet:
+        """Replicate 0 (the full table, from ``NuisanceRecipe.fit``) as a
+        NuisanceSet on every row that carries these fits, which the
+        estimators evaluate; raises its failure.  Its b, c and a serve
+        copies made by ``dataclasses.replace``, which carry no fits."""
+        if self.errors[0] is not None:
+            raise self.errors[0]
         every = slice(None)
-        forms = None if self.g is None else ClosedForms(self, r)
-        return NuisanceSet(
-            p=self.p[r],
-            b=(lambda eta: self.b(eta, r, every)[0]) if forms is None else forms.b,
-            c=(lambda eta: self.c(eta, r, every)) if forms is None else forms.c,
-            g=None if self.g is None else self.g[r],
-            a=lambda eta: self.a(eta, r, every),
+        nuis = NuisanceSet(
+            p=self.p[0],
+            b=lambda eta: self.b(eta, 0, every)[0],
+            c=lambda eta: self.c(eta, 0, every),
+            g=None if self.g is None else self.g[0],
+            a=lambda eta: self.a(eta, 0, every),
             q=self.q,
-            meta=self.meta(r),
+            meta=self.meta(0),
             recipe=recipe,
-            closed_forms=forms,
         )
+        object.__setattr__(nuis, "_fits", self)
+        return nuis
 
 
 def _check_replicates(table: ObservationTable, counts: np.ndarray) -> list:
@@ -1066,7 +1064,7 @@ class NuisanceRecipe:
     def fit(self, table: ObservationTable) -> NuisanceSet:
         """Nuisance values on the rows of ``table``: the one replicate that
         holds every row once."""
-        return self.fit_counts(table, np.broadcast_to(1.0, (1, table.n))).nuisance_set(0, self)
+        return self.fit_counts(table, np.broadcast_to(1.0, (1, table.n))).nuisance_set(self)
 
     def fit_counts(self, table: ObservationTable, counts) -> NuisanceRows:
         """Fit every replicate of the (R, n) row counts ``counts``

@@ -77,7 +77,7 @@ def _replicates_match_take(table, recipe: NuisanceRecipe, seed: int) -> float:
             if any(exc is not None for exc in failed[r]):
                 return float("nan")
             coef = (b[r], c[r])
-        weighted = _replicate_terms(table, fits, r, etas, "aug", coef=coef)
+        weighted = _replicate_terms(table, fits, r, etas, "aug", coef=coef)[2]
         diffs += [abs(value - estimate(t, taken, float(eta), "aug").estimate)
                   for eta, value in zip(etas[:, 0], weighted)]
     return float(np.max(diffs))

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from tiltrisk import estimators
+from tiltrisk.data import build_table
 from tiltrisk.errors import DomainError, TiltOverflowError
 from tiltrisk.estimators import (
     _replicate_terms,
@@ -33,10 +34,12 @@ from tiltrisk.etaselect import (
     eta_from_prevalence_nonnested,
     solve_monotone_root,
 )
-from tiltrisk.nuisance import DesignSpec, NuisanceRecipe
+from tiltrisk.nuisance import DesignSpec, NuisanceRecipe, NuisanceSet
 from tiltrisk.resampling import ResampleConfig, replicate_counts
 from tiltrisk.tilt import (
     BinaryTilt,
+    LossFunction,
+    PredictionModel,
     TiltSpec,
     binary_b,
     binary_c,
@@ -137,7 +140,7 @@ def old_kernel(nested, b_t, b_s, weight, loss_s):
 def old_terms(table, nuis, eta, estimator):
     """The estimator's terms from the frozen formulas at the row values of
     a fitted set: (r_t, r_s, estimates, weights)."""
-    g, p, (l1, l0) = nuis.g, nuis.p, nuis.closed_forms.rows.losses
+    g, p, (l1, l0) = nuis.g, nuis.p, (table.loss1, table.loss0)
     eta = np.asarray(eta, dtype=np.float64)
     eta = eta.reshape(-1, 1) if eta.ndim else eta
     tgt, src = table.target_rows, table.source_rows
@@ -226,9 +229,25 @@ def fitted(design, seed=3, n=120):
     rng = np.random.default_rng(seed)
     table = random_binary_table(rng, n=n, design=design)
     nuis = recipe().fit(table)
-    # in place: the set's closed forms and its b, c and a read the same g
+    # in place: the set's fits and its b, c and a read the same g
     nuis.g[table.target_rows[:4]] = nuis.g[table.source_rows[:4]] = G_EDGES
     return table, nuis
+
+
+def fitted_continuous(design, seed=3, n=120):
+    """A table with a continuous outcome and its fitted set."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (n, 2))
+    s = np.zeros(n, dtype=int)
+    s[rng.permutation(n)[:n // 2]] = 1
+    y = np.where(s == 1, 0.5 + x[:, 0] - 0.5 * x[:, 1] + 0.3 * rng.normal(size=n), np.nan)
+    model = PredictionModel(coefficients=(0.4, 0.9, -0.4), link="identity",
+                            xstar_columns=(0, 1))
+    loss = LossFunction("squared-error")
+    table = build_table(s, x, y, model, loss, design)
+    cols = DesignSpec((0, 1))
+    return table, NuisanceRecipe(outcome="continuous", loss=loss, p_design=cols,
+                                 b_design=cols, c_design=cols).fit(table)
 
 
 def column(etas):
@@ -335,19 +354,32 @@ class TestEstimators:
                 assert_bits(point.result.diagnostics["max_weight"], ref[1])
 
     def test_replaced_b_or_c_is_called(self, design, estimator):
-        """A set whose b or c was replaced is evaluated through them, as
-        a hand-built set is."""
-        table, nuis = fitted(design)
-        for changed in ({"b": lambda eta: np.zeros(table.n)},
-                        {"c": lambda eta: 2.0 * np.asarray(nuis.c(eta))}):
-            replaced = replace(nuis, **changed)
-            hand_built = replace(replaced, closed_forms=None)
-            for eta in (0.0, 0.5, -31.0):
-                assert (estimate(table, replaced, eta, estimator).estimate
-                        == estimate(table, hand_built, eta, estimator).estimate)
-            if estimator == "aug" or "b" in changed:
-                assert (estimate(table, replaced, 0.5, estimator).estimate
-                        != estimate(table, nuis, 0.5, estimator).estimate)
+        """A fitted set copied by ``replace`` is a hand-built set, binary or
+        continuous: whichever of p, b, c, g and a is replaced, the copy
+        gives bit for bit the estimates and influence values of the set
+        built from its fields.  The replacement changes the estimate where
+        the estimator's formula reads the field, and nothing else: a, which
+        the fit derived from p and c, is not recomputed."""
+        reads = {"cl": {"b"}, "aug": {"p", "b", "c"}, "aug-alt": {"b", "a"}}[estimator]
+        for (table, nuis), etas in ((fitted(design), (0.0, 0.5, -31.0)),
+                                    (fitted_continuous(design), (0.0, 0.5, -3.0))):
+            for name, value in (("p", np.full(table.n, 0.5)),
+                                ("b", lambda eta: np.zeros(table.n)),
+                                ("c", lambda eta: 2.0 * np.asarray(nuis.c(eta))),
+                                ("g", np.full(table.n, 0.5)),
+                                ("a", lambda eta: np.asarray(nuis.a(eta)) + 0.1)):
+                replaced = replace(nuis, **{name: value})
+                explicit = NuisanceSet(p=replaced.p, b=replaced.b, c=replaced.c, g=replaced.g,
+                                       a=replaced.a, q=replaced.q)
+                for eta in etas:
+                    with np.errstate(all="ignore"):
+                        assert_bits(estimate(table, replaced, eta, estimator).estimate,
+                                    estimate(table, explicit, eta, estimator).estimate)
+                        assert_bits(influence_values(table, replaced, eta, 0.3).values,
+                                    influence_values(table, explicit, eta, 0.3).values)
+                changed = (estimate(table, replaced, 0.5, estimator).estimate
+                           != estimate(table, nuis, 0.5, estimator).estimate)
+                assert changed == (name in reads), name
 
     def test_replicate_terms(self, design, estimator):
         table = random_binary_table(np.random.default_rng(5), n=80, design=design)
@@ -358,7 +390,7 @@ class TestEstimators:
             for etas in (ETAS, (0.0, -0.0), (800.0,), (-800.0,)):
                 eta = column(etas)
                 assert_same_outcome(
-                    lambda: _replicate_terms(table, fits, r, eta, estimator),
+                    lambda: _replicate_terms(table, fits, r, eta, estimator)[2],
                     lambda: old_replicate_terms(table, fits, r, eta, estimator))
 
 

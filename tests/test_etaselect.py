@@ -298,12 +298,15 @@ class TestRootSolver:
         root, points = evaluations(solve_monotone_root, math.tanh)
         assert root == 0.0 and points == [-1.0, 1.0, 0.0]
 
-    @pytest.mark.parametrize("shift", [60.0, -60.0])
-    def test_no_sign_change_text(self, shift):
+    @pytest.mark.parametrize("f", [lambda e: e - 60.0, lambda e: e + 60.0, lambda e: -e],
+                             ids=["60.0", "-60.0", "decreasing"])
+    def test_no_sign_change_text(self, f):
+        """A root past the cap either way, and a decreasing objective, whose
+        bracket ends keep the wrong signs, fail alike."""
         message = (f"no sign change within |eta| <= {BRACKET_CAP}; the requested prevalence "
                    "may need a more extreme tilt than supported")
         with pytest.raises(ConvergenceError, match=f"^{re.escape(message)}$"):
-            solve_monotone_root(lambda e: e - shift)
+            solve_monotone_root(f)
 
     @pytest.mark.parametrize("root", [-49.0, -1.0, 0.3, 1.0, 7.5, 49.0])
     def test_linear_and_steep_roots(self, root):

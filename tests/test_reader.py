@@ -8,6 +8,7 @@ raise the same error, on any file.
 """
 
 import csv
+import io
 import warnings
 
 import pytest
@@ -452,6 +453,33 @@ def test_other_regular_files_take_the_csv_chunks(tmp_path, monkeypatch, form, ch
     assert tio._read_chunks(path, ("x0", "x1"), tio._line_chunks) is None
     if chunk is not None:
         monkeypatch.setattr(tio, "_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(tio, "_read_rows", never)
+    assert outcome(tio._read_raw, path, ("x0", "x1")) == expected
+
+
+def test_cr_only_file_is_declined_after_one_bounded_read(tmp_path, monkeypatch):
+    """Without line feeds the header line would run to the end of the file:
+    the byte pass reads at most ``_HEADER_BYTES`` bytes of it, declines, and
+    the csv chunks read the file as the row scanner does."""
+    path = write(tmp_path, reshaped(cohort_text(300), "cr"))
+    expected = outcome(tio._read_rows, path, ("x0", "x1"))
+    assert expected[0] == "data"
+    monkeypatch.setattr(tio, "_HEADER_BYTES", 64)
+    served = []
+
+    class Served(io.BytesIO):
+        def read(self, size=-1):
+            served.append(len(block := super().read(size)))
+            return block
+
+        def readline(self, size=-1):
+            served.append(len(line := super().readline(size)))
+            return line
+
+    with monkeypatch.context() as mp:
+        mp.setattr(tio, "open", lambda p, mode: Served(p.read_bytes()), raising=False)
+        assert list(tio._line_chunks(path, ("x0", "x1"))) == []
+    assert 0 < sum(served) <= 64 < path.stat().st_size
     monkeypatch.setattr(tio, "_read_rows", never)
     assert outcome(tio._read_raw, path, ("x0", "x1")) == expected
 
