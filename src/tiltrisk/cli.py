@@ -117,9 +117,12 @@ def _analyze_config(args) -> AnalysisConfig:
         resample["method"] = "jackknife" if args.jackknife else "bootstrap"
         if args.bootstrap is not None:
             resample["replicates"] = args.bootstrap
-        if args.level is not None:
-            resample["level"] = args.level
         base["resample"] = resample
+    if args.level is not None:
+        if not isinstance(base.get("resample"), dict):
+            raise ConfigError("--level needs resampling: --bootstrap, --jackknife or a "
+                              "resample block in the config")
+        base["resample"]["level"] = args.level
     if args.seed is not None:
         base["seed"] = args.seed
     if args.out:

@@ -26,6 +26,7 @@ FORMAT_VERSION = 1
 _LOSSES = ("brier", "squared-error", "absolute-deviation")
 _ESTIMATORS = ("cl", "aug", "aug-alt")
 _DESIGNS = ("nested", "non-nested")
+_LINKS = ("logit", "identity")
 
 
 @dataclass(frozen=True)
@@ -139,8 +140,12 @@ class AnalysisConfig:
         object.__setattr__(self, "xstar_columns", xstar)
         if (self.model_coefficients is None) == (self.fit_split is None):
             raise ConfigError("provide exactly one of model_coefficients or fit_split")
-        if self.fit_split is not None and not 0.0 < self.fit_split < 1.0:
-            raise ConfigError("fit_split must be a fraction in (0, 1)")
+        if self.fit_split is not None and (isinstance(self.fit_split, bool)
+                                           or not isinstance(self.fit_split, numbers.Real)
+                                           or not 0.0 < self.fit_split < 1.0):
+            raise ConfigError(f"fit_split must be a fraction in (0, 1), got {self.fit_split!r}")
+        if self.model_link not in _LINKS:
+            raise ConfigError(f"model_link must be one of {_LINKS}, got {self.model_link!r}")
         if (self.eta_grid is None) == (self.anchor is None):
             raise ConfigError("provide exactly one of eta_grid or anchor")
         if self.eta_grid is not None:

@@ -76,9 +76,15 @@ class InfluenceValues:
     se: float
 
 
-def _check_estimator(name: str) -> None:
-    if name not in ESTIMATOR_NAMES:
-        raise ConfigError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
+def _check(table: ObservationTable, nuis: NuisanceSet, estimator: str = "aug") -> None:
+    """A ConfigError for an unknown estimator, a fitted set of another table
+    or a set whose p is not shaped (n,) like the table's rows."""
+    if estimator not in ESTIMATOR_NAMES:
+        raise ConfigError(f"unknown estimator {estimator!r}; expected one of {ESTIMATOR_NAMES}")
+    if nuis._fits is not None and nuis._fits.table is not table:
+        raise ConfigError("the nuisance set was fitted to another table")
+    if np.shape(nuis.p) != (table.n,):
+        raise ConfigError(f"nuisance p has shape {np.shape(nuis.p)}, not ({table.n},)")
 
 
 def _source_weight(estimator: str, y_src, eta, q, p_src, c_src: Callable,
@@ -197,8 +203,10 @@ def estimate(
 
     Warns when p sits at its clipping bound on more than half of the
     source rows; the ``positivity_warning`` diagnostic records the same.
+    A set that does not belong to ``table`` is a ConfigError (``_check``),
+    as in ``influence_values`` and ``sensitivity_curve``.
     """
-    _check_estimator(estimator)
+    _check(table, nuis, estimator)
     _, _, est, weight = _set_terms(table, nuis, eta, estimator)
     diag = {}
     if weight is not None:
@@ -218,6 +226,7 @@ def influence_values(
     With the matching augmented estimate plugged in, the values average to
     zero and sqrt(mean(values^2) / n) is the sandwich standard error.
     """
+    _check(table, nuis)
     r_t, r_s, _, _ = _set_terms(table, nuis, eta, "aug")
     r = np.empty(table.n)
     r[table.target_rows] = r_t
@@ -486,7 +495,7 @@ def sensitivity_curve(
         raise ConfigError("eta grid is empty")
     if np.any(np.diff(eta_grid) < 0):
         raise ConfigError("eta grid must be sorted ascending")
-    _check_estimator(estimator)
+    _check(table, nuis, estimator)
     if resample is not None and nuis.recipe is None:
         raise ConfigError("resampling refits the nuisances; fit them with a NuisanceRecipe")
 

@@ -14,7 +14,12 @@ table's rows, and ``recipe.fit_counts(table, counts)`` gives
   least squares on the source rows, solved for many replicates and etas
   at once;
 * the selection offset a(X, theta; eta), implied by p and c, or fitted by
-  a just-identified method of moments on an ``a_design``.
+  a just-identified method of moments on an ``a_design``: the minimizer of
+  the entropy-balancing dual, for a column of etas at once.
+
+IRLS and the offset share one batched Newton loop (``_newton``); a fit
+that does not converge fails its replicate or grid point with a
+ConvergenceError naming why (``_FAILURES``).
 
 A replicate is a vector of row counts over the table (a bootstrap draw or a
 leave-one-out table); every fit weights row i by its count, which equals a
@@ -68,15 +73,9 @@ _TINY = np.finfo(np.float64).tiny
 
 def spline_knots(column: np.ndarray, degree: int, interior_knots: int) -> np.ndarray:
     """Clamped knot vector: boundary knots at min/max (multiplicity
-    degree+1), interior knots at empirical quantiles."""
+    degree+1), interior knots at empirical quantiles.  ``DesignSpec.build``
+    checks that the column has enough distinct values."""
     col = np.asarray(column, dtype=np.float64)
-    n_distinct = np.unique(col).size
-    if n_distinct < interior_knots + degree + 1:
-        raise DomainError(
-            f"column has {n_distinct} distinct values; B-spline basis of "
-            f"degree {degree} with {interior_knots} interior knots needs at "
-            f"least {interior_knots + degree + 1}"
-        )
     lo, hi = float(col.min()), float(col.max())
     if interior_knots > 0:
         probs = np.arange(1, interior_knots + 1) / (interior_knots + 1)
@@ -360,19 +359,8 @@ def _design_by_replicate(design: DesignSpec, x: np.ndarray, fit, counts: np.ndar
 
 
 # ---------------------------------------------------------------------------
-# Logistic regression by IRLS
+# Newton's method, batched
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GlmFit:
-    """Fitted logistic model.  ``ridge`` marks the separation fallback."""
-
-    coefficients: np.ndarray
-    converged: bool
-    iterations: int
-    design: BuiltDesign
-    ridge: bool = False
 
 
 def _solve(h: np.ndarray, grad: np.ndarray) -> tuple:
@@ -391,25 +379,102 @@ def _solve(h: np.ndarray, grad: np.ndarray) -> tuple:
         return delta, singular
 
 
-def _irls(dT, y, w_case, tol=1e-8, max_iter=100, ridge=0.0):
-    """Newton/IRLS iterations for G count-weighted Bernoulli likelihoods at
-    once (optionally ridge-penalized); ``dT`` is the (k, m) or (G, k, m)
-    transposed design, ``w_case`` the (G, m) case weights.  Each replicate
-    stops at its own iteration.  Returns (beta, converged, iterations,
-    separated), one entry per replicate; ``separated`` is only flagged on
-    the unpenalized path."""
-    n_reps, k = w_case.shape[0], dT.shape[-2]
-    beta = np.zeros((n_reps, k))
-    converged = np.zeros(n_reps, dtype=bool)
-    separated = np.zeros(n_reps, dtype=bool)
-    iters = np.full(n_reps, max_iter)
-    norm_prev = np.zeros(n_reps)
-    present = w_case > 0
-    live = np.arange(n_reps)
+# Why an item of ``_newton`` stopped, the texts of its failures, and the
+# iteration caps of the logistic fits and of the selection offset
+_GOING, _CONVERGED, _SEPARATED, _SINGULAR, _STALLED, _NO_ROOT, _MAX_ITER = range(7)
+_FAILURES = {_SINGULAR: "singular Hessian", _STALLED: "no step-halving lowered its objective",
+             _NO_ROOT: f"no root: a + eta q(y) passed ±{_LOG_MAX:.5g} on a source row",
+             _MAX_ITER: "did not reach tolerance after {} iterations"}
+_IRLS_MAX_ITER, _OFFSET_MAX_ITER = 100, 200
+
+
+def _newton(x: np.ndarray, derivs: Callable, max_iter: int, tol: float = 0.0,
+            merit: Optional[Callable] = None, check: Optional[Callable] = None) -> tuple:
+    """Newton's method on G convex problems from the (G, k) iterates ``x``,
+    updated in place; returns each item's stop reason and iteration count.
+    ``derivs(items, x)`` gives the live items' (g, k, k) Hessians, (g, k)
+    minus gradients and ``_GOING`` or why each stops there.  A singular
+    Hessian stops its item; a step changing no coefficient by ``tol`` is
+    taken and converges it.  ``merit(items, x)`` (objective values, sums of
+    their terms' magnitudes) halves a step up to 26 times until the
+    objective rises by at most four ulps of that sum, its rounding (near a
+    root the decrease is below it); else the item stalls, or has no root
+    when even its shortest trial step overflows the objective.
+    ``check(items, x_new, reasons, it)`` may stop items after their step.
+    The iterates left after ``max_iter`` steps are judged by ``derivs`` too.
+    """
+    reasons, iters = np.full(len(x), _MAX_ITER), np.full(len(x), max_iter)
+    live = np.arange(len(x))
+    f = None if merit is None else np.stack(merit(live, x))
     for it in range(1, max_iter + 1):
-        some = slice(None) if live.size == n_reps else live  # a view while all are live
-        d, wc, b = _per_replicate(dT, some), w_case[some], beta[some]
-        p = expit(_values(d, b))
+        some = slice(None) if live.size == len(x) else live  # a view while all are live
+        x_live = x[some]
+        h, grad, reason = derivs(some, x_live)
+        step, singular = _solve(h, grad)
+        reason[singular & (reason == _GOING)] = _SINGULAR
+        go = reason == _GOING
+        step[~go] = 0.0
+        if merit is not None:
+            scale, todo = np.where(go, 1.0, 0.0), np.flatnonzero(go)
+            overflows = np.zeros(todo.size, dtype=bool)
+            for _ in range(27):
+                if todo.size == 0:
+                    break
+                items = live[todo]
+                trial = np.stack(merit(items, x_live[todo] + scale[todo, None] * step[todo]))
+                ok = trial[0] <= f[0, items] + 4.0 * np.finfo(np.float64).eps * f[1, items]
+                f[:, items[ok]] = trial[:, ok]
+                todo, overflows = todo[~ok], ~np.isfinite(trial[0, ~ok])
+                scale[todo] *= 0.5
+            reason[todo], scale[todo] = np.where(overflows, _NO_ROOT, _STALLED), 0.0
+            step *= scale[:, None]
+        x[some] = x_new = x_live + step
+        reason[go & (np.maximum.reduce(np.abs(step), axis=1) < tol)] = _CONVERGED
+        if check is not None:
+            check(some, x_new, reason, it)
+        stop = reason != _GOING
+        if stop.any():
+            reasons[live[stop]], iters[live[stop]] = reason[stop], it
+            live = live[~stop]
+            if live.size == 0:
+                break
+    else:  # the iterates of the last step
+        reason = derivs(live, x[live])[2]
+        reasons[live] = np.where(reason == _GOING, _MAX_ITER, reason)
+    return reasons, iters
+
+
+# ---------------------------------------------------------------------------
+# Logistic regression by IRLS
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GlmFit:
+    """Fitted logistic model.  ``ridge`` marks the separation fallback."""
+
+    coefficients: np.ndarray
+    converged: bool
+    iterations: int
+    design: BuiltDesign
+    ridge: bool = False
+
+
+def _irls(dT, y, w_case, ridge=0.0):
+    """IRLS (``_newton`` with full steps, to a largest coefficient change
+    of 1e-8) for G count-weighted, optionally ridge-penalized Bernoulli
+    likelihoods: ``dT`` is the (k, m) or (G, k, m) transposed design,
+    ``w_case`` the (G, m) case weights.  Returns (beta, stop reasons,
+    iterations).  Unpenalized, a replicate whose coefficient norm grows from
+    the third iteration on while a fitted probability of its own rows is
+    pinned at a bound stops as ``_SEPARATED``."""
+    k = dT.shape[-2]
+    beta = np.zeros((w_case.shape[0], k))
+    norm_prev, present, held = np.zeros(len(beta)), w_case > 0, {}
+
+    def derivs(some, b):
+        d, wc = _per_replicate(dT, some), w_case[some]
+        p = held["p"] = expit(_values(d, b))  # for the separation check
         w = p * (1.0 - p)
         np.maximum(w, 1e-12, out=w)
         w *= wc
@@ -420,49 +485,37 @@ def _irls(dT, y, w_case, tol=1e-8, max_iter=100, ridge=0.0):
         if ridge > 0.0:
             h = h + ridge * np.eye(k)
             grad = grad - ridge * b
-        delta, singular = _solve(h, grad)
-        beta_new = b + delta
-        beta[some] = np.where(singular[:, None], b, beta_new) if singular.any() else beta_new
-        stop = done = ~singular & (np.maximum.reduce(np.abs(delta), axis=1) < tol)
-        if ridge == 0.0:
-            norm_new = np.sqrt(np.add.reduce(beta_new**2, axis=1))
-            if it >= 3:
-                diverged = ~done & ~singular & (norm_new > norm_prev[some])
-                if diverged.any():
-                    # fitted probabilities of the replicate's own rows pinned at a bound
-                    drawn = np.where(present[some], p, 0.5)
-                    diverged &= ((np.minimum.reduce(drawn, axis=1) < 1e-10)
-                                 | (np.maximum.reduce(drawn, axis=1) > 1.0 - 1e-10))
-                    del drawn
-                stop = done | diverged
-            norm_prev[some] = norm_new
-            separated[live[singular | stop & ~done]] = True
-        # the (G, m) arrays of this iteration go before the next one makes its own
-        del d, wc, p, w, resid
-        stop = stop | singular
-        if not stop.any():
-            continue
-        converged[live[done]] = True
-        iters[live[stop]] = it
-        live = live[~stop]
-        if live.size == 0:
-            break
-    return beta, converged, iters, separated
+        return h, grad, np.full(len(b), _GOING)
+
+    def separation(some, b_new, reason, it):
+        p = held.pop("p")
+        norm_new = np.sqrt(np.add.reduce(b_new**2, axis=1))
+        if it >= 3:
+            diverged = (reason == _GOING) & (norm_new > norm_prev[some])
+            if diverged.any():
+                # fitted probabilities of the replicate's own rows pinned at a bound
+                drawn = np.where(present[some], p, 0.5)
+                diverged &= ((np.minimum.reduce(drawn, axis=1) < 1e-10)
+                             | (np.maximum.reduce(drawn, axis=1) > 1.0 - 1e-10))
+            reason[diverged] = _SEPARATED
+        norm_prev[some] = norm_new
+
+    reasons, iters = _newton(beta, derivs, _IRLS_MAX_ITER, tol=1e-8,
+                             check=separation if ridge == 0.0 else None)
+    return beta, reasons, iters
 
 
 def _fit_logistic_rows(design: DesignSpec, x: np.ndarray, fit, targets: np.ndarray,
                        counts: np.ndarray, errors: list, case_weights=None) -> tuple:
     """Logistic fits of ``targets[fit]`` on ``design`` for every live
     replicate, each fit row taken ``counts`` times (and weighted by
-    ``case_weights[fit]`` when given).
-
-    Convergence is declared when the coefficient max-change drops below
-    1e-8, with a cap of 100 iterations.  Detected separation (fitted
-    probabilities pinned at the boundary with a diverging coefficient
-    norm) triggers a ridge refit (lambda = 1e-4) flagged on the result.
-    Intercept-only designs are solved in closed form, logit of the
-    weighted sample mean.  Returns the (R, n) fitted probabilities on every
-    row of ``x`` (NaN for failed replicates) and one GlmFit per replicate.
+    ``case_weights[fit]`` when given), by ``_irls``; intercept-only designs
+    in closed form, the logit of the weighted mean.  Separation or a
+    singular Hessian triggers a ridge refit (lambda = 1e-4) flagged on the
+    result; a replicate whose fit or refit does not converge fails with a
+    ConvergenceError naming why.  Returns the (R, n) fitted probabilities
+    on every row of ``x`` (NaN for failed replicates) and one GlmFit per
+    replicate.
     """
     n_reps = counts.shape[0]
     y = np.asarray(targets, dtype=np.float64)[fit]
@@ -477,27 +530,30 @@ def _fit_logistic_rows(design: DesignSpec, x: np.ndarray, fit, targets: np.ndarr
     for reps, builts, d_fit, _ in _replicate_designs(design, x, fit, counts, errors,
                                                      min_rows=True):
         w = w_case[reps]
-        n_grp, k = len(reps), d_fit.shape[-2]
-        if k == 1 and builts[0].terms[0][0] == "const":
-            m = (w * y).sum(axis=1) / w.sum(axis=1)
-            ridge = (m <= 0.0) | (m >= 1.0)  # all-0 or all-1 targets: the MLE diverges
+        if d_fit.shape[-2] == 1 and builts[0].terms[0][0] == "const":
+            m = (w * y).sum(axis=1) / w.sum(axis=1)  # all-0 or all-1 targets: no MLE
+            reasons = np.where((m <= 0.0) | (m >= 1.0), _SEPARATED, _CONVERGED)
             with np.errstate(divide="ignore"):
-                beta = np.where(ridge, 0.0, np.log(m / (1.0 - m)))[:, None]
-            converged, iters = ~ridge, np.zeros(n_grp, dtype=int)
+                beta = np.where(reasons == _SEPARATED, 0.0, np.log(m / (1.0 - m)))[:, None]
+            iters = np.zeros(len(reps), dtype=int)
         else:
-            beta, converged, iters, ridge = _irls(d_fit, y, w)
+            beta, reasons, iters = _irls(d_fit, y, w)
+        ridge = (reasons == _SEPARATED) | (reasons == _SINGULAR)
         if ridge.any():
             sub = np.flatnonzero(ridge)
-            beta[sub], _, iters[sub], _ = _irls(_per_replicate(d_fit, sub), y, w[sub],
-                                                 ridge=1e-4)
-            converged[sub] = False
+            beta[sub], reasons[sub], iters[sub] = _irls(_per_replicate(d_fit, sub), y, w[sub],
+                                                         ridge=1e-4)
         fitted.append((reps, expit(_values(_every_row(builts, x, fit, d_fit), beta))))
         for i, r in enumerate(reps):
-            fits[r] = GlmFit(beta[i], bool(converged[i]), int(iters[i]),
-                             builts[i], ridge=bool(ridge[i]))
+            if reasons[i] != _CONVERGED:
+                errors[r] = errors[r] or ConvergenceError(
+                    "logistic fit: " + _FAILURES[reasons[i]].format(_IRLS_MAX_ITER))
+            fits[r] = GlmFit(beta[i], bool(reasons[i] == _CONVERGED and not ridge[i]),
+                             int(iters[i]), builts[i], ridge=bool(ridge[i]))
     prob = np.full((n_reps, x.shape[0]), np.nan)
     for reps, values in fitted:
         prob[reps] = np.clip(values, *GLM_PROB_CLIP, out=values)
+    prob[[e is not None for e in errors]] = np.nan
     return prob, fits
 
 
@@ -617,81 +673,59 @@ def _tilted_wls(dT: np.ndarray, r_inv: np.ndarray, counts: np.ndarray, tilt: np.
 
 
 def _offset_theta(built: BuiltDesign, dT: np.ndarray, src: np.ndarray, y: np.ndarray,
-                  counts: np.ndarray, tilt: TiltSpec, tol: float = 1e-10,
-                  max_iter: int = 200) -> np.ndarray:
-    """Just-identified moment fit of the selection offset a(X, theta; eta)
-    = d(X) theta for the design ``built``, evaluated as the (k, m)
-    transposed matrix ``dT`` on rows with source flags ``src``, outcomes
+                  counts: np.ndarray, tilt: TiltSpec) -> np.ndarray:
+    """Just-identified moment fits of the selection offset a(X, theta; eta)
+    = d(X) theta for the design ``built`` at each eta of ``tilt`` (a (K, 1)
+    column, with the tilt map q): (K, k) coefficients.  ``dT`` is the
+    (k, m) transposed design on rows with source flags ``src``, outcomes
     ``y`` and row counts ``counts``.
 
-    For every design column d_j the count-weighted sample moment
-
-        (1/n) sum_i [ I(s_i=1) e^{a(x_i, theta) + eta q(y_i)} - I(s_i=0) ] d_j(x_i)
-
-    is driven to zero by damped Newton with a numeric Jacobian.  With an
-    intercept-only design the root is ln(n0 / sum_{s=1} e^{eta q(y)}).
-    Matching the tilt-weighted source rows to the target stratum column by
-    column keeps every moment centered at the true offset.
+    The count-weighted moments (1/n) sum_i [I(s_i=1) e^{a(x_i) + eta
+    q(y_i)} - I(s_i=0)] d(x_i) are driven below 1e-10 in max norm.  They
+    are the gradient of the convex entropy-balancing dual F(theta) = (1/n)
+    sum_{s=1} c_i e^{d_i theta + eta q(y_i)} - theta . t, t the target
+    rows' count-weighted sum of d over n, which ``_newton`` minimizes with
+    its exact Hessian and step-halving from the closed-form intercept (the
+    root of an intercept-only design).  Without a root (target moments
+    outside the hull of the source rows) F is unbounded below and the
+    iterates run off: an item fails as having no root once an iterate puts
+    a + eta q(y) below -_LOG_MAX on a source row, or once even the shortest
+    trial step puts it above +_LOG_MAX (where F overflows, so no accepted
+    step goes there).  A failed item raises a ConvergenceError naming why.
     """
-    n = counts.sum()
-    n0 = counts[~src].sum()
+    n, n0 = counts.sum(), counts[~src].sum()
     if n0 == 0 or n0 == n:
         raise DataError("selection-offset fit needs both source and target rows")
     log_w = tilt.eta * tilt.apply_q(y[src])
-    d_src = dT[:, src].T
-    c_src = counts[src]
-    target_side = (dT[:, ~src] * counts[~src]).sum(axis=-1) / n
+    d_src, c_src = np.ascontiguousarray(dT[:, src]), counts[src]
+    t_bar = (dT[:, ~src] * counts[~src]).sum(axis=-1) / n
+    theta = np.zeros((log_w.shape[0], dT.shape[0]))
+    if built.names[:1] == ("intercept",):  # an intercept is the design's first column
+        theta[:, 0] = np.log(n0 / np.add.reduce(c_src * np.exp(log_w), axis=1))
 
-    def moments(theta: np.ndarray) -> np.ndarray:
-        # an overflowing trial step gives non-finite moments, which the
-        # line search below rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            return d_src.T @ (c_src * np.exp(d_src @ theta + log_w)) / n - target_side
+    def weights(items, th):
+        z = _values(d_src, th) + log_w[items]
+        with np.errstate(over="ignore"):
+            return z, c_src * np.exp(z) / n
 
-    k = dT.shape[0]
-    theta = np.zeros(k)
-    for t, term in enumerate(built.terms):
-        if term[0] == "const":
-            theta[t] = np.log(n0 / (c_src * np.exp(log_w)).sum())
-            break
+    def merit(items, th):
+        # an overflowing trial step weighs inf, which the step-halving rejects
+        tilted, dot = np.add.reduce(weights(items, th)[1], axis=1), th * t_bar
+        with np.errstate(invalid="ignore"):
+            return tilted - np.add.reduce(dot, axis=1), tilted + np.add.reduce(abs(dot), axis=1)
 
-    m = moments(theta)
-    norm = float(np.max(np.abs(m)))
-    it = 0
-    while norm >= tol and it < max_iter:
-        it += 1
-        jac = np.empty((k, k))
-        for j in range(k):
-            h = 1e-6 * max(1.0, abs(theta[j]))
-            e = np.zeros(k)
-            e[j] = h
-            # overflowing moments give a non-finite column, and the line
-            # search below then stalls
-            with np.errstate(invalid="ignore"):
-                jac[:, j] = (moments(theta + e) - moments(theta - e)) / (2.0 * h)
-        try:
-            step = np.linalg.solve(jac, -m)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, -m, rcond=None)[0]
-        scale = 1.0
-        while scale > 1e-8:
-            m_new = moments(theta + scale * step)
-            norm_new = float(np.max(np.abs(m_new)))
-            if np.isfinite(norm_new) and norm_new < norm:
-                break
-            scale *= 0.5
-        else:
-            raise ConvergenceError(
-                f"selection-offset fit stalled at moment norm {norm:.3g}"
-            )
-        theta = theta + scale * step
-        m = m_new
-        norm = norm_new
-    if norm >= tol:
-        raise ConvergenceError(
-            f"selection-offset fit did not reach tolerance after {max_iter} "
-            f"iterations; final moment norm {norm:.3g}"
-        )
+    def derivs(items, th):
+        z, w = weights(items, th)
+        grad = _project(d_src, w) - t_bar
+        reason = np.where(np.maximum.reduce(np.abs(grad), axis=1) < 1e-10, _CONVERGED, _GOING)
+        reason[np.maximum.reduce(np.abs(z), axis=1) > _LOG_MAX] = _NO_ROOT
+        return _gram(d_src, w), -grad, reason
+
+    reasons, _ = _newton(theta, derivs, _OFFSET_MAX_ITER, merit=merit)
+    failed = reasons != _CONVERGED
+    if failed.any():
+        raise ConvergenceError("selection-offset fit: "
+                               + _FAILURES[reasons[failed][0]].format(_OFFSET_MAX_ITER))
     return theta
 
 
@@ -751,6 +785,10 @@ class NuisanceRows:
     that does not, or whose tilt weights spread more than ``_LOG_SPREAD``
     allows on the rows its replicate draws, is solved alone by
     ``_wls_coefficients`` (``_source_fit``).
+
+    A moment-fitted offset is fitted when ``a`` is called, at every eta of
+    the column at once (``_offset_theta``); an eta whose fit does not
+    converge raises the ConvergenceError that fails its grid point.
     """
 
     def __init__(self, table, counts, errors, lacks_stratum, p, fits, g=None, losses=None,
@@ -902,19 +940,18 @@ class NuisanceRows:
         return np.maximum(self._on_rows(dT, beta, r, rows)[0], C_FLOOR)
 
     def a(self, eta, r: int, rows, c_beta=None) -> np.ndarray:
-        """Selection offset of replicate r on ``rows``: a moment fit per eta on
-        the rows it draws, or the offset implied by p and c (``c_beta`` as
+        """Selection offset of replicate r on ``rows``: the moment fits at
+        every eta of the column at once on the rows it draws
+        (``_offset_theta``), or the offset implied by p and c (``c_beta`` as
         in ``c``)."""
         if self._a_designs is None:
             return np.asarray(selection_a(self.p[r, rows], self.c(eta, r, rows, c_beta)))
         built, dT, _ = self._a_designs[r]
         t = self.table
         drawn = self.rows_drawn(r, np.arange(t.n))
-        d_drawn, src, y, cnt = dT[:, drawn], t.s[drawn] == 1, t.y[drawn], self.counts[r, drawn]
-        theta = [_offset_theta(built, d_drawn, src, y, cnt, TiltSpec(e, self.q))
-                 for e in np.ravel(eta)]
-        theta = np.reshape(theta, np.shape(eta)[:-1] + (dT.shape[0],))
-        return self._on_rows(dT, theta, r, rows)[0]
+        theta = _offset_theta(built, dT[:, drawn], t.s[drawn] == 1, t.y[drawn],
+                              self.counts[r, drawn], TiltSpec(np.reshape(eta, (-1, 1)), self.q))
+        return self._on_rows(dT, theta.reshape(np.shape(eta)[:-1] + (-1,)), r, rows)[0]
 
     def meta(self, r: int) -> dict:
         fits = self._fits

@@ -323,6 +323,21 @@ class TestSensitivityCurve:
         with pytest.raises(ConfigError, match="NuisanceRecipe"):
             sensitivity_curve(table, nuis, [0.0], resample=ResampleConfig(replicates=5, seed=1))
 
+    @pytest.mark.parametrize("other_n", (120, 100))
+    def test_set_of_another_table_rejected(self, rng, other_n):
+        # a fitted set is tied to its own table; a replaced copy, which
+        # carries no fits, still needs a p on the table's rows
+        model, recipe = self._recipe()
+        nuis = recipe.fit(random_binary_table(rng, n=120, model=model))
+        other = random_binary_table(rng, n=other_n, model=model)
+        for given in [nuis] + ([replace(nuis)] if other_n != 120 else []):
+            with pytest.raises(ConfigError, match="another table|nuisance p has shape"):
+                estimate(other, given, 0.5, "aug")
+            with pytest.raises(ConfigError, match="another table|nuisance p has shape"):
+                influence_values(other, given, 0.5, 0.3)
+            with pytest.raises(ConfigError, match="another table|nuisance p has shape"):
+                sensitivity_curve(other, given, [0.0, 0.5], "aug")
+
     def test_cass_shaped_grid_has_45_points(self):
         grid = np.round(np.arange(-19, 26) * 0.05, 10)
         assert grid.size == 45 and grid[0] == -0.95 and grid[-1] == 1.25

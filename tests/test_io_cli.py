@@ -178,6 +178,8 @@ BAD_VALUES = [
     (dict(xstar_columns="age"), "xstar_columns must be a list of column names"),
     (dict(seed="x", fit_split=0.5, model_coefficients=None), "seed must be an integer"),
     (dict(seed=1.5), "seed must be an integer"),
+    (dict(model_link="probit"), "model_link must be one of"),
+    (dict(fit_split="half", seed=1, model_coefficients=None), "fit_split must be a fraction"),
 ]
 
 
@@ -419,6 +421,23 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(toy_config(tmp_path).to_dict()))
         assert cli_main(["analyze", "--config", str(cfg_path)]) == 0
+
+    def test_level_flag_sets_the_config_resample_level(self, tmp_path):
+        write_toy(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg = toy_config(tmp_path, resample={"method": "jackknife"}).to_dict()
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["analyze", "--config", str(cfg_path), "--level", "0.9"]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["config"]["resample"]["level"] == 0.9
+        assert report["diagnostics"]["resampling"]["level"] == 0.9
+
+    def test_level_flag_without_resampling_exits_2(self, tmp_path, capsys):
+        write_toy(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(toy_config(tmp_path).to_dict()))
+        assert cli_main(["analyze", "--config", str(cfg_path), "--level", "0.9"]) == 2
+        assert "--level needs resampling" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         assert cli_main(["analyze", "--config", str(tmp_path / "missing.json")]) == 2

@@ -262,6 +262,17 @@ class TestDesignSpec:
         assert built.names[0] == "intercept"
         assert built.names[-1] == "x1"
 
+    def test_spline_column_needs_enough_distinct_values(self, rng):
+        # degree 3 with 2 interior knots needs 6 distinct values; a column
+        # with two stays linear, one with five cannot be expanded
+        x = np.column_stack([rng.integers(0, 2, 40), rng.integers(0, 5, 40)]).astype(float)
+        spec = DesignSpec((0, 1), basis="spline", degree=3, interior_knots=2)
+        with pytest.raises(DomainError, match=r"^column x1 has 5 distinct values; spline "
+                                              r"expansion needs at least 6$"):
+            spec.build(x)
+        assert DesignSpec((0,), basis="spline", degree=3, interior_knots=2).build(x).names \
+            == ("intercept", "x0")
+
     def test_matrix_reproducible_on_new_rows(self, rng):
         x = rng.uniform(0, 1, (100, 1))
         built = DesignSpec((0,), basis="spline", degree=2, interior_knots=1).build(x)
@@ -492,6 +503,30 @@ def stacked_case(counts_kind, basis, seed=31):
     recipe = NuisanceRecipe(outcome="continuous", loss=ABSOLUTE, p_design=INTERCEPT_ONLY,
                             b_design=design, c_design=design)
     return table, counts, recipe.fit_counts(table, counts)
+
+
+class TestNewtonStepHalving:
+    @staticmethod
+    def run(objective, step):
+        # one coefficient from 0, whose Newton step ``step`` no halving accepts
+        def derivs(items, x):
+            return (np.ones((len(x), 1, 1)), np.full((len(x), 1), step),
+                    np.full(len(x), nuisance._GOING))
+
+        def merit(items, x):
+            with np.errstate(over="ignore"):
+                f = objective(x[:, 0])
+            return f, np.abs(f)
+
+        return nuisance._newton(np.zeros((1, 1)), derivs, 5, merit=merit)
+
+    def test_step_raising_the_objective_stalls(self):
+        reasons, iters = self.run(lambda t: 1.0 + t, 1.0)
+        assert reasons.tolist() == [nuisance._STALLED] and iters.tolist() == [1]
+
+    def test_step_overflowing_the_objective_at_every_halving_has_no_root(self):
+        reasons, iters = self.run(np.exp, 1e30)
+        assert reasons.tolist() == [nuisance._NO_ROOT] and iters.tolist() == [1]
 
 
 class TestStackedSolve:

@@ -16,9 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiltrisk import estimators, resampling
+from tiltrisk import estimators, nuisance, resampling
 from tiltrisk.data import build_table
-from tiltrisk.errors import NUMERIC_FAILURES, DomainError, NumericError, RankDeficientError
+from tiltrisk.errors import (
+    NUMERIC_FAILURES,
+    ConvergenceError,
+    DomainError,
+    NumericError,
+    RankDeficientError,
+)
 from tiltrisk.estimators import _replicate_matrix, estimate, sensitivity_curve
 from tiltrisk.nuisance import DesignSpec, NuisanceRecipe
 from tiltrisk.resampling import ResampleConfig, replicate_counts, resample_indices
@@ -44,12 +50,14 @@ def make_table(rng, n, design, outcome_kind, n_target=None):
     return build_table(s, x, np.where(s == 1, y, np.nan), model, loss, design)
 
 
-def make_recipe(outcome_kind, basis="linear", moment_a=False):
-    # the moment-fitted offset stays linear: its Newton steps take seconds
-    # per replicate on an eleven-column spline design
-    cols = (DesignSpec((0, 1)) if basis == "linear"
-            else DesignSpec((0, 1), basis="spline", degree=3, interior_knots=2))
-    a_design = DesignSpec((0, 1)) if moment_a else None
+def make_recipe(outcome_kind, basis="linear", a_basis=None):
+    """Nuisance designs on ``basis``; ``a_basis`` adds a moment-fitted
+    offset on its own basis."""
+    def design(kind):
+        return (DesignSpec((0, 1)) if kind == "linear"
+                else DesignSpec((0, 1), basis="spline", degree=3, interior_knots=2))
+    cols = design(basis)
+    a_design = None if a_basis is None else design(a_basis)
     if outcome_kind == "binary":
         return NuisanceRecipe(outcome="binary", loss=LossFunction("brier"), p_design=cols,
                               g_design=cols, a_design=a_design)
@@ -98,15 +106,15 @@ def assert_same(weighted, taken):
     design=st.sampled_from(("non-nested", "nested")),
     outcome_kind=st.sampled_from(("binary", "continuous")),
     estimator=st.sampled_from(("cl", "aug", "aug-alt")),
-    moment_a=st.booleans(),
+    a_basis=st.sampled_from((None, "linear", "spline")),
     basis=st.sampled_from(("linear", "spline")),
     method=st.sampled_from(("stratified", "simple", "jackknife")),
 )
 def test_weighted_replicates_match_take_refits(seed, n, design, outcome_kind, estimator,
-                                               moment_a, basis, method):
+                                               a_basis, basis, method):
     rng = np.random.default_rng(seed)
     table = make_table(rng, n, design, outcome_kind)
-    recipe = make_recipe(outcome_kind, basis, moment_a)
+    recipe = make_recipe(outcome_kind, basis, a_basis)
     if method == "jackknife":
         resample = ResampleConfig(method="jackknife")
     else:
@@ -294,6 +302,109 @@ class TestFailureNotes:
             "ci unavailable: leave-one-out estimate failed at row 3 (RankDeficientError: 1)")
 
 
+class TestNewtonFailures:
+    @staticmethod
+    def spline_offset_recipe():
+        return make_recipe("binary", a_basis="spline")
+
+    def test_offset_without_root_fails_every_point_by_name(self):
+        # at 40 rows the target moments of the eleven-column spline basis lie
+        # outside the hull of the source rows: the dual's iterates run off
+        table = make_table(np.random.default_rng(5), 40, "non-nested", "binary")
+        recipe = self.spline_offset_recipe()
+        curve = sensitivity_curve(table, recipe.fit(table), GRID, "aug-alt",
+                                  ResampleConfig(method="jackknife"))
+        assert [p.status for p in curve] == [
+            "failed: selection-offset fit: no root: a + eta q(y) passed ±709.78 on a "
+            "source row"] * GRID.size
+        _, why = _replicate_matrix(table, recipe, GRID, "aug-alt",
+                                   ResampleConfig(method="jackknife"))
+        assert set(why.ravel()) == {"ConvergenceError"}
+
+    def test_offset_with_root_gives_every_point(self):
+        table = make_table(np.random.default_rng(5), 120, "non-nested", "binary")
+        curve = sensitivity_curve(table, self.spline_offset_recipe().fit(table), GRID,
+                                  "aug-alt", ResampleConfig(method="jackknife"))
+        assert all(p.status == "ok" and p.result.se > 0 for p in curve)
+        assert not any("resampling_note" in p.result.diagnostics for p in curve)
+
+    @pytest.mark.parametrize("method", ("bootstrap", "jackknife"))
+    @pytest.mark.parametrize("outcome_kind", ("binary", "continuous"))
+    def test_spline_offset_replicates_match_take_refits(self, outcome_kind, method):
+        # the property's 24-40 rows rarely give a spline offset a root; 120 do
+        table = make_table(np.random.default_rng(5), 120, "non-nested", outcome_kind)
+        recipe = make_recipe(outcome_kind, "spline", "spline")
+        resample = ResampleConfig(method=method, replicates=6, seed=3)
+        weighted, why = _replicate_matrix(table, recipe, GRID, "aug-alt", resample)
+        assert np.isfinite(weighted).mean() >= 0.8
+        assert_same(weighted, take_matrix(table, recipe, GRID, "aug-alt", resample))
+        assert np.array_equal(np.isnan(weighted), why != None)  # noqa: E711
+
+    def test_offset_at_an_eta_column_equals_one_eta_calls(self):
+        table = make_table(np.random.default_rng(5), 120, "non-nested", "binary")
+        counts = np.ones((3, table.n))
+        counts[1, 7] = 0.0
+        counts[2, [3, 60]] = (3.0, 2.0)
+        fits = self.spline_offset_recipe().fit_counts(table, counts)
+        rows = np.arange(table.n)
+        for r in range(3):
+            block = fits.a(GRID[:, None], r, rows)
+            for j, eta in enumerate(GRID):
+                assert np.array_equal(block[j], fits.a(eta, r, rows))
+
+    def test_offset_reaching_tolerance_on_its_last_step_converges(self, monkeypatch):
+        table = make_table(np.random.default_rng(5), 120, "non-nested", "binary")
+        fits = self.spline_offset_recipe().fit_counts(table, np.ones((1, table.n)))
+        rows, calls, newton = np.arange(table.n), [], nuisance._newton
+
+        def spy(*args, **kwargs):
+            calls.append(newton(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(nuisance, "_newton", spy)
+        want = fits.a(GRID[:, None], 0, rows)
+        reasons, iters = calls[-1]
+        assert set(reasons) == {nuisance._CONVERGED}
+        steps = int(iters.max()) - 1  # an item is judged converged before its next step
+        monkeypatch.setattr(nuisance, "_OFFSET_MAX_ITER", steps)
+        assert np.array_equal(fits.a(GRID[:, None], 0, rows), want)
+        monkeypatch.setattr(nuisance, "_OFFSET_MAX_ITER", steps - 1)
+        with pytest.raises(ConvergenceError, match=f"after {steps - 1} iterations"):
+            fits.a(GRID[:, None], 0, rows)
+
+    def test_logistic_fit_short_of_tolerance_fails_its_replicate(self, monkeypatch):
+        # with the cap one iteration past the full-table fit's, the replicates
+        # whose g or p fit needs more iterations fail, and the note counts them
+        table = make_table(np.random.default_rng(0), 40, "non-nested", "binary")
+        recipe = make_recipe("binary")
+        resample = ResampleConfig(replicates=20, seed=4)
+        nuis = recipe.fit(table)
+        fits = recipe.fit_counts(table, replicate_counts(table, resample, range(20)))
+
+        def needed(rows, r):
+            glm = [rows._fits[part][r] for part in ("g", "p")]
+            assert not any(f.ridge for f in glm)
+            return max(f.iterations for f in glm)
+
+        cap = needed(nuis._fits, 0) + 1
+        short = np.array([needed(fits, r) > cap for r in range(20)])
+        lost = int(short.sum())
+        assert 0 < lost <= 4
+        monkeypatch.setattr(nuisance, "_IRLS_MAX_ITER", cap)
+        capped = recipe.fit_counts(table, replicate_counts(table, resample, range(20)))
+        for r in range(20):
+            if short[r]:
+                assert isinstance(capped.errors[r], ConvergenceError)
+                assert str(capped.errors[r]) == (f"logistic fit: did not reach tolerance "
+                                                 f"after {cap} iterations")
+            else:
+                assert capped.errors[r] is None
+        curve = sensitivity_curve(table, nuis, [0.0, 0.5], "aug", resample)
+        for point in curve:
+            assert point.result.diagnostics["resampling_note"] == (
+                f"{lost} replicates skipped (ConvergenceError: {lost})")
+
+
 @pytest.mark.parametrize("block_cells", (2, 130, 700, 1300))
 @pytest.mark.parametrize("method", ("bootstrap", "jackknife"))
 @pytest.mark.parametrize("outcome_kind", ("binary", "continuous"))
@@ -306,10 +417,11 @@ def test_replicate_values_do_not_depend_on_blocks(block_cells, method, outcome_k
     # Spline replicates each carry their own design matrix.
     rng = np.random.default_rng(15)
     table = make_table(rng, 40, "nested", outcome_kind)
-    recipe = make_recipe(outcome_kind, basis, moment_a=True)
+    recipe = make_recipe(outcome_kind, basis, a_basis="linear")
     grid = np.array([-1.0, -0.3, 0.0, 0.4, 1.1])
     resample = ResampleConfig(method=method, replicates=9, seed=8)
     whole = _replicate_matrix(table, recipe, grid, "aug-alt", resample)
+    assert np.isfinite(whole[0]).any()
     assert estimators._BLOCK_CELLS // (4 * table.n) >= table.n
     monkeypatch.setattr(estimators, "_BLOCK_CELLS", block_cells)
     split = _replicate_matrix(table, recipe, grid, "aug-alt", resample)
