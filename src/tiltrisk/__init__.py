@@ -9,7 +9,7 @@ the tilt range to hypothesized outcome prevalence.
 
 __version__ = "0.1.0"
 
-from .config import AnalysisConfig, BasisConfig
+from .config import AnalysisConfig
 from .data import ObservationTable, build_table
 from .errors import (
     ConfigError,
@@ -52,7 +52,7 @@ from .tilt import (
 
 __all__ = [
     "__version__",
-    "AnalysisConfig", "BasisConfig",
+    "AnalysisConfig",
     "ObservationTable", "build_table",
     "TiltriskError", "ConfigError", "DataError", "DomainError",
     "PositivityError", "TiltOverflowError", "RankDeficientError",

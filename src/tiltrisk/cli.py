@@ -20,8 +20,11 @@ import sys
 
 import numpy as np
 
-from .config import AnalysisConfig
+from .config import AnalysisConfig, _model_from_config
+from .data import DESIGNS
 from .errors import ConfigError, DataError, TiltriskError
+from .estimators import ESTIMATOR_NAMES
+from .tilt import LINKS, LOSSES
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -43,13 +46,13 @@ def _add_analyze_parser(sub):
     p = sub.add_parser("analyze", help="run a sensitivity analysis")
     p.add_argument("--config", help="JSON config file; flags override its keys")
     p.add_argument("--data", help="input CSV path")
-    p.add_argument("--design", choices=["nested", "non-nested"])
-    p.add_argument("--loss", choices=["brier", "squared-error", "absolute-deviation"])
+    p.add_argument("--design", choices=DESIGNS)
+    p.add_argument("--loss", choices=LOSSES)
     p.add_argument("--x-cols", help="comma-separated covariate columns")
     p.add_argument("--xstar-cols", help="comma-separated model columns (subset of --x-cols)")
     p.add_argument("--coefficients", help="comma-separated model coefficients, intercept first")
     p.add_argument("--fit-split", type=float, help="fit the model on this fraction of source rows")
-    p.add_argument("--link", choices=["logit", "identity"])
+    p.add_argument("--link", choices=LINKS)
     p.add_argument("--g-basis", help="linear or spline[:degree[:knots]]")
     p.add_argument("--p-basis", help="linear or spline[:degree[:knots]]")
     p.add_argument("--eta-list", help="comma-separated explicit eta grid")
@@ -57,7 +60,7 @@ def _add_analyze_parser(sub):
     p.add_argument("--anchor-alpha", type=float, help="cohort prevalence anchor (nested)")
     p.add_argument("--multipliers", help="anchor range multipliers, e.g. 0.5,2")
     p.add_argument("--step", type=float, help="eta grid step for anchored ranges")
-    p.add_argument("--estimator", choices=["cl", "aug", "aug-alt"])
+    p.add_argument("--estimator", choices=ESTIMATOR_NAMES)
     p.add_argument("--bootstrap", type=int, metavar="B", help="bootstrap replicates")
     p.add_argument("--jackknife", action="store_true", help="jackknife intervals")
     p.add_argument("--level", type=float, help="confidence level (default 0.95)")
@@ -143,7 +146,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_eta_range(args) -> int:
     from .data import build_table
-    from .io import _model_from_config, _read_raw, _recipe_from_config, _resolve_grid
+    from .io import _read_raw, _recipe_from_config, _resolve_grid
     from .tilt import LossFunction
 
     x_cols = _split_csv_list(args.x_cols)

@@ -1,70 +1,62 @@
 """Declarative analysis configuration.
 
 An AnalysisConfig captures one full run: data location, design, loss,
-the fixed prediction model (or a fit-split fraction), nuisance bases,
-the eta grid (explicit, or a ``PrevalenceAnchor``), the estimator, and the
-resampling choices (a ``ResampleConfig`` carrying the config's seed).
-Configs load from a JSON file or from CLI flags through ``from_dict``,
-which builds the anchor and resampling objects and turns their
+the fixed prediction model (or a fit-split fraction), the nuisance bases
+(``DesignSpec``s), the eta grid (explicit, or a ``PrevalenceAnchor``), the
+estimator, and the resampling choices (a ``ResampleConfig`` carrying the
+config's seed).  It builds these library objects, and its model, when it
+loads, checks its names against the library's lists and turns any
 DomainError into a ConfigError, so a bad config fails before any data is
-read; ``to_dict`` echoes them into the report.
+read; ``to_dict`` echoes it into the report in the form ``from_dict`` reads.
 """
 
 from __future__ import annotations
 
 import numbers
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional, Sequence
 
-from .errors import ConfigError, DomainError
+from .data import DESIGNS
+from .errors import ConfigError, DomainError, require_number
+from .estimators import ESTIMATOR_NAMES, check_eta_grid
 from .etaselect import PrevalenceAnchor
+from .nuisance import DesignSpec
 from .resampling import ResampleConfig
+from .tilt import LINKS, LOSSES, PredictionModel
 
 FORMAT_VERSION = 1
 
-_LOSSES = ("brier", "squared-error", "absolute-deviation")
-_ESTIMATORS = ("cl", "aug", "aug-alt")
-_DESIGNS = ("nested", "non-nested")
-_LINKS = ("logit", "identity")
+# the config's spline sizes when a basis spec leaves them out
+_SPLINE_DEFAULTS = {"degree": 3, "interior_knots": 2}
 
 
-@dataclass(frozen=True)
-class BasisConfig:
-    kind: str = "linear"
-    degree: int = 3
-    interior_knots: int = 2
-
-    def __post_init__(self):
-        if self.kind not in ("linear", "spline"):
-            raise ConfigError(f"basis kind must be 'linear' or 'spline', got {self.kind!r}")
-
-    @classmethod
-    def from_value(cls, v) -> "BasisConfig":
-        """Accept 'linear', 'spline', 'spline:3:2' or a mapping."""
-        if isinstance(v, BasisConfig):
-            return v
-        try:
-            if isinstance(v, dict):
-                return cls(
-                    kind=v.get("kind", "linear"),
-                    degree=int(v.get("degree", 3)),
-                    interior_knots=int(v.get("interior_knots", 2)),
-                )
-            if isinstance(v, str):
-                parts = v.split(":")
-                if parts[0] == "linear" and len(parts) == 1:
-                    return cls("linear")
-                if parts[0] == "spline" and len(parts) <= 3:
-                    degree = int(parts[1]) if len(parts) > 1 else 3
-                    knots = int(parts[2]) if len(parts) > 2 else 2
-                    return cls("spline", degree, knots)
-        except (TypeError, ValueError):
-            pass
-        raise ConfigError(f"cannot parse basis spec {v!r}")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "degree": self.degree, "interior_knots": self.interior_knots}
+def _basis(value, n_columns: int) -> DesignSpec:
+    """The DesignSpec over all ``n_columns`` covariate columns, with an
+    intercept, that ``value`` declares: 'linear', 'spline[:degree[:knots]]',
+    a mapping of kind, degree and interior_knots, or such a DesignSpec."""
+    columns = tuple(range(n_columns))
+    if isinstance(value, DesignSpec) and value.columns == columns and value.intercept:
+        return value
+    try:
+        if isinstance(value, str):
+            kind, *sizes = value.split(":")
+            if len(sizes) > (2 if kind == "spline" else 0):
+                raise DomainError("expected 'linear' or 'spline[:degree[:knots]]'")
+            spec = dict(zip(_SPLINE_DEFAULTS, map(int, sizes)), kind=kind)
+        elif isinstance(value, dict):
+            unknown = set(value) - {"kind", *_SPLINE_DEFAULTS}
+            if unknown:
+                raise DomainError(f"unknown keys {sorted(unknown)}")
+            spec = dict(value)
+        else:
+            raise DomainError("not a string, a mapping or a DesignSpec over every "
+                              "column with an intercept")
+        sizes = {key: require_number(spec.get(key, default), key, numbers.Integral)
+                 for key, default in _SPLINE_DEFAULTS.items()}
+        return DesignSpec(columns, basis=spec.get("kind", "linear"), **sizes)
+    except ValueError as exc:  # a DomainError is one
+        raise ConfigError(f"cannot parse basis spec {value!r}: {exc}") from exc
 
 
 def _entries(value, key: str, fits, what: str) -> tuple:
@@ -112,8 +104,8 @@ class AnalysisConfig:
     model_coefficients: Optional[Sequence[float]] = None
     model_link: str = "logit"
     fit_split: Optional[float] = None
-    g_basis: BasisConfig = field(default_factory=BasisConfig)
-    p_basis: BasisConfig = field(default_factory=BasisConfig)
+    g_basis: DesignSpec = "linear"         # any form ``_basis`` reads
+    p_basis: DesignSpec = "linear"
     eta_grid: Optional[Sequence[float]] = None
     anchor: Optional[PrevalenceAnchor] = None
     estimator: str = "aug"
@@ -121,17 +113,22 @@ class AnalysisConfig:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.design not in _DESIGNS:
-            raise ConfigError(f"design must be one of {_DESIGNS}")
-        if self.loss not in _LOSSES:
-            raise ConfigError(f"loss must be one of {_LOSSES}")
-        if self.estimator not in _ESTIMATORS:
-            raise ConfigError(f"estimator must be one of {_ESTIMATORS}")
+        if self.design not in DESIGNS:
+            raise ConfigError(f"design must be one of {DESIGNS}")
+        if self.loss not in LOSSES:
+            raise ConfigError(f"loss must be one of {LOSSES}")
+        if self.estimator not in ESTIMATOR_NAMES:
+            raise ConfigError(f"estimator must be one of {ESTIMATOR_NAMES}")
         if self.estimator == "aug-alt" and self.design == "nested":
             raise ConfigError("estimator 'aug-alt' applies to non-nested designs only")
         if not self.x_columns:
             raise ConfigError("x_columns must be nonempty")
         object.__setattr__(self, "x_columns", _names(self.x_columns, "x_columns"))
+        repeated = sorted({c for c in self.x_columns if self.x_columns.count(c) > 1})
+        if repeated:
+            raise ConfigError(f"x_columns name a column more than once: {repeated}")
+        for key in ("g_basis", "p_basis"):
+            object.__setattr__(self, key, _basis(getattr(self, key), len(self.x_columns)))
         xstar = (self.x_columns if self.xstar_columns is None
                  else _names(self.xstar_columns, "xstar_columns"))
         missing = [c for c in xstar if c not in self.x_columns]
@@ -144,14 +141,13 @@ class AnalysisConfig:
                                            or not isinstance(self.fit_split, numbers.Real)
                                            or not 0.0 < self.fit_split < 1.0):
             raise ConfigError(f"fit_split must be a fraction in (0, 1), got {self.fit_split!r}")
-        if self.model_link not in _LINKS:
-            raise ConfigError(f"model_link must be one of {_LINKS}, got {self.model_link!r}")
+        if self.model_link not in LINKS:
+            raise ConfigError(f"model_link must be one of {LINKS}, got {self.model_link!r}")
         if (self.eta_grid is None) == (self.anchor is None):
             raise ConfigError("provide exactly one of eta_grid or anchor")
         if self.eta_grid is not None:
             grid = _numbers(self.eta_grid, "eta_grid")
-            if sorted(grid) != list(grid) or not grid:
-                raise ConfigError("eta_grid must be a nonempty ascending list")
+            check_eta_grid(grid)
             object.__setattr__(self, "eta_grid", grid)
         outcome = self.outcome or ("binary" if self.loss == "brier" else "continuous")
         if outcome not in ("binary", "continuous"):
@@ -170,25 +166,20 @@ class AnalysisConfig:
         if self.model_coefficients is not None:
             object.__setattr__(self, "model_coefficients",
                                _numbers(self.model_coefficients, "model_coefficients"))
+            try:
+                _model_from_config(self)
+            except DomainError as exc:
+                raise ConfigError(f"model: {exc}") from exc
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnalysisConfig":
         d = dict(d)
-        known = {
-            "data_path", "design", "loss", "x_columns", "xstar_columns", "outcome",
-            "model_coefficients", "model_link", "fit_split", "g_basis", "p_basis",
-            "eta_grid", "anchor", "estimator", "resample", "seed", "out_dir",
-        }
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("data_path", "design", "loss", "x_columns", "out_dir"):
-            if key not in d:
-                raise ConfigError(f"missing required config key: {key}")
-        if "g_basis" in d:
-            d["g_basis"] = BasisConfig.from_value(d["g_basis"])
-        if "p_basis" in d:
-            d["p_basis"] = BasisConfig.from_value(d["p_basis"])
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in d:
+                raise ConfigError(f"missing required config key: {f.name}")
         if d.get("anchor") is not None:
             d["anchor"] = _library_object(PrevalenceAnchor, "anchor", d["anchor"])
         if d.get("resample") is not None:
@@ -200,34 +191,28 @@ class AnalysisConfig:
             raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
-        return {
-            "data_path": self.data_path,
-            "design": self.design,
-            "loss": self.loss,
-            "x_columns": list(self.x_columns),
-            "xstar_columns": list(self.xstar_columns),
-            "outcome": self.outcome,
-            "model_coefficients": None
-            if self.model_coefficients is None
-            else list(self.model_coefficients),
-            "model_link": self.model_link,
-            "fit_split": self.fit_split,
-            "g_basis": self.g_basis.to_dict(),
-            "p_basis": self.p_basis.to_dict(),
-            "eta_grid": None if self.eta_grid is None else list(self.eta_grid),
-            "anchor": None if self.anchor is None else {
-                "mu": self.anchor.mu,
-                "alpha": self.anchor.alpha,
-                "multipliers": list(self.anchor.multipliers),
-                "step": self.anchor.step,
-            },
-            "estimator": self.estimator,
-            "resample": None if self.resample is None else {
-                "method": self.resample.method,
-                "replicates": self.resample.replicates,
-                "level": self.resample.level,
-                "stratified": self.resample.stratified,
-            },
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-        }
+        return {f.name: _echo(getattr(self, f.name)) for f in fields(self)}
+
+
+def _echo(value):
+    """``value`` as a config mapping holds it; the resampling seed is the
+    config's own."""
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, DesignSpec):
+        return {"kind": value.basis, "degree": value.degree, "interior_knots": value.interior_knots}
+    if isinstance(value, (PrevalenceAnchor, ResampleConfig)):
+        return {f.name: _echo(getattr(value, f.name)) for f in fields(value) if f.name != "seed"}
+    return value
+
+
+def _xstar_indices(config: AnalysisConfig) -> tuple:
+    return tuple(config.x_columns.index(c) for c in config.xstar_columns)
+
+
+def _model_from_config(config: AnalysisConfig) -> PredictionModel:
+    return PredictionModel(
+        coefficients=config.model_coefficients,
+        link=config.model_link,
+        xstar_columns=_xstar_indices(config),
+    )

@@ -473,6 +473,15 @@ class SensitivityCurve:
         return len(self.points)
 
 
+def check_eta_grid(eta_grid) -> np.ndarray:
+    """``eta_grid`` as a float array; a ConfigError unless it is nonempty,
+    finite and sorted ascending."""
+    grid = np.asarray(list(eta_grid), dtype=np.float64)
+    if grid.size == 0 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) < 0):
+        raise ConfigError(f"eta grid must be nonempty, finite and ascending, got {grid.tolist()}")
+    return grid
+
+
 def sensitivity_curve(
     table: ObservationTable,
     nuis: NuisanceSet,
@@ -483,18 +492,15 @@ def sensitivity_curve(
     """Sweep the estimator over an eta grid at the nuisance values ``nuis``
     fitted to ``table``.
 
-    Failed points are marked and the sweep continues.  When ``resample``
-    (a ResampleConfig) is given, per-point standard errors and Wald
-    intervals come from replicates: row-count vectors over the table, each
-    refitted with ``nuis.recipe`` and swept as count-weighted sums on the
-    table's rows.  Replicates raise no warnings; a point's failed
-    replicates are noted with their count by failure class.
+    Failed points, and points whose estimate is not finite, are marked and
+    the sweep continues.  When ``resample`` (a ResampleConfig) is given,
+    per-point standard errors and Wald intervals come from replicates:
+    row-count vectors over the table, each refitted with ``nuis.recipe``
+    and swept as count-weighted sums on the table's rows.  Replicates raise
+    no warnings; a point's failed replicates are noted with their count by
+    failure class.
     """
-    eta_grid = np.asarray(list(eta_grid), dtype=np.float64)
-    if eta_grid.size == 0:
-        raise ConfigError("eta grid is empty")
-    if np.any(np.diff(eta_grid) < 0):
-        raise ConfigError("eta grid must be sorted ascending")
+    eta_grid = check_eta_grid(eta_grid)
     _check(table, nuis, estimator)
     if resample is not None and nuis.recipe is None:
         raise ConfigError("resampling refits the nuisances; fit them with a NuisanceRecipe")
@@ -504,6 +510,9 @@ def sensitivity_curve(
     for eta, out in zip(eta_grid, _grid_terms(table, nuis, eta_grid, estimator, clip)):
         if isinstance(out, Exception):  # failed grid points are marked, not fatal
             results.append((float(eta), None, f"failed: {out}"))
+            continue
+        if not np.isfinite(out[0]):
+            results.append((float(eta), None, "failed: non-finite estimate"))
             continue
         res = EstimateResult(eta=float(eta), estimate=float(out[0]),
                              method=f"{estimator}/{table.design}", diagnostics=out[1])

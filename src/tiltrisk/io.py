@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import FORMAT_VERSION, AnalysisConfig
+from .config import FORMAT_VERSION, AnalysisConfig, _model_from_config, _xstar_indices
 from .data import ObservationTable, build_table
 from .errors import ConfigError, DataError
 from .estimators import SensitivityCurve, sensitivity_curve
@@ -355,18 +355,6 @@ def load_table(csv_path, config: AnalysisConfig) -> ObservationTable:
     )
 
 
-def _xstar_indices(config: AnalysisConfig) -> tuple:
-    return tuple(config.x_columns.index(c) for c in config.xstar_columns)
-
-
-def _model_from_config(config: AnalysisConfig) -> PredictionModel:
-    return PredictionModel(
-        coefficients=config.model_coefficients,
-        link=config.model_link,
-        xstar_columns=_xstar_indices(config),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Curve CSV
 # ---------------------------------------------------------------------------
@@ -616,26 +604,17 @@ def _fit_model_on_split(raw: RawData, config: AnalysisConfig):
 
 
 def _recipe_from_config(config: AnalysisConfig) -> NuisanceRecipe:
-    cols = tuple(range(len(config.x_columns)))
-
-    def mk(basis):
-        if basis.kind == "linear":
-            return DesignSpec(cols)
-        return DesignSpec(cols, basis="spline", degree=basis.degree,
-                          interior_knots=basis.interior_knots)
-
     loss = LossFunction(config.loss)
-    a_design = mk(config.p_basis) if config.estimator == "aug-alt" else None
+    a_design = config.p_basis if config.estimator == "aug-alt" else None
     if config.outcome == "binary":
         return NuisanceRecipe(
             outcome="binary", loss=loss,
-            p_design=mk(config.p_basis), g_design=mk(config.g_basis),
-            a_design=a_design,
+            p_design=config.p_basis, g_design=config.g_basis, a_design=a_design,
         )
     return NuisanceRecipe(
         outcome="continuous", loss=loss,
-        p_design=mk(config.p_basis), b_design=mk(config.g_basis),
-        c_design=mk(config.g_basis), a_design=a_design,
+        p_design=config.p_basis, b_design=config.g_basis,
+        c_design=config.g_basis, a_design=a_design,
     )
 
 

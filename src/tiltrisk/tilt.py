@@ -28,6 +28,10 @@ _LOG_MAX = float(np.log(np.finfo(np.float64).max))
 # rearranged (normalized) forms.
 _STABLE_EXP = 30.0
 
+# The named losses and the prediction model's links.
+LOSSES = ("brier", "squared-error", "absolute-deviation")
+LINKS = ("logit", "identity")
+
 
 def _as_array(v) -> np.ndarray:
     return np.asarray(v, dtype=np.float64)
@@ -94,7 +98,7 @@ class LossFunction:
     kind: str
     fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
-    _KINDS = ("brier", "squared-error", "absolute-deviation", "custom")
+    _KINDS = LOSSES + ("custom",)
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -118,8 +122,9 @@ class PredictionModel:
 
     ``coefficients`` holds the intercept first, then one slope per selected
     covariate column.  ``xstar_columns`` indexes the columns of the full
-    covariate matrix that form x*.  The model is an input to the analysis;
-    it is never refit here.
+    covariate matrix that form x*; when given, the coefficient count is
+    checked against it here, else on the matrix ``predict`` is given.  The
+    model is an input to the analysis; it is never refit here.
     """
 
     coefficients: tuple
@@ -127,11 +132,14 @@ class PredictionModel:
     xstar_columns: Sequence[int] = field(default=None)
 
     def __post_init__(self):
-        if self.link not in ("logit", "identity"):
-            raise DomainError(f"link must be 'logit' or 'identity', got {self.link!r}")
+        if self.link not in LINKS:
+            raise DomainError(f"link must be one of {LINKS}, got {self.link!r}")
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
+        if not np.all(np.isfinite(self.coefficients)):
+            raise DomainError(f"coefficients must be finite, got {self.coefficients}")
         if self.xstar_columns is not None:
             object.__setattr__(self, "xstar_columns", tuple(int(j) for j in self.xstar_columns))
+            self._check_width(len(self.xstar_columns))
 
     def _check_width(self, n_selected: int) -> None:
         if len(self.coefficients) != n_selected + 1:

@@ -13,8 +13,8 @@ import tiltrisk
 ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC = [
-    "AnalysisConfig", "BasisConfig", "ConfigError", "ConvergenceError", "DataError",
-    "DesignSpec", "DgpSpec", "DomainError", "EstimateResult", "GlmFit", "InfluenceValues",
+    "AnalysisConfig", "ConfigError", "ConvergenceError", "DataError", "DesignSpec",
+    "DgpSpec", "DomainError", "EstimateResult", "GlmFit", "InfluenceValues",
     "LossFunction", "NuisanceRecipe", "NuisanceSet", "NumericError", "ObservationTable",
     "OracleValue", "PositivityError", "PredictionModel", "PrevalenceAnchor",
     "RankDeficientError", "ResampleConfig", "ResampleResult", "SensitivityCurve",

@@ -316,6 +316,17 @@ class TestSensitivityCurve:
         assert not curve.points[1].ok
         assert curve.points[1].status.startswith("failed:")
 
+    @pytest.mark.parametrize("estimator", ("cl", "aug"))
+    def test_non_finite_point_marked_failed(self, estimator):
+        # b is NaN at eta = 0.5 only: that point fails, estimate itself is NaN
+        table = tiny_table([1, 1, 0, 0], [0.5, 0.5, 0.5, 0.5], y=[1.0, 0.0, np.nan, np.nan])
+        nuis = half_p_nuisances(
+            table, lambda eta: np.where(np.asarray(eta) == 0.5, np.nan, 0.25) * np.ones(4))
+        curve = sensitivity_curve(table, nuis, [0.0, 0.5, 1.0], estimator)
+        assert [pt.status for pt in curve] == ["ok", "failed: non-finite estimate", "ok"]
+        assert [pt.ok for pt in curve] == [True, False, True]
+        assert math.isnan(estimate(table, nuis, 0.5, estimator).estimate)
+
     def test_resampling_needs_a_recipe(self):
         # replicates refit the nuisances, which a hand-built set cannot do
         table = tiny_table([1, 1, 0, 0], [0.5, 0.5, 0.5, 0.5], y=[1.0, 0.0, np.nan, np.nan])

@@ -180,6 +180,16 @@ BAD_VALUES = [
     (dict(seed=1.5), "seed must be an integer"),
     (dict(model_link="probit"), "model_link must be one of"),
     (dict(fit_split="half", seed=1, model_coefficients=None), "fit_split must be a fraction"),
+    (dict(g_basis="spline:5:2"), "cannot parse basis spec.*degree must be in"),
+    (dict(g_basis="spline:3:-1"), "cannot parse basis spec.*interior_knots must be >= 0"),
+    (dict(p_basis={"kind": "spline", "knots": 4}), "cannot parse basis spec.*unknown keys"),
+    (dict(g_basis={"kind": "spline", "degree": True}), "cannot parse basis spec.*integer"),
+    (dict(p_basis={"kind": "spline", "degree": 2.5}), "cannot parse basis spec.*integer"),
+    (dict(eta_grid=[0.0, math.inf]), "eta grid must be nonempty, finite"),
+    (dict(eta_grid=[math.nan]), "eta grid must be nonempty, finite"),
+    (dict(model_coefficients=[math.nan, 0.9, -0.4]), "coefficients must be finite"),
+    (dict(xstar_columns=["age"]), "coefficient length 3 does not match 1 selected"),
+    (dict(x_columns=["age", "age"]), "more than once"),
 ]
 
 
@@ -439,15 +449,27 @@ class TestCli:
         assert cli_main(["analyze", "--config", str(cfg_path), "--level", "0.9"]) == 2
         assert "--level needs resampling" in capsys.readouterr().err
 
+    def test_choices_are_the_library_names(self):
+        from tiltrisk.cli import build_parser
+        from tiltrisk.data import DESIGNS
+        from tiltrisk.estimators import ESTIMATOR_NAMES
+        from tiltrisk.tilt import LINKS, LOSSES
+
+        (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+        choices = {a.dest: a.choices for a in sub.choices["analyze"]._actions if a.choices}
+        assert choices == {"design": DESIGNS, "loss": LOSSES, "link": LINKS,
+                           "estimator": ESTIMATOR_NAMES}
+
     def test_config_error_exit_code(self, tmp_path):
         assert cli_main(["analyze", "--config", str(tmp_path / "missing.json")]) == 2
 
-    @pytest.mark.parametrize("overrides, match", BAD_CONFIGS)
+    @pytest.mark.parametrize("overrides, match", BAD_CONFIGS + BAD_VALUES)
     def test_config_file_checked_before_data(self, tmp_path, capsys, overrides, match):
         # the data file does not exist: reading it first would exit 3
         cfg = dict(data_path=str(tmp_path / "missing.csv"), design="non-nested",
-                   loss="brier", x_columns=["age"], model_coefficients=[0.1, 0.4],
-                   eta_grid=[0.0], out_dir=str(tmp_path / "out"))
+                   loss="brier", x_columns=["age", "severity"],
+                   model_coefficients=[0.1, 0.4, -0.2], eta_grid=[0.0],
+                   out_dir=str(tmp_path / "out"))
         cfg.update(overrides)
         (tmp_path / "cfg.json").write_text(json.dumps(
             {k: v for k, v in cfg.items() if v is not None}))

@@ -308,9 +308,17 @@ class TestPredictionModel:
         np.testing.assert_allclose(m.predict(np.array([[9.0, 3.0]])), [7.0])
 
     def test_coefficient_width_checked(self):
-        m = PredictionModel(coefficients=(0.0, 1.0), xstar_columns=(0, 1))
-        with pytest.raises(DomainError):
+        # against the selected columns when built, else on the matrix given
+        with pytest.raises(DomainError, match="coefficient length 2 does not match 2"):
+            PredictionModel(coefficients=(0.0, 1.0), xstar_columns=(0, 1))
+        m = PredictionModel(coefficients=(0.0, 1.0))
+        with pytest.raises(DomainError, match="coefficient length 2 does not match 2"):
             m.predict(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_coefficients_refused(self, bad):
+        with pytest.raises(DomainError, match="must be finite"):
+            PredictionModel(coefficients=(0.0, bad))
 
     def test_subset_selector(self):
         m = PredictionModel(coefficients=(0.0, 1.0), link="identity", xstar_columns=(2,))
