@@ -21,7 +21,7 @@ from .data import DESIGNS
 from .errors import ConfigError, DomainError, require_number
 from .estimators import ESTIMATOR_NAMES, check_eta_grid
 from .etaselect import PrevalenceAnchor
-from .nuisance import DesignSpec
+from .nuisance import OUTCOMES, DesignSpec
 from .resampling import ResampleConfig
 from .tilt import LINKS, LOSSES, PredictionModel
 
@@ -150,7 +150,7 @@ class AnalysisConfig:
             check_eta_grid(grid)
             object.__setattr__(self, "eta_grid", grid)
         outcome = self.outcome or ("binary" if self.loss == "brier" else "continuous")
-        if outcome not in ("binary", "continuous"):
+        if outcome not in OUTCOMES:
             raise ConfigError("outcome must be 'binary' or 'continuous'")
         object.__setattr__(self, "outcome", outcome)
         if self.anchor is not None and outcome != "binary":

@@ -14,9 +14,10 @@ for the selection-offset ``aug-alt``.  The estimate is sum(r)/n0
 (non-nested) or sum(r)/n (nested); the same terms give the per-row
 influence values behind the sandwich standard error.
 
-A fitted nuisance set is evaluated as replicate 0 of the fits it came
-from, the replicate whose row counts are all one, by the same code as the
-resampling replicates; a hand-built set through its b, c and a.
+A sweep evaluates a fitted nuisance set as replicate 0 of its fits (row
+counts all one) by the same code as the resampling replicates; estimates,
+influence values and hand-built sets read a set's b, c and a, which for a
+fitted set are replicate 0's values bit for bit.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import numpy as np
 
 from .data import ObservationTable
 from .errors import NUMERIC_FAILURES, ConfigError
-from .nuisance import NuisanceRows, NuisanceSet
-from .tilt import BinaryTilt, TiltSpec, tilt_weight
+from .nuisance import C_FLOOR, NuisanceRows, NuisanceSet
+from .tilt import BinaryTilt, TiltSpec, selection_a, tilt_weight
 
 _CLIP_TOL = 1e-12
 
@@ -87,12 +88,10 @@ def _check(table: ObservationTable, nuis: NuisanceSet, estimator: str = "aug") -
         raise ConfigError(f"nuisance p has shape {np.shape(nuis.p)}, not ({table.n},)")
 
 
-def _source_weight(estimator: str, y_src, eta, q, p_src, c_src: Callable,
-                   a_src: Callable) -> np.ndarray:
+def _source_weight(estimator: str, tilt, p_src, c_src: Callable, a_src: Callable) -> np.ndarray:
     """Source-row weights of ``aug`` (inverse odds over c) or ``aug-alt``
-    (e^a), times the tilt; (K, m) at a (K, 1) eta.  ``c_src`` and ``a_src``
-    give c and a on the source rows when called."""
-    tilt = tilt_weight(y_src, TiltSpec(eta, q))
+    (e^a), times the tilt weights ``tilt``; ``c_src`` and ``a_src`` give c
+    and a on the source rows when called."""
     if estimator == "aug-alt":
         return np.exp(a_src()) * tilt
     return (1.0 - p_src) / p_src * tilt / c_src()
@@ -119,12 +118,11 @@ def _sum(r, counts=None):
 
 
 def _terms(table: ObservationTable, nuis: NuisanceSet, eta, estimator: str) -> tuple:
-    """Terms of a hand-built set (one without fits) on the target rows and
-    on the source rows, (K, n0) and (K, n1) at a (K, 1) eta column, the
+    """Terms of a set, through its b, c and a as given, on the target rows
+    and on the source rows, (K, n0) and (K, n1) at a (K, 1) eta column, the
     estimates (K,) and the source weights (None for ``cl``, whose source
     terms are eta-free or None, see ``_kernel``); a scalar eta gives (n0,)
-    and (n1,) rows and a scalar estimate.  The set's b, c and a are called
-    as given."""
+    and (n1,) rows and a scalar estimate."""
     eta = np.asarray(eta, dtype=np.float64)
     eta = eta.reshape(-1, 1) if eta.ndim else eta
     tgt, src = table.target_rows, table.source_rows
@@ -135,34 +133,24 @@ def _terms(table: ObservationTable, nuis: NuisanceSet, eta, estimator: str) -> t
     if estimator != "cl":
         if estimator == "aug-alt" and nuis.a is None:
             raise ConfigError("aug-alt needs the selection offset a in the nuisance set")
-        weight = _source_weight(estimator, table.y[src], eta, nuis.q, np.asarray(nuis.p)[src],
+        weight = _source_weight(estimator, tilt_weight(table.y[src], TiltSpec(eta, nuis.q)),
+                                np.asarray(nuis.p)[src],
                                 lambda: np.asarray(nuis.c(eta)).take(src, axis=-1),
                                 lambda: np.asarray(nuis.a(eta)).take(src, axis=-1))
         b_s = b.take(src, axis=-1)
     nested = table.design == "nested"
-    loss_s = table.source_losses if nested or weight is not None else None
-    r_t, r_s = _kernel(nested, b_t, b_s, weight, loss_s)
+    r_t, r_s = _kernel(nested, b_t, b_s, weight, table.source_losses)
     est = (np.add.reduce(r_t, axis=-1) + _sum(r_s)) / (table.n if nested else table.n0)
     return r_t, r_s, est, weight
 
 
-def _set_terms(table: ObservationTable, nuis: NuisanceSet, eta, estimator: str) -> tuple:
-    """The terms, estimates and weights of ``_terms``: a fitted set's as
-    replicate 0 of its fits (``_replicate_terms``), a hand-built set's
-    through its fields."""
-    if nuis._fits is None:
-        return _terms(table, nuis, eta, estimator)
-    return _replicate_terms(table, nuis._fits, 0, np.asarray(eta, dtype=np.float64), estimator)
-
-
-def _point_diagnostics(table: ObservationTable, est: np.ndarray, weight, clip: dict) -> list:
-    """Per-eta diagnostics: max source weight, the eta-free ``clip`` entries
-    and the overshoot; none for ``cl`` (``weight`` None)."""
-    if weight is None:
+def _point_diagnostics(table: ObservationTable, est: np.ndarray, top, clip: dict) -> list:
+    """Per-eta diagnostics: the largest source weight ``top``, the eta-free
+    ``clip`` entries and the overshoot; none for ``cl`` (``top`` None)."""
+    if top is None:
         return [{} for _ in range(est.size)]
-    max_weight = np.atleast_2d(weight).max(axis=1) if weight.size else np.zeros(est.size)
     return [{"max_weight": float(m), **clip, "overshoot": _overshoot(table, e)}
-            for m, e in zip(max_weight, est)]
+            for m, e in zip(top, est)]
 
 
 def _clip(table: ObservationTable, nuis: NuisanceSet, estimator: str) -> dict:
@@ -199,7 +187,7 @@ def estimate(
     table: ObservationTable, nuis: NuisanceSet, eta: float, estimator: str
 ) -> EstimateResult:
     """Risk estimate at one eta: ``cl``, ``aug`` or ``aug-alt``, for the
-    table's design.
+    table's design, from the set's fields (for a fitted set, replicate 0's).
 
     Warns when p sits at its clipping bound on more than half of the
     source rows; the ``positivity_warning`` diagnostic records the same.
@@ -207,10 +195,10 @@ def estimate(
     as in ``influence_values`` and ``sensitivity_curve``.
     """
     _check(table, nuis, estimator)
-    _, _, est, weight = _set_terms(table, nuis, eta, estimator)
+    _, _, est, weight = _terms(table, nuis, eta, estimator)
     diag = {}
     if weight is not None:
-        diag = _point_diagnostics(table, np.reshape(est, 1), weight,
+        diag = _point_diagnostics(table, np.reshape(est, 1), np.reshape(weight.max(), 1),
                                   _clip(table, nuis, estimator))[0]
         _warn_positivity(diag)
     return EstimateResult(eta=eta, estimate=float(est), method=f"{estimator}/{table.design}",
@@ -224,10 +212,11 @@ def influence_values(
 
     Non-nested: (r - plugged on target rows) * n/n0; nested: r - plugged.
     With the matching augmented estimate plugged in, the values average to
-    zero and sqrt(mean(values^2) / n) is the sandwich standard error.
+    zero and sqrt(mean(values^2) / n) is the sandwich standard error.  As
+    in ``estimate``, the terms read the set's p, b and c.
     """
     _check(table, nuis)
-    r_t, r_s, _, _ = _set_terms(table, nuis, eta, "aug")
+    r_t, r_s, _, _ = _terms(table, nuis, eta, "aug")
     r = np.empty(table.n)
     r[table.target_rows] = r_t
     r[table.source_rows] = r_s
@@ -261,15 +250,18 @@ def _grid_terms(table, nuis, grid: np.ndarray, estimator: str, clip: dict) -> li
     """(estimate, diagnostics) at every grid point, or the numeric failure
     the point raised: a fitted set's as replicate 0 of its fits, a
     hand-built set's block by block through its fields."""
-
-    def entries(terms):
-        _, _, est, weight = terms
-        return list(zip(est, _point_diagnostics(table, est, weight, clip)))
-
     if nuis._fits is not None:
-        return _replicate_rows(table, nuis._fits, [0], grid, estimator, entries)[0]
-    return _blocks(lambda block: entries(_terms(table, nuis, block, estimator)), grid,
-                   _block_step(table))
+        est, failed, top = (None if v is None else v[0] for v in
+                            _replicate_rows(table, nuis._fits, [0], grid, estimator, top=True))
+        points = zip(est, _point_diagnostics(table, est, top, clip))
+        return [point if exc is None else exc for exc, point in zip(failed, points)]
+
+    def entries(block):
+        _, _, est, weight = _terms(table, nuis, block, estimator)
+        return list(zip(est, _point_diagnostics(table, est, None if weight is None
+                                                else weight.max(axis=-1), clip)))
+
+    return _blocks(entries, grid, _block_step(table))
 
 
 # ---------------------------------------------------------------------------
@@ -278,92 +270,123 @@ def _grid_terms(table, nuis, grid: np.ndarray, estimator: str, clip: dict) -> li
 
 
 def _drawn_rows(table: ObservationTable, fits: NuisanceRows, r: int) -> tuple:
-    """Replicate r's eta-free state, computed once: the target and the
-    source rows it draws, their counts (None where every drawn count is
-    one, so the sums are plain, as on the full table), the losses on the
-    drawn source rows, the denominator of its estimates and, for binary
-    fits, the ``BinaryTilt`` closed forms on the drawn target rows and on
-    the drawn source rows with their outcomes and the odds of p (else
-    None)."""
+    """Binary replicate r's eta-free state: its drawn target and source
+    rows, their counts (None if all one: plain sums, as on the full table),
+    the drawn source losses, its estimates' denominator and the
+    ``BinaryTilt`` forms of the drawn rows."""
     cnt = fits.counts[r]
     tgt = fits.rows_drawn(r, table.target_rows)
     src = fits.rows_drawn(r, table.source_rows)
     c_t, c_s = cnt[tgt], cnt[src]
     den = c_t.sum() + c_s.sum() if table.design == "nested" else c_t.sum()
     counts = None if (c_t == 1.0).all() and (c_s == 1.0).all() else (c_t, c_s)
-    forms = None
-    if fits.g is not None:
-        (l1, l0), g = fits.losses, fits.g[r]
-        forms = (BinaryTilt(g[tgt], l1[tgt], l0[tgt]),
-                 BinaryTilt(g[src], l1[src], l0[src], table.y[src], fits.p[r, src]))
+    (l1, l0), g = fits.losses, fits.g[r]
+    forms = (BinaryTilt(g[tgt], l1[tgt], l0[tgt]),
+             BinaryTilt(g[src], l1[src], l0[src], table.y[src], fits.p[r, src]))
     return tgt, src, counts, table.loss[src], den, forms
 
 
 def _replicate_terms(table: ObservationTable, fits: NuisanceRows, r: int, eta,
-                     estimator: str, drawn=None, coef=None) -> tuple:
-    """The terms, estimates and weights of ``_terms`` for replicate r of
-    ``fits``: the kernel's terms on the rows the replicate draws (``drawn``,
-    from ``_drawn_rows``), summed with their counts.  The estimates equal
-    those on the table holding each row that many times.  Binary fits take
-    b and the source weights from their closed forms (``cl`` needs neither
-    the source b nor weights).  ``coef`` holds a continuous fit's b and c
-    coefficients at eta (``NuisanceRows.solve``; c None where the estimator
-    needs none), else they are solved here."""
-    tgt, src, counts, loss_s, den, forms = drawn or _drawn_rows(table, fits, r)
-    b_beta, c_beta = coef or (None, None)
-    a_src = lambda: fits.a(eta, r, src, c_beta)
-    b_s = weight = None
-    if forms is not None:
-        b_t = forms[0].b(eta)
-        if estimator == "aug":
-            b_s, weight = forms[1].b_weight(eta)
-        elif estimator == "aug-alt":
-            tilt = forms[1].tilt(eta)
-            b_s, weight = forms[1].b(eta), np.exp(a_src()) * tilt
-    elif estimator == "cl":
-        b_t = fits.b(eta, r, tgt, beta=b_beta)[0]
-    else:
-        b_t, b_s = fits.b(eta, r, tgt, src, beta=b_beta)
-        weight = _source_weight(estimator, table.y[src], eta, fits.q, fits.p[r, src],
-                                lambda: fits.c(eta, r, src, c_beta), a_src)
+                     estimator: str, drawn=None) -> tuple:
+    """``_terms`` for replicate r of binary ``fits`` on the rows it draws
+    (``drawn``, from ``_drawn_rows``), by the closed forms, summed with the
+    counts; then a moment-fitted offset's failures per eta (else None)."""
+    tgt, src, counts, loss_s, den, (form_t, form_s) = drawn or _drawn_rows(table, fits, r)
+    b_t = form_t.b(eta)
+    b_s = weight = failed = None
+    if estimator == "aug":
+        b_s, weight = form_s.b_weight(eta)
+    elif estimator == "aug-alt":
+        tilt = form_s.tilt(eta)
+        a, failed = (fits.a(eta, r, src), None) if fits.derived_a else fits.offset(eta, r, src)
+        b_s, weight = form_s.b(eta), np.exp(a) * tilt
     r_t, r_s = _kernel(table.design == "nested", b_t, b_s, weight, loss_s)
     c_t, c_s = counts or (None, None)
-    return r_t, r_s, (_sum(r_t, c_t) + _sum(r_s, c_s)) / den, weight
+    return r_t, r_s, (_sum(r_t, c_t) + _sum(r_s, c_s)) / den, weight, failed
+
+
+def _group_estimates(table: ObservationTable, fits: NuisanceRows, group: list,
+                     eta: np.ndarray, estimator: str) -> tuple:
+    """Continuous replicates ``group`` at a (K, 1) eta column, evaluated on
+    every row: (G, K) estimates (terms summed with the row counts), source
+    weights (None for ``cl``) and failures of b's and c's solve and of a
+    moment-fitted offset.  A source row a replicate does not draw weighs
+    zero, so its tilt overflow or NaN neither raises nor reaches the sums
+    (on a drawn row b's solve fails).  Replicate 0 gets full-table values."""
+    fitted_a = estimator == "aug-alt" and not fits.derived_a
+    b_beta, c_beta, failed = fits.solve(eta, group, ("b",) if estimator == "cl" or fitted_a
+                                        else ("b", "c"))
+    tgt, src, cnt = table.target_rows, table.source_rows, fits.counts[group]
+    # C-ordered counts: the memory order of a product picks its sums' order
+    c_t, c_s = cnt.take(tgt, axis=-1)[:, None], cnt.take(src, axis=-1)[:, None]
+    b = fits.on_every_row("b", group, b_beta)
+    b_s = weight = None
+    if estimator != "cl":
+        if fitted_a:
+            a = np.empty(b.shape[:-1] + src.shape)
+            for j, r in enumerate(group):  # after the solve's failures
+                a[j], offset_failed = fits.offset(eta, r, src)
+                np.copyto(failed[j], offset_failed, where=np.equal(failed[j], None))
+        p_src, spec = fits.p[group].take(src, axis=-1)[:, None], TiltSpec(eta, fits.q)
+        c_src = lambda: np.maximum(fits.on_every_row("c", group, c_beta).take(src, axis=-1),
+                                   C_FLOOR)
+        with np.errstate(over="ignore", invalid="ignore"):
+            weight = _source_weight(estimator, np.exp(spec.eta * spec.apply_q(table.y[src])),
+                                    p_src, c_src, (lambda: a) if fitted_a
+                                    else lambda: selection_a(p_src, c_src()))
+        np.copyto(weight, 0.0, where=c_s == 0.0)
+        b_s = b.take(src, axis=-1)
+    nested = table.design == "nested"
+    r_t, r_s = _kernel(nested, b.take(tgt, axis=-1), b_s, weight, table.source_losses)
+    den = c_t.sum(axis=-1) + c_s.sum(axis=-1) if nested else c_t.sum(axis=-1)
+    return (_sum(r_t, c_t) + _sum(r_s, c_s)) / den, weight, failed
 
 
 def _replicate_rows(table: ObservationTable, fits: NuisanceRows, group: list,
-                    grid: np.ndarray, estimator: str,
-                    entries: Callable = lambda terms: list(terms[2])) -> list:
-    """Replicates ``group`` (indices into ``fits``) at every grid point: per
-    replicate one entry per point, from ``entries`` of a block's
-    ``_replicate_terms`` (by default its estimates), or the numeric failure
-    the point raised.  The grid goes in blocks of ``_block_step`` points.
-    For continuous fits each block first solves b, and c where the
-    estimator needs it, for the whole group at once
-    (``NuisanceRows.solve``); a point whose solve failed fails alone, and
-    the other points keep their coefficients."""
-    step = _block_step(table)
-    drawn = [_drawn_rows(table, fits, i) for i in group]
-    parts = ("b", "c") if estimator == "aug" or (estimator == "aug-alt"
-                                                  and fits.derived_a) else ("b",)
-    rows = [[] for _ in group]
-    for lo in range(0, grid.size, step):
-        eta = grid[lo:lo + step, None]
-        solved = None if fits.g is not None else fits.solve(eta, group, parts)
-        for j, i in enumerate(group):
-            def evaluate(idx):
-                coef = None
-                if solved is not None:
-                    b, c, failed = solved
-                    exc = next((e for e in failed[j, idx] if e is not None), None)
-                    if exc is not None:
-                        raise exc
-                    coef = (b[j, idx], None if c is None else c[j, idx])
-                return entries(_replicate_terms(table, fits, i, eta[idx], estimator, drawn[j],
-                                                coef))
+                    grid: np.ndarray, estimator: str, top: bool = False) -> tuple:
+    """Replicates ``group`` (indices into ``fits``) at every grid point as
+    (G, K) arrays: estimates (NaN where failed), failures (None or the
+    exception) and, with ``top``, largest source weights.  Per block of
+    ``_block_step`` points a continuous group goes on every row at once
+    (``_group_estimates``), binary replicates one at a time on their drawn
+    rows (``_replicate_terms``).  A block that raises reruns by replicate,
+    then by point, so each replicate-point gets what it would alone."""
+    shape = (len(group), grid.size)
+    out = (np.full(shape, np.nan), np.full(shape, None, dtype=object),
+           np.full(shape, np.nan) if top and estimator != "cl" else None)
+    drawn = [_drawn_rows(table, fits, r) for r in group] if fits.g is not None else None
 
-            rows[j] += _blocks(evaluate, np.arange(eta.shape[0]), step)
-    return rows
+    def evaluate(reps: slice, points: slice):  # a block's terms die with its call
+        eta = grid[points, None]
+        if drawn is None:
+            est, weights, failed = _group_estimates(table, fits, group[reps], eta, estimator)
+        else:
+            _, _, est, weights, failed = zip(*[_replicate_terms(table, fits, r, eta, estimator, d)
+                                               for r, d in zip(group[reps], drawn[reps])])
+            failed = None if all(f is None for f in failed) else np.array(
+                [[None] * len(eta) if f is None else f for f in failed], dtype=object)
+        return est, failed, None if out[2] is None else [w.max(axis=-1) for w in weights]
+
+    step = _block_step(table)
+    todo = [(slice(0, len(group)), slice(lo, lo + step)) for lo in range(0, grid.size, step)]
+    while todo:
+        reps, points = todo.pop()
+        try:
+            values = evaluate(reps, points)
+        except NUMERIC_FAILURES as exc:
+            rows, cols = range(len(group))[reps], range(grid.size)[points]
+            if len(rows) > 1:
+                todo += [(slice(i, i + 1), points) for i in rows]
+            elif len(cols) > 1:
+                todo += [(reps, slice(j, j + 1)) for j in cols]
+            else:
+                out[1][reps, points] = exc
+            continue
+        for dest, value in zip(out, values):
+            if value is not None:
+                dest[reps, points] = value
+    out[0][np.not_equal(out[1], None)] = np.nan
+    return out
 
 
 def _failure_counts(names) -> str:
@@ -379,20 +402,16 @@ def _replicate_matrix(table: ObservationTable, recipe, grid: np.ndarray, estimat
     its fit or point raised, or 'non-finite'.
 
     Replicates are row-count vectors (``resampling.replicate_counts``)
-    fitted together in chunks of max(1, _BLOCK_CELLS // 4n): the fits'
-    largest arrays are (chunk, k, n) design products, and the 4 sizes them
-    for k = 4 (an intercept and three covariates), with peak memory measured
-    on the boot-anchored benchmark workload only; a spline design with k
-    coefficients makes those arrays k/4 times larger.  A replicate that
-    lacks a stratum the design needs fails like the table it stands for
+    fitted together in chunks of max(1, _BLOCK_CELLS // 4n), which keeps the
+    fits' (chunk, k, n) design products at the block size for k = 4 (peak
+    memory measured on the boot-anchored workload; k spline coefficients
+    make them k/4 times larger).  A replicate that lacks a stratum the
+    design needs fails like the table it stands for
     (``resampling.leave_one_out_failure``, ``resampling.check_usable``).
-
-    A chunk's usable replicates are swept in batches of max(1, _BLOCK_CELLS
-    // Kn), K the points of a grid block, so the batch's (replicates, K, n)
-    arrays stay at the block size; a batch of continuous fits solves b and
-    c of all its replicates at each block at once (``_replicate_rows``).
-    Every solved item passes the normal-equation check of the one-replicate
-    solve, which re-solves any item that does not (``NuisanceRows.solve``).
+    The usable ones go in groups of max(1, _BLOCK_CELLS // Kn), K the points
+    of a grid block: ``_replicate_rows`` evaluates a continuous group on
+    every row at once and binary replicates on their drawn rows, and its
+    (G, K) estimates and failures fill the matrices by array operations.
     """
     from .resampling import (check_usable, jackknife_size, leave_one_out_failure,
                              replicate_counts)
@@ -407,28 +426,22 @@ def _replicate_matrix(table: ObservationTable, recipe, grid: np.ndarray, estimat
     for lo in range(0, n_reps, chunk):
         reps = range(lo, min(n_reps, lo + chunk))
         fits = recipe.fit_counts(table, replicate_counts(table, resample, reps))
-        usable = []
-        for i, rep in enumerate(reps):
-            exc = fits.errors[i]
-            if exc is None:
-                usable.append(i)
-                continue
-            if fits.lacks_stratum[i]:
-                if jackknife:
-                    raise leave_one_out_failure(rep, exc) from exc
-                unusable += 1
-            why[rep] = type(exc).__name__
+        for i, exc in enumerate(fits.errors):
+            if exc is not None:
+                if jackknife and fits.lacks_stratum[i]:
+                    raise leave_one_out_failure(reps[i], exc) from exc
+                why[reps[i]] = type(exc).__name__
+        usable = [i for i, exc in enumerate(fits.errors) if exc is None]
+        unusable += sum(fits.lacks_stratum)
         for b_lo in range(0, len(usable), batch):
             group = usable[b_lo:b_lo + batch]
-            for i, row in zip(group, _replicate_rows(table, fits, group, grid, estimator)):
-                rep = reps[i]
-                for j, out in enumerate(row):
-                    if isinstance(out, Exception):
-                        why[rep, j] = type(out).__name__
-                    elif np.isfinite(out):
-                        est[rep, j] = out
-                    else:
-                        why[rep, j] = "non-finite"
+            values, failed, _ = _replicate_rows(table, fits, group, grid, estimator)
+            rows, ok = lo + np.asarray(group), np.isfinite(values)
+            est[rows] = np.where(ok, values, np.nan)
+            reason = np.where(ok, None, "non-finite")
+            bad = np.not_equal(failed, None)
+            reason[bad] = [type(e).__name__ for e in failed[bad]]
+            why[rows] = reason
     check_usable(n_reps - unusable)
     return est, why
 

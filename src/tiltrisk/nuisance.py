@@ -63,6 +63,7 @@ C_FLOOR = 1e-6            # lower clip keeping fitted normalizers positive
 # drawn rows, which bounds the condition number of its k x k equations
 _LOG_SPREAD = float(np.log(1e4))
 GLM_PROB_CLIP = (1e-8, 1.0 - 1e-8)
+OUTCOMES = ("binary", "continuous")
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -616,16 +617,17 @@ def _wls_coefficients(dT: np.ndarray, response, weights) -> np.ndarray:
     return beta
 
 
-def _tilted_wls(dT: np.ndarray, r_inv: np.ndarray, counts: np.ndarray, tilt: np.ndarray,
-                response=None) -> tuple:
+def _tilted_wls(dT: np.ndarray, r_inv: np.ndarray, pT: np.ndarray, counts: np.ndarray,
+                tilt: np.ndarray, w: np.ndarray, response=None) -> tuple:
     """Weighted least squares of G replicates at K tilts at once: (G, K, k)
     coefficients and a (G, K) mask of the items whose normal equations pass
     ``_wls_coefficients``'s check (a singular or non-finite item fails it).
 
     ``dT`` is the (k, m) transposed design on the fit rows, shared, or a
     (G, k, m) stack; ``r_inv`` the (G, k, k) inverses of the ``_r_factors``
-    R of sqrt(counts) d, so D = d R^-1 has D' diag(counts) D = I; ``counts``
-    the (G, m) row counts and ``tilt`` the (K, m) tilt weights t.
+    R of sqrt(counts) d, so D = d R^-1 has D' diag(counts) D = I, and
+    ``pT`` the (G, 1, k, m) D'; ``counts`` the (G, m) row counts, ``tilt``
+    the (K, m) tilt weights t and ``w`` the (G, K, m) products counts * t.
 
     Without ``response`` this is c, t regressed on d with weights counts:
     its coefficients are R^-1 D' diag(counts) t, with no solve.  With the
@@ -635,11 +637,8 @@ def _tilted_wls(dT: np.ndarray, r_inv: np.ndarray, counts: np.ndarray, tilt: np.
     so only the spread of the tilt weights is left in the solve.
     """
     k = r_inv.shape[-1]
-    dT = np.ascontiguousarray(dT)
     d_item = dT if dT.ndim == 2 else dT[:, None]  # each item's design, broadcast over K
-    pT = (np.swapaxes(r_inv, -1, -2) @ dT)[:, None]  # D', (G, 1, k, m)
     r_inv = r_inv[:, None]
-    w = counts[:, None] * tilt
     ok = np.ones(w.shape[:2], dtype=bool)
 
     def residual(beta):
@@ -673,10 +672,11 @@ def _tilted_wls(dT: np.ndarray, r_inv: np.ndarray, counts: np.ndarray, tilt: np.
 
 
 def _offset_theta(built: BuiltDesign, dT: np.ndarray, src: np.ndarray, y: np.ndarray,
-                  counts: np.ndarray, tilt: TiltSpec) -> np.ndarray:
+                  counts: np.ndarray, tilt: TiltSpec) -> tuple:
     """Just-identified moment fits of the selection offset a(X, theta; eta)
     = d(X) theta for the design ``built`` at each eta of ``tilt`` (a (K, 1)
-    column, with the tilt map q): (K, k) coefficients.  ``dT`` is the
+    column, with the tilt map q): (K, k) coefficients, NaN where the fit
+    failed, and the (K,) failures, None where it converged.  ``dT`` is the
     (k, m) transposed design on rows with source flags ``src``, outcomes
     ``y`` and row counts ``counts``.
 
@@ -691,15 +691,18 @@ def _offset_theta(built: BuiltDesign, dT: np.ndarray, src: np.ndarray, y: np.nda
     iterates run off: an item fails as having no root once an iterate puts
     a + eta q(y) below -_LOG_MAX on a source row, or once even the shortest
     trial step puts it above +_LOG_MAX (where F overflows, so no accepted
-    step goes there).  A failed item raises a ConvergenceError naming why.
+    step goes there).  A failed item's failure is a ConvergenceError naming
+    why; rows of one stratum only fail every item with a DataError.
     """
     n, n0 = counts.sum(), counts[~src].sum()
-    if n0 == 0 or n0 == n:
-        raise DataError("selection-offset fit needs both source and target rows")
     log_w = tilt.eta * tilt.apply_q(y[src])
+    theta = np.zeros((log_w.shape[0], dT.shape[0]))
+    failures = np.full(len(theta), None, dtype=object)
+    if n0 == 0 or n0 == n:
+        failures[:] = [DataError("selection-offset fit needs both source and target rows")]
+        return np.full_like(theta, np.nan), failures
     d_src, c_src = np.ascontiguousarray(dT[:, src]), counts[src]
     t_bar = (dT[:, ~src] * counts[~src]).sum(axis=-1) / n
-    theta = np.zeros((log_w.shape[0], dT.shape[0]))
     if built.names[:1] == ("intercept",):  # an intercept is the design's first column
         theta[:, 0] = np.log(n0 / np.add.reduce(c_src * np.exp(log_w), axis=1))
 
@@ -722,11 +725,11 @@ def _offset_theta(built: BuiltDesign, dT: np.ndarray, src: np.ndarray, y: np.nda
         return _gram(d_src, w), -grad, reason
 
     reasons, _ = _newton(theta, derivs, _OFFSET_MAX_ITER, merit=merit)
-    failed = reasons != _CONVERGED
-    if failed.any():
-        raise ConvergenceError("selection-offset fit: "
-                               + _FAILURES[reasons[failed][0]].format(_OFFSET_MAX_ITER))
-    return theta
+    for j in np.flatnonzero(reasons != _CONVERGED):
+        theta[j] = np.nan
+        failures[j] = ConvergenceError("selection-offset fit: "
+                                       + _FAILURES[reasons[j]].format(_OFFSET_MAX_ITER))
+    return theta, failures
 
 
 # ---------------------------------------------------------------------------
@@ -745,11 +748,11 @@ class NuisanceSet:
     resampling uses to refit it; hand-built sets leave it None.
 
     A fitted set (``NuisanceRecipe.fit``) also carries its fits, the
-    ``NuisanceRows`` of one all-ones replicate, and the estimators evaluate
-    it as replicate 0 of them.  ``dataclasses.replace`` does not copy the
-    fits, so a replaced set is a hand-built one: the estimators read every
-    field as given, and values derived at fit time, such as a from p and
-    c, are not recomputed.
+    ``NuisanceRows`` of one all-ones replicate, and sensitivity curves
+    evaluate it as replicate 0 of them.  ``dataclasses.replace`` does not
+    copy the fits, so a replaced set is a hand-built one: the estimators
+    read every field as given, and values derived at fit time, such as a
+    from p and c, are not recomputed.
     """
 
     p: np.ndarray
@@ -772,23 +775,23 @@ class NuisanceRows:
     draw no source rows, or no target rows of a non-nested table, which
     could not be built as tables.  ``p`` and ``g`` are (R, n) arrays and,
     for binary fits, ``losses`` the (n,) L(1, h) and L(0, h) behind the
-    closed forms; ``b``, ``c`` and ``a`` give one replicate's values at eta
-    (a scalar or a (K, 1) column) on the given rows, each solved from that
-    replicate's rows alone.  The full-table fit of ``NuisanceRecipe.fit``
+    closed forms; ``values`` (b and c) and ``a`` give one replicate's values
+    at eta (a scalar or a (K, 1) column) on the given rows, each solved from
+    that replicate's rows alone.  The full-table fit of ``NuisanceRecipe.fit``
     is replicate 0, whose counts are all one (``nuisance_set``).
 
     A continuous fit's b and c regressions are solved by ``solve`` for a
     batch of replicates and a block of etas at once, with the R factors of
-    the rank check (``_tilted_wls``); ``b`` and ``c`` take those
-    coefficients, or solve their replicate alone by the same code.  Every
+    the rank check (``_tilted_wls``), and evaluated on every row by
+    ``on_every_row``; ``values`` solves its replicate alone.  Every
     item passes the normal-equation check of ``_wls_coefficients``; an item
     that does not, or whose tilt weights spread more than ``_LOG_SPREAD``
     allows on the rows its replicate draws, is solved alone by
     ``_wls_coefficients`` (``_source_fit``).
 
-    A moment-fitted offset is fitted when ``a`` is called, at every eta of
-    the column at once (``_offset_theta``); an eta whose fit does not
-    converge raises the ConvergenceError that fails its grid point.
+    A moment-fitted offset is fitted at every eta of a column at once
+    (``_offset_theta``); ``offset`` returns each eta's ConvergenceError,
+    ``a`` raises the first.
     """
 
     def __init__(self, table, counts, errors, lacks_stratum, p, fits, g=None, losses=None,
@@ -806,23 +809,10 @@ class NuisanceRows:
         self._c_designs = c_designs
         self._a_designs = a_designs
         self._p_clip = p_clip
-        self._whole = (counts == 1.0).all(axis=1)
 
     def rows_drawn(self, r: int, rows: np.ndarray) -> np.ndarray:
         """The entries of ``rows`` that replicate r draws at least once."""
         return rows[self.counts[r, rows] > 0]
-
-    def _on_rows(self, dT: np.ndarray, beta: np.ndarray, r: int, *rows) -> list:
-        """d @ beta on each of ``rows`` for replicate r.  A replicate that
-        holds every row once is the full table, and its values are taken
-        from the product on every row: a product's rounding depends on the
-        rows it spans, and the full table's values are those of the whole
-        design."""
-        if self._whole[r]:
-            every = _values(dT, beta)
-            return [every[..., i] if isinstance(i, slice) else every.take(i, axis=-1)
-                    for i in rows]
-        return [_values(dT[:, i], beta) for i in rows]
 
     @property
     def derived_a(self) -> bool:
@@ -864,22 +854,26 @@ class NuisanceRows:
         spec = TiltSpec(eta, self.q)
         qy = spec.apply_q(t.y[src])
         z = spec.eta * qy
-        cnt = self.counts[reps][:, src]
+        cnt = self.counts[reps].take(src, axis=-1)  # C-ordered: strided, it slows every product
         drawn = cnt > 0
         bad = ~(z <= _LOG_MAX)  # overflowing or not a number
         if bad.any():  # weighs zero here; where a replicate draws it, _source_fit raises
             z = np.where(bad, -np.inf, z)
         tilt = np.exp(z)
+        w = cnt[:, None] * tilt
         failed = np.full((len(reps), eta.shape[0]), None, dtype=object)
-        out = {}
+        out, bases = {}, {}
         for part in parts:
             designs = self._b_designs if part == "b" else self._c_designs
-            dTs = [designs[r][1] for r in reps]
-            dT = (dTs[0][:, src] if all(d is dTs[0] for d in dTs)
-                  else np.stack([d[:, src] for d in dTs]))
-            r_inv = np.linalg.inv(np.stack([designs[r][2] for r in reps]))
+            if id(designs) not in bases:  # one basis when c shares b's design
+                dTs = [designs[r][1] for r in reps]
+                dT = (dTs[0].take(src, axis=-1) if all(d is dTs[0] for d in dTs)
+                      else np.stack([d.take(src, axis=-1) for d in dTs]))
+                r_inv = np.linalg.inv(np.stack([designs[r][2] for r in reps]))
+                bases[id(designs)] = dTs, dT, r_inv, (np.swapaxes(r_inv, -1, -2) @ dT)[:, None]
+            dTs, dT, r_inv, pT = bases[id(designs)]
             response = t.loss if part == "b" else None
-            beta, ok = _tilted_wls(dT, r_inv, cnt, tilt,
+            beta, ok = _tilted_wls(dT, r_inv, pT, cnt, tilt, w,
                                    None if response is None else response[src])
             if bad.any():
                 ok &= ~(bad[None] & drawn[:, None]).any(axis=-1)
@@ -911,47 +905,55 @@ class NuisanceRows:
                 beta[j] = np.nan
                 failed[j] = failed[j] or exc
 
-    def _solved(self, eta, r: int, part: str) -> np.ndarray:
-        """Replicate r's coefficients of b or c at eta (a scalar or a (K, 1)
-        column), solved alone; raises the first failure."""
+    def values(self, part: str, eta, r: int, rows) -> np.ndarray:
+        """Replicate r's b or c (``part``) at eta on ``rows``: the closed
+        form of binary fits, the regression of continuous ones, solved
+        alone (raising its failure)."""
+        if self.g is not None:
+            if part == "c":
+                return np.asarray(binary_c(self.g[r, rows], eta))
+            l1, l0 = self.losses
+            return np.asarray(binary_b(l1[rows], l0[rows], self.g[r, rows], eta))
         b, c, failed = self.solve(np.reshape(eta, (-1, 1)), [r], (part,))
         exc = next((e for e in failed[0] if e is not None), None)
         if exc is not None:
             raise exc
-        return (b if part == "b" else c)[0].reshape(np.shape(eta)[:-1] + (-1,))
+        beta = (b if part == "b" else c).reshape((1,) + np.shape(eta)[:-1] + (-1,))
+        values = self.on_every_row(part, [r], beta)[0].take(rows, axis=-1)
+        return values if part == "b" else np.maximum(values, C_FLOOR)
 
-    def b(self, eta, r: int, *rows, beta=None) -> list:
-        """Tilted conditional risk of replicate r on each of ``rows``: the
-        closed form of binary fits, the regression of continuous ones, whose
-        coefficients at eta ``beta`` gives (from ``solve``)."""
-        if self.g is not None:
-            l1, l0 = self.losses
-            return [np.asarray(binary_b(l1[i], l0[i], self.g[r, i], eta)) for i in rows]
-        dT = self._b_designs[r][1]
-        beta = self._solved(eta, r, "b") if beta is None else beta
-        return self._on_rows(dT, beta, r, *rows)
-
-    def c(self, eta, r: int, rows, beta=None) -> np.ndarray:
-        """Tilted normalizer of replicate r on ``rows``; ``beta`` as in ``b``."""
-        if self.g is not None:
-            return np.asarray(binary_c(self.g[r, rows], eta))
-        dT = self._c_designs[r][1]
-        beta = self._solved(eta, r, "c") if beta is None else beta
-        return np.maximum(self._on_rows(dT, beta, r, rows)[0], C_FLOOR)
-
-    def a(self, eta, r: int, rows, c_beta=None) -> np.ndarray:
-        """Selection offset of replicate r on ``rows``: the moment fits at
-        every eta of the column at once on the rows it draws
-        (``_offset_theta``), or the offset implied by p and c (``c_beta`` as
-        in ``c``)."""
+    def a(self, eta, r: int, rows) -> np.ndarray:
+        """Selection offset of replicate r on ``rows``: the offset implied by
+        p and c, or the moment fits of ``offset``, raising the first
+        failure."""
         if self._a_designs is None:
-            return np.asarray(selection_a(self.p[r, rows], self.c(eta, r, rows, c_beta)))
+            return np.asarray(selection_a(self.p[r, rows], self.values("c", eta, r, rows)))
+        values, failures = self.offset(eta, r, rows)
+        exc = next((e for e in failures if e is not None), None)
+        if exc is not None:
+            raise exc
+        return values
+
+    def offset(self, eta, r: int, rows) -> tuple:
+        """Replicate r's moment-fitted selection offset on ``rows``, fitted at
+        every eta of the column at once on the rows it draws
+        (``_offset_theta``): its values and (K,) failures per eta."""
         built, dT, _ = self._a_designs[r]
         t = self.table
         drawn = self.rows_drawn(r, np.arange(t.n))
-        theta = _offset_theta(built, dT[:, drawn], t.s[drawn] == 1, t.y[drawn],
-                              self.counts[r, drawn], TiltSpec(np.reshape(eta, (-1, 1)), self.q))
-        return self._on_rows(dT, theta.reshape(np.shape(eta)[:-1] + (-1,)), r, rows)[0]
+        theta, failures = _offset_theta(built, dT[:, drawn], t.s[drawn] == 1, t.y[drawn],
+                                        self.counts[r, drawn],
+                                        TiltSpec(np.reshape(eta, (-1, 1)), self.q))
+        theta = theta.reshape(np.shape(eta)[:-1] + (-1,))
+        return _values(dT, theta).take(rows, axis=-1), failures
+
+    def on_every_row(self, part: str, reps, beta: np.ndarray) -> np.ndarray:
+        """A continuous fit's b or c (``part``, unfloored) of replicates
+        ``reps`` on every row, (G, K, n) from (G, K, k) coefficients."""
+        designs = self._b_designs if part == "b" else self._c_designs
+        dTs = [designs[r][1] for r in reps]
+        dT = dTs[0] if all(d is dTs[0] for d in dTs) else np.stack(dTs)[:, None]
+        return _values(dT, np.ascontiguousarray(beta))  # C-ordered values
 
     def meta(self, r: int) -> dict:
         fits = self._fits
@@ -971,13 +973,13 @@ class NuisanceRows:
         copies made by ``dataclasses.replace``, which carry no fits."""
         if self.errors[0] is not None:
             raise self.errors[0]
-        every = slice(None)
+        every = lambda: np.arange(self.table.n)  # made per call, not held by the set
         nuis = NuisanceSet(
             p=self.p[0],
-            b=lambda eta: self.b(eta, 0, every)[0],
-            c=lambda eta: self.c(eta, 0, every),
+            b=lambda eta: self.values("b", eta, 0, every()),
+            c=lambda eta: self.values("c", eta, 0, every()),
             g=None if self.g is None else self.g[0],
-            a=lambda eta: self.a(eta, 0, every),
+            a=lambda eta: self.a(eta, 0, every()),
             q=self.q,
             meta=self.meta(0),
             recipe=recipe,
@@ -1001,13 +1003,6 @@ def _check_replicates(table: ObservationTable, counts: np.ndarray) -> list:
     return errors
 
 
-def _fail_where(errors: list, counts: np.ndarray, bad_rows: np.ndarray, exc) -> None:
-    """Record ``exc`` for every live replicate that draws one of ``bad_rows``."""
-    if bad_rows.size:
-        for r in np.flatnonzero((counts[:, bad_rows] > 0).any(axis=1)):
-            errors[r] = errors[r] or exc
-
-
 def _a_designs(table, counts, a_design, errors) -> Optional[list]:
     if a_design is None:
         return None
@@ -1024,9 +1019,9 @@ def _binary_rows(table, counts, g_design, p_design, loss, a_design, p_clip) -> N
     errors = _check_replicates(table, counts)
     lacks_stratum = [e is not None for e in errors]
     src = table.source_rows
-    y_src = table.y[src]
-    _fail_where(errors, counts, src[~np.isin(y_src, (0.0, 1.0))],
-                DomainError("binary nuisances require 0/1 source outcomes"))
+    not_binary = src[~np.isin(table.y[src], (0.0, 1.0))]  # fails the replicates drawing it
+    for r in np.flatnonzero((counts[:, not_binary] > 0).any(axis=1)):
+        errors[r] = errors[r] or DomainError("binary nuisances require 0/1 source outcomes")
     g, g_fits = _fit_logistic_rows(g_design, table.x, src, table.y, counts, errors)
     p, p_fits = _fit_p(table, counts, p_design, p_clip, errors)
     losses = (eval_loss(loss, np.ones_like(table.pred), table.pred),
@@ -1084,7 +1079,7 @@ class NuisanceRecipe:
     p_clip: tuple = P_CLIP
 
     def __post_init__(self):
-        if self.outcome not in ("binary", "continuous"):
+        if self.outcome not in OUTCOMES:
             raise DomainError("outcome must be 'binary' or 'continuous'")
         if self.outcome == "binary":
             if self.q is not None:

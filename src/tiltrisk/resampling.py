@@ -92,8 +92,7 @@ def resample_indices(
     rng = np.random.default_rng((int(seed), int(rep_index)))
     if not stratified:
         return rng.integers(0, table.n, table.n)
-    src = np.flatnonzero(table.s == 1)
-    tgt = np.flatnonzero(table.s == 0)
+    src, tgt = table.source_rows, table.target_rows
     picks = [src[rng.integers(0, src.size, src.size)]]
     if tgt.size:
         picks.append(tgt[rng.integers(0, tgt.size, tgt.size)])

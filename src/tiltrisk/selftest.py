@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import build_table
-from .estimators import _replicate_terms, estimate, influence_values
+from .estimators import _replicate_rows, estimate, influence_values
 from .etaselect import eta_from_prevalence_nonnested, implied_prevalence_nonnested
 from .nuisance import DesignSpec, NuisanceRecipe, NuisanceSet
 from .resampling import ResampleConfig, replicate_counts, resample_indices
@@ -58,28 +58,21 @@ def _continuous_table(seed: int):
 def _replicates_match_take(table, recipe: NuisanceRecipe, seed: int) -> float:
     """Largest |difference| between the count-weighted fit and sweep of a
     bootstrap replicate and of a leave-one-out replicate and the refit of
-    the same replicate built with ``take`` (NaN if a point fails).  A
-    continuous recipe solves b and c of both replicates together."""
+    the same replicate built with ``take`` (NaN if a point fails).  Both
+    replicates are swept together (``_replicate_rows``)."""
     boot = ResampleConfig(replicates=2, seed=seed)
     counts = np.vstack([replicate_counts(table, boot, [1]),
                         replicate_counts(table, ResampleConfig(method="jackknife"), [5])])
     fits = recipe.fit_counts(table, counts)
-    etas = np.array([[-0.7], [0.0], [0.9]])
-    solved = None if fits.g is not None else fits.solve(etas, [0, 1])
+    etas = np.array([-0.7, 0.0, 0.9])
+    weighted, _, _ = _replicate_rows(table, fits, [0, 1], etas, "aug")
     diffs = []
     for r, idx in enumerate((resample_indices(table, 1, seed, boot.resolve_stratified(table)),
                              np.delete(np.arange(table.n), 5))):
         t = table.take(idx)
         taken = recipe.fit(t)
-        coef = None
-        if solved is not None:
-            b, c, failed = solved
-            if any(exc is not None for exc in failed[r]):
-                return float("nan")
-            coef = (b[r], c[r])
-        weighted = _replicate_terms(table, fits, r, etas, "aug", coef=coef)[2]
         diffs += [abs(value - estimate(t, taken, float(eta), "aug").estimate)
-                  for eta, value in zip(etas[:, 0], weighted)]
+                  for eta, value in zip(etas, weighted[r])]
     return float(np.max(diffs))
 
 

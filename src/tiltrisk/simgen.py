@@ -16,9 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .data import ObservationTable, build_table
+from .data import DESIGNS, ObservationTable, build_table
 from .errors import DataError, DomainError
-from .nuisance import DesignSpec, NuisanceRecipe
+from .nuisance import OUTCOMES, DesignSpec, NuisanceRecipe
 from .tilt import LossFunction, PredictionModel, binary_b, expit, tilted_bernoulli
 
 # positivity by construction: |linear predictor| <= logit(0.95)
@@ -57,11 +57,11 @@ class DgpSpec:
     n_target: Optional[int] = None
 
     def __post_init__(self):
-        if self.design not in ("nested", "non-nested"):
+        if self.design not in DESIGNS:
             raise DomainError("design must be 'nested' or 'non-nested'")
         if self.covariate_kind not in _COVARIATE_KINDS:
             raise DomainError(f"covariate_kind must be one of {_COVARIATE_KINDS}")
-        if self.outcome not in ("binary", "continuous"):
+        if self.outcome not in OUTCOMES:
             raise DomainError("outcome must be 'binary' or 'continuous'")
         if self.outcome == "continuous" and (self.sigma is None or self.sigma <= 0):
             raise DomainError("continuous outcomes need sigma > 0")

@@ -24,6 +24,7 @@ from tiltrisk.errors import (
     DomainError,
     NumericError,
     RankDeficientError,
+    TiltOverflowError,
 )
 from tiltrisk.estimators import _replicate_matrix, estimate, sensitivity_curve
 from tiltrisk.nuisance import DesignSpec, NuisanceRecipe
@@ -267,6 +268,36 @@ class TestFixedCases:
         assert set(why[over, 1]) == {"TiltOverflowError"}
         assert_same(weighted, take_matrix(table, recipe, grid, "cl", resample))
 
+    @pytest.mark.parametrize("estimator", ("cl", "aug", "aug-alt"))
+    def test_far_point_that_overflows_in_some_replicates(self, estimator):
+        # at eta = 40 e^{eta y} overflows on the outlying row alone: replicates
+        # that do not draw it stay finite there, and those that draw it fail
+        # with the text of the same replicate built by take() and refitted
+        rng = np.random.default_rng(14)
+        table = make_table(rng, 30, "non-nested", "continuous")
+        y = table.y.copy()
+        y[0] = 20.0
+        table = replace(table, y=y, loss=(y - table.pred) ** 2)
+        recipe = make_recipe("continuous")
+        grid = np.array([-1.0, 0.0, 40.0])
+        resample = ResampleConfig(replicates=12, seed=9)
+        weighted, why = _replicate_matrix(table, recipe, grid, estimator, resample)
+        counts = replicate_counts(table, resample, range(12))
+        drawn = counts[:, 0] > 0
+        assert 0 < drawn.sum() < 12
+        assert np.isfinite(weighted[~drawn]).all()
+        assert set(why[drawn, 2]) == {"TiltOverflowError"}
+        assert np.isfinite(weighted[drawn, :2]).all()
+        fits = recipe.fit_counts(table, counts)
+        _, failed, _ = estimators._replicate_rows(table, fits, list(range(12)), grid, estimator)
+        for r, idx in enumerate(replicate_indices(table, resample)):
+            if drawn[r]:
+                taken = table.take(idx)
+                with pytest.raises(TiltOverflowError) as refit:
+                    estimate(taken, recipe.fit(taken), 40.0, estimator)
+                assert str(failed[r, 2]) == str(refit.value)
+        assert_same(weighted, take_matrix(table, recipe, grid, estimator, resample))
+
 
 class TestFailureNotes:
     def test_skipped_replicates_counted_by_class(self):
@@ -320,6 +351,19 @@ class TestNewtonFailures:
         _, why = _replicate_matrix(table, recipe, GRID, "aug-alt",
                                    ResampleConfig(method="jackknife"))
         assert set(why.ravel()) == {"ConvergenceError"}
+
+    def test_failed_offset_points_are_not_refit(self, monkeypatch):
+        # one offset fit per replicate and the full table, at every eta at
+        # once: a failed eta is a failure of its point, with no refit
+        table = make_table(np.random.default_rng(5), 40, "non-nested", "binary")
+        recipe = self.spline_offset_recipe()
+        calls, offset_theta = [], nuisance._offset_theta
+        monkeypatch.setattr(nuisance, "_offset_theta",
+                            lambda *args: calls.append(1) or offset_theta(*args))
+        curve = sensitivity_curve(table, recipe.fit(table), GRID, "aug-alt",
+                                  ResampleConfig(method="jackknife"))
+        assert not any(p.ok for p in curve)
+        assert len(calls) == table.n + 1
 
     def test_offset_with_root_gives_every_point(self):
         table = make_table(np.random.default_rng(5), 120, "non-nested", "binary")
@@ -405,12 +449,21 @@ class TestNewtonFailures:
                 f"{lost} replicates skipped (ConvergenceError: {lost})")
 
 
-@pytest.mark.parametrize("block_cells", (2, 130, 700, 1300))
-@pytest.mark.parametrize("method", ("bootstrap", "jackknife"))
-@pytest.mark.parametrize("outcome_kind", ("binary", "continuous"))
-@pytest.mark.parametrize("basis", ("linear", "spline"))
+# every estimator; the aug-alt cases keep the ids they had before the
+# estimator was a parameter
+BLOCK_CASES = [
+    pytest.param(block_cells, method, outcome_kind, basis, estimator,
+                 id="-".join([basis, outcome_kind, method, str(block_cells)]
+                             + ([] if estimator == "aug-alt" else [estimator])))
+    for estimator in ("aug-alt", "cl", "aug") for basis in ("linear", "spline")
+    for outcome_kind in ("binary", "continuous") for method in ("bootstrap", "jackknife")
+    for block_cells in (2, 130, 700, 1300)
+]
+
+
+@pytest.mark.parametrize("block_cells, method, outcome_kind, basis, estimator", BLOCK_CASES)
 def test_replicate_values_do_not_depend_on_blocks(block_cells, method, outcome_kind, basis,
-                                                  monkeypatch):
+                                                  estimator, monkeypatch):
     # at n = 40, 2 cells: one replicate a chunk, one eta a block; 130: one
     # replicate, three etas; 700: four replicates, all five etas; 1300: eight
     # replicates.  The module's size fits every replicate in one chunk.
@@ -420,11 +473,11 @@ def test_replicate_values_do_not_depend_on_blocks(block_cells, method, outcome_k
     recipe = make_recipe(outcome_kind, basis, a_basis="linear")
     grid = np.array([-1.0, -0.3, 0.0, 0.4, 1.1])
     resample = ResampleConfig(method=method, replicates=9, seed=8)
-    whole = _replicate_matrix(table, recipe, grid, "aug-alt", resample)
+    whole = _replicate_matrix(table, recipe, grid, estimator, resample)
     assert np.isfinite(whole[0]).any()
     assert estimators._BLOCK_CELLS // (4 * table.n) >= table.n
     monkeypatch.setattr(estimators, "_BLOCK_CELLS", block_cells)
-    split = _replicate_matrix(table, recipe, grid, "aug-alt", resample)
+    split = _replicate_matrix(table, recipe, grid, estimator, resample)
     assert np.array_equal(whole[0], split[0], equal_nan=True)
     assert np.array_equal(whole[1], split[1])
 
