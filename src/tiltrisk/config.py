@@ -32,11 +32,11 @@ _SPLINE_DEFAULTS = {"degree": 3, "interior_knots": 2}
 
 
 def _basis(value, n_columns: int) -> DesignSpec:
-    """The DesignSpec over all ``n_columns`` covariate columns, with an
-    intercept, that ``value`` declares: 'linear', 'spline[:degree[:knots]]',
-    a mapping of kind, degree and interior_knots, or such a DesignSpec."""
+    """The DesignSpec over all ``n_columns`` covariate columns that
+    ``value`` declares: 'linear', 'spline[:degree[:knots]]', a mapping of
+    kind, degree and interior_knots, or such a DesignSpec."""
     columns = tuple(range(n_columns))
-    if isinstance(value, DesignSpec) and value.columns == columns and value.intercept:
+    if isinstance(value, DesignSpec) and value.columns == columns:
         return value
     try:
         if isinstance(value, str):
@@ -50,8 +50,7 @@ def _basis(value, n_columns: int) -> DesignSpec:
                 raise DomainError(f"unknown keys {sorted(unknown)}")
             spec = dict(value)
         else:
-            raise DomainError("not a string, a mapping or a DesignSpec over every "
-                              "column with an intercept")
+            raise DomainError("not a string, a mapping or a DesignSpec over every column")
         sizes = {key: require_number(spec.get(key, default), key, numbers.Integral)
                  for key, default in _SPLINE_DEFAULTS.items()}
         return DesignSpec(columns, basis=spec.get("kind", "linear"), **sizes)
@@ -104,8 +103,8 @@ class AnalysisConfig:
     model_coefficients: Optional[Sequence[float]] = None
     model_link: str = "logit"
     fit_split: Optional[float] = None
-    g_basis: DesignSpec = "linear"         # any form ``_basis`` reads
-    p_basis: DesignSpec = "linear"
+    g_basis: DesignSpec = "linear"         # outcome model: binary g, continuous b and c
+    p_basis: DesignSpec = "linear"         # selection model; both in any form ``_basis`` reads
     eta_grid: Optional[Sequence[float]] = None
     anchor: Optional[PrevalenceAnchor] = None
     estimator: str = "aug"

@@ -319,7 +319,7 @@ def _group_estimates(table: ObservationTable, fits: NuisanceRows, group: list,
     tgt, src, cnt = table.target_rows, table.source_rows, fits.counts[group]
     # C-ordered counts: the memory order of a product picks its sums' order
     c_t, c_s = cnt.take(tgt, axis=-1)[:, None], cnt.take(src, axis=-1)[:, None]
-    b = fits.on_every_row("b", group, b_beta)
+    b = fits.on_every_row(group, b_beta)
     b_s = weight = None
     if estimator != "cl":
         if fitted_a:
@@ -328,8 +328,7 @@ def _group_estimates(table: ObservationTable, fits: NuisanceRows, group: list,
                 a[j], offset_failed = fits.offset(eta, r, src)
                 np.copyto(failed[j], offset_failed, where=np.equal(failed[j], None))
         p_src, spec = fits.p[group].take(src, axis=-1)[:, None], TiltSpec(eta, fits.q)
-        c_src = lambda: np.maximum(fits.on_every_row("c", group, c_beta).take(src, axis=-1),
-                                   C_FLOOR)
+        c_src = lambda: np.maximum(fits.on_every_row(group, c_beta).take(src, axis=-1), C_FLOOR)
         with np.errstate(over="ignore", invalid="ignore"):
             weight = _source_weight(estimator, np.exp(spec.eta * spec.apply_q(table.y[src])),
                                     p_src, c_src, (lambda: a) if fitted_a

@@ -79,7 +79,7 @@ def _row_values(values, table: ObservationTable, name: str) -> np.ndarray:
     return v.astype(np.float64)
 
 
-def solve_monotone_root(f: Callable, lo: float = -1.0, hi: float = 1.0) -> float:
+def solve_monotone_root(f: Callable) -> float:
     """Root of an increasing function by bracket doubling plus Illinois steps.
 
     The bracket expands geometrically from [-1, 1] up to +-BRACKET_CAP.
@@ -90,6 +90,7 @@ def solve_monotone_root(f: Callable, lo: float = -1.0, hi: float = 1.0) -> float
     to function tolerance 1e-10, or until the bracket collapses to
     floating-point width.
     """
+    lo, hi = -1.0, 1.0
     f_lo, f_hi = f(lo), f(hi)
     while f_lo > 0.0 and lo > -BRACKET_CAP:
         lo = max(lo * 2.0, -BRACKET_CAP)

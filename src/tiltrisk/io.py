@@ -604,17 +604,10 @@ def _fit_model_on_split(raw: RawData, config: AnalysisConfig):
 
 
 def _recipe_from_config(config: AnalysisConfig) -> NuisanceRecipe:
-    loss = LossFunction(config.loss)
-    a_design = config.p_basis if config.estimator == "aug-alt" else None
-    if config.outcome == "binary":
-        return NuisanceRecipe(
-            outcome="binary", loss=loss,
-            p_design=config.p_basis, g_design=config.g_basis, a_design=a_design,
-        )
     return NuisanceRecipe(
-        outcome="continuous", loss=loss,
-        p_design=config.p_basis, b_design=config.g_basis,
-        c_design=config.g_basis, a_design=a_design,
+        outcome=config.outcome, loss=LossFunction(config.loss),
+        p_design=config.p_basis, g_design=config.g_basis,
+        a_design=config.p_basis if config.estimator == "aug-alt" else None,
     )
 
 

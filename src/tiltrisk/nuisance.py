@@ -1,7 +1,7 @@
 """Nuisance-function estimation.
 
-``NuisanceRecipe`` holds the design choices of every conditional model the
-risk estimators consume, and is the one fitting entry point:
+``NuisanceRecipe`` holds the designs of the conditional models the risk
+estimators consume, and is the one fitting entry point:
 ``recipe.fit(table)`` gives a ``NuisanceSet`` of nuisance values on the
 table's rows, and ``recipe.fit_counts(table, counts)`` gives
 ``NuisanceRows`` for R count-weighted replicates of it at once.  The fits:
@@ -11,7 +11,8 @@ table's rows, and ``recipe.fit_counts(table, counts)`` gives
   ``fit_logistic`` for one logistic model on given rows);
 * for binary outcomes, b and c in closed form from g; for continuous ones,
   the tilted conditional risk b and the tilted normalizer c by (weighted)
-  least squares on the source rows, solved for many replicates and etas
+  least squares on the source rows, both on the outcome model's design
+  (g's design for binary outcomes), solved for many replicates and etas
   at once;
 * the selection offset a(X, theta; eta), implied by p and c, or fitted by
   a just-identified method of moments on an ``a_design``: the minimizer of
@@ -26,8 +27,8 @@ leave-one-out table); every fit weights row i by its count, which equals a
 fit on the table holding row i that many times.  The full-table fit is the
 replicate with every count one.
 
-Design matrices (``DesignSpec``) support linear main effects or per-column
-B-spline expansions with knots at empirical quantiles.
+Design matrices (``DesignSpec``) hold an intercept and linear main effects
+or per-column B-spline expansions with knots at empirical quantiles.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import numpy as np
 from .data import ObservationTable, check_strata
 from .errors import (
     NUMERIC_FAILURES,
+    ConfigError,
     ConvergenceError,
     DataError,
     DomainError,
@@ -57,7 +59,7 @@ from .tilt import (
     tilt_weight,
 )
 
-P_CLIP = (0.01, 0.99)     # positivity clip applied to p(X) before weighting
+P_CLIP = (0.01, 0.99)     # positivity clip applied to every fitted p(X)
 C_FLOOR = 1e-6            # lower clip keeping fitted normalizers positive
 # b's stacked solve takes a replicate's tilt weights up to this ratio on its
 # drawn rows, which bounds the condition number of its k x k equations
@@ -99,20 +101,20 @@ def _spline_basis(column: np.ndarray, knots: np.ndarray, degree: int) -> np.ndar
 
 @dataclass(frozen=True)
 class DesignSpec:
-    """Which covariate columns enter a nuisance model and on what basis.
+    """Which covariate columns enter a nuisance model, after an intercept,
+    and on what basis.
 
     ``basis="linear"`` uses the raw columns.  ``basis="spline"`` expands
     each column with enough distinct values into a B-spline block; columns
-    with exactly two distinct values (binary indicators) stay linear.  When
-    an intercept is present the first basis function of each spline block
-    is dropped, since the block sums to one and would be collinear with it.
+    with exactly two distinct values (binary indicators) stay linear.  The
+    first basis function of each spline block is dropped, since the block
+    sums to one and would be collinear with the intercept.
     """
 
     columns: Sequence[int]
     basis: str = "linear"
     degree: int = 3
     interior_knots: int = 0
-    intercept: bool = True
 
     def __post_init__(self):
         if self.basis not in ("linear", "spline"):
@@ -126,11 +128,8 @@ class DesignSpec:
     def build(self, x: np.ndarray) -> "BuiltDesign":
         """Freeze the design against fitting data (knots from quantiles)."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        terms = []
-        names = []
-        if self.intercept:
-            terms.append(("const",))
-            names.append("intercept")
+        terms = [("const",)]
+        names = ["intercept"]
         for j in self.columns:
             col = x[:, j]
             # the distinct values matter to a spline basis only
@@ -145,11 +144,8 @@ class DesignSpec:
                     f"expansion needs at least {needed}"
                 )
             knots = tuple(spline_knots(col, self.degree, self.interior_knots))
-            drop_first = self.intercept
-            terms.append(("bs", j, knots, self.degree, drop_first))
-            n_basis = self.degree + self.interior_knots + 1
-            start = 1 if drop_first else 0
-            names.extend(f"bs(x{j})[{i}]" for i in range(start, n_basis))
+            terms.append(("bs", j, knots, self.degree))
+            names.extend(f"bs(x{j})[{i}]" for i in range(1, self.degree + self.interior_knots + 1))
         return BuiltDesign(terms=tuple(terms), names=tuple(names))
 
 
@@ -175,9 +171,8 @@ class BuiltDesign:
             elif term[0] == "lin":
                 blocks.append(x[:, term[1]][None])
             else:
-                _, j, knots, degree, drop_first = term
-                basis = _spline_basis(x[:, j], np.asarray(knots), degree)
-                blocks.append((basis[:, 1:] if drop_first else basis).T)
+                _, j, knots, degree = term
+                blocks.append(_spline_basis(x[:, j], np.asarray(knots), degree)[:, 1:].T)
         return np.vstack(blocks).T
 
 
@@ -348,14 +343,14 @@ def _replicate_designs(design: DesignSpec, x: np.ndarray, fit, counts: np.ndarra
 
 def _design_by_replicate(design: DesignSpec, x: np.ndarray, fit, counts: np.ndarray,
                          errors: list) -> list:
-    """Each replicate's (built design, (k, n) transposed matrix on every
-    row of ``x``, (k, k) R factor of its count-weighted fit rows) from
+    """Each replicate's ((k, n) transposed design on every row of ``x``,
+    (k, k) R factor of its count-weighted fit rows) from
     ``_replicate_designs``, None where it failed."""
     out = [None] * counts.shape[0]
     for reps, builts, d_fit, r_fit in _replicate_designs(design, x, fit, counts, errors):
         dT = _every_row(builts, x, fit, d_fit)
         for i, r in enumerate(reps):
-            out[r] = (builts[i], _per_replicate(dT, i), r_fit[i])
+            out[r] = (_per_replicate(dT, i), r_fit[i])
     return out
 
 
@@ -507,21 +502,19 @@ def _irls(dT, y, w_case, ridge=0.0):
 
 
 def _fit_logistic_rows(design: DesignSpec, x: np.ndarray, fit, targets: np.ndarray,
-                       counts: np.ndarray, errors: list, case_weights=None) -> tuple:
+                       counts: np.ndarray, errors: list) -> tuple:
     """Logistic fits of ``targets[fit]`` on ``design`` for every live
-    replicate, each fit row taken ``counts`` times (and weighted by
-    ``case_weights[fit]`` when given), by ``_irls``; intercept-only designs
-    in closed form, the logit of the weighted mean.  Separation or a
-    singular Hessian triggers a ridge refit (lambda = 1e-4) flagged on the
-    result; a replicate whose fit or refit does not converge fails with a
-    ConvergenceError naming why.  Returns the (R, n) fitted probabilities
+    replicate, each fit row taken ``counts`` times, by ``_irls``;
+    intercept-only designs in closed form, the logit of the count-weighted
+    mean.  Separation or a singular Hessian triggers a ridge refit
+    (lambda = 1e-4) flagged on the result; a replicate whose fit or refit
+    does not converge fails with a ConvergenceError naming why.  Returns the (R, n) fitted probabilities
     on every row of ``x`` (NaN for failed replicates) and one GlmFit per
     replicate.
     """
     n_reps = counts.shape[0]
     y = np.asarray(targets, dtype=np.float64)[fit]
     cnt = counts[:, fit]
-    w_case = cnt if case_weights is None else cnt * case_weights[fit]
     bad = ~np.isin(y, (0.0, 1.0))
     if bad.any():
         for r in np.flatnonzero((cnt[:, bad] > 0).any(axis=1)):
@@ -530,8 +523,8 @@ def _fit_logistic_rows(design: DesignSpec, x: np.ndarray, fit, targets: np.ndarr
     fits = [None] * n_reps
     for reps, builts, d_fit, _ in _replicate_designs(design, x, fit, counts, errors,
                                                      min_rows=True):
-        w = w_case[reps]
-        if d_fit.shape[-2] == 1 and builts[0].terms[0][0] == "const":
+        w = cnt[reps]
+        if d_fit.shape[-2] == 1:  # the intercept alone
             m = (w * y).sum(axis=1) / w.sum(axis=1)  # all-0 or all-1 targets: no MLE
             reasons = np.where((m <= 0.0) | (m >= 1.0), _SEPARATED, _CONVERGED)
             with np.errstate(divide="ignore"):
@@ -558,25 +551,14 @@ def _fit_logistic_rows(design: DesignSpec, x: np.ndarray, fit, targets: np.ndarr
     return prob, fits
 
 
-def fit_logistic(
-    design: DesignSpec,
-    rows: np.ndarray,
-    targets: np.ndarray,
-    case_weights: Optional[np.ndarray] = None,
-) -> GlmFit:
-    """Maximum-likelihood logistic fit via IRLS (see ``_fit_logistic_rows``,
-    of which this is the one-replicate case)."""
+def fit_logistic(design: DesignSpec, rows: np.ndarray, targets: np.ndarray) -> GlmFit:
+    """Maximum-likelihood logistic fit of ``targets`` on ``design`` over
+    ``rows``, each row once, via IRLS (see ``_fit_logistic_rows``, of which
+    this is the one-replicate case)."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     y = np.asarray(targets, dtype=np.float64)
-    if case_weights is None:
-        w_case = np.ones_like(y)
-    else:
-        w_case = np.asarray(case_weights, dtype=np.float64)
-        if np.any(w_case <= 0) or w_case.shape != y.shape:
-            raise DomainError("case_weights must be positive and align with targets")
     errors = [None]
-    _, fits = _fit_logistic_rows(design, rows, slice(None), y, np.ones((1, y.size)), errors,
-                                 w_case)
+    _, fits = _fit_logistic_rows(design, rows, slice(None), y, np.ones((1, y.size)), errors)
     if errors[0] is not None:
         raise errors[0]
     return fits[0]
@@ -671,14 +653,14 @@ def _tilted_wls(dT: np.ndarray, r_inv: np.ndarray, pT: np.ndarray, counts: np.nd
 # ---------------------------------------------------------------------------
 
 
-def _offset_theta(built: BuiltDesign, dT: np.ndarray, src: np.ndarray, y: np.ndarray,
-                  counts: np.ndarray, tilt: TiltSpec) -> tuple:
+def _offset_theta(dT: np.ndarray, src: np.ndarray, y: np.ndarray, counts: np.ndarray,
+                  tilt: TiltSpec) -> tuple:
     """Just-identified moment fits of the selection offset a(X, theta; eta)
-    = d(X) theta for the design ``built`` at each eta of ``tilt`` (a (K, 1)
-    column, with the tilt map q): (K, k) coefficients, NaN where the fit
-    failed, and the (K,) failures, None where it converged.  ``dT`` is the
-    (k, m) transposed design on rows with source flags ``src``, outcomes
-    ``y`` and row counts ``counts``.
+    = d(X) theta at each eta of ``tilt`` (a (K, 1) column, with the tilt map
+    q): (K, k) coefficients, NaN where the fit failed, and the (K,)
+    failures, None where it converged.  ``dT`` is the (k, m) transposed
+    design on rows with source flags ``src``, outcomes ``y`` and row counts
+    ``counts``.
 
     The count-weighted moments (1/n) sum_i [I(s_i=1) e^{a(x_i) + eta
     q(y_i)} - I(s_i=0)] d(x_i) are driven below 1e-10 in max norm.  They
@@ -703,8 +685,7 @@ def _offset_theta(built: BuiltDesign, dT: np.ndarray, src: np.ndarray, y: np.nda
         return np.full_like(theta, np.nan), failures
     d_src, c_src = np.ascontiguousarray(dT[:, src]), counts[src]
     t_bar = (dT[:, ~src] * counts[~src]).sum(axis=-1) / n
-    if built.names[:1] == ("intercept",):  # an intercept is the design's first column
-        theta[:, 0] = np.log(n0 / np.add.reduce(c_src * np.exp(log_w), axis=1))
+    theta[:, 0] = np.log(n0 / np.add.reduce(c_src * np.exp(log_w), axis=1))
 
     def weights(items, th):
         z = _values(d_src, th) + log_w[items]
@@ -780,22 +761,22 @@ class NuisanceRows:
     that replicate's rows alone.  The full-table fit of ``NuisanceRecipe.fit``
     is replicate 0, whose counts are all one (``nuisance_set``).
 
-    A continuous fit's b and c regressions are solved by ``solve`` for a
-    batch of replicates and a block of etas at once, with the R factors of
-    the rank check (``_tilted_wls``), and evaluated on every row by
-    ``on_every_row``; ``values`` solves its replicate alone.  Every
-    item passes the normal-equation check of ``_wls_coefficients``; an item
-    that does not, or whose tilt weights spread more than ``_LOG_SPREAD``
-    allows on the rows its replicate draws, is solved alone by
-    ``_wls_coefficients`` (``_source_fit``).
+    A continuous fit's b and c regressions, both on the outcome model's
+    design, are solved by ``solve`` for a batch of replicates and a block
+    of etas at once, with the R factors of the rank check (``_tilted_wls``),
+    and evaluated on every row by ``on_every_row``; ``values`` solves its
+    replicate alone.  Every item passes the normal-equation check of
+    ``_wls_coefficients``; an item that does not, or whose tilt weights
+    spread more than ``_LOG_SPREAD`` allows on the rows its replicate
+    draws, is solved alone by ``_wls_coefficients`` (``_source_fit``).
 
     A moment-fitted offset is fitted at every eta of a column at once
     (``_offset_theta``); ``offset`` returns each eta's ConvergenceError,
     ``a`` raises the first.
     """
 
-    def __init__(self, table, counts, errors, lacks_stratum, p, fits, g=None, losses=None,
-                 b_designs=None, c_designs=None, a_designs=None, q=None, p_clip=P_CLIP):
+    def __init__(self, table, counts, errors, lacks_stratum, p, fits, g, losses, designs,
+                 a_designs, q):
         self.table = table
         self.counts = counts
         self.errors = errors
@@ -805,10 +786,8 @@ class NuisanceRows:
         self.q = q
         self._fits = fits
         self.losses = losses
-        self._b_designs = b_designs
-        self._c_designs = c_designs
+        self._designs = designs
         self._a_designs = a_designs
-        self._p_clip = p_clip
 
     def rows_drawn(self, r: int, rows: np.ndarray) -> np.ndarray:
         """The entries of ``rows`` that replicate r draws at least once."""
@@ -862,16 +841,13 @@ class NuisanceRows:
         tilt = np.exp(z)
         w = cnt[:, None] * tilt
         failed = np.full((len(reps), eta.shape[0]), None, dtype=object)
-        out, bases = {}, {}
+        dTs = [self._designs[r][0] for r in reps]
+        dT = (dTs[0].take(src, axis=-1) if all(d is dTs[0] for d in dTs)
+              else np.stack([d.take(src, axis=-1) for d in dTs]))
+        r_inv = np.linalg.inv(np.stack([self._designs[r][1] for r in reps]))
+        pT = (np.swapaxes(r_inv, -1, -2) @ dT)[:, None]
+        out = {}
         for part in parts:
-            designs = self._b_designs if part == "b" else self._c_designs
-            if id(designs) not in bases:  # one basis when c shares b's design
-                dTs = [designs[r][1] for r in reps]
-                dT = (dTs[0].take(src, axis=-1) if all(d is dTs[0] for d in dTs)
-                      else np.stack([d.take(src, axis=-1) for d in dTs]))
-                r_inv = np.linalg.inv(np.stack([designs[r][2] for r in reps]))
-                bases[id(designs)] = dTs, dT, r_inv, (np.swapaxes(r_inv, -1, -2) @ dT)[:, None]
-            dTs, dT, r_inv, pT = bases[id(designs)]
             response = t.loss if part == "b" else None
             beta, ok = _tilted_wls(dT, r_inv, pT, cnt, tilt, w,
                                    None if response is None else response[src])
@@ -919,7 +895,7 @@ class NuisanceRows:
         if exc is not None:
             raise exc
         beta = (b if part == "b" else c).reshape((1,) + np.shape(eta)[:-1] + (-1,))
-        values = self.on_every_row(part, [r], beta)[0].take(rows, axis=-1)
+        values = self.on_every_row([r], beta)[0].take(rows, axis=-1)
         return values if part == "b" else np.maximum(values, C_FLOOR)
 
     def a(self, eta, r: int, rows) -> np.ndarray:
@@ -938,20 +914,19 @@ class NuisanceRows:
         """Replicate r's moment-fitted selection offset on ``rows``, fitted at
         every eta of the column at once on the rows it draws
         (``_offset_theta``): its values and (K,) failures per eta."""
-        built, dT, _ = self._a_designs[r]
+        dT, _ = self._a_designs[r]
         t = self.table
         drawn = self.rows_drawn(r, np.arange(t.n))
-        theta, failures = _offset_theta(built, dT[:, drawn], t.s[drawn] == 1, t.y[drawn],
+        theta, failures = _offset_theta(dT[:, drawn], t.s[drawn] == 1, t.y[drawn],
                                         self.counts[r, drawn],
                                         TiltSpec(np.reshape(eta, (-1, 1)), self.q))
         theta = theta.reshape(np.shape(eta)[:-1] + (-1,))
         return _values(dT, theta).take(rows, axis=-1), failures
 
-    def on_every_row(self, part: str, reps, beta: np.ndarray) -> np.ndarray:
-        """A continuous fit's b or c (``part``, unfloored) of replicates
-        ``reps`` on every row, (G, K, n) from (G, K, k) coefficients."""
-        designs = self._b_designs if part == "b" else self._c_designs
-        dTs = [designs[r][1] for r in reps]
+    def on_every_row(self, reps, beta: np.ndarray) -> np.ndarray:
+        """A continuous fit's b or c (unfloored) of replicates ``reps`` on
+        every row, (G, K, n) from (G, K, k) coefficients."""
+        dTs = [self._designs[r][0] for r in reps]
         dT = dTs[0] if all(d is dTs[0] for d in dTs) else np.stack(dTs)[:, None]
         return _values(dT, np.ascontiguousarray(beta))  # C-ordered values
 
@@ -962,7 +937,7 @@ class NuisanceRows:
         if "g" in fits:
             meta["g_converged"] = fits["g"][r].converged
         meta["p_converged"] = fits["p"][r].converged
-        meta["p_clip"] = self._p_clip
+        meta["p_clip"] = P_CLIP
         meta["a_source"] = "gmm" if self._a_designs is not None else "derived"
         return meta
 
@@ -1003,60 +978,22 @@ def _check_replicates(table: ObservationTable, counts: np.ndarray) -> list:
     return errors
 
 
-def _a_designs(table, counts, a_design, errors) -> Optional[list]:
-    if a_design is None:
-        return None
-    return _design_by_replicate(a_design, table.x, slice(None), counts, errors)
-
-
-def _fit_p(table, counts, p_design, p_clip, errors) -> tuple:
-    prob, fits = _fit_logistic_rows(p_design, table.x, slice(None),
-                                    (table.s == 1).astype(float), counts, errors)
-    return np.clip(prob, *p_clip), fits
-
-
-def _binary_rows(table, counts, g_design, p_design, loss, a_design, p_clip) -> NuisanceRows:
-    errors = _check_replicates(table, counts)
-    lacks_stratum = [e is not None for e in errors]
+def _check_q(table, counts, q, errors) -> None:
+    """Fail each live replicate whose tilt map q is not nondecreasing over
+    the range of the source outcomes it draws (``TiltSpec.validate_q``)."""
     src = table.source_rows
-    not_binary = src[~np.isin(table.y[src], (0.0, 1.0))]  # fails the replicates drawing it
-    for r in np.flatnonzero((counts[:, not_binary] > 0).any(axis=1)):
-        errors[r] = errors[r] or DomainError("binary nuisances require 0/1 source outcomes")
-    g, g_fits = _fit_logistic_rows(g_design, table.x, src, table.y, counts, errors)
-    p, p_fits = _fit_p(table, counts, p_design, p_clip, errors)
-    losses = (eval_loss(loss, np.ones_like(table.pred), table.pred),
-              eval_loss(loss, np.zeros_like(table.pred), table.pred))
-    return NuisanceRows(table, counts, errors, lacks_stratum, p, {"g": g_fits, "p": p_fits},
-                        g=g, losses=losses,
-                        a_designs=_a_designs(table, counts, a_design, errors), p_clip=p_clip)
-
-
-def _continuous_rows(table, counts, p_design, b_design, c_design, q, a_design,
-                     p_clip) -> NuisanceRows:
-    errors = _check_replicates(table, counts)
-    lacks_stratum = [e is not None for e in errors]
-    src = table.source_rows
-    if q is not None:  # q is probed over each replicate's outcome range
-        checked: dict = {}
-        for r in range(counts.shape[0]):
-            if errors[r] is None:
-                y_r = table.y[src[counts[r, src] > 0]]
-                span = (float(y_r.min()), float(y_r.max()))
-                if span not in checked:
-                    try:
-                        TiltSpec(0.0, q).validate_q(*span)
-                        checked[span] = None
-                    except NUMERIC_FAILURES as exc:
-                        checked[span] = exc
-                errors[r] = checked[span]
-    p, p_fits = _fit_p(table, counts, p_design, p_clip, errors)
-    b_designs = _design_by_replicate(b_design, table.x, src, counts, errors)
-    c_designs = b_designs if c_design == b_design else _design_by_replicate(
-        c_design, table.x, src, counts, errors)
-    return NuisanceRows(table, counts, errors, lacks_stratum, p, {"p": p_fits},
-                        b_designs=b_designs, c_designs=c_designs,
-                        a_designs=_a_designs(table, counts, a_design, errors), q=q,
-                        p_clip=p_clip)
+    checked: dict = {}
+    for r in range(counts.shape[0]):
+        if errors[r] is None:
+            y_r = table.y[src[counts[r, src] > 0]]
+            span = (float(y_r.min()), float(y_r.max()))
+            if span not in checked:
+                try:
+                    TiltSpec(0.0, q).validate_q(*span)
+                    checked[span] = None
+                except NUMERIC_FAILURES as exc:
+                    checked[span] = exc
+            errors[r] = checked[span]
 
 
 @dataclass(frozen=True)
@@ -1064,34 +1001,30 @@ class NuisanceRecipe:
     """How to fit nuisances from any table; reused across resamples.
 
     ``outcome`` selects the closed-form binary path or the regression path
-    for continuous outcomes.  Binary analyses require the identity tilt
-    map; a custom q is rejected here.
+    for continuous outcomes.  ``g_design`` is the outcome model's design:
+    g's for binary outcomes, b's and c's for continuous ones; ``p_design``
+    is the selection model's, whose fitted p is clipped to ``P_CLIP``.  With
+    an ``a_design`` the selection offset is moment-fitted on it, else it is
+    implied by p and c.  ``loss`` must give the observed losses of the
+    tables it fits.  Binary analyses require the identity tilt map; a
+    custom q is rejected here.
     """
 
     outcome: str
     loss: LossFunction
     p_design: DesignSpec
-    g_design: Optional[DesignSpec] = None
-    b_design: Optional[DesignSpec] = None
-    c_design: Optional[DesignSpec] = None
+    g_design: DesignSpec
     a_design: Optional[DesignSpec] = None
     q: Optional[Callable] = None
-    p_clip: tuple = P_CLIP
 
     def __post_init__(self):
         if self.outcome not in OUTCOMES:
             raise DomainError("outcome must be 'binary' or 'continuous'")
-        if self.outcome == "binary":
-            if self.q is not None:
-                raise DomainError(
-                    "binary analyses use the closed-form tilt and require the "
-                    "identity q; drop the custom q or switch to continuous"
-                )
-            if self.g_design is None:
-                raise DomainError("binary recipe needs g_design")
-        else:
-            if self.b_design is None or self.c_design is None:
-                raise DomainError("continuous recipe needs b_design and c_design")
+        if self.outcome == "binary" and self.q is not None:
+            raise DomainError(
+                "binary analyses use the closed-form tilt and require the "
+                "identity q; drop the custom q or switch to continuous"
+            )
 
     def fit(self, table: ObservationTable) -> NuisanceSet:
         """Nuisance values on the rows of ``table``: the one replicate that
@@ -1104,14 +1037,42 @@ class NuisanceRecipe:
 
         Replicate r is the table holding row i ``counts[r, i]`` times; a
         numerical failure of one replicate is recorded in ``errors`` and
-        the others go on.  Any other exception propagates.
+        the others go on.  Any other exception propagates.  A recipe whose
+        loss does not give the table's observed losses on its source rows,
+        bit for bit, is a ConfigError.
         """
         counts = np.asarray(counts, dtype=np.float64)
         if (counts.ndim != 2 or counts.shape[1] != table.n or not np.all(np.isfinite(counts))
                 or np.any(counts < 0) or np.any(counts != np.floor(counts))):
             raise DomainError("counts must be an (R, n) array of non-negative integers")
+        src = table.source_rows
+        try:
+            same = np.array_equal(eval_loss(self.loss, table.y[src], table.pred[src]),
+                                  table.loss[src], equal_nan=True)
+        except DomainError:  # the loss is not defined on the table's source rows
+            same = False
+        if not same:
+            raise ConfigError(f"the recipe's {self.loss.kind} loss does not give the table's "
+                              "observed losses on its source rows")
+        errors = _check_replicates(table, counts)
+        lacks_stratum = [e is not None for e in errors]
+        fits, g, losses, designs, a_designs = {}, None, None, None, None
         if self.outcome == "binary":
-            return _binary_rows(table, counts, self.g_design, self.p_design, self.loss,
-                                self.a_design, self.p_clip)
-        return _continuous_rows(table, counts, self.p_design, self.b_design, self.c_design,
-                                self.q, self.a_design, self.p_clip)
+            not_binary = src[~np.isin(table.y[src], (0.0, 1.0))]  # fails the replicates drawing it
+            for r in np.flatnonzero((counts[:, not_binary] > 0).any(axis=1)):
+                errors[r] = errors[r] or DomainError(
+                    "binary nuisances require 0/1 source outcomes")
+            g, fits["g"] = _fit_logistic_rows(self.g_design, table.x, src, table.y, counts, errors)
+        elif self.q is not None:
+            _check_q(table, counts, self.q, errors)
+        p, fits["p"] = _fit_logistic_rows(self.p_design, table.x, slice(None),
+                                          (table.s == 1).astype(float), counts, errors)
+        if self.outcome == "binary":  # after the p fit, whose peak memory they would add to
+            losses = (eval_loss(self.loss, np.ones_like(table.pred), table.pred),
+                      eval_loss(self.loss, np.zeros_like(table.pred), table.pred))
+        else:
+            designs = _design_by_replicate(self.g_design, table.x, src, counts, errors)
+        if self.a_design is not None:
+            a_designs = _design_by_replicate(self.a_design, table.x, slice(None), counts, errors)
+        return NuisanceRows(table, counts, errors, lacks_stratum, np.clip(p, *P_CLIP), fits,
+                            g=g, losses=losses, designs=designs, a_designs=a_designs, q=self.q)

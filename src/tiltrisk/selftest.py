@@ -119,7 +119,7 @@ def run_selftest(seed: int = 0) -> bool:
         _replicates_match_take(table, binary, seed) < 1e-10,
     )
     continuous = NuisanceRecipe(outcome="continuous", loss=LossFunction("squared-error"),
-                                p_design=cols, b_design=cols, c_design=cols)
+                                p_design=cols, g_design=cols)
     record(
         "weighted bootstrap and jackknife replicates match take() refits (continuous)",
         _replicates_match_take(_continuous_table(seed), continuous, seed) < 1e-10,

@@ -293,27 +293,18 @@ def recipe_for(
     """Nuisance recipe matched to a DGP, with misspecification switches.
 
     The correctly specified designs use linear main effects of every
-    covariate (the DGP truth is logistic-linear).  ``wrong_p`` or
-    ``wrong_g`` replace the corresponding design by intercept-only,
-    instantiating the double-robustness hypotheses.
+    covariate (the DGP truth is logistic-linear).  ``wrong_p`` replaces the
+    selection design, ``wrong_g`` the outcome model's (g, or b and c), by
+    intercept-only, instantiating the double-robustness hypotheses.
     """
     all_cols = tuple(range(spec.dim))
     full = DesignSpec(all_cols, basis=basis, **spline_kw)
     none = DesignSpec(())
-    if spec.outcome == "binary":
-        return NuisanceRecipe(
-            outcome="binary",
-            loss=spec.loss,
-            p_design=none if wrong_p else full,
-            g_design=none if wrong_g else full,
-            a_design=a_design,
-        )
     return NuisanceRecipe(
-        outcome="continuous",
+        outcome=spec.outcome,
         loss=spec.loss,
         p_design=none if wrong_p else full,
-        b_design=none if wrong_g else full,
-        c_design=none if wrong_g else full,
+        g_design=none if wrong_g else full,
         a_design=a_design,
     )
 

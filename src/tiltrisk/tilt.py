@@ -72,13 +72,12 @@ class TiltSpec:
             return y
         return _as_array(self.q(y))
 
-    def validate_q(self, y_lo: float, y_hi: float, n_probe: int = 101) -> None:
-        """Check q is nondecreasing on a probe grid over [y_lo, y_hi]."""
+    def validate_q(self, y_lo: float, y_hi: float) -> None:
+        """Check q is nondecreasing on a 101-point probe grid over
+        [y_lo, y_hi]."""
         if self.q is None:
             return
-        if n_probe < 100:
-            n_probe = 100
-        grid = np.linspace(y_lo, y_hi, n_probe)
+        grid = np.linspace(y_lo, y_hi, 101)
         vals = self.apply_q(grid)
         if not np.all(np.isfinite(vals)):
             raise DomainError("q produced non-finite values on the probe grid")

@@ -247,7 +247,7 @@ def fitted_continuous(design, seed=3, n=120):
     table = build_table(s, x, y, model, loss, design)
     cols = DesignSpec((0, 1))
     return table, NuisanceRecipe(outcome="continuous", loss=loss, p_design=cols,
-                                 b_design=cols, c_design=cols).fit(table)
+                                 g_design=cols).fit(table)
 
 
 def column(etas):

@@ -370,8 +370,8 @@ def overflow_case(rng, outcome_kind):
     loss = LossFunction("squared-error")
     model = PredictionModel(coefficients=(2.5, 2.0, 0.0), link="identity", xstar_columns=(0, 1))
     table = build_table(s, x, y, model, loss, "non-nested")
-    recipe = NuisanceRecipe(outcome="continuous", loss=loss, b_design=DesignSpec((0, 1)),
-                            c_design=DesignSpec((0, 1)), **recipe_args)
+    recipe = NuisanceRecipe(outcome="continuous", loss=loss, g_design=DesignSpec((0, 1)),
+                            **recipe_args)
     return table, recipe.fit(table), 200.0
 
 

@@ -595,9 +595,11 @@ class TestCli:
         assert grid == report["eta_grid"]
 
     def test_selftest_subprocess_entry(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "tiltrisk.cli", "selftest"],
-            capture_output=True, text=True,
+            env=env, capture_output=True, text=True,
         )
         assert proc.returncode == 0
         assert "checks passed" in proc.stdout

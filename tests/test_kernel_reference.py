@@ -168,7 +168,7 @@ def fitted_set(table, outcome_kind):
                                 p_design=cols, g_design=cols, a_design=cols)
     else:
         recipe = NuisanceRecipe(outcome="continuous", loss=LossFunction("squared-error"),
-                                p_design=cols, b_design=cols, c_design=cols, a_design=cols)
+                                p_design=cols, g_design=cols, a_design=cols)
     return recipe.fit(table)
 
 

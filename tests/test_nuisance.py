@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from tiltrisk.data import build_table
 from tiltrisk.errors import (
+    ConfigError,
     ConvergenceError,
     DataError,
     DomainError,
@@ -26,8 +27,10 @@ from tiltrisk.nuisance import (
     NuisanceRecipe,
     NuisanceRows,
     _rank_errors,
+    _spline_basis,
     _wls_coefficients,
     fit_logistic,
+    spline_knots,
 )
 from tiltrisk.tilt import LossFunction, PredictionModel, TiltSpec, selection_a, tilt_weight
 
@@ -52,12 +55,6 @@ class TestFitLogistic:
         assert fit.coefficients[0] == logit(0.3)
         assert fit.coefficients[0] == pytest.approx(-0.8473, abs=5e-5)
 
-    def test_weighted_intercept_only_exact(self):
-        y = np.array([1.0, 0.0, 0.0])
-        w = np.array([2.0, 1.0, 1.0])
-        fit = fit_logistic(INTERCEPT_ONLY, np.zeros((3, 1)), y, case_weights=w)
-        assert fit.coefficients[0] == logit(0.5)
-
     def test_separation_takes_ridge_path(self):
         x = np.linspace(-1, 1, 20).reshape(-1, 1)
         y = (x[:, 0] > 0).astype(float)
@@ -77,12 +74,11 @@ class TestFitLogistic:
             x = rng.normal(size=(300, 2))
             p = 1.0 / (1.0 + np.exp(-(0.2 + x[:, 0])))
             y = (rng.random(300) < p).astype(float)
-            w = rng.uniform(0.5, 2.0, 300)
-            fit = fit_logistic(DesignSpec((0, 1)), x, y, case_weights=w)
+            fit = fit_logistic(DesignSpec((0, 1)), x, y)
             assert not fit.ridge
             d = fit.design.matrix(x)
             probs = 1.0 / (1.0 + np.exp(-(d @ fit.coefficients)))
-            score = d.T @ (w * (y - probs))
+            score = d.T @ (y - probs)
             assert np.max(np.abs(score)) < 1e-6
 
     def test_rank_deficiency_names_columns(self, rng):
@@ -217,11 +213,12 @@ class TestRankCheck:
 
 
 def column_basis(col, degree, interior_knots):
-    """The B-spline basis of one column, every basis function kept."""
-    x = np.asarray(col, dtype=np.float64)[:, None]
-    spec = DesignSpec((0,), basis="spline", degree=degree, interior_knots=interior_knots,
-                      intercept=False)
-    return spec.build(x).matrix(x)
+    """The B-spline basis of one column, every basis function kept, with
+    ``DesignSpec``'s checks of the degree and of the distinct values."""
+    x = np.asarray(col, dtype=np.float64)
+    spec = DesignSpec((0,), basis="spline", degree=degree, interior_knots=interior_knots)
+    spec.build(x[:, None])
+    return _spline_basis(x, spline_knots(x, degree, interior_knots), degree)
 
 
 class TestSplineExpand:
@@ -296,7 +293,7 @@ def continuous_table(x, y, n_target=0, x_target=None, pred=(0.0, 0.0)):
 def continuous_fit(table, design):
     """The continuous nuisances with ``design`` for b and c."""
     return NuisanceRecipe(outcome="continuous", loss=ABSOLUTE, p_design=INTERCEPT_ONLY,
-                          b_design=design, c_design=design).fit(table)
+                          g_design=design).fit(table)
 
 
 class TestFitBContinuous:
@@ -440,6 +437,18 @@ class TestBinaryNuisanceBundle:
         p = nuis.p
         assert np.all(p >= 0.01) and np.all(p <= 0.99)
 
+    def test_recipe_loss_must_give_the_table_losses(self, rng):
+        # an absolute-deviation recipe on a Brier table: b's L(1, h) and
+        # L(0, h) would not be the observed losses the augmentation reads
+        table = random_binary_table(rng, n=200)
+        recipe = NuisanceRecipe(outcome="binary", loss=ABSOLUTE,
+                                p_design=DesignSpec((0, 1)), g_design=DesignSpec((0, 1)))
+        with pytest.raises(ConfigError, match="absolute-deviation loss does not give the "
+                                              "table's observed losses"):
+            recipe.fit(table)
+        with pytest.raises(ConfigError):
+            recipe.fit_counts(table, np.ones((3, table.n)))
+
     def test_recipe_rejects_custom_q_for_binary(self):
         with pytest.raises(DomainError, match="identity"):
             NuisanceRecipe(
@@ -471,7 +480,7 @@ class TestContinuousBundle:
         table = build_table(s, x, y, model, loss, "non-nested")
         recipe = NuisanceRecipe(
             outcome="continuous", loss=loss,
-            p_design=DesignSpec((0,)), b_design=DesignSpec((0,)), c_design=DesignSpec((0,)),
+            p_design=DesignSpec((0,)), g_design=DesignSpec((0,)),
         )
         nuis = recipe.fit(table)
         b0 = nuis.b(0.0)
@@ -501,7 +510,7 @@ def stacked_case(counts_kind, basis, seed=31):
     design = (DesignSpec((0, 1)) if basis == "linear"
               else DesignSpec((0, 1), basis="spline", degree=3, interior_knots=2))
     recipe = NuisanceRecipe(outcome="continuous", loss=ABSOLUTE, p_design=INTERCEPT_ONLY,
-                            b_design=design, c_design=design)
+                            g_design=design)
     return table, counts, recipe.fit_counts(table, counts)
 
 
@@ -560,7 +569,7 @@ class TestStackedSolve:
         assert {abs(e) for e in alone} == {30.0, 31.0, 40.0}
         src = table.source_rows
         for g, r in enumerate(live):
-            dT = fits._b_designs[r][1]
+            dT = fits._designs[r][0]
             rows = src[counts[r, src] > 0]
             cnt = counts[r, rows]
             for j, eta in enumerate(FAR_ETAS):
@@ -589,7 +598,7 @@ class TestStackedSolve:
         assert np.all(failed == None)  # noqa: E711
         src = table.source_rows
         rows = src[counts[2, src] > 0]
-        dT = fits._b_designs[2][1]
+        dT = fits._designs[2][0]
         assert np.array_equal(b2[2, 1], _wls_coefficients(dT[:, rows], table.loss[rows],
                                                           counts[2, rows]))
         assert np.array_equal(c2[2, 1], _wls_coefficients(dT[:, rows], np.ones(rows.size),
