@@ -1,5 +1,6 @@
 """The package's public names: a fixed snapshot, every one importable, and
-every name the README and the demos import from the package among them."""
+every name the README and the demos import from the package among them;
+and the fitting parameters the library no longer takes."""
 
 import ast
 import os
@@ -8,7 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import tiltrisk
+from tiltrisk.etaselect import solve_monotone_root
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,6 +50,28 @@ def test_public_names_snapshot():
 def test_every_public_name_resolves():
     for name in tiltrisk.__all__:
         assert hasattr(tiltrisk, name), name
+
+
+ONE = tiltrisk.DesignSpec(())
+RECIPE = dict(outcome="continuous", loss=tiltrisk.LossFunction("squared-error"),
+              p_design=ONE, g_design=ONE)
+REMOVED = {
+    "b_design": lambda: tiltrisk.NuisanceRecipe(**RECIPE, b_design=ONE),
+    "c_design": lambda: tiltrisk.NuisanceRecipe(**RECIPE, c_design=ONE),
+    "p_clip": lambda: tiltrisk.NuisanceRecipe(**RECIPE, p_clip=(0.01, 0.99)),
+    "intercept": lambda: tiltrisk.DesignSpec((0,), intercept=True),
+    "case_weights": lambda: tiltrisk.fit_logistic(ONE, np.zeros((2, 1)), np.array([0.0, 1.0]),
+                                                  case_weights=np.ones(2)),
+    "n_probe": lambda: tiltrisk.TiltSpec(eta=0.0).validate_q(0.0, 1.0, n_probe=101),
+    "lo": lambda: solve_monotone_root(lambda eta: eta, lo=-1.0, hi=1.0),
+}
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_parameters_are_refused(name):
+    # removed without a shim: passing one is a TypeError naming it
+    with pytest.raises(TypeError, match=name):
+        REMOVED[name]()
 
 
 def test_readme_and_demo_imports_are_public():

@@ -28,6 +28,7 @@ from tiltrisk.nuisance import (
     NuisanceRows,
     _rank_errors,
     _spline_basis,
+    _fit_logistic_rows,
     _wls_coefficients,
     fit_logistic,
     spline_knots,
@@ -44,6 +45,14 @@ def logit(p):
     return math.log(p / (1.0 - p))
 
 
+def counted_logistic(design, x, y, counts):
+    """One replicate's logistic fit, row i taken ``counts[i]`` times."""
+    errors = [None]
+    _, fits = _fit_logistic_rows(design, x, slice(None), y, np.asarray(counts)[None, :], errors)
+    assert errors == [None]
+    return fits[0]
+
+
 class TestFitLogistic:
     def test_intercept_only_balanced(self):
         fit = fit_logistic(INTERCEPT_ONLY, np.zeros((10, 1)), np.r_[np.ones(5), np.zeros(5)])
@@ -54,6 +63,12 @@ class TestFitLogistic:
         fit = fit_logistic(INTERCEPT_ONLY, np.zeros((10, 1)), y)
         assert fit.coefficients[0] == logit(0.3)
         assert fit.coefficients[0] == pytest.approx(-0.8473, abs=5e-5)
+
+    def test_weighted_intercept_only_exact(self):
+        y = np.array([1.0, 0.0, 0.0])
+        w = np.array([2.0, 1.0, 1.0])
+        fit = counted_logistic(INTERCEPT_ONLY, np.zeros((3, 1)), y, w)
+        assert fit.coefficients[0] == logit(0.5)
 
     def test_separation_takes_ridge_path(self):
         x = np.linspace(-1, 1, 20).reshape(-1, 1)
@@ -79,6 +94,20 @@ class TestFitLogistic:
             d = fit.design.matrix(x)
             probs = 1.0 / (1.0 + np.exp(-(d @ fit.coefficients)))
             score = d.T @ (y - probs)
+            assert np.max(np.abs(score)) < 1e-6
+
+    def test_count_weighted_score_equations_solved(self, rng):
+        # replicate fits weight each row by its draw count
+        for trial in range(10):
+            x = rng.normal(size=(300, 2))
+            p = 1.0 / (1.0 + np.exp(-(0.2 + x[:, 0])))
+            y = (rng.random(300) < p).astype(float)
+            w = rng.integers(0, 4, 300).astype(float)
+            fit = counted_logistic(DesignSpec((0, 1)), x, y, w)
+            assert not fit.ridge
+            d = fit.design.matrix(x)
+            probs = 1.0 / (1.0 + np.exp(-(d @ fit.coefficients)))
+            score = d.T @ (w * (y - probs))
             assert np.max(np.abs(score)) < 1e-6
 
     def test_rank_deficiency_names_columns(self, rng):
