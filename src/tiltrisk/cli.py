@@ -8,6 +8,11 @@ Subcommands:
 * ``simulate``  -- draw a synthetic dataset from a DGP spec file.
 * ``selftest``  -- quick internal consistency checks.
 
+``analyze`` and ``eta-range`` merge the flags given, each at the config
+key ``FLAGS`` names, into one config mapping that ``AnalysisConfig``
+checks in full, and read their data through ``io._analysis_inputs``.
+A DGP spec file gets the same mapping checks (``simgen.dgp_from_dict``).
+
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure.
 """
 
@@ -18,9 +23,7 @@ import csv
 import json
 import sys
 
-import numpy as np
-
-from .config import AnalysisConfig, _model_from_config
+from .config import AnalysisConfig
 from .data import DESIGNS
 from .errors import ConfigError, DataError, TiltriskError
 from .estimators import ESTIMATOR_NAMES
@@ -31,113 +34,112 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _split_csv_list(text):
+def _names(text, flag):
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _float_list(text, flag):
+def _numbers(text, flag):
     try:
-        return [float(v) for v in _split_csv_list(text)]
+        return [float(v) for v in _names(text, flag)]
     except ValueError:
         raise ConfigError(f"{flag} takes comma-separated numbers, got {text!r}") from None
 
 
-def _add_analyze_parser(sub):
-    p = sub.add_parser("analyze", help="run a sensitivity analysis")
-    p.add_argument("--config", help="JSON config file; flags override its keys")
-    p.add_argument("--data", help="input CSV path")
-    p.add_argument("--design", choices=DESIGNS)
-    p.add_argument("--loss", choices=LOSSES)
-    p.add_argument("--x-cols", help="comma-separated covariate columns")
-    p.add_argument("--xstar-cols", help="comma-separated model columns (subset of --x-cols)")
-    p.add_argument("--coefficients", help="comma-separated model coefficients, intercept first")
-    p.add_argument("--fit-split", type=float, help="fit the model on this fraction of source rows")
-    p.add_argument("--link", choices=LINKS)
-    p.add_argument("--g-basis", help="linear or spline[:degree[:knots]]")
-    p.add_argument("--p-basis", help="linear or spline[:degree[:knots]]")
-    p.add_argument("--eta-list", help="comma-separated explicit eta grid")
-    p.add_argument("--anchor-mu", type=float, help="target prevalence anchor (non-nested)")
-    p.add_argument("--anchor-alpha", type=float, help="cohort prevalence anchor (nested)")
-    p.add_argument("--multipliers", help="anchor range multipliers, e.g. 0.5,2")
-    p.add_argument("--step", type=float, help="eta grid step for anchored ranges")
-    p.add_argument("--estimator", choices=ESTIMATOR_NAMES)
-    p.add_argument("--bootstrap", type=int, metavar="B", help="bootstrap replicates")
-    p.add_argument("--jackknife", action="store_true", help="jackknife intervals")
-    p.add_argument("--level", type=float, help="confidence level (default 0.95)")
-    p.add_argument("--seed", type=int, help="seed; mandatory for any stochastic step")
-    p.add_argument("--out", help="output directory")
+class Flag:
+    """A flag: the config key it sets (``block.key`` inside a block), how
+    its text is read after parsing (a fault is a ConfigError), whether it
+    opens its block or needs one the config or another flag opened, the
+    (key, value) pairs it sets besides, and its argparse keywords."""
+
+    def __init__(self, key: str, read=None, opens=False, also=(), **options):
+        self.key, self.read, self.opens, self.also, self.options = key, read, opens, also, options
 
 
-def _analyze_config(args) -> AnalysisConfig:
-    base = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                base = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}")
-    if args.data:
-        base["data_path"] = args.data
-    if args.design:
-        base["design"] = args.design
-    if args.loss:
-        base["loss"] = args.loss
-    if args.x_cols:
-        base["x_columns"] = _split_csv_list(args.x_cols)
-    if args.xstar_cols:
-        base["xstar_columns"] = _split_csv_list(args.xstar_cols)
-    if args.coefficients:
-        base["model_coefficients"] = _float_list(args.coefficients, "--coefficients")
-    if args.fit_split is not None:
-        base["fit_split"] = args.fit_split
-    if args.link:
-        base["model_link"] = args.link
-    if args.g_basis:
-        base["g_basis"] = args.g_basis
-    if args.p_basis:
-        base["p_basis"] = args.p_basis
-    if args.eta_list:
-        base["eta_grid"] = _float_list(args.eta_list, "--eta-list")
-    if args.anchor_mu is not None or args.anchor_alpha is not None:
-        anchor = base["anchor"] if isinstance(base.get("anchor"), dict) else {}
-        if args.anchor_mu is not None:
-            anchor["mu"] = args.anchor_mu
-        if args.anchor_alpha is not None:
-            anchor["alpha"] = args.anchor_alpha
-        if args.multipliers:
-            anchor["multipliers"] = _float_list(args.multipliers, "--multipliers")
-        if args.step is not None:
-            anchor["step"] = args.step
-        base["anchor"] = anchor
-    if args.estimator:
-        base["estimator"] = args.estimator
-    if args.bootstrap is not None and args.jackknife:
-        raise ConfigError("choose one of --bootstrap or --jackknife")
-    if args.bootstrap is not None or args.jackknife:
-        resample = base["resample"] if isinstance(base.get("resample"), dict) else {}
-        resample["method"] = "jackknife" if args.jackknife else "bootstrap"
-        if args.bootstrap is not None:
-            resample["replicates"] = args.bootstrap
-        base["resample"] = resample
-    if args.level is not None:
-        if not isinstance(base.get("resample"), dict):
-            raise ConfigError("--level needs resampling: --bootstrap, --jackknife or a "
-                              "resample block in the config")
-        base["resample"]["level"] = args.level
-    if args.seed is not None:
-        base["seed"] = args.seed
-    if args.out:
-        base["out_dir"] = args.out
-    return AnalysisConfig.from_dict(base)
+FLAGS = {
+    "--data": Flag("data_path", help="input CSV path"),
+    "--design": Flag("design", choices=DESIGNS),
+    "--loss": Flag("loss", choices=LOSSES),
+    "--x-cols": Flag("x_columns", _names, help="comma-separated covariate columns"),
+    "--xstar-cols": Flag("xstar_columns", _names,
+                         help="comma-separated model columns (subset of --x-cols)"),
+    "--coefficients": Flag("model_coefficients", _numbers,
+                           help="comma-separated model coefficients, intercept first"),
+    "--fit-split": Flag("fit_split", type=float,
+                        help="fit the model on this fraction of source rows"),
+    "--link": Flag("model_link", choices=LINKS),
+    "--g-basis": Flag("g_basis", help="linear or spline[:degree[:knots]]"),
+    "--p-basis": Flag("p_basis", help="linear or spline[:degree[:knots]]"),
+    "--eta-list": Flag("eta_grid", _numbers, help="comma-separated explicit eta grid"),
+    "--anchor-mu": Flag("anchor.mu", opens=True, type=float,
+                        help="target prevalence anchor (non-nested)"),
+    "--anchor-alpha": Flag("anchor.alpha", opens=True, type=float,
+                           help="cohort prevalence anchor (nested)"),
+    "--multipliers": Flag("anchor.multipliers", _numbers,
+                          help="anchor range multipliers, e.g. 0.5,2"),
+    "--step": Flag("anchor.step", type=float,
+                   help="eta grid step for anchored ranges (default 0.05)"),
+    "--estimator": Flag("estimator", choices=ESTIMATOR_NAMES),
+    "--bootstrap": Flag("resample.replicates", opens=True, also=(("resample.method", "bootstrap"),),
+                        type=int, metavar="B", help="bootstrap replicates"),
+    "--jackknife": Flag("resample.method", opens=True, action="store_const", const="jackknife",
+                        help="jackknife intervals"),
+    "--level": Flag("resample.level", type=float, help="confidence level (default 0.95)"),
+    "--seed": Flag("seed", type=int, help="seed; mandatory for any stochastic step"),
+    "--out": Flag("out_dir", help="output directory"),
+}
+ETA_RANGE_FLAGS = ("--data", "--x-cols", "--anchor-mu", "--anchor-alpha", "--multipliers", "--step")
+
+# what opens a block, for the error of a flag that needs one
+_BLOCKS = {
+    "anchor": "an anchor: --anchor-mu, --anchor-alpha or an anchor block in the config",
+    "resample": "resampling: --bootstrap, --jackknife or a resample block in the config",
+}
+
+
+def _merge_flags(config: dict, args, names) -> dict:
+    """``config`` with every flag of ``names`` given in ``args`` set at its key."""
+    set_by = {}
+    for name in names:
+        flag = FLAGS[name]
+        value = getattr(args, name[2:].replace("-", "_"))
+        if value is None:
+            continue
+        if flag.read is not None:
+            value = flag.read(value, name)
+        for key, v in ((flag.key, value), *flag.also):
+            if key in set_by:
+                raise ConfigError(f"choose one of {set_by[key]} or {name}")
+            set_by[key] = name
+            block, _, field = key.rpartition(".")
+            target = config
+            if block:
+                if not isinstance(config.get(block), dict):
+                    if not flag.opens:
+                        raise ConfigError(f"{name} needs {_BLOCKS[block]}")
+                    config[block] = {}
+                target = config[block]
+            target[field] = v
+    return config
+
+
+def _load_json(path, what: str) -> dict:
+    try:
+        with open(path) as fh:
+            value = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} file is not valid JSON: {exc}")
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} file must hold a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _cmd_analyze(args) -> int:
     from .io import run_analysis
 
-    config = _analyze_config(args)
-    out = run_analysis(config)
+    base = _load_json(args.config, "config") if args.config else {}
+    out = run_analysis(AnalysisConfig.from_dict(_merge_flags(base, args, FLAGS)))
     n_failed = out.report["diagnostics"]["n_failed_points"]
     print(f"wrote {out.curve_csv} ({len(out.curve)} grid points, {n_failed} failed)")
     print(f"wrote {out.report_json}")
@@ -145,52 +147,24 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_eta_range(args) -> int:
-    from .data import build_table
-    from .io import _read_raw, _recipe_from_config, _resolve_grid
-    from .tilt import LossFunction
+    from .io import _analysis_inputs
 
-    x_cols = _split_csv_list(args.x_cols)
-    anchor = {"mu": args.anchor_mu, "alpha": args.anchor_alpha}
-    if args.step is not None:
-        anchor["step"] = args.step
-    if args.multipliers:
-        anchor["multipliers"] = _float_list(args.multipliers, "--multipliers")
     # the grid analyze would sweep; anchoring reads only the fitted g and p,
-    # so the prediction model is a placeholder
-    config = AnalysisConfig.from_dict({
-        "data_path": args.data,
-        "design": "non-nested" if args.anchor_mu is not None else "nested",
-        "loss": "brier",
-        "x_columns": x_cols,
-        "model_coefficients": [0.0] * (len(x_cols) + 1),
-        "anchor": anchor,
-        "out_dir": ".",
-    })
-    raw = _read_raw(config.data_path, config.x_columns)
-    if not np.all(np.isin(raw.y[raw.s == 1], (0.0, 1.0))):
-        raise DataError("eta-range needs a binary outcome")
-    table = build_table(raw.s, raw.x, raw.y, _model_from_config(config),
-                        LossFunction(config.loss), config.design)
-    grid = _resolve_grid(config, table, _recipe_from_config(config).fit(table))
-    print(json.dumps({
-        "eta_lo": float(grid[0]),
-        "eta_hi": float(grid[-1]),
-        "n_points": int(grid.size),
-        "grid": [float(e) for e in grid],
-    }, sort_keys=True))
+    # so the loss, the prediction model and the output directory are placeholders
+    config = _merge_flags({"loss": "brier", "anchor": {}, "out_dir": "."}, args, ETA_RANGE_FLAGS)
+    config["design"] = "non-nested" if "mu" in config["anchor"] else "nested"
+    config["model_coefficients"] = [0.0] * (len(config["x_columns"]) + 1)
+    _, _, grid, _ = _analysis_inputs(AnalysisConfig.from_dict(config))
+    grid = [float(e) for e in grid]
+    print(json.dumps({"eta_lo": grid[0], "eta_hi": grid[-1], "n_points": len(grid),
+                      "grid": grid}, sort_keys=True))
     return 0
 
 
 def _cmd_simulate(args) -> int:
     from .simgen import dgp_from_dict, generate
 
-    try:
-        with open(args.dgp) as fh:
-            spec = dgp_from_dict(json.load(fh))
-    except FileNotFoundError:
-        raise ConfigError(f"DGP spec file not found: {args.dgp}")
-    except (KeyError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"bad DGP spec: {exc}")
+    spec = dgp_from_dict(_load_json(args.dgp, "DGP spec"))
     sim = generate(spec, args.seed)
     t = sim.table
     with open(args.out, "w", newline="") as fh:
@@ -224,15 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_analyze_parser(sub)
+    p = sub.add_parser("analyze", help="run a sensitivity analysis")
+    p.add_argument("--config", help="JSON config file; flags override its keys")
+    for name, flag in FLAGS.items():
+        p.add_argument(name, **flag.options)
 
     p = sub.add_parser("eta-range", help="prevalence-anchored eta range")
-    p.add_argument("--data", required=True)
-    p.add_argument("--x-cols", required=True)
-    p.add_argument("--anchor-mu", type=float)
-    p.add_argument("--anchor-alpha", type=float)
-    p.add_argument("--multipliers")
-    p.add_argument("--step", type=float, help="eta grid step (default 0.05)")
+    for name in ETA_RANGE_FLAGS:
+        p.add_argument(name, required=name in ("--data", "--x-cols"), **FLAGS[name].options)
 
     p = sub.add_parser("simulate", help="draw a synthetic dataset")
     p.add_argument("--dgp", required=True, help="JSON DGP spec")

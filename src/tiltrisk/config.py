@@ -13,17 +13,17 @@ read; ``to_dict`` echoes it into the report in the form ``from_dict`` reads.
 from __future__ import annotations
 
 import numbers
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional, Sequence
 
 from .data import DESIGNS
-from .errors import ConfigError, DomainError, require_number
+from .errors import ConfigError, DomainError, require_list, require_number
 from .estimators import ESTIMATOR_NAMES, check_eta_grid
 from .etaselect import PrevalenceAnchor
 from .nuisance import OUTCOMES, DesignSpec
 from .resampling import ResampleConfig
-from .tilt import LINKS, LOSSES, PredictionModel
+from .tilt import LINKS, LOSSES, LossFunction, PredictionModel
 
 FORMAT_VERSION = 1
 
@@ -58,33 +58,27 @@ def _basis(value, n_columns: int) -> DesignSpec:
         raise ConfigError(f"cannot parse basis spec {value!r}: {exc}") from exc
 
 
-def _entries(value, key: str, fits, what: str) -> tuple:
-    """The list ``value`` as a tuple, each entry checked by ``fits``."""
-    if (isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable)
-            or not all(fits(v) for v in value)):
-        raise ConfigError(f"{key} must be a list of {what}, got {value!r}")
-    return tuple(value)
-
-
 def _names(value, key: str) -> tuple:
-    return _entries(value, key, lambda v: isinstance(v, str), "column names")
+    return require_list(value, key, str, "column names", ConfigError)
 
 
 def _numbers(value, key: str) -> tuple:
-    numbers_only = lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
-    return tuple(float(v) for v in _entries(value, key, numbers_only, "numbers"))
+    return tuple(map(float, require_list(value, key, error=ConfigError)))
 
 
 def _library_object(cls, key: str, value, **given):
     """``cls`` built from the config mapping ``value`` under ``key``, which
-    may set any of its fields but those ``given``; any fault in it is a
-    ConfigError."""
+    may set any of its fields but those ``given`` and must set each one
+    without a default; any fault in it is a ConfigError."""
     keys = [f.name for f in fields(cls) if f.name not in given]
-    if not isinstance(value, dict):
+    if not isinstance(value, Mapping):
         raise ConfigError(f"{key} must be a mapping with keys {keys}, got {value!r}")
     unknown = set(value) - set(keys)
     if unknown:
         raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.name in keys and f.name not in value and f.default is MISSING:
+            raise ConfigError(f"missing required {key} key: {f.name}")
     try:
         return cls(**value, **given)
     except DomainError as exc:
@@ -112,6 +106,11 @@ class AnalysisConfig:
     seed: Optional[int] = None
 
     def __post_init__(self):
+        for key, block, given in (("anchor", PrevalenceAnchor, {}),
+                                  ("resample", ResampleConfig, {"seed": self.seed})):
+            value = getattr(self, key)
+            if value is not None and not isinstance(value, block):
+                object.__setattr__(self, key, _library_object(block, key, value, **given))
         if self.design not in DESIGNS:
             raise ConfigError(f"design must be one of {DESIGNS}")
         if self.loss not in LOSSES:
@@ -171,36 +170,23 @@ class AnalysisConfig:
                 raise ConfigError(f"model: {exc}") from exc
 
     @classmethod
-    def from_dict(cls, d: dict) -> "AnalysisConfig":
-        d = dict(d)
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for f in fields(cls):
-            if f.default is MISSING and f.name not in d:
-                raise ConfigError(f"missing required config key: {f.name}")
-        if d.get("anchor") is not None:
-            d["anchor"] = _library_object(PrevalenceAnchor, "anchor", d["anchor"])
-        if d.get("resample") is not None:
-            d["resample"] = _library_object(ResampleConfig, "resample", d["resample"],
-                                            seed=d.get("seed"))
-        try:
-            return cls(**d)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+    def from_dict(cls, d) -> "AnalysisConfig":
+        return _library_object(cls, "config", d)
 
     def to_dict(self) -> dict:
         return {f.name: _echo(getattr(self, f.name)) for f in fields(self)}
 
 
 def _echo(value):
-    """``value`` as a config mapping holds it; the resampling seed is the
-    config's own."""
+    """``value`` as a config mapping, or a DGP spec mapping, holds it; the
+    resampling seed is the config's own."""
     if isinstance(value, tuple):
         return list(value)
     if isinstance(value, DesignSpec):
         return {"kind": value.basis, "degree": value.degree, "interior_knots": value.interior_knots}
-    if isinstance(value, (PrevalenceAnchor, ResampleConfig)):
+    if isinstance(value, LossFunction):
+        return value.kind
+    if isinstance(value, (PrevalenceAnchor, ResampleConfig, PredictionModel)):
         return {f.name: _echo(getattr(value, f.name)) for f in fields(value) if f.name != "seed"}
     return value
 

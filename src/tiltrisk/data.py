@@ -133,22 +133,28 @@ def build_table(
     """Assemble a table, caching predictions and losses.
 
     Outcomes supplied on target rows are masked to NaN (they are not part
-    of the observed data).  For binary-outcome losses the per-row losses at
-    y = 1 and y = 0 are cached as well, since the closed-form nuisances
+    of the observed data); under a Brier loss a source outcome other than
+    0 or 1 is a DataError.  For binary-outcome losses the per-row losses
+    at y = 1 and y = 0 are cached as well, since the closed-form nuisances
     need them at every row.
     """
     s = np.asarray(s, dtype=np.int64)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).copy()
     y[s == 0] = np.nan
-    missing = (s == 1) & np.isnan(y)
+    src = s == 1
+    missing = src & np.isnan(y)
     if np.any(missing):
         raise DataError(f"source row {int(np.flatnonzero(missing)[0])} is missing its outcome")
+    if loss.is_binary_outcome:
+        (bad,) = np.nonzero(src & (y != 0.0) & (y != 1.0))
+        if bad.size:
+            raise DataError(f"source row {int(bad[0])} has outcome {float(y[bad[0]])!r}; "
+                            "a Brier loss needs binary outcomes (0 or 1)")
     check_finite(x)   # before the model sees x
 
     pred = model.predict(x)
     loss_obs = np.full(s.shape, np.nan)
-    src = s == 1
     if np.any(src):
         loss_obs[src] = eval_loss(loss, y[src], pred[src])
 

@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package."""
 
 import numbers
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
@@ -59,3 +60,12 @@ def require_number(value, name: str, kind=numbers.Real):
         what = "an integer" if kind is numbers.Integral else "a number"
         raise DomainError(f"{name} must be {what}, got {value!r}")
     return value
+
+
+def require_list(values, name: str, kind=numbers.Real, what="numbers", error=DomainError):
+    """``values`` as a tuple if it is a list of ``kind`` (a bool is none),
+    else ``error`` naming ``name`` and ``what`` the list should hold."""
+    if (isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable)
+            or not all(isinstance(v, kind) and not isinstance(v, bool) for v in values)):
+        raise error(f"{name} must be a list of {what}, got {values!r}")
+    return tuple(values)

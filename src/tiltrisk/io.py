@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .config import FORMAT_VERSION, AnalysisConfig, _model_from_config, _xstar_indices
 from .data import ObservationTable, build_table
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .estimators import SensitivityCurve, sensitivity_curve
 from .etaselect import eta_grid_from_prevalence_range
 from .nuisance import DesignSpec, NuisanceRecipe, NuisanceSet, fit_logistic
@@ -335,24 +335,18 @@ def _read_rows(csv_path, x_columns) -> RawData:
 
 
 def load_table(csv_path, config: AnalysisConfig) -> ObservationTable:
-    """Read and validate a CSV into an ObservationTable.
-
-    Requires pre-fitted model coefficients in the config (the fit-split
-    path lives in run_analysis).  Outcome values supplied on target rows
+    """Read and validate a CSV into an ObservationTable, as ``run_analysis``
+    reads its data file (with a fit-split config, the table holds the rows
+    the model was not fitted on).  Outcome values supplied on target rows
     are ignored with a warning carrying the count.
     """
-    if config.model_coefficients is None:
-        raise ConfigError("load_table needs model_coefficients; use run_analysis for fit-split")
-    raw = _read_raw(csv_path, config.x_columns)
-    if raw.masked_y_count:
+    table, extra = _read_table(csv_path, config)
+    if extra["masked_target_outcomes"]:
         warnings.warn(
-            f"{raw.masked_y_count} target rows carried outcome values; ignored",
+            f"{extra['masked_target_outcomes']} target rows carried outcome values; ignored",
             stacklevel=2,
         )
-    model = _model_from_config(config)
-    return build_table(
-        raw.s, raw.x, raw.y, model, LossFunction(config.loss), config.design
-    )
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -611,11 +605,34 @@ def _recipe_from_config(config: AnalysisConfig) -> NuisanceRecipe:
     )
 
 
-def _resolve_grid(config: AnalysisConfig, table: ObservationTable,
-                  nuis: NuisanceSet) -> np.ndarray:
+def _read_table(csv_path, config: AnalysisConfig) -> tuple:
+    """(table, report notes) of the data file: read it, (optionally)
+    split-and-fit the prediction model and build the table."""
+    raw = _read_raw(csv_path, config.x_columns)
+    extra = {"masked_target_outcomes": raw.masked_y_count}
+    if config.fit_split is not None:
+        model, keep = _fit_model_on_split(raw, config)
+        extra["fit_split_rows_used"] = int((~keep).sum())
+        raw_s, raw_x, raw_y = raw.s[keep], raw.x[keep], raw.y[keep]
+    else:
+        model = _model_from_config(config)
+        raw_s, raw_x, raw_y = raw.s, raw.x, raw.y
+    extra["model_coefficients_used"] = [float(c) for c in model.coefficients]
+    table = build_table(raw_s, raw_x, raw_y, model, LossFunction(config.loss), config.design)
+    return table, extra
+
+
+def _analysis_inputs(config: AnalysisConfig) -> tuple:
+    """(table, nuisances, eta grid, report notes) of ``config``: the table
+    ``_read_table`` builds, the nuisances fitted once and the eta grid,
+    explicit or prevalence-anchored."""
+    table, extra = _read_table(config.data_path, config)
+    nuis = _recipe_from_config(config).fit(table)
     if config.eta_grid is not None:
-        return np.asarray(config.eta_grid, dtype=np.float64)
-    return eta_grid_from_prevalence_range(table, nuis.g, config.anchor, p=nuis.p)
+        grid = np.asarray(config.eta_grid, dtype=np.float64)
+    else:
+        grid = eta_grid_from_prevalence_range(table, nuis.g, config.anchor, p=nuis.p)
+    return table, nuis, grid, extra
 
 
 @dataclass(frozen=True)
@@ -629,30 +646,15 @@ class AnalysisOutput:
 def run_analysis(config: AnalysisConfig) -> AnalysisOutput:
     """Execute the full pipeline and write curve CSV plus JSON report.
 
-    Steps: (optionally) split-and-fit the prediction model, build the
-    table, fit the nuisances once, resolve the eta grid (explicit or
-    prevalence-anchored), sweep the configured estimator with confidence
-    intervals, emit reports.
+    Steps: ``_analysis_inputs``, then sweep the configured estimator with
+    confidence intervals and emit reports.
     Partial curves are still written; per-point failures land in the
     status column.
     """
-    raw = _read_raw(config.data_path, config.x_columns)
-    extra = {"masked_target_outcomes": raw.masked_y_count}
-    if config.fit_split is not None:
-        model, keep = _fit_model_on_split(raw, config)
-        extra["fit_split_rows_used"] = int((~keep).sum())
-        raw_s, raw_x, raw_y = raw.s[keep], raw.x[keep], raw.y[keep]
-    else:
-        model = _model_from_config(config)
-        raw_s, raw_x, raw_y = raw.s, raw.x, raw.y
-    table = build_table(raw_s, raw_x, raw_y, model, LossFunction(config.loss), config.design)
-
-    nuis = _recipe_from_config(config).fit(table)
-    grid = _resolve_grid(config, table, nuis)
+    table, nuis, grid, extra = _analysis_inputs(config)
     curve = sensitivity_curve(
         table, nuis, grid, estimator=config.estimator, resample=config.resample
     )
-    extra["model_coefficients_used"] = [float(c) for c in model.coefficients]
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

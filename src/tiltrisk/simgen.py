@@ -11,13 +11,15 @@ enumerations check the estimators at machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
+from .config import _echo, _library_object
 from .data import DESIGNS, ObservationTable, build_table
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, require_list, require_number
 from .nuisance import OUTCOMES, DesignSpec, NuisanceRecipe
 from .tilt import LossFunction, PredictionModel, binary_b, expit, tilted_bernoulli
 
@@ -38,7 +40,9 @@ class DgpSpec:
     continuous outcomes are linear-Gaussian.  Target outcomes follow the
     exponentially tilted source conditional with parameter ``eta_true``
     (identity tilt map).  Selection coefficients are validated so that
-    Pr[S=1|X] stays inside [0.05, 0.95].
+    Pr[S=1|X] stays inside [0.05, 0.95].  As a DGP spec file holds them,
+    ``model`` may be a mapping of the PredictionModel fields (built through
+    the config block check) and ``loss`` a loss kind.
     """
 
     design: str
@@ -48,7 +52,7 @@ class DgpSpec:
     outcome_coefs: tuple
     eta_true: float
     model: PredictionModel
-    loss: LossFunction
+    loss: LossFunction = LossFunction("brier")
     outcome: str = "binary"
     sigma: Optional[float] = None
     outcome_quad: Optional[tuple] = None   # per-dim x_j^2 terms in the outcome lp
@@ -63,17 +67,35 @@ class DgpSpec:
             raise DomainError(f"covariate_kind must be one of {_COVARIATE_KINDS}")
         if self.outcome not in OUTCOMES:
             raise DomainError("outcome must be 'binary' or 'continuous'")
+        if not isinstance(self.model, PredictionModel):
+            object.__setattr__(self, "model", _library_object(PredictionModel, "model", self.model))
+        if not isinstance(self.loss, LossFunction):
+            object.__setattr__(self, "loss", LossFunction(self.loss))
+        if require_number(self.dim, "dim", numbers.Integral) < 1:
+            raise DomainError("dim must be at least 1")
+        if not math.isfinite(require_number(self.eta_true, "eta_true")):
+            raise DomainError("eta_true must be finite")
+        object.__setattr__(self, "eta_true", float(self.eta_true))
+        if self.sigma is not None and not math.isfinite(require_number(self.sigma, "sigma")):
+            raise DomainError("sigma must be finite")
         if self.outcome == "continuous" and (self.sigma is None or self.sigma <= 0):
             raise DomainError("continuous outcomes need sigma > 0")
-        object.__setattr__(self, "selection_coefs", tuple(map(float, self.selection_coefs)))
-        object.__setattr__(self, "outcome_coefs", tuple(map(float, self.outcome_coefs)))
-        for coefs, what in ((self.selection_coefs, "selection"), (self.outcome_coefs, "outcome")):
-            if len(coefs) != self.dim + 1:
-                raise DomainError(f"{what}_coefs must have length dim + 1")
-        if self.outcome_quad is not None:
-            object.__setattr__(self, "outcome_quad", tuple(map(float, self.outcome_quad)))
-            if len(self.outcome_quad) != self.dim:
-                raise DomainError("outcome_quad must have length dim")
+        # the intercept, then one coefficient per dim (outcome_quad, if given, has no intercept)
+        for key, intercept in (("selection_coefs", 1), ("outcome_coefs", 1), ("outcome_quad", 0)):
+            value = getattr(self, key)
+            if value is None and not intercept:
+                continue
+            coefs = tuple(map(float, require_list(value, key)))
+            if len(coefs) != self.dim + intercept:
+                raise DomainError(f"{key} must have length dim" + " + 1" * intercept)
+            object.__setattr__(self, key, coefs)
+        sizes = ("n_cohort",) if self.design == "nested" else ("n_source", "n_target")
+        for key in ("n_cohort", "n_source", "n_target"):
+            value = getattr(self, key)
+            if value is None and key in sizes:
+                raise DomainError(f"{self.design} designs need {' and '.join(sizes)}")
+            if value is not None and require_number(value, key, numbers.Integral) < 1:
+                raise DomainError(f"{key} must be positive")
         r = _COVARIATE_RANGE[self.covariate_kind]
         b = self.selection_coefs
         if abs(b[0]) + r * sum(abs(v) for v in b[1:]) > _LP_BOUND:
@@ -81,11 +103,6 @@ class DgpSpec:
                 "selection coefficients violate the positivity construction: "
                 f"|b0| + {r:g} * sum|bj| must be <= {_LP_BOUND:.4f}"
             )
-        if self.design == "nested":
-            if not self.n_cohort:
-                raise DomainError("nested designs need n_cohort")
-        elif not (self.n_source and self.n_target):
-            raise DomainError("non-nested designs need n_source and n_target")
 
     def p(self, x: np.ndarray) -> np.ndarray:
         b = np.asarray(self.selection_coefs)
@@ -315,49 +332,12 @@ def recipe_for(
 
 
 def dgp_to_dict(spec: DgpSpec) -> dict:
-    return {
-        "design": spec.design,
-        "covariate_kind": spec.covariate_kind,
-        "dim": spec.dim,
-        "selection_coefs": list(spec.selection_coefs),
-        "outcome_coefs": list(spec.outcome_coefs),
-        "eta_true": spec.eta_true,
-        "outcome": spec.outcome,
-        "sigma": spec.sigma,
-        "outcome_quad": None if spec.outcome_quad is None else list(spec.outcome_quad),
-        "n_cohort": spec.n_cohort,
-        "n_source": spec.n_source,
-        "n_target": spec.n_target,
-        "model": {
-            "coefficients": list(spec.model.coefficients),
-            "link": spec.model.link,
-            "xstar_columns": None
-            if spec.model.xstar_columns is None
-            else list(spec.model.xstar_columns),
-        },
-        "loss": spec.loss.kind,
-    }
+    """``spec`` in the form ``dgp_from_dict`` reads: one key per field, the
+    model as a mapping and the loss by its kind."""
+    return {f.name: _echo(getattr(spec, f.name)) for f in fields(spec)}
 
 
-def dgp_from_dict(d: dict) -> DgpSpec:
-    model = PredictionModel(
-        coefficients=d["model"]["coefficients"],
-        link=d["model"].get("link", "logit"),
-        xstar_columns=d["model"].get("xstar_columns"),
-    )
-    return DgpSpec(
-        design=d["design"],
-        covariate_kind=d["covariate_kind"],
-        dim=int(d["dim"]),
-        selection_coefs=d["selection_coefs"],
-        outcome_coefs=d["outcome_coefs"],
-        eta_true=float(d["eta_true"]),
-        model=model,
-        loss=LossFunction(d.get("loss", "brier")),
-        outcome=d.get("outcome", "binary"),
-        sigma=d.get("sigma"),
-        outcome_quad=None if d.get("outcome_quad") is None else tuple(d["outcome_quad"]),
-        n_cohort=d.get("n_cohort"),
-        n_source=d.get("n_source"),
-        n_target=d.get("n_target"),
-    )
+def dgp_from_dict(d) -> DgpSpec:
+    """The DgpSpec that mapping ``d`` declares, through the checks of a
+    config block; any fault in it is a ConfigError."""
+    return _library_object(DgpSpec, "DGP spec", d)

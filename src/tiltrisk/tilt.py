@@ -14,12 +14,13 @@ concurrently.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PositivityError, TiltOverflowError
+from .errors import DomainError, PositivityError, TiltOverflowError, require_list
 
 # Largest exponent representable in float64 (log of float64 max).
 _LOG_MAX = float(np.log(np.finfo(np.float64).max))
@@ -133,11 +134,13 @@ class PredictionModel:
     def __post_init__(self):
         if self.link not in LINKS:
             raise DomainError(f"link must be one of {LINKS}, got {self.link!r}")
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
+        coefficients = require_list(self.coefficients, "coefficients")
+        object.__setattr__(self, "coefficients", tuple(map(float, coefficients)))
         if not np.all(np.isfinite(self.coefficients)):
             raise DomainError(f"coefficients must be finite, got {self.coefficients}")
         if self.xstar_columns is not None:
-            object.__setattr__(self, "xstar_columns", tuple(int(j) for j in self.xstar_columns))
+            cols = require_list(self.xstar_columns, "xstar_columns", numbers.Integral, "integers")
+            object.__setattr__(self, "xstar_columns", tuple(map(int, cols)))
             self._check_width(len(self.xstar_columns))
 
     def _check_width(self, n_selected: int) -> None:

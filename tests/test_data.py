@@ -50,6 +50,10 @@ class TestInvariants:
         with pytest.raises(DataError):
             simple([1, 2, 0])
 
+    def test_brier_needs_binary_source_outcomes(self):
+        with pytest.raises(DataError, match="source row 1 has outcome 0.5"):
+            simple([1, 1, 0], y=[1.0, 0.5, np.nan])
+
     def test_binary_loss_caches(self):
         t = simple([1, 0])
         np.testing.assert_allclose(t.loss1 + t.loss0, (1 - t.pred) ** 2 + t.pred**2)

@@ -409,6 +409,9 @@ class TestRunAnalysis:
         out = run_analysis(cfg)
         assert out.report["diagnostics"]["fit_split_rows_used"] == 20
         assert len(out.curve) == 1 and out.curve.points[0].ok
+        # load_table reads the data as the analysis does: the 40 rows not fitted on
+        table = load_table(tmp_path / "toy.csv", cfg)
+        assert (table.n, table.n1) == (40, 20)
 
 
 class TestCli:
@@ -448,6 +451,95 @@ class TestCli:
         cfg_path.write_text(json.dumps(toy_config(tmp_path).to_dict()))
         assert cli_main(["analyze", "--config", str(cfg_path), "--level", "0.9"]) == 2
         assert "--level needs resampling" in capsys.readouterr().err
+
+    def test_block_flags_merge_into_the_config_anchor(self, tmp_path, capsys):
+        write_toy(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg = toy_config(tmp_path, eta_grid=None, anchor={"mu": 0.4}).to_dict()
+        cfg_path.write_text(json.dumps(cfg))
+
+        def analyze(*flags):
+            assert cli_main(["analyze", "--config", str(cfg_path), *flags]) == 0
+            capsys.readouterr()
+            return json.loads((tmp_path / "out" / "report.json").read_text())
+
+        default = analyze()["eta_grid"]
+        report = analyze("--step", "0.5")
+        assert report["config"]["anchor"]["step"] == 0.5
+        assert len(report["eta_grid"]) < len(default)
+        assert all(round(2 * e, 9) == round(2 * e) for e in report["eta_grid"])
+        # the grid eta-range gives for the same anchor
+        rc = cli_main(["eta-range", "--data", str(tmp_path / "toy.csv"),
+                       "--x-cols", "age,severity", "--anchor-mu", "0.4", "--step", "0.5"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["grid"] == report["eta_grid"]
+        report = analyze("--multipliers", "1,1.2")
+        assert report["config"]["anchor"]["multipliers"] == [1.0, 1.2]
+        assert report["eta_grid"] != default
+
+    @pytest.mark.parametrize("flag", [["--step", "0.5"], ["--multipliers", "1,1.2"]])
+    @pytest.mark.parametrize("from_file", [True, False])
+    def test_block_flag_without_a_block_exits_2(self, tmp_path, capsys, flag, from_file):
+        # the data file does not exist: reading it first would exit 3
+        cfg = toy_config(tmp_path, data_path=str(tmp_path / "missing.csv")).to_dict()
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        args = (["--config", str(tmp_path / "cfg.json")] if from_file else
+                ["--data", str(tmp_path / "missing.csv"), "--design", "non-nested",
+                 "--loss", "brier", "--x-cols", "age", "--coefficients", "0.1,0.4",
+                 "--out", str(tmp_path / "out")])
+        assert cli_main(["analyze", *args, *flag]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {flag[0]} needs an anchor: ")
+
+    def test_bootstrap_and_jackknife_exclude_each_other(self, tmp_path, capsys):
+        write_toy(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(toy_config(tmp_path).to_dict()))
+        rc = cli_main(["analyze", "--config", str(cfg_path), "--bootstrap", "20",
+                       "--jackknife", "--seed", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: choose one of --bootstrap or --jackknife\n")
+
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text("[1, 2]")
+        assert cli_main(["analyze", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert capsys.readouterr().err.startswith("config error: config file must hold")
+
+    def test_flag_keys_name_config_fields(self):
+        from dataclasses import fields
+
+        from tiltrisk.cli import ETA_RANGE_FLAGS, FLAGS
+        from tiltrisk.etaselect import PrevalenceAnchor
+
+        blocks = {"": AnalysisConfig, "anchor": PrevalenceAnchor, "resample": ResampleConfig}
+        for flag in FLAGS.values():
+            for key in (flag.key, *(k for k, _ in flag.also)):
+                block, _, name = key.rpartition(".")
+                assert name in {f.name for f in fields(blocks[block])}, key
+        assert set(ETA_RANGE_FLAGS) <= set(FLAGS)
+
+    @pytest.mark.parametrize("command, options", [
+        ("analyze", {"--config", "--data", "--design", "--loss", "--x-cols", "--xstar-cols",
+                     "--coefficients", "--fit-split", "--link", "--g-basis", "--p-basis",
+                     "--eta-list", "--anchor-mu", "--anchor-alpha", "--multipliers",
+                     "--step", "--estimator", "--bootstrap", "--jackknife", "--level",
+                     "--seed", "--out"}),
+        ("eta-range", {"--data", "--x-cols", "--anchor-mu", "--anchor-alpha",
+                       "--multipliers", "--step"}),
+        ("simulate", {"--dgp", "--seed", "--out", "--hidden-out"}),
+        ("selftest", {"--seed"}),
+    ])
+    def test_help_exits_0(self, capsys, command, options):
+        from tiltrisk.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: tiltrisk {command}")
+        (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+        listed = {o for a in sub.choices[command]._actions for o in a.option_strings}
+        assert listed - {"-h", "--help"} == options
 
     def test_choices_are_the_library_names(self):
         from tiltrisk.cli import build_parser
@@ -522,6 +614,20 @@ class TestCli:
         assert rc == 3
 
     @pytest.mark.parametrize("command", ("analyze", "eta-range"))
+    def test_brier_non_binary_outcome_exits_3(self, tmp_path, capsys, command):
+        bad = write_toy(tmp_path, TOY_CSV.replace("1,1,0.1,0.4", "1,2,0.1,0.4"))
+        args = {
+            "analyze": ["--design", "non-nested", "--loss", "brier",
+                        "--coefficients", "0.1,0.4,-0.2", "--eta-list", "0",
+                        "--estimator", "cl", "--out", str(tmp_path / "out")],
+            "eta-range": ["--anchor-mu", "0.4"],
+        }[command]
+        rc = cli_main([command, "--data", str(bad), "--x-cols", "age,severity", *args])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            "data error: source row 2 has outcome 2.0; a Brier loss needs binary outcomes")
+
+    @pytest.mark.parametrize("command", ("analyze", "eta-range"))
     def test_rank_deficient_fit_exit_code(self, tmp_path, capsys, command):
         # x1 = 2 x0: the nuisance designs are collinear
         rng = np.random.default_rng(8)
@@ -564,6 +670,29 @@ class TestCli:
             "--out", str(tmp_path / "out"),
         ])
         assert rc == 0
+
+    @pytest.mark.parametrize("edit", [
+        {"n_sorce": 300},
+        {"design": "sideways"},
+        {"dim": "two"},
+        {"eta_true": "x"},
+        {"model": 3},
+        {"model": {"xstar_columns": [0, 1]}},
+    ], ids=["unknown-key", "design", "dim", "eta_true", "model", "no-coefficients"])
+    def test_malformed_dgp_exits_2(self, tmp_path, capsys, edit):
+        dgp = {
+            "design": "non-nested", "covariate_kind": "uniform", "dim": 2,
+            "selection_coefs": [0.4, 1.2, -1.0], "outcome_coefs": [-0.4, 1.2, 0.8],
+            "eta_true": 0.5, "model": {"coefficients": [0.2, 0.6, -0.3]},
+            "n_source": 30, "n_target": 30,
+        }
+        dgp.update(edit)
+        (tmp_path / "dgp.json").write_text(json.dumps(dgp))
+        rc = cli_main(["simulate", "--dgp", str(tmp_path / "dgp.json"), "--seed", "4",
+                       "--out", str(tmp_path / "sim.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "sim.csv").exists()
 
     def test_eta_range_outputs_json(self, tmp_path, capsys):
         write_toy(tmp_path)

@@ -1,13 +1,14 @@
 """Generator and oracle checks."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from tiltrisk.data import build_table
-from tiltrisk.errors import DataError, DomainError
+from tiltrisk.errors import ConfigError, DataError, DomainError
 from tiltrisk.estimators import estimate
 from tiltrisk.nuisance import DesignSpec, fit_logistic
 from tiltrisk.simgen import (
@@ -21,7 +22,7 @@ from tiltrisk.simgen import (
     true_phi_oracle,
     true_psi_oracle,
 )
-from tiltrisk.tilt import PredictionModel, binary_b, tilted_bernoulli
+from tiltrisk.tilt import LossFunction, PredictionModel, binary_b, tilted_bernoulli
 
 from conftest import BRIER
 from dgps import constant_g_binary, nested_binary, nonnested_binary
@@ -45,10 +46,51 @@ class TestDgpValidation:
 
     def test_serialization_round_trip(self):
         spec = nonnested_binary(quad=(-0.4, 0.2))
-        again = dgp_from_dict(dgp_to_dict(spec))
-        assert again.selection_coefs == spec.selection_coefs
-        assert again.outcome_quad == spec.outcome_quad
-        assert again.model.coefficients == spec.model.coefficients
+        assert dgp_from_dict(dgp_to_dict(spec)) == spec
+
+    @pytest.mark.parametrize("spec", [
+        nested_binary(quad=(0.3, -0.1)),
+        DgpSpec(design="non-nested", covariate_kind="normal", dim=2,
+                selection_coefs=(0.1, 0.4, -0.3), outcome_coefs=(0.5, 1.0, -0.5),
+                eta_true=0.3, model=PredictionModel((0.4, 0.9), link="identity",
+                                                    xstar_columns=(0,)),
+                loss=LossFunction("squared-error"), outcome="continuous", sigma=0.8,
+                outcome_quad=(0.2, -0.1), n_source=50, n_target=60),
+    ], ids=["nested-binary", "continuous"])
+    def test_serialization_round_trip_whole_spec(self, spec):
+        echoed = dgp_to_dict(spec)
+        assert dgp_from_dict(echoed) == spec
+        assert sorted(echoed) == sorted(f.name for f in fields(DgpSpec))
+
+    def test_file_defaults(self):
+        # the DGP file format: loss is brier and model.link logit by default
+        d = dgp_to_dict(nested_binary())
+        del d["loss"], d["model"]["link"]
+        assert dgp_from_dict(d) == nested_binary()
+
+    @pytest.mark.parametrize("edit, match", [
+        ({"n_sorce": 300}, "unknown DGP spec keys: \\['n_sorce'\\]"),
+        ({"design": "sideways"}, "design must be"),
+        ({"dim": "two"}, "dim must be an integer"),
+        ({"dim": 0}, "dim must be at least 1"),
+        ({"eta_true": "x"}, "eta_true must be a number"),
+        ({"eta_true": None}, "eta_true must be a number"),
+        ({"sigma": -1.0, "outcome": "continuous"}, "sigma > 0"),
+        ({"selection_coefs": [0.1, "a", 0.2]}, "selection_coefs must be a list of numbers"),
+        ({"outcome_coefs": [0.1, 0.2]}, "outcome_coefs must have length dim \\+ 1"),
+        ({"n_source": 2.5}, "n_source must be an integer"),
+        ({"n_target": -3}, "n_target must be positive"),
+        ({"model": 3}, "model must be a mapping"),
+        ({"model": {"link": "logit"}}, "missing required model key: coefficients"),
+        ({"model": {"coefficients": ["a", 1, 2]}}, "coefficients must be a list of numbers"),
+        ({"loss": "hinge"}, "unknown loss kind"),
+    ], ids=["unknown-key", "design", "dim-text", "dim-zero", "eta_true", "eta_true-null", "sigma",
+            "coef-entry", "coef-length", "size-float", "size-negative", "model",
+            "no-coefficients", "model-coef-entry", "loss"])
+    def test_malformed_spec_is_a_config_error(self, edit, match):
+        d = dict(dgp_to_dict(nonnested_binary()), **edit)
+        with pytest.raises(ConfigError, match=match):
+            dgp_from_dict(d)
 
 
 # DgpSpec is frozen; helper for the validation test above
