@@ -13,11 +13,10 @@ from tiltrisk import (
     LossFunction,
     PredictionModel,
     ResampleConfig,
-    bootstrap_ci,
     estimate,
     generate,
-    jackknife_ci,
     recipe_for,
+    sensitivity_curve,
     true_psi_oracle,
 )
 
@@ -56,11 +55,15 @@ print(f"\ntrue cohort risk at eta_true: {oracle.value:.4f}")
 # ---------------------------------------------------------------------------
 eta = spec.eta_true
 
-def estimator(t):
-    return estimate(t, recipe.fit(t), eta, "aug").estimate
+# the sweep gives the package's estimators their intervals: each replicate
+# is a vector of row counts over the cohort, refitted with the recipe and
+# swept without building a replicate table (bootstrap_ci and jackknife_ci
+# are for estimators the package cannot see into)
+def interval(resample):
+    return sensitivity_curve(table, nuis, [eta], "aug", resample=resample).points[0].result
 
-boot = bootstrap_ci(table, estimator, ResampleConfig(replicates=300, seed=3))
-jack = jackknife_ci(table, estimator)
+boot = interval(ResampleConfig(replicates=300, seed=3))
+jack = interval(ResampleConfig(method="jackknife"))
 print(f"bootstrap: se={boot.se:.4f} ci=[{boot.ci[0]:.4f}, {boot.ci[1]:.4f}]")
 print(f"jackknife: se={jack.se:.4f} ci=[{jack.ci[0]:.4f}, {jack.ci[1]:.4f}]")
 # nested cohorts resample simply (the strata sizes were not fixed by design)

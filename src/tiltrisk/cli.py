@@ -49,10 +49,12 @@ class Flag:
     """A flag: the config key it sets (``block.key`` inside a block), how
     its text is read after parsing (a fault is a ConfigError), whether it
     opens its block or needs one the config or another flag opened, the
-    (key, value) pairs it sets besides, and its argparse keywords."""
+    (key, value) pairs it sets besides, the config key it replaces (the
+    other grid choice), and its argparse keywords."""
 
-    def __init__(self, key: str, read=None, opens=False, also=(), **options):
-        self.key, self.read, self.opens, self.also, self.options = key, read, opens, also, options
+    def __init__(self, key: str, read=None, opens=False, also=(), drops=None, **options):
+        self.key, self.read, self.opens, self.also = key, read, opens, also
+        self.drops, self.options = drops, options
 
 
 FLAGS = {
@@ -69,10 +71,11 @@ FLAGS = {
     "--link": Flag("model_link", choices=LINKS),
     "--g-basis": Flag("g_basis", help="linear or spline[:degree[:knots]]"),
     "--p-basis": Flag("p_basis", help="linear or spline[:degree[:knots]]"),
-    "--eta-list": Flag("eta_grid", _numbers, help="comma-separated explicit eta grid"),
-    "--anchor-mu": Flag("anchor.mu", opens=True, type=float,
+    "--eta-list": Flag("eta_grid", _numbers, drops="anchor",
+                       help="comma-separated explicit eta grid"),
+    "--anchor-mu": Flag("anchor.mu", opens=True, drops="eta_grid", type=float,
                         help="target prevalence anchor (non-nested)"),
-    "--anchor-alpha": Flag("anchor.alpha", opens=True, type=float,
+    "--anchor-alpha": Flag("anchor.alpha", opens=True, drops="eta_grid", type=float,
                            help="cohort prevalence anchor (nested)"),
     "--multipliers": Flag("anchor.multipliers", _numbers,
                           help="anchor range multipliers, e.g. 0.5,2"),
@@ -97,13 +100,17 @@ _BLOCKS = {
 
 
 def _merge_flags(config: dict, args, names) -> dict:
-    """``config`` with every flag of ``names`` given in ``args`` set at its key."""
+    """``config`` with every flag of ``names`` given in ``args`` set at its key.
+
+    A grid flag replaces the config file's grid choice; two grid flags
+    still conflict."""
+    given = {name: getattr(args, name[2:].replace("-", "_")) for name in names}
+    given = {name: value for name, value in given.items() if value is not None}
+    for name in given:  # most flags drop None, which is never a key
+        config.pop(FLAGS[name].drops, None)
     set_by = {}
-    for name in names:
+    for name, value in given.items():
         flag = FLAGS[name]
-        value = getattr(args, name[2:].replace("-", "_"))
-        if value is None:
-            continue
         if flag.read is not None:
             value = flag.read(value, name)
         for key, v in ((flag.key, value), *flag.also):

@@ -3,8 +3,7 @@
 An ObservationTable holds the combined sample: population indicator s
 (1 = source, 0 = target), covariates x, outcomes y (present only for
 source rows), the design flag, and cached model predictions and losses.
-Tables are immutable; ``take`` builds new tables from row indices (the
-black-box ``bootstrap_ci``/``jackknife_ci`` resamplers use it).
+Tables are immutable; ``take`` builds new tables from row indices.
 """
 
 from __future__ import annotations
@@ -84,7 +83,9 @@ class ObservationTable:
         return self.loss1 is not None and self.loss0 is not None
 
     def take(self, indices) -> "ObservationTable":
-        """New table holding rows ``indices`` (with repetition allowed)."""
+        """New table holding rows ``indices`` (with repetition allowed): the
+        replicate tables of ``bootstrap_ci`` and ``jackknife_ci``, which serve
+        opaque estimators (the package's own resample as row counts)."""
         idx = np.asarray(indices, dtype=np.intp)
         return replace(
             self,

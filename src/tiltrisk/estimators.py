@@ -23,14 +23,13 @@ fitted set are replicate 0's values bit for bit.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .data import ObservationTable
-from .errors import NUMERIC_FAILURES, ConfigError
+from .errors import NUMERIC_FAILURES, ConfigError, NumericError
 from .nuisance import C_FLOOR, NuisanceRows, NuisanceSet
 from .tilt import BinaryTilt, TiltSpec, selection_a, tilt_weight
 
@@ -388,12 +387,6 @@ def _replicate_rows(table: ObservationTable, fits: NuisanceRows, group: list,
     return out
 
 
-def _failure_counts(names) -> str:
-    """' (Class: count, ...)' for the failure names of a point's replicates."""
-    counts = Counter(names)
-    return " (" + ", ".join(f"{name}: {counts[name]}" for name in sorted(counts)) + ")"
-
-
 def _replicate_matrix(table: ObservationTable, recipe, grid: np.ndarray, estimator: str,
                       resample) -> tuple:
     """Every replicate's estimate at every grid point, (B, K) with NaN where
@@ -405,15 +398,15 @@ def _replicate_matrix(table: ObservationTable, recipe, grid: np.ndarray, estimat
     fits' (chunk, k, n) design products at the block size for k = 4 (peak
     memory measured on the boot-anchored workload; k spline coefficients
     make them k/4 times larger).  A replicate that lacks a stratum the
-    design needs fails like the table it stands for
-    (``resampling.leave_one_out_failure``, ``resampling.check_usable``).
+    design needs fails like the table it stands for: a leave-one-out one
+    fails the jackknife, and a bootstrap where every replicate lacks one
+    fails.
     The usable ones go in groups of max(1, _BLOCK_CELLS // Kn), K the points
     of a grid block: ``_replicate_rows`` evaluates a continuous group on
     every row at once and binary replicates on their drawn rows, and its
     (G, K) estimates and failures fill the matrices by array operations.
     """
-    from .resampling import (check_usable, jackknife_size, leave_one_out_failure,
-                             replicate_counts)
+    from .resampling import jackknife_size, replicate_counts
 
     jackknife = resample.method == "jackknife"
     n_reps = jackknife_size(table) if jackknife else resample.replicates
@@ -428,7 +421,8 @@ def _replicate_matrix(table: ObservationTable, recipe, grid: np.ndarray, estimat
         for i, exc in enumerate(fits.errors):
             if exc is not None:
                 if jackknife and fits.lacks_stratum[i]:
-                    raise leave_one_out_failure(reps[i], exc) from exc
+                    raise NumericError(
+                        f"leave-one-out estimator failed at row {reps[i]}: {exc}") from exc
                 why[reps[i]] = type(exc).__name__
         usable = [i for i, exc in enumerate(fits.errors) if exc is None]
         unusable += sum(fits.lacks_stratum)
@@ -441,7 +435,8 @@ def _replicate_matrix(table: ObservationTable, recipe, grid: np.ndarray, estimat
             bad = np.not_equal(failed, None)
             reason[bad] = [type(e).__name__ for e in failed[bad]]
             why[rows] = reason
-    check_usable(n_reps - unusable)
+    if unusable == n_reps:
+        raise NumericError("every bootstrap replicate failed")
     return est, why
 
 
@@ -541,48 +536,24 @@ def sensitivity_curve(
         "eta_grid": [float(e) for e in eta_grid],
     }
 
-    if resample is None:
-        points = tuple(CurvePoint(e, r, st) for e, r, st in results)
-        return SensitivityCurve(points, metadata)
+    from .resampling import standard_errors, wald_interval
 
-    from .resampling import jackknife_se, wald_interval
-
-    reps, why = _replicate_matrix(table, nuis.recipe, eta_grid, estimator, resample)
-    ses: list = [None] * eta_grid.size
-    notes: list = [None] * eta_grid.size
-    for i in range(eta_grid.size):
-        col = reps[:, i]
-        ok = np.isfinite(col)
-        reasons = _failure_counts(why[~ok, i])
-        if resample.method == "bootstrap":
-            n_failed = resample.replicates - int(ok.sum())
-            if n_failed > 0.2 * resample.replicates:
-                notes[i] = (f"ci unavailable: {n_failed} of {resample.replicates} "
-                            f"replicates failed{reasons}")
-                continue
-            ses[i] = float(np.std(col[ok], ddof=1))
-            if n_failed:
-                notes[i] = f"{n_failed} replicates skipped{reasons}"
-        elif not ok.all():
-            bad = int(np.flatnonzero(~ok)[0])
-            notes[i] = f"ci unavailable: leave-one-out estimate failed at row {bad}{reasons}"
-        else:
-            ses[i] = jackknife_se(col)
-    metadata["resampling"] = {
-        "method": resample.method,
-        "replicates": resample.replicates if resample.method == "bootstrap" else table.n,
-        "seed": resample.seed,
-        "stratified": resample.resolve_stratified(table),
-        "level": resample.level,
-    }
-
+    intervals = [(None, None)] * eta_grid.size
+    if resample is not None:
+        reps, why = _replicate_matrix(table, nuis.recipe, eta_grid, estimator, resample)
+        intervals = standard_errors(reps, why, resample.method)
+        metadata["resampling"] = {
+            "method": resample.method,
+            "replicates": reps.shape[0],
+            "seed": resample.seed,
+            "stratified": resample.resolve_stratified(table),
+            "level": resample.level,
+        }
     points = []
-    for i, (eta, res, status) in enumerate(results):
-        if res is not None and ses[i] is not None:
-            res = res.with_interval(
-                ses[i], wald_interval(res.estimate, ses[i], resample.level)
-            )
-        if res is not None and notes[i]:
-            res = replace(res, diagnostics={**res.diagnostics, "resampling_note": notes[i]})
+    for (eta, res, status), (se, note) in zip(results, intervals):
+        if res is not None and se is not None:
+            res = res.with_interval(se, wald_interval(res.estimate, se, resample.level))
+        if res is not None and note:
+            res = replace(res, diagnostics={**res.diagnostics, "resampling_note": note})
         points.append(CurvePoint(eta, res, status))
     return SensitivityCurve(tuple(points), metadata)

@@ -1,18 +1,22 @@
 """Bootstrap and jackknife confidence intervals.
 
-``bootstrap_ci`` and ``jackknife_ci`` treat the estimator as a black-box
-closure over an ObservationTable, so nuisance models are refit inside
-every replicate table.  ``replicate_counts`` gives the same replicates as
-row-count vectors over the original table, which sensitivity curves fit
-and sweep without building replicate tables.  Bootstrap replicates draw
-from per-replicate substreams keyed by (seed, replicate index), making
-results deterministic and independent of execution order.
+A replicate's estimates come from one of two engines.  The package's own
+estimators get theirs from ``sensitivity_curve(..., resample=cfg)``,
+which fits the replicates as row-count vectors over the original table
+(``replicate_counts``) and sweeps them without building replicate tables.
+``bootstrap_ci`` and ``jackknife_ci`` serve opaque callables: they build
+each replicate table with ``take`` and call the estimator on it.  Both
+turn their replicate estimates into standard errors by one rule set,
+``standard_errors``.  Bootstrap replicates draw from per-replicate
+substreams keyed by (seed, replicate index), making results deterministic
+and independent of execution order.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 from typing import Callable, Optional
 
@@ -106,17 +110,6 @@ def jackknife_size(table: ObservationTable) -> int:
     return table.n
 
 
-def leave_one_out_failure(row: int, exc: Exception) -> NumericError:
-    """The error of a jackknife whose leave-one-out table ``row`` failed."""
-    return NumericError(f"leave-one-out estimator failed at row {row}: {exc}")
-
-
-def check_usable(usable: int) -> None:
-    """A bootstrap needs at least one replicate it could evaluate."""
-    if usable == 0:
-        raise NumericError("every bootstrap replicate failed")
-
-
 def replicate_counts(table: ObservationTable, cfg: ResampleConfig, reps) -> np.ndarray:
     """Row counts of the replicates ``reps``, one (n,) float row each.
 
@@ -133,34 +126,81 @@ def replicate_counts(table: ObservationTable, cfg: ResampleConfig, reps) -> np.n
     return out
 
 
-def bootstrap_matrix(
-    table: ObservationTable, fn: Callable, cfg: ResampleConfig
-) -> tuple:
-    """Apply ``fn`` to every bootstrap resample of the table.
+def table_matrix(table: ObservationTable, fn: Callable, cfg: ResampleConfig) -> tuple:
+    """Apply ``fn`` to every replicate table: ``take`` of bootstrap draw r,
+    or the table without row r for the jackknife.
 
-    ``fn`` returns a float vector (or scalar).  A replicate where ``fn``
-    fails numerically is recorded as a NaN row and counted; any other
-    exception propagates.  Returns the (B, k) array and the failure count.
+    ``fn`` returns a float vector (or scalar).  Returns the (R, k)
+    estimates, NaN where a replicate failed, and the reason of each
+    failure: the class of the numeric failure ``fn`` raised, or
+    'non-finite'.  Any other exception propagates.
     """
-    stratified = cfg.resolve_stratified(table)
-    rows = []
-    failed = 0
-    width = None
-    for b in range(cfg.replicates):
-        idx = resample_indices(table, b, cfg.seed, stratified)
+    if cfg.method == "bootstrap":
+        stratified = cfg.resolve_stratified(table)
+        tables = (table.take(resample_indices(table, r, cfg.seed, stratified))
+                  for r in range(cfg.replicates))
+    else:
+        tables = (table.drop_row(i) for i in range(jackknife_size(table)))
+    values, raised = [], {}
+    for r, t in enumerate(tables):
         try:
-            val = np.atleast_1d(np.asarray(fn(table.take(idx)), dtype=np.float64))
-            width = val.size
-            rows.append(val)
-        except NUMERIC_FAILURES:
-            failed += 1
-            rows.append(None)
-    check_usable(cfg.replicates - failed)
-    out = np.full((cfg.replicates, width), np.nan)
-    for b, val in enumerate(rows):
-        if val is not None:
-            out[b] = val
-    return out, failed
+            values.append(np.asarray(fn(t), dtype=np.float64))
+        except NUMERIC_FAILURES as exc:
+            values.append(np.nan)
+            raised[r] = type(exc).__name__
+    width = max(np.size(v) for v in values)
+    est = np.array([np.broadcast_to(v, width) for v in values])
+    why = np.where(np.isfinite(est), None, "non-finite")
+    for r, name in raised.items():
+        why[r] = name
+    return est, why
+
+
+def _failure_counts(names) -> str:
+    """' (Class: count, ...)' for the failure names of a column's replicates."""
+    counts = Counter(names)
+    return " (" + ", ".join(f"{name}: {counts[name]}" for name in sorted(counts)) + ")"
+
+
+def standard_errors(est: np.ndarray, why: np.ndarray, method: str) -> list:
+    """(se, note) for every column of the (R, K) replicate estimates ``est``,
+    NaN where a replicate failed with the reason in ``why``.
+
+    A bootstrap SE is the standard deviation of the replicates that did not
+    fail; more than 20% failed leaves it unavailable (None).  A jackknife SE
+    needs every leave-one-out replicate.  The note counts the failures by
+    reason.
+    """
+    n_reps = est.shape[0]
+    out = []
+    for col, reasons in zip(est.T, why.T):
+        ok = np.isfinite(col)
+        failed = n_reps - int(ok.sum())
+        counts = _failure_counts(reasons[~ok])
+        if method == "bootstrap" and failed > 0.2 * n_reps:
+            out.append((None, f"ci unavailable: {failed} of {n_reps} replicates failed{counts}"))
+        elif method == "bootstrap":
+            out.append((float(np.std(col[ok], ddof=1)),
+                        f"{failed} replicates skipped{counts}" if failed else None))
+        elif failed:
+            row = int(np.flatnonzero(~ok)[0])
+            out.append((None, f"ci unavailable: leave-one-out estimate failed at row {row}{counts}"))
+        else:
+            centered = col - col.mean()
+            out.append((float(np.sqrt((n_reps - 1) / n_reps * np.sum(centered**2))), None))
+    return out
+
+
+def _closure_ci(table: ObservationTable, estimator: Callable,
+                cfg: ResampleConfig) -> ResampleResult:
+    point = float(estimator(table))
+    est, why = table_matrix(table, lambda t: float(estimator(t)), cfg)
+    [(se, note)] = standard_errors(est, why, cfg.method)
+    if se is None:
+        raise NumericError(note)
+    used = int(np.isfinite(est).sum())
+    return ResampleResult(estimate=point, se=se, ci=wald_interval(point, se, cfg.level),
+                          method=cfg.method, replicates_used=used, skipped=est.shape[0] - used)
 
 
 def bootstrap_ci(
@@ -170,57 +210,17 @@ def bootstrap_ci(
 
     The point estimate is computed on the original table; the SE is the
     standard deviation of the replicate estimates.  More than 20% failed
-    replicates is an error.
+    replicates is a NumericError carrying the note a sensitivity curve
+    gives.
     """
-    point = float(estimator(table))
-    reps, failed = bootstrap_matrix(table, lambda t: float(estimator(t)), cfg)
-    vals = reps[:, 0]
-    ok = np.isfinite(vals)
-    failed_total = cfg.replicates - int(ok.sum())
-    if failed_total > 0.2 * cfg.replicates:
-        raise NumericError(
-            f"{failed_total} of {cfg.replicates} bootstrap replicates failed"
-        )
-    se = float(np.std(vals[ok], ddof=1))
-    return ResampleResult(
-        estimate=point,
-        se=se,
-        ci=wald_interval(point, se, cfg.level),
-        method="bootstrap",
-        replicates_used=int(ok.sum()),
-        skipped=failed_total,
-    )
-
-
-def jackknife_matrix(table: ObservationTable, fn: Callable) -> np.ndarray:
-    """Apply ``fn`` to every leave-one-out table; numeric failures name the
-    row, any other exception propagates."""
-    rows = []
-    for i in range(jackknife_size(table)):
-        try:
-            rows.append(np.atleast_1d(np.asarray(fn(table.drop_row(i)), dtype=np.float64)))
-        except NUMERIC_FAILURES as exc:
-            raise leave_one_out_failure(i, exc) from exc
-    return np.vstack(rows)
-
-
-def jackknife_se(loo_values: np.ndarray) -> float:
-    n = loo_values.shape[0]
-    centered = loo_values - loo_values.mean()
-    return float(np.sqrt((n - 1) / n * np.sum(centered**2)))
+    return _closure_ci(table, estimator, replace(cfg, method="bootstrap"))
 
 
 def jackknife_ci(
     table: ObservationTable, estimator: Callable, level: float = 0.95
 ) -> ResampleResult:
-    """Leave-one-out standard error and Wald interval for a scalar estimator."""
-    point = float(estimator(table))
-    loo = jackknife_matrix(table, lambda t: float(estimator(t)))[:, 0]
-    se = jackknife_se(loo)
-    return ResampleResult(
-        estimate=point,
-        se=se,
-        ci=wald_interval(point, se, level),
-        method="jackknife",
-        replicates_used=table.n,
-    )
+    """Leave-one-out standard error and Wald interval for a scalar estimator.
+
+    Every leave-one-out table is evaluated; any failure is a NumericError
+    naming the first failed row."""
+    return _closure_ci(table, estimator, ResampleConfig(method="jackknife", level=level))

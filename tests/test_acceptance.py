@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from tiltrisk.data import build_table
-from tiltrisk.estimators import estimate, influence_values
+from tiltrisk.estimators import estimate, influence_values, sensitivity_curve
 from tiltrisk.etaselect import (
     eta_from_prevalence_nested,
     eta_from_prevalence_nonnested,
@@ -22,7 +22,7 @@ from tiltrisk.etaselect import (
     implied_prevalence_nonnested,
 )
 from tiltrisk.nuisance import DesignSpec, NuisanceSet
-from tiltrisk.resampling import ResampleConfig, bootstrap_ci
+from tiltrisk.resampling import ResampleConfig
 from tiltrisk.simgen import (
     brute_force_phi,
     brute_force_psi,
@@ -264,11 +264,13 @@ class TestCriterion07InfluenceFunction:
         nuis = recipe.fit(sim.table)
         plugged = estimate(sim.table, nuis, eta, "aug").estimate
         if_se = influence_values(sim.table, nuis, eta, plugged).se
-        boot = bootstrap_ci(
+        boot = sensitivity_curve(
             sim.table,
-            lambda t: estimate(t, recipe.fit(t), eta, "aug").estimate,
-            ResampleConfig(replicates=200, seed=7_008, stratified=True),
-        )
+            nuis,
+            [eta],
+            "aug",
+            resample=ResampleConfig(replicates=200, seed=7_008, stratified=True),
+        ).points[0].result
         rel = abs(if_se - boot.se) / boot.se
         elapsed = time.time() - start
         ok = worst_mean < 1e-10 and rel < 0.25 and elapsed < 120.0
@@ -318,11 +320,13 @@ class TestCriterion09BootstrapCoverage:
         reps = 200
         for rep in range(reps):
             sim = generate(spec, seed=9_000 + rep)
-            out = bootstrap_ci(
+            out = sensitivity_curve(
                 sim.table,
-                lambda t: estimate(t, recipe.fit(t), eta, "aug").estimate,
-                ResampleConfig(replicates=300, seed=90_500 + rep, stratified=True),
-            )
+                recipe.fit(sim.table),
+                [eta],
+                "aug",
+                resample=ResampleConfig(replicates=300, seed=90_500 + rep, stratified=True),
+            ).points[0].result
             covered += out.ci[0] <= oracle.value <= out.ci[1]
         rate = covered / reps
         elapsed = time.time() - start

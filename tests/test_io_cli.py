@@ -477,6 +477,30 @@ class TestCli:
         assert report["config"]["anchor"]["multipliers"] == [1.0, 1.2]
         assert report["eta_grid"] != default
 
+    def test_grid_flag_replaces_the_config_grid(self, tmp_path, capsys):
+        write_toy(tmp_path)
+        anchored, listed = tmp_path / "anchored.json", tmp_path / "listed.json"
+        anchored.write_text(json.dumps(
+            toy_config(tmp_path, eta_grid=None, anchor={"mu": 0.4}).to_dict()))
+        listed.write_text(json.dumps(toy_config(tmp_path).to_dict()))
+
+        def analyze(path, *flags):
+            rc = cli_main(["analyze", "--config", str(path), *flags])
+            capsys.readouterr()
+            return rc, json.loads((tmp_path / "out" / "report.json").read_text())
+
+        rc, report = analyze(anchored, "--eta-list", "0,0.5")
+        assert rc == 0 and report["eta_grid"] == [0.0, 0.5]
+        assert report["config"]["anchor"] is None
+        rc, report = analyze(listed, "--anchor-mu", "0.4")
+        assert rc == 0 and report["config"]["anchor"]["mu"] == 0.4
+        assert report["config"]["eta_grid"] is None and len(report["eta_grid"]) > 2
+        # two grid flags still conflict
+        rc = cli_main(["analyze", "--config", str(listed), "--eta-list", "0",
+                       "--anchor-mu", "0.4"])
+        assert rc == 2
+        assert "exactly one of eta_grid or anchor" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", [["--step", "0.5"], ["--multipliers", "1,1.2"]])
     @pytest.mark.parametrize("from_file", [True, False])
     def test_block_flag_without_a_block_exits_2(self, tmp_path, capsys, flag, from_file):

@@ -182,6 +182,44 @@ class TestFixedCases:
         weighted, _ = _replicate_matrix(table, recipe, GRID, "aug", resample)
         assert_same(weighted, take_matrix(table, recipe, GRID, "aug", resample))
 
+    @pytest.mark.parametrize("estimator", ("cl", "aug", "aug-alt"))
+    @pytest.mark.parametrize("method", ("bootstrap", "jackknife"))
+    def test_custom_tilt_map(self, estimator, method):
+        table = make_table(np.random.default_rng(18), 30, "non-nested", "continuous")
+        recipe = replace(make_recipe("continuous"), q=np.tanh)
+        resample = (ResampleConfig(replicates=12, seed=5) if method == "bootstrap"
+                    else ResampleConfig(method="jackknife"))
+        weighted, _ = _replicate_matrix(table, recipe, GRID, estimator, resample)
+        identity, _ = _replicate_matrix(table, make_recipe("continuous"), GRID, estimator,
+                                        resample)
+        assert np.isfinite(weighted).all()
+        assert not np.allclose(weighted[:, 0], identity[:, 0])
+        assert_same(weighted, take_matrix(table, recipe, GRID, estimator, resample))
+
+    def test_tilt_map_that_decreases_past_the_second_largest_outcome(self):
+        # q is the identity up to the second-largest source outcome and falls
+        # past it: only the replicates that draw the largest outcome fail
+        table = make_table(np.random.default_rng(19), 30, "non-nested", "continuous")
+        src = table.source_rows
+        top = src[np.argmax(table.y[src])]
+        y = table.y.copy()
+        y[top] += 1.0
+        table = replace(table, y=y, loss=(y - table.pred) ** 2)
+        second = np.sort(y[src])[-2]
+        recipe = replace(make_recipe("continuous"),
+                         q=lambda v: np.where(v <= second, v, 2.0 * second - v))
+        resample = ResampleConfig(replicates=12, seed=6)
+        weighted, why = _replicate_matrix(table, recipe, GRID, "aug", resample)
+        drawn = replicate_counts(table, resample, range(12))[:, top] > 0
+        assert 0 < drawn.sum() < 12
+        assert set(why[drawn].ravel()) == {"DomainError"}
+        assert np.isfinite(weighted[~drawn]).all()
+        for r, idx in enumerate(replicate_indices(table, resample)):
+            if drawn[r]:
+                with pytest.raises(DomainError, match="nondecreasing"):
+                    recipe.fit(table.take(idx))
+        assert_same(weighted, take_matrix(table, recipe, GRID, "aug", resample))
+
     def test_replicate_without_target_rows(self):
         rng = np.random.default_rng(13)
         table = make_table(rng, 20, "non-nested", "binary", n_target=1)

@@ -1,4 +1,5 @@
-"""Resampling checks: determinism, closed-form SE oracles, failure handling."""
+"""Resampling checks: determinism, closed-form SE oracles, failure handling,
+and the black-box resamplers against the count path on a real estimator."""
 
 import numpy as np
 import pytest
@@ -6,17 +7,20 @@ import scipy.special
 
 from tiltrisk.data import build_table
 from tiltrisk.errors import DataError, DomainError, NumericError
+from tiltrisk.estimators import estimate, sensitivity_curve
 from tiltrisk.resampling import (
     ResampleConfig,
     bootstrap_ci,
-    bootstrap_matrix,
     jackknife_ci,
     resample_indices,
+    table_matrix,
     z_quantile,
 )
-from tiltrisk.tilt import LossFunction, PredictionModel
+from tiltrisk.simgen import generate, recipe_for
+from tiltrisk.tilt import PredictionModel
 
 from conftest import BRIER, random_binary_table
+from dgps import nested_binary, nonnested_binary
 
 
 def column_mean(table):
@@ -85,20 +89,32 @@ class TestBootstrap:
         assert out.ci[0] <= out.estimate <= out.ci[1]
 
     def test_failed_replicates_skipped_and_counted(self, rng):
+        # replicates 0..lost-1 fail, the first four of them by returning NaN:
+        # 10 of 50 is within the 20% rule, 11 of 50 is not
         table = make_marked_table(rng, n=60)
-
-        def flaky(t):
-            if t.x[:, 1].mean() > 0.02:
-                raise DomainError("synthetic failure")
-            return column_mean(t)
-
-        flaky(table)  # the point estimate itself must be computable
         cfg = ResampleConfig(replicates=50, seed=21)
-        try:
-            out = bootstrap_ci(table, flaky, cfg)
-            assert out.skipped >= 0
-        except NumericError as exc:
-            assert "replicates failed" in str(exc)
+        means, _ = table_matrix(table, column_mean, cfg)
+
+        def flaky(lost):
+            calls = iter(range(51))  # call 0 is the point estimate
+
+            def estimator(t):
+                call = next(calls)
+                if 1 <= call <= 4:
+                    return np.nan
+                if 4 < call <= lost:
+                    raise DomainError("synthetic failure")
+                return column_mean(t)
+            return estimator
+
+        out = bootstrap_ci(table, flaky(10), cfg)
+        assert (out.skipped, out.replicates_used) == (10, 40)
+        assert out.se == float(np.std(means[10:, 0], ddof=1))
+        with pytest.raises(NumericError) as exc:
+            bootstrap_ci(table, flaky(11), cfg)
+        # the note a sensitivity curve gives for the same replicates
+        assert str(exc.value) == (
+            "ci unavailable: 11 of 50 replicates failed (DomainError: 7, non-finite: 4)")
 
     def test_all_failures_error(self, rng):
         table = make_marked_table(rng, n=40)
@@ -131,8 +147,8 @@ class TestSubstreams:
         def means(t):
             return t.x.mean(axis=0)
 
-        eight, _ = bootstrap_matrix(table, means, ResampleConfig(replicates=8, seed=11))
-        sixteen, _ = bootstrap_matrix(table, means, ResampleConfig(replicates=16, seed=11))
+        eight, _ = table_matrix(table, means, ResampleConfig(replicates=8, seed=11))
+        sixteen, _ = table_matrix(table, means, ResampleConfig(replicates=16, seed=11))
         assert np.array_equal(eight, sixteen[:8])
 
     @pytest.mark.parametrize("stratified", (False, True))
@@ -175,10 +191,53 @@ class TestJackknife:
         with pytest.raises(NumericError, match="row 3"):
             jackknife_ci(table, estimator)
 
+    def test_failure_counts_every_row(self, rng):
+        # every leave-one-out table is evaluated before the error is raised
+        table = random_binary_table(rng, n=12)
+        markers = table.x[[3, 7], 0]
+
+        def estimator(t):
+            if not np.isin(markers, t.x[:, 0]).all():
+                raise DomainError("lost a marked row")
+            return 0.0
+
+        with pytest.raises(NumericError) as exc:
+            jackknife_ci(table, estimator)
+        assert str(exc.value) == (
+            "ci unavailable: leave-one-out estimate failed at row 3 (DomainError: 2)")
+
     def test_ci_contains_point(self, rng):
         table = make_marked_table(rng, n=40)
         out = jackknife_ci(table, column_mean)
         assert out.ci[0] <= out.estimate <= out.ci[1]
+
+
+class TestClosureMatchesCountPath:
+    """A recipe refit inside a closure, through take() tables, gives the
+    interval the count path gives the same estimator."""
+
+    @staticmethod
+    def assert_close(closure, counted):
+        for a, b in ((closure.estimate, counted.estimate), (closure.se, counted.se),
+                     *zip(closure.ci, counted.ci)):
+            assert abs(a - b) <= 1e-10
+
+    def test_bootstrap_on_the_coverage_study(self):
+        spec = nonnested_binary(n_source=1_000, n_target=1_000, eta_true=0.5)
+        table, recipe = generate(spec, seed=9_000).table, recipe_for(spec)
+        cfg = ResampleConfig(replicates=300, seed=90_500, stratified=True)
+        closure = bootstrap_ci(table, lambda t: estimate(t, recipe.fit(t), 0.5, "aug").estimate,
+                               cfg)
+        counted = sensitivity_curve(table, recipe.fit(table), [0.5], "aug", resample=cfg)
+        self.assert_close(closure, counted.points[0].result)
+
+    def test_jackknife_on_a_nested_table(self):
+        spec = nested_binary(n_cohort=80)
+        table, recipe = generate(spec, seed=9_001).table, recipe_for(spec)
+        closure = jackknife_ci(table, lambda t: estimate(t, recipe.fit(t), 0.5, "aug").estimate)
+        counted = sensitivity_curve(table, recipe.fit(table), [0.5], "aug",
+                                    resample=ResampleConfig(method="jackknife"))
+        self.assert_close(closure, counted.points[0].result)
 
 
 @pytest.mark.parametrize("level", (0.8, 0.9, 0.95, 0.99))
