@@ -49,10 +49,10 @@ class Flag:
     """A flag: the config key it sets (``block.key`` inside a block), how
     its text is read after parsing (a fault is a ConfigError), whether it
     opens its block or needs one the config or another flag opened, the
-    (key, value) pairs it sets besides, the config key it replaces (the
-    other grid choice), and its argparse keywords."""
+    (key, value) pairs it sets besides, the config keys it replaces (the
+    other grid choice, the other anchor kind), and its argparse keywords."""
 
-    def __init__(self, key: str, read=None, opens=False, also=(), drops=None, **options):
+    def __init__(self, key: str, read=None, opens=False, also=(), drops=(), **options):
         self.key, self.read, self.opens, self.also = key, read, opens, also
         self.drops, self.options = drops, options
 
@@ -71,11 +71,12 @@ FLAGS = {
     "--link": Flag("model_link", choices=LINKS),
     "--g-basis": Flag("g_basis", help="linear or spline[:degree[:knots]]"),
     "--p-basis": Flag("p_basis", help="linear or spline[:degree[:knots]]"),
-    "--eta-list": Flag("eta_grid", _numbers, drops="anchor",
+    "--eta-list": Flag("eta_grid", _numbers, drops=("anchor",),
                        help="comma-separated explicit eta grid"),
-    "--anchor-mu": Flag("anchor.mu", opens=True, drops="eta_grid", type=float,
+    "--anchor-mu": Flag("anchor.mu", opens=True, drops=("eta_grid", "anchor.alpha"), type=float,
                         help="target prevalence anchor (non-nested)"),
-    "--anchor-alpha": Flag("anchor.alpha", opens=True, drops="eta_grid", type=float,
+    "--anchor-alpha": Flag("anchor.alpha", opens=True, drops=("eta_grid", "anchor.mu"),
+                           type=float,
                            help="cohort prevalence anchor (nested)"),
     "--multipliers": Flag("anchor.multipliers", _numbers,
                           help="anchor range multipliers, e.g. 0.5,2"),
@@ -102,12 +103,16 @@ _BLOCKS = {
 def _merge_flags(config: dict, args, names) -> dict:
     """``config`` with every flag of ``names`` given in ``args`` set at its key.
 
-    A grid flag replaces the config file's grid choice; two grid flags
-    still conflict."""
+    A grid flag replaces the config file's grid choice, and an anchor flag
+    its other anchor kind; two grid flags still conflict."""
     given = {name: getattr(args, name[2:].replace("-", "_")) for name in names}
     given = {name: value for name, value in given.items() if value is not None}
-    for name in given:  # most flags drop None, which is never a key
-        config.pop(FLAGS[name].drops, None)
+    for name in given:
+        for key in FLAGS[name].drops:
+            block, _, field = key.rpartition(".")
+            target = config.get(block) if block else config
+            if isinstance(target, dict):
+                target.pop(field, None)
     set_by = {}
     for name, value in given.items():
         flag = FLAGS[name]

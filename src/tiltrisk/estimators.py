@@ -18,6 +18,13 @@ A sweep evaluates a fitted nuisance set as replicate 0 of its fits (row
 counts all one) by the same code as the resampling replicates; estimates,
 influence values and hand-built sets read a set's b, c and a, which for a
 fitted set are replicate 0's values bit for bit.
+
+A binary sweep sums ``cl`` and ``aug`` from eta-free rows.  With
+D = e^eta g + 1 - g and the tilted probability t = e^eta g / D, b is
+l0 + (l1 - l0) t and the aug source term w (L - b) is e^eta k / D^2, where
+k = n (1-p)/p (l1 - l0) times 1 - g (y = 1) or -g (y = 0), n the row count.
+So n0 (or n) times an estimate is sum_t n l0 + sum_t n (l1 - l0) t, plus
+sum_s e^eta k / D^2 (aug) and sum_s n L (nested); aug-alt sums per-row terms.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import numpy as np
 from .data import ObservationTable
 from .errors import NUMERIC_FAILURES, ConfigError, NumericError
 from .nuisance import C_FLOOR, NuisanceRows, NuisanceSet
-from .tilt import BinaryTilt, TiltSpec, selection_a, tilt_weight
+from .tilt import BinaryTilt, TiltSpec, binary_c, binary_scales, selection_a, tilt_weight
 
 _CLIP_TOL = 1e-12
 
@@ -268,40 +275,81 @@ def _grid_terms(table, nuis, grid: np.ndarray, estimator: str, clip: dict) -> li
 # ---------------------------------------------------------------------------
 
 
-def _drawn_rows(table: ObservationTable, fits: NuisanceRows, r: int) -> tuple:
-    """Binary replicate r's eta-free state: its drawn target and source
-    rows, their counts (None if all one: plain sums, as on the full table),
-    the drawn source losses, its estimates' denominator and the
-    ``BinaryTilt`` forms of the drawn rows."""
+def _drawn_forms(table: ObservationTable, fits: NuisanceRows, r: int) -> tuple:
+    """Binary replicate r's eta-free state for ``aug-alt``: its drawn target
+    and source rows, their counts, the drawn source losses, its estimates'
+    denominator and the ``BinaryTilt`` forms of the drawn rows."""
     cnt = fits.counts[r]
     tgt = fits.rows_drawn(r, table.target_rows)
     src = fits.rows_drawn(r, table.source_rows)
     c_t, c_s = cnt[tgt], cnt[src]
     den = c_t.sum() + c_s.sum() if table.design == "nested" else c_t.sum()
-    counts = None if (c_t == 1.0).all() and (c_s == 1.0).all() else (c_t, c_s)
     (l1, l0), g = fits.losses, fits.g[r]
     forms = (BinaryTilt(g[tgt], l1[tgt], l0[tgt]),
              BinaryTilt(g[src], l1[src], l0[src], table.y[src], fits.p[r, src]))
-    return tgt, src, counts, table.loss[src], den, forms
+    return tgt, src, (c_t, c_s), table.loss[src], den, forms
+
+
+def _drawn_rows(table: ObservationTable, fits: NuisanceRows, group: list,
+                estimator: str) -> list:
+    """Per binary replicate of ``group``, ``_replicate_sums``'s eta-free rows
+    over the target, then (``aug``) source rows it draws: g, 1 - g and the
+    coefficients n (l1 - l0) and k; the eta-free sum, the number of target
+    rows, the denominator and whether a drawn source row has y = 1."""
+    nested, (l1, l0) = table.design == "nested", fits.losses
+    tgt, src, cnt = table.target_rows, table.source_rows, fits.counts[group]
+    rows, n_t = tgt if estimator == "cl" else np.r_[tgt, src], tgt.size
+    # C-ordered, and one product of fixed shape per replicate, as in the sums
+    c_t, c_s = cnt.take(tgt, axis=1), cnt.take(src, axis=1)
+    fixed = (c_t[:, None] @ l0[tgt][:, None])[:, 0, 0]
+    if nested:
+        fixed += (c_s[:, None] @ table.loss[src][:, None])[:, 0, 0]
+    den = (cnt if nested else c_t).sum(axis=1)
+    g, c_rows = fits.g[group].take(rows, axis=1), cnt.take(rows, axis=1)
+    coef = c_rows * (l1 - l0)[rows]
+    if estimator == "aug":
+        p, g_s = fits.p[group].take(src, axis=1), g[:, n_t:]
+        coef[:, n_t:] *= (1.0 - p) / p * np.where(table.y[src] == 1.0, 1.0 - g_s, -g_s)
+    drawn = c_rows > 0
+    y1 = ((c_s > 0) & (table.y[src] == 1.0)).any(axis=1)
+    n_drawn = drawn[:, :n_t].sum(axis=1)
+    return [(g[j, d], 1.0 - g[j, d], coef[j, d], fixed[j], n_drawn[j], den[j], y1[j])
+            for j, d in enumerate(drawn)]
+
+
+def _replicate_sums(drawn: tuple, eta: np.ndarray, x, y) -> np.ndarray:
+    """A binary replicate's ``cl`` or ``aug`` estimates at a (K, 1) eta column
+    and its ``tilt.binary_scales``: with D = x g + y (1 - g), t = x g / D on
+    the target rows (g where D underflows to 0) and k x y / D^2 on the
+    source rows, summed with ``_drawn_rows``'s coefficients."""
+    g, h, coef, fixed, n_t, den, y1 = drawn
+    if y is not None and n_t < g.size:  # aug raises as its weights: tilt, then c
+        tilt_weight(float(y1), TiltSpec(eta))
+        binary_c(0.0, eta)
+    f = x * g
+    d = f + h if y is None else np.add(y * h, f)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only where D is 0
+        np.divide(f[:, :n_t], d[:, :n_t], out=f[:, :n_t])
+        np.divide(x if y is None else x * y, d[:, n_t:], out=f[:, n_t:])
+        f[:, n_t:] /= d[:, n_t:]
+    if y is not None:
+        np.copyto(f[:, :n_t], g[:n_t], where=d[:, :n_t] == 0.0)
+    # one product per eta, of fixed shape: its value does not depend on K
+    return (fixed + (f[:, None] @ coef[:, None])[:, 0, 0]) / den
 
 
 def _replicate_terms(table: ObservationTable, fits: NuisanceRows, r: int, eta,
-                     estimator: str, drawn=None) -> tuple:
-    """``_terms`` for replicate r of binary ``fits`` on the rows it draws
-    (``drawn``, from ``_drawn_rows``), by the closed forms, summed with the
-    counts; then a moment-fitted offset's failures per eta (else None)."""
-    tgt, src, counts, loss_s, den, (form_t, form_s) = drawn or _drawn_rows(table, fits, r)
-    b_t = form_t.b(eta)
-    b_s = weight = failed = None
-    if estimator == "aug":
-        b_s, weight = form_s.b_weight(eta)
-    elif estimator == "aug-alt":
-        tilt = form_s.tilt(eta)
-        a, failed = (fits.a(eta, r, src), None) if fits.derived_a else fits.offset(eta, r, src)
-        b_s, weight = form_s.b(eta), np.exp(a) * tilt
-    r_t, r_s = _kernel(table.design == "nested", b_t, b_s, weight, loss_s)
-    c_t, c_s = counts or (None, None)
-    return r_t, r_s, (_sum(r_t, c_t) + _sum(r_s, c_s)) / den, weight, failed
+                     drawn: tuple) -> tuple:
+    """``aug-alt`` for replicate r of binary ``fits`` on the rows it draws
+    (``drawn``, from ``_drawn_forms``), by the closed forms per row, summed
+    with the counts: the estimates, the source weights and a moment-fitted
+    offset's failures per eta (else None)."""
+    tgt, src, (c_t, c_s), loss_s, den, (form_t, form_s) = drawn
+    b_t, tilt = form_t.b(eta), form_s.tilt(eta)
+    a, failed = (fits.a(eta, r, src), None) if fits.derived_a else fits.offset(eta, r, src)
+    weight = np.exp(a) * tilt
+    r_t, r_s = _kernel(table.design == "nested", b_t, form_s.b(eta), weight, loss_s)
+    return (_sum(r_t, c_t) + _sum(r_s, c_s)) / den, weight, failed
 
 
 def _group_estimates(table: ObservationTable, fits: NuisanceRows, group: list,
@@ -347,22 +395,32 @@ def _replicate_rows(table: ObservationTable, fits: NuisanceRows, group: list,
     exception) and, with ``top``, largest source weights.  Per block of
     ``_block_step`` points a continuous group goes on every row at once
     (``_group_estimates``), binary replicates one at a time on their drawn
-    rows (``_replicate_terms``).  A block that raises reruns by replicate,
-    then by point, so each replicate-point gets what it would alone."""
+    rows (``_replicate_sums``; ``_replicate_terms`` for ``aug-alt``).  A block
+    that raises reruns by replicate, then by point, so each replicate-point
+    gets what it would alone."""
     shape = (len(group), grid.size)
     out = (np.full(shape, np.nan), np.full(shape, None, dtype=object),
            np.full(shape, np.nan) if top and estimator != "cl" else None)
-    drawn = [_drawn_rows(table, fits, r) for r in group] if fits.g is not None else None
+    drawn = form = None
+    if fits.g is not None:
+        drawn = ([_drawn_forms(table, fits, r) for r in group] if estimator == "aug-alt"
+                 else _drawn_rows(table, fits, group, estimator))
+        if top and estimator == "aug":  # max_weight from the per-row source weights
+            form = _drawn_forms(table, fits, group[0])[-1][1]
 
     def evaluate(reps: slice, points: slice):  # a block's terms die with its call
         eta = grid[points, None]
         if drawn is None:
             est, weights, failed = _group_estimates(table, fits, group[reps], eta, estimator)
-        else:
-            _, _, est, weights, failed = zip(*[_replicate_terms(table, fits, r, eta, estimator, d)
-                                               for r, d in zip(group[reps], drawn[reps])])
+        elif estimator == "aug-alt":
+            est, weights, failed = zip(*[_replicate_terms(table, fits, r, eta, d)
+                                         for r, d in zip(group[reps], drawn[reps])])
             failed = None if all(f is None for f in failed) else np.array(
                 [[None] * len(eta) if f is None else f for f in failed], dtype=object)
+        else:
+            scales = binary_scales(eta)
+            est = [_replicate_sums(d, eta, *scales) for d in drawn[reps]]
+            weights, failed = None if form is None else [form.weight(eta)], None
         return est, failed, None if out[2] is None else [w.max(axis=-1) for w in weights]
 
     step = _block_step(table)
@@ -401,10 +459,10 @@ def _replicate_matrix(table: ObservationTable, recipe, grid: np.ndarray, estimat
     design needs fails like the table it stands for: a leave-one-out one
     fails the jackknife, and a bootstrap where every replicate lacks one
     fails.
-    The usable ones go in groups of max(1, _BLOCK_CELLS // Kn), K the points
-    of a grid block: ``_replicate_rows`` evaluates a continuous group on
-    every row at once and binary replicates on their drawn rows, and its
-    (G, K) estimates and failures fill the matrices by array operations.
+    ``_replicate_rows`` evaluates a chunk's usable binary replicates, or a
+    continuous group of max(1, _BLOCK_CELLS // Kn), K the points of a grid
+    block; its (G, K) estimates and failures fill the matrices by array
+    operations.
     """
     from .resampling import jackknife_size, replicate_counts
 
@@ -426,8 +484,9 @@ def _replicate_matrix(table: ObservationTable, recipe, grid: np.ndarray, estimat
                 why[reps[i]] = type(exc).__name__
         usable = [i for i, exc in enumerate(fits.errors) if exc is None]
         unusable += sum(fits.lacks_stratum)
-        for b_lo in range(0, len(usable), batch):
-            group = usable[b_lo:b_lo + batch]
+        size = batch if fits.g is None else max(1, len(usable))  # binary: one group
+        for b_lo in range(0, len(usable), size):
+            group = usable[b_lo:b_lo + size]
             values, failed, _ = _replicate_rows(table, fits, group, grid, estimator)
             rows, ok = lo + np.asarray(group), np.isfinite(values)
             est[rows] = np.where(ok, values, np.nan)

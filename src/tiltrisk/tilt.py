@@ -192,6 +192,14 @@ def _exponent_overflow(zmax) -> TiltOverflowError:
     )
 
 
+def binary_scales(eta: np.ndarray) -> tuple:
+    """(x, y) at a (K, 1) eta column, with x g + y (1 - g) = y (e^eta g + 1 - g):
+    (e^eta, 1) up to eta = 30, else (1, e^-eta); y is None if no |eta| > 30."""
+    up = eta > _STABLE_EXP
+    x, y = np.exp(np.where(up, 0.0, eta)), np.exp(np.where(up, -eta, 0.0))
+    return x, None if np.abs(eta).max() <= _STABLE_EXP else y
+
+
 def _rows(g, l1=None, l0=None) -> tuple:
     """The eta-free terms of rows: g (checked to lie in [0, 1]) and 1 - g,
     and with the losses l1 = L(1, h) and l0 = L(0, h) also l1, l0 and
@@ -249,9 +257,9 @@ def _tilted(g, h, eta):
     return out if out.ndim else float(out)
 
 
-def _b(g, h, l1, l0, l0h, eta) -> tuple:
-    """(b, ``_ratio``'s terms) at eta."""
-    eta, w, den, mid = ratio = _ratio(g, h, eta)
+def _b(g, h, l1, l0, l0h, eta):
+    """b at eta: a float for a scalar eta on scalar rows."""
+    eta, w, den, mid = _ratio(g, h, eta)
     out = l1 * w
     out *= g
     out += l0h
@@ -260,7 +268,7 @@ def _b(g, h, l1, l0, l0h, eta) -> tuple:
         # express through the tilted probability, which is already stable
         t = _far(g, h, eta)
         out = np.where(np.abs(eta) <= _STABLE_EXP, out, t * l1 + (1.0 - t) * l0)
-    return out, ratio
+    return out if out.ndim else float(out)
 
 
 def _normalizer(g, h, eta):
@@ -276,11 +284,13 @@ def _normalizer(g, h, eta):
 
 
 class BinaryTilt:
-    """The binary closed forms (identity q) at any eta on fixed rows.
+    """The binary closed forms (identity q) at any eta on fixed rows, row by
+    row, for the anchor, ``aug-alt`` and the ``max_weight`` diagnostic (a
+    sweep sums ``cl`` and ``aug`` from eta-free rows; see ``estimators``).
 
     Holds the eta-free terms of the rows, computed once: g (checked to lie
     in [0, 1]) and 1 - g; with the losses l1 = L(1, h) and l0 = L(0, h),
-    also l0 (1 - g); with source outcomes y, which rows have y = 1; with p,
+    also l0 (1 - g); with source outcomes y, the rows with y = 1; with p,
     the inverse odds (1 - p)/p.  Each method takes a scalar eta, giving
     values shaped like the rows, or a (K, 1) column, giving (K, m) values.
     Per eta, a value is exact at eta = 0, a ratio for |eta| <= 30 and
@@ -297,7 +307,7 @@ class BinaryTilt:
             self.l1 = self.l0 = self.l0h = None
         else:
             self.g, self.h, self.l1, self.l0, self.l0h = _rows(g, l1, l0)
-        self.y1 = None if y is None else np.asarray(y) == 1.0
+        self.y1 = None if y is None else np.flatnonzero(np.asarray(y) == 1.0)
         self.odds = None if p is None else (1.0 - np.asarray(p, dtype=np.float64)) / p
 
     def tilted(self, eta):
@@ -306,8 +316,7 @@ class BinaryTilt:
 
     def b(self, eta):
         """Tilted conditional risk (l1 e^eta g + l0 (1 - g)) / (e^eta g + 1 - g)."""
-        out = _b(self.g, self.h, self.l1, self.l0, self.l0h, eta)[0]
-        return out if out.ndim else float(out)
+        return _b(self.g, self.h, self.l1, self.l0, self.l0h, eta)
 
     def c(self, eta):
         """Tilted normalizer e^eta g + 1 - g."""
@@ -319,19 +328,21 @@ class BinaryTilt:
         exponent past the float64 range."""
         eta = TiltSpec(_as_array(eta)).eta
         zmax = max(eta.ravel().tolist())
-        if zmax > _LOG_MAX and self.y1.any():
+        if zmax > _LOG_MAX and self.y1.size:
             raise _exponent_overflow(zmax)
+        out = np.ones(np.broadcast(eta, self.g).shape)
         with np.errstate(over="ignore"):  # e^eta overflows only where no y = 1 takes it
-            return np.where(self.y1, np.exp(eta), 1.0)
+            out[..., self.y1] = np.exp(eta)  # faster than np.where on many rows
+        return out
 
-    def b_weight(self, eta) -> tuple:
-        """b and the augmented source weight (1 - p)/p e^{eta y} / c at
-        eta; c equals b's denominator wherever |eta| <= 30."""
-        b, (eta, _, den, mid) = _b(self.g, self.h, self.l1, self.l0, self.l0h, eta)
+    def weight(self, eta) -> np.ndarray:
+        """The augmented source weight (1 - p)/p e^{eta y} / c at eta; c is
+        b's denominator wherever |eta| <= 30."""
+        eta, _, den, mid = _ratio(self.g, self.h, eta)
         weight = self.tilt(eta)
         weight *= self.odds
         weight /= den if mid else np.where(np.abs(eta) <= _STABLE_EXP, den, self.c(eta))
-        return b, weight
+        return weight
 
 
 def tilted_bernoulli(g, eta):
@@ -356,8 +367,7 @@ def binary_b(l1, l0, g, eta):
     (l1*e^eta*g + l0*(1-g)) / (e^eta*g + 1-g).  Always lies between l0 and
     l1; tends to l1 as eta -> +inf and to l0 as eta -> -inf.  Per eta.
     """
-    out = _b(*_rows(g, l1, l0), eta)[0]
-    return out if out.ndim else float(out)
+    return _b(*_rows(g, l1, l0), eta)
 
 
 def selection_a(p_source, c):

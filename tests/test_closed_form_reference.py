@@ -4,11 +4,20 @@ they replaced.
 ``BinaryTilt`` computes the eta-free terms of the closed forms once per
 fit; before, every eta point rechecked g and recomputed 1 - g, l0 (1 - g),
 the p odds, b and c on every row and the (K, n1) tilt e^{eta y}.  The
-functions below are that code, kept verbatim as the reference.  The new
-path keeps each operation and its order, so every value must be equal bit
-for bit, and every error must carry the same text.  The one difference is
-a shape: an eta column of zeros now gives (K, m) values where the old
-forms gave the (m,) row that broadcasts to them.
+functions below are that code, kept verbatim as the reference.  The closed
+forms, the source weights, ``estimate``, the influence values, the anchor
+solves and every ``aug-alt`` value keep each operation and its order, so
+they must be equal bit for bit, and every error must carry the same text.
+The one difference in shape: an eta column of zeros now gives (K, m) values
+where the old forms gave the (m,) row that broadcasts to them.
+
+A sweep's ``cl`` and ``aug`` estimates (``sensitivity_curve`` and the
+replicates of ``_replicate_rows``) are not sums of these per-row terms:
+they come from a few count-weighted sums of eta-free coefficient rows
+(``estimators._replicate_sums``), which orders the arithmetic differently.
+They are held to the bound of ``test_kernel_reference``, 1e-12 times the
+larger of one and the magnitude of the terms summed; their statuses, error
+classes and texts, NaN cells and ``max_weight`` stay exact.
 
 The etas cover the exact zero (both signs), the ratio forms up to
 |eta| = 30, the rearranged forms beyond and the float64 exponent limit;
@@ -24,7 +33,7 @@ from tiltrisk import estimators
 from tiltrisk.data import build_table
 from tiltrisk.errors import DomainError, TiltOverflowError
 from tiltrisk.estimators import (
-    _replicate_terms,
+    _replicate_rows,
     estimate,
     influence_values,
     sensitivity_curve,
@@ -179,7 +188,10 @@ def old_replicate_terms(table, fits, r, eta, estimator):
     r_t, r_s = old_kernel(nested, b_t, b_s, weight, table.loss[src])
     c_t, c_s = cnt[tgt], cnt[src]
     s_sum = 0.0 if r_s is None else np.add.reduce(r_s * c_s, axis=-1)
-    return ((r_t * c_t).sum(axis=-1) + s_sum) / (c_t.sum() + c_s.sum() if nested else c_t.sum())
+    s_abs = 0.0 if r_s is None else np.add.reduce(np.abs(r_s) * c_s, axis=-1)
+    den = c_t.sum() + c_s.sum() if nested else c_t.sum()
+    return (((r_t * c_t).sum(axis=-1) + s_sum) / den,
+            ((np.abs(r_t) * c_t).sum(axis=-1) + s_abs) / den)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +205,23 @@ def assert_bits(new, old):
     old = np.array(np.broadcast_to(np.asarray(old, dtype=np.float64), new.shape))
     assert np.array_equal(new.view(np.int64), old.view(np.int64)), \
         f"max |diff| {np.nanmax(np.abs(new - old), initial=0.0)}"
+
+
+# The bound of ``test_kernel_reference`` on a sum of terms of this magnitude
+TOL = 1e-12
+
+
+def assert_close(new, old, scale, exact):
+    """Bit for bit if ``exact``, else within TOL * max(1, scale); NaN
+    matches NaN."""
+    if exact:
+        assert_bits(new, old)
+        return
+    new, old = np.broadcast_arrays(np.asarray(new, dtype=np.float64), old)
+    assert np.array_equal(np.isnan(new), np.isnan(old))
+    ok = ~np.isnan(old)
+    bound = TOL * np.maximum(1.0, np.broadcast_to(scale, old.shape)[ok])
+    assert np.all(np.abs(new[ok] - old[ok]) <= bound), np.abs(new[ok] - old[ok]).max()
 
 
 def outcome(fn):
@@ -295,7 +324,7 @@ class TestClosedForms:
         p = np.random.default_rng(4).uniform(0.01, 0.99, g.size)
         src = BinaryTilt(g, l1, l0, y, p)
         old_c = lambda: np.asarray(old_binary_c(g, eta))
-        assert_same_outcome(lambda: src.b_weight(eta),
+        assert_same_outcome(lambda: (src.b(eta), src.weight(eta)),
                             lambda: (old_binary_b(l1, l0, g, eta),
                                      old_source_weight("aug", y, eta, None, p, old_c, None)))
         a = lambda: np.zeros(g.size)
@@ -306,7 +335,7 @@ class TestClosedForms:
         src = BinaryTilt(self.G, self.L1, self.L0, np.ones(16), np.full(16, 0.5))
         for eta in (np.array([[0.5], [np.inf]]), np.asarray(np.nan)):
             with pytest.raises(DomainError) as new:
-                src.b_weight(eta)
+                src.weight(eta)
             with pytest.raises(DomainError) as old:
                 tilt_weight(np.ones(16), TiltSpec(eta))
             assert str(new.value) == str(old.value)
@@ -331,14 +360,18 @@ class TestEstimators:
     def test_sensitivity_curve(self, design, estimator):
         """The grid runs as one block, fails (at least at 710 and 800 with
         weights) and reruns one point at a time; every point matches the
-        old block evaluation, where a non-finite estimate is a failed point."""
+        old block evaluation, where a non-finite estimate is a failed point:
+        ``aug-alt`` and ``max_weight`` bit for bit, ``cl`` and ``aug`` within
+        the bound."""
         table, nuis = fitted(design)
         grid = np.sort(np.array(ETAS + EXTREME))
+        n = table.n if design == "nested" else table.n0
 
         def evaluate(block):
-            _, _, est, weight = old_terms(table, nuis, block, estimator)
+            r_t, r_s, est, weight = old_terms(table, nuis, block, estimator)
+            scale = np.abs(r_t).sum(axis=-1) + (0.0 if r_s is None else np.abs(r_s).sum(axis=-1))
             return list(zip(est, [None] * est.size if weight is None
-                            else np.atleast_2d(weight).max(axis=1)))
+                            else np.atleast_2d(weight).max(axis=1), scale / n))
 
         with np.errstate(all="ignore"):
             curve = sensitivity_curve(table, nuis, grid, estimator)
@@ -352,7 +385,7 @@ class TestEstimators:
                 assert point.status == "failed: non-finite estimate" and not point.ok
                 continue
             assert point.status == "ok"
-            assert_bits(point.result.estimate, ref[0])
+            assert_close(point.result.estimate, ref[0], ref[2], estimator == "aug-alt")
             if ref[1] is not None:
                 assert_bits(point.result.diagnostics["max_weight"], ref[1])
 
@@ -385,16 +418,23 @@ class TestEstimators:
                 assert changed == (name in reads), name
 
     def test_replicate_terms(self, design, estimator):
+        """Each replicate's estimates at an eta column, its cells failing
+        with the old column's error: ``aug-alt`` bit for bit, ``cl`` and
+        ``aug`` within the bound."""
         table = random_binary_table(np.random.default_rng(5), n=80, design=design)
         counts = replicate_counts(table, ResampleConfig(replicates=4, seed=9), range(4))
         fits = recipe().fit_counts(table, counts)
         for r in range(4):
             fits.g[r, table.target_rows[:4]] = G_EDGES
             for etas in (ETAS, (0.0, -0.0), (800.0,), (-800.0,)):
-                eta = column(etas)
-                assert_same_outcome(
-                    lambda: _replicate_terms(table, fits, r, eta, estimator)[2],
-                    lambda: old_replicate_terms(table, fits, r, eta, estimator))
+                est, failed, _ = _replicate_rows(table, fits, [r], np.array(etas), estimator)
+                kind, old = outcome(lambda: old_replicate_terms(table, fits, r, column(etas),
+                                                                estimator))
+                if kind != "ok":
+                    assert [(type(e), str(e)) for e in failed[0]] == [(kind, old)] * len(etas)
+                    continue
+                assert all(e is None for e in failed[0])
+                assert_close(est[0], old[0], old[1], estimator == "aug-alt")
 
 
 @pytest.mark.parametrize("design", ("non-nested", "nested"))

@@ -501,6 +501,21 @@ class TestCli:
         assert rc == 2
         assert "exactly one of eta_grid or anchor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, other, design", [("mu", "alpha", "non-nested"),
+                                                      ("alpha", "mu", "nested")])
+    def test_anchor_flag_replaces_the_config_anchor_kind(self, tmp_path, capsys, kind, other,
+                                                         design):
+        write_toy(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(toy_config(
+            tmp_path, design=design, eta_grid=None,
+            anchor={other: 0.4, "multipliers": [1.0, 1.2], "step": 0.5}).to_dict()))
+        assert cli_main(["analyze", "--config", str(cfg_path), f"--anchor-{kind}", "0.3"]) == 0
+        capsys.readouterr()
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["config"]["anchor"] == {"mu": None, "alpha": None, kind: 0.3,
+                                              "multipliers": [1.0, 1.2], "step": 0.5}
+
     @pytest.mark.parametrize("flag", [["--step", "0.5"], ["--multipliers", "1,1.2"]])
     @pytest.mark.parametrize("from_file", [True, False])
     def test_block_flag_without_a_block_exits_2(self, tmp_path, capsys, flag, from_file):

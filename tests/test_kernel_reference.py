@@ -17,6 +17,13 @@ and the magnitude of the terms summed, the scale of the rounding error of
 any summation order.  A point that fails must fail in both with the same
 exception class.  The grid path of ``sensitivity_curve``, which evaluates
 blocks of eta at once, must agree point by point with the same reference.
+
+A binary replicate weights row i by its count c_i (zero for a row it does
+not draw, more than one for a repeated row); its estimate is
+sum(c r)/sum(c) over the target rows (non-nested) or every row (nested),
+with the terms r at that replicate's fitted g and p.  ``_replicate_matrix``
+sums it from eta-free coefficient rows instead, and must agree with the
+count-weighted reference in the same way.
 """
 
 import math
@@ -30,6 +37,7 @@ from tiltrisk import estimators
 from tiltrisk.data import build_table
 from tiltrisk.estimators import estimate, influence_values, sensitivity_curve
 from tiltrisk.nuisance import DesignSpec, NuisanceRecipe, NuisanceSet
+from tiltrisk.resampling import ResampleConfig, replicate_counts
 from tiltrisk.tilt import LossFunction, PredictionModel
 
 ETAS = (-40.0, -31.0, -30.0, -1.0, 0.0, 0.7, 30.0, 31.0, 40.0)
@@ -238,3 +246,45 @@ def test_kernel_matches_scalar_reference_random_tables(seed, n, design, outcome_
     rng = np.random.default_rng(seed)
     table = random_table(rng, design, outcome_kind, n=n)
     check_all(table, hand_built_set(rng, table, outcome_kind))
+
+
+def binary_reference(table, g, p, counts, estimator, eta):
+    """(estimate, magnitude of the summed terms) of one binary replicate:
+    the scalar closed forms b and c at its g, the terms r and their sums
+    weighted by ``counts`` (a row it does not draw weighs zero)."""
+    s, loss, nested = [int(v) for v in table.s], floats(table.loss), table.design == "nested"
+    qy = floats(table.y)  # binary: q is the identity (NaN on target rows, never read)
+    l1, l0, g, e = floats(table.loss1), floats(table.loss0), floats(g), math.exp(eta)
+    c = [e * gi + 1.0 - gi for gi in g]
+    b = [(l1[i] * e * g[i] + l0[i] * (1.0 - g[i])) / c[i] for i in range(len(s))]
+    r, _ = reference_terms(s, loss, qy, floats(p), b, c, None, nested, estimator, eta)
+    counts = floats(counts)
+    den = math.fsum(ci for ci, si in zip(counts, s) if nested or si == 0)
+    return (math.fsum(ci * ri for ci, ri in zip(counts, r)) / den,
+            max(1.0, math.fsum(ci * abs(ri) for ci, ri in zip(counts, r)) / den))
+
+
+@pytest.mark.parametrize("estimator", ("cl", "aug"))
+@pytest.mark.parametrize("design", ("non-nested", "nested"))
+def test_binary_replicates_match_count_weighted_reference(design, estimator):
+    rng = np.random.default_rng(2306_08085)
+    table = random_table(rng, design, "binary")
+    cols = DesignSpec((0, 1))
+    recipe = NuisanceRecipe(outcome="binary", loss=LossFunction("brier"), p_design=cols,
+                            g_design=cols)
+    resample = ResampleConfig(replicates=12, seed=4, stratified=False)
+    counts = replicate_counts(table, resample, range(resample.replicates))
+    assert (counts == 0).any() and (counts > 1).any()
+    fits = recipe.fit_counts(table, counts)
+    est, why = estimators._replicate_matrix(table, recipe, np.array(ETAS), estimator, resample)
+    for r in range(resample.replicates):
+        for j, eta in enumerate(ETAS):
+            if fits.errors[r] is not None:
+                assert why[r, j] == type(fits.errors[r]).__name__
+                continue
+            ref, ref_err = outcome(lambda: binary_reference(table, fits.g[r], fits.p[r],
+                                                            counts[r], estimator, eta))
+            assert why[r, j] == (None if ref_err is None else ref_err.__name__), (r, eta)
+            if ref_err is None:
+                value, scale = ref
+                assert abs(est[r, j] - value) <= TOL * scale, (r, eta, est[r, j], value)

@@ -476,21 +476,32 @@ class TestNewtonFailures:
                 f"{lost} replicates skipped (ConvergenceError: {lost})")
 
 
+BLOCK_GRID = np.array([-1.0, -0.3, 0.0, 0.4, 1.1])
+# binary cl and aug sum every eta by one route: also the rearranged forms
+# past |eta| = 30 and the exact zero, in blocks that mix them
+FAR_BLOCK_GRID = np.array([-31.0, -1.0, 0.0, 0.4, 31.0])
+
 # every estimator; the aug-alt cases keep the ids they had before the
 # estimator was a parameter
 BLOCK_CASES = [
-    pytest.param(block_cells, method, outcome_kind, basis, estimator,
+    pytest.param(block_cells, method, outcome_kind, basis, estimator, BLOCK_GRID,
                  id="-".join([basis, outcome_kind, method, str(block_cells)]
                              + ([] if estimator == "aug-alt" else [estimator])))
     for estimator in ("aug-alt", "cl", "aug") for basis in ("linear", "spline")
     for outcome_kind in ("binary", "continuous") for method in ("bootstrap", "jackknife")
     for block_cells in (2, 130, 700, 1300)
+] + [
+    pytest.param(block_cells, method, "binary", basis, estimator, FAR_BLOCK_GRID,
+                 id="-".join([basis, "binary", method, str(block_cells), estimator, "far"]))
+    for estimator in ("cl", "aug") for basis in ("linear", "spline")
+    for method in ("bootstrap", "jackknife") for block_cells in (2, 130, 700, 1300)
 ]
 
 
-@pytest.mark.parametrize("block_cells, method, outcome_kind, basis, estimator", BLOCK_CASES)
+@pytest.mark.parametrize("block_cells, method, outcome_kind, basis, estimator, grid",
+                         BLOCK_CASES)
 def test_replicate_values_do_not_depend_on_blocks(block_cells, method, outcome_kind, basis,
-                                                  estimator, monkeypatch):
+                                                  estimator, grid, monkeypatch):
     # at n = 40, 2 cells: one replicate a chunk, one eta a block; 130: one
     # replicate, three etas; 700: four replicates, all five etas; 1300: eight
     # replicates.  The module's size fits every replicate in one chunk.
@@ -498,7 +509,6 @@ def test_replicate_values_do_not_depend_on_blocks(block_cells, method, outcome_k
     rng = np.random.default_rng(15)
     table = make_table(rng, 40, "nested", outcome_kind)
     recipe = make_recipe(outcome_kind, basis, a_basis="linear")
-    grid = np.array([-1.0, -0.3, 0.0, 0.4, 1.1])
     resample = ResampleConfig(method=method, replicates=9, seed=8)
     whole = _replicate_matrix(table, recipe, grid, estimator, resample)
     assert np.isfinite(whole[0]).any()
