@@ -14,17 +14,22 @@ for the selection-offset ``aug-alt``.  The estimate is sum(r)/n0
 (non-nested) or sum(r)/n (nested); the same terms give the per-row
 influence values behind the sandwich standard error.
 
-A sweep evaluates a fitted nuisance set as replicate 0 of its fits (row
-counts all one) by the same code as the resampling replicates; estimates,
-influence values and hand-built sets read a set's b, c and a, which for a
-fitted set are replicate 0's values bit for bit.
+A sweep, and ``estimate`` as its one-point grid, evaluates a fitted set
+as replicate 0 of its fits (row counts all one) by the code that sweeps
+the resampling replicates, so a fitted set's estimate is its curve's bit
+for bit.  Influence values, hand-built sets and ``dataclasses.replace``
+copies read a set's b, c and a (``_terms``).
 
-A binary sweep sums ``cl`` and ``aug`` from eta-free rows.  With
+A binary sweep sums every estimator from eta-free rows.  With
 D = e^eta g + 1 - g and the tilted probability t = e^eta g / D, b is
-l0 + (l1 - l0) t and the aug source term w (L - b) is e^eta k / D^2, where
-k = n (1-p)/p (l1 - l0) times 1 - g (y = 1) or -g (y = 0), n the row count.
-So n0 (or n) times an estimate is sum_t n l0 + sum_t n (l1 - l0) t, plus
-sum_s e^eta k / D^2 (aug) and sum_s n L (nested); aug-alt sums per-row terms.
+l0 + (l1 - l0) t, and n (L - b) on a source row is e^{eta (1-y)} k'' / D,
+where k'' = n (l1 - l0) times 1 - g (y = 1) or -g (y = 0), n the row count.
+So the aug source term is e^eta k / D^2 with k = k'' (1-p)/p, and the
+aug-alt one e^a e^eta k'' / D: n0 (or n) times an estimate is
+sum_t n l0 + sum_t n (l1 - l0) t + sum_s (source terms) (+ sum_s n L,
+nested).  A derived offset has e^a = ((1-p)/p)/c, so derived aug-alt is
+summed as aug; a moment-fitted one scales k'' by e^a.  ``max_weight``
+comes from the same D.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import numpy as np
 from .data import ObservationTable
 from .errors import NUMERIC_FAILURES, ConfigError, NumericError
 from .nuisance import C_FLOOR, NuisanceRows, NuisanceSet
-from .tilt import BinaryTilt, TiltSpec, binary_c, binary_scales, selection_a, tilt_weight
+from .tilt import TiltSpec, binary_c, binary_scales, selection_a, tilt_weight
 
 _CLIP_TOL = 1e-12
 
@@ -193,7 +198,10 @@ def estimate(
     table: ObservationTable, nuis: NuisanceSet, eta: float, estimator: str
 ) -> EstimateResult:
     """Risk estimate at one eta: ``cl``, ``aug`` or ``aug-alt``, for the
-    table's design, from the set's fields (for a fitted set, replicate 0's).
+    table's design.  A fitted set's is the one-point grid of
+    ``sensitivity_curve`` (``_grid_terms``), so its estimate and diagnostics
+    equal its curve's bit for bit, and a failed point raises its failure; a
+    hand-built set's comes from one pass of ``_terms`` at the scalar eta.
 
     Warns when p sits at its clipping bound on more than half of the
     source rows; the ``positivity_warning`` diagnostic records the same.
@@ -201,11 +209,20 @@ def estimate(
     as in ``influence_values`` and ``sensitivity_curve``.
     """
     _check(table, nuis, estimator)
-    _, _, est, weight = _terms(table, nuis, eta, estimator)
-    diag = {}
-    if weight is not None:
-        diag = _point_diagnostics(table, np.reshape(est, 1), np.reshape(weight.max(), 1),
-                                  _clip(table, nuis, estimator))[0]
+    if nuis._fits is None:  # a one-point grid costs half as much again per call
+        _, _, est, weight = _terms(table, nuis, eta, estimator)
+        diag = {} if weight is None else _point_diagnostics(
+            table, np.reshape(est, 1), np.reshape(weight.max(), 1),
+            _clip(table, nuis, estimator))[0]
+    else:
+        if estimator != "cl":
+            TiltSpec(eta)  # a non-finite eta fails as the weights' tilt does
+        out = _grid_terms(table, nuis, np.array([eta], dtype=np.float64), estimator,
+                          _clip(table, nuis, estimator))[0]
+        if isinstance(out, Exception):
+            raise out
+        est, diag = out
+    if diag:
         _warn_positivity(diag)
     return EstimateResult(eta=eta, estimate=float(est), method=f"{estimator}/{table.design}",
                           diagnostics=diag)
@@ -218,8 +235,8 @@ def influence_values(
 
     Non-nested: (r - plugged on target rows) * n/n0; nested: r - plugged.
     With the matching augmented estimate plugged in, the values average to
-    zero and sqrt(mean(values^2) / n) is the sandwich standard error.  As
-    in ``estimate``, the terms read the set's p, b and c.
+    zero and sqrt(mean(values^2) / n) is the sandwich standard error.  The
+    terms read the set's p, b and c (for a fitted set, replicate 0's).
     """
     _check(table, nuis)
     r_t, r_s, _, _ = _terms(table, nuis, eta, "aug")
@@ -255,7 +272,8 @@ def _block_step(table: ObservationTable) -> int:
 def _grid_terms(table, nuis, grid: np.ndarray, estimator: str, clip: dict) -> list:
     """(estimate, diagnostics) at every grid point, or the numeric failure
     the point raised: a fitted set's as replicate 0 of its fits, a
-    hand-built set's block by block through its fields."""
+    hand-built (or ``replace``d) set's block by block through its fields
+    (``_terms``)."""
     if nuis._fits is not None:
         est, failed, top = (None if v is None else v[0] for v in
                             _replicate_rows(table, nuis._fits, [0], grid, estimator, top=True))
@@ -275,27 +293,14 @@ def _grid_terms(table, nuis, grid: np.ndarray, estimator: str, clip: dict) -> li
 # ---------------------------------------------------------------------------
 
 
-def _drawn_forms(table: ObservationTable, fits: NuisanceRows, r: int) -> tuple:
-    """Binary replicate r's eta-free state for ``aug-alt``: its drawn target
-    and source rows, their counts, the drawn source losses, its estimates'
-    denominator and the ``BinaryTilt`` forms of the drawn rows."""
-    cnt = fits.counts[r]
-    tgt = fits.rows_drawn(r, table.target_rows)
-    src = fits.rows_drawn(r, table.source_rows)
-    c_t, c_s = cnt[tgt], cnt[src]
-    den = c_t.sum() + c_s.sum() if table.design == "nested" else c_t.sum()
-    (l1, l0), g = fits.losses, fits.g[r]
-    forms = (BinaryTilt(g[tgt], l1[tgt], l0[tgt]),
-             BinaryTilt(g[src], l1[src], l0[src], table.y[src], fits.p[r, src]))
-    return tgt, src, (c_t, c_s), table.loss[src], den, forms
-
-
 def _drawn_rows(table: ObservationTable, fits: NuisanceRows, group: list,
-                estimator: str) -> list:
+                estimator: str, top: bool = False) -> list:
     """Per binary replicate of ``group``, ``_replicate_sums``'s eta-free rows
-    over the target, then (``aug``) source rows it draws: g, 1 - g and the
-    coefficients n (l1 - l0) and k; the eta-free sum, the number of target
-    rows, the denominator and whether a drawn source row has y = 1."""
+    over the target, then (``aug``, ``aug-alt``) source rows it draws: g,
+    1 - g and the coefficients n (l1 - l0), then k (``aug``) or k''; the
+    eta-free sum, the number of target rows, the denominator, the replicate,
+    and on its drawn source rows whether y = 1 and (``aug`` with ``top``)
+    (1-p)/p where y = 1 and where y = 0 (else 0)."""
     nested, (l1, l0) = table.design == "nested", fits.losses
     tgt, src, cnt = table.target_rows, table.source_rows, fits.counts[group]
     rows, n_t = tgt if estimator == "cl" else np.r_[tgt, src], tgt.size
@@ -307,49 +312,67 @@ def _drawn_rows(table: ObservationTable, fits: NuisanceRows, group: list,
     den = (cnt if nested else c_t).sum(axis=1)
     g, c_rows = fits.g[group].take(rows, axis=1), cnt.take(rows, axis=1)
     coef = c_rows * (l1 - l0)[rows]
-    if estimator == "aug":
-        p, g_s = fits.p[group].take(src, axis=1), g[:, n_t:]
-        coef[:, n_t:] *= (1.0 - p) / p * np.where(table.y[src] == 1.0, 1.0 - g_s, -g_s)
-    drawn = c_rows > 0
-    y1 = ((c_s > 0) & (table.y[src] == 1.0)).any(axis=1)
+    y1, odds = table.y[src] == 1.0, None
+    if estimator != "cl":
+        if estimator == "aug":
+            odds = fits.p[group].take(src, axis=1)
+            odds = (1.0 - odds) / odds
+        g_s = g[:, n_t:]
+        coef[:, n_t:] *= (1.0 if odds is None else odds) * np.where(y1, 1.0 - g_s, -g_s)
+    odds = odds if top else None  # held per replicate only for max_weight
+    drawn, drawn_s = c_rows > 0, c_s > 0
     n_drawn = drawn[:, :n_t].sum(axis=1)
-    return [(g[j, d], 1.0 - g[j, d], coef[j, d], fixed[j], n_drawn[j], den[j], y1[j])
-            for j, d in enumerate(drawn)]
+    return [(g[j, d], 1.0 - g[j, d], coef[j, d], fixed[j], n_drawn[j], den[j], r, y1[s],
+             None if odds is None else (odds[j, s] * y1[s], odds[j, s] * ~y1[s]))
+            for j, (r, d, s) in enumerate(zip(group, drawn, drawn_s))]
 
 
-def _replicate_sums(drawn: tuple, eta: np.ndarray, x, y) -> np.ndarray:
-    """A binary replicate's ``cl`` or ``aug`` estimates at a (K, 1) eta column
-    and its ``tilt.binary_scales``: with D = x g + y (1 - g), t = x g / D on
-    the target rows (g where D underflows to 0) and k x y / D^2 on the
-    source rows, summed with ``_drawn_rows``'s coefficients."""
-    g, h, coef, fixed, n_t, den, y1 = drawn
-    if y is not None and n_t < g.size:  # aug raises as its weights: tilt, then c
-        tilt_weight(float(y1), TiltSpec(eta))
-        binary_c(0.0, eta)
+def _replicate_sums(drawn: tuple, eta: np.ndarray, x, y, offset: Optional[Callable] = None,
+                    top: bool = False) -> tuple:
+    """A binary replicate's estimates at a (K, 1) eta column and its
+    ``tilt.binary_scales``: with D = x g + y (1 - g), t = x g / D on the
+    target rows (g where D underflows to 0) and, on the source rows,
+    k x y / D^2 (``aug``) or e^a k'' x / D (``aug-alt``, a and its failures
+    from ``offset(eta, r)``), summed with ``_drawn_rows``'s coefficients.
+    Also the offset's (K,) failures (else None) and, with ``top``, the
+    largest source weight per eta (else None): (1-p)/p (x where y = 1, else
+    y) / D, or e^a e^{eta y}."""
+    g, h, coef, fixed, n_t, den, r, y1, odds = drawn
+    failed = tops = None
+    if n_t < g.size:  # aug and aug-alt raise as their weights: tilt, then c or the offset
+        if y is not None:
+            tilt_weight(float(y1.any()), TiltSpec(eta))
+            if offset is None:
+                binary_c(0.0, eta)
+        if offset is not None:
+            a, failed = offset(eta, r)
+            ea = np.exp(a)
     f = x * g
     d = f + h if y is None else np.add(y * h, f)
+    f_s, d_s = f[:, n_t:], d[:, n_t:]
     with np.errstate(divide="ignore", invalid="ignore"):  # only where D is 0
         np.divide(f[:, :n_t], d[:, :n_t], out=f[:, :n_t])
-        np.divide(x if y is None else x * y, d[:, n_t:], out=f[:, n_t:])
-        f[:, n_t:] /= d[:, n_t:]
+        if offset is None:
+            np.divide(x if y is None else x * y, d_s, out=f_s)
+            f_s /= d_s
+        else:
+            np.divide(x, d_s, out=f_s)
+            f_s *= ea
     if y is not None:
         np.copyto(f[:, :n_t], g[:n_t], where=d[:, :n_t] == 0.0)
     # one product per eta, of fixed shape: its value does not depend on K
-    return (fixed + (f[:, None] @ coef[:, None])[:, 0, 0]) / den
-
-
-def _replicate_terms(table: ObservationTable, fits: NuisanceRows, r: int, eta,
-                     drawn: tuple) -> tuple:
-    """``aug-alt`` for replicate r of binary ``fits`` on the rows it draws
-    (``drawn``, from ``_drawn_forms``), by the closed forms per row, summed
-    with the counts: the estimates, the source weights and a moment-fitted
-    offset's failures per eta (else None)."""
-    tgt, src, (c_t, c_s), loss_s, den, (form_t, form_s) = drawn
-    b_t, tilt = form_t.b(eta), form_s.tilt(eta)
-    a, failed = (fits.a(eta, r, src), None) if fits.derived_a else fits.offset(eta, r, src)
-    weight = np.exp(a) * tilt
-    r_t, r_s = _kernel(table.design == "nested", b_t, form_s.b(eta), weight, loss_s)
-    return (_sum(r_t, c_t) + _sum(r_s, c_s)) / den, weight, failed
+    est = (fixed + (f[:, None] @ coef[:, None])[:, 0, 0]) / den
+    if top:
+        if offset is None:  # x or y times the odds, as one of the two odds is 0
+            weight = x * odds[0]
+            weight += odds[1] if y is None else y * odds[1]
+            with np.errstate(divide="ignore", invalid="ignore"):  # only where D is 0
+                weight /= d_s
+        else:
+            with np.errstate(over="ignore"):  # e^eta overflows only where no y = 1 takes it
+                weight = ea * np.where(y1, np.exp(eta), 1.0)
+        tops = weight.max(axis=-1)
+    return est, failed, tops
 
 
 def _group_estimates(table: ObservationTable, fits: NuisanceRows, group: list,
@@ -395,33 +418,31 @@ def _replicate_rows(table: ObservationTable, fits: NuisanceRows, group: list,
     exception) and, with ``top``, largest source weights.  Per block of
     ``_block_step`` points a continuous group goes on every row at once
     (``_group_estimates``), binary replicates one at a time on their drawn
-    rows (``_replicate_sums``; ``_replicate_terms`` for ``aug-alt``).  A block
-    that raises reruns by replicate, then by point, so each replicate-point
-    gets what it would alone."""
+    rows (``_replicate_sums``), where ``aug-alt`` with the offset derived
+    from p and c is ``aug``: e^a = ((1 - p)/p)/c.  A block that raises
+    reruns by replicate, then by point, so each replicate-point gets what
+    it would alone."""
     shape = (len(group), grid.size)
     out = (np.full(shape, np.nan), np.full(shape, None, dtype=object),
            np.full(shape, np.nan) if top and estimator != "cl" else None)
-    drawn = form = None
+    fitted_a = estimator == "aug-alt" and not fits.derived_a
+    drawn = None
     if fits.g is not None:
-        drawn = ([_drawn_forms(table, fits, r) for r in group] if estimator == "aug-alt"
-                 else _drawn_rows(table, fits, group, estimator))
-        if top and estimator == "aug":  # max_weight from the per-row source weights
-            form = _drawn_forms(table, fits, group[0])[-1][1]
+        drawn = _drawn_rows(table, fits, group,
+                            "aug" if estimator == "aug-alt" and not fitted_a else estimator, top)
+    offset = None if not fitted_a else (
+        lambda eta, r: fits.offset(eta, r, fits.rows_drawn(r, table.source_rows)))
 
     def evaluate(reps: slice, points: slice):  # a block's terms die with its call
         eta = grid[points, None]
         if drawn is None:
             est, weights, failed = _group_estimates(table, fits, group[reps], eta, estimator)
-        elif estimator == "aug-alt":
-            est, weights, failed = zip(*[_replicate_terms(table, fits, r, eta, d)
-                                         for r, d in zip(group[reps], drawn[reps])])
-            failed = None if all(f is None for f in failed) else np.array(
-                [[None] * len(eta) if f is None else f for f in failed], dtype=object)
-        else:
-            scales = binary_scales(eta)
-            est = [_replicate_sums(d, eta, *scales) for d in drawn[reps]]
-            weights, failed = None if form is None else [form.weight(eta)], None
-        return est, failed, None if out[2] is None else [w.max(axis=-1) for w in weights]
+            return est, failed, None if out[2] is None else [w.max(axis=-1) for w in weights]
+        scales = binary_scales(eta)
+        est, failed, tops = zip(*[_replicate_sums(d, eta, *scales, offset, out[2] is not None)
+                                  for d in drawn[reps]])
+        return (est, np.array(failed, dtype=object) if fitted_a else None,
+                None if out[2] is None else tops)
 
     step = _block_step(table)
     todo = [(slice(0, len(group)), slice(lo, lo + step)) for lo in range(0, grid.size, step)]

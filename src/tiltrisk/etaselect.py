@@ -6,9 +6,11 @@ whose implied tilted prevalence matches it.  The implied prevalence is
 strictly increasing in eta whenever any fitted g lies inside (0, 1), so
 the root is unique; Illinois (regula falsi) steps after geometric bracket
 expansion find it.  The fitted g and p enter as values on the table's
-rows; their eta-free terms and g's closed forms (``tilt.BinaryTilt``) are
-built once per anchored grid, for both endpoint solves and all their steps.
-Binary outcomes with the identity tilt map only.
+rows, checked to be finite (and p to lie in [0, 1]); their eta-free terms,
+g's among them (``tilt._rows``), are built once per anchored grid, and each
+step of both endpoint solves evaluates the tilted probability
+(``tilt._tilted``) on them.  Binary outcomes with the identity tilt map
+only.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .data import ObservationTable
 from .errors import ConvergenceError, DomainError, require_number
-from .tilt import BinaryTilt, tilted_bernoulli
+from .tilt import _rows, _tilted, tilted_bernoulli
 
 BRACKET_CAP = 50.0
 FTOL = 1e-10
@@ -76,7 +78,15 @@ def _row_values(values, table: ObservationTable, name: str) -> np.ndarray:
     v = np.asarray(values)
     if v.shape != (table.n,):
         raise DomainError(f"{name} must hold one value per table row, shape ({table.n},)")
-    return v.astype(np.float64)
+    v = v.astype(np.float64)
+    if not np.isfinite(v).all():
+        raise DomainError(f"{name} must be finite on every row")
+    return v
+
+
+def _check_p(p) -> None:
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails too
+        raise DomainError("p must lie in [0, 1]")
 
 
 def solve_monotone_root(f: Callable) -> float:
@@ -151,17 +161,19 @@ def implied_prevalence_nonnested(g_values: np.ndarray, eta: float) -> float:
 def implied_prevalence_nested(
     g_values: np.ndarray, p_values: np.ndarray, eta: float
 ) -> float:
-    """Cohort mixture: p*g on the source side, tilted g on the target side."""
-    return _mixture_prevalence(p_values * g_values, 1.0 - p_values, BinaryTilt(g_values), eta)
+    """Cohort mixture: p*g on the source side, tilted g on the target side;
+    a DomainError unless every p lies in [0, 1] and every g in [0, 1]."""
+    _check_p(p_values)
+    return _mixture_prevalence(p_values * g_values, 1.0 - p_values, _rows(g_values), eta)
 
 
 def _mixture_prevalence(
-    source_part: np.ndarray, target_share: np.ndarray, tilt: BinaryTilt, eta: float
+    source_part: np.ndarray, target_share: np.ndarray, rows: tuple, eta: float
 ) -> float:
     """``implied_prevalence_nested`` from its eta-free terms ``p*g``,
-    ``1 - p`` and g's closed forms ``tilt``, which the root solve builds
-    once for all its calls."""
-    t = tilt.tilted(eta)
+    ``1 - p`` and g's rows ``rows`` (``tilt._rows``), which the root solve
+    builds once for all its calls."""
+    t = _tilted(*rows, eta)
     t *= target_share
     t += source_part
     return float(np.mean(t))
@@ -171,8 +183,9 @@ class _AnchorRows:
     """The eta-free terms of the prevalence solves on one table's rows,
     checked and computed once for every solve: g on the target rows
     (non-nested), or g, p*g and 1 - p on every row (nested, ``p`` given),
-    and the attainable range.  g's closed forms are built at the first
-    solve, after its attainability check."""
+    and the attainable range.  g's rows (``tilt._rows``, which checks that
+    g lies in [0, 1]) are built at the first solve, after its
+    attainability check."""
 
     def __init__(self, table: ObservationTable, g, p=None):
         if p is not None and table.design != "nested":
@@ -189,6 +202,7 @@ class _AnchorRows:
             return
         self.g = gv = _row_values(g, table, "g")
         pv = _row_values(p, table, "p")
+        _check_p(pv)
         if not ((pv < 1.0) & (gv > 0.0) & (gv < 1.0)).any():
             raise DomainError("the implied prevalence does not depend on eta for this table")
         source_part, target_share = pv * gv, 1.0 - pv
@@ -197,13 +211,13 @@ class _AnchorRows:
                            float(np.mean(source_part + target_share * (gv > 0.0))))
 
     @functools.cached_property
-    def tilt(self) -> BinaryTilt:
-        return BinaryTilt(self.g)
+    def rows(self) -> tuple:
+        return _rows(self.g)
 
     def prevalence(self, eta: float) -> float:
         if self.mixture is None:
-            return float(np.mean(self.tilt.tilted(eta)))
-        return _mixture_prevalence(*self.mixture, self.tilt, eta)
+            return float(np.mean(_tilted(*self.rows, eta)))
+        return _mixture_prevalence(*self.mixture, self.rows, eta)
 
     def eta(self, target: float) -> float:
         """The eta whose implied prevalence equals ``target``."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import build_table
-from .estimators import _replicate_rows, estimate, influence_values
+from .estimators import _replicate_rows, estimate, influence_values, sensitivity_curve
 from .etaselect import eta_from_prevalence_nonnested, implied_prevalence_nonnested
 from .nuisance import DesignSpec, NuisanceRecipe, NuisanceSet
 from .resampling import ResampleConfig, replicate_counts, resample_indices
@@ -114,6 +114,14 @@ def run_selftest(seed: int = 0) -> bool:
     cols = DesignSpec((0, 1))
     binary = NuisanceRecipe(outcome="binary", loss=LossFunction("brier"), p_design=cols,
                             g_design=cols)
+    fitted = binary.fit(table)
+    curve = {est: sensitivity_curve(table, fitted, [eta], est).points[0].result.estimate
+             for est in ("cl", "aug", "aug-alt")}
+    record(
+        "a fitted set's estimate is its curve point, and derived aug-alt is aug (exactly)",
+        all(estimate(table, fitted, eta, est).estimate == v for est, v in curve.items())
+        and curve["aug-alt"] == curve["aug"],
+    )
     record(
         "weighted bootstrap and jackknife replicates match take() refits (binary)",
         _replicates_match_take(table, binary, seed) < 1e-10,

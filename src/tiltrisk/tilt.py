@@ -2,14 +2,13 @@
 
 Functions for the logistic function, the tilt weight e^{eta*q(y)}, the
 equivalent selection-model offset a and loss evaluation, and the binary
-closed forms: the tilted Bernoulli probability, the normalizer c, the
-conditional risk b and the augmented source weight.  ``BinaryTilt`` holds
-the eta-free terms of these forms on fixed rows, so that a fit computes
-them once and each eta costs only the passes that depend on eta;
-``tilted_bernoulli``, ``binary_c`` and ``binary_b`` evaluate the same
-forms on the rows they are given, without building the class.  Nothing
-here changes after it is built, so everything is safe to call
-concurrently.
+closed forms: the tilted Bernoulli probability, the normalizer c and the
+conditional risk b (``tilted_bernoulli``, ``binary_c``, ``binary_b``).
+The sweeps do not evaluate these per row: ``estimators`` sums every
+binary estimate, and its source weights, from eta-free rows and the
+scales of ``binary_scales``; the anchor solves hold g's eta-free rows
+(``_rows``) and evaluate ``_tilted`` on them.  Nothing here changes after
+it is built, so everything is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -180,16 +179,12 @@ def tilt_weight(y, tilt: TiltSpec):
     z = tilt.eta * tilt.apply_q(y)
     zmax = np.max(z) if np.ndim(z) else z
     if zmax > _LOG_MAX:
-        raise _exponent_overflow(zmax)
+        raise TiltOverflowError(
+            f"tilt exponent {float(zmax):.3g} exceeds float64 log-max {_LOG_MAX:.5g}; "
+            "the weight would saturate to inf"
+        )
     out = np.exp(z)
     return out if np.ndim(z) else float(out)
-
-
-def _exponent_overflow(zmax) -> TiltOverflowError:
-    return TiltOverflowError(
-        f"tilt exponent {float(zmax):.3g} exceeds float64 log-max {_LOG_MAX:.5g}; "
-        "the weight would saturate to inf"
-    )
 
 
 def binary_scales(eta: np.ndarray) -> tuple:
@@ -201,13 +196,14 @@ def binary_scales(eta: np.ndarray) -> tuple:
 
 
 def _rows(g, l1=None, l0=None) -> tuple:
-    """The eta-free terms of rows: g (checked to lie in [0, 1]) and 1 - g,
-    and with the losses l1 = L(1, h) and l0 = L(0, h) also l1, l0 and
-    l0 (1 - g)."""
+    """The eta-free terms of rows: g (checked to lie in [0, 1], so NaN
+    fails) and 1 - g, and with the losses l1 = L(1, h) and l0 = L(0, h)
+    also l1, l0 and l0 (1 - g)."""
     g = np.asarray(g, dtype=np.float64)
-    # the ufunc reductions skip the array-method wrappers on this per-call path
-    if (np.minimum.reduce(g, axis=None, initial=0.0) < 0
-            or np.maximum.reduce(g, axis=None, initial=1.0) > 1):
+    # the ufunc reductions skip the array-method wrappers on this per-call path;
+    # a NaN propagates through them and fails both comparisons
+    if not (np.minimum.reduce(g, axis=None, initial=0.0) >= 0
+            and np.maximum.reduce(g, axis=None, initial=1.0) <= 1):
         raise DomainError("g must lie in [0, 1]")
     if l1 is None:
         return g, 1.0 - g
@@ -281,68 +277,6 @@ def _normalizer(g, h, eta):
     if 0.0 in etas:
         out = np.where(eta == 0.0, 1.0, out)  # exact: an untilted density's normalizer
     return out if out.ndim else float(out)
-
-
-class BinaryTilt:
-    """The binary closed forms (identity q) at any eta on fixed rows, row by
-    row, for the anchor, ``aug-alt`` and the ``max_weight`` diagnostic (a
-    sweep sums ``cl`` and ``aug`` from eta-free rows; see ``estimators``).
-
-    Holds the eta-free terms of the rows, computed once: g (checked to lie
-    in [0, 1]) and 1 - g; with the losses l1 = L(1, h) and l0 = L(0, h),
-    also l0 (1 - g); with source outcomes y, the rows with y = 1; with p,
-    the inverse odds (1 - p)/p.  Each method takes a scalar eta, giving
-    values shaped like the rows, or a (K, 1) column, giving (K, m) values.
-    Per eta, a value is exact at eta = 0, a ratio for |eta| <= 30 and
-    rearranged beyond, where the ratio loses accuracy.  The functions
-    ``tilted_bernoulli``, ``binary_c`` and ``binary_b`` evaluate the same
-    forms on the rows they are given, without building the class.
-    """
-
-    __slots__ = ("g", "h", "l1", "l0", "l0h", "y1", "odds")
-
-    def __init__(self, g, l1=None, l0=None, y=None, p=None):
-        if l1 is None:
-            self.g, self.h = _rows(g)
-            self.l1 = self.l0 = self.l0h = None
-        else:
-            self.g, self.h, self.l1, self.l0, self.l0h = _rows(g, l1, l0)
-        self.y1 = None if y is None else np.flatnonzero(np.asarray(y) == 1.0)
-        self.odds = None if p is None else (1.0 - np.asarray(p, dtype=np.float64)) / p
-
-    def tilted(self, eta):
-        """Tilted success probability e^eta g / (e^eta g + 1 - g)."""
-        return _tilted(self.g, self.h, eta)
-
-    def b(self, eta):
-        """Tilted conditional risk (l1 e^eta g + l0 (1 - g)) / (e^eta g + 1 - g)."""
-        return _b(self.g, self.h, self.l1, self.l0, self.l0h, eta)
-
-    def c(self, eta):
-        """Tilted normalizer e^eta g + 1 - g."""
-        return _normalizer(self.g, self.h, eta)
-
-    def tilt(self, eta) -> np.ndarray:
-        """The tilt weight e^{eta y} of the source rows: e^eta where y = 1,
-        else 1.  Raises as ``tilt_weight`` does for a non-finite eta or an
-        exponent past the float64 range."""
-        eta = TiltSpec(_as_array(eta)).eta
-        zmax = max(eta.ravel().tolist())
-        if zmax > _LOG_MAX and self.y1.size:
-            raise _exponent_overflow(zmax)
-        out = np.ones(np.broadcast(eta, self.g).shape)
-        with np.errstate(over="ignore"):  # e^eta overflows only where no y = 1 takes it
-            out[..., self.y1] = np.exp(eta)  # faster than np.where on many rows
-        return out
-
-    def weight(self, eta) -> np.ndarray:
-        """The augmented source weight (1 - p)/p e^{eta y} / c at eta; c is
-        b's denominator wherever |eta| <= 30."""
-        eta, _, den, mid = _ratio(self.g, self.h, eta)
-        weight = self.tilt(eta)
-        weight *= self.odds
-        weight /= den if mid else np.where(np.abs(eta) <= _STABLE_EXP, den, self.c(eta))
-        return weight
 
 
 def tilted_bernoulli(g, eta):

@@ -1,23 +1,28 @@
 """The binary closed forms against a frozen copy of the per-call formulas
 they replaced.
 
-``BinaryTilt`` computes the eta-free terms of the closed forms once per
-fit; before, every eta point rechecked g and recomputed 1 - g, l0 (1 - g),
-the p odds, b and c on every row and the (K, n1) tilt e^{eta y}.  The
-functions below are that code, kept verbatim as the reference.  The closed
-forms, the source weights, ``estimate``, the influence values, the anchor
-solves and every ``aug-alt`` value keep each operation and its order, so
-they must be equal bit for bit, and every error must carry the same text.
-The one difference in shape: an eta column of zeros now gives (K, m) values
-where the old forms gave the (m,) row that broadcasts to them.
+The closed forms compute their eta-free terms once per call; before, every
+eta point rechecked g and recomputed 1 - g, l0 (1 - g), the p odds, b and c
+on every row and the (K, n1) tilt e^{eta y}.  The functions below are that
+code, kept verbatim as the reference.  The closed forms, the influence
+values of a fitted set (which read its b and c) and the anchor solves keep
+each operation and its order, so they must be equal bit for bit, and every
+error must carry the same text.  The one difference in shape: an eta
+column of zeros now gives (K, m) values where the old forms gave the (m,)
+row that broadcasts to them.
 
-A sweep's ``cl`` and ``aug`` estimates (``sensitivity_curve`` and the
-replicates of ``_replicate_rows``) are not sums of these per-row terms:
-they come from a few count-weighted sums of eta-free coefficient rows
-(``estimators._replicate_sums``), which orders the arithmetic differently.
-They are held to the bound of ``test_kernel_reference``, 1e-12 times the
-larger of one and the magnitude of the terms summed; their statuses, error
-classes and texts, NaN cells and ``max_weight`` stay exact.
+Every estimate of a fitted set, from ``estimate`` (the curve's one-point
+grid), ``sensitivity_curve`` or the replicates of ``_replicate_rows``, is
+not a sum of these per-row terms: it comes from a few count-weighted sums
+of eta-free coefficient rows (``estimators._replicate_sums``), which orders
+the arithmetic differently, and so does its ``max_weight``.  They are held
+to the bound of ``test_kernel_reference``, 1e-12 times the larger of one
+and the magnitude of the terms summed (of the weight, for ``max_weight``);
+a value that is not finite must stay not finite, and statuses, error
+classes and texts stay exact.  The one declared exception: ``aug-alt``
+with the offset derived from p and c is summed as ``aug`` (e^a =
+((1 - p)/p)/c), so where the old offset raised on a normalizer of exactly
+0 (g = 1 at eta = -800) it is non-finite, as ``aug`` is.
 
 The etas cover the exact zero (both signs), the ratio forms up to
 |eta| = 30, the rearranged forms beyond and the float64 exponent limit;
@@ -31,7 +36,7 @@ import pytest
 
 from tiltrisk import estimators
 from tiltrisk.data import build_table
-from tiltrisk.errors import DomainError, TiltOverflowError
+from tiltrisk.errors import DomainError, TiltOverflowError, TiltriskError
 from tiltrisk.estimators import (
     _replicate_rows,
     estimate,
@@ -46,7 +51,6 @@ from tiltrisk.etaselect import (
 from tiltrisk.nuisance import DesignSpec, NuisanceRecipe, NuisanceSet
 from tiltrisk.resampling import ResampleConfig, replicate_counts
 from tiltrisk.tilt import (
-    BinaryTilt,
     LossFunction,
     PredictionModel,
     TiltSpec,
@@ -171,6 +175,16 @@ def old_terms(table, nuis, eta, estimator):
     return r_t, r_s, est, weight
 
 
+def old_point(table, nuis, eta, estimator):
+    """The old estimates of a fitted set at eta (a scalar or a (K, 1)
+    column), their largest source weights (None for cl) and the magnitudes
+    of the terms summed."""
+    r_t, r_s, est, weight = old_terms(table, nuis, eta, estimator)
+    scale = np.abs(r_t).sum(axis=-1) + (0.0 if r_s is None else np.abs(r_s).sum(axis=-1))
+    return (est, None if weight is None else np.max(weight, axis=-1),
+            scale / (table.n if table.design == "nested" else table.n0))
+
+
 def old_replicate_terms(table, fits, r, eta, estimator):
     cnt = fits.counts[r]
     tgt = fits.rows_drawn(r, table.target_rows)
@@ -211,15 +225,12 @@ def assert_bits(new, old):
 TOL = 1e-12
 
 
-def assert_close(new, old, scale, exact):
-    """Bit for bit if ``exact``, else within TOL * max(1, scale); NaN
-    matches NaN."""
-    if exact:
-        assert_bits(new, old)
-        return
+def assert_close(new, old, scale):
+    """Within TOL * max(1, scale), where a value that is not finite
+    matches one that is not finite."""
     new, old = np.broadcast_arrays(np.asarray(new, dtype=np.float64), old)
-    assert np.array_equal(np.isnan(new), np.isnan(old))
-    ok = ~np.isnan(old)
+    assert np.array_equal(np.isfinite(new), np.isfinite(old)), (new, old)
+    ok = np.isfinite(old)
     bound = TOL * np.maximum(1.0, np.broadcast_to(scale, old.shape)[ok])
     assert np.all(np.abs(new[ok] - old[ok]) <= bound), np.abs(new[ok] - old[ok]).max()
 
@@ -229,7 +240,7 @@ def outcome(fn):
     try:
         with np.errstate(all="ignore"):
             return "ok", fn()
-    except (DomainError, TiltOverflowError) as exc:
+    except TiltriskError as exc:
         return type(exc), str(exc)
 
 
@@ -247,17 +258,17 @@ def assert_same_outcome(new_fn, old_fn):
         assert_bits(new[1], old[1])
 
 
-def recipe():
+def recipe(a_design=None):
     return NuisanceRecipe(outcome="binary", loss=BRIER, p_design=DesignSpec((0, 1)),
-                          g_design=DesignSpec((0, 1)))
+                          g_design=DesignSpec((0, 1)), a_design=a_design)
 
 
-def fitted(design, seed=3, n=120):
+def fitted(design, seed=3, n=120, a_design=None):
     """A table and its fitted set, with g set to each edge value on one
-    target and one source row."""
+    target and one source row; ``a_design`` moment-fits the offset."""
     rng = np.random.default_rng(seed)
     table = random_binary_table(rng, n=n, design=design)
-    nuis = recipe().fit(table)
+    nuis = recipe(a_design).fit(table)
     # in place: the set's fits and its b, c and a read the same g
     nuis.g[table.target_rows[:4]] = nuis.g[table.source_rows[:4]] = G_EDGES
     return table, nuis
@@ -289,9 +300,10 @@ def column(etas):
 
 
 class TestClosedForms:
-    # a NaN g passes the range check; only it tells the exact zero-tilt
-    # denominator from e^0 g + 1 - g, which rounds to 1 for every g in [0, 1]
-    G = np.r_[G_EDGES, np.nan, np.random.default_rng(1).uniform(0.0, 1.0, 11)]
+    # a NaN g fails the range check now (tests/test_tilt.py), and e^0 g + 1 - g
+    # rounds to 1 for every g in [0, 1], so the exact zero-tilt denominator
+    # agrees with the old one on every g admitted
+    G = np.r_[G_EDGES, 0.5, np.random.default_rng(1).uniform(0.0, 1.0, 11)]
     L1, L0 = np.random.default_rng(2).uniform(0.0, 1.0, (2, 16))
 
     @pytest.mark.parametrize("eta", ETAS + EXTREME)
@@ -312,72 +324,52 @@ class TestClosedForms:
         assert_same_outcome(lambda: binary_b(l1, l0, g, eta), lambda: old_binary_b(l1, l0, g, eta))
         assert_same_outcome(lambda: binary_c(g, eta), lambda: old_binary_c(g, eta))
 
-    @pytest.mark.parametrize("etas", (ETAS, (0.0,), (-0.0, 0.5), (30.5, -45.0), (700.0,),
-                                      (800.0,), (0.5, 800.0), (-800.0, 0.5)))
-    @pytest.mark.parametrize("y_ones", (True, False))
-    def test_source_weight(self, etas, y_ones):
-        """The aug weight shares b's denominator and the aug-alt tilt is
-        e^eta or 1; without y = 1 rows the normalizer, not the tilt,
-        overflows first, as before."""
-        g, l1, l0, eta = self.G, self.L1, self.L0, column(etas)
-        y = (np.arange(g.size) % 2 == 0).astype(float) if y_ones else np.zeros(g.size)
-        p = np.random.default_rng(4).uniform(0.01, 0.99, g.size)
-        src = BinaryTilt(g, l1, l0, y, p)
-        old_c = lambda: np.asarray(old_binary_c(g, eta))
-        assert_same_outcome(lambda: (src.b(eta), src.weight(eta)),
-                            lambda: (old_binary_b(l1, l0, g, eta),
-                                     old_source_weight("aug", y, eta, None, p, old_c, None)))
-        a = lambda: np.zeros(g.size)
-        assert_same_outcome(lambda: np.exp(a()) * src.tilt(eta),
-                            lambda: old_source_weight("aug-alt", y, eta, None, p, None, a))
-
-    def test_non_finite_eta_text(self):
-        src = BinaryTilt(self.G, self.L1, self.L0, np.ones(16), np.full(16, 0.5))
-        for eta in (np.array([[0.5], [np.inf]]), np.asarray(np.nan)):
-            with pytest.raises(DomainError) as new:
-                src.weight(eta)
-            with pytest.raises(DomainError) as old:
-                tilt_weight(np.ones(16), TiltSpec(eta))
-            assert str(new.value) == str(old.value)
-
 
 @pytest.mark.parametrize("design", ("non-nested", "nested"))
 @pytest.mark.parametrize("estimator", ESTIMATORS)
 class TestEstimators:
     def test_estimate(self, design, estimator):
+        """A fitted set's estimate and max_weight within the bound of the
+        old per-row terms, with the old error class and text; derived
+        aug-alt is aug's non-finite value where its old offset raised."""
         table, nuis = fitted(design)
         for eta in ETAS + EXTREME:
-            def new():
-                res = estimate(table, nuis, eta, estimator)
-                return [res.estimate, res.diagnostics.get("max_weight", 0.0)]
-
-            def old():
-                _, _, est, weight = old_terms(table, nuis, eta, estimator)
-                return [est, 0.0 if weight is None else weight.max()]
-
-            assert_same_outcome(new, old)
+            new = outcome(lambda: estimate(table, nuis, eta, estimator))
+            old = outcome(lambda: old_point(table, nuis, eta, estimator))
+            if estimator == "aug-alt" and old == (DomainError, "normalizer c must be positive"):
+                assert eta == -800.0 and new[0] == "ok" and np.isnan(new[1].estimate)
+                continue
+            assert new[0] == old[0], (eta, new, old)
+            if new[0] != "ok":
+                assert new[1] == old[1]
+                continue
+            est, top, scale = old[1]
+            assert_close(new[1].estimate, est, scale)
+            if top is not None:
+                assert_close(new[1].diagnostics["max_weight"], top, np.abs(top))
 
     def test_sensitivity_curve(self, design, estimator):
         """The grid runs as one block, fails (at least at 710 and 800 with
         weights) and reruns one point at a time; every point matches the
-        old block evaluation, where a non-finite estimate is a failed point:
-        ``aug-alt`` and ``max_weight`` bit for bit, ``cl`` and ``aug`` within
-        the bound."""
+        old block evaluation within the bound, where a non-finite estimate
+        is a failed point (so is derived aug-alt where its old offset
+        raised, as in ``test_estimate``)."""
         table, nuis = fitted(design)
         grid = np.sort(np.array(ETAS + EXTREME))
-        n = table.n if design == "nested" else table.n0
 
         def evaluate(block):
-            r_t, r_s, est, weight = old_terms(table, nuis, block, estimator)
-            scale = np.abs(r_t).sum(axis=-1) + (0.0 if r_s is None else np.abs(r_s).sum(axis=-1))
-            return list(zip(est, [None] * est.size if weight is None
-                            else np.atleast_2d(weight).max(axis=1), scale / n))
+            est, top, scale = old_point(table, nuis, block[:, None], estimator)
+            return list(zip(est, [None] * est.size if top is None else top, scale))
 
         with np.errstate(all="ignore"):
             curve = sensitivity_curve(table, nuis, grid, estimator)
             old = estimators._blocks(evaluate, grid, estimators._block_step(table))
         assert sum(isinstance(o, Exception) for o in old) >= (0 if estimator == "cl" else 2)
         for point, ref in zip(curve, old):
+            if (estimator == "aug-alt" and isinstance(ref, DomainError)
+                    and str(ref) == "normalizer c must be positive"):
+                assert point.eta == -800.0
+                ref = (np.nan,)
             if isinstance(ref, Exception):
                 assert point.status == f"failed: {ref}"
                 continue
@@ -385,9 +377,9 @@ class TestEstimators:
                 assert point.status == "failed: non-finite estimate" and not point.ok
                 continue
             assert point.status == "ok"
-            assert_close(point.result.estimate, ref[0], ref[2], estimator == "aug-alt")
+            assert_close(point.result.estimate, ref[0], ref[2])
             if ref[1] is not None:
-                assert_bits(point.result.diagnostics["max_weight"], ref[1])
+                assert_close(point.result.diagnostics["max_weight"], ref[1], np.abs(ref[1]))
 
     def test_replaced_b_or_c_is_called(self, design, estimator):
         """A fitted set copied by ``replace`` is a hand-built set, binary or
@@ -413,18 +405,25 @@ class TestEstimators:
                                     estimate(table, explicit, eta, estimator).estimate)
                         assert_bits(influence_values(table, replaced, eta, 0.3).values,
                                     influence_values(table, explicit, eta, 0.3).values)
+                # against the unreplaced fields read the same way: a fitted
+                # set's own estimate is summed, so it may differ in the last bits
+                unreplaced = NuisanceSet(p=nuis.p, b=nuis.b, c=nuis.c, g=nuis.g, a=nuis.a,
+                                         q=nuis.q)
                 changed = (estimate(table, replaced, 0.5, estimator).estimate
-                           != estimate(table, nuis, 0.5, estimator).estimate)
+                           != estimate(table, unreplaced, 0.5, estimator).estimate)
                 assert changed == (name in reads), name
 
     def test_replicate_terms(self, design, estimator):
-        """Each replicate's estimates at an eta column, its cells failing
-        with the old column's error: ``aug-alt`` bit for bit, ``cl`` and
-        ``aug`` within the bound."""
+        """Each replicate's estimates at an eta column within the bound, its
+        cells failing with the old column's error.  The fifth replicate draws
+        no source row with y = 1, so past the float64 exponent the
+        normalizer, not the tilt, overflows first."""
         table = random_binary_table(np.random.default_rng(5), n=80, design=design)
         counts = replicate_counts(table, ResampleConfig(replicates=4, seed=9), range(4))
+        counts = np.vstack([counts, np.where(table.y == 1.0, 0.0, 1.0)])
         fits = recipe().fit_counts(table, counts)
-        for r in range(4):
+        assert all(e is None for e in fits.errors)
+        for r in range(5):
             fits.g[r, table.target_rows[:4]] = G_EDGES
             for etas in (ETAS, (0.0, -0.0), (800.0,), (-800.0,)):
                 est, failed, _ = _replicate_rows(table, fits, [r], np.array(etas), estimator)
@@ -434,7 +433,71 @@ class TestEstimators:
                     assert [(type(e), str(e)) for e in failed[0]] == [(kind, old)] * len(etas)
                     continue
                 assert all(e is None for e in failed[0])
-                assert_close(est[0], old[0], old[1], estimator == "aug-alt")
+                assert_close(est[0], old[0], old[1])
+
+
+@pytest.mark.parametrize("design", ("non-nested", "nested"))
+@pytest.mark.parametrize("estimator, a_design", (("cl", None), ("aug", None), ("aug-alt", None),
+                                                 ("aug-alt", DesignSpec((0, 1)))),
+                         ids=("cl", "aug", "aug-alt-derived", "aug-alt-moment-fitted"))
+def test_estimate_is_its_curve_point(design, estimator, a_design):
+    """A fitted set's estimate is the one-point grid of its curve: the same
+    estimate, max_weight and diagnostics bit for bit, and the same failure
+    (a failed status raises it, a non-finite one returns it)."""
+    table, nuis = fitted(design, a_design=a_design)
+    with np.errstate(all="ignore"):
+        curve = sensitivity_curve(table, nuis, np.sort(np.array(ETAS + EXTREME)), estimator)
+    assert any(point.ok for point in curve)
+    assert all(point.ok for point in curve) == (estimator == "cl")  # weights fail at 710, 800
+    for point in curve:
+        kind, res = outcome(lambda: estimate(table, nuis, point.eta, estimator))
+        if point.status.startswith("failed: ") and point.status != "failed: non-finite estimate":
+            assert point.status == f"failed: {res}", (point.eta, kind)
+            continue
+        assert kind == "ok"
+        if not point.ok:
+            assert not np.isfinite(res.estimate)
+            continue
+        assert_bits(res.estimate, point.result.estimate)
+        assert res.diagnostics.keys() == point.result.diagnostics.keys()
+        for key, value in point.result.diagnostics.items():
+            assert_bits(res.diagnostics[key], value)
+
+
+@pytest.mark.parametrize("estimator", ("aug", "aug-alt"))
+def test_non_finite_eta_text(estimator):
+    """A fitted set's weighted estimate at a non-finite eta fails with the
+    text of its weights' tilt."""
+    table, nuis = fitted("non-nested")
+    for eta in (np.nan, np.inf):
+        with pytest.raises(DomainError) as new:
+            estimate(table, nuis, eta, estimator)
+        with pytest.raises(DomainError) as old:
+            tilt_weight(table.y[table.source_rows], TiltSpec(eta))
+        assert str(new.value) == str(old.value) == f"eta must be finite, got {eta}"
+
+
+@pytest.mark.parametrize("design", ("non-nested", "nested"))
+def test_derived_aug_alt_is_aug(design):
+    """With the offset derived from p and c, e^a = ((1 - p)/p)/c, so
+    ``aug-alt`` is summed as ``aug``: its curve, statuses and max_weight, and
+    its replicate matrix, equal aug's bit for bit."""
+    table, nuis = fitted(design)
+    grid = np.sort(np.array(ETAS + EXTREME))
+    with np.errstate(all="ignore"):
+        alt, aug = (sensitivity_curve(table, nuis, grid, e) for e in ("aug-alt", "aug"))
+    assert [p.status for p in alt] == [p.status for p in aug]
+    assert_bits(alt.estimates, aug.estimates)
+    assert_bits([p.result.diagnostics["max_weight"] for p in alt if p.ok],
+                [p.result.diagnostics["max_weight"] for p in aug if p.ok])
+    table = random_binary_table(np.random.default_rng(5), n=80, design=design)
+    resample = ResampleConfig(replicates=6, seed=9)
+    with np.errstate(all="ignore"):
+        (alt, alt_why), (aug, aug_why) = (
+            estimators._replicate_matrix(table, recipe(), grid, e, resample)
+            for e in ("aug-alt", "aug"))
+    assert np.array_equal(alt_why, aug_why) and (aug_why != None).any()  # noqa: E711
+    assert_bits(alt, aug)
 
 
 @pytest.mark.parametrize("design", ("non-nested", "nested"))

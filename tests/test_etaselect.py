@@ -24,7 +24,7 @@ from tiltrisk.etaselect import (
     implied_prevalence_nonnested,
     solve_monotone_root,
 )
-from tiltrisk.tilt import BinaryTilt, tilted_bernoulli
+from tiltrisk.tilt import _rows, tilted_bernoulli
 
 from conftest import logistic_fn, random_binary_table
 from test_closed_form_reference import G_EDGES
@@ -130,14 +130,63 @@ class TestNested:
         def formula(eta):
             return float(np.mean(p * g + (1.0 - p) * tilted_bernoulli(g, eta)))
 
-        source_part, target_share, tilt = p * g, 1.0 - p, BinaryTilt(g)
+        source_part, target_share, rows = p * g, 1.0 - p, _rows(g)
         extremes = (0.0, -0.0, 30.0, 30.5, 45.0, 50.0)
         for eta in (*np.linspace(-3.0, 3.0, 101), *extremes, *(-e for e in extremes)):
-            assert _mixture_prevalence(source_part, target_share, tilt, eta) == formula(eta)
+            assert _mixture_prevalence(source_part, target_share, rows, eta) == formula(eta)
             assert implied_prevalence_nested(g, p, eta) == formula(eta)
         for alpha in (formula(-2.5) + 1e-3, formula(0.0), formula(1.7) - 1e-3):
             assert eta_from_prevalence_nested(table, g, p, alpha) == solve_monotone_root(
                 lambda e: formula(e) - alpha)
+
+
+class TestRowChecks:
+    """g and p must be finite, and p must lie in [0, 1], with the field
+    named; a g outside [0, 1] still fails after the attainability check."""
+
+    @pytest.mark.parametrize("p_value", (-0.2, 1.5, math.nan, math.inf))
+    def test_bad_p(self, rng, p_value):
+        table = random_binary_table(rng, n=60, design="nested")
+        p = const_rows(table, 0.5)
+        p[3] = p_value
+        g = const_rows(table, 0.3)
+        with pytest.raises(DomainError, match="^p must"):
+            eta_from_prevalence_nested(table, g, p, 0.3)
+        anchor = PrevalenceAnchor(alpha=0.3)
+        with pytest.raises(DomainError, match="^p must"):
+            eta_grid_from_prevalence_range(table, g, anchor, p=p)
+        with pytest.raises(DomainError, match=re.escape("p must lie in [0, 1]")):
+            implied_prevalence_nested(g, p, 0.5)
+
+    def test_scalar_p_out_of_range(self):
+        with pytest.raises(DomainError, match=re.escape("p must lie in [0, 1]")):
+            implied_prevalence_nested(np.full(4, 0.3), 1.5, 0.5)
+
+    @pytest.mark.parametrize("g_value", (math.nan, math.inf, -math.inf))
+    def test_non_finite_g(self, rng, g_value):
+        nested = random_binary_table(rng, n=60, design="nested")
+        g = const_rows(nested, 0.3)
+        g[2] = g_value
+        with pytest.raises(DomainError, match="^g must be finite on every row$"):
+            eta_from_prevalence_nested(nested, g, const_rows(nested, 0.5), 0.3)
+        table = random_binary_table(rng, n=60)
+        g = const_rows(table, 0.3)
+        g[table.s == 0] = g_value
+        with pytest.raises(DomainError, match="^g must be finite on every row$"):
+            eta_from_prevalence_nonnested(table, g, 0.3)
+        with pytest.raises(DomainError, match=re.escape("g must lie in [0, 1]")):
+            implied_prevalence_nested(g, const_rows(table, 0.5), 0.5)
+        with pytest.raises(DomainError, match=re.escape("g must lie in [0, 1]")):
+            implied_prevalence_nonnested(g, 0.5)
+
+    def test_g_range_checked_after_attainability(self, rng):
+        table = random_binary_table(rng, n=60)
+        g = const_rows(table, 0.3)
+        g[table.target_rows[0]] = 1.5
+        with pytest.raises(DomainError, match="attainable"):
+            eta_from_prevalence_nonnested(table, g, 0.01)
+        with pytest.raises(DomainError, match=re.escape("g must lie in [0, 1]")):
+            eta_from_prevalence_nonnested(table, g, 0.4)
 
 
 class TestGrid:

@@ -23,7 +23,8 @@ not draw, more than one for a repeated row); its estimate is
 sum(c r)/sum(c) over the target rows (non-nested) or every row (nested),
 with the terms r at that replicate's fitted g and p.  ``_replicate_matrix``
 sums it from eta-free coefficient rows instead, and must agree with the
-count-weighted reference in the same way.
+count-weighted reference in the same way, for every estimator; so must
+the largest source weight (``max_weight``) of the fitted set, replicate 0.
 """
 
 import math
@@ -45,6 +46,14 @@ ESTIMATORS = ("cl", "aug", "aug-alt")
 TOL = 1e-12
 
 
+def reference_weight(p, c, a, qy, estimator, eta):
+    """The source weight of one row: (1 - p)/p e^{eta q(y)} / c (aug) or
+    e^{a + eta q(y)} (aug-alt)."""
+    if estimator == "aug":
+        return (1.0 - p) / p * math.exp(eta * qy) / c
+    return math.exp(a + eta * qy)
+
+
 def reference_terms(s, loss, qy, p, b, c, a, nested, estimator, eta):
     """Per-row terms r and the estimate, by scalar loops over plain floats."""
     r = []
@@ -52,12 +61,8 @@ def reference_terms(s, loss, qy, p, b, c, a, nested, estimator, eta):
         if s[i] == 0:
             r.append(b[i])
             continue
-        if estimator == "cl":
-            w = 0.0
-        elif estimator == "aug":
-            w = (1.0 - p[i]) / p[i] * math.exp(eta * qy[i]) / c[i]
-        else:
-            w = math.exp(a[i] + eta * qy[i])
+        w = 0.0 if estimator == "cl" else reference_weight(
+            p[i], None if c is None else c[i], None if a is None else a[i], qy[i], estimator, eta)
         term = w * (loss[i] - b[i])
         r.append(loss[i] + term if nested else term)
     n0 = sum(1 for v in s if v == 0)
@@ -248,30 +253,47 @@ def test_kernel_matches_scalar_reference_random_tables(seed, n, design, outcome_
     check_all(table, hand_built_set(rng, table, outcome_kind))
 
 
-def binary_reference(table, g, p, counts, estimator, eta):
-    """(estimate, magnitude of the summed terms) of one binary replicate:
-    the scalar closed forms b and c at its g, the terms r and their sums
-    weighted by ``counts`` (a row it does not draw weighs zero)."""
-    s, loss, nested = [int(v) for v in table.s], floats(table.loss), table.design == "nested"
-    qy = floats(table.y)  # binary: q is the identity (NaN on target rows, never read)
-    l1, l0, g, e = floats(table.loss1), floats(table.loss0), floats(g), math.exp(eta)
+def binary_reference(table, fits, r, counts, estimator, eta):
+    """(estimate, magnitude of the summed terms, largest source weight) of
+    replicate r of binary ``fits``: the scalar closed forms b and c at its
+    g, the offset a from its p and c (derived) or its moment fit, the terms
+    r and their sums weighted by ``counts`` (a row it does not draw weighs
+    zero and is left out)."""
+    drawn = np.flatnonzero(counts > 0)
+    s, loss = [int(v) for v in table.s[drawn]], floats(table.loss[drawn])
+    qy = floats(table.y[drawn])  # binary: q is the identity (NaN on target rows, never read)
+    l1, l0, e = floats(table.loss1[drawn]), floats(table.loss0[drawn]), math.exp(eta)
+    g, p = floats(fits.g[r, drawn]), floats(fits.p[r, drawn])
     c = [e * gi + 1.0 - gi for gi in g]
     b = [(l1[i] * e * g[i] + l0[i] * (1.0 - g[i])) / c[i] for i in range(len(s))]
-    r, _ = reference_terms(s, loss, qy, floats(p), b, c, None, nested, estimator, eta)
-    counts = floats(counts)
+    a = None
+    if estimator == "aug-alt":
+        a = (floats(fits.a(eta, r, drawn)) if not fits.derived_a else
+             [math.log((1.0 - pi) / pi) - math.log(ci) for pi, ci in zip(p, c)])
+    nested = table.design == "nested"
+    r_, _ = reference_terms(s, loss, qy, p, b, c, a, nested, estimator, eta)
+    counts = floats(counts[drawn])
     den = math.fsum(ci for ci, si in zip(counts, s) if nested or si == 0)
-    return (math.fsum(ci * ri for ci, ri in zip(counts, r)) / den,
-            max(1.0, math.fsum(ci * abs(ri) for ci, ri in zip(counts, r)) / den))
+    top = None if estimator == "cl" else max(
+        reference_weight(p[i], c[i], None if a is None else a[i], qy[i], estimator, eta)
+        for i in range(len(s)) if s[i] == 1)
+    return (math.fsum(ci * ri for ci, ri in zip(counts, r_)) / den,
+            max(1.0, math.fsum(ci * abs(ri) for ci, ri in zip(counts, r_)) / den), top)
 
 
-@pytest.mark.parametrize("estimator", ("cl", "aug"))
+@pytest.mark.parametrize("estimator, a_design", (("cl", None), ("aug", None), ("aug-alt", None),
+                                                 ("aug-alt", DesignSpec((0, 1)))),
+                         ids=("cl", "aug", "aug-alt-derived", "aug-alt-moment-fitted"))
 @pytest.mark.parametrize("design", ("non-nested", "nested"))
-def test_binary_replicates_match_count_weighted_reference(design, estimator):
+def test_binary_replicates_match_count_weighted_reference(design, estimator, a_design):
+    """Every replicate's estimates, and replicate 0's (the fitted set's)
+    estimates and largest source weights, against the count-weighted
+    reference."""
     rng = np.random.default_rng(2306_08085)
     table = random_table(rng, design, "binary")
     cols = DesignSpec((0, 1))
     recipe = NuisanceRecipe(outcome="binary", loss=LossFunction("brier"), p_design=cols,
-                            g_design=cols)
+                            g_design=cols, a_design=a_design)
     resample = ResampleConfig(replicates=12, seed=4, stratified=False)
     counts = replicate_counts(table, resample, range(resample.replicates))
     assert (counts == 0).any() and (counts > 1).any()
@@ -282,9 +304,21 @@ def test_binary_replicates_match_count_weighted_reference(design, estimator):
             if fits.errors[r] is not None:
                 assert why[r, j] == type(fits.errors[r]).__name__
                 continue
-            ref, ref_err = outcome(lambda: binary_reference(table, fits.g[r], fits.p[r],
-                                                            counts[r], estimator, eta))
+            ref, ref_err = outcome(lambda: binary_reference(table, fits, r, counts[r],
+                                                            estimator, eta))
             assert why[r, j] == (None if ref_err is None else ref_err.__name__), (r, eta)
             if ref_err is None:
-                value, scale = ref
+                value, scale, _ = ref
                 assert abs(est[r, j] - value) <= TOL * scale, (r, eta, est[r, j], value)
+    nuis = recipe.fit(table)
+    ones = np.ones(table.n)
+    for point in sensitivity_curve(table, nuis, ETAS, estimator):
+        ref, ref_err = outcome(lambda: binary_reference(table, nuis._fits, 0, ones, estimator,
+                                                        point.eta))
+        assert point.ok == (ref_err is None), (point.eta, point.status)
+        if point.ok:
+            value, scale, top = ref
+            assert abs(point.result.estimate - value) <= TOL * scale, (point.eta, value)
+            if top is not None:
+                got = point.result.diagnostics["max_weight"]
+                assert abs(got - top) <= TOL * max(1.0, top), (point.eta, got, top)

@@ -29,7 +29,7 @@ from tiltrisk.errors import (
 from tiltrisk.estimators import _replicate_matrix, estimate, sensitivity_curve
 from tiltrisk.nuisance import DesignSpec, NuisanceRecipe
 from tiltrisk.resampling import ResampleConfig, replicate_counts, resample_indices
-from tiltrisk.tilt import LossFunction, PredictionModel
+from tiltrisk.tilt import LossFunction, PredictionModel, TiltSpec
 
 TOL = 1e-10
 GRID = np.array([-1.0, 0.0, 0.7])
@@ -410,6 +410,34 @@ class TestNewtonFailures:
         assert np.isfinite(weighted).mean() >= 0.8
         assert_same(weighted, take_matrix(table, recipe, GRID, "aug-alt", resample))
         assert np.array_equal(np.isnan(weighted), why != None)  # noqa: E711
+
+    def test_intercept_slope_offset_converges_inside_and_fails_outside(self):
+        # on an intercept and one covariate the moments have a root exactly
+        # when the target rows' mean of the covariate lies strictly inside the
+        # range of the source rows' values: inside, every eta converges;
+        # outside, every eta fails by name, as no root or on a singular
+        # Hessian, and none stalls
+        rng = np.random.default_rng(2306_08086)
+        tilt = TiltSpec(np.array([[-2.0], [0.0], [0.5], [3.0]]))
+        named = {"selection-offset fit: " + nuisance._FAILURES[reason]
+                 for reason in (nuisance._NO_ROOT, nuisance._SINGULAR)}
+        inside, outside = 0, set()
+        for _ in range(300):
+            n1, n0 = rng.integers(5, 20), rng.integers(3, 15)
+            x_s = rng.uniform(-1.0, 1.0, n1)
+            x_t = rng.uniform(-1.0, 1.0, n0) + rng.uniform(-3.0, 3.0)
+            src = np.r_[np.ones(n1, dtype=bool), np.zeros(n0, dtype=bool)]
+            y = np.where(src, (rng.random(n1 + n0) < 0.4).astype(float), np.nan)
+            x = np.r_[x_s, x_t]
+            theta, failures = nuisance._offset_theta(np.vstack([np.ones_like(x), x]), src, y,
+                                                     np.ones(n1 + n0), tilt)
+            if x_s.min() < x_t.mean() < x_s.max():
+                assert all(f is None for f in failures) and np.isfinite(theta).all()
+                inside += 1
+                continue
+            assert all(isinstance(f, ConvergenceError) for f in failures)
+            outside.update(str(f) for f in failures)
+        assert inside >= 50 and outside == named
 
     def test_offset_at_an_eta_column_equals_one_eta_calls(self):
         table = make_table(np.random.default_rng(5), 120, "non-nested", "binary")

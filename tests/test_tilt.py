@@ -212,6 +212,28 @@ class TestEtaColumn:
             tilt_weight(np.array([0.0, 1.0]), TiltSpec(np.array([[1.0], [800.0]])))
 
 
+class TestGRange:
+    """g must lie in [0, 1]; NaN and infinite g fail with the same text."""
+
+    @pytest.mark.parametrize("call", (
+        lambda: tilted_bernoulli([0.2, math.nan], 0.5),
+        lambda: binary_b(0.3, 0.1, math.nan, 0.5),
+        lambda: binary_c(math.nan, 0.5),
+        lambda: binary_c(np.array([0.5, math.nan]), np.array([[0.0], [1.0]])),
+        lambda: tilted_bernoulli([0.2, math.inf], 0.5),
+        lambda: binary_b(0.3, 0.1, -math.inf, 0.5),
+        lambda: tilted_bernoulli([0.2, 1.5], 0.5),
+        lambda: binary_c(-0.1, 0.5),
+    ))
+    def test_rejected(self, call):
+        with pytest.raises(DomainError, match=r"^g must lie in \[0, 1\]$"):
+            call()
+
+    def test_edges_and_empty_rows_accepted(self):
+        assert tilted_bernoulli([0.0, 1.0], 0.5).tolist() == [0.0, 1.0]
+        assert binary_c(np.empty(0), 0.5).shape == (0,)
+
+
 class TestSelectionA:
     def test_balanced_no_tilt(self):
         assert selection_a(0.5, 1.0) == 0.0
