@@ -29,7 +29,8 @@ aug-alt one e^a e^eta k'' / D: n0 (or n) times an estimate is
 sum_t n l0 + sum_t n (l1 - l0) t + sum_s (source terms) (+ sum_s n L,
 nested).  A derived offset has e^a = ((1-p)/p)/c, so derived aug-alt is
 summed as aug; a moment-fitted one scales k'' by e^a.  ``max_weight``
-comes from the same D.
+comes from the same D.  A group of replicates lays its drawn rows out
+once, replicate after replicate, and sums each replicate's segment alone.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ from .tilt import TiltSpec, binary_c, binary_scales, selection_a, tilt_weight
 
 _CLIP_TOL = 1e-12
 
-# A grid block holds max(1, _BLOCK_CELLS // n) points, so its (K, n) arrays
-# stay near 2^16 cells; large tables go one point at a time.
+# A grid block holds max(1, _BLOCK_CELLS // n) points (n the rows it spans:
+# the table's, or a binary group's drawn rows), so its (K, n) arrays stay
+# near 2^16 cells; large tables go one point at a time.
 _BLOCK_CELLS = 2**16
 
 ESTIMATOR_NAMES = ("cl", "aug", "aug-alt")
@@ -293,86 +295,127 @@ def _grid_terms(table, nuis, grid: np.ndarray, estimator: str, clip: dict) -> li
 # ---------------------------------------------------------------------------
 
 
-def _drawn_rows(table: ObservationTable, fits: NuisanceRows, group: list,
-                estimator: str, top: bool = False) -> list:
-    """Per binary replicate of ``group``, ``_replicate_sums``'s eta-free rows
-    over the target, then (``aug``, ``aug-alt``) source rows it draws: g,
-    1 - g and the coefficients n (l1 - l0), then k (``aug``) or k''; the
-    eta-free sum, the number of target rows, the denominator, the replicate,
-    and on its drawn source rows whether y = 1 and (``aug`` with ``top``)
-    (1-p)/p where y = 1 and where y = 0 (else 0)."""
+def _drawn(counts: np.ndarray, *rows) -> list:
+    """The (G + 1,) offsets of each replicate's segment and, per (G, m) row
+    set of ``rows``, its entries where ``counts`` is positive, replicate
+    after replicate: read in place when every count is, else gathered by
+    one flat index (a boolean mask per row set costs three times more)."""
+    drawn = counts > 0
+    offsets = np.zeros(drawn.shape[0] + 1, dtype=np.intp)
+    np.cumsum(drawn.sum(axis=1), out=offsets[1:])
+    if offsets[-1] == drawn.size:
+        return [offsets] + [r.reshape(-1) for r in rows]
+    at = np.flatnonzero(drawn)
+    return [offsets] + [r.take(at) for r in rows]
+
+
+def _chunk_rows(table: ObservationTable, fits: NuisanceRows, group: list,
+                estimator: str, top: bool = False) -> tuple:
+    """The binary replicates ``group``'s eta-free rows for ``_chunk_sums``:
+    per replicate the eta-free sum and the denominator, then the target
+    rows each draws, concatenated in replicate order (``_drawn``), as
+    (offsets, g, 1 - g, n (l1 - l0)), and (``aug``, ``aug-alt``) its drawn
+    source rows as (offsets, g, 1 - g, k (``aug``) or k'', whether y = 1
+    and, for ``aug`` with ``top``, (1-p)/p where y = 1 and where y = 0,
+    else 0)."""
     nested, (l1, l0) = table.design == "nested", fits.losses
     tgt, src, cnt = table.target_rows, table.source_rows, fits.counts[group]
-    rows, n_t = tgt if estimator == "cl" else np.r_[tgt, src], tgt.size
-    # C-ordered, and one product of fixed shape per replicate, as in the sums
+    # C-ordered, and one product of fixed shape per replicate
     c_t, c_s = cnt.take(tgt, axis=1), cnt.take(src, axis=1)
     fixed = (c_t[:, None] @ l0[tgt][:, None])[:, 0, 0]
     if nested:
         fixed += (c_s[:, None] @ table.loss[src][:, None])[:, 0, 0]
     den = (cnt if nested else c_t).sum(axis=1)
-    g, c_rows = fits.g[group].take(rows, axis=1), cnt.take(rows, axis=1)
-    coef = c_rows * (l1 - l0)[rows]
-    y1, odds = table.y[src] == 1.0, None
+    g, dl = fits.g[group], l1 - l0
+    g_t = g.take(tgt, axis=1)
+    sides = [_drawn(c_t, g_t, 1.0 - g_t, c_t * dl[tgt])]
     if estimator != "cl":
+        g_s, odds = g.take(src, axis=1), None
+        h_s, y1 = 1.0 - g_s, (table.y[src] == 1.0)[None].repeat(len(group), axis=0)
+        coef = c_s * dl[src]
         if estimator == "aug":
             odds = fits.p[group].take(src, axis=1)
             odds = (1.0 - odds) / odds
-        g_s = g[:, n_t:]
-        coef[:, n_t:] *= (1.0 if odds is None else odds) * np.where(y1, 1.0 - g_s, -g_s)
-    odds = odds if top else None  # held per replicate only for max_weight
-    drawn, drawn_s = c_rows > 0, c_s > 0
-    n_drawn = drawn[:, :n_t].sum(axis=1)
-    return [(g[j, d], 1.0 - g[j, d], coef[j, d], fixed[j], n_drawn[j], den[j], r, y1[s],
-             None if odds is None else (odds[j, s] * y1[s], odds[j, s] * ~y1[s]))
-            for j, (r, d, s) in enumerate(zip(group, drawn, drawn_s))]
+        coef *= (1.0 if odds is None else odds) * np.where(y1, h_s, -g_s)
+        held = (odds * y1, odds * ~y1) if top and odds is not None else ()
+        sides.append(_drawn(c_s, g_s, h_s, coef, y1, *held))
+    return fixed, den, sides
 
 
-def _replicate_sums(drawn: tuple, eta: np.ndarray, x, y, offset: Optional[Callable] = None,
-                    top: bool = False) -> tuple:
-    """A binary replicate's estimates at a (K, 1) eta column and its
-    ``tilt.binary_scales``: with D = x g + y (1 - g), t = x g / D on the
-    target rows (g where D underflows to 0) and, on the source rows,
-    k x y / D^2 (``aug``) or e^a k'' x / D (``aug-alt``, a and its failures
-    from ``offset(eta, r)``), summed with ``_drawn_rows``'s coefficients.
-    Also the offset's (K,) failures (else None) and, with ``top``, the
-    largest source weight per eta (else None): (1-p)/p (x where y = 1, else
-    y) / D, or e^a e^{eta y}."""
-    g, h, coef, fixed, n_t, den, r, y1, odds = drawn
-    failed = tops = None
-    if n_t < g.size:  # aug and aug-alt raise as their weights: tilt, then c or the offset
-        if y is not None:
-            tilt_weight(float(y1.any()), TiltSpec(eta))
-            if offset is None:
-                binary_c(0.0, eta)
-        if offset is not None:
-            a, failed = offset(eta, r)
-            ea = np.exp(a)
-    f = x * g
-    d = f + h if y is None else np.add(y * h, f)
-    f_s, d_s = f[:, n_t:], d[:, n_t:]
-    with np.errstate(divide="ignore", invalid="ignore"):  # only where D is 0
-        np.divide(f[:, :n_t], d[:, :n_t], out=f[:, :n_t])
-        if offset is None:
-            np.divide(x if y is None else x * y, d_s, out=f_s)
-            f_s /= d_s
+def _segments(ufunc, values: np.ndarray, offsets: np.ndarray, empty: float = 0.0):
+    """``ufunc`` reduced over each replicate's columns of the (K, m)
+    ``values``, (K, G) from the (G + 1,) ``offsets``, and ``empty`` for a
+    replicate without columns (where ``reduceat`` gives the next column)."""
+    starts, some = offsets[:-1], offsets[1:] > offsets[:-1]
+    if some.all():
+        return ufunc.reduceat(values, starts, axis=1)
+    out = np.full((values.shape[0], starts.size), empty)
+    if some.any():
+        out[:, some] = ufunc.reduceat(values, starts[some], axis=1)
+    return out
+
+
+def _chunk_sums(layout: tuple, work: np.ndarray, reps: slice, eta: np.ndarray, x, y,
+                offset: Optional[Callable] = None, top: bool = False) -> tuple:
+    """Binary replicates ``reps`` (a slice of ``_chunk_rows``'s group, whose
+    rows are one contiguous range of each row set) at a (K, 1) eta column
+    and its ``tilt.binary_scales``.  With D = x g + y (1 - g) the terms are
+    t = x g / D on the target rows (g where D underflows to 0) and, on the
+    source rows, k x y / D^2 (``aug``) or e^a k'' x / D (``aug-alt``, a and
+    its failures from ``offset(eta, j)`` for replicate j of the group),
+    times the coefficients and summed over each replicate's rows in one
+    reduction (``_segments``), so a replicate's value does not depend on
+    the replicates or points beside it.  The block's x g and D fill the two
+    rows of ``work``, reused from block to block: a fresh array per block
+    costs more in page faults than its arithmetic.  Returns (G, K)
+    estimates, the offset's (G, K) failures (else None) and, with ``top``,
+    the largest source weights (else None): (1-p)/p (x where y = 1, else y)
+    / D, or e^a e^{eta y}."""
+    fixed, den, sides = layout
+    est, failed, tops = fixed[reps], None, None
+    for side, (offsets, g, h, coef, *more) in enumerate(sides):
+        span = slice(offsets[reps.start], offsets[reps.stop])
+        offsets = offsets[reps.start:reps.stop + 1] - span.start
+        g, h, coef, *more = (a[span] for a in (g, h, coef, *more))
+        if side:  # aug and aug-alt raise as their weights: tilt, then c or the offset
+            y1 = more[0]
+            if y is not None:
+                tilt_weight(float(y1.any()), TiltSpec(eta))
+                if offset is None:
+                    binary_c(0.0, eta)
+            if offset is not None:
+                a, failed = zip(*[offset(eta, j) for j in range(reps.start, reps.stop)])
+                ea, failed = np.exp(np.concatenate(a, axis=-1)), np.array(failed, dtype=object)
+        f, d = (w[:eta.shape[0] * g.size].reshape(eta.shape[0], g.size) for w in work)
+        np.multiply(x, g, out=f)
+        if y is None:
+            np.add(f, h, out=d)
         else:
-            np.divide(x, d_s, out=f_s)
-            f_s *= ea
-    if y is not None:
-        np.copyto(f[:, :n_t], g[:n_t], where=d[:, :n_t] == 0.0)
-    # one product per eta, of fixed shape: its value does not depend on K
-    est = (fixed + (f[:, None] @ coef[:, None])[:, 0, 0]) / den
-    if top:
-        if offset is None:  # x or y times the odds, as one of the two odds is 0
-            weight = x * odds[0]
-            weight += odds[1] if y is None else y * odds[1]
-            with np.errstate(divide="ignore", invalid="ignore"):  # only where D is 0
-                weight /= d_s
-        else:
-            with np.errstate(over="ignore"):  # e^eta overflows only where no y = 1 takes it
-                weight = ea * np.where(y1, np.exp(eta), 1.0)
-        tops = weight.max(axis=-1)
-    return est, failed, tops
+            np.multiply(y, h, out=d)
+            d += f
+        # silent where D is 0 or tiny (g at 0 or 1, far eta): the sum reports it
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if not side:
+                np.divide(f, d, out=f)
+                if y is not None:
+                    np.copyto(f, g, where=d == 0.0)
+            elif offset is None:
+                np.divide(x if y is None else x * y, d, out=f)
+                f /= d
+            else:
+                np.divide(x, d, out=f)
+                f *= ea
+            f *= coef
+            est = est + _segments(np.add, f, offsets)
+            if side and top:
+                if offset is None:  # x or y times the odds, as one of the two odds is 0
+                    weight = np.multiply(x, more[1], out=f)
+                    weight += more[2] if y is None else y * more[2]
+                    weight /= d
+                else:  # e^eta overflows only where no y = 1 takes it
+                    weight = np.multiply(ea, np.where(y1, np.exp(eta), 1.0), out=f)
+                tops = _segments(np.maximum, weight, offsets, -np.inf).T
+    return (est / den[reps]).T, failed, tops
 
 
 def _group_estimates(table: ObservationTable, fits: NuisanceRows, group: list,
@@ -415,36 +458,37 @@ def _replicate_rows(table: ObservationTable, fits: NuisanceRows, group: list,
                     grid: np.ndarray, estimator: str, top: bool = False) -> tuple:
     """Replicates ``group`` (indices into ``fits``) at every grid point as
     (G, K) arrays: estimates (NaN where failed), failures (None or the
-    exception) and, with ``top``, largest source weights.  Per block of
-    ``_block_step`` points a continuous group goes on every row at once
-    (``_group_estimates``), binary replicates one at a time on their drawn
-    rows (``_replicate_sums``), where ``aug-alt`` with the offset derived
-    from p and c is ``aug``: e^a = ((1 - p)/p)/c.  A block that raises
-    reruns by replicate, then by point, so each replicate-point gets what
-    it would alone."""
+    exception) and, with ``top``, largest source weights.  A continuous
+    group goes on every row at once (``_group_estimates``), in blocks of
+    ``_block_step`` points.  A binary group's drawn rows are laid out once,
+    replicate after replicate (``_chunk_rows``), and summed in blocks of
+    max(1, _BLOCK_CELLS // m) points, m the rows laid out
+    (``_chunk_sums``); ``aug-alt`` with the offset derived from p and c is
+    ``aug`` there: e^a = ((1 - p)/p)/c.  A block that raises reruns by
+    replicate, then by point, so each replicate-point gets what it would
+    alone."""
     shape = (len(group), grid.size)
     out = (np.full(shape, np.nan), np.full(shape, None, dtype=object),
            np.full(shape, np.nan) if top and estimator != "cl" else None)
     fitted_a = estimator == "aug-alt" and not fits.derived_a
-    drawn = None
+    layout, work, step, src = None, None, _block_step(table), table.source_rows
     if fits.g is not None:
-        drawn = _drawn_rows(table, fits, group,
-                            "aug" if estimator == "aug-alt" and not fitted_a else estimator, top)
+        layout = _chunk_rows(table, fits, group,
+                             "aug" if estimator == "aug-alt" and not fitted_a else estimator, top)
+        sizes = [side[0][-1] for side in layout[2]]  # the rows laid out per row set
+        step = max(1, _BLOCK_CELLS // max(1, sum(sizes)))
+        work = np.empty((2, min(step, grid.size) * max(sizes)))
     offset = None if not fitted_a else (
-        lambda eta, r: fits.offset(eta, r, fits.rows_drawn(r, table.source_rows)))
+        lambda eta, j: fits.offset(eta, group[j], fits.rows_drawn(group[j], src)))
 
     def evaluate(reps: slice, points: slice):  # a block's terms die with its call
         eta = grid[points, None]
-        if drawn is None:
+        if layout is None:
             est, weights, failed = _group_estimates(table, fits, group[reps], eta, estimator)
             return est, failed, None if out[2] is None else [w.max(axis=-1) for w in weights]
-        scales = binary_scales(eta)
-        est, failed, tops = zip(*[_replicate_sums(d, eta, *scales, offset, out[2] is not None)
-                                  for d in drawn[reps]])
-        return (est, np.array(failed, dtype=object) if fitted_a else None,
-                None if out[2] is None else tops)
+        return _chunk_sums(layout, work, reps, eta, *binary_scales(eta), offset,
+                           out[2] is not None)
 
-    step = _block_step(table)
     todo = [(slice(0, len(group)), slice(lo, lo + step)) for lo in range(0, grid.size, step)]
     while todo:
         reps, points = todo.pop()
@@ -480,10 +524,10 @@ def _replicate_matrix(table: ObservationTable, recipe, grid: np.ndarray, estimat
     design needs fails like the table it stands for: a leave-one-out one
     fails the jackknife, and a bootstrap where every replicate lacks one
     fails.
-    ``_replicate_rows`` evaluates a chunk's usable binary replicates, or a
-    continuous group of max(1, _BLOCK_CELLS // Kn), K the points of a grid
-    block; its (G, K) estimates and failures fill the matrices by array
-    operations.
+    ``_replicate_rows`` evaluates a chunk's usable binary replicates as one
+    group, whose drawn rows it lays out once, or a continuous group of
+    max(1, _BLOCK_CELLS // Kn), K the points of a grid block; its (G, K)
+    estimates and failures fill the matrices by array operations.
     """
     from .resampling import jackknife_size, replicate_counts
 

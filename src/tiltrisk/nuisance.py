@@ -1039,7 +1039,10 @@ class NuisanceRecipe:
         numerical failure of one replicate is recorded in ``errors`` and
         the others go on.  Any other exception propagates.  A recipe whose
         loss does not give the table's observed losses on its source rows,
-        bit for bit, is a ConfigError.
+        bit for bit, is a ConfigError.  Binary fits take L(1, h) and L(0, h)
+        from the table's ``loss1`` and ``loss0`` under the Brier loss, which
+        ``build_table`` evaluated on the same predictions; any other loss
+        evaluates its own.
         """
         counts = np.asarray(counts, dtype=np.float64)
         if (counts.ndim != 2 or counts.shape[1] != table.n or not np.all(np.isfinite(counts))
@@ -1067,11 +1070,13 @@ class NuisanceRecipe:
             _check_q(table, counts, self.q, errors)
         p, fits["p"] = _fit_logistic_rows(self.p_design, table.x, slice(None),
                                           (table.s == 1).astype(float), counts, errors)
-        if self.outcome == "binary":  # after the p fit, whose peak memory they would add to
+        if self.outcome != "binary":
+            designs = _design_by_replicate(self.g_design, table.x, src, counts, errors)
+        elif self.loss.is_binary_outcome and table.has_binary_losses:
+            losses = (table.loss1, table.loss0)  # build_table's eval_loss on the same pred
+        else:  # after the p fit, whose peak memory they would add to
             losses = (eval_loss(self.loss, np.ones_like(table.pred), table.pred),
                       eval_loss(self.loss, np.zeros_like(table.pred), table.pred))
-        else:
-            designs = _design_by_replicate(self.g_design, table.x, src, counts, errors)
         if self.a_design is not None:
             a_designs = _design_by_replicate(self.a_design, table.x, slice(None), counts, errors)
         return NuisanceRows(table, counts, errors, lacks_stratum, np.clip(p, *P_CLIP), fits,

@@ -76,6 +76,16 @@ def _replicates_match_take(table, recipe: NuisanceRecipe, seed: int) -> float:
     return float(np.max(diffs))
 
 
+def _group_equals_alone(table, recipe: NuisanceRecipe, seed: int) -> bool:
+    """Whether two bootstrap replicates swept together (``_replicate_rows``)
+    give each one's estimates swept alone, bit for bit."""
+    boot = ResampleConfig(replicates=2, seed=seed)
+    fits = recipe.fit_counts(table, replicate_counts(table, boot, [0, 1]))
+    etas = np.array([-31.0, -0.7, 0.0, 0.9, 31.0])
+    sweep = lambda group: _replicate_rows(table, fits, group, etas, "aug")[0]
+    return all(np.array_equal(sweep([0, 1])[r], sweep([r])[0]) for r in (0, 1))
+
+
 def run_selftest(seed: int = 0) -> bool:
     checks = []
 
@@ -125,6 +135,10 @@ def run_selftest(seed: int = 0) -> bool:
     record(
         "weighted bootstrap and jackknife replicates match take() refits (binary)",
         _replicates_match_take(table, binary, seed) < 1e-10,
+    )
+    record(
+        "a bootstrap group swept together equals each replicate swept alone (exactly)",
+        _group_equals_alone(table, binary, seed),
     )
     continuous = NuisanceRecipe(outcome="continuous", loss=LossFunction("squared-error"),
                                 p_design=cols, g_design=cols)

@@ -190,9 +190,10 @@ def tilt_weight(y, tilt: TiltSpec):
 def binary_scales(eta: np.ndarray) -> tuple:
     """(x, y) at a (K, 1) eta column, with x g + y (1 - g) = y (e^eta g + 1 - g):
     (e^eta, 1) up to eta = 30, else (1, e^-eta); y is None if no |eta| > 30."""
+    if np.abs(eta).max() <= _STABLE_EXP:
+        return np.exp(eta), None
     up = eta > _STABLE_EXP
-    x, y = np.exp(np.where(up, 0.0, eta)), np.exp(np.where(up, -eta, 0.0))
-    return x, None if np.abs(eta).max() <= _STABLE_EXP else y
+    return np.exp(np.where(up, 0.0, eta)), np.exp(np.where(up, -eta, 0.0))
 
 
 def _rows(g, l1=None, l0=None) -> tuple:

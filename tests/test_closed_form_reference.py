@@ -14,8 +14,10 @@ row that broadcasts to them.
 Every estimate of a fitted set, from ``estimate`` (the curve's one-point
 grid), ``sensitivity_curve`` or the replicates of ``_replicate_rows``, is
 not a sum of these per-row terms: it comes from a few count-weighted sums
-of eta-free coefficient rows (``estimators._replicate_sums``), which orders
-the arithmetic differently, and so does its ``max_weight``.  They are held
+of eta-free coefficient rows, laid out for a group of replicates by
+``estimators._chunk_rows`` and summed per replicate by
+``estimators._chunk_sums``, which orders the arithmetic differently, and
+so does its ``max_weight``.  They are held
 to the bound of ``test_kernel_reference``, 1e-12 times the larger of one
 and the magnitude of the terms summed (of the weight, for ``max_weight``);
 a value that is not finite must stay not finite, and statuses, error

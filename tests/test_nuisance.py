@@ -478,6 +478,25 @@ class TestBinaryNuisanceBundle:
         with pytest.raises(ConfigError):
             recipe.fit_counts(table, np.ones((3, table.n)))
 
+    @pytest.mark.parametrize("loss", ("brier", "custom"))
+    def test_binary_losses_equal_the_loss_evaluated_on_every_row(self, rng, loss):
+        # Brier reads the table's L(1, h) and L(0, h); a custom binary loss
+        # (here the squared error, which gives the Brier table's observed
+        # losses) evaluates its own on every row
+        from tiltrisk.tilt import eval_loss
+
+        table = random_binary_table(rng, n=200)
+        recipe_loss = BRIER if loss == "brier" else LossFunction("custom",
+                                                                 lambda y, h: (y - h) ** 2)
+        recipe = NuisanceRecipe(outcome="binary", loss=recipe_loss,
+                                p_design=DesignSpec((0, 1)), g_design=DesignSpec((0, 1)))
+        counts = np.vstack([np.ones(table.n), rng.poisson(1.0, table.n)])
+        l1, l0 = recipe.fit_counts(table, counts).losses
+        pred = table.pred
+        assert np.array_equal(l1, eval_loss(recipe_loss, np.ones_like(pred), pred))
+        assert np.array_equal(l0, eval_loss(recipe_loss, np.zeros_like(pred), pred))
+        assert (l1 is table.loss1 and l0 is table.loss0) == (loss == "brier")
+
     def test_recipe_rejects_custom_q_for_binary(self):
         with pytest.raises(DomainError, match="identity"):
             NuisanceRecipe(

@@ -547,6 +547,58 @@ def test_replicate_values_do_not_depend_on_blocks(block_cells, method, outcome_k
     assert np.array_equal(whole[1], split[1])
 
 
+# binary groups lay out their drawn rows replicate after replicate and sum
+# each replicate's segment; 720 overflows every weight (the tilt where a
+# drawn y is 1, else the normalizer), so a group's block reruns by replicate
+GROUP_GRID = np.array([-31.0, -1.0, 0.0, 0.5, 31.0, 720.0])
+
+
+def binary_groups_case(design):
+    """A binary table and the counts of replicate 0 (every row once), four
+    bootstrap draws and replicates that draw no y = 1 source row, no y = 0
+    source row and (in a nested cohort) no target row, whose target segment
+    is empty."""
+    table = make_table(np.random.default_rng(40), 40, design, "binary")
+    counts = [np.ones(table.n), *replicate_counts(table, ResampleConfig(replicates=5, seed=4),
+                                                  range(1, 5))]
+    for keep in (table.y != 1.0, table.y != 0.0) + ((table.s == 1,) if design == "nested"
+                                                   else ()):
+        counts.append(keep.astype(float))
+    return table, np.array(counts)
+
+
+def outcomes(values, failed, tops):
+    return (values, [[None if e is None else (type(e), str(e)) for e in row] for row in failed],
+            tops)
+
+
+@pytest.mark.parametrize("design", ("non-nested", "nested"))
+@pytest.mark.parametrize("estimator, a_basis", (("cl", None), ("aug", None), ("aug-alt", None),
+                                                ("aug-alt", "linear")),
+                         ids=("cl", "aug", "aug-alt-derived", "aug-alt-moment-fitted"))
+def test_binary_replicate_values_do_not_depend_on_their_group(design, estimator, a_basis):
+    table, counts = binary_groups_case(design)
+    fits = make_recipe("binary", a_basis=a_basis).fit_counts(table, counts)
+    assert all(e is None for e in fits.errors)
+    n_reps = counts.shape[0]
+    alone = [outcomes(*estimators._replicate_rows(table, fits, [r], GROUP_GRID, estimator,
+                                                  top=True)) for r in range(n_reps)]
+    alone = [(values[0], failed[0], None if tops is None else tops[0])
+             for values, failed, tops in alone]
+    assert np.isfinite(alone[0][0][:-1]).all()
+    assert (alone[0][1][-1] is not None) == (estimator != "cl")  # a group's block reruns
+    for size in (2, 5, n_reps):
+        for lo in range(0, n_reps, size):
+            group = list(range(lo, min(n_reps, lo + size)))
+            values, failed, tops = outcomes(*estimators._replicate_rows(
+                table, fits, group, GROUP_GRID, estimator, top=True))
+            for j, r in enumerate(group):
+                assert np.array_equal(values[j], alone[r][0], equal_nan=True), (size, r)
+                assert failed[j] == alone[r][1], (size, r)
+                if tops is not None:
+                    assert np.array_equal(tops[j], alone[r][2], equal_nan=True), (size, r)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
