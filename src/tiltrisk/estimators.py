@@ -208,7 +208,8 @@ def estimate(
     Warns when p sits at its clipping bound on more than half of the
     source rows; the ``positivity_warning`` diagnostic records the same.
     A set that does not belong to ``table`` is a ConfigError (``_check``),
-    as in ``influence_values`` and ``sensitivity_curve``.
+    as in ``influence_values`` and ``sensitivity_curve``.  A fitted set
+    keeps what its points share (``_point_rows``).
     """
     _check(table, nuis, estimator)
     if nuis._fits is None:  # a one-point grid costs half as much again per call
@@ -220,7 +221,7 @@ def estimate(
         if estimator != "cl":
             TiltSpec(eta)  # a non-finite eta fails as the weights' tilt does
         out = _grid_terms(table, nuis, np.array([eta], dtype=np.float64), estimator,
-                          _clip(table, nuis, estimator))[0]
+                          *_point_rows(table, nuis, estimator))[0]
         if isinstance(out, Exception):
             raise out
         est, diag = out
@@ -228,6 +229,18 @@ def estimate(
         _warn_positivity(diag)
     return EstimateResult(eta=eta, estimate=float(est), method=f"{estimator}/{table.design}",
                           diagnostics=diag)
+
+
+def _point_rows(table: ObservationTable, nuis: NuisanceSet, estimator: str) -> tuple:
+    """A fitted set's eta-free clip diagnostics for ``estimator`` and, for a
+    binary fit, replicate 0's layout (``_chunk_rows``), built at its first
+    ``estimate`` and kept on its fits: one entry per estimator."""
+    fits = nuis._fits
+    if estimator not in fits.point_rows:
+        fits.point_rows[estimator] = (_clip(table, nuis, estimator), None if fits.g is None else
+                                      _chunk_rows(table, fits, [0], _summed_as(fits, estimator),
+                                                  top=True))
+    return fits.point_rows[estimator]
 
 
 def influence_values(
@@ -271,14 +284,16 @@ def _block_step(table: ObservationTable) -> int:
     return max(1, _BLOCK_CELLS // table.n)
 
 
-def _grid_terms(table, nuis, grid: np.ndarray, estimator: str, clip: dict) -> list:
+def _grid_terms(table, nuis, grid: np.ndarray, estimator: str, clip: dict,
+                layout: Optional[tuple] = None) -> list:
     """(estimate, diagnostics) at every grid point, or the numeric failure
-    the point raised: a fitted set's as replicate 0 of its fits, a
-    hand-built (or ``replace``d) set's block by block through its fields
-    (``_terms``)."""
+    the point raised: a fitted set's as replicate 0 of its fits (a binary
+    one from ``layout``, if built), a hand-built (or ``replace``d) set's
+    block by block through its fields (``_terms``)."""
     if nuis._fits is not None:
         est, failed, top = (None if v is None else v[0] for v in
-                            _replicate_rows(table, nuis._fits, [0], grid, estimator, top=True))
+                            _replicate_rows(table, nuis._fits, [0], grid, estimator, top=True,
+                                            layout=layout))
         points = zip(est, _point_diagnostics(table, est, top, clip))
         return [point if exc is None else exc for exc, point in zip(failed, points)]
 
@@ -340,6 +355,12 @@ def _chunk_rows(table: ObservationTable, fits: NuisanceRows, group: list,
         held = (odds * y1, odds * ~y1) if top and odds is not None else ()
         sides.append(_drawn(c_s, g_s, h_s, coef, y1, *held))
     return fixed, den, sides
+
+
+def _summed_as(fits: NuisanceRows, estimator: str) -> str:
+    """The estimator whose binary sums give ``estimator``'s: ``aug`` for
+    ``aug-alt`` with the offset derived from p and c, e^a = ((1 - p)/p)/c."""
+    return "aug" if estimator == "aug-alt" and fits.derived_a else estimator
 
 
 def _segments(ufunc, values: np.ndarray, offsets: np.ndarray, empty: float = 0.0):
@@ -419,16 +440,17 @@ def _chunk_sums(layout: tuple, work: np.ndarray, reps: slice, eta: np.ndarray, x
 
 
 def _group_estimates(table: ObservationTable, fits: NuisanceRows, group: list,
-                     eta: np.ndarray, estimator: str) -> tuple:
+                     eta: np.ndarray, estimator: str, solved: Optional[dict]) -> tuple:
     """Continuous replicates ``group`` at a (K, 1) eta column, evaluated on
     every row: (G, K) estimates (terms summed with the row counts), source
     weights (None for ``cl``) and failures of b's and c's solve and of a
     moment-fitted offset.  A source row a replicate does not draw weighs
     zero, so its tilt overflow or NaN neither raises nor reaches the sums
-    (on a drawn row b's solve fails).  Replicate 0 gets full-table values."""
+    (on a drawn row b's solve fails).  Replicate 0 gets full-table values.
+    b and c are solved through ``solved`` (``NuisanceRows.solve``)."""
     fitted_a = estimator == "aug-alt" and not fits.derived_a
     b_beta, c_beta, failed = fits.solve(eta, group, ("b",) if estimator == "cl" or fitted_a
-                                        else ("b", "c"))
+                                        else ("b", "c"), solved)
     tgt, src, cnt = table.target_rows, table.source_rows, fits.counts[group]
     # C-ordered counts: the memory order of a product picks its sums' order
     c_t, c_s = cnt.take(tgt, axis=-1)[:, None], cnt.take(src, axis=-1)[:, None]
@@ -455,7 +477,8 @@ def _group_estimates(table: ObservationTable, fits: NuisanceRows, group: list,
 
 
 def _replicate_rows(table: ObservationTable, fits: NuisanceRows, group: list,
-                    grid: np.ndarray, estimator: str, top: bool = False) -> tuple:
+                    grid: np.ndarray, estimator: str, top: bool = False,
+                    solved: Optional[dict] = None, layout: Optional[tuple] = None) -> tuple:
     """Replicates ``group`` (indices into ``fits``) at every grid point as
     (G, K) arrays: estimates (NaN where failed), failures (None or the
     exception) and, with ``top``, largest source weights.  A continuous
@@ -463,18 +486,19 @@ def _replicate_rows(table: ObservationTable, fits: NuisanceRows, group: list,
     ``_block_step`` points.  A binary group's drawn rows are laid out once,
     replicate after replicate (``_chunk_rows``), and summed in blocks of
     max(1, _BLOCK_CELLS // m) points, m the rows laid out
-    (``_chunk_sums``); ``aug-alt`` with the offset derived from p and c is
-    ``aug`` there: e^a = ((1 - p)/p)/c.  A block that raises reruns by
-    replicate, then by point, so each replicate-point gets what it would
-    alone."""
+    (``_chunk_sums``; ``layout``, when given, is that layout built before);
+    ``aug-alt`` with the offset derived from p and c is ``aug`` there:
+    e^a = ((1 - p)/p)/c.  A block that raises reruns by replicate, then by
+    point, so each replicate-point gets what it would alone.  ``solved``
+    goes to a continuous group's ``NuisanceRows.solve``."""
     shape = (len(group), grid.size)
     out = (np.full(shape, np.nan), np.full(shape, None, dtype=object),
            np.full(shape, np.nan) if top and estimator != "cl" else None)
     fitted_a = estimator == "aug-alt" and not fits.derived_a
-    layout, work, step, src = None, None, _block_step(table), table.source_rows
+    work, step, src = None, _block_step(table), table.source_rows
     if fits.g is not None:
-        layout = _chunk_rows(table, fits, group,
-                             "aug" if estimator == "aug-alt" and not fitted_a else estimator, top)
+        if layout is None:
+            layout = _chunk_rows(table, fits, group, _summed_as(fits, estimator), top)
         sizes = [side[0][-1] for side in layout[2]]  # the rows laid out per row set
         step = max(1, _BLOCK_CELLS // max(1, sum(sizes)))
         work = np.empty((2, min(step, grid.size) * max(sizes)))
@@ -484,7 +508,8 @@ def _replicate_rows(table: ObservationTable, fits: NuisanceRows, group: list,
     def evaluate(reps: slice, points: slice):  # a block's terms die with its call
         eta = grid[points, None]
         if layout is None:
-            est, weights, failed = _group_estimates(table, fits, group[reps], eta, estimator)
+            est, weights, failed = _group_estimates(table, fits, group[reps], eta, estimator,
+                                                    solved)
             return est, failed, None if out[2] is None else [w.max(axis=-1) for w in weights]
         return _chunk_sums(layout, work, reps, eta, *binary_scales(eta), offset,
                            out[2] is not None)
@@ -528,6 +553,11 @@ def _replicate_matrix(table: ObservationTable, recipe, grid: np.ndarray, estimat
     group, whose drawn rows it lays out once, or a continuous group of
     max(1, _BLOCK_CELLS // Kn), K the points of a grid block; its (G, K)
     estimates and failures fill the matrices by array operations.
+
+    The fits on the source rows alone (binary g; continuous b and c) are
+    made once per chunk (and grid block) and distinct vector of source-row
+    counts (``fit_counts``, ``NuisanceRows.solve``): the leave-one-out
+    replicates that drop a target row share the full table's.
     """
     from .resampling import jackknife_size, replicate_counts
 
@@ -550,9 +580,11 @@ def _replicate_matrix(table: ObservationTable, recipe, grid: np.ndarray, estimat
         usable = [i for i, exc in enumerate(fits.errors) if exc is None]
         unusable += sum(fits.lacks_stratum)
         size = batch if fits.g is None else max(1, len(usable))  # binary: one group
+        solved: dict = {}  # the chunk's b and c solves, shared across its groups
         for b_lo in range(0, len(usable), size):
             group = usable[b_lo:b_lo + size]
-            values, failed, _ = _replicate_rows(table, fits, group, grid, estimator)
+            values, failed, _ = _replicate_rows(table, fits, group, grid, estimator,
+                                                solved=solved)
             rows, ok = lo + np.asarray(group), np.isfinite(values)
             est[rows] = np.where(ok, values, np.nan)
             reason = np.where(ok, None, "non-finite")

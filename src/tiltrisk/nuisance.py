@@ -341,6 +341,30 @@ def _replicate_designs(design: DesignSpec, x: np.ndarray, fit, counts: np.ndarra
     return groups
 
 
+def _by_source_counts(fit: Callable, counts: np.ndarray, src: np.ndarray, errors: list) -> tuple:
+    """Run ``fit()``, a fit of the live replicates on the source rows
+    ``src`` alone, on the first live replicate of each distinct vector of
+    source-row counts, and copy its outputs (indexed by replicate) and
+    failure to the others: each fit is fixed-shape products of its own
+    rows, so the copy is bit for bit its own.  Returns (each replicate's
+    first live replicate with its counts, else itself; the outputs)."""
+    key = np.arange(counts.shape[0])
+    live = [r for r in range(counts.shape[0]) if errors[r] is None]
+    if len(live) > 1:  # a single replicate (a full-table fit) has nothing to share
+        cnt, first = counts.take(src, axis=1), {}
+        for r in live:
+            key[r] = first.setdefault(cnt[r].tobytes(), r)
+    shared = [r for r in live if key[r] != r]
+    for r in shared:
+        errors[r] = "shared"  # not live while ``fit`` runs
+    outputs = fit()
+    for r in shared:
+        errors[r] = errors[key[r]]
+        for out in outputs:
+            out[r] = out[key[r]]
+    return key, outputs
+
+
 def _design_by_replicate(design: DesignSpec, x: np.ndarray, fit, counts: np.ndarray,
                          errors: list) -> list:
     """Each replicate's ((k, n) transposed design on every row of ``x``,
@@ -773,10 +797,15 @@ class NuisanceRows:
     A moment-fitted offset is fitted at every eta of a column at once
     (``_offset_theta``); ``offset`` returns each eta's ConvergenceError,
     ``a`` raises the first.
+
+    ``source_key[r]`` (continuous fits) is the first replicate with
+    replicate r's source-row counts, which ``solve`` shares b and c by.
+    ``point_rows`` holds what ``estimators.estimate`` derives from replicate
+    0 of a fitted set, one entry per estimator; b, c and a keep nothing.
     """
 
     def __init__(self, table, counts, errors, lacks_stratum, p, fits, g, losses, designs,
-                 a_designs, q):
+                 a_designs, q, source_key):
         self.table = table
         self.counts = counts
         self.errors = errors
@@ -788,6 +817,8 @@ class NuisanceRows:
         self.losses = losses
         self._designs = designs
         self._a_designs = a_designs
+        self.source_key = source_key
+        self.point_rows: dict = {}
 
     def rows_drawn(self, r: int, rows: np.ndarray) -> np.ndarray:
         """The entries of ``rows`` that replicate r draws at least once."""
@@ -811,12 +842,35 @@ class NuisanceRows:
             return _wls_coefficients(dT[:, rows], tilt, cnt)
         return _wls_coefficients(dT[:, rows], response[rows], cnt * tilt)
 
-    def solve(self, eta: np.ndarray, reps, parts=("b", "c")) -> tuple:
+    def solve(self, eta: np.ndarray, reps, parts=("b", "c"), solved: Optional[dict] = None
+              ) -> tuple:
         """Coefficients of a continuous fit's b and c (those named in
         ``parts``) for the replicates ``reps`` at a (K, 1) eta column, solved
-        together (``_tilted_wls``): per part a (G, K, k) array, None for a
-        part not asked for, and the (G, K) failures, None where an item
-        solved (b's failure before c's).
+        together (``_solve``): per part a (G, K, k) array, None for a part
+        not asked for, and the (G, K) failures, None where an item solved
+        (b's failure before c's).
+
+        ``solved``, a dict the caller keeps for one fit chunk, holds the
+        solves made through it by parts, eta block and ``source_key``: b and
+        c are fitted on the source rows alone, so a replicate whose
+        source-row counts were solved at this block takes those values, its
+        own bit for bit."""
+        reps = list(reps)
+        if solved is None:
+            return self._solve(eta, reps, parts)
+        keys = [(parts, eta.tobytes(), int(self.source_key[r])) for r in reps]
+        new = {}
+        for r, key in zip(reps, keys):
+            if key not in solved:
+                new.setdefault(key, r)
+        if new:
+            out = self._solve(eta, list(new.values()), parts)
+            solved.update((key, [None if v is None else v[i] for v in out])
+                          for i, key in enumerate(new))
+        return tuple(None if v[0] is None else np.stack(v) for v in zip(*map(solved.get, keys)))
+
+    def _solve(self, eta: np.ndarray, reps: list, parts) -> tuple:
+        """``solve`` for the replicates ``reps``, together (``_tilted_wls``).
 
         The replicates share the tilt weights on the source rows; a row a
         replicate does not draw weighs zero in its fit.  An item that fails
@@ -829,7 +883,6 @@ class NuisanceRows:
         """
         t = self.table
         src = t.source_rows
-        reps = list(reps)
         spec = TiltSpec(eta, self.q)
         qy = spec.apply_q(t.y[src])
         z = spec.eta * qy
@@ -1037,7 +1090,10 @@ class NuisanceRecipe:
 
         Replicate r is the table holding row i ``counts[r, i]`` times; a
         numerical failure of one replicate is recorded in ``errors`` and
-        the others go on.  Any other exception propagates.  A recipe whose
+        the others go on.  Any other exception propagates.  Binary g and
+        the continuous design of b and c, fitted on the source rows alone,
+        are fitted once per distinct vector of source-row counts
+        (``_by_source_counts``).  A recipe whose
         loss does not give the table's observed losses on its source rows,
         bit for bit, is a ConfigError.  Binary fits take L(1, h) and L(0, h)
         from the table's ``loss1`` and ``loss0`` under the Brier loss, which
@@ -1059,19 +1115,23 @@ class NuisanceRecipe:
                               "observed losses on its source rows")
         errors = _check_replicates(table, counts)
         lacks_stratum = [e is not None for e in errors]
-        fits, g, losses, designs, a_designs = {}, None, None, None, None
+        fits, g, losses, designs, a_designs, key = {}, None, None, None, None, None
         if self.outcome == "binary":
             not_binary = src[~np.isin(table.y[src], (0.0, 1.0))]  # fails the replicates drawing it
             for r in np.flatnonzero((counts[:, not_binary] > 0).any(axis=1)):
                 errors[r] = errors[r] or DomainError(
                     "binary nuisances require 0/1 source outcomes")
-            g, fits["g"] = _fit_logistic_rows(self.g_design, table.x, src, table.y, counts, errors)
+            _, (g, fits["g"]) = _by_source_counts(
+                lambda: _fit_logistic_rows(self.g_design, table.x, src, table.y, counts, errors),
+                counts, src, errors)
         elif self.q is not None:
             _check_q(table, counts, self.q, errors)
         p, fits["p"] = _fit_logistic_rows(self.p_design, table.x, slice(None),
                                           (table.s == 1).astype(float), counts, errors)
         if self.outcome != "binary":
-            designs = _design_by_replicate(self.g_design, table.x, src, counts, errors)
+            key, (designs,) = _by_source_counts(
+                lambda: (_design_by_replicate(self.g_design, table.x, src, counts, errors),),
+                counts, src, errors)
         elif self.loss.is_binary_outcome and table.has_binary_losses:
             losses = (table.loss1, table.loss0)  # build_table's eval_loss on the same pred
         else:  # after the p fit, whose peak memory they would add to
@@ -1080,4 +1140,5 @@ class NuisanceRecipe:
         if self.a_design is not None:
             a_designs = _design_by_replicate(self.a_design, table.x, slice(None), counts, errors)
         return NuisanceRows(table, counts, errors, lacks_stratum, np.clip(p, *P_CLIP), fits,
-                            g=g, losses=losses, designs=designs, a_designs=a_designs, q=self.q)
+                            g=g, losses=losses, designs=designs, a_designs=a_designs, q=self.q,
+                            source_key=key)

@@ -57,18 +57,21 @@ def _continuous_table(seed: int):
 
 def _replicates_match_take(table, recipe: NuisanceRecipe, seed: int) -> float:
     """Largest |difference| between the count-weighted fit and sweep of a
-    bootstrap replicate and of a leave-one-out replicate and the refit of
-    the same replicate built with ``take`` (NaN if a point fails).  Both
-    replicates are swept together (``_replicate_rows``)."""
+    bootstrap replicate and of leave-one-out replicates dropping a source
+    row and two target rows, and the refit of the same replicate built with
+    ``take`` (NaN if a point fails).  The replicates are fitted and swept
+    together (``_replicate_rows``), so the two target drops share their
+    source-side fits."""
     boot = ResampleConfig(replicates=2, seed=seed)
+    drops = [5, *table.target_rows[[0, -1]]]
     counts = np.vstack([replicate_counts(table, boot, [1]),
-                        replicate_counts(table, ResampleConfig(method="jackknife"), [5])])
+                        replicate_counts(table, ResampleConfig(method="jackknife"), drops)])
     fits = recipe.fit_counts(table, counts)
     etas = np.array([-0.7, 0.0, 0.9])
-    weighted, _, _ = _replicate_rows(table, fits, [0, 1], etas, "aug")
+    weighted, _, _ = _replicate_rows(table, fits, [0, 1, 2, 3], etas, "aug", solved={})
     diffs = []
-    for r, idx in enumerate((resample_indices(table, 1, seed, boot.resolve_stratified(table)),
-                             np.delete(np.arange(table.n), 5))):
+    boot_rows = resample_indices(table, 1, seed, boot.resolve_stratified(table))
+    for r, idx in enumerate([boot_rows] + [np.delete(np.arange(table.n), i) for i in drops]):
         t = table.take(idx)
         taken = recipe.fit(t)
         diffs += [abs(value - estimate(t, taken, float(eta), "aug").estimate)
@@ -133,7 +136,8 @@ def run_selftest(seed: int = 0) -> bool:
         and curve["aug-alt"] == curve["aug"],
     )
     record(
-        "weighted bootstrap and jackknife replicates match take() refits (binary)",
+        "weighted bootstrap and jackknife replicates, source-side fits shared, match "
+        "take() refits (binary)",
         _replicates_match_take(table, binary, seed) < 1e-10,
     )
     record(
@@ -143,7 +147,8 @@ def run_selftest(seed: int = 0) -> bool:
     continuous = NuisanceRecipe(outcome="continuous", loss=LossFunction("squared-error"),
                                 p_design=cols, g_design=cols)
     record(
-        "weighted bootstrap and jackknife replicates match take() refits (continuous)",
+        "weighted bootstrap and jackknife replicates, source-side fits shared, match "
+        "take() refits (continuous)",
         _replicates_match_take(_continuous_table(seed), continuous, seed) < 1e-10,
     )
 

@@ -599,6 +599,113 @@ def test_binary_replicate_values_do_not_depend_on_their_group(design, estimator,
                     assert np.array_equal(tops[j], alone[r][2], equal_nan=True), (size, r)
 
 
+# the last point fails in every replicate: at 720 the tilt overflows on the
+# drawn source rows with y > 0.986, failing b's and c's items, and at 100 a
+# moment-fitted offset has no root
+CONTINUOUS_GROUP_GRIDS = {None: np.array([-1.0, 0.0, 0.5, 720.0]),
+                          "linear": np.array([-1.0, 0.0, 0.5, 100.0])}
+
+
+def shared_source_case(design, outcome_kind):
+    """A table and the counts of replicate 0 (every row once), leave-one-out
+    replicates dropping five target rows, then two source rows, and two
+    bootstrap draws; the target drops and replicate 0 share their
+    source-row counts."""
+    table = make_table(np.random.default_rng(41), 40, design, outcome_kind)
+    drops = [*table.target_rows[:5], *table.source_rows[:2]]
+    jackknife = replicate_counts(table, ResampleConfig(method="jackknife"), drops)
+    boot = replicate_counts(table, ResampleConfig(replicates=2, seed=6), range(2))
+    return table, np.vstack([np.ones(table.n), jackknife, boot])
+
+
+def distinct_source_counts(table, counts, live):
+    return len({counts[r, table.source_rows].tobytes() for r in live})
+
+
+@pytest.mark.parametrize("estimator, a_basis", (("cl", None), ("aug", None), ("aug-alt", None),
+                                                ("aug-alt", "linear")),
+                         ids=("cl", "aug", "aug-alt-derived", "aug-alt-moment-fitted"))
+def test_continuous_replicate_values_do_not_depend_on_their_group_or_chunk(
+        estimator, a_basis, monkeypatch):
+    table, counts = shared_source_case("non-nested", "continuous")
+    recipe = make_recipe("continuous", a_basis=a_basis)
+    n_reps, grid = counts.shape[0], CONTINUOUS_GROUP_GRIDS[a_basis]
+    alone = []
+    for r in range(n_reps):
+        fits = recipe.fit_counts(table, counts[[r]])
+        assert fits.errors[0] is None
+        values, failed, tops = outcomes(*estimators._replicate_rows(table, fits, [0], grid,
+                                                                    estimator, top=True))
+        alone.append((values[0], failed[0], None if tops is None else tops[0]))
+    assert np.isfinite(alone[0][0][:-1]).all()
+    assert all(failed[-1] is not None and failed[:-1] == [None] * 3 for _, failed, _ in alone)
+    # two grid blocks of two points: a chunk solves b (and c) once per block
+    # and distinct vector of source-row counts, however it is grouped
+    monkeypatch.setattr(estimators, "_BLOCK_CELLS", 2 * table.n)
+    tilted_wls, items = nuisance._tilted_wls, []
+
+    def count(dT, r_inv, pT, cnt, tilt, w, response=None):
+        items.append(w.shape[0])
+        return tilted_wls(dT, r_inv, pT, cnt, tilt, w, response)
+
+    monkeypatch.setattr(nuisance, "_tilted_wls", count)
+    parts = 1 if estimator == "cl" or a_basis is not None else 2
+    for chunk in (3, 8, n_reps):
+        for size in (1, 2, 5, n_reps):
+            items.clear()
+            distinct = 0
+            for lo in range(0, n_reps, chunk):
+                reps = range(lo, min(n_reps, lo + chunk))
+                fits = recipe.fit_counts(table, counts[reps])
+                distinct += distinct_source_counts(table, counts[reps], range(len(reps)))
+                solved = {}
+                for g_lo in range(0, len(reps), size):
+                    group = list(range(g_lo, min(len(reps), g_lo + size)))
+                    values, failed, tops = outcomes(*estimators._replicate_rows(
+                        table, fits, group, grid, estimator, top=True, solved=solved))
+                    for j, i in enumerate(group):
+                        r = reps[i]
+                        assert np.array_equal(values[j], alone[r][0], equal_nan=True), (chunk, r)
+                        assert failed[j] == alone[r][1], (chunk, size, r)
+                        if tops is not None:
+                            assert np.array_equal(tops[j], alone[r][2], equal_nan=True)
+            assert sum(items) == distinct * 2 * parts, (chunk, size)
+
+
+@pytest.mark.parametrize("design", ("non-nested", "nested"))
+def test_binary_g_is_fitted_once_per_source_counts(design, monkeypatch):
+    table, counts = shared_source_case(design, "binary")
+    keep_zeros = table.y != 1.0  # no y = 1 source row: g separates
+    no_target = (table.s == 1).astype(float)  # a stratum failure where non-nested
+    counts = np.vstack([no_target, counts, keep_zeros, keep_zeros])
+    counts[-1, table.target_rows[0]] = 0.0
+    recipe = make_recipe("binary")
+    irls, fitted = nuisance._irls, []
+
+    def count(dT, y, w_case, ridge=0.0):
+        if ridge == 0.0 and w_case.shape[1] == table.n1:  # g's first fit
+            fitted.append(w_case.shape[0])
+        return irls(dT, y, w_case, ridge)
+
+    monkeypatch.setattr(nuisance, "_irls", count)
+    fits = recipe.fit_counts(table, counts)
+    live = [r for r in range(len(counts)) if not fits.lacks_stratum[r]]
+    assert fits.lacks_stratum[0] == (design == "non-nested")
+    assert sum(fitted) == distinct_source_counts(table, counts, live) < len(live)
+    assert fits.meta(len(counts) - 1)["g_ridge"]
+    for r in range(len(counts)):
+        one = recipe.fit_counts(table, counts[[r]])
+        assert np.array_equal(fits.g[r], one.g[0], equal_nan=True), r
+        shared, own = fits._fits["g"][r], one._fits["g"][0]
+        assert (shared is None) == (own is None)
+        if own is not None:
+            assert np.array_equal(shared.coefficients, own.coefficients)
+            assert (shared.converged, shared.iterations, shared.ridge) == \
+                (own.converged, own.iterations, own.ridge)
+        assert (type(fits.errors[r]), str(fits.errors[r])) == \
+            (type(one.errors[0]), str(one.errors[0])), r
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
