@@ -233,14 +233,19 @@ def estimate(
 
 def _point_rows(table: ObservationTable, nuis: NuisanceSet, estimator: str) -> tuple:
     """A fitted set's eta-free clip diagnostics for ``estimator`` and, for a
-    binary fit, replicate 0's layout (``_chunk_rows``), built at its first
-    ``estimate`` and kept on its fits: one entry per estimator."""
-    fits = nuis._fits
-    if estimator not in fits.point_rows:
-        fits.point_rows[estimator] = (_clip(table, nuis, estimator), None if fits.g is None else
-                                      _chunk_rows(table, fits, [0], _summed_as(fits, estimator),
-                                                  top=True))
-    return fits.point_rows[estimator]
+    binary fit, replicate 0's layout (``_chunk_rows``), kept on its fits:
+    the clip diagnostics from its first ``estimate``, which makes its p and
+    g read-only, and a layout per estimator summed (``_summed_as``)."""
+    fits, summed = nuis._fits, _summed_as(nuis._fits, estimator)
+    kept = fits.point_rows
+    if not kept:  # what is kept is derived from p and g
+        for values in (nuis.p, nuis.g, fits.p, fits.g):
+            if values is not None:
+                values.flags.writeable = False
+        kept["clip"] = _clip(table, nuis, "aug")
+    if summed not in kept:
+        kept[summed] = None if fits.g is None else _chunk_rows(table, fits, [0], summed, top=True)
+    return kept["clip"] if estimator == "aug" else {}, kept[summed]
 
 
 def influence_values(
@@ -557,7 +562,9 @@ def _replicate_matrix(table: ObservationTable, recipe, grid: np.ndarray, estimat
     The fits on the source rows alone (binary g; continuous b and c) are
     made once per chunk (and grid block) and distinct vector of source-row
     counts (``fit_counts``, ``NuisanceRows.solve``): the leave-one-out
-    replicates that drop a target row share the full table's.
+    replicates that drop a target row share the full table's.  A chunk
+    whose source-row counts never repeat (a bootstrap) keeps no solves
+    past a group.
     """
     from .resampling import jackknife_size, replicate_counts
 
@@ -580,7 +587,8 @@ def _replicate_matrix(table: ObservationTable, recipe, grid: np.ndarray, estimat
         usable = [i for i, exc in enumerate(fits.errors) if exc is None]
         unusable += sum(fits.lacks_stratum)
         size = batch if fits.g is None else max(1, len(usable))  # binary: one group
-        solved: dict = {}  # the chunk's b and c solves, shared across its groups
+        key = fits.source_key  # b and c solves shared across groups where counts repeat
+        solved = {} if key is not None and (key != np.arange(key.size)).any() else None
         for b_lo in range(0, len(usable), size):
             group = usable[b_lo:b_lo + size]
             values, failed, _ = _replicate_rows(table, fits, group, grid, estimator,

@@ -754,8 +754,10 @@ class NuisanceSet:
 
     A fitted set (``NuisanceRecipe.fit``) also carries its fits, the
     ``NuisanceRows`` of one all-ones replicate, and sensitivity curves
-    evaluate it as replicate 0 of them.  ``dataclasses.replace`` does not
-    copy the fits, so a replaced set is a hand-built one: the estimators
+    evaluate it as replicate 0 of them.  Its first ``estimate`` keeps what
+    its points share on the fits and makes its p and g read-only, so an
+    edit cannot leave that stale.  ``dataclasses.replace`` does not copy
+    the fits, so a replaced set is a hand-built one: the estimators
     read every field as given, and values derived at fit time, such as a
     from p and c, are not recomputed.
     """
@@ -801,7 +803,7 @@ class NuisanceRows:
     ``source_key[r]`` (continuous fits) is the first replicate with
     replicate r's source-row counts, which ``solve`` shares b and c by.
     ``point_rows`` holds what ``estimators.estimate`` derives from replicate
-    0 of a fitted set, one entry per estimator; b, c and a keep nothing.
+    0 of a fitted set (``estimators._point_rows``); b, c and a keep nothing.
     """
 
     def __init__(self, table, counts, errors, lacks_stratum, p, fits, g, losses, designs,
@@ -850,14 +852,12 @@ class NuisanceRows:
         not asked for, and the (G, K) failures, None where an item solved
         (b's failure before c's).
 
-        ``solved``, a dict the caller keeps for one fit chunk, holds the
-        solves made through it by parts, eta block and ``source_key``: b and
-        c are fitted on the source rows alone, so a replicate whose
-        source-row counts were solved at this block takes those values, its
-        own bit for bit."""
-        reps = list(reps)
-        if solved is None:
-            return self._solve(eta, reps, parts)
+        b and c are fitted on the source rows alone, so items are solved
+        once per ``source_key`` and kept in ``solved`` by parts, eta block
+        and key: a replicate whose source-row counts were solved at this
+        block takes those values, its own bit for bit.  ``solved`` is a dict
+        the caller keeps for one fit chunk, else this call's own."""
+        reps, solved = list(reps), {} if solved is None else solved
         keys = [(parts, eta.tobytes(), int(self.source_key[r])) for r in reps]
         new = {}
         for r, key in zip(reps, keys):

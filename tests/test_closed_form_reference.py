@@ -479,6 +479,29 @@ def test_non_finite_eta_text(estimator):
         assert str(new.value) == str(old.value) == f"eta must be finite, got {eta}"
 
 
+@pytest.mark.parametrize("kind", ("binary", "continuous"))
+def test_estimate_keeps_its_rows_and_freezes_p_and_g(kind):
+    """A fitted set's first estimate keeps replicate 0's eta-free rows on its
+    fits, one layout for aug and derived aug-alt, and makes p and g
+    read-only, so an in-place edit cannot leave them stale."""
+    table, nuis = fitted("non-nested") if kind == "binary" else fitted_continuous("non-nested")
+    points = {estimator: next(iter(sensitivity_curve(table, nuis, np.array([0.5]), estimator)))
+              for estimator in ("aug", "aug-alt")}  # a curve keeps nothing
+    assert not nuis._fits.point_rows
+    for estimator in ("aug", "aug-alt", "aug"):
+        assert_bits(estimate(table, nuis, 0.5, estimator).estimate,
+                    points[estimator].result.estimate)
+    kept = nuis._fits.point_rows
+    assert kept.keys() == {"clip", "aug"} if kind == "binary" else {"clip", "aug", "aug-alt"}
+    diag = points["aug"].result.diagnostics
+    assert kept["clip"] == {key: diag[key] for key in ("clip_count", "positivity_warning")
+                            if key in diag}
+    values = [nuis.p, nuis._fits.p] + ([] if kind == "continuous" else [nuis.g, nuis._fits.g])
+    for array in values:
+        with pytest.raises(ValueError, match="read-only"):
+            array[table.source_rows[0]] = 0.5
+
+
 @pytest.mark.parametrize("design", ("non-nested", "nested"))
 def test_derived_aug_alt_is_aug(design):
     """With the offset derived from p and c, e^a = ((1 - p)/p)/c, so

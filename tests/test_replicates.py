@@ -672,6 +672,36 @@ def test_continuous_replicate_values_do_not_depend_on_their_group_or_chunk(
             assert sum(items) == distinct * 2 * parts, (chunk, size)
 
 
+@pytest.mark.parametrize("method", ("jackknife", "bootstrap"))
+def test_replicate_matrix_solves_each_source_counts_once_per_chunk(method, monkeypatch):
+    """A continuous sweep in chunks of ten replicates and groups of five
+    solves b and c once per chunk and distinct vector of source-row counts:
+    a chunk's target drops share one solve across its groups, and a
+    bootstrap, whose counts do not repeat, solves every replicate."""
+    table = make_table(np.random.default_rng(43), 40, "non-nested", "continuous")
+    recipe, grid = make_recipe("continuous"), np.linspace(-1.0, 1.0, 8)
+    resample = ResampleConfig(method=method, replicates=30, seed=2)
+    expected = _replicate_matrix(table, recipe, grid, "aug", resample)
+    # chunks of 40 n / 4n = 10 and one grid block of 8: groups of 40 n / 8n = 5
+    monkeypatch.setattr(estimators, "_BLOCK_CELLS", 40 * table.n)
+    tilted_wls, items = nuisance._tilted_wls, []
+
+    def count(dT, r_inv, pT, cnt, tilt, w, response=None):
+        items.append(w.shape[0])
+        return tilted_wls(dT, r_inv, pT, cnt, tilt, w, response)
+
+    monkeypatch.setattr(nuisance, "_tilted_wls", count)
+    est, why = _replicate_matrix(table, recipe, grid, "aug", resample)
+    assert np.array_equal(est, expected[0], equal_nan=True)
+    assert np.array_equal(why, expected[1])
+    n_reps = est.shape[0]
+    distinct = sum(distinct_source_counts(table, replicate_counts(table, resample, reps),
+                                          range(len(reps)))
+                   for reps in (range(lo, min(n_reps, lo + 10)) for lo in range(0, n_reps, 10)))
+    assert sum(items) == 2 * distinct
+    assert distinct < n_reps if method == "jackknife" else distinct == n_reps
+
+
 @pytest.mark.parametrize("design", ("non-nested", "nested"))
 def test_binary_g_is_fitted_once_per_source_counts(design, monkeypatch):
     table, counts = shared_source_case(design, "binary")
