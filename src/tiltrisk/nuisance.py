@@ -67,6 +67,11 @@ _LOG_SPREAD = float(np.log(1e4))
 GLM_PROB_CLIP = (1e-8, 1.0 - 1e-8)
 OUTCOMES = ("binary", "continuous")
 _TINY = np.finfo(np.float64).tiny
+# The fits' passes over a table's rows (the rank check's QR, IRLS's sums,
+# fitted values on every row) go in blocks of this many rows, whatever the
+# replicate or column count, so a replicate's bits do not depend on its
+# group and a pass makes no (G, n) or (k, n) temporary of a large table.
+_BLOCK_ROWS = 2**13
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +208,24 @@ def _pivoted_diagonal(r: np.ndarray) -> tuple:
     return diag, piv
 
 
+def _row_blocks(m: int) -> list:
+    """Slices of ``_BLOCK_ROWS`` consecutive rows covering m rows (one,
+    possibly empty, block for m <= ``_BLOCK_ROWS``)."""
+    return [slice(i, min(i + _BLOCK_ROWS, m)) for i in range(0, max(m, 1), _BLOCK_ROWS)]
+
+
 def _r_factors(d_fit: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The (G, k, k) R factors of sqrt(counts) * d for G replicates' fit
-    rows, by one unpivoted numpy QR; zero rows pad a factor of fewer fit
-    rows than columns.  ``d_fit`` is the (k, m) transposed design, shared,
-    or a (G, k, m) stack; ``counts`` the (G, m) row counts."""
+    rows, by a tall-skinny QR: an unpivoted numpy QR of each row block's
+    count-weighted rows, then one of the blocks' stacked R factors (a
+    single block's R is the factor itself).  Zero rows pad a factor of
+    fewer fit rows than columns.  ``d_fit`` is the (k, m) transposed
+    design, shared, or a (G, k, m) stack; ``counts`` the (G, m) row
+    counts."""
     k = d_fit.shape[-2]
-    r = np.linalg.qr(np.swapaxes(d_fit * np.sqrt(counts)[:, None, :], -1, -2), mode="r")
+    r = [np.linalg.qr(np.swapaxes(d_fit[..., s] * np.sqrt(counts[:, s])[:, None, :], -1, -2),
+                      mode="r") for s in _row_blocks(counts.shape[-1])]
+    r = r[0] if len(r) == 1 else np.linalg.qr(np.concatenate(r, axis=-2), mode="r")
     if r.shape[-2] < k:  # fewer fit rows than columns
         r = np.concatenate([r, np.zeros((len(r), k - r.shape[-2], k))], axis=-2)
     return r
@@ -228,9 +244,10 @@ def _rank_errors(d_fit: np.ndarray, counts: np.ndarray, names: list, r=None) -> 
     The rank is that of a column-pivoted QR of the rows repeated by count,
     at tolerance max(rows, k) * eps * max |diag| (rows counted with
     repetition).  sqrt(counts) * d has the same R'R as the repeated rows, so
-    one unpivoted numpy QR of it gives their R factor; a pivoted pass on
-    that (k, k) R then picks the pivots and |diag| a pivoted QR of the rows
-    would, since the norms of the trailing columns do not change under Q.
+    its R factor by blocks of rows (``_r_factors``: each block's R, then the
+    R of their stack) is theirs; a pivoted pass on that (k, k) R then picks
+    the pivots and |diag| a pivoted QR of the rows would, since the norms of
+    the trailing columns do not change under Q.
     """
     k = d_fit.shape[-2]
     r = _r_factors(d_fit, counts) if r is None else r
@@ -281,10 +298,12 @@ def _group_matrix(builts: list, x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.stack([b.matrix(x).T for b in builts]))
 
 
-def _every_row(builts: list, x: np.ndarray, fit, d_fit: np.ndarray) -> np.ndarray:
-    """A group's design on every row of ``x``: ``d_fit`` itself when the fit
-    rows ``fit`` are every row (``slice(None)``), else evaluated anew."""
-    return d_fit if isinstance(fit, slice) else _group_matrix(builts, x)
+def _every_row(builts: list, x: np.ndarray, fit, d_fit: np.ndarray,
+               rows: slice = slice(None)) -> np.ndarray:
+    """A group's design on the ``rows`` (a slice, all by default) of ``x``:
+    ``d_fit``'s when the fit rows ``fit`` are every row (``slice(None)``),
+    else evaluated anew."""
+    return d_fit[..., rows] if isinstance(fit, slice) else _group_matrix(builts, x[rows])
 
 
 def _replicate_designs(design: DesignSpec, x: np.ndarray, fit, counts: np.ndarray,
@@ -485,38 +504,51 @@ def _irls(dT, y, w_case, ridge=0.0):
     of 1e-8) for G count-weighted, optionally ridge-penalized Bernoulli
     likelihoods: ``dT`` is the (k, m) or (G, k, m) transposed design,
     ``w_case`` the (G, m) case weights.  Returns (beta, stop reasons,
-    iterations).  Unpenalized, a replicate whose coefficient norm grows from
-    the third iteration on while a fitted probability of its own rows is
-    pinned at a bound stops as ``_SEPARATED``."""
+    iterations).  The Hessian and score are sums over ``_row_blocks``, in
+    block order.  Unpenalized, a replicate whose coefficient norm grows
+    from the third iteration on while a fitted probability of its own rows
+    is pinned at a bound stops as ``_SEPARATED``: the check takes the
+    last block's probabilities from the Hessian's pass and evaluates the
+    other blocks' anew."""
     k = dT.shape[-2]
     beta = np.zeros((w_case.shape[0], k))
     norm_prev, present, held = np.zeros(len(beta)), w_case > 0, {}
+    blocks = _row_blocks(w_case.shape[-1])
 
     def derivs(some, b):
         d, wc = _per_replicate(dT, some), w_case[some]
-        p = held["p"] = expit(_values(d, b))  # for the separation check
-        w = p * (1.0 - p)
-        np.maximum(w, 1e-12, out=w)
-        w *= wc
-        h = _gram(d, w)
-        resid = np.subtract(y, p, out=w)  # w is spent once h is formed
-        resid *= wc
-        grad = _project(d, resid)
+        for i, s in enumerate(blocks):
+            d_s, wc_s = d[..., s], wc[:, s]
+            p = expit(_values(d_s, b))
+            w = p * (1.0 - p)
+            np.maximum(w, 1e-12, out=w)
+            w *= wc_s
+            h_s = _gram(d_s, w)
+            resid = np.subtract(y[s], p, out=w)  # w is spent once h_s is formed
+            resid *= wc_s
+            grad_s = _project(d_s, resid)
+            h, grad = (h_s, grad_s) if i == 0 else (h + h_s, grad + grad_s)
+        held["p"], held["b"] = p, b.copy()  # for the separation check
         if ridge > 0.0:
             h = h + ridge * np.eye(k)
             grad = grad - ridge * b
         return h, grad, np.full(len(b), _GOING)
 
     def separation(some, b_new, reason, it):
-        p = held.pop("p")
+        p_last, b = held.pop("p"), held.pop("b")
         norm_new = np.sqrt(np.add.reduce(b_new**2, axis=1))
         if it >= 3:
             diverged = (reason == _GOING) & (norm_new > norm_prev[some])
             if diverged.any():
                 # fitted probabilities of the replicate's own rows pinned at a bound
-                drawn = np.where(present[some], p, 0.5)
-                diverged &= ((np.minimum.reduce(drawn, axis=1) < 1e-10)
-                             | (np.maximum.reduce(drawn, axis=1) > 1.0 - 1e-10))
+                d, drawn = _per_replicate(dT, some), present[some]
+                for i, s in enumerate(blocks):
+                    p = p_last if i == len(blocks) - 1 else expit(_values(d[..., s], b))
+                    p = np.where(drawn[:, s], p, 0.5)
+                    lo_s, hi_s = np.minimum.reduce(p, axis=1), np.maximum.reduce(p, axis=1)
+                    lo, hi = ((lo_s, hi_s) if i == 0
+                              else (np.minimum(lo, lo_s), np.maximum(hi, hi_s)))
+                diverged &= (lo < 1e-10) | (hi > 1.0 - 1e-10)
             reason[diverged] = _SEPARATED
         norm_prev[some] = norm_new
 
@@ -532,8 +564,9 @@ def _fit_logistic_rows(design: DesignSpec, x: np.ndarray, fit, targets: np.ndarr
     intercept-only designs in closed form, the logit of the count-weighted
     mean.  Separation or a singular Hessian triggers a ridge refit
     (lambda = 1e-4) flagged on the result; a replicate whose fit or refit
-    does not converge fails with a ConvergenceError naming why.  Returns the (R, n) fitted probabilities
-    on every row of ``x`` (NaN for failed replicates) and one GlmFit per
+    does not converge fails with a ConvergenceError naming why.  Returns
+    the (R, n) fitted probabilities on every row of ``x``, evaluated by
+    ``_row_blocks`` (NaN for failed replicates), and one GlmFit per
     replicate.
     """
     n_reps = counts.shape[0]
@@ -543,7 +576,7 @@ def _fit_logistic_rows(design: DesignSpec, x: np.ndarray, fit, targets: np.ndarr
     if bad.any():
         for r in np.flatnonzero((cnt[:, bad] > 0).any(axis=1)):
             errors[r] = errors[r] or DomainError("logistic targets must be binary 0/1")
-    fitted = []   # (replicates, probabilities): the (R, n) array is not held through IRLS
+    fitted = []   # (replicates, built designs, d_fit, coefficients) of each group
     fits = [None] * n_reps
     for reps, builts, d_fit, _ in _replicate_designs(design, x, fit, counts, errors,
                                                      min_rows=True):
@@ -561,16 +594,18 @@ def _fit_logistic_rows(design: DesignSpec, x: np.ndarray, fit, targets: np.ndarr
             sub = np.flatnonzero(ridge)
             beta[sub], reasons[sub], iters[sub] = _irls(_per_replicate(d_fit, sub), y, w[sub],
                                                          ridge=1e-4)
-        fitted.append((reps, expit(_values(_every_row(builts, x, fit, d_fit), beta))))
+        fitted.append((reps, builts, d_fit, beta))
         for i, r in enumerate(reps):
             if reasons[i] != _CONVERGED:
                 errors[r] = errors[r] or ConvergenceError(
                     "logistic fit: " + _FAILURES[reasons[i]].format(_IRLS_MAX_ITER))
             fits[r] = GlmFit(beta[i], bool(reasons[i] == _CONVERGED and not ridge[i]),
                              int(iters[i]), builts[i], ridge=bool(ridge[i]))
-    prob = np.full((n_reps, x.shape[0]), np.nan)
-    for reps, values in fitted:
-        prob[reps] = np.clip(values, *GLM_PROB_CLIP, out=values)
+    prob = np.full((n_reps, x.shape[0]), np.nan)  # not held through IRLS
+    for reps, builts, d_fit, beta in fitted:
+        for s in _row_blocks(x.shape[0]):
+            values = expit(_values(_every_row(builts, x, fit, d_fit, s), beta))
+            prob[reps, s] = np.clip(values, *GLM_PROB_CLIP, out=values)
     prob[[e is not None for e in errors]] = np.nan
     return prob, fits
 
@@ -709,7 +744,10 @@ def _offset_theta(dT: np.ndarray, src: np.ndarray, y: np.ndarray, counts: np.nda
         return np.full_like(theta, np.nan), failures
     d_src, c_src = np.ascontiguousarray(dT[:, src]), counts[src]
     t_bar = (dT[:, ~src] * counts[~src]).sum(axis=-1) / n
-    theta[:, 0] = np.log(n0 / np.add.reduce(c_src * np.exp(log_w), axis=1))
+    # log n0 - log sum c e^{log_w}, in log space: e^{log_w} may overflow
+    top = np.max(log_w, axis=1)
+    theta[:, 0] = (np.log(n0) - top
+                   - np.log(np.add.reduce(c_src * np.exp(log_w - top[:, None]), axis=1)))
 
     def weights(items, th):
         z = _values(d_src, th) + log_w[items]

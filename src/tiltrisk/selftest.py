@@ -7,7 +7,7 @@ import numpy as np
 from .data import build_table
 from .estimators import _replicate_rows, estimate, influence_values, sensitivity_curve
 from .etaselect import eta_from_prevalence_nonnested, implied_prevalence_nonnested
-from .nuisance import DesignSpec, NuisanceRecipe, NuisanceSet
+from .nuisance import _BLOCK_ROWS, DesignSpec, NuisanceRecipe, NuisanceSet, _r_factors
 from .resampling import ResampleConfig, replicate_counts, resample_indices
 from .tilt import (
     LossFunction,
@@ -89,6 +89,19 @@ def _group_equals_alone(table, recipe: NuisanceRecipe, seed: int) -> bool:
     return all(np.array_equal(sweep([0, 1])[r], sweep([r])[0]) for r in (0, 1))
 
 
+def _blocked_r_error(seed: int) -> float:
+    """Largest |entry| of R'R - R0'R0 over ||sqrt(c) d||_F^2, R the blocked
+    ``_r_factors`` of count-weighted rows spanning three and a half row
+    blocks and R0 numpy's QR of the same rows in one piece."""
+    rng = np.random.default_rng(seed)
+    n = 7 * _BLOCK_ROWS // 2
+    d = rng.normal(size=(n, 4)) * np.array([1.0, 1e-3, 1e2, 1.0])
+    counts = rng.poisson(1.0, (1, n)).astype(np.float64)
+    r = _r_factors(np.ascontiguousarray(d.T), counts)[0]
+    r0 = np.linalg.qr(d * np.sqrt(counts[0])[:, None], mode="r")
+    return float(np.max(np.abs(r.T @ r - r0.T @ r0)) / np.sum(counts[0][:, None] * d**2))
+
+
 def run_selftest(seed: int = 0) -> bool:
     checks = []
 
@@ -151,6 +164,9 @@ def run_selftest(seed: int = 0) -> bool:
         "take() refits (continuous)",
         _replicates_match_take(_continuous_table(seed), continuous, seed) < 1e-10,
     )
+
+    record("the rank check's R factor by row blocks has the one-piece QR's R'R",
+           _blocked_r_error(seed) < 1e-12)
 
     ok = all(checks)
     print(f"{sum(checks)}/{len(checks)} checks passed")

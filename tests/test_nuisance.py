@@ -4,6 +4,7 @@ Apart from ``fit_logistic``, every fit is reached through the one entry
 point, ``NuisanceRecipe.fit``, and checked on the nuisance values it gives
 on the table's rows."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -21,11 +22,12 @@ from tiltrisk.errors import (
     RankDeficientError,
     TiltOverflowError,
 )
-from tiltrisk import nuisance
+from tiltrisk import estimators, nuisance
 from tiltrisk.nuisance import (
     DesignSpec,
     NuisanceRecipe,
     NuisanceRows,
+    _r_factors,
     _rank_errors,
     _spline_basis,
     _fit_logistic_rows,
@@ -36,6 +38,7 @@ from tiltrisk.nuisance import (
 from tiltrisk.tilt import LossFunction, PredictionModel, TiltSpec, selection_a, tilt_weight
 
 from conftest import BRIER, random_binary_table
+from test_replicates import make_table
 
 INTERCEPT_ONLY = DesignSpec(())
 ABSOLUTE = LossFunction("absolute-deviation")
@@ -676,3 +679,161 @@ class TestStackedSolve:
             for j in (0, 4, 8):
                 b1, c1, _ = fits.solve(FAR_ETAS[j:j + 1, None], [r])
                 assert np.array_equal(b1[0, 0], b[g, j]) and np.array_equal(c1[0, 0], c[g, j])
+
+
+@contextlib.contextmanager
+def row_blocks(rows):
+    """Fits inside pass over a table in blocks of ``rows`` rows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nuisance, "_BLOCK_ROWS", rows)
+        yield
+
+
+def rank_design(kind, rng, n):
+    """(n, 4) columns with an intercept and Poisson counts of three
+    replicates, zeros included.  "full" has full rank; "duplicated" a
+    column twice another, "constant" a constant one and "two-valued" z
+    and 3 - 2z spanning the intercept, each with one column past the rank
+    that no tie picks.  In the "-tie" kinds (an exact copy; z and 1 - z)
+    the two columns tie, so either one is the right name."""
+    x = rng.normal(size=(n, 2)) * np.array([1.0, 1e2])
+    z = (rng.random(n) < 0.4).astype(float)
+    cols = {"full": (x[:, 0], x[:, 1], z),
+            "duplicated": (x[:, 0], x[:, 1], 2.0 * x[:, 0]),
+            "duplicated-tie": (x[:, 0], x[:, 1], x[:, 0]),
+            "constant": (x[:, 0], np.full(n, 3.0), x[:, 1]),
+            "two-valued": (z, 3.0 - 2.0 * z, x[:, 0]),
+            "two-valued-tie": (z, 1.0 - z, x[:, 0])}[kind]
+    return np.column_stack((np.ones(n),) + cols), rng.poisson(1.0, (3, n)).astype(np.float64)
+
+
+def block_case(outcome, seed=5, n=150):
+    """A 150-row non-nested table, a recipe on linear designs and row
+    counts of replicates: the full table, two bootstrap draws, a
+    leave-one-out one, one whose drawn rows separate the strata by x0 (p
+    takes the ridge refit), one drawing two distinct source rows (b and c,
+    or g, fail the rank check) and, for binary outcomes, one whose drawn
+    source rows separate y by x0 (g takes the ridge refit)."""
+    rng = np.random.default_rng(seed)
+    cols = DesignSpec((0, 1))
+    if outcome == "binary":
+        table = random_binary_table(rng, n=n)
+        recipe = NuisanceRecipe(outcome="binary", loss=BRIER, p_design=cols, g_design=cols)
+    else:
+        table = make_table(rng, n, "non-nested", "continuous")
+        recipe = NuisanceRecipe(outcome="continuous", loss=LossFunction("squared-error"),
+                                p_design=cols, g_design=cols)
+    src, x0 = table.s == 1, table.x[:, 0]
+    two = np.where(src, 0.0, 1.0)
+    two[np.flatnonzero(src)[:2]] = 3.0
+    counts = [np.ones(n), *rng.multinomial(n, np.full(n, 1.0 / n), size=2),
+              np.r_[np.ones(n - 1), 0.0], np.where(src, x0 > 0.0, x0 < 0.0), two]
+    if outcome == "binary":
+        counts.append(np.where(src, (table.y == 1.0) == (x0 > 0.0), 1.0))
+    return table, recipe, np.array(counts, dtype=np.float64)
+
+
+class TestRowBlocks:
+    """The fits' passes over a table in row blocks (``_BLOCK_ROWS``, set
+    here to a few rows) against the same fits in one block, which the
+    tables of the other tests take."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), k=st.integers(1, 7),
+           rows=st.integers(1, 40), kind=st.sampled_from(("independent", "exact", "near")))
+    def test_r_factor_matches_one_block(self, seed, n, k, rows, kind):
+        rng = np.random.default_rng(seed)
+        d, counts = random_design(rng, n, k, kind)
+        counts = np.stack([counts, rng.poisson(0.5, n).astype(np.float64)])
+        dT = np.ascontiguousarray(d.T)
+        one = _r_factors(dT, counts)
+        with row_blocks(rows):
+            blocked = _r_factors(dT, counts)
+        assert blocked.shape == one.shape == (2, k, k)
+        for r in range(2):
+            scale = np.sum(counts[r][:, None] * d**2)
+            error = np.abs(blocked[r].T @ blocked[r] - one[r].T @ one[r])
+            assert np.max(error) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kind", ("full", "duplicated", "duplicated-tie", "constant",
+                                      "two-valued", "two-valued-tie"))
+    def test_rank_check_matches_one_block_and_scipy(self, kind):
+        names = [f"x{j}" for j in range(4)]
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            d, counts = rank_design(kind, rng, int(rng.integers(20, 300)))
+            dT = np.ascontiguousarray(d.T)
+            one = our_rank_names(dT, counts, [names] * 3)
+            expected = [scipy_rank_names(d, c, names) for c in counts]
+            assert [e is None for e in one] == [e is None for e in expected] == [kind == "full"] * 3
+            for rows in (1, 2, 5, 16):
+                with row_blocks(rows):
+                    blocked = our_rank_names(dT, counts, [names] * 3)
+                if not kind.endswith("-tie"):
+                    assert blocked == one == expected, (seed, rows)
+                    continue
+                for r in range(3):  # either tied column is right: dropping it leaves full rank
+                    assert blocked[r] is not None and len(blocked[r]) == 1
+                    keep = [j for j in range(4) if names[j] not in blocked[r]]
+                    assert scipy_rank_names(d[:, keep], counts[r], [names[j] for j in keep]) is None
+
+    @pytest.mark.parametrize("outcome", ("binary", "continuous"))
+    def test_fit_counts_matches_one_block(self, outcome, monkeypatch):
+        table, recipe, counts = block_case(outcome)
+        one = recipe.fit_counts(table, counts)
+        monkeypatch.setattr(nuisance, "_BLOCK_ROWS", 16)  # ten blocks, five of source rows
+        blocked = recipe.fit_counts(table, counts)
+        assert [repr(e) for e in blocked.errors] == [repr(e) for e in one.errors]
+        assert isinstance(one.errors[-2 if outcome == "binary" else -1], RankDeficientError)
+        assert one._fits.keys() == blocked._fits.keys()
+        for part, fits in one._fits.items():
+            assert any(f is not None and f.ridge for f in fits), part
+            for f, fb in zip(fits, blocked._fits[part]):
+                assert (f is None) == (fb is None)
+                if f is not None:
+                    assert (fb.iterations, fb.converged, fb.ridge) == (f.iterations, f.converged,
+                                                                        f.ridge)
+                    assert np.max(np.abs(fb.coefficients - f.coefficients)) <= 1e-12 * max(
+                        1.0, np.max(np.abs(f.coefficients)))
+        for values in ("p", "g"):
+            if getattr(one, values) is not None:
+                assert np.allclose(getattr(blocked, values), getattr(one, values),
+                                   rtol=0.0, atol=1e-12, equal_nan=True)
+        live = [r for r in range(len(counts)) if one.errors[r] is None]
+        for estimator in ("cl", "aug"):
+            est, failed, _ = estimators._replicate_rows(table, one, live, FAR_ETAS, estimator)
+            est_b, failed_b, _ = estimators._replicate_rows(table, blocked, live, FAR_ETAS,
+                                                            estimator)
+            assert [repr(e) for e in np.ravel(failed_b)] == [repr(e) for e in np.ravel(failed)]
+            assert np.allclose(est_b, est, rtol=1e-12, atol=0.0, equal_nan=True)
+        if outcome == "continuous":
+            b, c, failed = one.solve(FAR_ETAS[:, None], live)
+            b_b, c_b, failed_b = blocked.solve(FAR_ETAS[:, None], live)
+            assert [repr(e) for e in failed_b.ravel()] == [repr(e) for e in failed.ravel()]
+            for v, v_b in ((b, b_b), (c, c_b)):
+                scale = np.maximum(1.0, np.max(np.abs(v), axis=-1, keepdims=True))
+                assert np.nanmax(np.abs(v_b - v) / scale) <= 1e-12
+
+    @pytest.mark.parametrize("outcome", ("binary", "continuous"))
+    def test_no_pass_of_the_fit_takes_more_than_a_block(self, outcome, monkeypatch):
+        table, recipe, counts = block_case(outcome)
+        rows = 32  # five blocks of 150 rows, three of source rows: 5k stacked R rows fit one
+        monkeypatch.setattr(nuisance, "_BLOCK_ROWS", rows)
+        qr_rows, design_rows = [], []
+        qr = np.linalg.qr
+
+        def record_qr(a, *args, **kwargs):
+            qr_rows.append(a.shape[-2])
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", record_qr)
+        for name in ("_gram", "_values", "_project"):
+            def record(dT, v, f=getattr(nuisance, name)):
+                design_rows.append(dT.shape[-1])
+                return f(dT, v)
+
+            monkeypatch.setattr(nuisance, name, record)
+        recipe.fit_counts(table, counts)
+        assert table.n >= 3 * rows and (table.s == 1).sum() >= 2 * rows + 1
+        assert qr_rows and design_rows
+        assert max(qr_rows) <= rows and max(design_rows) <= rows

@@ -672,6 +672,23 @@ def test_continuous_replicate_values_do_not_depend_on_their_group_or_chunk(
             assert sum(items) == distinct * 2 * parts, (chunk, size)
 
 
+def test_moment_fitted_offset_fails_an_overflowing_tilt_without_warnings():
+    """At eta = 720 the tilt overflows on drawn source rows: every replicate
+    of a moment-fitted aug-alt fails there with the tilt's named error, and
+    the offset fit's start, formed in log space, warns of no overflow (the
+    suite turns RuntimeWarnings into errors)."""
+    table = make_table(np.random.default_rng(41), 40, "non-nested", "continuous")
+    recipe, grid = make_recipe("continuous", a_basis="linear"), np.array([0.0, 720.0])
+    resample = ResampleConfig(replicates=4, seed=1)
+    curve = sensitivity_curve(table, recipe.fit(table), grid, "aug-alt", resample=resample)
+    assert curve.points[0].status == "ok"
+    assert curve.points[1].status.startswith("failed: tilt exponent")
+    est, reasons = _replicate_matrix(table, recipe, grid, "aug-alt", resample)
+    assert np.isfinite(est[:, 0]).all() and np.isnan(est[:, 1]).all()
+    assert reasons[:, 0].tolist() == [None] * 4
+    assert reasons[:, 1].tolist() == ["TiltOverflowError"] * 4
+
+
 @pytest.mark.parametrize("method", ("jackknife", "bootstrap"))
 def test_replicate_matrix_solves_each_source_counts_once_per_chunk(method, monkeypatch):
     """A continuous sweep in chunks of ten replicates and groups of five
