@@ -29,12 +29,15 @@ aug-alt one e^a e^eta k'' / D: n0 (or n) times an estimate is
 sum_t n l0 + sum_t n (l1 - l0) t + sum_s (source terms) (+ sum_s n L,
 nested).  A derived offset has e^a = ((1-p)/p)/c, so derived aug-alt is
 summed as aug; a moment-fitted one scales k'' by e^a.  ``max_weight``
-comes from the same D.  A group of replicates lays its drawn rows out
-once, replicate after replicate, and sums each replicate's segment alone.
+comes from the same D.  A group of replicates takes the table's rows in
+windows of ``nuisance._BLOCK_ROWS``: it lays out the rows each replicate
+draws in a window, replicate after replicate, sums each replicate's
+segment alone and adds its windows' sums in window order.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -43,8 +46,8 @@ import numpy as np
 
 from .data import ObservationTable
 from .errors import NUMERIC_FAILURES, ConfigError, NumericError
-from .nuisance import C_FLOOR, NuisanceRows, NuisanceSet
-from .tilt import TiltSpec, binary_c, binary_scales, selection_a, tilt_weight
+from .nuisance import C_FLOOR, NuisanceRows, NuisanceSet, _row_blocks
+from .tilt import _LOG_MAX, TiltSpec, binary_c, binary_scales, selection_a, tilt_weight
 
 _CLIP_TOL = 1e-12
 
@@ -167,18 +170,21 @@ def _point_diagnostics(table: ObservationTable, est: np.ndarray, top, clip: dict
 
 
 def _clip(table: ObservationTable, nuis: NuisanceSet, estimator: str) -> dict:
-    """The eta-free clip diagnostics of ``aug``, computed once per curve.
-    Only fitted sets clip p; a set without bounds in its meta (e.g. p = 1
-    test mode) reports no clipping."""
+    """The eta-free clip diagnostics of ``aug``, computed once per curve, by
+    row blocks of the source rows.  Only fitted sets clip p; a set without
+    bounds in its meta (e.g. p = 1 test mode) reports no clipping."""
     if estimator != "aug":
         return {}
-    p_src = np.asarray(nuis.p)[table.source_rows]
-    if "p_clip" not in nuis.meta or p_src.size == 0:
+    src = table.source_rows
+    if "p_clip" not in nuis.meta or src.size == 0:
         return {"clip_count": 0}
-    lo, hi = nuis.meta["p_clip"]
-    at_bound = (p_src <= lo + _CLIP_TOL) | (p_src >= hi - _CLIP_TOL)
-    diag = {"clip_count": int(at_bound.sum())}
-    if at_bound.mean() > 0.5:
+    (lo, hi), p = nuis.meta["p_clip"], np.asarray(nuis.p)
+    count = 0
+    for s in _row_blocks(src.size):  # a sum of counts: exact in any order
+        p_src = p.take(src[s])
+        count += int(np.count_nonzero((p_src <= lo + _CLIP_TOL) | (p_src >= hi - _CLIP_TOL)))
+    diag = {"clip_count": count}
+    if count / src.size > 0.5:
         diag["positivity_warning"] = True
     return diag
 
@@ -233,9 +239,10 @@ def estimate(
 
 def _point_rows(table: ObservationTable, nuis: NuisanceSet, estimator: str) -> tuple:
     """A fitted set's eta-free clip diagnostics for ``estimator`` and, for a
-    binary fit, replicate 0's layout (``_chunk_rows``), kept on its fits:
-    the clip diagnostics from its first ``estimate``, which makes its p and
-    g read-only, and a layout per estimator summed (``_summed_as``)."""
+    binary fit on a table of one row block, replicate 0's layout
+    (``_chunk_rows``; None otherwise), kept on its fits: the clip
+    diagnostics from its first ``estimate``, which makes its p and g
+    read-only, and a layout per estimator summed (``_summed_as``)."""
     fits, summed = nuis._fits, _summed_as(nuis._fits, estimator)
     kept = fits.point_rows
     if not kept:  # what is kept is derived from p and g
@@ -244,7 +251,9 @@ def _point_rows(table: ObservationTable, nuis: NuisanceSet, estimator: str) -> t
                 values.flags.writeable = False
         kept["clip"] = _clip(table, nuis, "aug")
     if summed not in kept:
-        kept[summed] = None if fits.g is None else _chunk_rows(table, fits, [0], summed, top=True)
+        windows = _row_blocks(table.n)
+        kept[summed] = (_chunk_rows(table, fits, [0], summed, windows[0], top=True)
+                        if fits.g is not None and len(windows) == 1 else None)
     return kept["clip"] if estimator == "aug" else {}, kept[summed]
 
 
@@ -329,37 +338,59 @@ def _drawn(counts: np.ndarray, *rows) -> list:
     return [offsets] + [r.take(at) for r in rows]
 
 
+def _within(rows: np.ndarray, window: slice) -> np.ndarray:
+    """The entries of the sorted row indices ``rows`` that lie in the table
+    rows ``window``, a view."""
+    return rows[np.searchsorted(rows, window.start):np.searchsorted(rows, window.stop)]
+
+
+def _take(values: np.ndarray, group: list, rows: np.ndarray) -> np.ndarray:
+    """The (G, m) entries of the (R, n) ``values`` of replicates ``group``
+    on the table rows ``rows``, C-ordered (``take`` would first copy a
+    broadcast ``values``, such as a fitted set's counts, whole)."""
+    return values[:, rows][group]
+
+
 def _chunk_rows(table: ObservationTable, fits: NuisanceRows, group: list,
-                estimator: str, top: bool = False) -> tuple:
-    """The binary replicates ``group``'s eta-free rows for ``_chunk_sums``:
-    per replicate the eta-free sum and the denominator, then the target
-    rows each draws, concatenated in replicate order (``_drawn``), as
+                estimator: str, window: slice, top: bool = False) -> tuple:
+    """The binary replicates ``group``'s eta-free rows among the table rows
+    ``window`` (a slice) for ``_chunk_sums``: per replicate the eta-free
+    sum and the denominator over those rows, then the target rows each
+    draws there, concatenated in replicate order (``_drawn``), as
     (offsets, g, 1 - g, n (l1 - l0)), and (``aug``, ``aug-alt``) its drawn
     source rows as (offsets, g, 1 - g, k (``aug``) or k'', whether y = 1
     and, for ``aug`` with ``top``, (1-p)/p where y = 1 and where y = 0,
     else 0)."""
     nested, (l1, l0) = table.design == "nested", fits.losses
-    tgt, src, cnt = table.target_rows, table.source_rows, fits.counts[group]
+    tgt, src = _within(table.target_rows, window), _within(table.source_rows, window)
     # C-ordered, and one product of fixed shape per replicate
-    c_t, c_s = cnt.take(tgt, axis=1), cnt.take(src, axis=1)
+    c_t, c_s = _take(fits.counts, group, tgt), _take(fits.counts, group, src)
     fixed = (c_t[:, None] @ l0[tgt][:, None])[:, 0, 0]
     if nested:
         fixed += (c_s[:, None] @ table.loss[src][:, None])[:, 0, 0]
-    den = (cnt if nested else c_t).sum(axis=1)
-    g, dl = fits.g[group], l1 - l0
-    g_t = g.take(tgt, axis=1)
-    sides = [_drawn(c_t, g_t, 1.0 - g_t, c_t * dl[tgt])]
+    den = c_t.sum(axis=1) + c_s.sum(axis=1) if nested else c_t.sum(axis=1)
+    g_t = _take(fits.g, group, tgt)
+    sides = [_drawn(c_t, g_t, 1.0 - g_t, c_t * (l1[tgt] - l0[tgt]))]
     if estimator != "cl":
-        g_s, odds = g.take(src, axis=1), None
+        g_s, odds = _take(fits.g, group, src), None
         h_s, y1 = 1.0 - g_s, (table.y[src] == 1.0)[None].repeat(len(group), axis=0)
-        coef = c_s * dl[src]
+        coef = c_s * (l1[src] - l0[src])
         if estimator == "aug":
-            odds = fits.p[group].take(src, axis=1)
+            odds = _take(fits.p, group, src)
             odds = (1.0 - odds) / odds
         coef *= (1.0 if odds is None else odds) * np.where(y1, h_s, -g_s)
         held = (odds * y1, odds * ~y1) if top and odds is not None else ()
         sides.append(_drawn(c_s, g_s, h_s, coef, y1, *held))
     return fixed, den, sides
+
+
+def _draws_y1(table: ObservationTable, fits: NuisanceRows, group: list) -> np.ndarray:
+    """Whether each replicate of ``group`` draws a source row with y = 1."""
+    out = np.zeros(len(group), dtype=bool)
+    for window in _row_blocks(table.n):
+        src = _within(table.source_rows, window)
+        out |= ((_take(fits.counts, group, src) > 0) & (table.y[src] == 1.0)).any(axis=1)
+    return out
 
 
 def _summed_as(fits: NuisanceRows, estimator: str) -> str:
@@ -381,37 +412,23 @@ def _segments(ufunc, values: np.ndarray, offsets: np.ndarray, empty: float = 0.0
     return out
 
 
-def _chunk_sums(layout: tuple, work: np.ndarray, reps: slice, eta: np.ndarray, x, y,
-                offset: Optional[Callable] = None, top: bool = False) -> tuple:
-    """Binary replicates ``reps`` (a slice of ``_chunk_rows``'s group, whose
-    rows are one contiguous range of each row set) at a (K, 1) eta column
-    and its ``tilt.binary_scales``.  With D = x g + y (1 - g) the terms are
-    t = x g / D on the target rows (g where D underflows to 0) and, on the
-    source rows, k x y / D^2 (``aug``) or e^a k'' x / D (``aug-alt``, a and
-    its failures from ``offset(eta, j)`` for replicate j of the group),
-    times the coefficients and summed over each replicate's rows in one
-    reduction (``_segments``), so a replicate's value does not depend on
-    the replicates or points beside it.  The block's x g and D fill the two
-    rows of ``work``, reused from block to block: a fresh array per block
-    costs more in page faults than its arithmetic.  Returns (G, K)
-    estimates, the offset's (G, K) failures (else None) and, with ``top``,
-    the largest source weights (else None): (1-p)/p (x where y = 1, else y)
-    / D, or e^a e^{eta y}."""
-    fixed, den, sides = layout
-    est, failed, tops = fixed[reps], None, None
+def _chunk_sums(layout: tuple, work: np.ndarray, eta: np.ndarray, x, y,
+                ea: Optional[np.ndarray] = None, top: bool = False) -> tuple:
+    """The sums of a ``_chunk_rows`` layout at a (K, 1) eta column and its
+    ``tilt.binary_scales``.  With D = x g + y (1 - g) the terms are t = x g
+    / D on the target rows (g where D underflows to 0) and, on the source
+    rows, k x y / D^2 (``aug``) or e^a k'' x / D (``aug-alt``, e^a on the
+    layout's source rows in ``ea``), times the coefficients and summed over
+    each replicate's rows in one reduction (``_segments``), so a
+    replicate's sum does not depend on the replicates or points beside it.
+    The block's x g and D fill the two rows of ``work``, reused from block
+    to block: a fresh array per block costs more in page faults than its
+    arithmetic.  Returns the (K, G) sums, the eta-free sums added, and,
+    with ``top``, the (K, G) largest source weights (else None): (1-p)/p (x
+    where y = 1, else y) / D, or e^a e^{eta y}."""
+    fixed, _, sides = layout
+    est, tops = fixed, None
     for side, (offsets, g, h, coef, *more) in enumerate(sides):
-        span = slice(offsets[reps.start], offsets[reps.stop])
-        offsets = offsets[reps.start:reps.stop + 1] - span.start
-        g, h, coef, *more = (a[span] for a in (g, h, coef, *more))
-        if side:  # aug and aug-alt raise as their weights: tilt, then c or the offset
-            y1 = more[0]
-            if y is not None:
-                tilt_weight(float(y1.any()), TiltSpec(eta))
-                if offset is None:
-                    binary_c(0.0, eta)
-            if offset is not None:
-                a, failed = zip(*[offset(eta, j) for j in range(reps.start, reps.stop)])
-                ea, failed = np.exp(np.concatenate(a, axis=-1)), np.array(failed, dtype=object)
         f, d = (w[:eta.shape[0] * g.size].reshape(eta.shape[0], g.size) for w in work)
         np.multiply(x, g, out=f)
         if y is None:
@@ -425,7 +442,7 @@ def _chunk_sums(layout: tuple, work: np.ndarray, reps: slice, eta: np.ndarray, x
                 np.divide(f, d, out=f)
                 if y is not None:
                     np.copyto(f, g, where=d == 0.0)
-            elif offset is None:
+            elif ea is None:
                 np.divide(x if y is None else x * y, d, out=f)
                 f /= d
             else:
@@ -434,14 +451,67 @@ def _chunk_sums(layout: tuple, work: np.ndarray, reps: slice, eta: np.ndarray, x
             f *= coef
             est = est + _segments(np.add, f, offsets)
             if side and top:
-                if offset is None:  # x or y times the odds, as one of the two odds is 0
+                if ea is None:  # x or y times the odds, as one of the two odds is 0
                     weight = np.multiply(x, more[1], out=f)
                     weight += more[2] if y is None else y * more[2]
                     weight /= d
                 else:  # e^eta overflows only where no y = 1 takes it
-                    weight = np.multiply(ea, np.where(y1, np.exp(eta), 1.0), out=f)
-                tops = _segments(np.maximum, weight, offsets, -np.inf).T
-    return (est / den[reps]).T, failed, tops
+                    weight = np.multiply(ea, np.where(more[0], np.exp(eta), 1.0), out=f)
+                tops = _segments(np.maximum, weight, offsets, -np.inf)
+    return est, tops
+
+
+def _offset_rows(fits: NuisanceRows, r: int, theta, points: slice, eta: np.ndarray,
+                 src: np.ndarray, window: slice) -> np.ndarray:
+    """Replicate r's moment-fitted offset at the ``points`` of its fits
+    ``theta`` (None where every point failed before its fit, NaN then) on
+    the source rows ``src`` it draws in the table rows ``window``."""
+    rows = fits.rows_drawn(r, src)
+    if theta is None:
+        return np.full((eta.shape[0], rows.size), np.nan)
+    return fits.offset_values(theta[points], r, rows, window)
+
+
+def _binary_sums(table: ObservationTable, fits: NuisanceRows, group: list, grid: np.ndarray,
+                 estimator: str, top: bool, layout: Optional[tuple],
+                 thetas: Optional[list]) -> tuple:
+    """The binary replicates ``group``'s (G, K) estimates at every grid
+    point and, with ``top``, their (G, K) largest source weights (else
+    None).  The table's rows go in windows of ``_row_blocks``: each
+    window's rows are laid out once (``_chunk_rows``; ``layout``, when
+    given, is that of every row, built before) and summed in
+    blocks of max(1, _BLOCK_CELLS // m) points, m the rows laid out
+    (``_chunk_sums``), and the windows' sums are added in window order.  A
+    replicate's rows in a window do not depend on its group, so neither
+    does its value, and no more of the layout than a window's is held.
+    ``thetas``, for a moment-fitted offset, holds each replicate's (K, k)
+    fits of it, evaluated as e^a on each window's drawn source rows
+    (``_offset_rows``)."""
+    summed = _summed_as(fits, estimator)
+    sums = np.empty((grid.size, len(group)))
+    tops = np.full(sums.shape, -np.inf) if top else None
+    windows = _row_blocks(table.n) if layout is None else [slice(0, table.n)]
+    for i, window in enumerate(windows):
+        rows = _chunk_rows(table, fits, group, summed, window, top) if layout is None else layout
+        den = rows[1] if i == 0 else den + rows[1]
+        sizes = [side[0][-1] for side in rows[2]]  # the rows laid out per row set
+        step = max(1, _BLOCK_CELLS // max(1, sum(sizes)))
+        work = np.empty((2, min(step, grid.size) * max(sizes)))
+        src = _within(table.source_rows, window)
+        for lo in range(0, grid.size, step):
+            points = slice(lo, lo + step)
+            eta, ea = grid[points, None], None
+            if thetas is not None:
+                ea = np.exp(np.concatenate([_offset_rows(fits, r, theta, points, eta, src, window)
+                                            for r, theta in zip(group, thetas)], axis=-1))
+            est, most = _chunk_sums(rows, work, eta, *binary_scales(eta), ea, top)
+            if i == 0:
+                sums[points] = est
+            else:
+                sums[points] += est
+            if top:
+                np.maximum(tops[points], most, out=tops[points])
+    return (sums / den).T, None if tops is None else tops.T
 
 
 def _group_estimates(table: ObservationTable, fits: NuisanceRows, group: list,
@@ -486,39 +556,45 @@ def _replicate_rows(table: ObservationTable, fits: NuisanceRows, group: list,
                     solved: Optional[dict] = None, layout: Optional[tuple] = None) -> tuple:
     """Replicates ``group`` (indices into ``fits``) at every grid point as
     (G, K) arrays: estimates (NaN where failed), failures (None or the
-    exception) and, with ``top``, largest source weights.  A continuous
-    group goes on every row at once (``_group_estimates``), in blocks of
-    ``_block_step`` points.  A binary group's drawn rows are laid out once,
-    replicate after replicate (``_chunk_rows``), and summed in blocks of
-    max(1, _BLOCK_CELLS // m) points, m the rows laid out
-    (``_chunk_sums``; ``layout``, when given, is that layout built before);
-    ``aug-alt`` with the offset derived from p and c is ``aug`` there:
-    e^a = ((1 - p)/p)/c.  A block that raises reruns by replicate, then by
-    point, so each replicate-point gets what it would alone.  ``solved``
-    goes to a continuous group's ``NuisanceRows.solve``."""
+    exception) and, with ``top``, largest source weights.  The group goes
+    in blocks of ``_block_step`` points.  A continuous block is evaluated
+    on every row at once (``_group_estimates``).  A binary block raises as
+    its source weights would (the tilt, then c) and fits a moment-fitted
+    offset; the sums follow for the whole grid, window by window
+    (``_binary_sums``, given ``layout``), and ``aug-alt`` with the offset
+    derived from p and c is ``aug`` there: e^a = ((1 - p)/p)/c.  A block
+    that raises reruns by replicate, then by point, so each replicate-point
+    gets what it would alone.  ``solved`` goes to a continuous group's
+    ``NuisanceRows.solve``."""
     shape = (len(group), grid.size)
     out = (np.full(shape, np.nan), np.full(shape, None, dtype=object),
            np.full(shape, np.nan) if top and estimator != "cl" else None)
-    fitted_a = estimator == "aug-alt" and not fits.derived_a
-    work, step, src = None, _block_step(table), table.source_rows
-    if fits.g is not None:
-        if layout is None:
-            layout = _chunk_rows(table, fits, group, _summed_as(fits, estimator), top)
-        sizes = [side[0][-1] for side in layout[2]]  # the rows laid out per row set
-        step = max(1, _BLOCK_CELLS // max(1, sum(sizes)))
-        work = np.empty((2, min(step, grid.size) * max(sizes)))
-    offset = None if not fitted_a else (
-        lambda eta, j: fits.offset(eta, group[j], fits.rows_drawn(group[j], src)))
+    binary, fitted_a = fits.g is not None, estimator == "aug-alt" and not fits.derived_a
+    thetas = [None] * len(group) if binary and fitted_a else None  # per replicate
+    draws_y1 = functools.cache(lambda: _draws_y1(table, fits, group))
 
     def evaluate(reps: slice, points: slice):  # a block's terms die with its call
         eta = grid[points, None]
-        if layout is None:
+        if not binary:
             est, weights, failed = _group_estimates(table, fits, group[reps], eta, estimator,
                                                     solved)
             return est, failed, None if out[2] is None else [w.max(axis=-1) for w in weights]
-        return _chunk_sums(layout, work, reps, eta, *binary_scales(eta), offset,
-                           out[2] is not None)
+        if estimator != "cl" and eta.max() > _LOG_MAX:  # the tilt, then c, overflow
+            tilt_weight(float(draws_y1()[reps].any()), TiltSpec(eta))
+            if not fitted_a:
+                binary_c(0.0, eta)
+        if not fitted_a:
+            return None, None, None
+        rows = range(len(group))[reps]
+        failed = np.empty((len(rows), eta.shape[0]), dtype=object)
+        for i, j in enumerate(rows):
+            theta, failed[i] = fits.offset_fit(eta, group[j])
+            if thetas[j] is None:
+                thetas[j] = np.full((grid.size, theta.shape[-1]), np.nan)
+            thetas[j][points] = theta
+        return None, failed, None
 
+    step = _block_step(table)
     todo = [(slice(0, len(group)), slice(lo, lo + step)) for lo in range(0, grid.size, step)]
     while todo:
         reps, points = todo.pop()
@@ -536,6 +612,12 @@ def _replicate_rows(table: ObservationTable, fits: NuisanceRows, group: list,
         for dest, value in zip(out, values):
             if value is not None:
                 dest[reps, points] = value
+    if binary:
+        est, tops = _binary_sums(table, fits, group, grid, estimator, out[2] is not None,
+                                 layout, thetas)
+        out[0][...] = est
+        if tops is not None:
+            out[2][...] = tops
     out[0][np.not_equal(out[1], None)] = np.nan
     return out
 
@@ -555,9 +637,9 @@ def _replicate_matrix(table: ObservationTable, recipe, grid: np.ndarray, estimat
     fails the jackknife, and a bootstrap where every replicate lacks one
     fails.
     ``_replicate_rows`` evaluates a chunk's usable binary replicates as one
-    group, whose drawn rows it lays out once, or a continuous group of
-    max(1, _BLOCK_CELLS // Kn), K the points of a grid block; its (G, K)
-    estimates and failures fill the matrices by array operations.
+    group, whose drawn rows it lays out window by window, or a continuous
+    group of max(1, _BLOCK_CELLS // Kn), K the points of a grid block; its
+    (G, K) estimates and failures fill the matrices by array operations.
 
     The fits on the source rows alone (binary g; continuous b and c) are
     made once per chunk (and grid block) and distinct vector of source-row

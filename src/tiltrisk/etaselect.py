@@ -6,16 +6,15 @@ whose implied tilted prevalence matches it.  The implied prevalence is
 strictly increasing in eta whenever any fitted g lies inside (0, 1), so
 the root is unique; Illinois (regula falsi) steps after geometric bracket
 expansion find it.  The fitted g and p enter as values on the table's
-rows, checked to be finite (and p to lie in [0, 1]); their eta-free terms,
-g's among them (``tilt._rows``), are built once per anchored grid, and each
-step of both endpoint solves evaluates the tilted probability
-(``tilt._tilted``) on them.  Binary outcomes with the identity tilt map
-only.
+rows, checked once per anchored grid to be finite (and p to lie in
+[0, 1]); each step of both endpoint solves sums the tilted probability
+(``tilt._tilted``) over row blocks, forming each block's eta-free terms
+(g's ``tilt._rows``) as it goes.  Binary outcomes with the identity tilt
+map only.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ import numpy as np
 
 from .data import ObservationTable
 from .errors import ConvergenceError, DomainError, require_number
+from .nuisance import _row_blocks
 from .tilt import _rows, _tilted, tilted_bernoulli
 
 BRACKET_CAP = 50.0
@@ -75,11 +75,13 @@ class PrevalenceAnchor:
 
 
 def _row_values(values, table: ObservationTable, name: str) -> np.ndarray:
+    """``values`` as float64 (not copied if they are), checked to hold one
+    finite value per table row, by row blocks."""
     v = np.asarray(values)
     if v.shape != (table.n,):
         raise DomainError(f"{name} must hold one value per table row, shape ({table.n},)")
-    v = v.astype(np.float64)
-    if not np.isfinite(v).all():
+    v = v.astype(np.float64, copy=False)
+    if not all(np.isfinite(v[s]).all() for s in _row_blocks(table.n)):
         raise DomainError(f"{name} must be finite on every row")
     return v
 
@@ -148,9 +150,9 @@ def _check_attainable(target: float, inf_att: float, sup_att: float, label: str)
 
 
 def _binary_source_check(table: ObservationTable) -> None:
-    y_src = table.y[table.s == 1]
-    if not np.all(np.isin(y_src, (0.0, 1.0))):
-        raise DomainError("prevalence anchoring requires a binary outcome")
+    for s in _row_blocks(table.n):
+        if not np.all(np.isin(table.y[s][table.s[s] == 1], (0.0, 1.0))):
+            raise DomainError("prevalence anchoring requires a binary outcome")
 
 
 def implied_prevalence_nonnested(g_values: np.ndarray, eta: float) -> float:
@@ -171,53 +173,72 @@ def _mixture_prevalence(
     source_part: np.ndarray, target_share: np.ndarray, rows: tuple, eta: float
 ) -> float:
     """``implied_prevalence_nested`` from its eta-free terms ``p*g``,
-    ``1 - p`` and g's rows ``rows`` (``tilt._rows``), which the root solve
-    builds once for all its calls."""
+    ``1 - p`` and g's rows ``rows`` (``tilt._rows``)."""
+    return float(np.mean(_mixture_terms(source_part, target_share, rows, eta)))
+
+
+def _mixture_terms(source_part, target_share, rows: tuple, eta: float) -> np.ndarray:
     t = _tilted(*rows, eta)
     t *= target_share
     t += source_part
-    return float(np.mean(t))
+    return t
 
 
 class _AnchorRows:
-    """The eta-free terms of the prevalence solves on one table's rows,
-    checked and computed once for every solve: g on the target rows
-    (non-nested), or g, p*g and 1 - p on every row (nested, ``p`` given),
-    and the attainable range.  g's rows (``tilt._rows``, which checks that
-    g lies in [0, 1]) are built at the first solve, after its
-    attainability check."""
+    """The prevalence solves on one table's rows, checked once for every
+    solve: g on the target rows (non-nested) or g and p on every row
+    (nested, ``p`` given), and the attainable range.  The prevalence at an
+    eta is summed over the ``_row_blocks`` of those rows in block order,
+    each block's eta-free terms (g's ``tilt._rows``, and p*g and 1 - p)
+    formed as the sum reaches it, so a solve holds no temporaries of the
+    rows' size; a table of one block gives the mean over its rows.  g's
+    range [0, 1] is checked (``tilt._rows``) at the first evaluation,
+    after the attainability check."""
 
     def __init__(self, table: ObservationTable, g, p=None):
         if p is not None and table.design != "nested":
             raise DomainError("eta_from_prevalence_nested requires a nested table")
         _binary_source_check(table)
+        self.g = _row_values(g, table, "g")
         if p is None:
             if table.n0 == 0:
                 raise DomainError("prevalence anchoring needs target rows")
-            self.g = gv = _row_values(g, table, "g")[table.s == 0]
-            if not ((gv > 0.0) & (gv < 1.0)).any():
-                raise DomainError("every fitted g is 0 or 1; the prevalence does not move with eta")
-            self.label, self.mixture = "mu", None
-            self.attainable = float(np.mean(gv >= 1.0)), float(np.mean(gv > 0.0))
+            self.label, self.p, self.rows = "mu", None, table.target_rows
+            if not any(((gv > 0.0) & (gv < 1.0)).any() for gv, _ in self._blocks()):
+                raise DomainError(
+                    "every fitted g is 0 or 1; the prevalence does not move with eta")
+            self.attainable = (self._mean(lambda gv, _: gv >= 1.0),
+                               self._mean(lambda gv, _: gv > 0.0))
             return
-        self.g = gv = _row_values(g, table, "g")
-        pv = _row_values(p, table, "p")
-        _check_p(pv)
-        if not ((pv < 1.0) & (gv > 0.0) & (gv < 1.0)).any():
+        self.p = _row_values(p, table, "p")
+        self.label, self.rows = "alpha", None
+        for _, pv in self._blocks():
+            _check_p(pv)
+        if not any(((pv < 1.0) & (gv > 0.0) & (gv < 1.0)).any() for gv, pv in self._blocks()):
             raise DomainError("the implied prevalence does not depend on eta for this table")
-        source_part, target_share = pv * gv, 1.0 - pv
-        self.label, self.mixture = "alpha", (source_part, target_share)
-        self.attainable = (float(np.mean(source_part + target_share * (gv >= 1.0))),
-                           float(np.mean(source_part + target_share * (gv > 0.0))))
+        self.attainable = (self._mean(lambda gv, pv: pv * gv + (1.0 - pv) * (gv >= 1.0)),
+                           self._mean(lambda gv, pv: pv * gv + (1.0 - pv) * (gv > 0.0)))
 
-    @functools.cached_property
-    def rows(self) -> tuple:
-        return _rows(self.g)
+    def _blocks(self):
+        """(g, p) on each row block (p None for a non-nested solve)."""
+        n = self.g.size if self.rows is None else self.rows.size
+        for s in _row_blocks(n):
+            if self.rows is None:
+                yield self.g[s], self.p[s]
+            else:
+                yield self.g.take(self.rows[s]), None
+
+    def _mean(self, terms: Callable) -> float:
+        """The mean of ``terms(g, p)`` over the rows, summed by blocks."""
+        total, n = 0.0, 0
+        for gv, pv in self._blocks():
+            total, n = total + np.add.reduce(terms(gv, pv), axis=None), n + gv.size
+        return float(total) / n
 
     def prevalence(self, eta: float) -> float:
-        if self.mixture is None:
-            return float(np.mean(_tilted(*self.rows, eta)))
-        return _mixture_prevalence(*self.mixture, self.rows, eta)
+        if self.p is None:
+            return self._mean(lambda gv, _: _tilted(*_rows(gv), eta))
+        return self._mean(lambda gv, pv: _mixture_terms(pv * gv, 1.0 - pv, _rows(gv), eta))
 
     def eta(self, target: float) -> float:
         """The eta whose implied prevalence equals ``target``."""

@@ -17,7 +17,6 @@ import importlib.util
 import io
 import json
 import numbers
-import operator
 import platform
 import re
 import warnings
@@ -61,23 +60,18 @@ def _read_raw(csv_path, x_columns) -> RawData:
     r"""Read the ``s``, ``y`` and covariate columns of a data file.
 
     The byte pass (``_read_chunks``) checks the data rows exactly and
-    parses them with one float64 loadtxt per line-aligned chunk.  It takes
-    its chunks from the file's own bytes (``_line_chunks``) when the file
-    is unquoted ASCII with ``\n`` or ``\r\n`` line ends, bare ``0``/``1`` in
-    ``s`` and no blank line, and otherwise from the rows as the csv module
-    splits them (``_csv_chunks``).  A file neither can decide goes to the
-    row scanner ``_read_rows``, which alone words the errors.  All give the
-    same result, bit for bit, or the same error.
+    parses them with one float64 loadtxt per line-aligned chunk of the
+    file's own bytes (``_line_chunks``), when the file is unquoted ASCII
+    with ``\n`` or ``\r\n`` line ends, bare ``0``/``1`` in ``s`` and no
+    blank line.  Any other file, and one the byte pass cannot decide, goes
+    to the row scanner ``_read_rows``, which alone words the errors.  Both
+    give the same result, bit for bit, or the same error.
     """
-    path = Path(csv_path)
-    for chunks in (_line_chunks, _csv_chunks):
-        try:
-            raw = _read_chunks(path, x_columns, chunks)
-        except (OSError, ValueError, csv.Error):
-            raw = None
-        if raw is not None:
-            return raw
-    return _read_rows(csv_path, x_columns)
+    try:
+        raw = _read_chunks(Path(csv_path), x_columns)
+    except (OSError, ValueError, csv.Error):
+        raw = None
+    return _read_rows(csv_path, x_columns) if raw is None else raw
 
 
 def _open_data(path: Path):
@@ -108,40 +102,55 @@ _HEADER_BYTES = 1 << 20   # a longer header line, or a file without line feeds, 
 _LF, _CR, _COMMA, _ZERO, _ONE = b"\n\r,01"
 
 
-def _read_chunks(path: Path, x_columns, chunks) -> Optional[RawData]:
-    """The byte pass over what ``chunks(path, x_columns)`` yields: the cell
-    count of its rows and the positions of ``s``, ``y`` and the covariates,
-    then the data rows in chunks that each end in a line feed.  Each
-    chunk's field bounds come from its comma and line-feed positions, then
-    ``y`` and the covariates from one float64 loadtxt.  Returns None for a
-    file it cannot decide (see ``_chunk_layout``), one with no data rows or
-    one that reads ``y`` as a covariate too; a cell that does not parse
-    raises ValueError.
+def _read_chunks(path: Path, x_columns) -> Optional[RawData]:
+    """The byte pass over the chunks of ``_line_chunks``: the cell count of
+    the header and the positions of ``s``, ``y`` and the covariates, then
+    the data rows in chunks that each end in a line feed.  Each chunk's
+    field bounds come from its comma and line-feed positions, then ``y``
+    and the covariates from one float64 loadtxt, written into outputs of
+    an eighth more rows than the first chunk's bytes per row give the file
+    (doubled when a chunk does not fit, cut to the rows read at the end),
+    so no chunk is held past its own parse.  Returns None for a file it cannot
+    decide (see ``_chunk_layout``), one with no data rows or one that
+    reads ``y`` as a covariate too; a cell that does not parse raises
+    ValueError.
     """
     if "y" in x_columns:   # the covariate would read the placeholder of an empty y
         return None
-    with contextlib.closing(chunks(path, x_columns)) as parts:
+    with contextlib.closing(_line_chunks(path, x_columns)) as parts:
         layout = next(parts, None)
         if layout is None:
             return None
         n_cells, (s_col, y_col, *x_cols) = layout
-        sources, values, masked = [], [], 0
+        out, n, masked = None, 0, 0
         for chunk in parts:
             parsed = _chunk_values(chunk, n_cells, s_col, y_col, (y_col, *x_cols))
             if parsed is None:
                 return None
-            sources.append(parsed[0])
-            values.append(parsed[1])
-            masked += parsed[2]
-    if not sources:
+            source, values, count = parsed
+            rows = slice(n, n + source.size)
+            if out is None:  # an eighth more, for rows longer than the first chunk's
+                size = 9 * source.size * path.stat().st_size // (8 * len(chunk)) + 1
+                out = [np.empty(size, dtype=bool), np.empty(size), np.empty((size, len(x_cols)))]
+            elif rows.stop > out[0].size:
+                size = max(2 * out[0].size, rows.stop)
+                out = [_resized(a, size) for a in out]
+            out[0][rows], out[1][rows], out[2][rows] = source, values[:, 0], values[:, 1:]
+            n, masked = rows.stop, masked + count
+            del parsed, source, values   # not held through the next chunk's parse
+    if out is None:
         return None
-    source = np.concatenate(sources)
-    y = np.concatenate([v[:, 0] for v in values])
+    source, y, x = (_resized(a, n) for a in out)
     y[~source] = np.nan
-    x = np.concatenate([v[:, 1:] for v in values])
-    del values
     return RawData(s=source.astype(np.int64), y=y, x=x, columns=tuple(x_columns),
                    masked_y_count=masked)
+
+
+def _resized(a: np.ndarray, rows: int) -> np.ndarray:
+    """``a`` with ``rows`` rows, in place: its leading rows kept, the rest
+    zero.  No view of ``a`` may be held."""
+    a.resize((rows,) + a.shape[1:], refcheck=False)
+    return a
 
 
 def _header_fields(line: bytes) -> Optional[list]:
@@ -177,41 +186,6 @@ def _line_chunks(path: Path, x_columns):
                 yield chunk
         if rest:
             yield rest + b"\n"
-
-
-def _csv_chunks(path: Path, x_columns):
-    """The rows as the csv module splits them, written back bare: the cell
-    count and the positions of ``s``, ``y`` and the covariates in the rows
-    written, then those rows in chunks of about ``_CHUNK_BYTES``.  A row
-    written holds only ``s``, ``y`` and the covariates, each cell stripped
-    as the row scanner strips it; blank rows are dropped and the missing
-    cells of a short row are empty.  A row with more cells than the
-    header, or a cell holding a line feed, raises ValueError.
-    """
-    with _open_data(path) as fh:
-        rows = csv.reader(fh)
-        header = next(rows, None)
-        cols = _column_indices(path, header, x_columns)
-        yield len(cols), tuple(range(len(cols)))
-        n_cells, pick, empty = len(header), operator.itemgetter(*cols), [""] * len(header)
-        lines, size = [], 0
-        for row in rows:
-            if len(row) != n_cells:
-                if len(row) > n_cells:
-                    raise ValueError("a row has more cells than the header")
-                if not row:   # a blank line, which csv.DictReader skips
-                    continue
-                row += empty[len(row):]
-            line = ",".join(map(str.strip, pick(row))) + "\n"
-            if line.count("\n") > 1:
-                raise ValueError("a cell holds a line feed")
-            lines.append(line)
-            size += len(line)
-            if size >= _CHUNK_BYTES:
-                yield "".join(lines).encode()
-                lines, size = [], 0
-        if lines:
-            yield "".join(lines).encode()
 
 
 def _chunk_values(chunk: bytes, n_cells: int, s_col: int, y_col: int, usecols: tuple):

@@ -67,10 +67,12 @@ _LOG_SPREAD = float(np.log(1e4))
 GLM_PROB_CLIP = (1e-8, 1.0 - 1e-8)
 OUTCOMES = ("binary", "continuous")
 _TINY = np.finfo(np.float64).tiny
-# The fits' passes over a table's rows (the rank check's QR, IRLS's sums,
-# fitted values on every row) go in blocks of this many rows, whatever the
-# replicate or column count, so a replicate's bits do not depend on its
-# group and a pass makes no (G, n) or (k, n) temporary of a large table.
+# The passes over a table's rows (the fits' design, the rank check's QR,
+# IRLS's sums, fitted values on every row; the binary sweep's windows in
+# ``estimators`` and the anchor solves in ``etaselect``) go in blocks of
+# this many rows, whatever the replicate or column count, so a replicate's
+# bits do not depend on its group and a pass makes no (G, n) or (k, n)
+# temporary of a large table.
 _BLOCK_ROWS = 2**13
 
 
@@ -169,16 +171,19 @@ class BuiltDesign:
         """The (n, ncols) design on the rows of ``x``, stored column by
         column: its transpose is C-ordered."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        blocks = []
+        out, i = np.empty((self.ncols, x.shape[0])), 0
         for term in self.terms:
             if term[0] == "const":
-                blocks.append(np.ones((1, x.shape[0])))
+                out[i] = 1.0
             elif term[0] == "lin":
-                blocks.append(x[:, term[1]][None])
+                out[i] = x[:, term[1]]
             else:
                 _, j, knots, degree = term
-                blocks.append(_spline_basis(x[:, j], np.asarray(knots), degree)[:, 1:].T)
-        return np.vstack(blocks).T
+                basis = _spline_basis(x[:, j], np.asarray(knots), degree)[:, 1:].T
+                out[i:i + len(basis)] = basis
+                i += len(basis) - 1
+            i += 1
+        return out.T
 
 
 def _pivoted_diagonal(r: np.ndarray) -> tuple:
@@ -214,32 +219,32 @@ def _row_blocks(m: int) -> list:
     return [slice(i, min(i + _BLOCK_ROWS, m)) for i in range(0, max(m, 1), _BLOCK_ROWS)]
 
 
-def _r_factors(d_fit: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _r_factors(d_fit, counts: np.ndarray) -> np.ndarray:
     """The (G, k, k) R factors of sqrt(counts) * d for G replicates' fit
     rows, by a tall-skinny QR: an unpivoted numpy QR of each row block's
     count-weighted rows, then one of the blocks' stacked R factors (a
     single block's R is the factor itself).  Zero rows pad a factor of
     fewer fit rows than columns.  ``d_fit`` is the (k, m) transposed
-    design, shared, or a (G, k, m) stack; ``counts`` the (G, m) row
-    counts."""
-    k = d_fit.shape[-2]
-    r = [np.linalg.qr(np.swapaxes(d_fit[..., s] * np.sqrt(counts[:, s])[:, None, :], -1, -2),
+    design, shared, a (G, k, m) stack or a ``_Design``; ``counts`` the
+    (G, m) row counts."""
+    d = _Design.of(d_fit)
+    r = [np.linalg.qr(np.swapaxes(d.block(s) * np.sqrt(counts[:, s])[:, None, :], -1, -2),
                       mode="r") for s in _row_blocks(counts.shape[-1])]
     r = r[0] if len(r) == 1 else np.linalg.qr(np.concatenate(r, axis=-2), mode="r")
-    if r.shape[-2] < k:  # fewer fit rows than columns
-        r = np.concatenate([r, np.zeros((len(r), k - r.shape[-2], k))], axis=-2)
+    if r.shape[-2] < d.k:  # fewer fit rows than columns
+        r = np.concatenate([r, np.zeros((len(r), d.k - r.shape[-2], d.k))], axis=-2)
     return r
 
 
-def _rank_errors(d_fit: np.ndarray, counts: np.ndarray, names: list, r=None) -> list:
+def _rank_errors(d_fit, counts: np.ndarray, names: list, r=None) -> list:
     """The exact rank check of G replicates' fit rows, each row taken
     ``counts`` times: per replicate None, or a RankDeficientError naming
     the columns past its rank.
 
-    ``d_fit`` is the (k, m) transposed design on the fit rows, shared, or a
-    (G, k, m) stack; ``counts`` the (G, m) row counts; ``names`` each
-    replicate's column names; ``r``, when given, their ``_r_factors``,
-    which the check overwrites.
+    ``d_fit`` is the (k, m) transposed design on the fit rows, shared, a
+    (G, k, m) stack or a ``_Design``; ``counts`` the (G, m) row counts;
+    ``names`` each replicate's column names; ``r``, when given, their
+    ``_r_factors``, which the check overwrites.
 
     The rank is that of a column-pivoted QR of the rows repeated by count,
     at tolerance max(rows, k) * eps * max |diag| (rows counted with
@@ -249,8 +254,8 @@ def _rank_errors(d_fit: np.ndarray, counts: np.ndarray, names: list, r=None) -> 
     the pivots and |diag| a pivoted QR of the rows would, since the norms of
     the trailing columns do not change under Q.
     """
-    k = d_fit.shape[-2]
     r = _r_factors(d_fit, counts) if r is None else r
+    k = r.shape[-1]
     diag, piv = _pivoted_diagonal(r)
     tol = (np.maximum(counts.sum(axis=1), k) * np.finfo(np.float64).eps
            * np.max(diag, axis=1, initial=0.0))
@@ -289,6 +294,12 @@ def _per_replicate(dT: np.ndarray, reps) -> np.ndarray:
     return dT if dT.ndim == 2 else dT[reps]
 
 
+def _counts_of(counts: np.ndarray, reps) -> np.ndarray:
+    """The rows ``reps`` (sorted, distinct) of a (G, m) counts array, which
+    is ``counts`` itself, not a copy, when they are all of its rows."""
+    return counts if len(reps) == len(counts) else counts[reps]
+
+
 def _group_matrix(builts: list, x: np.ndarray) -> np.ndarray:
     """The C-ordered (k, m) transposed design of a group of replicates on
     the rows ``x``, shared by the group, or a (G, k, m) stack when their
@@ -298,39 +309,77 @@ def _group_matrix(builts: list, x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.stack([b.matrix(x).T for b in builts]))
 
 
-def _every_row(builts: list, x: np.ndarray, fit, d_fit: np.ndarray,
+class _Design:
+    """A group's transposed design on its fit rows ``x[fit]`` (``fit`` is
+    ``slice(None)`` or an index array): the ``_group_matrix`` of its built
+    designs ``builts``, held whole (``whole``) when the fit rows make one
+    row block, else formed block by block as a pass reaches the block, so
+    that no pass holds more of it than a block.  ``_values``, ``_gram`` and
+    ``_project`` copy a block to contiguous memory, and ``_r_factors``
+    multiplies it, so a block formed anew is the whole design's block bit
+    for bit.  ``_Design.of`` wraps a given (k, m) or (G, k, m) array."""
+
+    def __init__(self, builts=None, x=None, fit=slice(None), whole=None):
+        self.builts, self.x, self.fit, self.whole = builts, x, fit, whole
+        self.k = builts[0].ncols if whole is None else whole.shape[-2]
+
+    @classmethod
+    def on_rows(cls, builts: list, x: np.ndarray, fit) -> "_Design":
+        m = x.shape[0] if isinstance(fit, slice) else len(fit)
+        whole = _group_matrix(builts, x[fit]) if m <= _BLOCK_ROWS else None
+        return cls(builts, x, fit, whole)
+
+    @classmethod
+    def of(cls, d) -> "_Design":
+        return d if isinstance(d, cls) else cls(whole=d)
+
+    def block(self, s: slice) -> np.ndarray:
+        """The design on the fit rows ``s``."""
+        if self.whole is not None:
+            return self.whole[..., s]
+        return _group_matrix(self.builts, self.x[s] if isinstance(self.fit, slice)
+                             else self.x[self.fit[s]])
+
+    def replicates(self, reps) -> "_Design":
+        """The design of the group's replicates ``reps``."""
+        if self.whole is not None:
+            return _Design(whole=_per_replicate(self.whole, reps))
+        return _Design([self.builts[i] for i in np.arange(len(self.builts))[reps]], self.x,
+                       self.fit)
+
+
+def _every_row(builts: list, x: np.ndarray, fit, d_fit: _Design,
                rows: slice = slice(None)) -> np.ndarray:
     """A group's design on the ``rows`` (a slice, all by default) of ``x``:
     ``d_fit``'s when the fit rows ``fit`` are every row (``slice(None)``),
     else evaluated anew."""
-    return d_fit[..., rows] if isinstance(fit, slice) else _group_matrix(builts, x[rows])
+    return d_fit.block(rows) if isinstance(fit, slice) else _group_matrix(builts, x[rows])
 
 
-def _replicate_designs(design: DesignSpec, x: np.ndarray, fit, counts: np.ndarray,
+def _replicate_designs(design: DesignSpec, x: np.ndarray, fit, cnt_fit: np.ndarray,
                        errors: list, min_rows: bool = False) -> list:
     """Freeze ``design`` on each live replicate's fit rows ``x[fit]`` (a
-    spline's knots are quantiles of the rows repeated by count), evaluate it
-    on those rows and rank-check it on the replicate's count-weighted fit
-    rows (``_rank_errors``, one call per group).  ``fit`` is ``slice(None)``
-    (every row) or an index array.
+    spline's knots are quantiles of the rows repeated by count; a linear
+    design does not read the rows), and rank-check it on the replicate's
+    count-weighted fit rows (``_rank_errors``, one call per group).
+    ``fit`` is ``slice(None)`` (every row) or an index array, and
+    ``cnt_fit`` the (R, m) counts of the fit rows.
 
     Returns groups (replicates, one built design per replicate, d_fit,
-    R), d_fit the group's ``_group_matrix`` on the fit rows and R the
-    (G, k, k) ``_r_factors`` of its count-weighted fit rows.  The callers that
-    need the design on every row get it from ``_every_row`` after their
-    fit, so a fit on the source rows never holds both.  A replicate that
-    fails records its exception in ``errors``; with ``min_rows`` a
-    replicate needs more fit rows (counted with repetition) than
-    coefficients.
+    R), d_fit the group's ``_Design`` on the fit rows and R the (G, k, k)
+    ``_r_factors`` of its count-weighted fit rows.  The callers that need
+    the design on every row get it from ``_every_row`` after their fit, so
+    a fit on the source rows never holds both.  A replicate that fails
+    records its exception in ``errors``; with ``min_rows`` a replicate
+    needs more fit rows (counted with repetition) than coefficients.
     """
-    x_fit = x[fit]
-    cnt_fit = counts[:, fit]
-    live = [r for r in range(counts.shape[0]) if errors[r] is None]
+    live = [r for r in range(cnt_fit.shape[0]) if errors[r] is None]
     keyed: dict = {}
     if design.basis == "linear":  # the terms do not depend on the rows
         if live:
-            keyed[None] = ([design.build(x_fit)] * len(live), live)
+            keyed[None] = ([design.build(x)] * len(live), live)
     else:
+        x_fit = x[fit]
         for r in live:
             try:
                 built = design.build(np.repeat(x_fit, cnt_fit[r].astype(np.intp), axis=0))
@@ -342,10 +391,10 @@ def _replicate_designs(design: DesignSpec, x: np.ndarray, fit, counts: np.ndarra
             group[1].append(r)
     groups = []
     for builts, reps in keyed.values():
-        d_fit = _group_matrix(builts, x_fit)
-        k = d_fit.shape[-2]
-        r_fit = _r_factors(d_fit, cnt_fit[reps])
-        failed = _rank_errors(d_fit, cnt_fit[reps], [b.names for b in builts], r_fit.copy())
+        d_fit = _Design.on_rows(builts, x, fit)
+        k, cnt = d_fit.k, _counts_of(cnt_fit, reps)
+        r_fit = _r_factors(d_fit, cnt)
+        failed = _rank_errors(d_fit, cnt, [b.names for b in builts], r_fit.copy())
         keep = []
         for i, r in enumerate(reps):
             if min_rows and cnt_fit[r].sum() < k + 1:
@@ -356,7 +405,8 @@ def _replicate_designs(design: DesignSpec, x: np.ndarray, fit, counts: np.ndarra
                 errors[r] = failed[i]
         if keep:
             groups.append((np.asarray(reps)[keep], [builts[i] for i in keep],
-                           _per_replicate(d_fit, keep), r_fit[keep]))
+                           d_fit if len(keep) == len(reps) else d_fit.replicates(keep),
+                           r_fit[keep]))
     return groups
 
 
@@ -390,7 +440,8 @@ def _design_by_replicate(design: DesignSpec, x: np.ndarray, fit, counts: np.ndar
     (k, k) R factor of its count-weighted fit rows) from
     ``_replicate_designs``, None where it failed."""
     out = [None] * counts.shape[0]
-    for reps, builts, d_fit, r_fit in _replicate_designs(design, x, fit, counts, errors):
+    for reps, builts, d_fit, r_fit in _replicate_designs(design, x, fit, counts[:, fit],
+                                                         errors):
         dT = _every_row(builts, x, fit, d_fit)
         for i, r in enumerate(reps):
             out[r] = (_per_replicate(dT, i), r_fit[i])
@@ -502,23 +553,23 @@ class GlmFit:
 def _irls(dT, y, w_case, ridge=0.0):
     """IRLS (``_newton`` with full steps, to a largest coefficient change
     of 1e-8) for G count-weighted, optionally ridge-penalized Bernoulli
-    likelihoods: ``dT`` is the (k, m) or (G, k, m) transposed design,
-    ``w_case`` the (G, m) case weights.  Returns (beta, stop reasons,
-    iterations).  The Hessian and score are sums over ``_row_blocks``, in
-    block order.  Unpenalized, a replicate whose coefficient norm grows
-    from the third iteration on while a fitted probability of its own rows
-    is pinned at a bound stops as ``_SEPARATED``: the check takes the
-    last block's probabilities from the Hessian's pass and evaluates the
-    other blocks' anew."""
-    k = dT.shape[-2]
-    beta = np.zeros((w_case.shape[0], k))
-    norm_prev, present, held = np.zeros(len(beta)), w_case > 0, {}
+    likelihoods: ``dT`` is the (k, m) or (G, k, m) transposed design or a
+    ``_Design``, ``y`` the (m,) targets and ``w_case`` the (G, m) case
+    weights.  Returns (beta, stop reasons, iterations).  The Hessian and
+    score are sums over ``_row_blocks``, in block order.  Unpenalized, a
+    replicate whose coefficient norm grows from the third iteration on
+    while a fitted probability of its own rows is pinned at a bound stops
+    as ``_SEPARATED``: the check takes the last block's probabilities from
+    the Hessian's pass and evaluates the other blocks' anew."""
+    dT = _Design.of(dT)
+    beta = np.zeros((w_case.shape[0], dT.k))
+    norm_prev, held = np.zeros(len(beta)), {}
     blocks = _row_blocks(w_case.shape[-1])
 
     def derivs(some, b):
-        d, wc = _per_replicate(dT, some), w_case[some]
+        d = dT.replicates(some)
         for i, s in enumerate(blocks):
-            d_s, wc_s = d[..., s], wc[:, s]
+            d_s, wc_s = d.block(s), w_case[some, s]
             p = expit(_values(d_s, b))
             w = p * (1.0 - p)
             np.maximum(w, 1e-12, out=w)
@@ -530,7 +581,7 @@ def _irls(dT, y, w_case, ridge=0.0):
             h, grad = (h_s, grad_s) if i == 0 else (h + h_s, grad + grad_s)
         held["p"], held["b"] = p, b.copy()  # for the separation check
         if ridge > 0.0:
-            h = h + ridge * np.eye(k)
+            h = h + ridge * np.eye(dT.k)
             grad = grad - ridge * b
         return h, grad, np.full(len(b), _GOING)
 
@@ -541,10 +592,10 @@ def _irls(dT, y, w_case, ridge=0.0):
             diverged = (reason == _GOING) & (norm_new > norm_prev[some])
             if diverged.any():
                 # fitted probabilities of the replicate's own rows pinned at a bound
-                d, drawn = _per_replicate(dT, some), present[some]
+                d = dT.replicates(some)
                 for i, s in enumerate(blocks):
-                    p = p_last if i == len(blocks) - 1 else expit(_values(d[..., s], b))
-                    p = np.where(drawn[:, s], p, 0.5)
+                    p = p_last if i == len(blocks) - 1 else expit(_values(d.block(s), b))
+                    p = np.where(w_case[some, s] > 0, p, 0.5)
                     lo_s, hi_s = np.minimum.reduce(p, axis=1), np.maximum.reduce(p, axis=1)
                     lo, hi = ((lo_s, hi_s) if i == 0
                               else (np.minimum(lo, lo_s), np.maximum(hi, hi_s)))
@@ -559,18 +610,18 @@ def _irls(dT, y, w_case, ridge=0.0):
 
 def _fit_logistic_rows(design: DesignSpec, x: np.ndarray, fit, targets: np.ndarray,
                        counts: np.ndarray, errors: list) -> tuple:
-    """Logistic fits of ``targets[fit]`` on ``design`` for every live
-    replicate, each fit row taken ``counts`` times, by ``_irls``;
-    intercept-only designs in closed form, the logit of the count-weighted
-    mean.  Separation or a singular Hessian triggers a ridge refit
-    (lambda = 1e-4) flagged on the result; a replicate whose fit or refit
-    does not converge fails with a ConvergenceError naming why.  Returns
-    the (R, n) fitted probabilities on every row of ``x``, evaluated by
-    ``_row_blocks`` (NaN for failed replicates), and one GlmFit per
-    replicate.
+    """Logistic fits of ``targets[fit]`` (0 and 1, of any numeric or bool
+    dtype) on ``design`` for every live replicate, each fit row taken
+    ``counts`` times, by ``_irls``; intercept-only designs in closed form,
+    the logit of the count-weighted mean.  Separation or a singular
+    Hessian triggers a ridge refit (lambda = 1e-4) flagged on the result; a
+    replicate whose fit or refit does not converge fails with a
+    ConvergenceError naming why.  Returns the (R, n) fitted probabilities
+    on every row of ``x``, evaluated by ``_row_blocks`` (NaN for failed
+    replicates), and one GlmFit per replicate.
     """
     n_reps = counts.shape[0]
-    y = np.asarray(targets, dtype=np.float64)[fit]
+    y = np.asarray(targets)[fit]
     cnt = counts[:, fit]
     bad = ~np.isin(y, (0.0, 1.0))
     if bad.any():
@@ -578,10 +629,10 @@ def _fit_logistic_rows(design: DesignSpec, x: np.ndarray, fit, targets: np.ndarr
             errors[r] = errors[r] or DomainError("logistic targets must be binary 0/1")
     fitted = []   # (replicates, built designs, d_fit, coefficients) of each group
     fits = [None] * n_reps
-    for reps, builts, d_fit, _ in _replicate_designs(design, x, fit, counts, errors,
+    for reps, builts, d_fit, _ in _replicate_designs(design, x, fit, cnt, errors,
                                                      min_rows=True):
-        w = cnt[reps]
-        if d_fit.shape[-2] == 1:  # the intercept alone
+        w = _counts_of(cnt, reps)
+        if d_fit.k == 1:  # the intercept alone
             m = (w * y).sum(axis=1) / w.sum(axis=1)  # all-0 or all-1 targets: no MLE
             reasons = np.where((m <= 0.0) | (m >= 1.0), _SEPARATED, _CONVERGED)
             with np.errstate(divide="ignore"):
@@ -592,7 +643,7 @@ def _fit_logistic_rows(design: DesignSpec, x: np.ndarray, fit, targets: np.ndarr
         ridge = (reasons == _SEPARATED) | (reasons == _SINGULAR)
         if ridge.any():
             sub = np.flatnonzero(ridge)
-            beta[sub], reasons[sub], iters[sub] = _irls(_per_replicate(d_fit, sub), y, w[sub],
+            beta[sub], reasons[sub], iters[sub] = _irls(d_fit.replicates(sub), y, w[sub],
                                                          ridge=1e-4)
         fitted.append((reps, builts, d_fit, beta))
         for i, r in enumerate(reps):
@@ -835,8 +886,9 @@ class NuisanceRows:
     draws, is solved alone by ``_wls_coefficients`` (``_source_fit``).
 
     A moment-fitted offset is fitted at every eta of a column at once
-    (``_offset_theta``); ``offset`` returns each eta's ConvergenceError,
-    ``a`` raises the first.
+    (``offset_fit``, by ``_offset_theta``) and evaluated on given rows
+    (``offset_values``); ``offset`` does both and returns each eta's
+    ConvergenceError, ``a`` raises the first.
 
     ``source_key[r]`` (continuous fits) is the first replicate with
     replicate r's source-row counts, which ``solve`` shares b and c by.
@@ -1003,16 +1055,28 @@ class NuisanceRows:
 
     def offset(self, eta, r: int, rows) -> tuple:
         """Replicate r's moment-fitted selection offset on ``rows``, fitted at
-        every eta of the column at once on the rows it draws
-        (``_offset_theta``): its values and (K,) failures per eta."""
+        every eta of the column at once (``offset_fit``): its values and
+        (K,) failures per eta."""
+        theta, failures = self.offset_fit(eta, r)
+        return self.offset_values(theta.reshape(np.shape(eta)[:-1] + (-1,)), r, rows), failures
+
+    def offset_fit(self, eta, r: int) -> tuple:
+        """Replicate r's moment fits of the selection offset at every eta of
+        the column at once, on the rows it draws (``_offset_theta``): (K, k)
+        coefficients and (K,) failures."""
         dT, _ = self._a_designs[r]
         t = self.table
         drawn = self.rows_drawn(r, np.arange(t.n))
-        theta, failures = _offset_theta(dT[:, drawn], t.s[drawn] == 1, t.y[drawn],
-                                        self.counts[r, drawn],
-                                        TiltSpec(np.reshape(eta, (-1, 1)), self.q))
-        theta = theta.reshape(np.shape(eta)[:-1] + (-1,))
-        return _values(dT, theta).take(rows, axis=-1), failures
+        return _offset_theta(dT[:, drawn], t.s[drawn] == 1, t.y[drawn], self.counts[r, drawn],
+                             TiltSpec(np.reshape(eta, (-1, 1)), self.q))
+
+    def offset_values(self, theta: np.ndarray, r: int, rows,
+                      window: slice = slice(None)) -> np.ndarray:
+        """Replicate r's moment-fitted offset d theta on ``rows``, which lie
+        in the table rows ``window`` (a slice, every row by default): the
+        design is evaluated on the window's rows."""
+        return _values(self._a_designs[r][0][:, window], theta).take(
+            rows - (window.start or 0), axis=-1)
 
     def on_every_row(self, reps, beta: np.ndarray) -> np.ndarray:
         """A continuous fit's b or c (unfloored) of replicates ``reps`` on
@@ -1054,12 +1118,22 @@ class NuisanceRows:
         return nuis
 
 
+def _whole_counts(counts: np.ndarray) -> bool:
+    """Whether every count is a finite non-negative integer."""
+    return bool(np.all(np.isfinite(counts)) and not np.any(counts < 0)
+                and not np.any(counts != np.floor(counts)))
+
+
 def _check_replicates(table: ObservationTable, counts: np.ndarray) -> list:
     """One entry per replicate: the DataError of a replicate whose source or
-    target stratum is empty where the design needs it, else None."""
+    target stratum is empty where the design needs it, else None.  The
+    stratum sizes are sums of integers, exact in any order: by row block."""
     errors = []
-    n1 = counts[:, table.source_rows].sum(axis=1)
-    n0 = counts[:, table.target_rows].sum(axis=1)
+    n1 = n = 0.0
+    for s in _row_blocks(table.n):
+        c = counts[:, s]
+        n1, n = n1 + np.add.reduce(c, axis=1, where=table.s[s] == 1), n + c.sum(axis=1)
+    n0 = n - n1
     for k1, k0 in zip(n1, n0):
         try:
             check_strata(k1, k0, table.design)
@@ -1139,13 +1213,14 @@ class NuisanceRecipe:
         evaluates its own.
         """
         counts = np.asarray(counts, dtype=np.float64)
-        if (counts.ndim != 2 or counts.shape[1] != table.n or not np.all(np.isfinite(counts))
-                or np.any(counts < 0) or np.any(counts != np.floor(counts))):
+        if (counts.ndim != 2 or counts.shape[1] != table.n
+                or not all(_whole_counts(counts[:, s]) for s in _row_blocks(table.n))):
             raise DomainError("counts must be an (R, n) array of non-negative integers")
         src = table.source_rows
         try:
-            same = np.array_equal(eval_loss(self.loss, table.y[src], table.pred[src]),
-                                  table.loss[src], equal_nan=True)
+            same = all(np.array_equal(eval_loss(self.loss, table.y[rows], table.pred[rows]),
+                                      table.loss[rows], equal_nan=True)
+                       for rows in (src[s] for s in _row_blocks(src.size)))
         except DomainError:  # the loss is not defined on the table's source rows
             same = False
         if not same:
@@ -1164,8 +1239,8 @@ class NuisanceRecipe:
                 counts, src, errors)
         elif self.q is not None:
             _check_q(table, counts, self.q, errors)
-        p, fits["p"] = _fit_logistic_rows(self.p_design, table.x, slice(None),
-                                          (table.s == 1).astype(float), counts, errors)
+        p, fits["p"] = _fit_logistic_rows(self.p_design, table.x, slice(None), table.s, counts,
+                                          errors)
         if self.outcome != "binary":
             key, (designs,) = _by_source_counts(
                 lambda: (_design_by_replicate(self.g_design, table.x, src, counts, errors),),
@@ -1177,6 +1252,7 @@ class NuisanceRecipe:
                       eval_loss(self.loss, np.zeros_like(table.pred), table.pred))
         if self.a_design is not None:
             a_designs = _design_by_replicate(self.a_design, table.x, slice(None), counts, errors)
-        return NuisanceRows(table, counts, errors, lacks_stratum, np.clip(p, *P_CLIP), fits,
+        np.clip(p, *P_CLIP, out=p)
+        return NuisanceRows(table, counts, errors, lacks_stratum, p, fits,
                             g=g, losses=losses, designs=designs, a_designs=a_designs, q=self.q,
                             source_key=key)

@@ -1,9 +1,8 @@
 """The columnar CSV reader against the row scanner.
 
-``io._read_raw`` parses a regular data file in line-aligned chunks, taken
-from the file's own bytes or from its rows as the csv module splits them,
-and hands every other file to ``io._read_rows``, the row scanner, which
-words the errors.  Both must give the same ``RawData``, bit for bit, or
+``io._read_raw`` parses a plain data file in line-aligned chunks of its
+own bytes, and hands every other file to ``io._read_rows``, the row
+scanner, which words the errors.  Both must give the same ``RawData``, bit for bit, or
 raise the same error, on any file.
 """
 
@@ -110,13 +109,11 @@ def test_columnar_reader_matches_row_scanner(tmp_path_factory, case):
         assert outcome(tio._read_raw, path, x_columns) == outcome(tio._read_rows, path, x_columns)
 
 
-# -- the columnar pass takes regular files -----------------------------------
+# -- the columnar pass takes plain files -------------------------------------
 
 REGULAR = {
     "plain": "s,y,x0,x1\n1,0,0.5,-1.25\n0,,2.0,3e-5\n1,1,-0.0,7\n",
-    "crlf, padded, blank lines": "s,y,x0,x1\r\n 1 ,\t0 ,0.5 , -1.25\r\n\r\n0,,2.0,3e-5\r\n\r\n",
-    "quoted, comment char": ('x1,note,s,y,x0\n"-1.25","a,#b",1,0,0.5\n'
-                             '3e-5,#,0,"",2.0\n7,"say ""hi""\nthere",1,1,-0.0'),
+    "crlf, comment char": "x1,note,s,y,x0\r\n-1.25,a#b,1,0,0.5\r\n3e-5,#,0,,2.0\r\n",
     "special floats": "s,y,x0,x1\n1,nan,inf,1e400\n0,1,-inf,-1e400\n1,0.25,NaN,1e-400\n",
     "masked target outcome": "s,y,x0,x1\n1,0,0.5,1\n0,1,0.5,1\n0,0.0,0.5,1\n",
     "one row": "s,y,x0,x1\n1,1,0.5,1",
@@ -330,7 +327,6 @@ def test_chunked_crlf_file_matches_default_chunks(tmp_path, monkeypatch, chunk):
     expected = outcome(tio._read_rows, path, ("x0", "x1"))
     assert expected[0] == "data" and expected[3] > 0
     assert 0 < int(tio._read_raw(path, ("x0", "x1")).s.sum()) < 2000
-    monkeypatch.setattr(tio, "_csv_chunks", never)
     monkeypatch.setattr(tio, "_read_rows", never)
     assert outcome(tio._read_raw, path, ("x0", "x1")) == expected
     monkeypatch.setattr(tio, "_CHUNK_BYTES", chunk)
@@ -343,7 +339,6 @@ def test_plain_file_takes_the_byte_pass(tmp_path, monkeypatch, eol, last):
     text = cohort_text(50, eol)
     path = write(tmp_path, text if last else text.removesuffix(eol))
     expected = outcome(tio._read_rows, path, ("x1",))
-    monkeypatch.setattr(tio, "_csv_chunks", never)
     monkeypatch.setattr(tio, "_read_rows", never)
     assert outcome(tio._read_raw, path, ("x1",)) == expected
 
@@ -363,7 +358,7 @@ def test_plain_file_takes_the_byte_pass(tmp_path, monkeypatch, eol, last):
 def test_byte_pass_declines_what_it_cannot_decide(tmp_path, text):
     path = write(tmp_path, text)
     try:
-        assert tio._read_chunks(path, ("x0",), tio._line_chunks) is None
+        assert tio._read_chunks(path, ("x0",)) is None
     except ValueError:
         pass
     assert outcome(tio._read_raw, path, ("x0",)) == outcome(tio._read_rows, path, ("x0",))
@@ -382,8 +377,32 @@ def test_unquoted_field_against_csv_limit(tmp_path, monkeypatch, field_limit_64,
     assert expected[0] == ("data" if length == 64 else "error")
     assert outcome(tio._read_raw, path, ("x0",)) == expected
     if length == 64:
-        monkeypatch.setattr(tio, "_csv_chunks", never)
+        monkeypatch.setattr(tio, "_read_rows", never)
         assert outcome(tio._read_raw, path, ("x0",)) == expected
+
+
+@pytest.mark.parametrize("chunk", [64, 300])
+def test_outputs_that_grow_match_row_scanner(tmp_path, monkeypatch, chunk):
+    # the first chunk's long rows promise fewer rows than the file holds, so
+    # the outputs double on the way, and are cut to the rows read at the end
+    text = cohort_text(400, "\n")
+    long = "".join(f"1,1.0,{i}.{'0' * 40}1,-0.{'5' * 40}\n" for i in range(8))
+    path = write(tmp_path, text.replace("s,y,x0,x1\n", "s,y,x0,x1\n" + long, 1))
+    expected = outcome(tio._read_rows, path, ("x0", "x1"))
+    sizes, resized = [], tio._resized
+
+    def record(a, rows):
+        sizes.append((a.shape[0], rows))
+        return resized(a, rows)
+
+    monkeypatch.setattr(tio, "_resized", record)
+    monkeypatch.setattr(tio, "_CHUNK_BYTES", chunk)
+    raw = tio._read_chunks(path, ("x0", "x1"))
+    assert any(rows >= 2 * size for size, rows in sizes)   # a doubling
+    assert sizes[-1][1] == 408 and raw.x.flags.c_contiguous
+    monkeypatch.setattr(tio, "_read_rows", never)
+    assert outcome(lambda *args: raw, path, ()) == expected
+    assert outcome(tio._read_raw, path, ("x0", "x1")) == expected
 
 
 def test_read_memory_stays_near_the_file_size(tmp_path):
@@ -413,7 +432,7 @@ def test_header_forms(tmp_path, monkeypatch, header, x_column):
     expected = outcome(tio._read_rows, path, (x_column,))
     assert outcome(tio._read_raw, path, (x_column,)) == expected
     if header.count('"') == 6:
-        monkeypatch.setattr(tio, "_csv_chunks", never)
+        monkeypatch.setattr(tio, "_read_rows", never)
         assert outcome(tio._read_raw, path, (x_column,)) == expected
 
 
@@ -431,37 +450,11 @@ def test_outcome_read_as_a_covariate_matches_row_scanner(tmp_path, text, x_colum
     assert outcome(tio._read_raw, path, x_columns) == expected
 
 
-# -- the csv chunks ----------------------------------------------------------
-
-
-def reshaped(text, form):
-    """``text`` with every cell quoted, every cell padded, or ``\\r`` line ends."""
-    if form == "cr":
-        return text.replace("\r\n", "\r")
-    cell = '"{}"' if form == "quoted" else " {}\t"
-    lines = text.split("\r\n")
-    return "\r\n".join([lines[0], *(",".join(map(cell.format, line.split(",")))
-                                    for line in lines[1:-1]), ""])
-
-
-@pytest.mark.parametrize("chunk", [None, 1, 64])
-@pytest.mark.parametrize("form", ["quoted", "padded", "cr"])
-def test_other_regular_files_take_the_csv_chunks(tmp_path, monkeypatch, form, chunk):
-    path = write(tmp_path, reshaped(cohort_text(300), form))
-    expected = outcome(tio._read_rows, path, ("x0", "x1"))
-    assert expected[0] == "data" and expected[3] > 0
-    assert tio._read_chunks(path, ("x0", "x1"), tio._line_chunks) is None
-    if chunk is not None:
-        monkeypatch.setattr(tio, "_CHUNK_BYTES", chunk)
-    monkeypatch.setattr(tio, "_read_rows", never)
-    assert outcome(tio._read_raw, path, ("x0", "x1")) == expected
-
-
 def test_cr_only_file_is_declined_after_one_bounded_read(tmp_path, monkeypatch):
     """Without line feeds the header line would run to the end of the file:
     the byte pass reads at most ``_HEADER_BYTES`` bytes of it, declines, and
-    the csv chunks read the file as the row scanner does."""
-    path = write(tmp_path, reshaped(cohort_text(300), "cr"))
+    the row scanner reads the file."""
+    path = write(tmp_path, cohort_text(300).replace("\r\n", "\r"))
     expected = outcome(tio._read_rows, path, ("x0", "x1"))
     assert expected[0] == "data"
     monkeypatch.setattr(tio, "_HEADER_BYTES", 64)
@@ -480,16 +473,4 @@ def test_cr_only_file_is_declined_after_one_bounded_read(tmp_path, monkeypatch):
         mp.setattr(tio, "open", lambda p, mode: Served(p.read_bytes()), raising=False)
         assert list(tio._line_chunks(path, ("x0", "x1"))) == []
     assert 0 < sum(served) <= 64 < path.stat().st_size
-    monkeypatch.setattr(tio, "_read_rows", never)
     assert outcome(tio._read_raw, path, ("x0", "x1")) == expected
-
-
-@pytest.mark.parametrize("text", [
-    's,y,x0\n1,0,"5\n1,0,5"\n0,,1\n',    # a covariate cell holding a whole row
-    's,y,x0\n1,0,"5,6"\n0,,1\n',         # a covariate cell holding a comma
-    's,y,x0\n1,0,"5\r6"\n0,,1\n',
-    's,y,x0,note\n1,0,5,"a\n1,0,5"\n0,,1,\n',
-])
-def test_csv_chunks_keep_cells_whole(tmp_path, text):
-    path = write(tmp_path, text)
-    assert outcome(tio._read_raw, path, ("x0",)) == outcome(tio._read_rows, path, ("x0",))
