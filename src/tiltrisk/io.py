@@ -110,9 +110,9 @@ def _read_chunks(path: Path, x_columns) -> Optional[RawData]:
     and the covariates from one float64 loadtxt, written into outputs of
     an eighth more rows than the first chunk's bytes per row give the file
     (doubled when a chunk does not fit, cut to the rows read at the end),
-    so no chunk is held past its own parse.  Returns None for a file it cannot
-    decide (see ``_chunk_layout``), one with no data rows or one that
-    reads ``y`` as a covariate too; a cell that does not parse raises
+    so no chunk is held past its own parse.  Returns None for a file it
+    cannot decide (see ``_chunk_layout``), one with no data rows or one
+    that reads ``y`` as a covariate too; a cell that does not parse raises
     ValueError.
     """
     if "y" in x_columns:   # the covariate would read the placeholder of an empty y
