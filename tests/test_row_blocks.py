@@ -109,8 +109,8 @@ def nested_case(blocks: int):
 
 # Between tables of 8 and 32 blocks, a temporary (n,) array of bools would
 # add 12 KiB to the peak and one of float64 96 KiB; the lists of the
-# blocks' slices add about 128 bytes a block.
-SIZES, GROWTH = (8, 32), 256 * 24
+# blocks' slices held at the peak add 3-4.5 KiB.
+SIZES, GROWTH = (8, 32), 8 * 1024
 
 
 @pytest.mark.parametrize("estimator", ("cl", "aug", "aug-alt"))
