@@ -1,5 +1,5 @@
 """Passes over a large table's rows in row blocks after the fit: the
-sweep's layout and sums, the prevalence solves and the byte read.
+sweep's layout and sums and the prevalence solves.
 
 ``nuisance._BLOCK_ROWS`` is set here to a few rows, so the small tables
 of these tests span several blocks; the same nuisances swept with the
