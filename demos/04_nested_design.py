@@ -57,8 +57,7 @@ eta = spec.eta_true
 
 # the sweep gives the package's estimators their intervals: each replicate
 # is a vector of row counts over the cohort, refitted with the recipe and
-# swept without building a replicate table (bootstrap_ci and jackknife_ci
-# are for estimators the package cannot see into)
+# swept without building a replicate table
 def interval(resample):
     return sensitivity_curve(table, nuis, [eta], "aug", resample=resample).points[0].result
 

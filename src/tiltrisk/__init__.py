@@ -37,7 +37,7 @@ from .etaselect import (
     eta_grid_from_prevalence_range,
 )
 from .nuisance import DesignSpec, GlmFit, NuisanceRecipe, NuisanceSet, fit_logistic
-from .resampling import ResampleConfig, ResampleResult, bootstrap_ci, jackknife_ci
+from .resampling import ResampleConfig
 from .tilt import (
     LossFunction,
     PredictionModel,
@@ -62,7 +62,7 @@ __all__ = [
     "PrevalenceAnchor", "eta_from_prevalence_nonnested",
     "eta_from_prevalence_nested", "eta_grid_from_prevalence_range",
     "DesignSpec", "GlmFit", "NuisanceSet", "NuisanceRecipe", "fit_logistic",
-    "ResampleConfig", "ResampleResult", "bootstrap_ci", "jackknife_ci",
+    "ResampleConfig",
     "DgpSpec", "SimulatedData", "OracleValue", "generate", "recipe_for",
     "true_phi_oracle", "true_psi_oracle", "brute_force_phi", "brute_force_psi",
     "TiltSpec", "LossFunction", "PredictionModel",

@@ -83,9 +83,10 @@ class ObservationTable:
         return self.loss1 is not None and self.loss0 is not None
 
     def take(self, indices) -> "ObservationTable":
-        """New table holding rows ``indices`` (with repetition allowed): the
-        replicate tables of ``bootstrap_ci`` and ``jackknife_ci``, which serve
-        opaque estimators (the package's own resample as row counts)."""
+        """New table holding rows ``indices`` (with repetition allowed), such
+        as a bootstrap replicate of ``resampling.resample_indices`` for an
+        estimator the package cannot see into (the package's own resample
+        as row counts)."""
         idx = np.asarray(indices, dtype=np.intp)
         return replace(
             self,
@@ -97,12 +98,6 @@ class ObservationTable:
             loss1=None if self.loss1 is None else self.loss1[idx],
             loss0=None if self.loss0 is None else self.loss0[idx],
         )
-
-    def drop_row(self, i: int) -> "ObservationTable":
-        """Leave-one-out table without row i."""
-        keep = np.ones(self.n, dtype=bool)
-        keep[i] = False
-        return self.take(np.where(keep)[0])
 
 
 def check_finite(x: np.ndarray) -> None:

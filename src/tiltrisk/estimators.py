@@ -214,8 +214,9 @@ def estimate(
     Warns when p sits at its clipping bound on more than half of the
     source rows; the ``positivity_warning`` diagnostic records the same.
     A set that does not belong to ``table`` is a ConfigError (``_check``),
-    as in ``influence_values`` and ``sensitivity_curve``.  A fitted set
-    keeps what its points share (``_point_rows``).
+    as in ``influence_values`` and ``sensitivity_curve``.  Nothing is kept
+    between calls: each one derives its clip diagnostics and replicate 0's
+    rows from the set as it stands.
     """
     _check(table, nuis, estimator)
     if nuis._fits is None:  # a one-point grid costs half as much again per call
@@ -227,7 +228,7 @@ def estimate(
         if estimator != "cl":
             TiltSpec(eta)  # a non-finite eta fails as the weights' tilt does
         out = _grid_terms(table, nuis, np.array([eta], dtype=np.float64), estimator,
-                          *_point_rows(table, nuis, estimator))[0]
+                          _clip(table, nuis, estimator))[0]
         if isinstance(out, Exception):
             raise out
         est, diag = out
@@ -235,26 +236,6 @@ def estimate(
         _warn_positivity(diag)
     return EstimateResult(eta=eta, estimate=float(est), method=f"{estimator}/{table.design}",
                           diagnostics=diag)
-
-
-def _point_rows(table: ObservationTable, nuis: NuisanceSet, estimator: str) -> tuple:
-    """A fitted set's eta-free clip diagnostics for ``estimator`` and, for a
-    binary fit on a table of one row block, replicate 0's layout
-    (``_chunk_rows``; None otherwise), kept on its fits: the clip
-    diagnostics from its first ``estimate``, which makes its p and g
-    read-only, and a layout per estimator summed (``_summed_as``)."""
-    fits, summed = nuis._fits, _summed_as(nuis._fits, estimator)
-    kept = fits.point_rows
-    if not kept:  # what is kept is derived from p and g
-        for values in (nuis.p, nuis.g, fits.p, fits.g):
-            if values is not None:
-                values.flags.writeable = False
-        kept["clip"] = _clip(table, nuis, "aug")
-    if summed not in kept:
-        windows = _row_blocks(table.n)
-        kept[summed] = (_chunk_rows(table, fits, [0], summed, windows[0], top=True)
-                        if fits.g is not None and len(windows) == 1 else None)
-    return kept["clip"] if estimator == "aug" else {}, kept[summed]
 
 
 def influence_values(
@@ -298,16 +279,14 @@ def _block_step(table: ObservationTable) -> int:
     return max(1, _BLOCK_CELLS // table.n)
 
 
-def _grid_terms(table, nuis, grid: np.ndarray, estimator: str, clip: dict,
-                layout: Optional[tuple] = None) -> list:
+def _grid_terms(table, nuis, grid: np.ndarray, estimator: str, clip: dict) -> list:
     """(estimate, diagnostics) at every grid point, or the numeric failure
-    the point raised: a fitted set's as replicate 0 of its fits (a binary
-    one from ``layout``, if built), a hand-built (or ``replace``d) set's
-    block by block through its fields (``_terms``)."""
+    the point raised: a fitted set's as replicate 0 of its fits, a
+    hand-built (or ``replace``d) set's block by block through its fields
+    (``_terms``)."""
     if nuis._fits is not None:
         est, failed, top = (None if v is None else v[0] for v in
-                            _replicate_rows(table, nuis._fits, [0], grid, estimator, top=True,
-                                            layout=layout))
+                            _replicate_rows(table, nuis._fits, [0], grid, estimator, top=True))
         points = zip(est, _point_diagnostics(table, est, top, clip))
         return [point if exc is None else exc for exc, point in zip(failed, points)]
 
@@ -473,13 +452,11 @@ def _offset_rows(fits: NuisanceRows, r: int, theta, points: slice, eta: np.ndarr
 
 
 def _binary_sums(table: ObservationTable, fits: NuisanceRows, group: list, grid: np.ndarray,
-                 estimator: str, top: bool, layout: Optional[tuple],
-                 thetas: Optional[list]) -> tuple:
+                 estimator: str, top: bool, thetas: Optional[list]) -> tuple:
     """The binary replicates ``group``'s (G, K) estimates at every grid
     point and, with ``top``, their (G, K) largest source weights (else
     None).  The table's rows go in windows of ``_row_blocks``: each
-    window's rows are laid out once (``_chunk_rows``; ``layout``, when
-    given, is that of every row, built before) and summed in
+    window's rows are laid out once (``_chunk_rows``) and summed in
     blocks of max(1, _BLOCK_CELLS // m) points, m the rows laid out
     (``_chunk_sums``), and the windows' sums are added in window order.  A
     replicate's rows in a window do not depend on its group, so neither
@@ -490,9 +467,8 @@ def _binary_sums(table: ObservationTable, fits: NuisanceRows, group: list, grid:
     summed = _summed_as(fits, estimator)
     sums = np.empty((grid.size, len(group)))
     tops = np.full(sums.shape, -np.inf) if top else None
-    windows = _row_blocks(table.n) if layout is None else [slice(0, table.n)]
-    for i, window in enumerate(windows):
-        rows = _chunk_rows(table, fits, group, summed, window, top) if layout is None else layout
+    for i, window in enumerate(_row_blocks(table.n)):
+        rows = _chunk_rows(table, fits, group, summed, window, top)
         den = rows[1] if i == 0 else den + rows[1]
         sizes = [side[0][-1] for side in rows[2]]  # the rows laid out per row set
         step = max(1, _BLOCK_CELLS // max(1, sum(sizes)))
@@ -553,7 +529,7 @@ def _group_estimates(table: ObservationTable, fits: NuisanceRows, group: list,
 
 def _replicate_rows(table: ObservationTable, fits: NuisanceRows, group: list,
                     grid: np.ndarray, estimator: str, top: bool = False,
-                    solved: Optional[dict] = None, layout: Optional[tuple] = None) -> tuple:
+                    solved: Optional[dict] = None) -> tuple:
     """Replicates ``group`` (indices into ``fits``) at every grid point as
     (G, K) arrays: estimates (NaN where failed), failures (None or the
     exception) and, with ``top``, largest source weights.  The group goes
@@ -561,7 +537,7 @@ def _replicate_rows(table: ObservationTable, fits: NuisanceRows, group: list,
     on every row at once (``_group_estimates``).  A binary block raises as
     its source weights would (the tilt, then c) and fits a moment-fitted
     offset; the sums follow for the whole grid, window by window
-    (``_binary_sums``, given ``layout``), and ``aug-alt`` with the offset
+    (``_binary_sums``), and ``aug-alt`` with the offset
     derived from p and c is ``aug`` there: e^a = ((1 - p)/p)/c.  A block
     that raises reruns by replicate, then by point, so each replicate-point
     gets what it would alone.  ``solved`` goes to a continuous group's
@@ -614,7 +590,7 @@ def _replicate_rows(table: ObservationTable, fits: NuisanceRows, group: list,
                 dest[reps, points] = value
     if binary:
         est, tops = _binary_sums(table, fits, group, grid, estimator, out[2] is not None,
-                                 layout, thetas)
+                                 thetas)
         out[0][...] = est
         if tops is not None:
             out[2][...] = tops

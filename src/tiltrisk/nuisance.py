@@ -843,9 +843,8 @@ class NuisanceSet:
 
     A fitted set (``NuisanceRecipe.fit``) also carries its fits, the
     ``NuisanceRows`` of one all-ones replicate, and sensitivity curves
-    evaluate it as replicate 0 of them.  Its first ``estimate`` keeps what
-    its points share on the fits and makes its p and g read-only, so an
-    edit cannot leave that stale.  ``dataclasses.replace`` does not copy
+    evaluate it as replicate 0 of them, as does ``estimate``, which keeps
+    nothing on the set between calls.  ``dataclasses.replace`` does not copy
     the fits, so a replaced set is a hand-built one: the estimators
     read every field as given, and values derived at fit time, such as a
     from p and c, are not recomputed.
@@ -892,8 +891,6 @@ class NuisanceRows:
 
     ``source_key[r]`` (continuous fits) is the first replicate with
     replicate r's source-row counts, which ``solve`` shares b and c by.
-    ``point_rows`` holds what ``estimators.estimate`` derives from replicate
-    0 of a fitted set (``estimators._point_rows``); b, c and a keep nothing.
     """
 
     def __init__(self, table, counts, errors, lacks_stratum, p, fits, g, losses, designs,
@@ -910,7 +907,6 @@ class NuisanceRows:
         self._designs = designs
         self._a_designs = a_designs
         self.source_key = source_key
-        self.point_rows: dict = {}
 
     def rows_drawn(self, r: int, rows: np.ndarray) -> np.ndarray:
         """The entries of ``rows`` that replicate r draws at least once."""

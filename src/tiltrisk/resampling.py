@@ -1,24 +1,21 @@
 """Bootstrap and jackknife confidence intervals.
 
-A replicate's estimates come from one of two engines.  The package's own
-estimators get theirs from ``sensitivity_curve(..., resample=cfg)``,
-which fits the replicates as row-count vectors over the original table
-(``replicate_counts``) and sweeps them without building replicate tables.
-``bootstrap_ci`` and ``jackknife_ci`` serve opaque callables: they build
-each replicate table with ``take`` and call the estimator on it.  Both
-turn their replicate estimates into standard errors by one rule set,
-``standard_errors``.  Bootstrap replicates draw from per-replicate
-substreams keyed by (seed, replicate index), making results deterministic
-and independent of execution order.
+A replicate is a vector of row counts over the original table
+(``replicate_counts``): ``sensitivity_curve(..., resample=cfg)`` refits
+the recipe with those counts and sweeps the replicates without building
+replicate tables, and ``standard_errors`` turns their estimates into
+standard errors by one rule set.  Bootstrap replicates draw from
+per-replicate substreams keyed by (seed, replicate index), making results
+deterministic and independent of execution order.
 """
 
 from __future__ import annotations
 
 import numbers
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 # numpy loads its random module on first use; loaded here, it is part of the
@@ -26,7 +23,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .data import ObservationTable
-from .errors import NUMERIC_FAILURES, DataError, DomainError, NumericError, require_number
+from .errors import DataError, DomainError, require_number
 
 
 @dataclass(frozen=True)
@@ -63,16 +60,6 @@ class ResampleConfig:
         if self.stratified is not None:
             return self.stratified
         return table.design == "non-nested"
-
-
-@dataclass(frozen=True)
-class ResampleResult:
-    estimate: float
-    se: float
-    ci: tuple
-    method: str
-    replicates_used: int
-    skipped: int = 0
 
 
 def z_quantile(level: float) -> float:
@@ -126,36 +113,6 @@ def replicate_counts(table: ObservationTable, cfg: ResampleConfig, reps) -> np.n
     return out
 
 
-def table_matrix(table: ObservationTable, fn: Callable, cfg: ResampleConfig) -> tuple:
-    """Apply ``fn`` to every replicate table: ``take`` of bootstrap draw r,
-    or the table without row r for the jackknife.
-
-    ``fn`` returns a float vector (or scalar).  Returns the (R, k)
-    estimates, NaN where a replicate failed, and the reason of each
-    failure: the class of the numeric failure ``fn`` raised, or
-    'non-finite'.  Any other exception propagates.
-    """
-    if cfg.method == "bootstrap":
-        stratified = cfg.resolve_stratified(table)
-        tables = (table.take(resample_indices(table, r, cfg.seed, stratified))
-                  for r in range(cfg.replicates))
-    else:
-        tables = (table.drop_row(i) for i in range(jackknife_size(table)))
-    values, raised = [], {}
-    for r, t in enumerate(tables):
-        try:
-            values.append(np.asarray(fn(t), dtype=np.float64))
-        except NUMERIC_FAILURES as exc:
-            values.append(np.nan)
-            raised[r] = type(exc).__name__
-    width = max(np.size(v) for v in values)
-    est = np.array([np.broadcast_to(v, width) for v in values])
-    why = np.where(np.isfinite(est), None, "non-finite")
-    for r, name in raised.items():
-        why[r] = name
-    return est, why
-
-
 def _failure_counts(names) -> str:
     """' (Class: count, ...)' for the failure names of a column's replicates."""
     counts = Counter(names)
@@ -189,38 +146,3 @@ def standard_errors(est: np.ndarray, why: np.ndarray, method: str) -> list:
             centered = col - col.mean()
             out.append((float(np.sqrt((n_reps - 1) / n_reps * np.sum(centered**2))), None))
     return out
-
-
-def _closure_ci(table: ObservationTable, estimator: Callable,
-                cfg: ResampleConfig) -> ResampleResult:
-    point = float(estimator(table))
-    est, why = table_matrix(table, lambda t: float(estimator(t)), cfg)
-    [(se, note)] = standard_errors(est, why, cfg.method)
-    if se is None:
-        raise NumericError(note)
-    used = int(np.isfinite(est).sum())
-    return ResampleResult(estimate=point, se=se, ci=wald_interval(point, se, cfg.level),
-                          method=cfg.method, replicates_used=used, skipped=est.shape[0] - used)
-
-
-def bootstrap_ci(
-    table: ObservationTable, estimator: Callable, cfg: ResampleConfig
-) -> ResampleResult:
-    """Bootstrap standard error and Wald interval for a scalar estimator.
-
-    The point estimate is computed on the original table; the SE is the
-    standard deviation of the replicate estimates.  More than 20% failed
-    replicates is a NumericError carrying the note a sensitivity curve
-    gives.
-    """
-    return _closure_ci(table, estimator, replace(cfg, method="bootstrap"))
-
-
-def jackknife_ci(
-    table: ObservationTable, estimator: Callable, level: float = 0.95
-) -> ResampleResult:
-    """Leave-one-out standard error and Wald interval for a scalar estimator.
-
-    Every leave-one-out table is evaluated; any failure is a NumericError
-    naming the first failed row."""
-    return _closure_ci(table, estimator, ResampleConfig(method="jackknife", level=level))

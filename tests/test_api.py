@@ -13,7 +13,10 @@ import numpy as np
 import pytest
 
 import tiltrisk
+import tiltrisk.resampling
 from tiltrisk.etaselect import solve_monotone_root
+
+from conftest import random_binary_table
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -22,12 +25,12 @@ PUBLIC = [
     "DgpSpec", "DomainError", "EstimateResult", "GlmFit", "InfluenceValues",
     "LossFunction", "NuisanceRecipe", "NuisanceSet", "NumericError", "ObservationTable",
     "OracleValue", "PositivityError", "PredictionModel", "PrevalenceAnchor",
-    "RankDeficientError", "ResampleConfig", "ResampleResult", "SensitivityCurve",
+    "RankDeficientError", "ResampleConfig", "SensitivityCurve",
     "SimulatedData", "TiltOverflowError", "TiltSpec", "TiltriskError", "__version__",
-    "binary_b", "binary_c", "bootstrap_ci", "brute_force_phi", "brute_force_psi",
+    "binary_b", "binary_c", "brute_force_phi", "brute_force_psi",
     "build_table", "estimate", "eta_from_prevalence_nested", "eta_from_prevalence_nonnested",
     "eta_grid_from_prevalence_range", "eval_loss", "fit_logistic", "generate",
-    "influence_values", "jackknife_ci", "recipe_for", "selection_a", "sensitivity_curve",
+    "influence_values", "recipe_for", "selection_a", "sensitivity_curve",
     "tilt_weight", "tilted_bernoulli", "true_phi_oracle", "true_psi_oracle",
 ]
 
@@ -74,6 +77,22 @@ def test_removed_parameters_are_refused(name):
         REMOVED[name]()
 
 
+# the second resampling engine, a ``take`` table per replicate, was removed
+# with its names: the package resamples as row counts alone
+REMOVED_NAMES = [
+    (tiltrisk, "bootstrap_ci"), (tiltrisk, "jackknife_ci"), (tiltrisk, "table_matrix"),
+    (tiltrisk, "ResampleResult"), (tiltrisk.resampling, "bootstrap_ci"),
+    (tiltrisk.resampling, "jackknife_ci"), (tiltrisk.resampling, "table_matrix"),
+    (tiltrisk.resampling, "ResampleResult"), (tiltrisk.ObservationTable, "drop_row"),
+]
+
+
+@pytest.mark.parametrize("owner, name", REMOVED_NAMES,
+                         ids=[f"{owner.__name__}.{name}" for owner, name in REMOVED_NAMES])
+def test_removed_names_are_gone(owner, name):
+    assert not hasattr(owner, name)
+
+
 def test_readme_and_demo_imports_are_public():
     sources = readme_blocks() + [p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))]
     names = {name for source in sources for name in package_imports(source)}
@@ -86,6 +105,26 @@ def test_readme_quick_start_imports():
     imports = ast.Module([n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))],
                          type_ignores=[])
     exec(compile(imports, "README.md", "exec"), {})
+
+
+def test_readme_opaque_estimator_recipe_runs():
+    # the documented take() loop gives the count engine's standard error for
+    # the same draws, here of a column mean
+    (block,) = [b for b in readme_blocks() if "resample_indices" in b]
+    rng = np.random.default_rng(3)
+    table = random_binary_table(rng, n=60)
+    fn = lambda t: float(t.x[:, 0].mean())  # noqa: E731
+    space = {"table": table, "fn": fn}
+    exec(compile(block, "README.md", "exec"), space)
+    cfg = tiltrisk.ResampleConfig(replicates=200, seed=7, stratified=True)
+    counts = tiltrisk.resampling.replicate_counts(table, cfg, range(200))
+    means = (counts @ table.x[:, :1]) / counts.sum(axis=1, keepdims=True)
+    [(se, _)] = tiltrisk.resampling.standard_errors(
+        means, np.full(means.shape, None, dtype=object), "bootstrap")
+    assert space["note"] is None
+    assert abs(space["se"] - se) <= 1e-12 * se
+    lo, hi = space["ci"]
+    assert lo < fn(table) < hi
 
 
 def test_simgen_is_imported_on_first_use():

@@ -82,11 +82,6 @@ class TestTakeDrop:
         assert sub.n == 4 and sub.n1 == 2
         np.testing.assert_allclose(sub.x[0], sub.x[1])
 
-    def test_drop_row(self):
-        t = simple([1, 1, 0, 0])
-        sub = t.drop_row(1)
-        assert sub.n == 3 and sub.n1 == 1
-
     def test_take_preserves_caches(self):
         t = simple([1, 1, 0, 0])
         sub = t.take([1, 2, 3])

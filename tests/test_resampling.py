@@ -1,30 +1,59 @@
-"""Resampling checks: determinism, closed-form SE oracles, failure handling,
-and the black-box resamplers against the count path on a real estimator."""
+"""Resampling checks: determinism, closed-form SE oracles and the rules of
+``standard_errors``, on count-weighted replicates of a column mean.
+
+Whether the count path refits and sweeps a replicate as the table it
+stands for would give is checked against ``take`` refits in
+``test_replicates.py`` (``test_weighted_replicates_match_take_refits``,
+1e-10 per replicate); the failure notes of real estimators there too
+(``TestFailureNotes``)."""
 
 import numpy as np
 import pytest
 import scipy.special
 
 from tiltrisk.data import build_table
-from tiltrisk.errors import DataError, DomainError, NumericError
-from tiltrisk.estimators import estimate, sensitivity_curve
+from tiltrisk.errors import DataError, DomainError
 from tiltrisk.resampling import (
     ResampleConfig,
-    bootstrap_ci,
-    jackknife_ci,
+    jackknife_size,
+    replicate_counts,
     resample_indices,
-    table_matrix,
+    standard_errors,
+    wald_interval,
     z_quantile,
 )
-from tiltrisk.simgen import generate, recipe_for
 from tiltrisk.tilt import PredictionModel
 
 from conftest import BRIER, random_binary_table
-from dgps import nested_binary, nonnested_binary
+
+JACKKNIFE = ResampleConfig(method="jackknife")
 
 
 def column_mean(table):
     return float(table.x[:, 0].mean())
+
+
+def counted_means(table, cfg):
+    """(R, 1) count-weighted means of x[:, 0], one per replicate of ``cfg``."""
+    reps = range(cfg.replicates if cfg.method == "bootstrap" else jackknife_size(table))
+    counts = replicate_counts(table, cfg, reps)
+    return (counts @ table.x[:, :1]) / counts.sum(axis=1, keepdims=True)
+
+
+def counted_se(table, cfg, est=None, why=None):
+    """(se, note) of ``standard_errors`` on the replicates' column means,
+    or on ``est`` with failure reasons ``why``."""
+    est = counted_means(table, cfg) if est is None else est
+    why = np.full(est.shape, None, dtype=object) if why is None else why
+    [(se, note)] = standard_errors(est, why, cfg.method)
+    return se, note
+
+
+def failed(est, rows, reason):
+    """``est`` and its failure reasons with ``rows`` failed by ``reason``."""
+    est, why = est.copy(), np.full(est.shape, None, dtype=object)
+    est[rows], why[rows] = np.nan, reason
+    return est, why
 
 
 def make_marked_table(rng, n=500):
@@ -38,35 +67,32 @@ def make_marked_table(rng, n=500):
 
 class TestBootstrap:
     def test_zero_variance_strata(self):
-        # all rows identical within each stratum -> every resample is the
-        # same table -> se collapses to zero
+        # all rows identical within each stratum -> every resample has the
+        # same mean -> se collapses to zero
         s = np.r_[np.ones(5, dtype=int), np.zeros(5, dtype=int)]
         x = np.r_[np.tile([[1.0]], (5, 1)), np.tile([[2.0]], (5, 1))]
         y = np.where(s == 1, 1.0, np.nan)
         model = PredictionModel(coefficients=(0.0, 0.3), xstar_columns=(0,))
         table = build_table(s, x, y, model, BRIER, "non-nested")
-        cfg = ResampleConfig(replicates=50, seed=3)
-        out = bootstrap_ci(table, column_mean, cfg)
-        assert out.se == 0.0
-        assert out.ci[0] == out.ci[1] == out.estimate
+        se, note = counted_se(table, ResampleConfig(replicates=50, seed=3))
+        assert se == 0.0 and note is None
+        point = column_mean(table)
+        assert wald_interval(point, se, 0.95) == (point, point)
 
     def test_seed_determinism(self, rng):
         table = make_marked_table(rng)
         cfg = ResampleConfig(replicates=40, seed=77)
-        a = bootstrap_ci(table, column_mean, cfg)
-        b = bootstrap_ci(table, column_mean, cfg)
-        assert a.se == b.se and a.ci == b.ci
+        assert np.array_equal(counted_means(table, cfg), counted_means(table, cfg))
 
     def test_matches_closed_form_stratified_se(self, rng):
         table = make_marked_table(rng, n=500)
-        cfg = ResampleConfig(replicates=4000, seed=5, stratified=True)
-        out = bootstrap_ci(table, column_mean, cfg)
+        se, _ = counted_se(table, ResampleConfig(replicates=4000, seed=5, stratified=True))
         col = table.x[:, 0]
         src = table.s == 1
         n = table.n
         var = (src.sum() * col[src].var() + (~src).sum() * col[~src].var()) / n**2
         closed = float(np.sqrt(var))
-        assert out.se == pytest.approx(closed, rel=0.15)
+        assert se == pytest.approx(closed, rel=0.15)
 
     def test_stratified_preserves_strata_sizes(self, rng):
         table = random_binary_table(rng, n=100)
@@ -85,49 +111,34 @@ class TestBootstrap:
 
     def test_ci_contains_point(self, rng):
         table = make_marked_table(rng, n=120)
-        out = bootstrap_ci(table, column_mean, ResampleConfig(replicates=60, seed=2))
-        assert out.ci[0] <= out.estimate <= out.ci[1]
+        se, _ = counted_se(table, ResampleConfig(replicates=60, seed=2))
+        lo, hi = wald_interval(column_mean(table), se, 0.95)
+        assert lo < column_mean(table) < hi
 
     def test_failed_replicates_skipped_and_counted(self, rng):
-        # replicates 0..lost-1 fail, the first four of them by returning NaN:
+        # replicates 0..lost-1 fail, the first four of them non-finite:
         # 10 of 50 is within the 20% rule, 11 of 50 is not
         table = make_marked_table(rng, n=60)
         cfg = ResampleConfig(replicates=50, seed=21)
-        means, _ = table_matrix(table, column_mean, cfg)
+        means = counted_means(table, cfg)
 
-        def flaky(lost):
-            calls = iter(range(51))  # call 0 is the point estimate
+        def lose(lost):
+            est, why = failed(means, slice(4, lost), "DomainError")
+            est[:4], why[:4] = np.nan, "non-finite"
+            return counted_se(table, cfg, est, why)
 
-            def estimator(t):
-                call = next(calls)
-                if 1 <= call <= 4:
-                    return np.nan
-                if 4 < call <= lost:
-                    raise DomainError("synthetic failure")
-                return column_mean(t)
-            return estimator
-
-        out = bootstrap_ci(table, flaky(10), cfg)
-        assert (out.skipped, out.replicates_used) == (10, 40)
-        assert out.se == float(np.std(means[10:, 0], ddof=1))
-        with pytest.raises(NumericError) as exc:
-            bootstrap_ci(table, flaky(11), cfg)
-        # the note a sensitivity curve gives for the same replicates
-        assert str(exc.value) == (
-            "ci unavailable: 11 of 50 replicates failed (DomainError: 7, non-finite: 4)")
+        se, note = lose(10)
+        assert se == float(np.std(means[10:, 0], ddof=1))
+        assert note == "10 replicates skipped (DomainError: 6, non-finite: 4)"
+        assert lose(11) == (
+            None, "ci unavailable: 11 of 50 replicates failed (DomainError: 7, non-finite: 4)")
 
     def test_all_failures_error(self, rng):
         table = make_marked_table(rng, n=40)
-        calls = {"n": 0}
-
-        def estimator(t):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                return 0.0  # point estimate succeeds
-            raise DomainError("boom")
-
-        with pytest.raises(NumericError):
-            bootstrap_ci(table, estimator, ResampleConfig(replicates=20, seed=4))
+        cfg = ResampleConfig(replicates=20, seed=4)
+        est, why = failed(counted_means(table, cfg), slice(None), "DomainError")
+        assert counted_se(table, cfg, est, why) == (
+            None, "ci unavailable: 20 of 20 replicates failed (DomainError: 20)")
 
     def test_seed_required(self):
         with pytest.raises(DomainError):
@@ -143,12 +154,8 @@ class TestSubstreams:
 
     def test_fewer_replicates_are_a_prefix(self, rng):
         table = make_marked_table(rng, n=40)
-
-        def means(t):
-            return t.x.mean(axis=0)
-
-        eight, _ = table_matrix(table, means, ResampleConfig(replicates=8, seed=11))
-        sixteen, _ = table_matrix(table, means, ResampleConfig(replicates=16, seed=11))
+        eight = replicate_counts(table, ResampleConfig(replicates=8, seed=11), range(8))
+        sixteen = replicate_counts(table, ResampleConfig(replicates=16, seed=11), range(16))
         assert np.array_equal(eight, sixteen[:8])
 
     @pytest.mark.parametrize("stratified", (False, True))
@@ -163,81 +170,39 @@ class TestSubstreams:
 class TestJackknife:
     def test_constant_estimator(self, rng):
         table = random_binary_table(rng, n=20)
-        out = jackknife_ci(table, lambda t: 42.0)
-        assert out.se == 0.0
+        assert counted_se(table, JACKKNIFE, np.full((table.n, 1), 42.0)) == (0.0, None)
 
     def test_sample_mean_classical_identity(self, rng):
         table = make_marked_table(rng, n=60)
-        out = jackknife_ci(table, column_mean)
+        se, _ = counted_se(table, JACKKNIFE)
         col = table.x[:, 0]
         classical = float(col.std(ddof=1) / np.sqrt(col.size))
-        assert out.se == pytest.approx(classical, rel=1e-10)
+        assert se == pytest.approx(classical, rel=1e-10)
 
     def test_too_small(self, rng):
         table = random_binary_table(rng, n=10)
         tiny = table.take([0, int(np.flatnonzero(table.s == 0)[0])])
         with pytest.raises(DataError):
-            jackknife_ci(tiny, column_mean)
+            jackknife_size(tiny)
 
     def test_failure_names_row(self, rng):
         table = random_binary_table(rng, n=12)
-        marker = table.x[3, 0]
-
-        def estimator(t):
-            if marker not in t.x[:, 0]:
-                raise DomainError("lost the marked row")
-            return 0.0
-
-        with pytest.raises(NumericError, match="row 3"):
-            jackknife_ci(table, estimator)
+        est, why = failed(counted_means(table, JACKKNIFE), [3], "DomainError")
+        se, note = counted_se(table, JACKKNIFE, est, why)
+        assert se is None and "row 3" in note
 
     def test_failure_counts_every_row(self, rng):
-        # every leave-one-out table is evaluated before the error is raised
+        # the note names the first failed row and counts every failure
         table = random_binary_table(rng, n=12)
-        markers = table.x[[3, 7], 0]
-
-        def estimator(t):
-            if not np.isin(markers, t.x[:, 0]).all():
-                raise DomainError("lost a marked row")
-            return 0.0
-
-        with pytest.raises(NumericError) as exc:
-            jackknife_ci(table, estimator)
-        assert str(exc.value) == (
-            "ci unavailable: leave-one-out estimate failed at row 3 (DomainError: 2)")
+        est, why = failed(counted_means(table, JACKKNIFE), [3, 7], "DomainError")
+        assert counted_se(table, JACKKNIFE, est, why) == (
+            None, "ci unavailable: leave-one-out estimate failed at row 3 (DomainError: 2)")
 
     def test_ci_contains_point(self, rng):
         table = make_marked_table(rng, n=40)
-        out = jackknife_ci(table, column_mean)
-        assert out.ci[0] <= out.estimate <= out.ci[1]
-
-
-class TestClosureMatchesCountPath:
-    """A recipe refit inside a closure, through take() tables, gives the
-    interval the count path gives the same estimator."""
-
-    @staticmethod
-    def assert_close(closure, counted):
-        for a, b in ((closure.estimate, counted.estimate), (closure.se, counted.se),
-                     *zip(closure.ci, counted.ci)):
-            assert abs(a - b) <= 1e-10
-
-    def test_bootstrap_on_the_coverage_study(self):
-        spec = nonnested_binary(n_source=1_000, n_target=1_000, eta_true=0.5)
-        table, recipe = generate(spec, seed=9_000).table, recipe_for(spec)
-        cfg = ResampleConfig(replicates=300, seed=90_500, stratified=True)
-        closure = bootstrap_ci(table, lambda t: estimate(t, recipe.fit(t), 0.5, "aug").estimate,
-                               cfg)
-        counted = sensitivity_curve(table, recipe.fit(table), [0.5], "aug", resample=cfg)
-        self.assert_close(closure, counted.points[0].result)
-
-    def test_jackknife_on_a_nested_table(self):
-        spec = nested_binary(n_cohort=80)
-        table, recipe = generate(spec, seed=9_001).table, recipe_for(spec)
-        closure = jackknife_ci(table, lambda t: estimate(t, recipe.fit(t), 0.5, "aug").estimate)
-        counted = sensitivity_curve(table, recipe.fit(table), [0.5], "aug",
-                                    resample=ResampleConfig(method="jackknife"))
-        self.assert_close(closure, counted.points[0].result)
+        se, _ = counted_se(table, JACKKNIFE)
+        lo, hi = wald_interval(column_mean(table), se, 0.95)
+        assert lo < column_mean(table) < hi
 
 
 @pytest.mark.parametrize("level", (0.8, 0.9, 0.95, 0.99))
