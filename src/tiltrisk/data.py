@@ -156,8 +156,8 @@ def build_table(
 
     loss1 = loss0 = None
     if loss.is_binary_outcome:
-        loss1 = eval_loss(loss, np.ones_like(pred), pred)
-        loss0 = eval_loss(loss, np.zeros_like(pred), pred)
+        loss1 = eval_loss(loss, 1.0, pred)
+        loss0 = eval_loss(loss, 0.0, pred)
 
     return ObservationTable(
         s=s, x=x, y=y, design=design, pred=pred, loss=loss_obs,

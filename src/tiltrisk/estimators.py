@@ -37,7 +37,6 @@ segment alone and adds its windows' sums in window order.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -47,7 +46,8 @@ import numpy as np
 from .data import ObservationTable
 from .errors import NUMERIC_FAILURES, ConfigError, NumericError
 from .nuisance import C_FLOOR, NuisanceRows, NuisanceSet, _row_blocks
-from .tilt import _LOG_MAX, TiltSpec, binary_c, binary_scales, selection_a, tilt_weight
+from .tilt import (_LOG_MAX, TiltSpec, _exponent_overflow, _normalizer_overflow, binary_scales,
+                   selection_a, tilt_weight)
 
 _CLIP_TOL = 1e-12
 
@@ -280,10 +280,10 @@ def _block_step(table: ObservationTable) -> int:
 
 
 def _grid_terms(table, nuis, grid: np.ndarray, estimator: str, clip: dict) -> list:
-    """(estimate, diagnostics) at every grid point, or the numeric failure
-    the point raised: a fitted set's as replicate 0 of its fits, a
-    hand-built (or ``replace``d) set's block by block through its fields
-    (``_terms``)."""
+    """(estimate, diagnostics) at every grid point, or the point's numeric
+    failure: a fitted set's as replicate 0 of its fits, a hand-built (or
+    ``replace``d) set's block by block through its fields (``_terms``,
+    rerun point by point where a block raises, ``_blocks``)."""
     if nuis._fits is not None:
         est, failed, top = (None if v is None else v[0] for v in
                             _replicate_rows(table, nuis._fits, [0], grid, estimator, top=True))
@@ -372,12 +372,6 @@ def _draws_y1(table: ObservationTable, fits: NuisanceRows, group: list) -> np.nd
     return out
 
 
-def _summed_as(fits: NuisanceRows, estimator: str) -> str:
-    """The estimator whose binary sums give ``estimator``'s: ``aug`` for
-    ``aug-alt`` with the offset derived from p and c, e^a = ((1 - p)/p)/c."""
-    return "aug" if estimator == "aug-alt" and fits.derived_a else estimator
-
-
 def _segments(ufunc, values: np.ndarray, offsets: np.ndarray, empty: float = 0.0):
     """``ufunc`` reduced over each replicate's columns of the (K, m)
     ``values``, (K, G) from the (G + 1,) ``offsets``, and ``empty`` for a
@@ -461,14 +455,13 @@ def _binary_sums(table: ObservationTable, fits: NuisanceRows, group: list, grid:
     (``_chunk_sums``), and the windows' sums are added in window order.  A
     replicate's rows in a window do not depend on its group, so neither
     does its value, and no more of the layout than a window's is held.
-    ``thetas``, for a moment-fitted offset, holds each replicate's (K, k)
-    fits of it, evaluated as e^a on each window's drawn source rows
-    (``_offset_rows``)."""
-    summed = _summed_as(fits, estimator)
+    ``aug-alt`` is the moment-fitted one (derived, it is summed as ``aug``)
+    and ``thetas`` holds each replicate's (K, k) fits of its offset,
+    evaluated as e^a on each window's drawn source rows (``_offset_rows``)."""
     sums = np.empty((grid.size, len(group)))
     tops = np.full(sums.shape, -np.inf) if top else None
     for i, window in enumerate(_row_blocks(table.n)):
-        rows = _chunk_rows(table, fits, group, summed, window, top)
+        rows = _chunk_rows(table, fits, group, estimator, window, top)
         den = rows[1] if i == 0 else den + rows[1]
         sizes = [side[0][-1] for side in rows[2]]  # the rows laid out per row set
         step = max(1, _BLOCK_CELLS // max(1, sum(sizes)))
@@ -527,75 +520,68 @@ def _group_estimates(table: ObservationTable, fits: NuisanceRows, group: list,
     return (_sum(r_t, c_t) + _sum(r_s, c_s)) / den, weight, failed
 
 
+def _binary_failures(table: ObservationTable, fits: NuisanceRows, group: list,
+                     grid: np.ndarray, estimator: str) -> np.ndarray:
+    """The (G, K) failures of the binary replicates ``group``'s source
+    weights, by rule: at a point past eta = _LOG_MAX, where e^eta
+    overflows, a replicate that draws a source row with y = 1 gets the
+    tilt's TiltOverflowError and any other, under ``aug`` (as which an
+    offset derived from p and c is summed), c's; under a moment-fitted
+    ``aug-alt`` the offset's fit judges the rest."""
+    failed = np.full((len(group), grid.size), None, dtype=object)
+    far = grid > _LOG_MAX  # a mask: the grid need not be sorted
+    if estimator == "cl" or not far.any():
+        return failed
+    y1 = _draws_y1(table, fits, group)
+    for j in np.flatnonzero(far):
+        failed[y1, j] = _exponent_overflow(grid[j])
+        if estimator == "aug":
+            failed[~y1, j] = _normalizer_overflow(grid[j])
+    return failed
+
+
 def _replicate_rows(table: ObservationTable, fits: NuisanceRows, group: list,
                     grid: np.ndarray, estimator: str, top: bool = False,
                     solved: Optional[dict] = None) -> tuple:
     """Replicates ``group`` (indices into ``fits``) at every grid point as
     (G, K) arrays: estimates (NaN where failed), failures (None or the
-    exception) and, with ``top``, largest source weights.  The group goes
-    in blocks of ``_block_step`` points.  A continuous block is evaluated
-    on every row at once (``_group_estimates``).  A binary block raises as
-    its source weights would (the tilt, then c) and fits a moment-fitted
-    offset; the sums follow for the whole grid, window by window
-    (``_binary_sums``), and ``aug-alt`` with the offset
-    derived from p and c is ``aug`` there: e^a = ((1 - p)/p)/c.  A block
-    that raises reruns by replicate, then by point, so each replicate-point
-    gets what it would alone.  ``solved`` goes to a continuous group's
-    ``NuisanceRows.solve``."""
-    shape = (len(group), grid.size)
-    out = (np.full(shape, np.nan), np.full(shape, None, dtype=object),
-           np.full(shape, np.nan) if top and estimator != "cl" else None)
-    binary, fitted_a = fits.g is not None, estimator == "aug-alt" and not fits.derived_a
-    thetas = [None] * len(group) if binary and fitted_a else None  # per replicate
-    draws_y1 = functools.cache(lambda: _draws_y1(table, fits, group))
-
-    def evaluate(reps: slice, points: slice):  # a block's terms die with its call
-        eta = grid[points, None]
-        if not binary:
-            est, weights, failed = _group_estimates(table, fits, group[reps], eta, estimator,
-                                                    solved)
-            return est, failed, None if out[2] is None else [w.max(axis=-1) for w in weights]
-        if estimator != "cl" and eta.max() > _LOG_MAX:  # the tilt, then c, overflow
-            tilt_weight(float(draws_y1()[reps].any()), TiltSpec(eta))
-            if not fitted_a:
-                binary_c(0.0, eta)
-        if not fitted_a:
-            return None, None, None
-        rows = range(len(group))[reps]
-        failed = np.empty((len(rows), eta.shape[0]), dtype=object)
-        for i, j in enumerate(rows):
-            theta, failed[i] = fits.offset_fit(eta, group[j])
-            if thetas[j] is None:
-                thetas[j] = np.full((grid.size, theta.shape[-1]), np.nan)
-            thetas[j][points] = theta
-        return None, failed, None
-
-    step = _block_step(table)
-    todo = [(slice(0, len(group)), slice(lo, lo + step)) for lo in range(0, grid.size, step)]
-    while todo:
-        reps, points = todo.pop()
-        try:
-            values = evaluate(reps, points)
-        except NUMERIC_FAILURES as exc:
-            rows, cols = range(len(group))[reps], range(grid.size)[points]
-            if len(rows) > 1:
-                todo += [(slice(i, i + 1), points) for i in rows]
-            elif len(cols) > 1:
-                todo += [(reps, slice(j, j + 1)) for j in cols]
-            else:
-                out[1][reps, points] = exc
-            continue
-        for dest, value in zip(out, values):
-            if value is not None:
-                dest[reps, points] = value
-    if binary:
-        est, tops = _binary_sums(table, fits, group, grid, estimator, out[2] is not None,
-                                 thetas)
-        out[0][...] = est
-        if tops is not None:
-            out[2][...] = tops
-    out[0][np.not_equal(out[1], None)] = np.nan
-    return out
+    exception) and, with ``top``, largest source weights.  A continuous
+    group is evaluated on every row in blocks of ``_block_step`` points
+    (``_group_estimates``, ``solved`` going to ``NuisanceRows.solve``),
+    whose solves and offsets return their failures.  A binary group's
+    weights fail by rule (``_binary_failures``); a moment-fitted offset is
+    fitted in blocks of ``_block_step`` points at each replicate's points
+    that have not failed, and the sums follow for the whole grid, window by
+    window (``_binary_sums``).  A binary ``aug-alt`` with the offset
+    derived from p and c is ``aug`` throughout."""
+    step, top = _block_step(table), top and estimator != "cl"
+    if fits.g is None:
+        shape = (len(group), grid.size)
+        est, failed = np.empty(shape), np.empty(shape, dtype=object)
+        tops = np.empty(shape) if top else None
+        for lo in range(0, grid.size, step):
+            points = slice(lo, lo + step)
+            est[:, points], weights, failed[:, points] = _group_estimates(
+                table, fits, group, grid[points, None], estimator, solved)
+            if top:
+                tops[:, points] = weights.max(axis=-1)
+    else:
+        if estimator == "aug-alt" and fits.derived_a:
+            estimator = "aug"  # e^a = ((1 - p)/p)/c
+        failed, thetas = _binary_failures(table, fits, group, grid, estimator), None
+        if estimator == "aug-alt":
+            thetas = [None] * len(group)  # per replicate, None until a point is fitted
+            for j, r in enumerate(group):
+                live = np.flatnonzero(np.equal(failed[j], None))
+                for lo in range(0, live.size, step):
+                    at = live[lo:lo + step]
+                    theta, failed[j, at] = fits.offset_fit(grid[at, None], r)
+                    if thetas[j] is None:
+                        thetas[j] = np.full((grid.size, theta.shape[-1]), np.nan)
+                    thetas[j][at] = theta
+        est, tops = _binary_sums(table, fits, group, grid, estimator, top, thetas)
+    est[np.not_equal(failed, None)] = np.nan
+    return est, failed, tops
 
 
 def _replicate_matrix(table: ObservationTable, recipe, grid: np.ndarray, estimator: str,

@@ -266,19 +266,21 @@ def _read_rows(csv_path, x_columns) -> RawData:
     if not path.exists():
         raise DataError(f"data file not found: {path}")
     with _open_data(path) as fh:
-        reader = csv.DictReader(fh)
-        _column_indices(path, reader.fieldnames, x_columns)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        s_col, y_col, *x_cols = _column_indices(path, header, x_columns)
+        width, x_cells = len(header), list(zip(x_columns, x_cols))
         s_vals, y_vals, x_vals = array.array("q"), array.array("d"), array.array("d")
         masked = 0
-        for i, row in enumerate(reader):
-            if None in row:
-                raise DataError(f"row {i}: {len(reader.fieldnames) + len(row[None])} cells, "
-                                f"header has {len(reader.fieldnames)}")
-            sv = (row["s"] or "").strip()
+        for i, row in enumerate(filter(None, reader)):  # blank rows read as []
+            if len(row) > width:
+                raise DataError(f"row {i}: {len(row)} cells, header has {width}")
+            row += [None] * (width - len(row))  # a missing cell reads as None
+            sv = (row[s_col] or "").strip()
             if sv not in ("0", "1"):
-                raise DataError(f"row {i}: s must be 0 or 1, got {row['s']!r}")
+                raise DataError(f"row {i}: s must be 0 or 1, got {row[s_col]!r}")
             s = int(sv)
-            yv = (row["y"] or "").strip()
+            yv = (row[y_col] or "").strip()
             if s == 1:
                 if yv == "":
                     raise DataError(f"row {i}: source row has empty y")
@@ -290,8 +292,8 @@ def _read_rows(csv_path, x_columns) -> RawData:
                 if yv != "":
                     masked += 1
                 y = np.nan
-            for c in x_columns:
-                cell = (row[c] or "").strip()
+            for c, j in x_cells:
+                cell = (row[j] or "").strip()
                 try:
                     x_vals.append(float(cell))
                 except ValueError:

@@ -179,12 +179,18 @@ def tilt_weight(y, tilt: TiltSpec):
     z = tilt.eta * tilt.apply_q(y)
     zmax = np.max(z) if np.ndim(z) else z
     if zmax > _LOG_MAX:
-        raise TiltOverflowError(
-            f"tilt exponent {float(zmax):.3g} exceeds float64 log-max {_LOG_MAX:.5g}; "
-            "the weight would saturate to inf"
-        )
+        raise _exponent_overflow(zmax)
     out = np.exp(z)
     return out if np.ndim(z) else float(out)
+
+
+def _exponent_overflow(zmax) -> TiltOverflowError:
+    return TiltOverflowError(f"tilt exponent {float(zmax):.3g} exceeds float64 log-max "
+                             f"{_LOG_MAX:.5g}; the weight would saturate to inf")
+
+
+def _normalizer_overflow(eta) -> TiltOverflowError:
+    return TiltOverflowError(f"exp({eta:.3g}) overflows float64 in the tilted normalizer")
 
 
 def binary_scales(eta: np.ndarray) -> tuple:
@@ -215,55 +221,46 @@ def _rows(g, l1=None, l0=None) -> tuple:
     return g, h, l1, l0, l0 * h
 
 
-def _ratio(g, h, eta) -> tuple:
-    """(eta, w, den, mid): eta as an array, w = e^eta where |eta| <= 30,
-    else 1, the denominator w g + 1 - g and whether every |eta| <= 30.
-    The denominator is set to exactly 1 at eta = 0, so zero tilt is
-    untilted whatever g holds."""
-    eta = np.asarray(eta, dtype=np.float64)
-    etas = eta.ravel().tolist()
-    if not any(etas):
-        return eta, np.ones(eta.shape) if eta.ndim else 1.0, 1.0, True
-    mid = -_STABLE_EXP <= min(etas) and max(etas) <= _STABLE_EXP
-    w = np.exp(eta if mid else np.where(np.abs(eta) <= _STABLE_EXP, eta, 0.0))
-    den = w * g
-    den += h
-    if 0.0 in etas:
-        np.copyto(den, 1.0, where=eta == 0.0)
-    return eta, w, den, mid
-
-
-def _far(g, h, eta) -> np.ndarray:
-    """The tilted probability in its rearranged forms for |eta| > 30."""
-    # above: divide through by e^eta; 0/0 at g = 0 once e^-eta underflows
-    denom = g + np.exp(-np.maximum(eta, _STABLE_EXP)) * h
-    up = g / np.where(denom == 0.0, 1.0, denom)
-    # below: e^eta underflows harmlessly toward 0
-    w = np.exp(np.minimum(eta, -_STABLE_EXP))
-    denom = w * g + h
-    down = np.where(g >= 1.0, 1.0, (w * g) / np.where(denom == 0.0, 1.0, denom))
-    return np.where(eta > 0, up, down)
-
-
 def _tilted(g, h, eta):
-    eta, w, den, mid = _ratio(g, h, eta)
-    out = w * g
-    out /= den
-    if not mid:
-        out = np.where(np.abs(eta) <= _STABLE_EXP, out, _far(g, h, eta))
+    """The tilted probability x g / (x g + y h) at ``binary_scales``' (x, y)
+    for eta: g where that denominator underflows to 0 (g = 0 far above,
+    g = 1 far below) and exactly g at eta = 0."""
+    eta = np.asarray(eta, dtype=np.float64)
+    x, y = binary_scales(eta)
+    out = x * g
+    den = out + (h if y is None else y * h)
+    with np.errstate(invalid="ignore"):  # 0/0 where den underflows
+        out /= den
+    if y is not None:
+        out = np.where(den == 0.0, g, out)
+    if 0.0 in eta:
+        out = np.where(eta == 0.0, g, out)
     return out if out.ndim else float(out)
 
 
 def _b(g, h, l1, l0, l0h, eta):
-    """b at eta: a float for a scalar eta on scalar rows."""
-    eta, w, den, mid = _ratio(g, h, eta)
+    """b at eta: (l1 w g + l0 (1 - g)) / (w g + 1 - g) with w = e^eta up to
+    |eta| = 30, the denominator exactly 1 at eta = 0 (zero tilt is untilted
+    whatever g holds), and t l1 + (1 - t) l0 beyond, t the tilted
+    probability; a float for a scalar eta on scalar rows."""
+    eta = np.asarray(eta, dtype=np.float64)
+    etas = eta.ravel().tolist()
+    mid = -_STABLE_EXP <= min(etas) and max(etas) <= _STABLE_EXP
+    if not any(etas):
+        w, den = np.ones(eta.shape) if eta.ndim else 1.0, 1.0
+    else:
+        w = np.exp(eta if mid else np.where(np.abs(eta) <= _STABLE_EXP, eta, 0.0))
+        den = w * g
+        den += h
+        if 0.0 in etas:
+            np.copyto(den, 1.0, where=eta == 0.0)
     out = l1 * w
     out *= g
     out += l0h
     out /= den
     if not mid:
         # express through the tilted probability, which is already stable
-        t = _far(g, h, eta)
+        t = _tilted(g, h, eta)
         out = np.where(np.abs(eta) <= _STABLE_EXP, out, t * l1 + (1.0 - t) * l0)
     return out if out.ndim else float(out)
 
@@ -272,7 +269,7 @@ def _normalizer(g, h, eta):
     eta = _as_array(eta)
     etas = eta.ravel().tolist()
     if max(etas) > _LOG_MAX:
-        raise TiltOverflowError(f"exp({max(etas):.3g}) overflows float64 in the tilted normalizer")
+        raise _normalizer_overflow(max(etas))
     out = np.exp(eta) * g
     out += h
     if 0.0 in etas:

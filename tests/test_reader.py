@@ -8,8 +8,11 @@ raise the same error, on any file.
 
 import csv
 import io
+import re
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +110,70 @@ def test_columnar_reader_matches_row_scanner(tmp_path_factory, case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert outcome(tio._read_raw, path, x_columns) == outcome(tio._read_rows, path, x_columns)
+
+
+def dict_reader_rows(csv_path, x_columns):
+    """The row scanner as it read with ``csv.DictReader``, frozen: a dict
+    per row, a missing cell read as None, extra cells under the None key."""
+    path = Path(csv_path)
+    with tio._open_data(path) as fh:
+        reader = csv.DictReader(fh)
+        tio._column_indices(path, reader.fieldnames, x_columns)
+        s_vals, y_vals, x_vals, masked = [], [], [], 0
+        for i, row in enumerate(reader):
+            if None in row:
+                raise DataError(f"row {i}: {len(reader.fieldnames) + len(row[None])} cells, "
+                                f"header has {len(reader.fieldnames)}")
+            sv = (row["s"] or "").strip()
+            if sv not in ("0", "1"):
+                raise DataError(f"row {i}: s must be 0 or 1, got {row['s']!r}")
+            yv = (row["y"] or "").strip()
+            if sv == "1":
+                if yv == "":
+                    raise DataError(f"row {i}: source row has empty y")
+                try:
+                    y = float(yv)
+                except ValueError:
+                    raise DataError(f"row {i}, column y: could not parse {yv!r}")
+            else:
+                masked += yv != ""
+                y = np.nan
+            for c in x_columns:
+                cell = (row[c] or "").strip()
+                try:
+                    x_vals.append(float(cell))
+                except ValueError:
+                    raise DataError(f"row {i}, column {c}: could not parse {cell!r}")
+            s_vals.append(int(sv))
+            y_vals.append(y)
+    if not s_vals:
+        raise DataError(f"{path}: no data rows")
+    return tio.RawData(s=np.array(s_vals, dtype=np.int64), y=np.array(y_vals),
+                       x=np.array(x_vals).reshape(len(s_vals), len(x_columns)),
+                       columns=tuple(x_columns), masked_y_count=masked)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data_files())
+def test_row_scanner_reads_as_dict_reader(tmp_path_factory, case):
+    """Indexed by the header's positions, the row scanner gives the data
+    and the errors, word for word, that a dict per row gave."""
+    text, x_columns = case
+    path = write(tmp_path_factory.mktemp("reader"), text)
+    assert outcome(tio._read_rows, path, x_columns) == outcome(dict_reader_rows, path, x_columns)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("s,y,x0\n1,0\n", "row 0, column x0: could not parse ''"),
+    ("s,y,x0\n1\n", "row 0: source row has empty y"),
+    ("x0,y,s\n0.5,1\n", "row 0: s must be 0 or 1, got None"),
+    ("s,y,x0\n\n1,0,0.5,7\n", "row 0: 4 cells, header has 3"),
+])
+def test_short_and_long_rows_keep_their_words(tmp_path, text, message):
+    path = write(tmp_path, text)
+    for reader in (tio._read_rows, dict_reader_rows):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            reader(path, ("x0",))
 
 
 # -- the columnar pass takes plain files -------------------------------------

@@ -812,3 +812,30 @@ def test_far_eta_spline_jackknife_matches_take_refits():
     assert np.isfinite(weighted).all()
     assert_same(weighted, take_matrix(table, recipe, FAR_GRID, "cl", resample))
 
+
+
+@pytest.mark.parametrize("design", ("non-nested", "nested"))
+def test_binary_moment_fitted_offset_past_the_float64_exponent(design):
+    """Past eta = 709.78 a binary aug-alt with a moment-fitted offset fails
+    by its tilt only where a replicate draws a source row with y = 1: the
+    bootstrap replicate fails there with the tilt's text, and the replicate
+    that drops every such row stays finite, as their take() refits do."""
+    table = make_table(np.random.default_rng(5), 120, design, "binary")
+    recipe, grid = make_recipe("binary", a_basis="linear"), np.array([0.0, 710.0, 800.0])
+    counts = np.vstack([replicate_counts(table, ResampleConfig(replicates=2, seed=4), [0]),
+                        np.where((table.s == 1) & (table.y == 1.0), 0.0, 1.0)])
+    fits = recipe.fit_counts(table, counts)
+    est, failed, _ = estimators._replicate_rows(table, fits, [0, 1], grid, "aug-alt")
+    assert [type(e) for e in failed[0]] == [type(None), TiltOverflowError, TiltOverflowError]
+    assert np.isfinite(est[1]).all()
+    for r in range(2):
+        taken = table.take(np.repeat(np.arange(table.n), counts[r].astype(int)))
+        nuis = recipe.fit(taken)
+        for j, eta in enumerate(grid):
+            if failed[r, j] is not None:
+                with pytest.raises(type(failed[r, j])) as refit:
+                    estimate(taken, nuis, float(eta), "aug-alt")
+                assert str(refit.value) == str(failed[r, j])
+                continue
+            want = estimate(taken, nuis, float(eta), "aug-alt").estimate
+            assert abs(est[r, j] - want) <= TOL * max(1.0, abs(want))
